@@ -8,6 +8,13 @@ use kalis_baselines::snort::SnortIds;
 use kalis_baselines::traditional::{self, ReplicationChoice};
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
 use kalis_core::{Kalis, KalisId};
+use kalis_netsim::stress::burst_trace;
+use kalis_packets::Timestamp;
+use std::time::Duration;
+
+/// Untimed packets fed before `flood_at_cap` starts timing: past
+/// `TrafficStatsModule`'s 8,192-event cap and the 4,096-packet window.
+const FLOOD_WARM_UP: usize = 9_000;
 
 fn bench_pipeline(c: &mut Criterion) {
     let scenario = Scenario::build(ScenarioKind::IcmpFlood, 42, 5);
@@ -53,6 +60,32 @@ fn bench_pipeline(c: &mut Criterion) {
                 black_box(snort.alerts().len())
             },
             BatchSize::SmallInput,
+        );
+    });
+    // The benchmark's `flood-4k` in miniature: a 4,000 pps burst replayed
+    // past the traffic-statistics event cap, so every timed packet finds
+    // the Data Store window and the event queue full.
+    let flood = burst_trace(42, Timestamp::ZERO, 4_000, Duration::from_secs(3));
+    let (fill, at_cap) = flood.split_at(FLOOD_WARM_UP);
+    group.throughput(Throughput::Elements(at_cap.len() as u64));
+    group.bench_function("flood_at_cap", |b| {
+        b.iter_batched(
+            || {
+                let mut kalis = Kalis::builder(KalisId::new("K1"))
+                    .with_default_modules()
+                    .build();
+                for packet in fill {
+                    kalis.ingest(packet.clone());
+                }
+                kalis
+            },
+            |mut kalis| {
+                for packet in at_cap {
+                    kalis.ingest(packet.clone());
+                }
+                black_box(kalis.alerts().len())
+            },
+            BatchSize::LargeInput,
         );
     });
     group.finish();

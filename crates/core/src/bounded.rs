@@ -69,8 +69,9 @@ pub(crate) fn budget_params(entity_budget: usize) -> Vec<(String, crate::knowled
 ///
 /// "Used" means written or deliberately touched ([`BoundedMap::get_mut`],
 /// [`BoundedMap::insert`], [`BoundedMap::get_or_insert_with`]); plain
-/// [`BoundedMap::get`] is a non-touching peek so read-side telemetry
-/// does not distort eviction order.
+/// [`BoundedMap::get`] (and its in-place twin [`BoundedMap::peek_mut`])
+/// is a non-touching peek so read-side telemetry and bookkeeping do not
+/// distort eviction order.
 ///
 /// # Examples
 ///
@@ -135,6 +136,12 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
     /// Non-touching read: does not refresh the entry's recency.
     pub fn get(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|(_, v)| v)
+    }
+
+    /// Non-touching write access: updates the value in place without
+    /// refreshing the entry's recency (bookkeeping that is not a "use").
+    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(key).map(|(_, v)| v)
     }
 
     /// Touching read: refreshes the entry's recency.

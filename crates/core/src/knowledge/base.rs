@@ -77,6 +77,9 @@ pub struct ChangeEvent {
 pub struct KnowledgeBase {
     local: KalisId,
     entries: BTreeMap<String, String>,
+    /// Σ [`entry_bytes`] over `entries`, kept current wherever an entry
+    /// is written or removed.
+    entries_bytes: usize,
     collective: BTreeSet<String>,
     dirty_collective: BTreeSet<String>,
     changes: Vec<ChangeEvent>,
@@ -101,12 +104,18 @@ pub struct KnowledgeBase {
     stats: Option<KbStats>,
 }
 
+/// Rough live-memory footprint of one stored knowgget.
+fn entry_bytes(encoded: &str, wire: &str) -> usize {
+    encoded.len() + wire.len() + 48
+}
+
 impl KnowledgeBase {
     /// An empty Knowledge Base owned by `local`.
     pub fn new(local: KalisId) -> Self {
         KnowledgeBase {
             local,
             entries: BTreeMap::new(),
+            entries_bytes: 0,
             collective: BTreeSet::new(),
             dirty_collective: BTreeSet::new(),
             changes: Vec::new(),
@@ -227,7 +236,10 @@ impl KnowledgeBase {
                     self.attribution.remove(&encoded);
                 }
             }
-            self.entries.insert(encoded.clone(), wire);
+            self.entries_bytes += entry_bytes(&encoded, &wire);
+            if let Some(old) = self.entries.insert(encoded.clone(), wire) {
+                self.entries_bytes -= entry_bytes(&encoded, &old);
+            }
             self.revision += 1;
             if self.collective.contains(&encoded) {
                 self.dirty_collective.insert(encoded.clone());
@@ -267,6 +279,7 @@ impl KnowledgeBase {
             let Some(old) = self.entries.remove(encoded) else {
                 continue;
             };
+            self.entries_bytes -= entry_bytes(encoded, &old);
             self.revision += 1;
             self.collective.remove(encoded);
             self.dirty_collective.remove(encoded);
@@ -443,6 +456,7 @@ impl KnowledgeBase {
     fn remove_key(&mut self, key: KnowKey) -> bool {
         let encoded = key.encode();
         if let Some(old) = self.entries.remove(&encoded) {
+            self.entries_bytes -= entry_bytes(&encoded, &old);
             self.revision += 1;
             self.collective.remove(&encoded);
             self.dirty_collective.remove(&encoded);
@@ -574,12 +588,19 @@ impl KnowledgeBase {
         self.entries.is_empty()
     }
 
-    /// Rough live-memory footprint (the RAM-usage proxy for experiments).
+    /// Rough live-memory footprint (the RAM-usage proxy for experiments):
+    /// a running total, so reading it costs nothing however many
+    /// knowggets are stored.
     pub fn state_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(k, v)| k.len() + v.len() + 48)
-            .sum()
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(self.entries_bytes, self.recount_state_bytes());
+        self.entries_bytes
+    }
+
+    /// `state_bytes()` recomputed by walking every entry.
+    #[cfg(any(test, debug_assertions))]
+    fn recount_state_bytes(&self) -> usize {
+        self.entries.iter().map(|(k, v)| entry_bytes(k, v)).sum()
     }
 
     /// Drain the change log accumulated since the last call.
@@ -953,6 +974,46 @@ mod tests {
         assert_eq!(kb.entity_occupancy(), 2);
         assert_eq!(kb.len(), 2);
         assert_eq!(kb.entity_budget(), 2);
+    }
+
+    proptest::proptest! {
+        /// The running total equals the recomputed walk after every
+        /// kind of mutation: insert, overwrite with a value of another
+        /// length, `remove`, `remove_about`, the per-entity purge at the
+        /// budget, a `set_entity_budget` shrink, and a peer's knowgget.
+        #[test]
+        fn running_state_bytes_equal_the_walk(
+            ops in proptest::collection::vec((0u8..7, 0u8..6, 0u8..12, 0u8..4), 1..200),
+        ) {
+            let mut kb = kb();
+            kb.set_entity_budget(6);
+            for (op, label, entity_no, value) in ops {
+                let label = format!("L{label}");
+                let entity = Entity::new(format!("E{entity_no}"));
+                // Wire forms of different lengths, so an overwrite moves
+                // the total.
+                let value = match value {
+                    0 => KnowValue::Bool(true),
+                    1 => KnowValue::Int(1_000_000_007),
+                    2 => KnowValue::Float(0.037),
+                    _ => KnowValue::Text("a longer textual value".to_owned()),
+                };
+                match op {
+                    0 => drop(kb.insert(label, value)),
+                    1 | 2 => drop(kb.insert_about(label, entity, value)),
+                    3 => drop(kb.remove(&label)),
+                    4 => drop(kb.remove_about(&label, &entity)),
+                    5 => kb.set_entity_budget(2 + usize::from(entity_no) % 6),
+                    _ => {
+                        let peer = KalisId::new("K2");
+                        let knowgget = Knowgget::about(label, value, peer.clone(), entity);
+                        kb.accept_remote(&peer, knowgget).unwrap();
+                    }
+                }
+                proptest::prop_assert_eq!(kb.state_bytes(), kb.recount_state_bytes());
+                proptest::prop_assert!(kb.entity_occupancy() <= kb.entity_budget());
+            }
+        }
     }
 
     #[test]

@@ -839,7 +839,24 @@ impl Kalis {
         self.maybe_tick(now);
         let shed = self.observe_arrival(now);
         self.store.push(packet);
-        let packet = self.store.window().last().cloned().expect("just pushed");
+        self.dispatch_newest(now, shed);
+        self.after_dispatch(now);
+        if self.current_trace.sampled {
+            self.kb.clear_trace();
+            #[cfg(feature = "telemetry")]
+            self.stats.trace_dropped.set(self.tracer.dropped());
+        }
+        self.current_trace = TraceContext::none();
+        self.current_packet_seq = None;
+    }
+
+    /// Route the packet just stored to the active modules, borrowed from
+    /// the window: store, ops, manager, KB and alerts are disjoint fields.
+    fn dispatch_newest(&mut self, now: Timestamp, shed: ShedMode) {
+        // A window configured to hold nothing leaves nothing to dispatch.
+        let Some(packet) = self.store.newest() else {
+            return;
+        };
         if let Some(ops) = &mut self.ops {
             if ops.started_us.is_none() {
                 ops.started_us = Some(now.as_micros());
@@ -860,7 +877,7 @@ impl Kalis {
             kb: &mut self.kb,
             alerts: &mut self.alerts,
         };
-        let outcome = self.manager.dispatch_packet_shed(&mut ctx, &packet, shed);
+        let outcome = self.manager.dispatch_packet_shed(&mut ctx, packet, shed);
         self.overload.episode_skipped += outcome.modules_shed;
         #[cfg(feature = "telemetry")]
         self.stats.work.add(outcome.work_units());
@@ -877,14 +894,6 @@ impl Kalis {
                 format!("shed={shed:?} work={}", outcome.work_units()),
             );
         }
-        self.after_dispatch(now);
-        if self.current_trace.sampled {
-            self.kb.clear_trace();
-            #[cfg(feature = "telemetry")]
-            self.stats.trace_dropped.set(self.tracer.dropped());
-        }
-        self.current_trace = TraceContext::none();
-        self.current_packet_seq = None;
     }
 
     /// [`Kalis::ingest`] with backpressure signalling: the packet is

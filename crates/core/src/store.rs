@@ -43,8 +43,15 @@ impl Default for WindowConfig {
 pub struct DataStore {
     config: WindowConfig,
     window: VecDeque<CapturedPacket>,
+    /// Σ [`footprint`] over the window, kept current by `push`/`evict`.
+    window_bytes: usize,
     log: Option<Box<dyn Write + Send>>,
     logged: u64,
+}
+
+/// Rough live-memory footprint of one windowed packet.
+fn footprint(packet: &CapturedPacket) -> usize {
+    packet.raw.len() + packet.interface.len() + 96
 }
 
 impl DataStore {
@@ -58,6 +65,7 @@ impl DataStore {
         DataStore {
             config,
             window: VecDeque::new(),
+            window_bytes: 0,
             log: None,
             logged: 0,
         }
@@ -98,23 +106,30 @@ impl DataStore {
             );
             self.logged += 1;
         }
+        self.window_bytes += footprint(&packet);
         self.window.push_back(packet);
         self.evict();
     }
 
     fn evict(&mut self) {
-        while self.window.len() > self.config.max_packets {
-            self.window.pop_front();
-        }
-        if let Some(newest) = self.window.back().map(|p| p.timestamp) {
-            while let Some(front) = self.window.front() {
-                if newest.saturating_since(front.timestamp) > self.config.max_age {
-                    self.window.pop_front();
-                } else {
-                    break;
-                }
+        let Some(newest) = self.window.back().map(|p| p.timestamp) else {
+            return;
+        };
+        while let Some(front) = self.window.front() {
+            if self.window.len() > self.config.max_packets
+                || newest.saturating_since(front.timestamp) > self.config.max_age
+            {
+                self.window_bytes -= footprint(front);
+                self.window.pop_front();
+            } else {
+                break;
             }
         }
+    }
+
+    /// The packet pushed last, if the window still holds it.
+    pub fn newest(&self) -> Option<&CapturedPacket> {
+        self.window.back()
     }
 
     /// Packets currently in the window, oldest first.
@@ -149,12 +164,18 @@ impl DataStore {
         self.logged
     }
 
-    /// Rough live-memory footprint of the window (RAM proxy).
+    /// Rough live-memory footprint of the window (RAM proxy): a running
+    /// total, so reading it costs nothing however deep the window is.
     pub fn state_bytes(&self) -> usize {
-        self.window
-            .iter()
-            .map(|p| p.raw.len() + p.interface.len() + 96)
-            .sum()
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(self.window_bytes, self.recount_state_bytes());
+        self.window_bytes
+    }
+
+    /// `state_bytes()` recomputed by walking the window.
+    #[cfg(any(test, debug_assertions))]
+    fn recount_state_bytes(&self) -> usize {
+        self.window.iter().map(footprint).sum()
     }
 }
 
@@ -251,6 +272,37 @@ mod tests {
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.starts_with("1000000|wifi|-40.00|w0|010203"));
+    }
+
+    proptest::proptest! {
+        /// The running total equals the recomputed walk after every
+        /// push, whichever eviction rule (`max_packets`, `max_age`) fires.
+        #[test]
+        fn running_state_bytes_equal_the_walk(
+            pushes in proptest::collection::vec((0u64..40, 0usize..64, 0usize..3), 1..300),
+            max_packets in 1usize..40,
+            max_age_secs in 1u64..30,
+        ) {
+            let mut store = DataStore::with_config(WindowConfig {
+                max_packets,
+                max_age: core::time::Duration::from_secs(max_age_secs),
+            });
+            let mut now = 0u64;
+            for (advance, raw_len, interface) in pushes {
+                // Mostly small steps; a long one now and then ages out
+                // most of the window at once.
+                now += if advance > 36 { advance } else { advance / 12 };
+                store.push(CapturedPacket::capture(
+                    Timestamp::from_secs(now),
+                    Medium::Wifi,
+                    None,
+                    ["w0", "wlan-mon1", ""][interface],
+                    Bytes::from(vec![0u8; raw_len]),
+                ));
+                proptest::prop_assert_eq!(store.state_bytes(), store.recount_state_bytes());
+                proptest::prop_assert!(store.len() <= max_packets);
+            }
+        }
     }
 
     #[test]
