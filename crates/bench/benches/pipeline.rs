@@ -3,18 +3,57 @@
 //! knowledge-driven module set (Kalis) vs all-modules-on (traditional)
 //! vs whole-rule-list-per-packet (Snort).
 
-use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{
+    black_box, criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion, Throughput,
+};
 use kalis_baselines::snort::SnortIds;
 use kalis_baselines::traditional::{self, ReplicationChoice};
+use kalis_bench::experiments::spray_trace;
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
 use kalis_core::{Kalis, KalisId};
 use kalis_netsim::stress::burst_trace;
-use kalis_packets::Timestamp;
+use kalis_packets::{CapturedPacket, Timestamp};
 use std::time::Duration;
 
 /// Untimed packets fed before `flood_at_cap` starts timing: past
 /// `TrafficStatsModule`'s 8,192-event cap and the 4,096-packet window.
 const FLOOD_WARM_UP: usize = 9_000;
+
+/// Untimed packets fed before `spray_past_budget` starts timing: each a
+/// new source, destination and MAC, past every module's default
+/// `entity_budget` of 1,024 (the benchmark's `identity-spray` warm-up).
+const SPRAY_WARM_UP: usize = 2_600;
+
+/// Time `timed` through a default-module node that has already ingested
+/// `fill`, untimed.
+fn bench_warmed(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    fill: &[CapturedPacket],
+    timed: &[CapturedPacket],
+) {
+    group.throughput(Throughput::Elements(timed.len() as u64));
+    group.bench_function(name, |b| {
+        b.iter_batched(
+            || {
+                let mut kalis = Kalis::builder(KalisId::new("K1"))
+                    .with_default_modules()
+                    .build();
+                for packet in fill {
+                    kalis.ingest(packet.clone());
+                }
+                kalis
+            },
+            |mut kalis| {
+                for packet in timed {
+                    kalis.ingest(packet.clone());
+                }
+                black_box(kalis.alerts().len())
+            },
+            BatchSize::LargeInput,
+        );
+    });
+}
 
 fn bench_pipeline(c: &mut Criterion) {
     let scenario = Scenario::build(ScenarioKind::IcmpFlood, 42, 5);
@@ -67,27 +106,13 @@ fn bench_pipeline(c: &mut Criterion) {
     // the Data Store window and the event queue full.
     let flood = burst_trace(42, Timestamp::ZERO, 4_000, Duration::from_secs(3));
     let (fill, at_cap) = flood.split_at(FLOOD_WARM_UP);
-    group.throughput(Throughput::Elements(at_cap.len() as u64));
-    group.bench_function("flood_at_cap", |b| {
-        b.iter_batched(
-            || {
-                let mut kalis = Kalis::builder(KalisId::new("K1"))
-                    .with_default_modules()
-                    .build();
-                for packet in fill {
-                    kalis.ingest(packet.clone());
-                }
-                kalis
-            },
-            |mut kalis| {
-                for packet in at_cap {
-                    kalis.ingest(packet.clone());
-                }
-                black_box(kalis.alerts().len())
-            },
-            BatchSize::LargeInput,
-        );
-    });
+    bench_warmed(&mut group, "flood_at_cap", fill, at_cap);
+    // The benchmark's `identity-spray` in miniature: two 3,300-identity
+    // bursts, timed once every bounded map is full, so each timed packet
+    // is a key the maps have not seen.
+    let spray = spray_trace(42, 3_300, 2);
+    let (fill, past_budget) = spray.split_at(SPRAY_WARM_UP);
+    bench_warmed(&mut group, "spray_past_budget", fill, past_budget);
     group.finish();
 }
 

@@ -34,7 +34,7 @@
 //!    ≤ `count`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
@@ -90,8 +90,10 @@ pub(crate) fn budget_params(entity_budget: usize) -> Vec<(String, crate::knowled
 pub struct BoundedMap<K, V> {
     budget: usize,
     seq: u64,
+    /// Each value beside the sequence number of its last use.
     map: BTreeMap<K, (u64, V)>,
-    lru: BTreeSet<(u64, K)>,
+    /// Recency index: sequence number of last use → key, oldest first.
+    lru: BTreeMap<u64, K>,
     evictions: u64,
 }
 
@@ -102,7 +104,7 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
             budget: budget.max(1),
             seq: 0,
             map: BTreeMap::new(),
-            lru: BTreeSet::new(),
+            lru: BTreeMap::new(),
             evictions: 0,
         }
     }
@@ -146,23 +148,22 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
 
     /// Touching read: refreshes the entry's recency.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if self.map.contains_key(key) {
-            self.touch(key);
-        }
-        self.map.get_mut(key).map(|(_, v)| v)
+        let (used, value) = self.map.get_mut(key)?;
+        Self::touch(&mut self.lru, &mut self.seq, used);
+        Some(value)
     }
 
     /// Insert or replace `key`, touching it; returns the entry evicted
     /// to make room, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        if let Some(slot) = self.map.get_mut(&key) {
-            slot.1 = value;
-            self.touch(&key);
+        if let Some((used, slot)) = self.map.get_mut(&key) {
+            *slot = value;
+            Self::touch(&mut self.lru, &mut self.seq, used);
             return None;
         }
         let evicted = self.make_room();
         self.seq += 1;
-        self.lru.insert((self.seq, key.clone()));
+        self.lru.insert(self.seq, key.clone());
         self.map.insert(key, (self.seq, value));
         evicted
     }
@@ -175,12 +176,12 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
         default: impl FnOnce() -> V,
     ) -> (&mut V, Option<(K, V)>) {
         let mut evicted = None;
-        if self.map.contains_key(key) {
-            self.touch(key);
+        if let Some((used, _)) = self.map.get_mut(key) {
+            Self::touch(&mut self.lru, &mut self.seq, used);
         } else {
             evicted = self.make_room();
             self.seq += 1;
-            self.lru.insert((self.seq, key.clone()));
+            self.lru.insert(self.seq, key.clone());
             self.map.insert(key.clone(), (self.seq, default()));
         }
         let v = self
@@ -193,9 +194,19 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
 
     /// Remove `key`, returning its value (not counted as an eviction).
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (seq, v) = self.map.remove(key)?;
-        self.lru.remove(&(seq, key.clone()));
+        let (used, v) = self.map.remove(key)?;
+        self.lru.remove(&used);
         Some(v)
+    }
+
+    /// Evict the least-recently-used entry whether or not the map is
+    /// full (counted as an eviction): for an owner whose budget this map
+    /// shares with state held elsewhere.
+    pub fn evict_lru(&mut self) -> Option<(K, V)> {
+        let (_, key) = self.lru.pop_first()?;
+        let (_, value) = self.map.remove(&key)?;
+        self.evictions += 1;
+        Some((key, value))
     }
 
     /// Iterate entries in key order.
@@ -234,27 +245,21 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
         self.evictions = 0;
     }
 
-    fn touch(&mut self, key: &K) {
-        if let Some((seq, _)) = self.map.get(key) {
-            self.lru.remove(&(*seq, key.clone()));
-            self.seq += 1;
-            self.lru.insert((self.seq, key.clone()));
-            let next = self.seq;
-            if let Some(slot) = self.map.get_mut(key) {
-                slot.0 = next;
-            }
+    /// Move the entry last used at `*used` to the newest end of the
+    /// recency index; the index's copy of the key moves, nothing is cloned.
+    fn touch(lru: &mut BTreeMap<u64, K>, seq: &mut u64, used: &mut u64) {
+        *seq += 1;
+        if let Some(key) = lru.remove(used) {
+            lru.insert(*seq, key);
         }
+        *used = *seq;
     }
 
     fn make_room(&mut self) -> Option<(K, V)> {
         if self.map.len() < self.budget {
             return None;
         }
-        let (seq, key) = self.lru.iter().next()?.clone();
-        self.lru.remove(&(seq, key.clone()));
-        let (_, value) = self.map.remove(&key)?;
-        self.evictions += 1;
-        Some((key, value))
+        self.evict_lru()
     }
 }
 

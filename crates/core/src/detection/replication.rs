@@ -128,8 +128,12 @@ impl Samples {
     }
 }
 
+/// Record the packet's RSSI under its transmitter. `points` is the
+/// caller's running count of retained samples over all of `samples`,
+/// kept here because this is the only place samples come and go.
 fn ingest(
     samples: &mut BoundedMap<Entity, Samples>,
+    points: &mut usize,
     packet: &CapturedPacket,
 ) -> Option<(Entity, Timestamp)> {
     let rssi = packet.rssi_dbm?;
@@ -137,9 +141,25 @@ fn ingest(
     // Fingerprint only directly-transmitted identities: the RSSI of a
     // relayed frame belongs to the relay, not the claimed originator.
     let id = fingerprint_identity(pkt)?;
-    let (entry, _) = samples.get_or_insert_with(&id, Samples::default);
+    let (entry, evicted) = samples.get_or_insert_with(&id, Samples::default);
+    let before = entry.points.len();
     entry.push(packet.timestamp, rssi);
+    *points = *points + entry.points.len() - before;
+    if let Some((_, evicted)) = evicted {
+        *points -= evicted.points.len();
+    }
     Some((id, packet.timestamp))
+}
+
+/// `state_bytes()` of either replication variant: 16 bytes a sample, 64
+/// an identity. `points` is the running count [`ingest`] keeps, so the
+/// per-packet read does not walk the map.
+fn footprint(samples: &BoundedMap<Entity, Samples>, points: usize) -> usize {
+    debug_assert_eq!(
+        points,
+        samples.iter().map(|(_, s)| s.points.len()).sum::<usize>()
+    );
+    points * 16 + samples.len() * 64 + 128
 }
 
 /// Fraction of identities (other than the suspect under evaluation) whose
@@ -164,6 +184,8 @@ fn wandering_fraction(samples: &BoundedMap<Entity, Samples>, exclude: &Entity) -
 pub struct ReplicationStaticModule {
     entity_budget: usize,
     samples: BoundedMap<Entity, Samples>,
+    /// Samples retained over all of `samples`.
+    sample_points: usize,
     gate: AlertGate<Entity>,
 }
 
@@ -183,6 +205,7 @@ impl ReplicationStaticModule {
         ReplicationStaticModule {
             entity_budget,
             samples: BoundedMap::new(entity_budget),
+            sample_points: 0,
             gate: AlertGate::bounded(Duration::from_secs(15), entity_budget),
         }
     }
@@ -210,7 +233,7 @@ impl Module for ReplicationStaticModule {
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
-        let Some((id, now)) = ingest(&mut self.samples, packet) else {
+        let Some((id, now)) = ingest(&mut self.samples, &mut self.sample_points, packet) else {
             return;
         };
         let Some(suspect) = self.samples.get(&id) else {
@@ -243,11 +266,7 @@ impl Module for ReplicationStaticModule {
     }
 
     fn state_bytes(&self) -> usize {
-        self.samples
-            .iter()
-            .map(|(_, s)| s.points.len() * 16 + 64)
-            .sum::<usize>()
-            + 128
+        footprint(&self.samples, self.sample_points)
     }
 
     fn occupancy(&self) -> usize {
@@ -268,6 +287,7 @@ impl Module for ReplicationStaticModule {
 
     fn reset(&mut self) {
         self.samples.clear();
+        self.sample_points = 0;
         self.gate.clear();
     }
 }
@@ -278,6 +298,8 @@ impl Module for ReplicationStaticModule {
 pub struct ReplicationMobileModule {
     entity_budget: usize,
     samples: BoundedMap<Entity, Samples>,
+    /// Samples retained over all of `samples`.
+    sample_points: usize,
     gate: AlertGate<Entity>,
 }
 
@@ -297,6 +319,7 @@ impl ReplicationMobileModule {
         ReplicationMobileModule {
             entity_budget,
             samples: BoundedMap::new(entity_budget),
+            sample_points: 0,
             gate: AlertGate::bounded(Duration::from_secs(15), entity_budget),
         }
     }
@@ -324,7 +347,7 @@ impl Module for ReplicationMobileModule {
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
-        let Some((id, now)) = ingest(&mut self.samples, packet) else {
+        let Some((id, now)) = ingest(&mut self.samples, &mut self.sample_points, packet) else {
             return;
         };
         if !self
@@ -356,11 +379,7 @@ impl Module for ReplicationMobileModule {
     }
 
     fn state_bytes(&self) -> usize {
-        self.samples
-            .iter()
-            .map(|(_, s)| s.points.len() * 16 + 64)
-            .sum::<usize>()
-            + 128
+        footprint(&self.samples, self.sample_points)
     }
 
     fn occupancy(&self) -> usize {
@@ -381,6 +400,7 @@ impl Module for ReplicationMobileModule {
 
     fn reset(&mut self) {
         self.samples.clear();
+        self.sample_points = 0;
         self.gate.clear();
     }
 }
@@ -533,6 +553,11 @@ mod tests {
         );
         assert!(module.occupancy() <= 32, "sample map bounded");
         assert!(module.evictions() > 0, "spray forced evictions");
+        // The running sample count followed pushes, trims and evictions.
+        let points: usize = module.samples.iter().map(|(_, s)| s.points.len()).sum();
+        assert_eq!(module.state_bytes(), points * 16 + 32 * 64 + 128);
+        module.reset();
+        assert_eq!(module.state_bytes(), 128);
     }
 
     #[test]

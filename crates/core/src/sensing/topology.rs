@@ -29,6 +29,14 @@ pub struct TopologyDiscoveryModule {
     multihop_evidence: bool,
     entity_budget: usize,
     transmitters: BoundedMap<String, ()>,
+    /// Running total of [`footprint`] over `transmitters`, so
+    /// `state_bytes()` — read on every packet — does not walk the map.
+    transmitter_bytes: usize,
+}
+
+/// What one remembered transmitter costs in `state_bytes()`.
+fn footprint(transmitter: &str) -> usize {
+    transmitter.len() + 32
 }
 
 impl Default for TopologyDiscoveryModule {
@@ -58,7 +66,14 @@ impl TopologyDiscoveryModule {
             multihop_evidence: false,
             entity_budget,
             transmitters: BoundedMap::new(entity_budget),
+            transmitter_bytes: 0,
         }
+    }
+
+    /// `transmitter_bytes` recomputed by walking the map.
+    #[cfg(any(test, debug_assertions))]
+    fn recount_transmitter_bytes(&self) -> usize {
+        self.transmitters.iter().map(|(t, _)| footprint(t)).sum()
     }
 
     fn note_protocol(ctx: &mut ModuleCtx<'_>, proto: &str) {
@@ -109,7 +124,10 @@ impl Module for TopologyDiscoveryModule {
         if let Some(tx) = pkt.transmitter() {
             let key = tx.as_str().to_owned();
             if self.transmitters.get_mut(&key).is_none() {
-                self.transmitters.insert(key, ());
+                self.transmitter_bytes += footprint(&key);
+                if let Some((evicted, ())) = self.transmitters.insert(key, ()) {
+                    self.transmitter_bytes -= footprint(&evicted);
+                }
                 ctx.kb
                     .insert(labels::MONITORED_NODES, self.transmitters.len() as i64);
             }
@@ -191,11 +209,9 @@ impl Module for TopologyDiscoveryModule {
     }
 
     fn state_bytes(&self) -> usize {
-        128 + self
-            .transmitters
-            .iter()
-            .map(|(t, _)| t.len() + 32)
-            .sum::<usize>()
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(self.transmitter_bytes, self.recount_transmitter_bytes());
+        128 + self.transmitter_bytes
     }
 
     fn occupancy(&self) -> usize {
@@ -218,6 +234,7 @@ impl Module for TopologyDiscoveryModule {
         self.frames_seen = 0;
         self.multihop_evidence = false;
         self.transmitters.clear();
+        self.transmitter_bytes = 0;
     }
 }
 
@@ -386,6 +403,40 @@ mod tests {
         // The monitored-node count saturates instead of tracking the
         // attacker's fabricated identity count.
         assert_eq!(kb.get_int(labels::MONITORED_NODES), Some(16));
+    }
+
+    #[test]
+    fn state_bytes_total_follows_gains_evictions_and_reset() {
+        let mut module = TopologyDiscoveryModule::new().with_entity_budget(16);
+        let mut kb = kb();
+        assert_eq!(module.state_bytes(), 128);
+        // 40 transmitters against 16 slots, every third one heard twice.
+        for addr in (100u16..140).flat_map(|a| [a, a - a % 3]) {
+            feed(
+                &mut module,
+                &mut kb,
+                kalis_netsim::craft::zigbee_data(
+                    ShortAddr(addr),
+                    ShortAddr(1),
+                    0,
+                    ShortAddr(addr),
+                    ShortAddr(1),
+                    0,
+                    b"x",
+                ),
+            );
+            assert_eq!(
+                module.state_bytes(),
+                128 + module.recount_transmitter_bytes()
+            );
+        }
+        assert!(module.evictions() > 0);
+        assert_eq!(
+            module.state_bytes(),
+            128 + 16 * footprint(&ShortAddr(100).to_string())
+        );
+        module.reset();
+        assert_eq!(module.state_bytes(), 128);
     }
 
     #[test]

@@ -33,16 +33,17 @@ struct Event {
     admitted: bool,
 }
 
-/// What `written` holds per key.
+/// What `written` holds per destination key.
 #[derive(Debug, Clone, Copy)]
 struct Published {
     /// The rate last written to the Knowledge Base.
     rate: f64,
-    /// Window events counted towards this key. Live for destination
-    /// keys (bumped and decremented as events come and go); for
-    /// network-wide keys `class_counts` is the live count and this is the
-    /// count as of the last publish.
+    /// Window events counted towards this key, bumped and decremented as
+    /// events come and go.
     count: usize,
+    /// Whether the key sits in `dirty`: a key is queued once, however
+    /// many of its events come and go between two publishes.
+    queued: bool,
 }
 
 /// The Traffic Statistics sensing module.
@@ -53,8 +54,9 @@ struct Published {
 /// per-destination view that "support\[s\] an accurate detection of targeted
 /// DoS-like attacks").
 ///
-/// The window counts are kept incrementally, so a publish costs the live
-/// keys plus the events that just expired, whatever the window depth.
+/// The window counts are kept incrementally and keys whose count moved
+/// are queued, so a publish costs the changed keys plus the events that
+/// just expired, whatever the window depth or the number of live keys.
 #[derive(Debug)]
 pub struct TrafficStatsModule {
     window: Duration,
@@ -68,9 +70,17 @@ pub struct TrafficStatsModule {
     /// Window events per class, whatever their destination.
     // kalis-lint: allow(KL301): at most one entry per TrafficClass variant
     class_counts: BTreeMap<TrafficClass, usize>,
+    /// The non-zero network-wide rates last written to the Knowledge
+    /// Base. Each takes a slot of `entity_budget` beside `written`.
+    // kalis-lint: allow(KL301): at most one entry per TrafficClass variant
+    class_rates: BTreeMap<TrafficClass, f64>,
     /// Window events that carry a destination whose key is not admitted.
     unadmitted: usize,
+    /// Per-destination rates; a changed write refreshes a key's recency.
     written: BoundedMap<RateKey, Published>,
+    /// Keys of `written` whose count moved since the last publish.
+    // kalis-lint: allow(KL301): each written key is queued at most once (`Published::queued`)
+    dirty: Vec<RateKey>,
 }
 
 impl TrafficStatsModule {
@@ -84,9 +94,9 @@ impl TrafficStatsModule {
         Self::build(window, DEFAULT_ENTITY_BUDGET)
     }
 
-    /// The same module with its per-destination rate cache bounded at
-    /// `budget` entries and the raw event window capped at
-    /// `budget * EVENTS_PER_BUDGET_UNIT` events.
+    /// The same module with its published rates (per destination and
+    /// network-wide together) bounded at `budget` entries and the raw
+    /// event window capped at `budget * EVENTS_PER_BUDGET_UNIT` events.
     pub fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(self.window, budget.max(MIN_ENTITY_BUDGET))
     }
@@ -98,8 +108,10 @@ impl TrafficStatsModule {
             events: VecDeque::new(),
             shed_events: 0,
             class_counts: BTreeMap::new(), // kalis-lint: allow(KL301): see field note
+            class_rates: BTreeMap::new(),  // kalis-lint: allow(KL301): see field note
             unadmitted: 0,
             written: BoundedMap::new(entity_budget),
+            dirty: Vec::new(), // kalis-lint: allow(KL301): see field note
         }
     }
 
@@ -111,10 +123,10 @@ impl TrafficStatsModule {
         KnowKey::scoped(labels::TRAFFIC_FREQUENCY, class.label())
     }
 
-    fn write_rate(kb: &mut KnowledgeBase, (class, dst): &RateKey, rate: f64) {
+    fn write_rate(kb: &mut KnowledgeBase, (class, dst): RateKey, rate: f64) {
         match dst {
-            None => kb.insert(Self::key(*class), rate),
-            Some(entity) => kb.insert_about(Self::key(*class), entity.clone(), rate),
+            None => kb.insert(Self::key(class), rate),
+            Some(entity) => kb.insert_about(Self::key(class), entity, rate),
         };
     }
 
@@ -140,7 +152,12 @@ impl TrafficStatsModule {
             && self
                 .written
                 .peek_mut(&key)
-                .map(|published| published.count += 1)
+                .map(|published| {
+                    published.count += 1;
+                    if !std::mem::replace(&mut published.queued, true) {
+                        self.dirty.push(key.clone());
+                    }
+                })
                 .is_some();
         let (class, dst) = key;
         if dst.is_some() && !admitted {
@@ -171,24 +188,30 @@ impl TrafficStatsModule {
         }
         if !event.admitted {
             self.unadmitted -= 1;
-        } else if let Some(published) = self.written.peek_mut(&(event.class, event.dst)) {
+            return;
+        }
+        let key = (event.class, event.dst);
+        if let Some(published) = self.written.peek_mut(&key) {
             published.count -= 1;
+            if !std::mem::replace(&mut published.queued, true) {
+                self.dirty.push(key);
+            }
         }
     }
 
-    /// Admit per-destination keys only while the bounded cache has room,
-    /// oldest un-admitted destination first; churning an LRU slot (and a
-    /// KB write) per sprayed one-shot destination would let an identity
-    /// spray turn every publish into a full-cache rewrite. Destinations
-    /// that keep talking re-enter once stale entries expire out of the
-    /// window and free their slot. Returns the newly admitted keys with
-    /// their window counts; the walk over the window runs only when
-    /// there is something to admit and room to admit it into.
-    // kalis-lint: allow(KL301): per-publish scratch, admission-capped by the written budget
+    /// Admit per-destination keys only while the budget has room, oldest
+    /// un-admitted destination first; churning a slot (and a KB write)
+    /// per sprayed one-shot destination would let an identity spray turn
+    /// every publish into a full-cache rewrite. Destinations that keep
+    /// talking re-enter once stale entries expire out of the window and
+    /// free their slot. Returns the newly admitted keys with their
+    /// window counts; the walk over the window runs only when there is
+    /// something to admit and room to admit it into.
+    // kalis-lint: allow(KL301): per-publish scratch, admission-capped by the budget
     fn admit(&mut self) -> BTreeMap<RateKey, usize> {
         // kalis-lint: allow(KL301): the same scratch
         let mut fresh: BTreeMap<RateKey, usize> = BTreeMap::new();
-        let room = self.written.budget().saturating_sub(self.written.len());
+        let room = self.entity_budget.saturating_sub(self.occupancy());
         if self.unadmitted == 0 || room == 0 {
             return fresh;
         }
@@ -214,21 +237,6 @@ impl TrafficStatsModule {
         fresh
     }
 
-    /// Destination keys evicted from `written` stop being counted: their
-    /// events go back to the un-admitted pool, to be re-admitted (or not)
-    /// by the room rule like any other destination.
-    fn unadmit(&mut self, mut lost: Vec<RateKey>) {
-        lost.sort_unstable();
-        for event in self.events.iter_mut().filter(|e| e.admitted) {
-            let key = (event.class, event.dst.take());
-            if lost.binary_search(&key).is_ok() {
-                event.admitted = false;
-                self.unadmitted += 1;
-            }
-            event.dst = key.1;
-        }
-    }
-
     fn publish(&mut self, ctx: &mut ModuleCtx<'_>, now: Timestamp) {
         while self
             .events
@@ -240,59 +248,80 @@ impl TrafficStatsModule {
             }
         }
         let secs = self.window.as_secs_f64();
-        let fresh = self.admit();
-        // Every counted key in key order — the order of the KB writes and
-        // of the recency refreshes — and the written keys nothing counts
-        // towards any more.
-        // kalis-lint: allow(KL301): live keys: the bounded written map plus one per class
-        let mut counted: Vec<(RateKey, usize)> =
-            Vec::with_capacity(self.written.len() + fresh.len());
-        // kalis-lint: allow(KL301): drains keys of the bounded written map
-        let mut stale: Vec<RateKey> = Vec::new();
-        for (key, published) in self.written.iter() {
-            let count = match key.1 {
-                Some(_) => published.count,
-                None => self.class_counts.get(&key.0).copied().unwrap_or(0),
-            };
-            if count == 0 {
-                stale.push(key.clone());
-            } else if key.1.is_some() {
-                counted.push((key.clone(), count));
-            }
-        }
-        counted.extend(
-            self.class_counts
-                .iter()
-                .filter(|(_, count)| **count > 0)
-                .map(|(class, count)| ((*class, None), *count)),
-        );
-        counted.extend(fresh);
-        counted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        // Update changed rates; zero out rates that disappeared.
-        // kalis-lint: allow(KL301): evictions of the bounded written map within one publish
-        let mut lost: Vec<RateKey> = Vec::new();
-        for (key, count) in counted {
+        // The keys whose rate moved, with their counts, and the keys
+        // nothing counts towards any more.
+        // kalis-lint: allow(KL301): queued keys, admitted keys and one per class
+        let mut changed: Vec<(RateKey, usize)> = Vec::new();
+        // kalis-lint: allow(KL301): queued keys and one per class
+        let mut zeroed: Vec<RateKey> = Vec::new();
+        for (class, &count) in &self.class_counts {
             let rate = count as f64 / secs;
-            if self.written.get(&key).map(|p| p.rate) != Some(rate) {
-                Self::write_rate(ctx.kb, &key, rate);
+            let published = self.class_rates.get(class).copied();
+            if rate == published.unwrap_or(0.0) {
+                continue;
             }
-            // Insert even when unchanged: the write refreshes recency so
-            // active destinations outlive sprayed one-shot identities.
-            if let Some((evicted, published)) = self.written.insert(key, Published { rate, count })
-            {
-                if evicted.1.is_some() && published.count > 0 {
-                    lost.push(evicted);
+            if count == 0 {
+                zeroed.push((*class, None));
+                continue;
+            }
+            if published.is_none() && self.occupancy() >= self.entity_budget {
+                // A class new to the window takes its slot before any
+                // destination is admitted: on a full budget it displaces
+                // the least recently written destination, whose events go
+                // back to the un-admitted pool.
+                let Some((lost, dropped)) = self.written.evict_lru() else {
+                    continue;
+                };
+                if dropped.count > 0 {
+                    self.events
+                        .iter_mut()
+                        .filter(|e| e.admitted && e.class == lost.0 && e.dst == lost.1)
+                        .for_each(|e| e.admitted = false);
+                    self.unadmitted += dropped.count;
                 }
+                zeroed.push(lost);
+            }
+            self.class_rates.insert(*class, rate);
+            changed.push(((*class, None), count));
+        }
+        changed.extend(self.admit());
+        for key in self.dirty.drain(..) {
+            // A key displaced above is gone, and already zeroed.
+            let Some(published) = self.written.peek_mut(&key) else {
+                continue;
+            };
+            published.queued = false;
+            if published.count == 0 {
+                zeroed.push(key);
+            } else if published.count as f64 / secs != published.rate {
+                changed.push((key, published.count));
             }
         }
-        for key in stale {
-            self.written.remove(&key);
-            Self::write_rate(ctx.kb, &key, 0.0);
+        // Changed rates in key order, then zeroes in key order.
+        changed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        zeroed.sort_unstable();
+        for (key, count) in changed {
+            let rate = count as f64 / secs;
+            Self::write_rate(ctx.kb, key.clone(), rate);
+            if key.1.is_some() {
+                // The write refreshes recency, so destinations whose rate
+                // moves outlive sprayed one-shot identities when a class
+                // needs a slot. Admission left room for every new key.
+                let published = Published {
+                    rate,
+                    count,
+                    queued: false,
+                };
+                self.written.insert(key, published);
+            }
         }
-        // An evicted key that the loop reached afterwards is back in.
-        lost.retain(|key| !self.written.contains_key(key));
-        if !lost.is_empty() {
-            self.unadmit(lost);
+        for key in zeroed {
+            if key.1.is_none() {
+                self.class_rates.remove(&key.0);
+            } else {
+                self.written.remove(&key);
+            }
+            Self::write_rate(ctx.kb, key, 0.0);
         }
     }
 }
@@ -342,13 +371,13 @@ impl Module for TrafficStatsModule {
 
     fn state_bytes(&self) -> usize {
         // 48 per event covers the admission flag (it sits in the event's
-        // padding), 64 per written key covers the count beside the rate,
-        // and the per-class counts are fixed-size overhead.
-        self.events.len() * 48 + self.written.len() * 64 + 128
+        // padding), 64 per published rate covers the count and the queued
+        // flag beside it, and the per-class counts are fixed-size overhead.
+        self.events.len() * 48 + self.occupancy() * 64 + 128
     }
 
     fn occupancy(&self) -> usize {
-        self.written.len()
+        self.written.len() + self.class_rates.len()
     }
 
     fn evictions(&self) -> u64 {
@@ -367,8 +396,10 @@ impl Module for TrafficStatsModule {
         self.events.clear();
         self.shed_events = 0;
         self.class_counts.clear();
+        self.class_rates.clear();
         self.unadmitted = 0;
         self.written.clear();
+        self.dirty.clear();
     }
 }
 
@@ -487,6 +518,69 @@ mod tests {
         assert_eq!(kb.get_f64("TrafficFrequency.CTPDATA"), Some(0.0));
     }
 
+    /// Every `TrafficFrequency.*` knowgget in the KB: label, entity, rate.
+    fn rates(kb: &KnowledgeBase) -> Vec<(String, Option<Entity>, f64)> {
+        kb.iter()
+            .filter(|k| k.label.starts_with(labels::TRAFFIC_FREQUENCY))
+            .map(|k| {
+                let rate = k.value.as_f64().expect("rates are floats");
+                (k.label.clone(), k.entity.clone(), rate)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_class_landing_on_a_full_cache_leaves_no_stale_rate() {
+        let budget = 16;
+        let mut module = TrafficStatsModule::new().with_entity_budget(budget);
+        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+        // Twelve seconds of echo replies, each towards a new destination:
+        // past the budget within two seconds, and through the 5 s window
+        // more than twice. A class the window has not seen arrives on the
+        // full cache at 3 s and the spray goes on through many publishes.
+        let mut packets: Vec<_> = (0..120u64)
+            .map(|i| wifi_echo_reply(i * 100, Ipv4Addr::new(10, 0, 1, i as u8)))
+            .collect();
+        let sent = packets.clone();
+        let rest = packets.split_off(30);
+        run(&mut module, &mut kb, packets, Timestamp::from_millis(2_900));
+        assert_eq!(module.occupancy(), budget);
+        let end = Timestamp::from_millis(12_000);
+        let rest = std::iter::once(ctp(2_950)).chain(rest).collect();
+        run(&mut module, &mut kb, rest, end);
+        assert!(kb.get_f64("TrafficFrequency.CTPDATA").is_some());
+        assert!(module.occupancy() <= budget);
+        // A non-zero per-destination rate is the rate of events still in
+        // the window, not the last word about a key the cache dropped.
+        let published = rates(&kb);
+        assert!(published
+            .iter()
+            .any(|(_, dst, rate)| dst.is_some() && *rate > 0.0));
+        for (label, dst, rate) in published {
+            if dst.is_none() || rate == 0.0 {
+                continue;
+            }
+            let in_window = sent
+                .iter()
+                .filter(|p| end.saturating_since(p.timestamp) <= Duration::from_secs(5))
+                .filter(|p| p.decoded().and_then(|d| d.net_dst()) == dst)
+                .count();
+            assert_eq!(rate, in_window as f64 / 5.0, "{label}@{dst:?}");
+        }
+        // Once the window has drained, every rate reads zero.
+        let mut alerts = Vec::new();
+        let mut ctx = ModuleCtx {
+            now: Timestamp::from_secs(60),
+            kb: &mut kb,
+            alerts: &mut alerts,
+        };
+        module.on_tick(&mut ctx);
+        for (label, dst, rate) in rates(&kb) {
+            assert_eq!(rate, 0.0, "{label}@{dst:?} outlived the window");
+        }
+        assert_eq!(module.occupancy(), 0);
+    }
+
     #[test]
     fn distinct_classes_get_distinct_subknowggets() {
         let mut module = TrafficStatsModule::new();
@@ -503,9 +597,14 @@ mod tests {
     }
 }
 
-/// The module as it was before the counts became incremental: `publish`
-/// recounts the whole window. Kept verbatim as the reference model the
-/// differential test holds the incremental module to.
+/// The whole-window recounting model the differential test holds the
+/// incremental module to: `publish` recounts every event and compares
+/// every live key against what it last wrote. It states the publish rule
+/// — network-wide rates in their own per-class map, sharing the budget
+/// with the per-destination LRU; admission only into room; recency
+/// refreshed by changed writes only — without any of the bookkeeping
+/// (`count`, `queued`, `admitted`, `unadmitted`, `dirty`) that makes the
+/// module's publish cost independent of the number of live keys.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -516,7 +615,8 @@ mod reference {
         entity_budget: usize,
         events: VecDeque<(Timestamp, TrafficClass, Option<Entity>)>,
         shed_events: u64,
-        written: BoundedMap<(TrafficClass, Option<Entity>), f64>,
+        class_rates: BTreeMap<TrafficClass, f64>,
+        written: BoundedMap<RateKey, f64>,
     }
 
     impl RecountingTrafficStats {
@@ -526,6 +626,7 @@ mod reference {
                 entity_budget,
                 events: VecDeque::new(),
                 shed_events: 0,
+                class_rates: BTreeMap::new(),
                 written: BoundedMap::new(entity_budget),
             }
         }
@@ -534,8 +635,11 @@ mod reference {
             self.entity_budget * EVENTS_PER_BUDGET_UNIT
         }
 
-        fn key(class: TrafficClass) -> String {
-            KnowKey::scoped(labels::TRAFFIC_FREQUENCY, class.label())
+        fn published(&self, key: &RateKey) -> Option<f64> {
+            match key.1 {
+                None => self.class_rates.get(&key.0).copied(),
+                Some(_) => self.written.get(key).copied(),
+            }
         }
 
         fn publish(&mut self, ctx: &mut ModuleCtx<'_>, now: Timestamp) {
@@ -547,47 +651,71 @@ mod reference {
                 }
             }
             let secs = self.window.as_secs_f64();
-            let mut counts: BTreeMap<(TrafficClass, Option<Entity>), usize> = BTreeMap::new();
-            let mut admitted = 0usize;
-            for (_, class, dst) in &self.events {
+            let mut counts: BTreeMap<RateKey, usize> = BTreeMap::new();
+            for (_, class, _) in &self.events {
                 *counts.entry((*class, None)).or_default() += 1;
-                if let Some(dst) = dst {
-                    let key = (*class, Some(dst.clone()));
-                    if let Some(count) = counts.get_mut(&key) {
-                        *count += 1;
-                    } else if self.written.contains_key(&key) {
-                        counts.insert(key, 1);
-                    } else if self.written.len() + admitted < self.written.budget() {
-                        admitted += 1;
-                        counts.insert(key, 1);
-                    }
-                }
             }
-            let mut stale: Vec<(TrafficClass, Option<Entity>)> = self
-                .written
-                .iter()
-                .map(|(k, _)| k)
-                .filter(|k| !counts.contains_key(k))
-                .cloned()
-                .collect();
-            for ((class, dst), count) in counts {
-                let rate = count as f64 / secs;
-                let prev = self.written.get(&(class, dst.clone())).copied();
-                self.written.insert((class, dst.clone()), rate);
-                if prev == Some(rate) {
+            // Classes new to the window take their slots first; on a full
+            // budget each displaces the least recently written
+            // destination, and goes unpublished if there is none.
+            let mut stale: Vec<RateKey> = Vec::new();
+            let classes: Vec<TrafficClass> = counts.keys().map(|key| key.0).collect();
+            for class in classes {
+                if self.class_rates.contains_key(&class) {
                     continue;
                 }
-                match dst {
-                    None => ctx.kb.insert(Self::key(class), rate),
-                    Some(entity) => ctx.kb.insert_about(Self::key(class), entity, rate),
+                if self.occupancy() >= self.entity_budget {
+                    match self.written.evict_lru() {
+                        Some((lost, _)) => stale.push(lost),
+                        None => {
+                            counts.remove(&(class, None));
+                            continue;
+                        }
+                    }
+                }
+                // No live class has rate 0, so the loop below writes it.
+                self.class_rates.insert(class, 0.0);
+            }
+            let mut admitted = 0usize;
+            for (_, class, dst) in &self.events {
+                if dst.is_none() {
+                    continue;
+                }
+                let key = (*class, dst.clone());
+                if let Some(count) = counts.get_mut(&key) {
+                    *count += 1;
+                } else if self.written.contains_key(&key) {
+                    counts.insert(key, 1);
+                } else if self.occupancy() + admitted < self.entity_budget {
+                    admitted += 1;
+                    counts.insert(key, 1);
+                }
+            }
+            stale.extend(
+                self.written
+                    .iter()
+                    .map(|(key, _)| key.clone())
+                    .chain(self.class_rates.keys().map(|class| (*class, None)))
+                    .filter(|key| !counts.contains_key(key)),
+            );
+            stale.sort_unstable();
+            for (key, count) in counts {
+                let rate = count as f64 / secs;
+                if self.published(&key) == Some(rate) {
+                    continue;
+                }
+                TrafficStatsModule::write_rate(ctx.kb, key.clone(), rate);
+                match key.1 {
+                    None => self.class_rates.insert(key.0, rate),
+                    Some(_) => self.written.insert(key, rate).map(|(_, rate)| rate),
                 };
             }
-            for (class, dst) in stale.drain(..) {
-                self.written.remove(&(class, dst.clone()));
-                match dst {
-                    None => ctx.kb.insert(Self::key(class), 0.0),
-                    Some(entity) => ctx.kb.insert_about(Self::key(class), entity, 0.0),
+            for key in stale {
+                match key.1 {
+                    None => self.class_rates.remove(&key.0),
+                    Some(_) => self.written.remove(&key),
                 };
+                TrafficStatsModule::write_rate(ctx.kb, key, 0.0);
             }
         }
 
@@ -614,11 +742,11 @@ mod reference {
         }
 
         pub(super) fn state_bytes(&self) -> usize {
-            self.events.len() * 48 + self.written.len() * 64 + 128
+            self.events.len() * 48 + self.occupancy() * 64 + 128
         }
 
         pub(super) fn occupancy(&self) -> usize {
-            self.written.len()
+            self.written.len() + self.class_rates.len()
         }
 
         pub(super) fn evictions(&self) -> u64 {
@@ -680,6 +808,23 @@ mod differential {
         },
         /// Silence for several seconds, ended by a tick or by traffic.
         Gap { secs: u64, tick: bool },
+        /// A spray of one class past every budget inside one window, then
+        /// another class arriving on the full cache, seen through
+        /// several publishes.
+        ClassOntoFullCache {
+            sprayed: usize,
+            arriving: usize,
+            packets: usize,
+        },
+        /// One class towards a few destinations, published, then silence
+        /// until all of it has left the window: the class key and every
+        /// one of its destination keys reach zero in the same publish.
+        ClassExpires {
+            class: usize,
+            fanout: u32,
+            packets: usize,
+            tick: bool,
+        },
     }
 
     fn segment() -> impl Strategy<Value = Segment> {
@@ -702,6 +847,21 @@ mod differential {
                 }
             }),
             (1u64..8, any::<bool>()).prop_map(|(secs, tick)| Segment::Gap { secs, tick }),
+            (0usize..8, 1usize..8, 1usize..40).prop_map(|(sprayed, offset, packets)| {
+                Segment::ClassOntoFullCache {
+                    sprayed,
+                    arriving: (sprayed + offset) % CLASSES.len(),
+                    packets,
+                }
+            }),
+            (0usize..8, 1u32..6, 1usize..40, any::<bool>()).prop_map(
+                |(class, fanout, packets, tick)| Segment::ClassExpires {
+                    class,
+                    fanout,
+                    packets,
+                    tick,
+                }
+            ),
         ]
     }
 
@@ -774,6 +934,59 @@ mod differential {
                         }
                     });
                 }
+                Segment::ClassOntoFullCache {
+                    sprayed: class,
+                    arriving,
+                    packets,
+                } => {
+                    // 48 destinations in 48 ms: twice the larger budget,
+                    // well inside the shorter window.
+                    for _ in 0..48 {
+                        sprayed += 1;
+                        steps.push(Step::Packet {
+                            gap_us: 1_000,
+                            class: *class,
+                            dst: Some(sprayed),
+                        });
+                    }
+                    for i in 0..*packets {
+                        steps.push(Step::Packet {
+                            gap_us: 1_000,
+                            class: *arriving,
+                            dst: (i % 3 != 0).then_some(200 + i as u32 % 2),
+                        });
+                        if i % 5 == 0 {
+                            steps.push(Step::Tick { gap_us: 1 });
+                        }
+                    }
+                }
+                Segment::ClassExpires {
+                    class,
+                    fanout,
+                    packets,
+                    tick,
+                } => {
+                    for i in 0..*packets {
+                        steps.push(Step::Packet {
+                            gap_us: 2_000,
+                            class: *class,
+                            dst: Some(300 + i as u32 % fanout),
+                        });
+                    }
+                    steps.push(Step::Tick { gap_us: 1 });
+                    // Longer than either window.
+                    let gap_us = 6_000_000;
+                    steps.push(if *tick {
+                        Step::Tick { gap_us }
+                    } else {
+                        Step::Packet {
+                            gap_us,
+                            class: (*class + 1) % CLASSES.len(),
+                            dst: None,
+                        }
+                    });
+                    steps.push(Step::Tick { gap_us: 1 });
+                }
             }
         }
         steps
@@ -783,7 +996,8 @@ mod differential {
         /// The incremental module and the recounting reference write the
         /// same knowledge in the same order and report the same state,
         /// step by step, on streams that shed at the event cap, spray
-        /// past the budget and evict from the `written` LRU.
+        /// past the budget, bring new classes onto a full cache and let
+        /// whole classes expire between two publishes.
         #[test]
         fn incremental_counts_match_the_recounting_reference(
             segments in proptest::collection::vec(segment(), 1..24),
