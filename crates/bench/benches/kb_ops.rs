@@ -1,7 +1,10 @@
 //! Microbenchmarks for the Knowledge Base: insert, typed lookup, prefix
 //! and suffix queries, and collective-sync acceptance (supports the
 //! paper's claim that the knowgget key encoding "allows for fast
-//! queries").
+//! queries"). `get_hit`, `get_about_hit`, `insert_unchanged` and
+//! `insert_changed` are the operations the benchmark's traced
+//! `knowledge.get_ns` / `knowledge.insert_ns` time from outside;
+//! `get_all_creators` is the wormhole detector's per-tick query.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kalis_core::{KalisId, KnowValue, Knowgget, KnowledgeBase};
@@ -35,6 +38,50 @@ fn bench_kb(c: &mut Criterion) {
         let mut kb = populated(128);
         kb.insert("MonitoredNodes", 8i64);
         b.iter(|| black_box(kb.get_int("MonitoredNodes")));
+    });
+    group.bench_function("get_hit", |b| {
+        let mut kb = populated(128);
+        kb.insert("Multihop", true);
+        b.iter(|| black_box(kb.get(black_box("Multihop"))));
+    });
+    group.bench_function("get_about_hit", |b| {
+        let kb = populated(128);
+        let entity = Entity::new("node-64");
+        b.iter(|| black_box(kb.get_about("SignalStrength", black_box(&entity))));
+    });
+    group.bench_function("insert_unchanged", |b| {
+        let mut kb = populated(128);
+        kb.insert("TrafficFrequency.UDP", 0.037);
+        b.iter(|| black_box(kb.insert("TrafficFrequency.UDP", black_box(0.037))));
+    });
+    group.bench_function("insert_changed", |b| {
+        let mut kb = populated(128);
+        let entity = Entity::new("node-64");
+        let mut rssi = -40.0;
+        b.iter(|| {
+            rssi = if rssi < -80.0 { -40.0 } else { rssi - 0.5 };
+            kb.insert_about("SignalStrength", entity.clone(), rssi);
+            black_box(kb.drain_changes().len())
+        });
+    });
+    group.bench_function("get_all_creators", |b| {
+        // ≈100 entries, two of them matches: one local, one a peer's.
+        let mut kb = populated(49);
+        let k2 = KalisId::new("K2");
+        let origins = || KnowValue::Text("0x001e,0x001f".to_owned());
+        kb.insert_about_collective("DroppedOrigins", Entity::new("0x000a"), origins());
+        let peer = Knowgget::about(
+            "DroppedOrigins",
+            origins(),
+            k2.clone(),
+            Entity::new("0x0014"),
+        );
+        kb.accept_remote(&k2, peer).unwrap();
+        assert_eq!(
+            (kb.len(), kb.get_all_creators("DroppedOrigins").len()),
+            (100, 2)
+        );
+        b.iter(|| black_box(kb.get_all_creators(black_box("DroppedOrigins")).len()));
     });
     group.bench_function("sublabels_prefix_query", |b| {
         let kb = populated(128);

@@ -52,7 +52,7 @@ impl Module for DeauthModule {
     }
 
     fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(&KnowKey::scoped(sense::MEDIUM_SEEN, "wifi")) == Some(true)
+        kb.get_bool(sense::MEDIUM_SEEN_WIFI) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {

@@ -366,7 +366,7 @@ impl Module for SynFloodModule {
     }
 
     fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(&KnowKey::scoped(sense::PROTOCOL_SEEN, "IP")) == Some(true)
+        kb.get_bool(sense::PROTOCOL_SEEN_IP) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -492,7 +492,7 @@ impl Module for UdpFloodModule {
     }
 
     fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(&KnowKey::scoped(sense::PROTOCOL_SEEN, "IP")) == Some(true)
+        kb.get_bool(sense::PROTOCOL_SEEN_IP) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {

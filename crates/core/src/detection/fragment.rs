@@ -59,7 +59,7 @@ impl Module for FragmentFloodModule {
     }
 
     fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(&KnowKey::scoped(sense::PROTOCOL_SEEN, "SIXLOWPAN")) == Some(true)
+        kb.get_bool(sense::PROTOCOL_SEEN_SIXLOWPAN) == Some(true)
     }
 
     fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {

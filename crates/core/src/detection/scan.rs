@@ -66,7 +66,7 @@ impl Module for ScanModule {
     }
 
     fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(&KnowKey::scoped(sense::PROTOCOL_SEEN, "IP")) == Some(true)
+        kb.get_bool(sense::PROTOCOL_SEEN_IP) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {

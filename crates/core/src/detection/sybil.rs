@@ -112,7 +112,7 @@ impl Module for SybilModule {
 
     fn required(&self, kb: &KnowledgeBase) -> bool {
         // RSSI fingerprinting needs a wireless constrained medium.
-        kb.get_bool(&KnowKey::scoped(sense::MEDIUM_SEEN, "802.15.4")) == Some(true)
+        kb.get_bool(sense::MEDIUM_SEEN_802154) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {

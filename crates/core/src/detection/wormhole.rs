@@ -9,6 +9,7 @@
 //! knowggets (published by the blackhole detector): overlapping origin
 //! sets across *different* Kalis creators ⇒ wormhole.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet; // kalis-lint: allow(KL301): values capped at ORIGIN_CAP
 use std::time::Duration;
 
@@ -17,6 +18,7 @@ use kalis_packets::{CapturedPacket, Entity};
 
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
+use crate::id::KalisId;
 use crate::knowledge::{KnowValue, KnowledgeBase};
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
 use crate::sensing::labels as sense;
@@ -81,10 +83,19 @@ impl Default for WormholeModule {
 }
 
 // kalis-lint: allow(KL301): parses one capped knowgget text value
-fn parse_set(text: &str) -> BTreeSet<String> {
-    text.split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
+fn parse_set(text: &str) -> BTreeSet<&str> {
+    text.split(',').filter(|s| !s.is_empty()).collect()
+}
+
+/// The origin-list text of every knowgget in `found`, borrowed where the
+/// value is text already (a one-origin list reads back as a number).
+// kalis-lint: allow(KL301): per-tick scratch, one text per synced knowgget
+fn origin_texts(found: &[(KalisId, Option<Entity>, KnowValue)]) -> Vec<Cow<'_, str>> {
+    (found.iter())
+        .map(|(_, _, value)| match value {
+            KnowValue::Text(list) => Cow::Borrowed(list.as_str()),
+            scalar => Cow::Owned(scalar.to_wire()),
+        })
         .collect()
 }
 
@@ -149,14 +160,22 @@ impl Module for WormholeModule {
         // (any creator, including us).
         let dropped = ctx.kb.get_all_creators(labels::DROPPED_ORIGINS);
         let exotic = ctx.kb.get_all_creators(labels::EXOTIC_ORIGINS);
+        if dropped.is_empty() || exotic.is_empty() {
+            return;
+        }
+        // Every origin list is split once per tick, not once per pair.
+        let (d_texts, e_texts) = (origin_texts(&dropped), origin_texts(&exotic));
+        // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
+        let d_sets: Vec<BTreeSet<&str>> = d_texts.iter().map(|t| parse_set(t)).collect();
+        // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
+        let e_sets: Vec<BTreeSet<&str>> = e_texts.iter().map(|t| parse_set(t)).collect();
         let now = ctx.now;
         let mut alerts = Vec::new();
         // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
         let mut confirmed: Vec<Entity> = Vec::new();
-        for (d_creator, d_entity, d_val) in &dropped {
+        for ((d_creator, d_entity, _), d_set) in dropped.iter().zip(&d_sets) {
             let Some(b1) = d_entity else { continue };
-            let d_set = parse_set(&d_val.as_text());
-            for (e_creator, e_entity, e_val) in &exotic {
+            for ((e_creator, e_entity, _), e_set) in exotic.iter().zip(&e_sets) {
                 if d_creator == e_creator {
                     continue; // one vantage point alone is not a wormhole
                 }
@@ -164,8 +183,7 @@ impl Module for WormholeModule {
                 if b1 == b2 {
                     continue;
                 }
-                let e_set = parse_set(&e_val.as_text());
-                let overlap = d_set.intersection(&e_set).count();
+                let overlap = d_set.intersection(e_set).count();
                 if overlap >= OVERLAP_THRESHOLD {
                     confirmed.push(b1.clone());
                     confirmed.push(b2.clone());
@@ -230,8 +248,7 @@ impl Module for WormholeModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::KalisId;
-    use crate::knowledge::{KnowValue, Knowgget};
+    use crate::knowledge::Knowgget;
     use kalis_packets::{Medium, ShortAddr, Timestamp};
 
     fn relayed(ms: u64, relay: u16, origin: u16, seq: u8) -> CapturedPacket {
@@ -309,8 +326,7 @@ mod tests {
         let val = kb
             .get_about(labels::EXOTIC_ORIGINS, &Entity::from(ShortAddr(20)))
             .unwrap();
-        let set = parse_set(&val.as_text());
-        assert_eq!(set.len(), 2);
+        assert_eq!(parse_set(&val.as_text()).len(), 2);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! The Knowledge Base proper: a string-keyed store with the paper's
-//! prefix/suffix query patterns and change tracking.
+//! The Knowledge Base proper: a store keyed by the paper's flat
+//! `creator$label@entity` strings and holding typed values, with the
+//! paper's prefix/suffix query patterns and change tracking.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use kalis_packets::Entity;
 
 use crate::bounded::BoundedMap;
 use crate::id::KalisId;
 
+use super::key::{split, KeyBuf};
 use super::{KnowKey, KnowValue, Knowgget, KnowggetOrigin};
 
 /// Default cap on distinct entities holding per-entity knowggets. An
@@ -76,37 +79,79 @@ pub struct ChangeEvent {
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     local: KalisId,
-    entries: BTreeMap<String, String>,
+    entries: BTreeMap<String, Entry>,
     /// Σ [`entry_bytes`] over `entries`, kept current wherever an entry
     /// is written or removed.
     entries_bytes: usize,
-    collective: BTreeSet<String>,
-    dirty_collective: BTreeSet<String>,
+    /// Entries whose `dirty` flag is set.
+    dirty: usize,
     changes: Vec<ChangeEvent>,
     revision: u64,
-    /// Write provenance per encoded key: which module last changed the
-    /// value, and under which trace. Only updated when the stored value
-    /// actually changes, so replayed/duplicated writes cannot churn the
-    /// recorded provenance.
-    attribution: BTreeMap<String, KnowggetOrigin>,
     /// The module currently dispatching (set by the Module Manager
     /// around each callback); empty = operator/config/embedder write.
     writer: String,
     /// The trace context of the packet/tick being dispatched
     /// (`(trace_id, span_id)`; zeros = untraced).
     trace: (u64, u32),
-    /// Bounded index of per-entity knowledge: entity string → the
-    /// encoded keys of every knowgget about it. When a fresh entity
-    /// would exceed the budget, the least-recently-written entity is
-    /// evicted and all of its knowggets purged.
-    entity_index: BoundedMap<String, BTreeSet<String>>,
+    /// Bounded index of per-entity knowledge: entity → the encoded keys
+    /// of every knowgget about it. When a fresh entity would exceed the
+    /// budget, the least-recently-written entity is evicted and all of
+    /// its knowggets purged.
+    entity_index: BoundedMap<Entity, BTreeSet<String>>,
     #[cfg(feature = "telemetry")]
     stats: Option<KbStats>,
 }
 
+/// Everything held under one encoded key.
+#[derive(Debug, Clone)]
+struct Entry {
+    /// In [`KnowValue::canonical`] form: what a lookup returns, unparsed.
+    value: KnowValue,
+    /// The wire text as written, kept only where it is not `value`'s own:
+    /// `Text("1e3")` reads back `Float(1000.0)`, but what "changed" and
+    /// `state_bytes()` go by stays `1e3`.
+    spelling: Option<Box<str>>,
+    /// Length of the wire text.
+    wire_len: usize,
+    /// Which module last *changed* the value, and under which trace:
+    /// replayed or duplicated writes do not churn the recorded provenance.
+    origin: Option<KnowggetOrigin>,
+    /// Marked collective: changes are shared with peer Kalis nodes.
+    collective: bool,
+    /// Collective and changed since the sync outbox was last drained.
+    dirty: bool,
+}
+
+impl Entry {
+    /// Whether `value`'s wire text is the one held: a write of it would
+    /// change nothing. Builds no string.
+    fn holds(&self, value: &KnowValue) -> bool {
+        match (&self.spelling, value) {
+            (Some(wire), _) => value.wire_is(wire),
+            (None, KnowValue::Text(text)) => self.value.wire_is(text),
+            (None, scalar) => match (scalar.clone().canonical(), &self.value) {
+                (KnowValue::Float(a), KnowValue::Float(b)) if a.is_nan() => b.is_nan(),
+                (canonical, held) => canonical == *held,
+            },
+        }
+    }
+
+    /// The decoded knowgget, for the boundaries that hand knowggets out.
+    fn knowgget(&self, encoded: &str) -> Option<Knowgget> {
+        let key: KnowKey = encoded.parse().ok()?;
+        Some(Knowgget {
+            label: key.label,
+            value: self.value.clone(),
+            creator: key.creator,
+            entity: key.entity,
+            origin: self.origin.clone(),
+        })
+    }
+}
+
 /// Rough live-memory footprint of one stored knowgget.
-fn entry_bytes(encoded: &str, wire: &str) -> usize {
-    encoded.len() + wire.len() + 48
+fn entry_bytes(encoded_len: usize, wire_len: usize) -> usize {
+    encoded_len + wire_len + 48
 }
 
 impl KnowledgeBase {
@@ -116,11 +161,9 @@ impl KnowledgeBase {
             local,
             entries: BTreeMap::new(),
             entries_bytes: 0,
-            collective: BTreeSet::new(),
-            dirty_collective: BTreeSet::new(),
+            dirty: 0,
             changes: Vec::new(),
             revision: 0,
-            attribution: BTreeMap::new(),
             writer: String::new(),
             trace: (0, 0),
             entity_index: BoundedMap::new(DEFAULT_KB_ENTITY_BUDGET),
@@ -205,70 +248,96 @@ impl KnowledgeBase {
         self.revision
     }
 
-    fn set_raw(&mut self, key: KnowKey, value: KnowValue, collective: bool) -> bool {
-        let origin = self.current_origin();
-        self.set_raw_with_origin(key, value, collective, origin)
-    }
-
-    fn set_raw_with_origin(
+    /// Write `value` under `creator$label[@entity]` (`creator` `None`: the
+    /// local node; `origin` `None`: the ambient writer and trace). Returns
+    /// whether the stored value changed; a write that changes nothing
+    /// returns before anything is allocated.
+    fn set_raw<L: Into<String> + AsRef<str>>(
         &mut self,
-        key: KnowKey,
+        creator: Option<KalisId>,
+        label: L,
+        entity: Option<Entity>,
         value: KnowValue,
         collective: bool,
-        origin: Option<KnowggetOrigin>,
+        origin: Option<Option<KnowggetOrigin>>,
     ) -> bool {
-        let encoded = key.encode();
-        let wire = value.to_wire();
-        let changed = self.entries.get(&encoded) != Some(&wire);
-        if collective {
-            self.collective.insert(encoded.clone());
+        let buf = KeyBuf::key(
+            creator.as_ref().unwrap_or(&self.local).as_str(),
+            label.as_ref(),
+            entity.as_ref().map(Entity::as_str),
+        );
+        let encoded = buf.as_str();
+        let mut held = self.entries.get_mut(encoded);
+        if let Some(entry) = &mut held {
+            entry.collective |= collective;
+            if entry.holds(&value) {
+                return false;
+            }
         }
-        if changed {
-            let trace_id = origin.as_ref().map_or(0, |o| o.trace_id);
-            // Provenance follows the value: only a *real* change
-            // re-attributes the knowgget (duplicated sync frames and
-            // idempotent re-writes leave it untouched).
-            match origin {
-                Some(o) => {
-                    self.attribution.insert(encoded.clone(), o);
-                }
-                None => {
-                    self.attribution.remove(&encoded);
-                }
-            }
-            self.entries_bytes += entry_bytes(&encoded, &wire);
-            if let Some(old) = self.entries.insert(encoded.clone(), wire) {
-                self.entries_bytes -= entry_bytes(&encoded, &old);
-            }
-            self.revision += 1;
-            if self.collective.contains(&encoded) {
-                self.dirty_collective.insert(encoded.clone());
-            }
-            let entity_tag = key.entity.as_ref().map(|e| e.as_str().to_owned());
-            self.changes.push(ChangeEvent {
-                key,
-                value,
-                removed: false,
-                trace_id,
-            });
-            // Entity-scoped knowledge is indexed under its entity so the
-            // per-entity budget can evict whole entities at once. The
-            // eviction (if any) happens *before* the new entity is
-            // indexed, so the purge can never touch the fresh write.
-            if let Some(entity) = entity_tag {
-                let evicted = {
-                    let (set, evicted) =
-                        self.entity_index.get_or_insert_with(&entity, BTreeSet::new);
-                    set.insert(encoded);
-                    evicted
-                };
-                if let Some((_, keys)) = evicted {
-                    self.purge_entity_keys(&keys);
-                }
-            }
-            self.note_churn();
+        // Provenance follows the value: only a *real* change
+        // re-attributes the knowgget (duplicated sync frames and
+        // idempotent re-writes leave it untouched).
+        let origin = origin.unwrap_or_else(|| ambient_origin(&self.writer, self.trace));
+        let trace_id = origin.as_ref().map_or(0, |o| o.trace_id);
+        let canonical = value.clone().canonical();
+        let spelling = match &value {
+            KnowValue::Text(text) if !canonical.wire_is(text) => Some(text.as_str().into()),
+            _ => None,
+        };
+        let wire_len = (spelling.as_deref()).map_or_else(|| canonical.wire_len(), str::len);
+        // An entry once marked collective stays so.
+        let collective = held.as_ref().map_or(collective, |held| held.collective);
+        let entry = Entry {
+            value: canonical,
+            spelling,
+            wire_len,
+            origin,
+            collective,
+            dirty: collective,
+        };
+        self.entries_bytes += entry_bytes(encoded.len(), wire_len);
+        self.dirty += usize::from(collective);
+        let replaced = match held {
+            Some(held) => Some(std::mem::replace(held, entry)),
+            None => self.entries.insert(encoded.to_owned(), entry),
+        };
+        if let Some(old) = replaced {
+            self.forget(encoded, &old);
         }
+        self.revision += 1;
+        // Entity-scoped knowledge is indexed under its entity so the
+        // per-entity budget can evict whole entities at once. The
+        // eviction (if any) is purged only after this write's own change
+        // event is logged, and can never touch the fresh write.
+        let evicted = entity.as_ref().and_then(|entity| {
+            let (keys, evicted) = self.entity_index.get_or_insert_with(entity, BTreeSet::new);
+            if !keys.contains(encoded) {
+                keys.insert(encoded.to_owned());
+            }
+            evicted
+        });
+        self.changes.push(ChangeEvent {
+            key: KnowKey {
+                creator: creator.unwrap_or_else(|| self.local.clone()),
+                label: label.into(),
+                entity,
+            },
+            value,
+            removed: false,
+            trace_id,
+        });
+        if let Some((_, keys)) = evicted {
+            self.purge_entity_keys(&keys);
+        }
+        self.note_churn();
         true
+    }
+
+    /// Settle the running totals for `entry`, just taken out from under
+    /// `encoded`.
+    fn forget(&mut self, encoded: &str, entry: &Entry) {
+        self.entries_bytes -= entry_bytes(encoded.len(), entry.wire_len);
+        self.dirty -= usize::from(entry.dirty);
     }
 
     /// Remove every knowgget belonging to an entity evicted from the
@@ -276,18 +345,15 @@ impl KnowledgeBase {
     /// removal events exactly as if the knowgget had expired normally.
     fn purge_entity_keys(&mut self, keys: &BTreeSet<String>) {
         for encoded in keys {
-            let Some(old) = self.entries.remove(encoded) else {
+            let Some(entry) = self.entries.remove(encoded) else {
                 continue;
             };
-            self.entries_bytes -= entry_bytes(encoded, &old);
+            self.forget(encoded, &entry);
             self.revision += 1;
-            self.collective.remove(encoded);
-            self.dirty_collective.remove(encoded);
-            self.attribution.remove(encoded);
             if let Ok(key) = encoded.parse::<KnowKey>() {
                 self.changes.push(ChangeEvent {
                     key,
-                    value: KnowValue::from_wire(&old),
+                    value: entry.value,
                     removed: true,
                     trace_id: 0,
                 });
@@ -303,7 +369,7 @@ impl KnowledgeBase {
         if budget == self.entity_index.budget() {
             return;
         }
-        let old: Vec<(String, BTreeSet<String>)> = self
+        let old: Vec<(Entity, BTreeSet<String>)> = self
             .entity_index
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
@@ -337,19 +403,6 @@ impl KnowledgeBase {
         self.entity_index.evictions()
     }
 
-    /// The origin the next local write will be attributed to, from the
-    /// ambient writer/trace set by the dispatch loop.
-    fn current_origin(&self) -> Option<KnowggetOrigin> {
-        if self.writer.is_empty() && self.trace == (0, 0) {
-            return None;
-        }
-        Some(KnowggetOrigin {
-            module: self.writer.clone(),
-            trace_id: self.trace.0,
-            span_id: self.trace.1,
-        })
-    }
-
     /// Declare the module about to perform writes (called by the Module
     /// Manager around each dispatch). Empty string = no module
     /// (operator/config writes).
@@ -379,203 +432,214 @@ impl KnowledgeBase {
     /// Write provenance for an encoded key (`creator$label@entity`), if
     /// any was recorded.
     pub fn origin_of_encoded(&self, encoded: &str) -> Option<&KnowggetOrigin> {
-        self.attribution.get(encoded)
+        self.entries.get(encoded)?.origin.as_ref()
     }
 
     /// Write provenance for a key, if any was recorded.
     pub fn origin_of(&self, key: &KnowKey) -> Option<&KnowggetOrigin> {
-        self.attribution.get(&key.encode())
+        let entity = key.entity.as_ref().map(Entity::as_str);
+        self.origin_of_encoded(KeyBuf::key(key.creator.as_str(), &key.label, entity).as_str())
     }
 
     /// Insert or update a local network-level knowgget. Returns whether
     /// the stored value changed.
-    pub fn insert(&mut self, label: impl Into<String>, value: impl Into<KnowValue>) -> bool {
+    pub fn insert(
+        &mut self,
+        label: impl Into<String> + AsRef<str>,
+        value: impl Into<KnowValue>,
+    ) -> bool {
         self.note_insert();
-        let key = KnowKey::new(self.local.clone(), label);
-        let before = self.revision;
-        self.set_raw(key, value.into(), false);
-        self.revision != before
+        self.set_raw(None, label, None, value.into(), false, None)
     }
 
     /// Insert or update a local entity-specific knowgget.
     pub fn insert_about(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<String> + AsRef<str>,
         entity: Entity,
         value: impl Into<KnowValue>,
     ) -> bool {
         self.note_insert();
-        let key = KnowKey::about(self.local.clone(), label, entity);
-        let before = self.revision;
-        self.set_raw(key, value.into(), false);
-        self.revision != before
+        self.set_raw(None, label, Some(entity), value.into(), false, None)
     }
 
     /// Insert a local knowgget **marked collective**: changes to it are
     /// shared with peer Kalis nodes (paper §IV-B3, Collective Knowledge).
     pub fn insert_collective(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<String> + AsRef<str>,
         value: impl Into<KnowValue>,
     ) -> bool {
         self.note_insert();
-        let key = KnowKey::new(self.local.clone(), label);
-        let before = self.revision;
-        self.set_raw(key, value.into(), true);
-        self.revision != before
+        self.set_raw(None, label, None, value.into(), true, None)
     }
 
     /// Insert a collective entity-specific knowgget.
     pub fn insert_about_collective(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<String> + AsRef<str>,
         entity: Entity,
         value: impl Into<KnowValue>,
     ) -> bool {
         self.note_insert();
-        let key = KnowKey::about(self.local.clone(), label, entity);
-        let before = self.revision;
-        self.set_raw(key, value.into(), true);
-        self.revision != before
+        self.set_raw(None, label, Some(entity), value.into(), true, None)
     }
 
     /// Remove a local network-level knowgget.
     pub fn remove(&mut self, label: &str) -> bool {
-        self.note_remove();
-        let key = KnowKey::new(self.local.clone(), label);
-        self.remove_key(key)
+        self.remove_key(label, None)
     }
 
     /// Remove a local entity-specific knowgget.
     pub fn remove_about(&mut self, label: &str, entity: &Entity) -> bool {
+        self.remove_key(label, Some(entity))
+    }
+
+    fn remove_key(&mut self, label: &str, entity: Option<&Entity>) -> bool {
         self.note_remove();
-        let key = KnowKey::about(self.local.clone(), label, entity.clone());
-        self.remove_key(key)
-    }
-
-    fn remove_key(&mut self, key: KnowKey) -> bool {
-        let encoded = key.encode();
-        if let Some(old) = self.entries.remove(&encoded) {
-            self.entries_bytes -= entry_bytes(&encoded, &old);
-            self.revision += 1;
-            self.collective.remove(&encoded);
-            self.dirty_collective.remove(&encoded);
-            self.attribution.remove(&encoded);
-            if let Some(entity) = key.entity.as_ref().map(|e| e.as_str().to_owned()) {
-                let emptied = self.entity_index.get_mut(&entity).is_some_and(|set| {
-                    set.remove(&encoded);
-                    set.is_empty()
-                });
-                if emptied {
-                    self.entity_index.remove(&entity);
-                }
-            }
-            self.changes.push(ChangeEvent {
-                key,
-                value: KnowValue::from_wire(&old),
-                removed: true,
-                trace_id: self.trace.0,
+        let buf = KeyBuf::key(self.local.as_str(), label, entity.map(Entity::as_str));
+        let encoded = buf.as_str();
+        let Some(entry) = self.entries.remove(encoded) else {
+            return false;
+        };
+        self.forget(encoded, &entry);
+        self.revision += 1;
+        if let Some(entity) = entity {
+            let emptied = self.entity_index.get_mut(entity).is_some_and(|keys| {
+                keys.remove(encoded);
+                keys.is_empty()
             });
-            self.note_churn();
-            true
-        } else {
-            false
+            if emptied {
+                self.entity_index.remove(entity);
+            }
         }
+        self.changes.push(ChangeEvent {
+            key: KnowKey {
+                creator: self.local.clone(),
+                label: label.to_owned(),
+                entity: entity.cloned(),
+            },
+            value: entry.value,
+            removed: true,
+            trace_id: self.trace.0,
+        });
+        self.note_churn();
+        true
     }
 
-    /// Look up a local network-level knowgget.
-    pub fn get(&self, label: &str) -> Option<KnowValue> {
+    /// The local node's entry for `label[@entity]`, counted as a get.
+    fn local_entry(&self, label: &str, entity: Option<&Entity>) -> Option<&Entry> {
         self.note_get();
-        let key = KnowKey::new(self.local.clone(), label).encode();
-        self.entries.get(&key).map(|w| KnowValue::from_wire(w))
+        let buf = KeyBuf::key(self.local.as_str(), label, entity.map(Entity::as_str));
+        self.entries.get(buf.as_str())
+    }
+
+    /// Look up a local network-level knowgget, in the form the paper's
+    /// string store gives it back ([`KnowValue::canonical`]).
+    pub fn get(&self, label: &str) -> Option<KnowValue> {
+        Some(self.local_entry(label, None)?.value.clone())
     }
 
     /// Look up a local entity-specific knowgget.
     pub fn get_about(&self, label: &str, entity: &Entity) -> Option<KnowValue> {
-        self.note_get();
-        let key = KnowKey::about(self.local.clone(), label, entity.clone()).encode();
-        self.entries.get(&key).map(|w| KnowValue::from_wire(w))
+        Some(self.local_entry(label, Some(entity))?.value.clone())
     }
 
     /// Typed lookup: boolean.
     pub fn get_bool(&self, label: &str) -> Option<bool> {
-        self.get(label)?.as_bool()
+        self.local_entry(label, None)?.value.as_bool()
     }
 
     /// Typed lookup: integer.
     pub fn get_int(&self, label: &str) -> Option<i64> {
-        self.get(label)?.as_int()
+        self.local_entry(label, None)?.value.as_int()
     }
 
     /// Typed lookup: float.
     pub fn get_f64(&self, label: &str) -> Option<f64> {
-        self.get(label)?.as_f64()
+        self.local_entry(label, None)?.value.as_f64()
     }
 
     /// Typed lookup: text.
     pub fn get_text(&self, label: &str) -> Option<String> {
-        self.get(label).map(|v| v.as_text())
+        Some(self.local_entry(label, None)?.value.as_text())
     }
 
     /// Every knowgget with the given label across **all** creators — the
     /// collective-correlation query ("other Kalis nodes are noticing
-    /// changes in signal strength for specific devices").
+    /// changes in signal strength for specific devices") — in encoded-key
+    /// order.
     pub fn get_all_creators(&self, label: &str) -> Vec<(KalisId, Option<Entity>, KnowValue)> {
         self.note_get();
-        self.entries
-            .iter()
-            .filter_map(|(k, w)| {
-                let key: KnowKey = k.parse().ok()?;
-                (key.label == label).then(|| (key.creator, key.entity, KnowValue::from_wire(w)))
-            })
+        let mut found = Vec::new();
+        // Keys sort by creator first: visit the two places `label` can be
+        // in a creator's run of keys, then seek past the run (`%` follows
+        // `$`) — a handful of seeks, however many entries.
+        let mut seek = KeyBuf::concat(&[]);
+        while let Some((first, _)) = self.from(seek.as_str()).next() {
+            let Some((creator, _)) = first.split_once('$') else {
+                break; // every key is `creator$…`
+            };
+            let exact = KeyBuf::key(creator, label, None);
+            let scoped = KeyBuf::key(creator, label, Some(""));
+            let hits = (self.entries.get_key_value(exact.as_str()).into_iter())
+                .chain(self.with_prefix(scoped.as_str()));
+            for (encoded, entry) in hits {
+                // What the key *decodes* to decides (a label holding `@`
+                // decodes as a shorter label about an entity).
+                if let Some((creator, found_label, entity)) = split(encoded) {
+                    if found_label == label {
+                        let entity = entity.map(|e| Entity::new(e.to_owned()));
+                        found.push((KalisId::new(creator), entity, entry.value.clone()));
+                    }
+                }
+            }
+            seek = KeyBuf::concat(&[creator, "%"]);
+        }
+        found
+    }
+
+    /// Entries from key `start` on, in key order.
+    fn from<'a>(&'a self, start: &str) -> impl Iterator<Item = (&'a String, &'a Entry)> + 'a {
+        (self.entries).range::<str, _>((Bound::Included(start), Bound::Unbounded))
+    }
+
+    /// Entries whose encoded key starts with `prefix`, in key order.
+    fn with_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a String, &'a Entry)> + 'a {
+        (self.from(prefix)).take_while(move |(k, _)| k.starts_with(prefix))
+    }
+
+    /// Every local entry whose key starts `local$root` + `mark`, as what
+    /// `decode` makes of the rest of its key, with its value.
+    fn family<T>(&self, root: &str, mark: &str, decode: fn(&str) -> T) -> Vec<(T, KnowValue)> {
+        self.note_get();
+        let prefix = KeyBuf::concat(&[self.local.as_str(), "$", root, mark]);
+        let prefix = prefix.as_str();
+        self.with_prefix(prefix)
+            .map(|(k, entry)| (decode(&k[prefix.len()..]), entry.value.clone()))
             .collect()
     }
 
     /// Every local knowgget whose label starts with `root.` (the
     /// sub-knowggets of a multilevel knowgget), as `(sub-label, value)`.
     pub fn sublabels(&self, root: &str) -> Vec<(String, KnowValue)> {
-        self.note_get();
-        let prefix = format!("{}${}.", self.local, root);
-        self.entries
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, w)| {
-                let rest = &k[prefix.len()..];
-                let sub = rest.split('@').next().unwrap_or(rest).to_owned();
-                (sub, KnowValue::from_wire(w))
-            })
-            .collect()
+        self.family(root, ".", |rest| {
+            rest.split('@').next().unwrap_or(rest).to_owned()
+        })
     }
 
     /// Every entity that has a local knowgget with `label`, with its value
     /// — the suffix query of the paper.
     pub fn entities_with(&self, label: &str) -> Vec<(Entity, KnowValue)> {
-        self.note_get();
-        let prefix = format!("{}${}@", self.local, label);
-        self.entries
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, w)| {
-                (
-                    Entity::new(k[prefix.len()..].to_owned()),
-                    KnowValue::from_wire(w),
-                )
-            })
-            .collect()
+        self.family(label, "@", |entity| Entity::new(entity.to_owned()))
     }
 
     /// Iterate over every entry as decoded knowggets.
     pub fn iter(&self) -> impl Iterator<Item = Knowgget> + '_ {
-        self.entries.iter().filter_map(|(k, w)| {
-            let key: KnowKey = k.parse().ok()?;
-            Some(Knowgget {
-                label: key.label,
-                value: KnowValue::from_wire(w),
-                creator: key.creator,
-                entity: key.entity,
-                origin: self.attribution.get(k).cloned(),
-            })
-        })
+        (self.entries.iter()).filter_map(|(k, entry)| entry.knowgget(k))
     }
 
     /// Number of knowggets stored.
@@ -600,7 +664,9 @@ impl KnowledgeBase {
     /// `state_bytes()` recomputed by walking every entry.
     #[cfg(any(test, debug_assertions))]
     fn recount_state_bytes(&self) -> usize {
-        self.entries.iter().map(|(k, v)| entry_bytes(k, v)).sum()
+        let wire_len = |e: &Entry| e.spelling.as_deref().map_or(e.value.wire_len(), str::len);
+        let walk = self.entries.iter();
+        walk.map(|(k, e)| entry_bytes(k.len(), wire_len(e))).sum()
     }
 
     /// Drain the change log accumulated since the last call.
@@ -616,20 +682,11 @@ impl KnowledgeBase {
     /// Drain the collective knowggets that changed since the last call —
     /// the outbox of the synchronization mechanism.
     pub fn drain_dirty_collective(&mut self) -> Vec<Knowgget> {
-        let dirty = std::mem::take(&mut self.dirty_collective);
-        dirty
-            .into_iter()
-            .filter_map(|encoded| {
-                let key: KnowKey = encoded.parse().ok()?;
-                let wire = self.entries.get(&encoded)?;
-                Some(Knowgget {
-                    label: key.label,
-                    value: KnowValue::from_wire(wire),
-                    creator: key.creator,
-                    entity: key.entity,
-                    origin: self.attribution.get(&encoded).cloned(),
-                })
-            })
+        if std::mem::take(&mut self.dirty) == 0 {
+            return Vec::new();
+        }
+        (self.entries.iter_mut())
+            .filter_map(|(k, entry)| std::mem::take(&mut entry.dirty).then(|| entry.knowgget(k))?)
             .collect()
     }
 
@@ -637,19 +694,9 @@ impl KnowledgeBase {
     /// state — the full-state payload sent when a recovered peer needs a
     /// complete re-sync.
     pub fn collective_knowggets(&self) -> Vec<Knowgget> {
-        self.collective
-            .iter()
-            .filter_map(|encoded| {
-                let key: KnowKey = encoded.parse().ok()?;
-                let wire = self.entries.get(encoded)?;
-                Some(Knowgget {
-                    label: key.label,
-                    value: KnowValue::from_wire(wire),
-                    creator: key.creator,
-                    entity: key.entity,
-                    origin: self.attribution.get(encoded).cloned(),
-                })
-            })
+        (self.entries.iter())
+            .filter(|(_, entry)| entry.collective)
+            .filter_map(|(k, entry)| entry.knowgget(k))
             .collect()
     }
 
@@ -674,15 +721,31 @@ impl KnowledgeBase {
         if knowgget.creator == self.local {
             return Err("peer attempted to overwrite local knowledge".to_owned());
         }
-        let key = knowgget.key();
-        let before = self.revision;
         // A remote knowgget carries its own provenance (or none, for
         // peers predating the provenance wire extension) — never the
         // local ambient writer.
-        self.set_raw_with_origin(key, knowgget.value, false, knowgget.origin);
-        Ok(self.revision != before)
+        let Knowgget { label, value, .. } = knowgget;
+        let (creator, origin) = (Some(knowgget.creator), Some(knowgget.origin));
+        Ok(self.set_raw(creator, label, knowgget.entity, value, false, origin))
     }
 }
+
+/// The origin a local write is attributed to, from the ambient
+/// writer/trace set by the dispatch loop.
+fn ambient_origin(writer: &str, (trace_id, span_id): (u64, u32)) -> Option<KnowggetOrigin> {
+    let attributed = !writer.is_empty() || (trace_id, span_id) != (0, 0);
+    attributed.then(|| KnowggetOrigin {
+        module: writer.to_owned(),
+        trace_id,
+        span_id,
+    })
+}
+
+#[cfg(test)]
+mod reference;
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

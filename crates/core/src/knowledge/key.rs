@@ -103,30 +103,81 @@ impl fmt::Display for ParseKeyError {
 
 impl std::error::Error for ParseKeyError {}
 
+/// The `(creator, label, entity)` an encoded key spells, borrowed from it;
+/// `None` where [`KnowKey::from_str`] rejects the text.
+pub(super) fn split(encoded: &str) -> Option<(&str, &str, Option<&str>)> {
+    let (creator, rest) = encoded.split_once('$')?;
+    if creator.is_empty() || creator.contains(['@', '.']) {
+        return None;
+    }
+    let (label, entity) = match rest.split_once('@') {
+        Some((_, "")) => return None,
+        Some((label, entity)) => (label, Some(entity)),
+        None => (rest, None),
+    };
+    (!label.is_empty()).then_some((creator, label, entity))
+}
+
 impl FromStr for KnowKey {
     type Err = ParseKeyError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParseKeyError { text: s.to_owned() };
-        let (creator, rest) = s.split_once('$').ok_or_else(err)?;
-        if creator.is_empty() || creator.contains(['@', '.']) {
-            return Err(err());
-        }
-        let (label, entity) = match rest.split_once('@') {
-            Some((label, entity)) if !entity.is_empty() => {
-                (label, Some(Entity::new(entity.to_owned())))
-            }
-            Some(_) => return Err(err()),
-            None => (rest, None),
-        };
-        if label.is_empty() {
-            return Err(err());
-        }
+        let (creator, label, entity) =
+            split(s).ok_or_else(|| ParseKeyError { text: s.to_owned() })?;
         Ok(KnowKey {
             creator: KalisId::new(creator),
             label: label.to_owned(),
-            entity,
+            entity: entity.map(|e| Entity::new(e.to_owned())),
         })
+    }
+}
+
+/// Key text assembled from pieces for a lookup, on the stack when it
+/// fits: a lookup builds no `KnowKey` and allocates nothing.
+pub(super) struct KeyBuf {
+    stack: [u8; KeyBuf::STACK],
+    len: usize,
+    /// The text, when it is longer than `stack`.
+    heap: String,
+}
+
+impl KeyBuf {
+    const STACK: usize = 120;
+
+    /// The concatenation of `pieces`.
+    pub(super) fn concat(pieces: &[&str]) -> Self {
+        let len = pieces.iter().map(|p| p.len()).sum();
+        let mut buf = KeyBuf {
+            stack: [0; KeyBuf::STACK],
+            len,
+            heap: String::new(),
+        };
+        if len > KeyBuf::STACK {
+            buf.heap = pieces.concat();
+            return buf;
+        }
+        let mut at = 0;
+        for piece in pieces {
+            buf.stack[at..at + piece.len()].copy_from_slice(piece.as_bytes());
+            at += piece.len();
+        }
+        buf
+    }
+
+    /// `creator$label` or `creator$label@entity`, as [`KnowKey::encode`]
+    /// spells it.
+    pub(super) fn key(creator: &str, label: &str, entity: Option<&str>) -> Self {
+        match entity {
+            Some(entity) => Self::concat(&[creator, "$", label, "@", entity]),
+            None => Self::concat(&[creator, "$", label]),
+        }
+    }
+
+    pub(super) fn as_str(&self) -> &str {
+        if self.len > KeyBuf::STACK {
+            return &self.heap;
+        }
+        std::str::from_utf8(&self.stack[..self.len]).expect("whole strs, end to end")
     }
 }
 
@@ -169,6 +220,25 @@ mod tests {
         for text in ["", "NoDollar", "$label", "K1$", "K1$label@", "K.1$x"] {
             assert!(text.parse::<KnowKey>().is_err(), "should reject `{text}`");
         }
+    }
+
+    #[test]
+    fn key_buf_spells_what_encode_spells() {
+        let long = "x".repeat(200);
+        for (label, entity) in [
+            ("Multihop", None),
+            ("SignalStrength", Some("SensorA")),
+            (long.as_str(), Some("10.0.0.3")),
+            ("Température", Some(long.as_str())),
+        ] {
+            let key = KnowKey {
+                creator: KalisId::new("K1"),
+                label: label.to_owned(),
+                entity: entity.map(Entity::new),
+            };
+            assert_eq!(KeyBuf::key("K1", label, entity).as_str(), key.encode());
+        }
+        assert_eq!(KeyBuf::concat(&[]).as_str(), "");
     }
 
     #[test]

@@ -36,37 +36,95 @@ pub enum KnowValue {
 }
 
 impl KnowValue {
+    /// Write the wire form into `out`: the one place that spells it.
+    fn write_wire(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            KnowValue::Bool(b) => write!(out, "{b}"),
+            KnowValue::Int(i) => write!(out, "{i}"),
+            // Integral floats print without a trailing `.0` so the wire
+            // form is stable across type reinterpretation.
+            KnowValue::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => {
+                write!(out, "{}", *x as i64)
+            }
+            KnowValue::Float(x) => write!(out, "{x}"),
+            KnowValue::Text(s) => out.write_str(s),
+        }
+    }
+
     /// The canonical string form (what the paper stores).
     pub fn to_wire(&self) -> String {
-        match self {
-            KnowValue::Bool(b) => b.to_string(),
-            KnowValue::Int(i) => i.to_string(),
-            KnowValue::Float(x) => {
-                // Integral floats print without a trailing `.0` so the wire
-                // form is stable across type reinterpretation.
-                if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                    format!("{}", *x as i64)
-                } else {
-                    format!("{x}")
-                }
+        let mut wire = String::new();
+        self.write_wire(&mut wire)
+            .expect("writing to a String cannot fail");
+        wire
+    }
+
+    /// `self.to_wire().len()`, without building the string.
+    pub(crate) fn wire_len(&self) -> usize {
+        struct Count(usize);
+        impl fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
             }
-            KnowValue::Text(s) => s.clone(),
         }
+        let mut count = Count(0);
+        self.write_wire(&mut count).expect("counting cannot fail");
+        count.0
+    }
+
+    /// `self.to_wire() == text`, without building the string.
+    pub(crate) fn wire_is(&self, text: &str) -> bool {
+        /// Fails at the first piece that is not the next piece of `0`.
+        struct Rest<'a>(&'a str);
+        impl fmt::Write for Rest<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut rest = Rest(text);
+        self.write_wire(&mut rest).is_ok() && rest.0.is_empty()
+    }
+
+    /// The bool, integer or float a wire string spells, if any (tried in
+    /// that order).
+    fn parse_scalar(text: &str) -> Option<KnowValue> {
+        if let Ok(b) = text.parse::<bool>() {
+            return Some(KnowValue::Bool(b));
+        }
+        if let Ok(i) = text.parse::<i64>() {
+            return Some(KnowValue::Int(i));
+        }
+        text.parse::<f64>().ok().map(KnowValue::Float)
     }
 
     /// Parse a wire string into the most specific type that fits
     /// (bool, then integer, then float, then text).
     pub fn from_wire(text: &str) -> KnowValue {
-        if let Ok(b) = text.parse::<bool>() {
-            return KnowValue::Bool(b);
+        Self::parse_scalar(text).unwrap_or_else(|| KnowValue::Text(text.to_owned()))
+    }
+
+    /// The value a trip through the wire form gives back —
+    /// `KnowValue::from_wire(&self.to_wire())` — computed without the
+    /// string wherever the answer is known from the type: an integral
+    /// float is an integer (`Float(-67.0)` → `Int(-67)`), text that
+    /// spells a bool or a number is that bool or number (`Text("8")` →
+    /// `Int(8)`, `Text("1e3")` → `Float(1000.0)`). The Knowledge Base
+    /// stores values in this form, so a lookup never parses.
+    pub fn canonical(self) -> KnowValue {
+        match self {
+            KnowValue::Bool(_) | KnowValue::Int(_) => self,
+            KnowValue::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => KnowValue::Int(x as i64),
+            // Fractions, NaN and the infinities (`fract()` is NaN for
+            // those) print as floats and parse back to themselves.
+            KnowValue::Float(x) if x.fract() != 0.0 => self,
+            // Integral and at least 1e15: `Display` prints the shortest
+            // digits that identify the float, not its exact integer
+            // value, and what they parse to depends on `i64`'s range.
+            KnowValue::Float(_) => KnowValue::from_wire(&self.to_wire()),
+            KnowValue::Text(s) => Self::parse_scalar(&s).unwrap_or(KnowValue::Text(s)),
         }
-        if let Ok(i) = text.parse::<i64>() {
-            return KnowValue::Int(i);
-        }
-        if let Ok(x) = text.parse::<f64>() {
-            return KnowValue::Float(x);
-        }
-        KnowValue::Text(text.to_owned())
     }
 
     /// The boolean view, if this value is (or parses as) a bool.
@@ -106,7 +164,7 @@ impl KnowValue {
 
 impl fmt::Display for KnowValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_wire())
+        self.write_wire(f)
     }
 }
 
@@ -181,5 +239,125 @@ mod tests {
     fn text_never_fails() {
         assert_eq!(KnowValue::Bool(true).as_text(), "true");
         assert_eq!(KnowValue::Text("x y".into()).as_text(), "x y");
+    }
+
+    /// Equality that also holds between two NaNs.
+    fn same(a: &KnowValue, b: &KnowValue) -> bool {
+        match (a, b) {
+            (KnowValue::Float(x), KnowValue::Float(y)) => x == y || (x.is_nan() && y.is_nan()),
+            _ => a == b,
+        }
+    }
+
+    #[test]
+    fn canonical_examples() {
+        let text = |s: &str| KnowValue::Text(s.to_owned());
+        for (value, canonical) in [
+            (KnowValue::Float(-67.0), KnowValue::Int(-67)),
+            (KnowValue::Float(-0.0), KnowValue::Int(0)),
+            (KnowValue::Float(0.037), KnowValue::Float(0.037)),
+            (
+                KnowValue::Float(1e15),
+                KnowValue::Int(1_000_000_000_000_000),
+            ),
+            (KnowValue::Float(1e19), KnowValue::Float(1e19)),
+            (
+                KnowValue::Float(f64::INFINITY),
+                KnowValue::Float(f64::INFINITY),
+            ),
+            (text("true"), KnowValue::Bool(true)),
+            (text("8"), KnowValue::Int(8)),
+            (text("+5"), KnowValue::Int(5)),
+            (text("1e3"), KnowValue::Float(1000.0)),
+            (text("inf"), KnowValue::Float(f64::INFINITY)),
+            (text("RPL"), text("RPL")),
+        ] {
+            assert!(same(&value.clone().canonical(), &canonical), "{value:?}");
+        }
+        assert!(matches!(
+            KnowValue::Float(f64::NAN).canonical(),
+            KnowValue::Float(x) if x.is_nan()
+        ));
+    }
+
+    fn any_value() -> impl proptest::strategy::Strategy<Value = KnowValue> {
+        use proptest::prelude::*;
+        let edge_floats = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e15,
+            -1e15,
+            1e15 - 1.0,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            123_456_789_012_345_680.0,
+            // 2^63, the first integral float past `i64`, and -2^63, the last within.
+            9_223_372_036_854_775_808.0,
+            -9_223_372_036_854_775_808.0,
+            1e19,
+            1e300,
+            f64::MIN_POSITIVE,
+        ];
+        let spellings = vec![
+            "true",
+            "false",
+            "True",
+            "8",
+            "+5",
+            "007",
+            "-0",
+            "1e3",
+            "1.50",
+            ".5",
+            "5.",
+            "inf",
+            "-inf",
+            "infinity",
+            "NaN",
+            "nan",
+            "",
+            " 1",
+            "0x10",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "RPL",
+            "0x001e,0x001f",
+        ];
+        prop_oneof![
+            any::<bool>().prop_map(KnowValue::Bool),
+            any::<i64>().prop_map(KnowValue::Int),
+            // Every bit pattern: NaN payloads, subnormals, huge exponents.
+            any::<u64>().prop_map(|bits| KnowValue::Float(f64::from_bits(bits))),
+            (-1e4..1e4f64).prop_map(KnowValue::Float),
+            (0..edge_floats.len()).prop_map(move |i| KnowValue::Float(edge_floats[i])),
+            // Integral floats on both sides of 1e15, 2^53 and 2^63.
+            (1e14..2e19f64, any::<bool>()).prop_map(|(x, negative)| {
+                KnowValue::Float(if negative { -x.trunc() } else { x.trunc() })
+            }),
+            (0..spellings.len()).prop_map(move |i| KnowValue::Text(spellings[i].to_owned())),
+            "[-+]?[0-9]{0,20}[.]?[0-9]{0,4}e?[-+]?[0-9]{0,3}".prop_map(KnowValue::Text),
+            "[ -~]{0,12}".prop_map(KnowValue::Text),
+        ]
+    }
+
+    proptest::proptest! {
+        /// `canonical()` is the round trip through the wire form, and
+        /// the two string-free helpers agree with `to_wire()`.
+        #[test]
+        fn canonical_equals_the_wire_round_trip(value in any_value(), other in any_value()) {
+            let wire = value.to_wire();
+            let round_trip = KnowValue::from_wire(&wire);
+            proptest::prop_assert!(
+                same(&value.clone().canonical(), &round_trip),
+                "{:?}: canonical {:?}, round trip {:?}", value, value.clone().canonical(), round_trip
+            );
+            proptest::prop_assert_eq!(value.wire_len(), wire.len());
+            proptest::prop_assert!(value.wire_is(&wire));
+            proptest::prop_assert_eq!(other.wire_is(&wire), other.to_wire() == wire);
+        }
     }
 }

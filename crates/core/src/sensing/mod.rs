@@ -27,4 +27,67 @@ pub mod labels {
     pub const MEDIUM_SEEN: &str = "MediumSeen";
     /// Multilevel root (boolean leaves): protocols seen, e.g. `ProtocolSeen.CTP`.
     pub const PROTOCOL_SEEN: &str = "ProtocolSeen";
+
+    // The leaves read and written on dispatch paths, spelled out so no
+    // packet or reconfigure pass builds a label: each equals
+    // `KnowKey::scoped(root, leaf)` (pinned by a test below), which stays
+    // the constructor contracts declare them with.
+    /// `MediumSeen.802.15.4`.
+    pub const MEDIUM_SEEN_802154: &str = "MediumSeen.802.15.4";
+    /// `MediumSeen.wifi`.
+    pub const MEDIUM_SEEN_WIFI: &str = "MediumSeen.wifi";
+    /// `MediumSeen.ethernet`.
+    pub const MEDIUM_SEEN_ETHERNET: &str = "MediumSeen.ethernet";
+    /// `MediumSeen.ble`.
+    pub const MEDIUM_SEEN_BLE: &str = "MediumSeen.ble";
+    /// `ProtocolSeen.CTP`.
+    pub const PROTOCOL_SEEN_CTP: &str = "ProtocolSeen.CTP";
+    /// `ProtocolSeen.ZIGBEE`.
+    pub const PROTOCOL_SEEN_ZIGBEE: &str = "ProtocolSeen.ZIGBEE";
+    /// `ProtocolSeen.SIXLOWPAN`.
+    pub const PROTOCOL_SEEN_SIXLOWPAN: &str = "ProtocolSeen.SIXLOWPAN";
+    /// `ProtocolSeen.IP`.
+    pub const PROTOCOL_SEEN_IP: &str = "ProtocolSeen.IP";
+    /// `ProtocolSeen.RPL`.
+    pub const PROTOCOL_SEEN_RPL: &str = "ProtocolSeen.RPL";
+
+    /// The [`MEDIUM_SEEN`] leaf for `medium`.
+    pub fn medium_seen(medium: kalis_packets::Medium) -> &'static str {
+        use kalis_packets::Medium;
+        match medium {
+            Medium::Ieee802154 => MEDIUM_SEEN_802154,
+            Medium::Wifi => MEDIUM_SEEN_WIFI,
+            Medium::Ethernet => MEDIUM_SEEN_ETHERNET,
+            Medium::Ble => MEDIUM_SEEN_BLE,
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::knowledge::KnowKey;
+        use kalis_packets::Medium;
+
+        #[test]
+        fn spelled_out_leaves_equal_the_scoped_constructor() {
+            for medium in [
+                Medium::Ieee802154,
+                Medium::Wifi,
+                Medium::Ethernet,
+                Medium::Ble,
+            ] {
+                let scoped = KnowKey::scoped(MEDIUM_SEEN, &medium.to_string());
+                assert_eq!(medium_seen(medium), scoped);
+            }
+            for (spelled, leaf) in [
+                (PROTOCOL_SEEN_CTP, "CTP"),
+                (PROTOCOL_SEEN_ZIGBEE, "ZIGBEE"),
+                (PROTOCOL_SEEN_SIXLOWPAN, "SIXLOWPAN"),
+                (PROTOCOL_SEEN_IP, "IP"),
+                (PROTOCOL_SEEN_RPL, "RPL"),
+            ] {
+                assert_eq!(spelled, KnowKey::scoped(PROTOCOL_SEEN, leaf));
+            }
+        }
+    }
 }

@@ -10,7 +10,7 @@ use kalis_packets::packet::{NetworkLayer, Transport};
 use kalis_packets::CapturedPacket;
 
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
-use crate::knowledge::{KnowKey, KnowValue, KnowledgeBase};
+use crate::knowledge::{KnowValue, KnowledgeBase};
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
 use crate::sensing::labels;
 
@@ -76,9 +76,9 @@ impl TopologyDiscoveryModule {
         self.transmitters.iter().map(|(t, _)| footprint(t)).sum()
     }
 
-    fn note_protocol(ctx: &mut ModuleCtx<'_>, proto: &str) {
-        ctx.kb
-            .insert(KnowKey::scoped(labels::PROTOCOL_SEEN, proto), true);
+    /// `seen`: one of the spelled-out `labels::PROTOCOL_SEEN_*` leaves.
+    fn note_protocol(ctx: &mut ModuleCtx<'_>, seen: &'static str) {
+        ctx.kb.insert(seen, true);
     }
 }
 
@@ -115,10 +115,7 @@ impl Module for TopologyDiscoveryModule {
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
         self.frames_seen += 1;
-        ctx.kb.insert(
-            KnowKey::scoped(labels::MEDIUM_SEEN, &packet.medium.to_string()),
-            true,
-        );
+        ctx.kb.insert(labels::medium_seen(packet.medium), true);
         let Some(pkt) = packet.decoded() else { return };
 
         if let Some(tx) = pkt.transmitter() {
@@ -136,7 +133,7 @@ impl Module for TopologyDiscoveryModule {
         let mut saw_multihop_indicator = false;
         match pkt.net.as_ref() {
             Some(NetworkLayer::Ctp(frame)) => {
-                Self::note_protocol(ctx, "CTP");
+                Self::note_protocol(ctx, labels::PROTOCOL_SEEN_CTP);
                 match frame {
                     CtpFrame::Data(d) => {
                         // A forwarded frame proves an intermediate hop.
@@ -168,7 +165,7 @@ impl Module for TopologyDiscoveryModule {
                 }
             }
             Some(NetworkLayer::Zigbee(z)) => {
-                Self::note_protocol(ctx, "ZIGBEE");
+                Self::note_protocol(ctx, labels::PROTOCOL_SEEN_ZIGBEE);
                 // NWK source differing from the MAC transmitter means the
                 // frame was relayed.
                 if let (Some(tx), Some(src)) = (pkt.transmitter(), pkt.net_src()) {
@@ -181,18 +178,18 @@ impl Module for TopologyDiscoveryModule {
                 }
             }
             Some(NetworkLayer::SixLowpan { frame, .. }) => {
-                Self::note_protocol(ctx, "SIXLOWPAN");
+                Self::note_protocol(ctx, labels::PROTOCOL_SEEN_SIXLOWPAN);
                 if frame.is_mesh_forwarded() {
                     saw_multihop_indicator = true;
                 }
             }
             Some(NetworkLayer::Ipv4(_)) | Some(NetworkLayer::Ipv6(_)) => {
-                Self::note_protocol(ctx, "IP");
+                Self::note_protocol(ctx, labels::PROTOCOL_SEEN_IP);
             }
             None => {}
         }
         if let Some(Transport::Icmpv6(Icmpv6Packet::Rpl(_))) = pkt.transport.as_ref() {
-            Self::note_protocol(ctx, "RPL");
+            Self::note_protocol(ctx, labels::PROTOCOL_SEEN_RPL);
             saw_multihop_indicator = true;
         }
 
