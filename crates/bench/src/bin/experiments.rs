@@ -351,68 +351,58 @@ fn main() {
     }
     if args.resilience {
         println!("== Sync resilience under chaos (seed={}) ==", args.seed);
-        #[cfg(feature = "telemetry")]
-        {
-            let result = experiments::run_sync_resilience(args.seed, 0.3, 0.1);
-            println!("kb converged after heal : {}", result.converged);
-            println!(
-                "degraded entered/exited : {}/{}",
-                result.degraded_entered, result.degraded_exited
-            );
-            println!("retransmissions         : {}", result.retransmits);
-            println!("duplicates deduped      : {}", result.duplicates_dropped);
-            println!(
-                "queue-overflow dropped  : {}",
-                result.queue_overflow_dropped
-            );
-            println!("wormhole alerts         : {}", result.wormhole_alerts);
-            println!("frames faulted away     : {}", result.faults_dropped);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        println!("(requires the `telemetry` feature)");
+        let result = experiments::run_sync_resilience(args.seed, 0.3, 0.1);
+        println!("kb converged after heal : {}", result.converged);
+        println!(
+            "degraded entered/exited : {}/{}",
+            result.degraded_entered, result.degraded_exited
+        );
+        println!("retransmissions         : {}", result.retransmits);
+        println!("duplicates deduped      : {}", result.duplicates_dropped);
+        println!(
+            "queue-overflow dropped  : {}",
+            result.queue_overflow_dropped
+        );
+        println!("wormhole alerts         : {}", result.wormhole_alerts);
+        println!("frames faulted away     : {}", result.faults_dropped);
         println!();
     }
     if args.supervisor {
         println!("== Module supervisor under chaos (seed={}) ==", args.seed);
-        #[cfg(feature = "telemetry")]
-        {
-            let chaos = experiments::run_supervisor_chaos(args.seed);
-            println!(
-                "detection rate ctl/faulted : {} / {}",
-                report::pct(chaos.control_detection_rate),
-                report::pct(chaos.faulted_detection_rate),
-            );
-            println!("module panics caught       : {}", chaos.panics);
-            println!(
-                "quarantines / probations   : {}/{}",
-                chaos.quarantines, chaos.probations
-            );
-            println!(
-                "quarantined at end         : {}",
-                if chaos.quarantined_at_end.is_empty() {
-                    "-".to_owned()
-                } else {
-                    chaos.quarantined_at_end.join(", ")
-                }
-            );
-            let burst = experiments::run_burst_shedding(args.seed);
-            println!(
-                "burst shed engaged/released: {}/{}",
-                burst.shed_engaged, burst.shed_released
-            );
-            println!("dispatches shed            : {}", burst.shed_skips);
-            println!(
-                "pinned {} sheds : {}",
-                burst.pinned_module, burst.pinned_sheds
-            );
-            println!(
-                "detection rate calm/burst  : {} / {}",
-                report::pct(burst.baseline_detection_rate),
-                report::pct(burst.burst_detection_rate),
-            );
-        }
-        #[cfg(not(feature = "telemetry"))]
-        println!("(requires the `telemetry` feature)");
+        let chaos = experiments::run_supervisor_chaos(args.seed);
+        println!(
+            "detection rate ctl/faulted : {} / {}",
+            report::pct(chaos.control_detection_rate),
+            report::pct(chaos.faulted_detection_rate),
+        );
+        println!("module panics caught       : {}", chaos.panics);
+        println!(
+            "quarantines / probations   : {}/{}",
+            chaos.quarantines, chaos.probations
+        );
+        println!(
+            "quarantined at end         : {}",
+            if chaos.quarantined_at_end.is_empty() {
+                "-".to_owned()
+            } else {
+                chaos.quarantined_at_end.join(", ")
+            }
+        );
+        let burst = experiments::run_burst_shedding(args.seed);
+        println!(
+            "burst shed engaged/released: {}/{}",
+            burst.shed_engaged, burst.shed_released
+        );
+        println!("dispatches shed            : {}", burst.shed_skips);
+        println!(
+            "pinned {} sheds : {}",
+            burst.pinned_module, burst.pinned_sheds
+        );
+        println!(
+            "detection rate calm/burst  : {} / {}",
+            report::pct(burst.baseline_detection_rate),
+            report::pct(burst.burst_detection_rate),
+        );
         println!();
     }
     if args.exhaustion {
@@ -455,40 +445,32 @@ fn main() {
             "== Flight-recorder overhead + bundle determinism (seed={}) ==",
             args.seed
         );
-        #[cfg(feature = "telemetry")]
-        {
-            let result = experiments::run_diag_overhead(args.seed, args.symptoms.max(50), 5);
-            println!("{}", report::render_diag_overhead(&result));
-            if let Some(path) = &args.diag_json {
-                let json = report::diag_json(&result);
-                std::fs::write(path, &json)
-                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                println!("wrote {path} ({} bytes)", json.len());
-            }
-            // Hard gates: the run is a failure if the chaos leg never
-            // tripped a capture, a bundle failed the strict checker,
-            // the double run diverged, or the recorder cost more than
-            // the BENCH_8 hot-path budget.
-            if result.captures == 0 {
-                die("flight recorder: chaos leg captured no bundles");
-            }
-            if !result.bundles_valid {
-                die("flight recorder: a captured bundle failed the strict checker");
-            }
-            if !result.deterministic {
-                die("flight recorder: double run produced differing bundles");
-            }
-            if result.overhead_pct() > 1.0 {
-                die(&format!(
-                    "flight recorder: hot-path overhead {:.2}% exceeds the 1% budget",
-                    result.overhead_pct()
-                ));
-            }
+        let result = experiments::run_diag_overhead(args.seed, args.symptoms.max(50), 5);
+        println!("{}", report::render_diag_overhead(&result));
+        if let Some(path) = &args.diag_json {
+            let json = report::diag_json(&result);
+            std::fs::write(path, &json)
+                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+            println!("wrote {path} ({} bytes)", json.len());
         }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = &args.diag_json;
-            println!("(requires the `telemetry` feature)");
+        // Hard gates: the run is a failure if the chaos leg never
+        // tripped a capture, a bundle failed the strict checker,
+        // the double run diverged, or the recorder cost more than
+        // the BENCH_8 hot-path budget.
+        if result.captures == 0 {
+            die("flight recorder: chaos leg captured no bundles");
+        }
+        if !result.bundles_valid {
+            die("flight recorder: a captured bundle failed the strict checker");
+        }
+        if !result.deterministic {
+            die("flight recorder: double run produced differing bundles");
+        }
+        if result.overhead_pct() > 1.0 {
+            die(&format!(
+                "flight recorder: hot-path overhead {:.2}% exceeds the 1% budget",
+                result.overhead_pct()
+            ));
         }
         println!();
     }

@@ -311,10 +311,8 @@ pub use exhaustion::{
     MAX_STRUCTURES_PER_MODULE,
 };
 
-#[cfg(feature = "telemetry")]
 pub use resilience::{run_sync_chaos, run_sync_resilience, SyncChaosSpec, SyncResilienceResult};
 
-#[cfg(feature = "telemetry")]
 pub use supervisor::{
     run_burst_shedding, run_supervisor_chaos, BurstSheddingResult, SupervisorChaosResult,
     POISON_MODULE,
@@ -324,7 +322,6 @@ pub use supervisor::{
 /// packets (panic isolation + crash-loop quarantine) and a 10× ingest
 /// burst (overload shedding), both asserted against a control run on the
 /// same seeded scenario.
-#[cfg(feature = "telemetry")]
 mod supervisor {
     use std::time::Duration;
 
@@ -787,7 +784,6 @@ mod exhaustion {
 /// corruption, and a hard partition), exercising the fault-tolerant sync
 /// engine end to end — retransmission, dedup, peer-health decay,
 /// degraded local-only mode, and post-heal re-synchronization.
-#[cfg(feature = "telemetry")]
 mod resilience {
     use std::time::Duration;
 
@@ -1404,7 +1400,6 @@ pub fn run_ops_overhead(seed: u64, symptoms: u32, repeats: u32) -> OpsOverheadRe
 /// enough to trip the state-exhaustion trigger — twice on identically
 /// configured nodes (no ops listener, so the config fingerprint carries
 /// no ephemeral port) and compares the captured bundles byte for byte.
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Clone)]
 pub struct DiagOverheadResult {
     /// Packets per timed run.
@@ -1443,7 +1438,6 @@ pub struct DiagOverheadResult {
     pub deterministic: bool,
 }
 
-#[cfg(feature = "telemetry")]
 impl DiagOverheadResult {
     /// Throughput lost to the recorder: the floor across ABBA
     /// iterations. The best-of-N legs in `off_pps`/`on_pps` are
@@ -1462,7 +1456,6 @@ impl DiagOverheadResult {
 /// the ICMP-flood workload (interleaved best-of-N, criterion-style),
 /// then run the seeded chaos leg twice and compare the captured
 /// diagnostics bundles byte for byte.
-#[cfg(feature = "telemetry")]
 pub fn run_diag_overhead(seed: u64, symptoms: u32, repeats: u32) -> DiagOverheadResult {
     use kalis_core::config::Config;
     use kalis_netsim::trace::merge_traces;

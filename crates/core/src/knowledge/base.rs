@@ -4,8 +4,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use kalis_packets::Entity;
+use kalis_telemetry::{metric_name, names, Counter, Gauge, Telemetry};
 
 use crate::bounded::BoundedMap;
 use crate::id::KalisId;
@@ -20,14 +22,8 @@ use super::{KnowKey, KnowValue, Knowgget, KnowggetOrigin};
 /// change events so modules observe the knowledge disappearing).
 pub const DEFAULT_KB_ENTITY_BUDGET: usize = 4096;
 
-#[cfg(feature = "telemetry")]
-use kalis_telemetry::{metric_name, names, Counter, Gauge, Telemetry};
-#[cfg(feature = "telemetry")]
-use std::sync::Arc;
-
 /// Cached instrument handles so the KB hot path never touches the
 /// registry lock (paper-scale workloads query the KB per packet).
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Clone)]
 struct KbStats {
     inserts: Arc<Counter>,
@@ -98,7 +94,6 @@ pub struct KnowledgeBase {
     /// budget, the least-recently-written entity is evicted and all of
     /// its knowggets purged.
     entity_index: BoundedMap<Entity, BTreeSet<String>>,
-    #[cfg(feature = "telemetry")]
     stats: Option<KbStats>,
 }
 
@@ -167,14 +162,12 @@ impl KnowledgeBase {
             writer: String::new(),
             trace: (0, 0),
             entity_index: BoundedMap::new(DEFAULT_KB_ENTITY_BUDGET),
-            #[cfg(feature = "telemetry")]
             stats: None,
         }
     }
 
     /// Attach a telemetry registry: from now on every operation is
     /// counted under `kb.ops[op=...]` and revision churn is tracked.
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry(&mut self, registry: &Telemetry) {
         let op = |name: &str| registry.counter(&metric_name(names::KB_OPS, &[("op", name)]));
         self.stats = Some(KbStats {
@@ -189,14 +182,8 @@ impl KnowledgeBase {
         });
     }
 
-    /// Attach a telemetry registry (no-op: the `telemetry` feature is
-    /// disabled, so there is nothing to record into).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn set_telemetry(&mut self, _registry: &kalis_telemetry::Telemetry) {}
-
     #[inline]
     fn note_insert(&self) {
-        #[cfg(feature = "telemetry")]
         if let Some(s) = &self.stats {
             s.inserts.inc();
         }
@@ -204,7 +191,6 @@ impl KnowledgeBase {
 
     #[inline]
     fn note_get(&self) {
-        #[cfg(feature = "telemetry")]
         if let Some(s) = &self.stats {
             s.gets.inc();
         }
@@ -212,7 +198,6 @@ impl KnowledgeBase {
 
     #[inline]
     fn note_remove(&self) {
-        #[cfg(feature = "telemetry")]
         if let Some(s) = &self.stats {
             s.removes.inc();
         }
@@ -220,7 +205,6 @@ impl KnowledgeBase {
 
     #[inline]
     fn note_sync(&self) {
-        #[cfg(feature = "telemetry")]
         if let Some(s) = &self.stats {
             s.syncs.inc();
         }
@@ -229,7 +213,6 @@ impl KnowledgeBase {
     /// Record a revision bump (a real state change).
     #[inline]
     fn note_churn(&self) {
-        #[cfg(feature = "telemetry")]
         if let Some(s) = &self.stats {
             s.churn.inc();
             s.revision.set(self.revision);

@@ -6,20 +6,18 @@
 //! modules are quarantined with exponential backoff, and under overload
 //! unpinned detection modules see sampled dispatch in priority order.
 
-use kalis_packets::CapturedPacket;
+use core::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::time::Instant;
+
+use kalis_packets::{CapturedPacket, Timestamp};
+use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEvent, Telemetry};
 
 use crate::knowledge::KnowledgeBase;
 
 use super::supervisor::{ModuleHealth, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict};
 use super::{Module, ModuleCtx, ModuleKind, ModuleWeight};
-
-use kalis_telemetry::Telemetry;
-#[cfg(feature = "telemetry")]
-use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEvent};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-#[cfg(feature = "telemetry")]
-use std::sync::Arc;
-use std::time::Instant;
 
 struct Slot {
     module: Box<dyn Module>,
@@ -39,37 +37,48 @@ struct Slot {
     dispatches: u64,
     /// Dispatches skipped by overload shedding.
     sheds: u64,
-    /// Cached per-module dispatch latency series (`dispatch.packet` /
-    /// `dispatch.tick`), populated once telemetry is attached.
-    #[cfg(feature = "telemetry")]
-    packet_hist: Option<Arc<Histogram>>,
-    #[cfg(feature = "telemetry")]
-    tick_hist: Option<Arc<Histogram>>,
-    /// Per-module `supervisor.shed[module=...]` counter.
-    #[cfg(feature = "telemetry")]
-    shed_counter: Option<Arc<Counter>>,
-    /// Per-module `module.cpu_ns[module=...]` counter.
-    #[cfg(feature = "telemetry")]
-    cpu_counter: Option<Arc<Counter>>,
-    /// Per-module `module.occupancy[module=...]` gauge, refreshed by
+    /// Present exactly when the manager has a registry attached.
+    tele: Option<SlotTele>,
+}
+
+/// Cached per-module instrument handles (`...[module=<name>]`).
+struct SlotTele {
+    /// `dispatch.packet` / `dispatch.tick` latency series.
+    packet_hist: Arc<Histogram>,
+    tick_hist: Arc<Histogram>,
+    /// `supervisor.shed` counter.
+    shed: Arc<Counter>,
+    /// `module.cpu_ns` counter.
+    cpu: Arc<Counter>,
+    /// `module.occupancy` gauge, refreshed by
     /// [`ModuleManager::publish_profiles`].
-    #[cfg(feature = "telemetry")]
-    occupancy_gauge: Option<Arc<Gauge>>,
-    /// Per-module `module.evictions[module=...]` gauge (a gauge, not a
-    /// counter: a module reset legitimately returns it to zero).
-    #[cfg(feature = "telemetry")]
-    evictions_gauge: Option<Arc<Gauge>>,
-    /// Per-module `module.state_budget[module=...]` gauge.
-    #[cfg(feature = "telemetry")]
-    budget_gauge: Option<Arc<Gauge>>,
-    /// Per-module `module.work_units[module=...]` gauge.
-    #[cfg(feature = "telemetry")]
-    work_gauge: Option<Arc<Gauge>>,
+    occupancy: Arc<Gauge>,
+    /// `module.evictions` gauge (a gauge, not a counter: a module reset
+    /// legitimately returns it to zero).
+    evictions: Arc<Gauge>,
+    /// `module.state_budget` gauge.
+    budget: Arc<Gauge>,
+    /// `module.work_units` gauge.
+    work: Arc<Gauge>,
+}
+
+impl SlotTele {
+    fn new(registry: &Telemetry, module: &str) -> Self {
+        let name = |family: &str| metric_name(family, &[("module", module)]);
+        SlotTele {
+            packet_hist: registry.histogram(&name(names::DISPATCH_PACKET)),
+            tick_hist: registry.histogram(&name(names::DISPATCH_TICK)),
+            shed: registry.counter(&name(names::SHED_BY_MODULE)),
+            cpu: registry.counter(&name(names::MODULE_CPU_NS)),
+            occupancy: registry.gauge(&name(names::MODULE_OCCUPANCY)),
+            evictions: registry.gauge(&name(names::MODULE_EVICTIONS)),
+            budget: registry.gauge(&name(names::MODULE_STATE_BUDGET)),
+            work: registry.gauge(&name(names::MODULE_WORK_UNITS)),
+        }
+    }
 }
 
 /// Cached instrument handles for the manager itself.
-#[cfg(feature = "telemetry")]
-#[derive(Clone)]
 struct ManagerTele {
     registry: Arc<Telemetry>,
     activated: Arc<Counter>,
@@ -80,6 +89,44 @@ struct ManagerTele {
     quarantines: Arc<Counter>,
     quarantined: Arc<Gauge>,
     shed_skips: Arc<Counter>,
+}
+
+impl ManagerTele {
+    fn journal(&self, now: Timestamp, event: JournalEvent) {
+        self.registry.journal().record(now.as_micros(), event);
+    }
+
+    fn note_probation(&self, now: Timestamp, module: &str) {
+        self.journal(
+            now,
+            JournalEvent::ModuleProbation {
+                module: module.to_string(),
+            },
+        );
+    }
+
+    fn note_panicked(&self, now: Timestamp, module: &str, message: &str) {
+        self.panics.inc();
+        self.journal(
+            now,
+            JournalEvent::ModulePanicked {
+                module: module.to_string(),
+                message: message.to_string(),
+            },
+        );
+    }
+
+    fn note_quarantined(&self, now: Timestamp, module: &str, reason: String, backoff: Duration) {
+        self.quarantines.inc();
+        self.journal(
+            now,
+            JournalEvent::ModuleQuarantined {
+                module: module.to_string(),
+                reason,
+                backoff_ms: backoff.as_millis() as u64,
+            },
+        );
+    }
 }
 
 /// Counters describing one packet dispatch.
@@ -167,10 +214,8 @@ pub struct ModuleManager {
     deactivations: u64,
     supervisor: SupervisorConfig,
     stats: SupervisorStats,
-    #[cfg(feature = "telemetry")]
     tele: Option<ManagerTele>,
     /// Dispatch sequence number driving latency sampling.
-    #[cfg(feature = "telemetry")]
     dispatch_seq: u64,
 }
 
@@ -180,7 +225,6 @@ pub struct ModuleManager {
 /// common path while the histograms stay statistically representative.
 /// (When a watchdog budget is configured, every dispatch is timed
 /// regardless — the budget check cannot sample.)
-#[cfg(feature = "telemetry")]
 const DISPATCH_SAMPLE_MASK: u64 = 7;
 
 /// Human-readable panic payload for the journal.
@@ -217,9 +261,7 @@ impl ModuleManager {
             deactivations: 0,
             supervisor: SupervisorConfig::default(),
             stats: SupervisorStats::default(),
-            #[cfg(feature = "telemetry")]
             tele: None,
-            #[cfg(feature = "telemetry")]
             dispatch_seq: 0,
         }
     }
@@ -257,6 +299,10 @@ impl ModuleManager {
     /// start active and stay active.
     pub fn add(&mut self, module: Box<dyn Module>, pinned: bool) {
         let active = pinned || !self.adaptive || module.descriptor().kind == ModuleKind::Sensing;
+        let tele = self
+            .tele
+            .as_ref()
+            .map(|t| SlotTele::new(&t.registry, module.descriptor().name));
         self.slots.push(Slot {
             module,
             active,
@@ -266,29 +312,9 @@ impl ModuleManager {
             cpu_ns: 0,
             dispatches: 0,
             sheds: 0,
-            #[cfg(feature = "telemetry")]
-            packet_hist: None,
-            #[cfg(feature = "telemetry")]
-            tick_hist: None,
-            #[cfg(feature = "telemetry")]
-            shed_counter: None,
-            #[cfg(feature = "telemetry")]
-            cpu_counter: None,
-            #[cfg(feature = "telemetry")]
-            occupancy_gauge: None,
-            #[cfg(feature = "telemetry")]
-            evictions_gauge: None,
-            #[cfg(feature = "telemetry")]
-            budget_gauge: None,
-            #[cfg(feature = "telemetry")]
-            work_gauge: None,
+            tele,
         });
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &self.tele {
-            let registry = Arc::clone(&t.registry);
-            if let Some(slot) = self.slots.last_mut() {
-                Self::slot_instruments(slot, &registry);
-            }
             t.active.set(self.active_count() as u64);
         }
     }
@@ -296,7 +322,6 @@ impl ModuleManager {
     /// Attach a telemetry registry: per-module dispatch latency is
     /// recorded from now on, and [`ModuleManager::reconfigure_traced`]
     /// journals every activation flip.
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry(&mut self, registry: &Arc<Telemetry>) {
         let tele = ManagerTele {
             registry: Arc::clone(registry),
@@ -310,44 +335,16 @@ impl ModuleManager {
             shed_skips: registry.counter(names::SHED_SKIPS),
         };
         for slot in &mut self.slots {
-            Self::slot_instruments(slot, &tele.registry);
+            slot.tele = Some(SlotTele::new(registry, slot.module.descriptor().name));
         }
         tele.active.set(self.active_count() as u64);
         self.tele = Some(tele);
     }
 
-    /// Attach a telemetry registry (no-op: the `telemetry` feature is
-    /// disabled, so there is nothing to record into).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn set_telemetry(&mut self, _registry: &std::sync::Arc<Telemetry>) {}
-
-    #[cfg(feature = "telemetry")]
-    fn slot_instruments(slot: &mut Slot, registry: &Telemetry) {
-        let name = slot.module.descriptor().name;
-        slot.packet_hist =
-            Some(registry.histogram(&metric_name(names::DISPATCH_PACKET, &[("module", name)])));
-        slot.tick_hist =
-            Some(registry.histogram(&metric_name(names::DISPATCH_TICK, &[("module", name)])));
-        slot.shed_counter =
-            Some(registry.counter(&metric_name(names::SHED_BY_MODULE, &[("module", name)])));
-        slot.cpu_counter =
-            Some(registry.counter(&metric_name(names::MODULE_CPU_NS, &[("module", name)])));
-        slot.occupancy_gauge =
-            Some(registry.gauge(&metric_name(names::MODULE_OCCUPANCY, &[("module", name)])));
-        slot.evictions_gauge =
-            Some(registry.gauge(&metric_name(names::MODULE_EVICTIONS, &[("module", name)])));
-        slot.budget_gauge = Some(registry.gauge(&metric_name(
-            names::MODULE_STATE_BUDGET,
-            &[("module", name)],
-        )));
-        slot.work_gauge =
-            Some(registry.gauge(&metric_name(names::MODULE_WORK_UNITS, &[("module", name)])));
-    }
-
     /// Re-evaluate every module's activation against the Knowledge Base.
     /// Returns `(activated, deactivated)` counts for this pass.
     pub fn reconfigure(&mut self, kb: &KnowledgeBase) -> (usize, usize) {
-        self.apply_reconfigure(kb, "", 0)
+        self.reconfigure_traced(kb, "", 0)
     }
 
     /// Like [`ModuleManager::reconfigure`], but journals every activation
@@ -359,17 +356,6 @@ impl ModuleManager {
         trigger: &str,
         time_us: u64,
     ) -> (usize, usize) {
-        self.apply_reconfigure(kb, trigger, time_us)
-    }
-
-    fn apply_reconfigure(
-        &mut self,
-        kb: &KnowledgeBase,
-        trigger: &str,
-        time_us: u64,
-    ) -> (usize, usize) {
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (trigger, time_us);
         if !self.adaptive {
             return (0, 0);
         }
@@ -389,7 +375,6 @@ impl ModuleManager {
                 slot.active = true;
                 activated += 1;
                 self.activations += 1;
-                #[cfg(feature = "telemetry")]
                 if let Some(t) = &self.tele {
                     t.activated.inc();
                     t.registry.journal().record(
@@ -404,7 +389,6 @@ impl ModuleManager {
                 slot.active = false;
                 deactivated += 1;
                 self.deactivations += 1;
-                #[cfg(feature = "telemetry")]
                 if let Some(t) = &self.tele {
                     t.deactivated.inc();
                     t.registry.journal().record(
@@ -417,7 +401,6 @@ impl ModuleManager {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
         if activated + deactivated > 0 {
             if let Some(t) = &self.tele {
                 t.active.set(self.active_count() as u64);
@@ -445,18 +428,51 @@ impl ModuleManager {
         packet: &CapturedPacket,
         shed: ShedMode,
     ) -> DispatchOutcome {
+        self.dispatch_seq = self.dispatch_seq.wrapping_add(1);
+        let sampled = self.tele.is_some() && self.dispatch_seq & DISPATCH_SAMPLE_MASK == 0;
+        self.supervise(
+            ctx,
+            shed,
+            sampled,
+            |t| &t.packet_hist,
+            |module, ctx| module.on_packet(ctx, packet),
+        )
+    }
+
+    /// Route a tick to every active module. Supervised like packet
+    /// dispatch (panic isolation, budgets, quarantine) but never shed:
+    /// ticks are rare and drive window expiry, and every one is timed
+    /// when a registry is attached.
+    pub fn dispatch_tick(&mut self, ctx: &mut ModuleCtx<'_>) -> DispatchOutcome {
+        let attached = self.tele.is_some();
+        self.supervise(
+            ctx,
+            ShedMode::None,
+            attached,
+            |t| &t.tick_hist,
+            |module, ctx| module.on_tick(ctx),
+        )
+    }
+
+    /// The supervise policy behind both entry points: run `call` on
+    /// every active module that is neither quarantined nor shed. With
+    /// `record` set each completed call's latency goes to the slot's
+    /// `hist` series; calls are timed when recorded or when a watchdog
+    /// budget is configured.
+    fn supervise(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        shed: ShedMode,
+        record: bool,
+        hist: impl Fn(&SlotTele) -> &Histogram,
+        mut call: impl FnMut(&mut dyn Module, &mut ModuleCtx<'_>),
+    ) -> DispatchOutcome {
         let mut outcome = DispatchOutcome::default();
         let cfg = &self.supervisor;
+        let tele = self.tele.as_ref();
         let budget = cfg.budget;
-        #[cfg(feature = "telemetry")]
-        let sampled = {
-            self.dispatch_seq = self.dispatch_seq.wrapping_add(1);
-            self.tele.is_some() && self.dispatch_seq & DISPATCH_SAMPLE_MASK == 0
-        };
-        #[cfg(not(feature = "telemetry"))]
-        let sampled = false;
         // kalis-lint: allow(KL302): measures real CPU cost for the supervisor budget
-        let mut prev = (sampled || budget.is_some()).then(Instant::now);
+        let mut prev = (record || budget.is_some()).then(Instant::now);
         let mut quarantine_flips: u64 = 0;
         let mut quarantine_releases: u64 = 0;
         let mut overruns: u64 = 0;
@@ -465,19 +481,12 @@ impl ModuleManager {
                 continue;
             }
             if slot.supervision.is_quarantined() {
-                if slot.supervision.try_release(ctx.now, cfg) {
-                    quarantine_releases += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(t) = &self.tele {
-                        t.registry.journal().record(
-                            ctx.now.as_micros(),
-                            JournalEvent::ModuleProbation {
-                                module: slot.module.descriptor().name.to_string(),
-                            },
-                        );
-                    }
-                } else {
+                if !slot.supervision.try_release(ctx.now, cfg) {
                     continue;
+                }
+                quarantine_releases += 1;
+                if let Some(t) = tele {
+                    t.note_probation(ctx.now, slot.module.descriptor().name);
                 }
             }
             // Shed gate: sensing and pinned modules always run; unpinned
@@ -491,12 +500,9 @@ impl ModuleManager {
                     if seq % keep != 0 {
                         outcome.modules_shed += 1;
                         slot.sheds += 1;
-                        #[cfg(feature = "telemetry")]
-                        if let Some(t) = &self.tele {
+                        if let (Some(t), Some(s)) = (tele, &slot.tele) {
                             t.shed_skips.inc();
-                            if let Some(c) = &slot.shed_counter {
-                                c.inc();
-                            }
+                            s.shed.inc();
                         }
                         continue;
                     }
@@ -506,8 +512,8 @@ impl ModuleManager {
             // alert provenance can name who produced each knowgget.
             ctx.kb.set_writer(descriptor.name);
             let result = {
-                let module = &mut slot.module;
-                catch_unwind(AssertUnwindSafe(|| module.on_packet(ctx, packet)))
+                let module = slot.module.as_mut();
+                catch_unwind(AssertUnwindSafe(|| call(module, ctx)))
             };
             // Timing: consecutive `Instant::now()` reads so N modules
             // cost N+1 clock reads, not 2N.
@@ -522,98 +528,59 @@ impl ModuleManager {
                 let ns = e.as_nanos() as u64;
                 outcome.cpu_ns += ns;
                 slot.cpu_ns += ns;
-                #[cfg(feature = "telemetry")]
-                if let Some(c) = &slot.cpu_counter {
-                    c.add(ns);
+                if let Some(s) = &slot.tele {
+                    s.cpu.add(ns);
                 }
             }
-            match result {
+            // A strike (overrun or panic) yields the supervisor's verdict
+            // and, for a panic, its message.
+            let strike = match result {
                 Ok(()) => {
                     outcome.modules_run += 1;
-                    #[cfg(feature = "telemetry")]
-                    if sampled {
-                        if let (Some(e), Some(hist)) = (elapsed, &slot.packet_hist) {
-                            hist.record(e.as_nanos() as u64);
+                    if record {
+                        if let (Some(e), Some(s)) = (elapsed, &slot.tele) {
+                            hist(s).record(e.as_nanos() as u64);
                         }
                     }
-                    let overrun = matches!((elapsed, budget), (Some(e), Some(b)) if e > b);
-                    if overrun {
+                    if matches!((elapsed, budget), (Some(e), Some(b)) if e > b) {
                         overruns += 1;
-                        let verdict = slot.supervision.note_overrun(ctx.now, cfg);
-                        #[cfg(feature = "telemetry")]
-                        if let Some(t) = &self.tele {
+                        if let Some(t) = tele {
                             t.overruns.inc();
                         }
-                        if let SupervisorVerdict::Quarantined { backoff, .. } = verdict {
-                            quarantine_flips += 1;
-                            #[cfg(feature = "telemetry")]
-                            if let Some(t) = &self.tele {
-                                t.quarantines.inc();
-                                t.registry.journal().record(
-                                    ctx.now.as_micros(),
-                                    JournalEvent::ModuleQuarantined {
-                                        module: descriptor.name.to_string(),
-                                        reason: "repeated watchdog budget overruns".to_string(),
-                                        backoff_ms: backoff.as_millis() as u64,
-                                    },
-                                );
-                            }
-                            #[cfg(not(feature = "telemetry"))]
-                            let _ = backoff;
-                        }
+                        Some((slot.supervision.note_overrun(ctx.now, cfg), None))
                     } else {
                         slot.supervision.note_clean(cfg);
+                        None
                     }
                 }
                 Err(payload) => {
                     outcome.modules_panicked += 1;
                     let message = panic_message(payload.as_ref());
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = &message;
                     // The unwind may have left analysis state
                     // half-updated; drop it before the next dispatch.
                     slot.module.reset();
                     // The reset emptied the module's bounded structures;
                     // reflect that on the ops surface immediately rather
                     // than waiting for the next profile publish.
-                    #[cfg(feature = "telemetry")]
-                    {
-                        if let Some(g) = &slot.occupancy_gauge {
-                            g.set(0);
-                        }
-                        if let Some(g) = &slot.evictions_gauge {
-                            g.set(0);
-                        }
+                    if let Some(s) = &slot.tele {
+                        s.occupancy.set(0);
+                        s.evictions.set(0);
                     }
                     let verdict = slot.supervision.note_panic(ctx.now, cfg);
-                    #[cfg(feature = "telemetry")]
-                    if let Some(t) = &self.tele {
-                        t.panics.inc();
-                        t.registry.journal().record(
-                            ctx.now.as_micros(),
-                            JournalEvent::ModulePanicked {
-                                module: descriptor.name.to_string(),
-                                message: message.clone(),
-                            },
-                        );
+                    if let Some(t) = tele {
+                        t.note_panicked(ctx.now, descriptor.name, &message);
                     }
-                    if let SupervisorVerdict::Quarantined { backoff, .. } = verdict {
-                        quarantine_flips += 1;
-                        #[cfg(feature = "telemetry")]
-                        if let Some(t) = &self.tele {
-                            t.quarantines.inc();
-                            t.registry.journal().record(
-                                ctx.now.as_micros(),
-                                JournalEvent::ModuleQuarantined {
-                                    module: descriptor.name.to_string(),
-                                    reason: format!("panic: {message}"),
-                                    backoff_ms: backoff.as_millis() as u64,
-                                },
-                            );
-                        }
-                        #[cfg(not(feature = "telemetry"))]
-                        let _ = backoff;
-                    }
+                    Some((verdict, Some(message)))
+                }
+            };
+            if let Some((SupervisorVerdict::Quarantined { backoff, .. }, panic)) = strike {
+                quarantine_flips += 1;
+                if let Some(t) = tele {
+                    let reason = match panic {
+                        Some(message) => format!("panic: {message}"),
+                        None => "repeated watchdog budget overruns".to_string(),
+                    };
+                    t.note_quarantined(ctx.now, descriptor.name, reason, backoff);
                 }
             }
         }
@@ -622,175 +589,12 @@ impl ModuleManager {
         self.stats.sheds += outcome.modules_shed;
         self.stats.overruns += overruns;
         self.stats.quarantines += quarantine_flips;
-        #[cfg(feature = "telemetry")]
         if quarantine_flips + quarantine_releases > 0 {
-            if let Some(t) = &self.tele {
+            if let Some(t) = tele {
                 t.quarantined.set(self.quarantined_count() as u64);
                 t.active.set(self.active_count() as u64);
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = quarantine_releases;
-        outcome
-    }
-
-    /// Route a tick to every active module. Supervised like packet
-    /// dispatch (panic isolation, budgets, quarantine) but never shed:
-    /// ticks are rare and drive window expiry.
-    pub fn dispatch_tick(&mut self, ctx: &mut ModuleCtx<'_>) -> DispatchOutcome {
-        let mut outcome = DispatchOutcome::default();
-        let cfg = &self.supervisor;
-        let budget = cfg.budget;
-        #[cfg(feature = "telemetry")]
-        let timed = self.tele.is_some() || budget.is_some();
-        #[cfg(not(feature = "telemetry"))]
-        let timed = budget.is_some();
-        // kalis-lint: allow(KL302): measures real CPU cost for the supervisor budget
-        let mut prev = timed.then(Instant::now);
-        let mut quarantine_flips: u64 = 0;
-        let mut quarantine_releases: u64 = 0;
-        let mut overruns: u64 = 0;
-        for slot in &mut self.slots {
-            if !slot.active {
-                continue;
-            }
-            if slot.supervision.is_quarantined() {
-                if slot.supervision.try_release(ctx.now, cfg) {
-                    quarantine_releases += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(t) = &self.tele {
-                        t.registry.journal().record(
-                            ctx.now.as_micros(),
-                            JournalEvent::ModuleProbation {
-                                module: slot.module.descriptor().name.to_string(),
-                            },
-                        );
-                    }
-                } else {
-                    continue;
-                }
-            }
-            let descriptor = slot.module.descriptor();
-            ctx.kb.set_writer(descriptor.name);
-            let result = {
-                let module = &mut slot.module;
-                catch_unwind(AssertUnwindSafe(|| module.on_tick(ctx)))
-            };
-            let elapsed = prev.as_mut().map(|p| {
-                let now = Instant::now(); // kalis-lint: allow(KL302): supervisor cost probe
-                let e = now - *p;
-                *p = now;
-                e
-            });
-            slot.dispatches += 1;
-            if let Some(e) = elapsed {
-                let ns = e.as_nanos() as u64;
-                outcome.cpu_ns += ns;
-                slot.cpu_ns += ns;
-                #[cfg(feature = "telemetry")]
-                if let Some(c) = &slot.cpu_counter {
-                    c.add(ns);
-                }
-            }
-            match result {
-                Ok(()) => {
-                    outcome.modules_run += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let (Some(e), Some(hist)) = (elapsed, &slot.tick_hist) {
-                        hist.record(e.as_nanos() as u64);
-                    }
-                    let overrun = matches!((elapsed, budget), (Some(e), Some(b)) if e > b);
-                    if overrun {
-                        overruns += 1;
-                        let verdict = slot.supervision.note_overrun(ctx.now, cfg);
-                        #[cfg(feature = "telemetry")]
-                        if let Some(t) = &self.tele {
-                            t.overruns.inc();
-                        }
-                        if let SupervisorVerdict::Quarantined { backoff, .. } = verdict {
-                            quarantine_flips += 1;
-                            #[cfg(feature = "telemetry")]
-                            if let Some(t) = &self.tele {
-                                t.quarantines.inc();
-                                t.registry.journal().record(
-                                    ctx.now.as_micros(),
-                                    JournalEvent::ModuleQuarantined {
-                                        module: descriptor.name.to_string(),
-                                        reason: "repeated watchdog budget overruns".to_string(),
-                                        backoff_ms: backoff.as_millis() as u64,
-                                    },
-                                );
-                            }
-                            #[cfg(not(feature = "telemetry"))]
-                            let _ = backoff;
-                        }
-                    } else {
-                        slot.supervision.note_clean(cfg);
-                    }
-                }
-                Err(payload) => {
-                    outcome.modules_panicked += 1;
-                    let message = panic_message(payload.as_ref());
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = &message;
-                    slot.module.reset();
-                    // The reset emptied the module's bounded structures;
-                    // reflect that on the ops surface immediately rather
-                    // than waiting for the next profile publish.
-                    #[cfg(feature = "telemetry")]
-                    {
-                        if let Some(g) = &slot.occupancy_gauge {
-                            g.set(0);
-                        }
-                        if let Some(g) = &slot.evictions_gauge {
-                            g.set(0);
-                        }
-                    }
-                    let verdict = slot.supervision.note_panic(ctx.now, cfg);
-                    #[cfg(feature = "telemetry")]
-                    if let Some(t) = &self.tele {
-                        t.panics.inc();
-                        t.registry.journal().record(
-                            ctx.now.as_micros(),
-                            JournalEvent::ModulePanicked {
-                                module: descriptor.name.to_string(),
-                                message: message.clone(),
-                            },
-                        );
-                    }
-                    if let SupervisorVerdict::Quarantined { backoff, .. } = verdict {
-                        quarantine_flips += 1;
-                        #[cfg(feature = "telemetry")]
-                        if let Some(t) = &self.tele {
-                            t.quarantines.inc();
-                            t.registry.journal().record(
-                                ctx.now.as_micros(),
-                                JournalEvent::ModuleQuarantined {
-                                    module: descriptor.name.to_string(),
-                                    reason: format!("panic: {message}"),
-                                    backoff_ms: backoff.as_millis() as u64,
-                                },
-                            );
-                        }
-                        #[cfg(not(feature = "telemetry"))]
-                        let _ = backoff;
-                    }
-                }
-            }
-        }
-        ctx.kb.clear_writer();
-        self.stats.panics += outcome.modules_panicked;
-        self.stats.overruns += overruns;
-        self.stats.quarantines += quarantine_flips;
-        #[cfg(feature = "telemetry")]
-        if quarantine_flips + quarantine_releases > 0 {
-            if let Some(t) = &self.tele {
-                t.quarantined.set(self.quarantined_count() as u64);
-                t.active.set(self.active_count() as u64);
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = quarantine_releases;
         outcome
     }
 
@@ -904,23 +708,13 @@ impl ModuleManager {
     /// gauges from live module state. Called at tick cadence by the ops
     /// profiler — occupancy needs a walk over module maps, so it stays
     /// off the per-packet path.
-    #[cfg(feature = "telemetry")]
     pub fn publish_profiles(&mut self) {
-        if self.tele.is_none() {
-            return;
-        }
-        for slot in &mut self.slots {
-            if let Some(g) = &slot.occupancy_gauge {
-                g.set(slot.module.occupancy() as u64);
-            }
-            if let Some(g) = &slot.evictions_gauge {
-                g.set(slot.module.evictions());
-            }
-            if let Some(g) = &slot.budget_gauge {
-                g.set(slot.module.state_budget() as u64);
-            }
-            if let Some(g) = &slot.work_gauge {
-                g.set(slot.dispatches);
+        for slot in &self.slots {
+            if let Some(s) = &slot.tele {
+                s.occupancy.set(slot.module.occupancy() as u64);
+                s.evictions.set(slot.module.evictions());
+                s.budget.set(slot.module.state_budget() as u64);
+                s.work.set(slot.dispatches);
             }
         }
     }
@@ -1212,6 +1006,16 @@ mod tests {
         rage: std::sync::Arc<std::sync::atomic::AtomicBool>,
     }
 
+    impl BudgetedCrashy {
+        fn step(&mut self) {
+            self.seen += 1;
+            self.map.insert(self.seen, ());
+            if self.rage.load(std::sync::atomic::Ordering::Relaxed) {
+                panic!("crafted input tripped Crashy (budgeted)");
+            }
+        }
+    }
+
     impl Module for BudgetedCrashy {
         fn descriptor(&self) -> ModuleDescriptor {
             ModuleDescriptor::detection("BudgetedCrashy", AttackKind::Smurf)
@@ -1220,11 +1024,10 @@ mod tests {
             true
         }
         fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
-            self.seen += 1;
-            self.map.insert(self.seen, ());
-            if self.rage.load(std::sync::atomic::Ordering::Relaxed) {
-                panic!("crafted packet tripped Crashy (budgeted)");
-            }
+            self.step();
+        }
+        fn on_tick(&mut self, _ctx: &mut ModuleCtx<'_>) {
+            self.step();
         }
         fn occupancy(&self) -> usize {
             self.map.len()
@@ -1241,7 +1044,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn quarantined_module_returns_to_probation_with_fresh_state_and_gauges() {
         quiet_panics();
@@ -1439,5 +1241,245 @@ mod tests {
             "reconfigure leaves quarantined slots alone"
         );
         assert_eq!(mgr.quarantined_count(), 1);
+    }
+
+    /// A detection module that writes knowledge and raises alerts from
+    /// both callbacks, and panics on every `panic_packet_every`th packet
+    /// or `panic_tick_every`th tick since its last reset (0 = never).
+    struct Chatty {
+        name: &'static str,
+        heavy: bool,
+        packets: u64,
+        ticks: u64,
+        panic_packet_every: u64,
+        panic_tick_every: u64,
+    }
+
+    impl Chatty {
+        fn boxed(name: &'static str, heavy: bool, packet: u64, tick: u64) -> Box<dyn Module> {
+            Box::new(Chatty {
+                name,
+                heavy,
+                packets: 0,
+                ticks: 0,
+                panic_packet_every: packet,
+                panic_tick_every: tick,
+            })
+        }
+    }
+
+    impl Module for Chatty {
+        fn descriptor(&self) -> ModuleDescriptor {
+            let descriptor = ModuleDescriptor::detection(self.name, AttackKind::Smurf);
+            if self.heavy {
+                descriptor.heavy()
+            } else {
+                descriptor
+            }
+        }
+        fn required(&self, _kb: &KnowledgeBase) -> bool {
+            true
+        }
+        fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
+            self.packets += 1;
+            ctx.kb
+                .insert(format!("{}.Packets", self.name), self.packets as i64);
+            if self.packets % 3 == 0 {
+                ctx.raise(crate::alert::Alert::new(
+                    ctx.now,
+                    AttackKind::Smurf,
+                    self.name,
+                ));
+            }
+            if self.panic_packet_every != 0 && self.packets % self.panic_packet_every == 0 {
+                panic!("Crashy packet (chatty)");
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut ModuleCtx<'_>) {
+            self.ticks += 1;
+            // Flips `NeedsMultihop` at the next reconfigure.
+            ctx.kb.insert("Multihop", self.ticks % 2 == 0);
+            if self.panic_tick_every != 0 && self.ticks % self.panic_tick_every == 0 {
+                panic!("Crashy tick (chatty)");
+            }
+        }
+        fn reset(&mut self) {
+            self.packets = 0;
+            self.ticks = 0;
+        }
+    }
+
+    /// One seeded run of packets (under every shed mode) and ticks over
+    /// crashing, overrunning and shed modules. Returns everything
+    /// detection-relevant observed after each step, plus the lifetime
+    /// supervisor totals.
+    fn parity_run(tele: Option<&Arc<Telemetry>>) -> (Vec<String>, SupervisorStats) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let (mut kb, mut alerts) = ctx_parts();
+        let mut mgr = ModuleManager::new();
+        if let Some(tele) = tele {
+            mgr.set_telemetry(tele);
+        }
+        mgr.add(Chatty::boxed("PacketCrasher", false, 5, 0), false);
+        mgr.add(Chatty::boxed("TickCrasher", true, 0, 2), false);
+        mgr.add(Chatty::boxed("Pinned", false, 0, 0), true);
+        mgr.add(Box::new(NeedsMultihop { processed: 0 }), false);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut steps = Vec::new();
+        for step in 0..400u64 {
+            // Second half: a 0 ns watchdog budget turns every completed
+            // dispatch into an overrun.
+            if step == 200 {
+                mgr.set_supervisor(SupervisorConfig {
+                    budget: Some(Duration::ZERO),
+                    ..SupervisorConfig::default()
+                });
+            }
+            let now = Timestamp::from_millis(step * 250);
+            let mut ctx = ModuleCtx {
+                now,
+                kb: &mut kb,
+                alerts: &mut alerts,
+            };
+            let mut outcome = if rng.gen_range(0..4) == 0 {
+                mgr.dispatch_tick(&mut ctx)
+            } else {
+                let shed =
+                    [ShedMode::None, ShedMode::Heavy, ShedMode::All][rng.gen_range(0..3usize)];
+                mgr.dispatch_packet_shed(&mut ctx, &packet(), shed)
+            };
+            outcome.cpu_ns = 0;
+            let flips = mgr.reconfigure_traced(&kb, "parity", now.as_micros());
+            steps.push(format!(
+                "{outcome:?} {flips:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                std::mem::take(&mut alerts),
+                kb.iter().collect::<Vec<_>>(),
+                mgr.activation_stats(),
+                mgr.supervisor_stats(),
+                ["PacketCrasher", "TickCrasher", "Pinned", "NeedsMultihop"]
+                    .map(|name| mgr.module_health(name)),
+                mgr.quarantined_names(),
+            ));
+        }
+        (steps, mgr.supervisor_stats())
+    }
+
+    #[test]
+    fn detection_does_not_depend_on_an_attached_registry() {
+        quiet_panics();
+        let tele = Arc::new(Telemetry::new());
+        let (detached, detached_stats) = parity_run(None);
+        let (attached, stats) = parity_run(Some(&tele));
+        for (step, (detached, attached)) in detached.iter().zip(&attached).enumerate() {
+            assert_eq!(detached, attached, "step {step}");
+        }
+        assert_eq!(detached_stats, stats);
+        // The run exercised every supervise branch, and the attached
+        // side counted exactly what the manager did.
+        assert!(stats.panics > 0 && stats.overruns > 0 && stats.sheds > 0);
+        assert!(
+            stats.quarantines > 1,
+            "quarantined, released, re-quarantined"
+        );
+        assert_eq!(tele.counter(names::MODULE_PANICS).get(), stats.panics);
+        assert_eq!(tele.counter(names::BUDGET_OVERRUNS).get(), stats.overruns);
+        assert_eq!(
+            tele.counter(names::MODULE_QUARANTINES).get(),
+            stats.quarantines
+        );
+        assert_eq!(tele.counter(names::SHED_SKIPS).get(), stats.sheds);
+        let kinds: Vec<&str> = (tele.journal().snapshot().records.iter())
+            .map(|record| record.event.kind())
+            .collect();
+        for kind in [
+            "module_panicked",
+            "module_quarantined",
+            "module_probation",
+            "module_activated",
+            "module_deactivated",
+        ] {
+            assert!(kinds.contains(&kind), "no {kind} record journaled");
+        }
+    }
+
+    /// Crash-loop `BudgetedCrashy` into quarantine and back through one
+    /// entry point; returns the journal and the gauge readings
+    /// `(occupancy, evictions, modules.quarantined, modules.active)` while
+    /// loaded, once quarantined, and after the probation dispatch.
+    fn crash_loop_through(
+        dispatch: impl Fn(&mut ModuleManager, &mut ModuleCtx<'_>) -> DispatchOutcome,
+    ) -> (kalis_telemetry::JournalSnapshot, [[u64; 4]; 3]) {
+        let (mut kb, mut alerts) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
+        let rage = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut mgr = ModuleManager::all_always_active();
+        mgr.set_telemetry(&tele);
+        mgr.add(
+            Box::new(BudgetedCrashy {
+                map: crate::bounded::BoundedMap::new(4),
+                seen: 0,
+                rage: Arc::clone(&rage),
+            }),
+            false,
+        );
+        let module = [("module", "BudgetedCrashy")];
+        let gauges = || {
+            [
+                tele.gauge(&metric_name(names::MODULE_OCCUPANCY, &module))
+                    .get(),
+                tele.gauge(&metric_name(names::MODULE_EVICTIONS, &module))
+                    .get(),
+                tele.gauge(names::MODULES_QUARANTINED).get(),
+                tele.gauge(names::MODULES_ACTIVE).get(),
+            ]
+        };
+        let mut at = |mgr: &mut ModuleManager, secs: u64| {
+            let mut ctx = ModuleCtx {
+                now: Timestamp::from_secs(secs),
+                kb: &mut kb,
+                alerts: &mut alerts,
+            };
+            dispatch(mgr, &mut ctx)
+        };
+        for secs in 0..7 {
+            at(&mut mgr, secs);
+        }
+        mgr.publish_profiles();
+        let loaded = gauges();
+        rage.store(true, std::sync::atomic::Ordering::Relaxed);
+        let panic_limit = u64::from(SupervisorConfig::default().panic_limit);
+        for strike in 0..panic_limit {
+            at(&mut mgr, 7 + strike);
+        }
+        let quarantined = gauges();
+        rage.store(false, std::sync::atomic::Ordering::Relaxed);
+        let outcome = at(&mut mgr, 7 + panic_limit + 60);
+        assert_eq!(outcome.modules_run, 1, "probation dispatch ran clean");
+        mgr.publish_profiles();
+        (tele.journal().snapshot(), [loaded, quarantined, gauges()])
+    }
+
+    #[test]
+    fn packet_and_tick_panics_leave_the_same_journal_and_gauges() {
+        quiet_panics();
+        let (journal, gauges) = crash_loop_through(|mgr, ctx| mgr.dispatch_packet(ctx, &packet()));
+        let kinds: Vec<&str> = (journal.records.iter())
+            .map(|record| record.event.kind())
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "module_panicked",
+                "module_panicked",
+                "module_panicked",
+                "module_quarantined",
+                "module_probation"
+            ]
+        );
+        assert_eq!(gauges, [[4, 3, 0, 1], [0, 0, 1, 0], [1, 0, 0, 1]]);
+        let through_tick = crash_loop_through(|mgr, ctx| mgr.dispatch_tick(ctx));
+        assert_eq!((journal, gauges), through_tick);
     }
 }

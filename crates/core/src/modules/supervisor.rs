@@ -13,8 +13,7 @@
 //! pinned signature modules never).
 //!
 //! This file holds only the *policy* — pure state machines with no
-//! telemetry or I/O — so it works identically with
-//! `--no-default-features` and is trivially unit-testable. The
+//! telemetry or I/O — so it is trivially unit-testable. The
 //! [`ModuleManager`](super::ModuleManager) applies the verdicts and
 //! journals the evidence.
 

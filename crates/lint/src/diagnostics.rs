@@ -4,6 +4,7 @@
 use core::fmt;
 
 use kalis_core::config::SourcePos;
+use kalis_telemetry::json::write_quoted;
 
 /// Every check `kalis-lint` can report.
 ///
@@ -242,7 +243,7 @@ impl Diagnostic {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_string(note));
+                write_quoted(note, &mut out);
             }
             out.push(']');
         }
@@ -252,26 +253,9 @@ impl Diagnostic {
 }
 
 fn json_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&json_string(key));
+    write_quoted(key, out);
     out.push(':');
-    out.push_str(&json_string(value));
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    write_quoted(value, out);
 }
 
 /// Whether any diagnostic is an error (the process exit criterion).

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 
 use kalis_core::modules::{KnowggetContract, ModuleRegistry};
 use kalis_core::AttackKind;
+use kalis_telemetry::json::quote;
 
 use crate::system::overlaps;
 
@@ -164,15 +165,15 @@ impl ReadSets {
         out.push_str("  \"modules\": {\n");
         let last_module = self.modules.len().saturating_sub(1);
         for (i, (name, entries)) in self.modules.iter().enumerate() {
-            out.push_str(&format!("    {}: [", json_string(name)));
+            out.push_str(&format!("    {}: [", quote(name)));
             for (j, e) in entries.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
                 out.push_str(&format!(
                     "{{\"key\": {}, \"reason\": {}, \"per_entity\": {}}}",
-                    json_string(&e.key),
-                    json_string(e.reason.name()),
+                    quote(&e.key),
+                    quote(e.reason.name()),
                     e.per_entity
                 ));
             }
@@ -187,7 +188,7 @@ impl ReadSets {
         for (i, (label, keys)) in self.families.iter().enumerate() {
             out.push_str(&format!(
                 "    {}: {}",
-                json_string(label),
+                quote(label),
                 json_string_array(keys)
             ));
             if i != last_family {
@@ -200,7 +201,7 @@ impl ReadSets {
         for (i, (label, keys)) in self.knowledge.iter().enumerate() {
             out.push_str(&format!(
                 "    {}: {}",
-                json_string(label),
+                quote(label),
                 json_string_array(keys)
             ));
             if i != last_dep {
@@ -217,26 +218,8 @@ impl ReadSets {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_string_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| json_string(s)).collect();
+    let quoted: Vec<String> = items.iter().map(|s| quote(s)).collect();
     format!("[{}]", quoted.join(", "))
 }
 
@@ -308,11 +291,5 @@ mod tests {
         // test parses it properly).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

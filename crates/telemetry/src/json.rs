@@ -60,7 +60,7 @@ impl JsonValue {
 
     fn write(&self, out: &mut String) {
         match self {
-            JsonValue::Str(s) => write_str(s, out),
+            JsonValue::Str(s) => write_quoted(s, out),
             JsonValue::Num(n) => out.push_str(&n.to_string()),
             JsonValue::Arr(items) => {
                 out.push('[');
@@ -78,7 +78,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_str(k, out);
+                    write_quoted(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -97,7 +97,10 @@ impl fmt::Display for JsonValue {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Append `s` to `out` as a JSON string literal, quotes included — the
+/// one escaper behind every JSON artifact the workspace writes, so a
+/// string is spelled the same way in all of them.
+pub fn write_quoted(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -113,6 +116,13 @@ fn write_str(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// `s` as a JSON string literal (see [`write_quoted`]).
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_quoted(s, &mut out);
+    out
 }
 
 /// Parse failure with a byte offset into the input.
@@ -325,6 +335,14 @@ mod tests {
         ]);
         let text = doc.to_string();
         assert_eq!(parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn quote_escapes_what_json_requires_and_nothing_else() {
+        assert_eq!(
+            quote("q\" b\\ n\n r\r t\t c\u{1} \u{e9}\u{2603}"),
+            "\"q\\\" b\\\\ n\\n r\\r t\\t c\\u0001 \u{e9}\u{2603}\""
+        );
     }
 
     #[test]
