@@ -12,6 +12,7 @@ use kalis_bench::experiments::spray_trace;
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
 use kalis_core::{Kalis, KalisId};
 use kalis_netsim::stress::burst_trace;
+use kalis_netsim::trace::merge_traces;
 use kalis_packets::{CapturedPacket, Timestamp};
 use std::time::Duration;
 
@@ -113,6 +114,33 @@ fn bench_pipeline(c: &mut Criterion) {
     let spray = spray_trace(42, 3_300, 2);
     let (fill, past_budget) = spray.split_at(SPRAY_WARM_UP);
     bench_warmed(&mut group, "spray_past_budget", fill, past_budget);
+    // The benchmark's `home-steady` in miniature: the seven home
+    // scenarios merged, timed after their first third. ~40 virtual pps,
+    // so nearly every timed packet is a plain one — no tick, no alert —
+    // and about half of them change some knowgget no activation reads.
+    let home = merge_traces(
+        [
+            ScenarioKind::IcmpFlood,
+            ScenarioKind::SynFlood,
+            ScenarioKind::UdpFlood,
+            ScenarioKind::Smurf,
+            ScenarioKind::Scan,
+            ScenarioKind::Deauth,
+            ScenarioKind::FragmentFlood,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| Scenario::build(kind, 42 + i as u64, 5).captures)
+        .collect(),
+    );
+    let (fill, plain) = home.split_at(home.len() / 3);
+    bench_warmed(&mut group, "home_steady_plain", fill, plain);
+    // Node 1's side of the benchmark's `wsn-pair`: the wormhole
+    // scenario's first vantage, 802.15.4/CTP through the watchdog and
+    // topology modules.
+    let ctp = Scenario::build(ScenarioKind::Wormhole, 42, 200).captures;
+    let (fill, plain) = ctp.split_at(ctp.len() / 3);
+    bench_warmed(&mut group, "ctp_pair_plain", fill, plain);
     group.finish();
 }
 

@@ -88,21 +88,19 @@ impl Samples {
             max = max.max(*r);
         }
         let mid = (min + max) / 2.0;
-        let mut low = Vec::new();
-        let mut high = Vec::new();
+        // (count, sum) of the samples below the midpoint and of the rest.
+        let (mut low, mut high) = ((0, 0.0), (0, 0.0));
         for (_, r) in &self.points {
-            if *r < mid {
-                low.push(*r);
-            } else {
-                high.push(*r);
-            }
+            let level = if *r < mid { &mut low } else { &mut high };
+            level.0 += 1;
+            level.1 += *r;
         }
-        if low.is_empty() || high.is_empty() {
+        if low.0 == 0 || high.0 == 0 {
             return (0, 0, 0.0);
         }
-        let low_mean = low.iter().sum::<f64>() / low.len() as f64;
-        let high_mean = high.iter().sum::<f64>() / high.len() as f64;
-        (low.len(), high.len(), high_mean - low_mean)
+        let low_mean = low.1 / low.0 as f64;
+        let high_mean = high.1 / high.0 as f64;
+        (low.0, high.0, high_mean - low_mean)
     }
 
     /// Time between the oldest and newest retained sample.

@@ -87,19 +87,16 @@ impl Module for SinkholeModule {
         if let Some(CtpFrame::Routing(beacon)) = pkt.ctp() {
             if beacon.etx <= SUSPICIOUS_ETX {
                 if let Some(advertiser) = pkt.transmitter() {
-                    let root = ctx.kb.get_text(sense::CTP_ROOT);
-                    let is_established_root = root.as_deref() == Some(advertiser.as_str());
-                    if !is_established_root && root.is_some() {
-                        self.flag(
-                            ctx,
-                            advertiser,
-                            now,
+                    let usurped = (ctx.kb.get_ref(sense::CTP_ROOT))
+                        .filter(|root| !root.wire_is(advertiser.as_str()))
+                        .map(|root| {
                             format!(
-                                "CTP beacon advertising ETX {} while {} is the established root",
-                                beacon.etx,
-                                root.unwrap_or_default()
-                            ),
-                        );
+                                "CTP beacon advertising ETX {} while {root} is the established root",
+                                beacon.etx
+                            )
+                        });
+                    if let Some(details) = usurped {
+                        self.flag(ctx, advertiser, now, details);
                     }
                 }
             }
@@ -125,8 +122,8 @@ impl Module for SinkholeModule {
         {
             if *rank <= ROOT_RANK {
                 if let Some(tx) = pkt.transmitter().or_else(|| pkt.net_src()) {
-                    let root = ctx.kb.get_text(sense::CTP_ROOT);
-                    if root.as_deref() != Some(tx.as_str()) {
+                    let root = ctx.kb.get_ref(sense::CTP_ROOT);
+                    if !root.is_some_and(|root| root.wire_is(tx.as_str())) {
                         self.flag(
                             ctx,
                             tx,

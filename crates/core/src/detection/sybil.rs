@@ -137,18 +137,16 @@ impl Module for SybilModule {
         if !self.fingerprints.get(&id).is_some_and(Fingerprint::tight) {
             return;
         }
-        // kalis-lint: allow(KL301): scratch, bounded by the fingerprint map budget
-        let mut cluster: Vec<Entity> = Vec::new();
-        for (other, fp) in self.fingerprints.iter() {
-            if let Some(mean) = fp.mean() {
-                if fp.tight() && (mean - center).abs() <= CLUSTER_TOLERANCE_DB {
-                    cluster.push(other.clone());
-                }
-            }
-        }
-        if cluster.len() < CLUSTER_THRESHOLD {
+        let clustered = |fp: &Fingerprint| {
+            (fp.mean())
+                .is_some_and(|mean| fp.tight() && (mean - center).abs() <= CLUSTER_TOLERANCE_DB)
+        };
+        let members = || (self.fingerprints.iter()).filter(|(_, fp)| clustered(fp));
+        if members().count() < CLUSTER_THRESHOLD {
             return;
         }
+        // kalis-lint: allow(KL301): scratch, bounded by the fingerprint map budget
+        let mut cluster: Vec<Entity> = members().map(|(id, _)| id.clone()).collect();
         cluster.sort();
         let key = cluster
             .iter()

@@ -52,6 +52,10 @@ struct Watchdog {
     pending: VecDeque<Pending>,
     observations: VecDeque<(Timestamp, ShortAddr, ShortAddr, Outcome)>, // (ts, forwarder, origin, outcome)
     evictions: u64,
+    /// `(forwarder, drops, total)` over `observations`, recounted by every
+    /// [`Watchdog::expire`] into the same buffer: counting allocates
+    /// nothing.
+    tally: Vec<(ShortAddr, usize, usize)>,
 }
 
 impl Watchdog {
@@ -68,6 +72,7 @@ impl Watchdog {
             pending: VecDeque::new(),
             observations: VecDeque::new(),
             evictions: 0,
+            tally: Vec::new(),
         }
     }
 
@@ -103,8 +108,8 @@ impl Watchdog {
         if dst.is_broadcast() {
             return;
         }
-        let root = ctx.kb.get_text(sense::CTP_ROOT);
-        if root.as_deref() == Some(dst.to_string().as_str()) {
+        let root = ctx.kb.get_ref(sense::CTP_ROOT);
+        if root.is_some_and(|root| root.wire_is(Entity::from(dst).as_str())) {
             return; // the sink consumes, it does not forward
         }
         // Don't watchdog the final self-origination (origin == transmitter
@@ -138,37 +143,42 @@ impl Watchdog {
             }
         }
         self.enforce_budget();
+        self.recount();
     }
 
-    /// `(drops, total, dropped-origins)` for each forwarder with enough
-    /// observations.
-    fn ratios(&self) -> Vec<(ShortAddr, usize, usize, Vec<ShortAddr>)> {
-        let mut forwarders: Vec<ShortAddr> = Vec::new();
-        for (_, f, ..) in &self.observations {
-            if !forwarders.contains(f) {
-                forwarders.push(*f);
+    /// Count the observations by forwarder, in the order the forwarders
+    /// were first observed.
+    fn recount(&mut self) {
+        self.tally.clear();
+        for (_, forwarder, _, outcome) in &self.observations {
+            let at = (self.tally.iter())
+                .position(|(f, ..)| f == forwarder)
+                .unwrap_or_else(|| {
+                    self.tally.push((*forwarder, 0, 0));
+                    self.tally.len() - 1
+                });
+            let (_, drops, total) = &mut self.tally[at];
+            *drops += usize::from(*outcome == Outcome::Dropped);
+            *total += 1;
+        }
+    }
+
+    /// `(forwarder, drops, total)` for each forwarder with enough
+    /// observations, as of the last [`Watchdog::expire`].
+    fn ratios(&self) -> impl Iterator<Item = (ShortAddr, usize, usize)> + '_ {
+        (self.tally.iter().copied()).filter(|(_, _, total)| *total >= MIN_OBSERVATIONS)
+    }
+
+    /// The origins whose frames `forwarder` was observed dropping, in the
+    /// order they were first dropped.
+    fn dropped_origins(&self, forwarder: ShortAddr) -> Vec<ShortAddr> {
+        let mut origins = Vec::new();
+        for (_, f, origin, outcome) in &self.observations {
+            if *f == forwarder && *outcome == Outcome::Dropped && !origins.contains(origin) {
+                origins.push(*origin);
             }
         }
-        forwarders
-            .into_iter()
-            .filter_map(|f| {
-                let mut drops = 0;
-                let mut total = 0;
-                let mut origins: Vec<ShortAddr> = Vec::new();
-                for (_, fwd, origin, outcome) in &self.observations {
-                    if *fwd == f {
-                        total += 1;
-                        if *outcome == Outcome::Dropped {
-                            drops += 1;
-                            if !origins.contains(origin) {
-                                origins.push(*origin);
-                            }
-                        }
-                    }
-                }
-                (total >= MIN_OBSERVATIONS).then_some((f, drops, total, origins))
-            })
-            .collect()
+        origins
     }
 
     fn state_bytes(&self) -> usize {
@@ -182,6 +192,7 @@ impl Watchdog {
     fn clear(&mut self) {
         self.pending.clear();
         self.observations.clear();
+        self.tally.clear();
         self.evictions = 0;
     }
 }
@@ -284,7 +295,7 @@ impl Module for SelectiveForwardingModule {
 
 impl SelectiveForwardingModule {
     fn evaluate(&mut self, ctx: &mut ModuleCtx<'_>, now: Timestamp) {
-        for (forwarder, drops, total, _) in self.watchdog.ratios() {
+        for (forwarder, drops, total) in self.watchdog.ratios() {
             let ratio = drops as f64 / total as f64;
             if (0.15..0.9).contains(&ratio) && self.gate.permit(forwarder, now) {
                 ctx.raise(
@@ -396,11 +407,12 @@ impl Module for BlackholeModule {
 
 impl BlackholeModule {
     fn evaluate(&mut self, ctx: &mut ModuleCtx<'_>, now: Timestamp) {
-        for (forwarder, drops, total, origins) in self.watchdog.ratios() {
+        for (forwarder, drops, total) in self.watchdog.ratios() {
             let ratio = drops as f64 / total as f64;
             if ratio < 0.9 {
                 continue;
             }
+            let origins = self.watchdog.dropped_origins(forwarder);
             // Publish the evidence collectively even while the alert is
             // cooling down — peers correlate continuously.
             let mut names: Vec<String> = origins.iter().map(|o| o.to_string()).collect();

@@ -47,10 +47,10 @@ pub struct WormholeModule {
     /// Identities heard *originating* locally (THL == 0 transmissions),
     /// LRU-bounded: an evicted-then-relayed local origin is re-classified
     /// exotic (spurious evidence, filtered by cross-creator correlation).
-    local_origins: BoundedMap<String, ()>,
+    local_origins: BoundedMap<Entity, ()>,
     /// Origins relayed by each forwarder that were never heard locally.
     // kalis-lint: allow(KL301): each set capped at ORIGIN_CAP before insert
-    exotic: BoundedMap<Entity, BTreeSet<String>>,
+    exotic: BoundedMap<Entity, BTreeSet<Entity>>,
     gate: AlertGate<(Entity, Entity)>,
 }
 
@@ -128,7 +128,7 @@ impl Module for WormholeModule {
             return;
         };
         let Some(tx) = pkt.transmitter() else { return };
-        let origin = data.origin.to_string();
+        let origin = Entity::from(data.origin);
         if data.thl == 0 {
             // Heard the origin itself transmitting: it is local.
             self.local_origins.insert(origin, ());
@@ -142,7 +142,13 @@ impl Module for WormholeModule {
                 return;
             }
             if set.insert(origin) && set.len() >= EXOTIC_THRESHOLD {
-                let joined = set.iter().cloned().collect::<Vec<_>>().join(",");
+                let mut joined = String::new();
+                for origin in set.iter() {
+                    if !joined.is_empty() {
+                        joined.push(',');
+                    }
+                    joined.push_str(origin.as_str());
+                }
                 ctx.kb
                     .insert_about_collective(labels::EXOTIC_ORIGINS, tx, joined);
             }
@@ -212,12 +218,12 @@ impl Module for WormholeModule {
     fn state_bytes(&self) -> usize {
         self.local_origins
             .iter()
-            .map(|(s, _)| s.len() + 24)
+            .map(|(s, _)| s.as_str().len() + 24)
             .sum::<usize>()
             + self
                 .exotic
                 .iter()
-                .map(|(_, s)| s.iter().map(|o| o.len() + 24).sum::<usize>() + 48)
+                .map(|(_, s)| s.iter().map(|o| o.as_str().len() + 24).sum::<usize>() + 48)
                 .sum::<usize>()
             + 128
     }

@@ -13,6 +13,7 @@ use crate::bounded::BoundedMap;
 use crate::id::KalisId;
 
 use super::key::{split, KeyBuf};
+use super::subscription::{SlotSet, Subscriptions};
 use super::{KnowKey, KnowValue, Knowgget, KnowggetOrigin};
 
 /// Default cap on distinct entities holding per-entity knowggets. An
@@ -81,7 +82,11 @@ pub struct KnowledgeBase {
     entries_bytes: usize,
     /// Entries whose `dirty` flag is set.
     dirty: usize,
+    /// The change log: every change of a standalone Knowledge Base; in a
+    /// node, the changes recorded since someone began listening.
     changes: Vec<ChangeEvent>,
+    /// Present in a node: the Module Manager's subscription.
+    subscriber: Option<Subscriber>,
     revision: u64,
     /// The module currently dispatching (set by the Module Manager
     /// around each callback); empty = operator/config/embedder write.
@@ -96,6 +101,26 @@ pub struct KnowledgeBase {
     entity_index: BoundedMap<Entity, BTreeSet<String>>,
     stats: Option<KbStats>,
 }
+
+/// The Module Manager as a subscriber: its table, and what the changes
+/// recorded since its last pass ([`KnowledgeBase::end_batch`]) mean to it.
+#[derive(Debug, Clone)]
+struct Subscriber {
+    table: Subscriptions,
+    /// Slots an activation input of which changed, or that asked to be
+    /// looked at ([`KnowledgeBase::mark_pending`]).
+    pending: SlotSet,
+    /// How many changes the batch holds.
+    changed: usize,
+    /// The batch's first [`TRIGGER_KEYS`] changed keys, each with whether
+    /// it was removed: what a journaled flip names as its trigger.
+    first: Vec<(bool, KeyBuf)>,
+    /// Whether [`ChangeEvent`]s are logged as well: someone listens.
+    listening: bool,
+}
+
+/// How many changed keys a flip's journal record spells out.
+const TRIGGER_KEYS: usize = 3;
 
 /// Everything held under one encoded key.
 #[derive(Debug, Clone)]
@@ -158,6 +183,7 @@ impl KnowledgeBase {
             entries_bytes: 0,
             dirty: 0,
             changes: Vec::new(),
+            subscriber: None,
             revision: 0,
             writer: String::new(),
             trace: (0, 0),
@@ -233,8 +259,9 @@ impl KnowledgeBase {
 
     /// Write `value` under `creator$label[@entity]` (`creator` `None`: the
     /// local node; `origin` `None`: the ambient writer and trace). Returns
-    /// whether the stored value changed; a write that changes nothing
-    /// returns before anything is allocated.
+    /// whether the stored value changed. A write that changes nothing
+    /// returns before anything is allocated; a changed scalar under a key
+    /// already held allocates only the [`ChangeEvent`], where one is owed.
     fn set_raw<L: Into<String> + AsRef<str>>(
         &mut self,
         creator: Option<KalisId>,
@@ -257,41 +284,57 @@ impl KnowledgeBase {
                 return false;
             }
         }
-        // Provenance follows the value: only a *real* change
-        // re-attributes the knowgget (duplicated sync frames and
-        // idempotent re-writes leave it untouched).
-        let origin = origin.unwrap_or_else(|| ambient_origin(&self.writer, self.trace));
-        let trace_id = origin.as_ref().map_or(0, |o| o.trace_id);
         let canonical = value.clone().canonical();
         let spelling = match &value {
             KnowValue::Text(text) if !canonical.wire_is(text) => Some(text.as_str().into()),
             _ => None,
         };
         let wire_len = (spelling.as_deref()).map_or_else(|| canonical.wire_len(), str::len);
-        // An entry once marked collective stays so.
-        let collective = held.as_ref().map_or(collective, |held| held.collective);
-        let entry = Entry {
-            value: canonical,
-            spelling,
-            wire_len,
-            origin,
-            collective,
-            dirty: collective,
-        };
         self.entries_bytes += entry_bytes(encoded.len(), wire_len);
-        self.dirty += usize::from(collective);
-        let replaced = match held {
-            Some(held) => Some(std::mem::replace(held, entry)),
-            None => self.entries.insert(encoded.to_owned(), entry),
+        // Provenance follows the value: only a *real* change
+        // re-attributes the knowgget (duplicated sync frames and
+        // idempotent re-writes leave it untouched).
+        let trace_id = match held {
+            Some(entry) => {
+                self.entries_bytes -= entry_bytes(encoded.len(), entry.wire_len);
+                // An entry once marked collective stays so.
+                self.dirty += usize::from(entry.collective);
+                self.dirty -= usize::from(entry.dirty);
+                entry.dirty = entry.collective;
+                entry.value = canonical;
+                entry.spelling = spelling;
+                entry.wire_len = wire_len;
+                match origin {
+                    Some(given) => entry.origin = given,
+                    None => attribute(&mut entry.origin, &self.writer, self.trace),
+                }
+                entry.origin.as_ref().map_or(0, |o| o.trace_id)
+            }
+            None => {
+                let origin = origin.unwrap_or_else(|| {
+                    let mut ambient = None;
+                    attribute(&mut ambient, &self.writer, self.trace);
+                    ambient
+                });
+                let trace_id = origin.as_ref().map_or(0, |o| o.trace_id);
+                self.dirty += usize::from(collective);
+                let entry = Entry {
+                    value: canonical,
+                    spelling,
+                    wire_len,
+                    origin,
+                    collective,
+                    dirty: collective,
+                };
+                self.entries.insert(encoded.to_owned(), entry);
+                trace_id
+            }
         };
-        if let Some(old) = replaced {
-            self.forget(encoded, &old);
-        }
         self.revision += 1;
         // Entity-scoped knowledge is indexed under its entity so the
         // per-entity budget can evict whole entities at once. The
         // eviction (if any) is purged only after this write's own change
-        // event is logged, and can never touch the fresh write.
+        // is recorded, and can never touch the fresh write.
         let evicted = entity.as_ref().and_then(|entity| {
             let (keys, evicted) = self.entity_index.get_or_insert_with(entity, BTreeSet::new);
             if !keys.contains(encoded) {
@@ -299,21 +342,42 @@ impl KnowledgeBase {
             }
             evicted
         });
-        self.changes.push(ChangeEvent {
-            key: KnowKey {
-                creator: creator.unwrap_or_else(|| self.local.clone()),
-                label: label.into(),
-                entity,
-            },
-            value,
-            removed: false,
-            trace_id,
-        });
+        if self.record(encoded, label.as_ref(), false) {
+            self.changes.push(ChangeEvent {
+                key: KnowKey {
+                    creator: creator.unwrap_or_else(|| self.local.clone()),
+                    label: label.into(),
+                    entity,
+                },
+                value,
+                removed: false,
+                trace_id,
+            });
+        }
         if let Some((_, keys)) = evicted {
             self.purge_entity_keys(&keys);
         }
         self.note_churn();
         true
+    }
+
+    /// Record that the knowgget under `encoded`, whose label is `label`,
+    /// changed. Every path that changes the store comes through here. In
+    /// a node the Module Manager's subscription hears of it: the slots
+    /// `label` concerns are marked pending and the batch's trigger record
+    /// grows. Returns whether the caller owes the change log a
+    /// [`ChangeEvent`] — always in a standalone Knowledge Base; in a node,
+    /// once someone listens.
+    fn record(&mut self, encoded: &str, label: &str, removed: bool) -> bool {
+        let Some(subscriber) = &mut self.subscriber else {
+            return true;
+        };
+        subscriber.table.collect(label, &mut subscriber.pending);
+        subscriber.changed += 1;
+        if subscriber.first.len() < TRIGGER_KEYS {
+            (subscriber.first).push((removed, KeyBuf::concat(&[encoded])));
+        }
+        subscriber.listening
     }
 
     /// Settle the running totals for `entry`, just taken out from under
@@ -333,14 +397,96 @@ impl KnowledgeBase {
             };
             self.forget(encoded, &entry);
             self.revision += 1;
-            if let Ok(key) = encoded.parse::<KnowKey>() {
+            let Some((creator, label, entity)) = split(encoded) else {
+                continue;
+            };
+            if self.record(encoded, label, true) {
                 self.changes.push(ChangeEvent {
-                    key,
+                    key: KnowKey {
+                        creator: KalisId::new(creator),
+                        label: label.to_owned(),
+                        entity: entity.map(Entity::from),
+                    },
                     value: entry.value,
                     removed: true,
                     trace_id: 0,
                 });
             }
+        }
+    }
+
+    /// Subscribe the Module Manager: from now on every recorded change
+    /// marks the slots `table` names for its label, the changes between
+    /// two [`KnowledgeBase::end_batch`] calls form one batch, and
+    /// [`ChangeEvent`]s are logged only after [`KnowledgeBase::listen`].
+    /// What the log already holds stays until drained.
+    pub(crate) fn subscribe_activation(&mut self, table: Subscriptions) {
+        self.subscriber = Some(Subscriber {
+            pending: SlotSet::with_slots(table.slots()),
+            table,
+            changed: 0,
+            first: Vec::with_capacity(TRIGGER_KEYS),
+            listening: false,
+        });
+    }
+
+    /// Log a [`ChangeEvent`] for every change recorded from now on, as a
+    /// standalone Knowledge Base always does.
+    pub(crate) fn listen(&mut self) {
+        if let Some(subscriber) = &mut self.subscriber {
+            subscriber.listening = true;
+        }
+    }
+
+    /// Ask for `slot` to be re-evaluated at the subscriber's next pass
+    /// although none of its activation inputs changed. Nothing to ask of
+    /// a standalone Knowledge Base: whoever drives one re-evaluates every
+    /// slot.
+    pub(crate) fn mark_pending(&mut self, slot: usize) {
+        if let Some(subscriber) = &mut self.subscriber {
+            subscriber.pending.insert(slot);
+        }
+    }
+
+    /// Whether the subscriber has a pass to make: a change was recorded or
+    /// a slot marked since the last [`KnowledgeBase::end_batch`].
+    pub(crate) fn batch_recorded(&self) -> bool {
+        (self.subscriber.as_ref())
+            .is_some_and(|subscriber| subscriber.changed > 0 || !subscriber.pending.is_empty())
+    }
+
+    /// The slots pending re-evaluation, if any are.
+    pub(crate) fn pending(&self) -> Option<&SlotSet> {
+        let pending = &self.subscriber.as_ref()?.pending;
+        (!pending.is_empty()).then_some(pending)
+    }
+
+    /// What a module flip caused by the current batch is journaled
+    /// against: the batch's first three changed keys (`-` before a
+    /// removed one) and how many more changed.
+    pub(crate) fn trigger(&self) -> String {
+        let Some(subscriber) = &self.subscriber else {
+            return String::new();
+        };
+        let mut parts: Vec<String> = (subscriber.first.iter())
+            .map(|(removed, key)| {
+                let sign = if *removed { "-" } else { "" };
+                format!("{sign}{}", key.as_str())
+            })
+            .collect();
+        if subscriber.changed > TRIGGER_KEYS {
+            parts.push(format!("+{} more", subscriber.changed - TRIGGER_KEYS));
+        }
+        parts.join(",")
+    }
+
+    /// Close the batch, the subscriber's pass made: nothing is pending
+    /// and the next recorded change opens a new batch.
+    pub(crate) fn end_batch(&mut self) {
+        if let Some(subscriber) = &mut self.subscriber {
+            subscriber.pending.clear();
+            subscriber.changed = 0;
+            subscriber.first.clear();
         }
     }
 
@@ -496,16 +642,18 @@ impl KnowledgeBase {
                 self.entity_index.remove(entity);
             }
         }
-        self.changes.push(ChangeEvent {
-            key: KnowKey {
-                creator: self.local.clone(),
-                label: label.to_owned(),
-                entity: entity.cloned(),
-            },
-            value: entry.value,
-            removed: true,
-            trace_id: self.trace.0,
-        });
+        if self.record(encoded, label, true) {
+            self.changes.push(ChangeEvent {
+                key: KnowKey {
+                    creator: self.local.clone(),
+                    label: label.to_owned(),
+                    entity: entity.cloned(),
+                },
+                value: entry.value,
+                removed: true,
+                trace_id: self.trace.0,
+            });
+        }
         self.note_churn();
         true
     }
@@ -521,6 +669,12 @@ impl KnowledgeBase {
     /// string store gives it back ([`KnowValue::canonical`]).
     pub fn get(&self, label: &str) -> Option<KnowValue> {
         Some(self.local_entry(label, None)?.value.clone())
+    }
+
+    /// [`KnowledgeBase::get`], lent instead of cloned: a text value can
+    /// be looked at without copying it.
+    pub fn get_ref(&self, label: &str) -> Option<&KnowValue> {
+        Some(&self.local_entry(label, None)?.value)
     }
 
     /// Look up a local entity-specific knowgget.
@@ -652,12 +806,15 @@ impl KnowledgeBase {
         walk.map(|(k, e)| entry_bytes(k.len(), wire_len(e))).sum()
     }
 
-    /// Drain the change log accumulated since the last call.
+    /// Drain the change log accumulated since the last call. (The
+    /// Knowledge Base inside a [`Kalis`](crate::Kalis) node logs changes
+    /// only once [`Kalis::subscribe`](crate::Kalis::subscribe) was called:
+    /// its Module Manager is notified through its subscription instead.)
     pub fn drain_changes(&mut self) -> Vec<ChangeEvent> {
         std::mem::take(&mut self.changes)
     }
 
-    /// Whether there are undrained changes.
+    /// Whether the change log holds undrained changes.
     pub fn has_changes(&self) -> bool {
         !self.changes.is_empty()
     }
@@ -713,15 +870,27 @@ impl KnowledgeBase {
     }
 }
 
-/// The origin a local write is attributed to, from the ambient
-/// writer/trace set by the dispatch loop.
-fn ambient_origin(writer: &str, (trace_id, span_id): (u64, u32)) -> Option<KnowggetOrigin> {
-    let attributed = !writer.is_empty() || (trace_id, span_id) != (0, 0);
-    attributed.then(|| KnowggetOrigin {
-        module: writer.to_owned(),
-        trace_id,
-        span_id,
-    })
+/// Attribute a local write to the ambient writer and trace set by the
+/// dispatch loop. A writer changing its own knowgget again keeps the
+/// module name already held.
+fn attribute(origin: &mut Option<KnowggetOrigin>, writer: &str, (trace_id, span_id): (u64, u32)) {
+    if writer.is_empty() && (trace_id, span_id) == (0, 0) {
+        *origin = None;
+        return;
+    }
+    match origin {
+        Some(held) if held.module == writer => {
+            held.trace_id = trace_id;
+            held.span_id = span_id;
+        }
+        _ => {
+            *origin = Some(KnowggetOrigin {
+                module: writer.to_owned(),
+                trace_id,
+                span_id,
+            });
+        }
+    }
 }
 
 #[cfg(test)]

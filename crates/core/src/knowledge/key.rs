@@ -134,6 +134,7 @@ impl FromStr for KnowKey {
 
 /// Key text assembled from pieces for a lookup, on the stack when it
 /// fits: a lookup builds no `KnowKey` and allocates nothing.
+#[derive(Debug, Clone)]
 pub(super) struct KeyBuf {
     stack: [u8; KeyBuf::STACK],
     len: usize,

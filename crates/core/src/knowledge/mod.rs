@@ -6,6 +6,7 @@ mod base;
 mod collective;
 mod key;
 mod peers;
+mod subscription;
 mod sync;
 mod value;
 
@@ -13,6 +14,7 @@ pub use base::{ChangeEvent, KnowledgeBase, DEFAULT_KB_ENTITY_BUDGET};
 pub use collective::{SecureChannel, SyncMessage, XorChannel, MAX_SYNC_KNOWGGETS};
 pub use key::{KnowKey, ParseKeyError};
 pub use peers::{PeerBeacon, PeerRegistry, DEFAULT_PEER_TTL};
+pub use subscription::{SlotSet, Subscriptions};
 pub use sync::{
     CollectiveSync, PeerHealth, Receipt, ReceiptKind, SyncConfig, SyncEvent, SyncTransmit,
     DEGRADED_LABEL,

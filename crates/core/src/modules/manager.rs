@@ -14,7 +14,7 @@ use std::time::Instant;
 use kalis_packets::{CapturedPacket, Timestamp};
 use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEvent, Telemetry};
 
-use crate::knowledge::KnowledgeBase;
+use crate::knowledge::{KnowledgeBase, SlotSet, Subscriptions};
 
 use super::supervisor::{ModuleHealth, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict};
 use super::{Module, ModuleCtx, ModuleKind, ModuleWeight};
@@ -341,6 +341,53 @@ impl ModuleManager {
         self.tele = Some(tele);
     }
 
+    /// The subscription table of the slots loaded so far: for every
+    /// slot knowledge can switch (unpinned detection modules of an
+    /// adaptive manager), the activation inputs its module's contract
+    /// declares — the labels its [`Module::required`] reads. A slot that
+    /// declares none (an embedder's module with the default, empty
+    /// contract) subscribes to every change. Compile it again after
+    /// [`ModuleManager::add`].
+    pub fn subscriptions(&self) -> Subscriptions {
+        let mut table = Subscriptions::new(self.slots.len());
+        for (index, slot) in self.slots.iter().enumerate() {
+            let switched = self.adaptive
+                && !slot.pinned
+                && slot.module.descriptor().kind == ModuleKind::Detection;
+            if !switched {
+                continue;
+            }
+            let contract = slot.module.contract();
+            let mut declared = false;
+            for input in contract.activation_inputs() {
+                table.subscribe(&input.pattern, index);
+                declared = true;
+            }
+            if !declared {
+                table.subscribe_all(index);
+            }
+        }
+        table
+    }
+
+    /// [`ModuleManager::subscriptions`] by name: each subscribed label
+    /// (`Root.*` for a family, `*` for every change) with the modules
+    /// re-evaluated when it changes.
+    pub fn subscriptions_by_name(&self) -> Vec<(String, Vec<&'static str>)> {
+        let named = |(pattern, slots): (Option<super::KeyPattern>, Vec<usize>)| {
+            let label = pattern.map_or_else(|| "*".to_owned(), |p| p.to_string());
+            let modules = (slots.iter())
+                .map(|slot| self.slots[*slot].module.descriptor().name)
+                .collect();
+            (label, modules)
+        };
+        self.subscriptions()
+            .edges()
+            .into_iter()
+            .map(named)
+            .collect()
+    }
+
     /// Re-evaluate every module's activation against the Knowledge Base.
     /// Returns `(activated, deactivated)` counts for this pass.
     pub fn reconfigure(&mut self, kb: &KnowledgeBase) -> (usize, usize) {
@@ -356,12 +403,48 @@ impl ModuleManager {
         trigger: &str,
         time_us: u64,
     ) -> (usize, usize) {
+        self.evaluate(kb, None, &|| trigger.to_owned(), time_us)
+    }
+
+    /// The subscriber's pass: re-evaluate the slots `kb` holds pending —
+    /// those a change recorded since the last pass concerns by the table
+    /// [`ModuleManager::subscriptions`] compiled, and those released from
+    /// quarantine — journal the flips against the batch of changes, and
+    /// close the batch. Most batches concern no slot and cost nothing
+    /// here.
+    pub(crate) fn reconfigure_pending(
+        &mut self,
+        kb: &mut KnowledgeBase,
+        time_us: u64,
+    ) -> (usize, usize) {
+        let flips = match kb.pending() {
+            Some(pending) => self.evaluate(kb, Some(pending), &|| kb.trigger(), time_us),
+            None => (0, 0),
+        };
+        kb.end_batch();
+        flips
+    }
+
+    /// Set the slots in `only` (every slot, when `None`) to what their
+    /// modules require of `kb`, journaling each flip against `trigger`,
+    /// which is spelled out at the first flip.
+    fn evaluate(
+        &mut self,
+        kb: &KnowledgeBase,
+        only: Option<&SlotSet>,
+        trigger: &dyn Fn() -> String,
+        time_us: u64,
+    ) -> (usize, usize) {
         if !self.adaptive {
             return (0, 0);
         }
         let mut activated = 0;
         let mut deactivated = 0;
-        for slot in &mut self.slots {
+        let mut trigger_text = None;
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            if only.is_some_and(|only| !only.contains(index)) {
+                continue;
+            }
             // Quarantined modules sit out activation entirely: the
             // supervisor owns their lifecycle until probation.
             if slot.supervision.is_quarantined() {
@@ -371,34 +454,28 @@ impl ModuleManager {
             let want = slot.pinned
                 || slot.module.descriptor().kind == ModuleKind::Sensing
                 || slot.module.required(kb);
-            if want && !slot.active {
-                slot.active = true;
-                activated += 1;
-                self.activations += 1;
-                if let Some(t) = &self.tele {
+            if want == slot.active {
+                continue;
+            }
+            slot.active = want;
+            let (flips, total) = if want {
+                (&mut activated, &mut self.activations)
+            } else {
+                (&mut deactivated, &mut self.deactivations)
+            };
+            *flips += 1;
+            *total += 1;
+            if let Some(t) = &self.tele {
+                let module = slot.module.descriptor().name.to_string();
+                let trigger = trigger_text.get_or_insert_with(trigger).clone();
+                let event = if want {
                     t.activated.inc();
-                    t.registry.journal().record(
-                        time_us,
-                        JournalEvent::ModuleActivated {
-                            module: slot.module.descriptor().name.to_string(),
-                            trigger: trigger.to_string(),
-                        },
-                    );
-                }
-            } else if !want && slot.active {
-                slot.active = false;
-                deactivated += 1;
-                self.deactivations += 1;
-                if let Some(t) = &self.tele {
+                    JournalEvent::ModuleActivated { module, trigger }
+                } else {
                     t.deactivated.inc();
-                    t.registry.journal().record(
-                        time_us,
-                        JournalEvent::ModuleDeactivated {
-                            module: slot.module.descriptor().name.to_string(),
-                            trigger: trigger.to_string(),
-                        },
-                    );
-                }
+                    JournalEvent::ModuleDeactivated { module, trigger }
+                };
+                t.registry.journal().record(time_us, event);
             }
         }
         if activated + deactivated > 0 {
@@ -476,7 +553,7 @@ impl ModuleManager {
         let mut quarantine_flips: u64 = 0;
         let mut quarantine_releases: u64 = 0;
         let mut overruns: u64 = 0;
-        for slot in &mut self.slots {
+        for (index, slot) in self.slots.iter_mut().enumerate() {
             if !slot.active {
                 continue;
             }
@@ -485,6 +562,10 @@ impl ModuleManager {
                     continue;
                 }
                 quarantine_releases += 1;
+                // Reconfiguration passed the slot over while it sat in
+                // quarantine: whatever its activation inputs did in the
+                // meantime is looked at after this dispatch.
+                ctx.kb.mark_pending(index);
                 if let Some(t) = tele {
                     t.note_probation(ctx.now, slot.module.descriptor().name);
                 }
@@ -704,6 +785,13 @@ impl ModuleManager {
             .collect()
     }
 
+    /// `(name, cumulative evictions)` of every loaded module, in load
+    /// order, borrowed: the tick's eviction audit, which needs nothing
+    /// else of [`ModuleManager::module_profiles`].
+    pub fn evictions(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        (self.slots.iter()).map(|s| (s.module.descriptor().name, s.module.evictions()))
+    }
+
     /// Refresh the per-module `module.occupancy` and `module.work_units`
     /// gauges from live module state. Called at tick cadence by the ops
     /// profiler — occupancy needs a walk over module maps, so it stays
@@ -901,6 +989,54 @@ mod tests {
         assert_eq!(mgr.active_count(), 1);
         mgr.reconfigure(&kb);
         assert_eq!(mgr.active_count(), 1, "pinned modules stay on");
+    }
+
+    #[test]
+    fn only_slots_knowledge_can_switch_subscribe() {
+        struct Declared;
+        impl Module for Declared {
+            fn descriptor(&self) -> ModuleDescriptor {
+                ModuleDescriptor::detection("Declared", AttackKind::Smurf)
+            }
+            fn contract(&self) -> crate::modules::KnowggetContract {
+                crate::modules::KnowggetContract::new()
+                    .reads_activation("Multihop", crate::modules::ValueType::Bool)
+                    .reads("CtpRoot", crate::modules::ValueType::Text)
+            }
+            fn required(&self, kb: &KnowledgeBase) -> bool {
+                kb.get_bool("Multihop") == Some(true)
+            }
+            fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
+        }
+        let load = |mgr: &mut ModuleManager| {
+            mgr.add(Box::new(Declared), false);
+            mgr.add(Box::new(Declared), true);
+            // `NeedsMultihop` declares nothing.
+            mgr.add(Box::new(NeedsMultihop { processed: 0 }), false);
+            mgr.add(Box::new(NeedsMultihop { processed: 0 }), true);
+            mgr.add(
+                Box::new(crate::sensing::TopologyDiscoveryModule::new()),
+                false,
+            );
+        };
+        let mut mgr = ModuleManager::new();
+        load(&mut mgr);
+        // Slot 0 by its declared activation input (a plain read is none),
+        // slot 2 by everything; pinned and sensing slots never flip.
+        assert_eq!(
+            mgr.subscriptions_by_name(),
+            [
+                ("Multihop".to_owned(), vec!["Declared"]),
+                ("*".to_owned(), vec!["NeedsMultihop"]),
+            ]
+        );
+        let mut pending = SlotSet::default();
+        (mgr.subscriptions()).collect("SignalStrength", &mut pending);
+        assert_eq!(pending.iter().collect::<Vec<_>>(), [2]);
+        // Without knowledge-driven activation there is nothing to hear.
+        let mut all_on = ModuleManager::all_always_active();
+        load(&mut all_on);
+        assert!(all_on.subscriptions_by_name().is_empty());
     }
 
     #[test]

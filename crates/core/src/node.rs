@@ -17,16 +17,15 @@ use kalis_telemetry::{
     TRIGGER_MASK_ALL,
 };
 
-use crate::alert::Alert;
+use crate::alert::{Alert, AttackKind, Severity};
 use crate::bus::{EventBus, KalisEvent};
 use crate::capture::PacketSource;
 use crate::config::{Config, ModuleDef};
 use crate::error::KalisError;
 use crate::id::KalisId;
 use crate::knowledge::{
-    ChangeEvent, CollectiveSync, KnowKey, KnowValue, KnowledgeBase, PeerBeacon, PeerHealth,
-    ReceiptKind, SecureChannel, SyncConfig, SyncEvent, SyncMessage, SyncTransmit, XorChannel,
-    DEGRADED_LABEL,
+    CollectiveSync, KnowKey, KnowValue, KnowledgeBase, PeerBeacon, PeerHealth, ReceiptKind,
+    SecureChannel, SyncConfig, SyncEvent, SyncMessage, SyncTransmit, XorChannel, DEGRADED_LABEL,
 };
 use crate::metrics::ResourceMeter;
 use crate::modules::{
@@ -170,6 +169,9 @@ pub struct KalisBuilder {
     trace_sampling: Option<SampleRate>,
     trace_capacity: Option<usize>,
     ops: Option<OpsConfig>,
+    /// Build the reference node of the activation differential test.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl KalisBuilder {
@@ -189,6 +191,8 @@ impl KalisBuilder {
             trace_sampling: None,
             trace_capacity: None,
             ops: None,
+            #[cfg(test)]
+            reference: false,
         }
     }
 
@@ -295,6 +299,7 @@ impl KalisBuilder {
     /// a module absent from the registry, and [`KalisError::Io`] when the
     /// ops listener cannot bind its configured address.
     pub fn try_build(self) -> Result<Kalis, KalisError> {
+        let reference = self.is_reference();
         let mut kb = KnowledgeBase::new(self.id.clone());
         // Sync tunables ride the Fig. 6 config language as a-priori
         // knowggets (seconds); they are stored like any knowledge and
@@ -377,24 +382,6 @@ impl KalisBuilder {
             .or(self.trace_sampling)
             .unwrap_or_else(SampleRate::off);
         tracer.set_sample_rate(sample_rate);
-        for (key, value) in &self.config.knowggets {
-            // Config keys may carry an `@entity` suffix but never a
-            // creator (paper §IV-B3).
-            match key.split_once('@') {
-                Some((label, entity)) => {
-                    kb.insert_about(label, Entity::new(entity.to_owned()), value.clone());
-                }
-                None => {
-                    kb.insert(key.clone(), value.clone());
-                }
-            }
-        }
-        let syncer = CollectiveSync::new(
-            self.id.clone(),
-            self.sync_channel
-                .unwrap_or_else(|| Box::new(XorChannel::new(DEFAULT_SYNC_KEY))),
-            sync_config,
-        );
         let mut manager = if self.adaptive {
             ModuleManager::new()
         } else {
@@ -419,12 +406,40 @@ impl KalisBuilder {
         for (module, pinned) in self.extra_modules {
             manager.add(module, pinned);
         }
+        // Every slot is loaded: the manager subscribes to the knowledge
+        // its modules' activation reads, before any knowledge lands.
+        if !reference {
+            kb.subscribe_activation(manager.subscriptions());
+        }
+        for (key, value) in &self.config.knowggets {
+            // Config keys may carry an `@entity` suffix but never a
+            // creator (paper §IV-B3).
+            match key.split_once('@') {
+                Some((label, entity)) => {
+                    kb.insert_about(label, Entity::from(entity), value.clone());
+                }
+                None => {
+                    kb.insert(key.clone(), value.clone());
+                }
+            }
+        }
+        let syncer = CollectiveSync::new(
+            self.id.clone(),
+            self.sync_channel
+                .unwrap_or_else(|| Box::new(XorChannel::new(DEFAULT_SYNC_KEY))),
+            sync_config,
+        );
         let tele = Arc::new(Telemetry::new());
         kb.set_telemetry(&tele);
         manager.set_telemetry(&tele);
-        // Initial activation pass against the a-priori knowledge.
-        let changes = kb.drain_changes();
-        manager.reconfigure_traced(&kb, &Kalis::describe_trigger(&changes), 0);
+        // Initial activation: every slot, against the a-priori knowledge.
+        let trigger = match reference {
+            #[cfg(test)]
+            true => differential::describe_trigger(&kb.drain_changes()),
+            _ => kb.trigger(),
+        };
+        manager.reconfigure_traced(&kb, &trigger, 0);
+        kb.end_batch();
         let ops = match ops_config {
             None => None,
             Some(cfg) => {
@@ -453,11 +468,14 @@ impl KalisBuilder {
             overload: OverloadController::default(),
             stats: NodeStats::new(&tele),
             journaled_evictions: BTreeMap::new(),
+            journaled_kb_evictions: 0,
             recorder,
             diag_edges: DiagEdges::default(),
             diag_bundles: Vec::new(),
             tele,
             ops,
+            #[cfg(test)]
+            reference,
         };
         // Publish an initial report so `/status` and `/readyz` answer
         // correctly before the first packet or tick.
@@ -465,6 +483,15 @@ impl KalisBuilder {
             kalis.ops_refresh(Timestamp::ZERO, true);
         }
         Ok(kalis)
+    }
+
+    /// Whether this builds the reference node of the activation
+    /// differential test (never, outside test builds).
+    fn is_reference(&self) -> bool {
+        #[cfg(test)]
+        return self.reference;
+        #[cfg(not(test))]
+        false
     }
 
     /// Build, panicking on configuration errors.
@@ -503,6 +530,9 @@ struct NodeStats {
     work: Arc<Counter>,
     peak_state: Arc<Gauge>,
     alerts: Arc<Counter>,
+    /// `alerts.by[kind=…,severity=…]` handles, each looked up in the
+    /// registry the first time such an alert is raised.
+    alerts_by: Vec<((AttackKind, Severity), Arc<Counter>)>,
     sync_sent: Arc<Counter>,
     sync_accepted: Arc<Counter>,
     sync_rejected: Arc<Counter>,
@@ -535,6 +565,7 @@ impl NodeStats {
             work: registry.counter(names::WORK_UNITS),
             peak_state: registry.gauge(names::PEAK_STATE_BYTES),
             alerts: registry.counter(names::ALERTS),
+            alerts_by: Vec::new(),
             sync_sent: registry.counter(names::SYNC_SENT),
             sync_accepted: registry.counter(names::SYNC_ACCEPTED),
             sync_rejected: registry.counter(names::SYNC_REJECTED),
@@ -680,10 +711,12 @@ pub struct Kalis {
     overload: OverloadController,
     tele: Arc<Telemetry>,
     stats: NodeStats,
-    /// Last-journaled cumulative eviction count per bounded structure
-    /// (`module:<name>` / `kb`): the delta latch behind the aggregated
-    /// `state_evicted` journal records emitted at tick cadence.
-    journaled_evictions: BTreeMap<String, u64>,
+    /// Last-journaled cumulative eviction count per module: the delta
+    /// latch behind the aggregated `state_evicted` journal records
+    /// emitted at tick cadence.
+    journaled_evictions: BTreeMap<&'static str, u64>,
+    /// The same latch for the Knowledge Base's entity index.
+    journaled_kb_evictions: u64,
     /// The flight recorder: bounded telemetry history plus capture
     /// bookkeeping, sampled at tick cadence by [`Kalis::diag_tick`].
     recorder: FlightRecorder,
@@ -693,6 +726,10 @@ pub struct Kalis {
     /// kalis.diag.v1 JSON)`, bounded to [`DIAG_BUNDLE_RETENTION`].
     diag_bundles: Vec<(String, String)>,
     ops: Option<OpsRuntime>,
+    /// The reference node of the activation differential test:
+    /// re-evaluates every slot after every dispatch.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl Kalis {
@@ -896,7 +933,7 @@ impl Kalis {
         self.stats.work.add(outcome.work_units());
         self.response.expire(now);
         self.after_dispatch(now);
-        self.journal_state_evictions(now);
+        let evictions = self.journal_state_evictions(now);
         // The ops surface refreshes at tick cadence: profiler gauges,
         // SLO posture, and the pre-rendered /status document.
         if self.ops.is_some() {
@@ -904,7 +941,7 @@ impl Kalis {
         }
         // The flight recorder samples (and latches captures) after the
         // ops refresh so the SLO breach latch is current for this tick.
-        self.diag_tick(now);
+        self.diag_tick(now, evictions);
         if own_trace {
             if self.current_trace.sampled {
                 self.kb.clear_trace();
@@ -915,43 +952,33 @@ impl Kalis {
     }
 
     /// Journal aggregated bounded-state evictions: one `state_evicted`
-    /// record per structure whose cumulative count moved since the last
-    /// tick. Aggregation is deliberate — per-eviction records would let
-    /// a state-exhaustion adversary flood the journal at spray rate.
-    fn journal_state_evictions(&mut self, now: Timestamp) {
-        let mut totals: Vec<(String, u64)> = self
-            .manager
-            .module_profiles()
-            .iter()
-            .filter(|p| p.evictions > 0)
-            .map(|p| (format!("module:{}", p.name), p.evictions))
-            .collect();
-        let kb_evictions = self.kb.entity_evictions();
-        if kb_evictions > 0 {
-            totals.push(("kb".to_owned(), kb_evictions));
-        }
-        for (structure, evicted) in totals {
-            if self.journaled_evictions.get(&structure) == Some(&evicted) {
-                continue;
+    /// record per structure (`module:<name>`, then `kb`) whose cumulative
+    /// count moved since the last tick. Aggregation is deliberate —
+    /// per-eviction records would let a state-exhaustion adversary flood
+    /// the journal at spray rate. Returns the cumulative evictions across
+    /// every budgeted structure, the state-exhaustion trigger signal.
+    fn journal_state_evictions(&mut self, now: Timestamp) -> u64 {
+        let journal = self.tele.journal();
+        let mut total = 0;
+        for (name, evicted) in self.manager.evictions() {
+            total += evicted;
+            if evicted > 0 && self.journaled_evictions.insert(name, evicted) != Some(evicted) {
+                let structure = format!("module:{name}");
+                journal.record(
+                    now.as_micros(),
+                    JournalEvent::StateEvicted { structure, evicted },
+                );
             }
-            self.journaled_evictions.insert(structure.clone(), evicted);
-            self.tele.journal().record(
+        }
+        let evicted = self.kb.entity_evictions();
+        if evicted > 0 && std::mem::replace(&mut self.journaled_kb_evictions, evicted) != evicted {
+            let structure = "kb".to_owned();
+            journal.record(
                 now.as_micros(),
                 JournalEvent::StateEvicted { structure, evicted },
             );
         }
-    }
-
-    /// Cumulative bounded-state evictions across every budgeted
-    /// structure (module maps plus the KB's entity index) — the
-    /// state-exhaustion trigger signal.
-    fn total_evictions(&self) -> u64 {
-        self.manager
-            .module_profiles()
-            .iter()
-            .map(|p| p.evictions)
-            .sum::<u64>()
-            + self.kb.entity_evictions()
+        total + evicted
     }
 
     /// One flight-recorder pass at tick cadence: sample the telemetry
@@ -959,7 +986,7 @@ impl Kalis {
     /// its last-seen value and freeze a `kalis.diag.v1` bundle on the
     /// first armed edge. Runs on the virtual clock only — captures are
     /// deterministic for a deterministic run.
-    fn diag_tick(&mut self, now: Timestamp) {
+    fn diag_tick(&mut self, now: Timestamp, evictions: u64) {
         if !self.recorder.enabled() {
             return;
         }
@@ -969,7 +996,6 @@ impl Kalis {
         let reasons = self.readiness().reasons;
         let quarantined = self.manager.quarantined_count();
         let degraded = self.syncer.degraded();
-        let evictions = self.total_evictions();
         let evicting = evictions > self.diag_edges.evictions;
         let slo_breached = self
             .ops
@@ -1056,56 +1082,46 @@ impl Kalis {
         }
     }
 
-    /// Summarize a batch of knowledge changes as the `trigger` string
-    /// recorded with every module flip in the journal's audit trail.
-    fn describe_trigger(changes: &[ChangeEvent]) -> String {
-        let mut parts: Vec<String> = changes
-            .iter()
-            .take(3)
-            .map(|c| {
-                if c.removed {
-                    format!("-{}", c.key.encode())
-                } else {
-                    c.key.encode()
-                }
-            })
-            .collect();
-        if changes.len() > 3 {
-            parts.push(format!("+{} more", changes.len() - 3));
+    /// Whether a reconfiguration pass is due: the Knowledge Base recorded
+    /// a change, or the supervisor released a module from quarantine.
+    fn reconfigure_due(&self) -> bool {
+        #[cfg(test)]
+        if self.reference {
+            return true; // after every dispatch
         }
-        parts.join(",")
+        self.kb.batch_recorded()
     }
 
-    /// Drain pending knowledge changes and re-run module activation,
-    /// journaling the flips against the changed keys. Returns
-    /// `(activated, deactivated)`.
-    fn reconfigure_on_changes(&mut self, now: Timestamp, publish: bool) -> (usize, usize) {
-        let changes = self.kb.drain_changes();
-        let trigger = Self::describe_trigger(&changes);
-        if publish {
-            for change in changes {
-                self.bus.publish(KalisEvent::KnowledgeChanged {
-                    key: change.key,
-                    value: change.value,
-                    removed: change.removed,
-                    trace_id: change.trace_id,
-                });
-            }
+    /// Close the batch of knowledge changes: publish the changes a bus
+    /// subscriber is owed, let the Module Manager re-evaluate the slots
+    /// the batch concerns, and publish what it flipped.
+    fn reconfigure_on_changes(&mut self, now: Timestamp) {
+        #[cfg(test)]
+        if self.reference {
+            return differential::reconfigure_on_changes(self, now);
         }
-        self.manager
-            .reconfigure_traced(&self.kb, &trigger, now.as_micros())
+        for change in self.kb.drain_changes() {
+            self.bus.publish(KalisEvent::KnowledgeChanged {
+                key: change.key,
+                value: change.value,
+                removed: change.removed,
+                trace_id: change.trace_id,
+            });
+        }
+        let (activated, deactivated) =
+            (self.manager).reconfigure_pending(&mut self.kb, now.as_micros());
+        if activated + deactivated > 0 {
+            self.bus.publish(KalisEvent::ModulesReconfigured {
+                time: now,
+                activated,
+                deactivated,
+            });
+        }
     }
 
     fn after_dispatch(&mut self, now: Timestamp) {
-        if self.kb.has_changes() {
-            let (activated, deactivated) = self.reconfigure_on_changes(now, true);
-            if activated + deactivated > 0 {
-                self.bus.publish(KalisEvent::ModulesReconfigured {
-                    time: now,
-                    activated,
-                    deactivated,
-                });
-            }
+        if self.reconfigure_due() {
+            self.reconfigure_on_changes(now);
         }
         // Stamp the causal trace on freshly raised alerts *before* the
         // bus/journal clone below, and assemble each one's provenance
@@ -1130,17 +1146,20 @@ impl Kalis {
             }
             self.provenance.push(record);
         }
-        let new_alerts: Vec<Alert> = self.alerts[self.pending_alert_cursor..].to_vec();
-        for alert in &new_alerts {
+        for index in self.pending_alert_cursor..self.alerts.len() {
+            let alert = &self.alerts[index];
             self.stats.alerts.inc();
+            let by = (alert.attack, alert.severity);
             let kind = alert.attack.to_string();
             let severity = alert.severity.to_string();
-            self.tele
-                .counter(&metric_name(
-                    names::ALERTS_BY,
-                    &[("kind", &kind), ("severity", &severity)],
-                ))
-                .inc();
+            let held = self.stats.alerts_by.iter().position(|(key, _)| *key == by);
+            let held = held.unwrap_or_else(|| {
+                let labels = [("kind", kind.as_str()), ("severity", severity.as_str())];
+                let counter = self.tele.counter(&metric_name(names::ALERTS_BY, &labels));
+                self.stats.alerts_by.push((by, counter));
+                self.stats.alerts_by.len() - 1
+            });
+            self.stats.alerts_by[held].1.inc();
             self.tele.journal().record(
                 alert.time.as_micros(),
                 JournalEvent::AlertRaised {
@@ -1152,7 +1171,9 @@ impl Kalis {
             if self.auto_response {
                 self.response.apply(alert);
             }
-            self.bus.publish(KalisEvent::AlertRaised(alert.clone()));
+            if self.bus.subscriber_count() > 0 {
+                self.bus.publish(KalisEvent::AlertRaised(alert.clone()));
+            }
         }
         self.pending_alert_cursor = self.alerts.len();
         let state = self.store.state_bytes() + self.kb.state_bytes() + self.manager.state_bytes();
@@ -1170,7 +1191,12 @@ impl Kalis {
     /// Subscribe to this node's event stream (alerts, knowledge changes,
     /// module reconfigurations) — the integration point for dashboards,
     /// SIEM uploaders, and notification mechanisms (paper §V).
+    ///
+    /// The receiver hears of everything that happens after this call.
+    /// Knowledge-change events are built only from the first call on: a
+    /// node nobody listens to records its changes without them.
     pub fn subscribe(&mut self) -> crossbeam::channel::Receiver<KalisEvent> {
+        self.kb.listen();
         self.bus.subscribe()
     }
 
@@ -1469,7 +1495,7 @@ impl Kalis {
     pub fn insert_knowledge(&mut self, label: &str, value: impl Into<KnowValue>) {
         self.kb.insert(label, value);
         let now = self.last_tick.unwrap_or(Timestamp::ZERO);
-        self.reconfigure_on_changes(now, false);
+        self.reconfigure_on_changes(now);
     }
 
     /// The response (countermeasure) engine.
@@ -1616,9 +1642,9 @@ impl Kalis {
                 bytes,
             },
         );
-        if self.kb.has_changes() {
+        if self.reconfigure_due() {
             let now = self.last_tick.unwrap_or(Timestamp::ZERO);
-            self.reconfigure_on_changes(now, false);
+            self.reconfigure_on_changes(now);
         }
         Ok(accepted)
     }
@@ -2069,7 +2095,7 @@ impl Kalis {
             } else {
                 self.kb.remove(DEGRADED_LABEL);
             }
-            self.reconfigure_on_changes(now, true);
+            self.reconfigure_on_changes(now);
         }
         // Degraded-mode flips change readiness; publish them to /readyz
         // immediately rather than waiting for the next tick or packet.
@@ -2100,6 +2126,9 @@ impl core::fmt::Debug for Kalis {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -2261,6 +2290,234 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, crate::bus::KalisEvent::ModulesReconfigured { .. })));
+    }
+
+    /// A module of an embedder: detection, or sensing (`gate` `None`),
+    /// either way writing `writes = true` on every packet it sees.
+    struct Embedded {
+        name: &'static str,
+        contract: crate::modules::KnowggetContract,
+        gate: Option<fn(&KnowledgeBase) -> bool>,
+        writes: Option<&'static str>,
+        /// Panic on every packet while set.
+        rage: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Embedded {
+        fn boxed(name: &'static str, gate: Option<fn(&KnowledgeBase) -> bool>) -> Box<Self> {
+            Box::new(Embedded {
+                name,
+                contract: crate::modules::KnowggetContract::new(),
+                gate,
+                writes: None,
+                rage: Arc::default(),
+            })
+        }
+    }
+
+    impl Module for Embedded {
+        fn descriptor(&self) -> crate::modules::ModuleDescriptor {
+            match self.gate {
+                Some(_) => {
+                    crate::modules::ModuleDescriptor::detection(self.name, AttackKind::Anomaly)
+                }
+                None => crate::modules::ModuleDescriptor::sensing(self.name),
+            }
+        }
+        fn contract(&self) -> crate::modules::KnowggetContract {
+            self.contract.clone()
+        }
+        fn required(&self, kb: &KnowledgeBase) -> bool {
+            self.gate.is_none_or(|gate| gate(kb))
+        }
+        fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
+            if let Some(label) = self.writes {
+                ctx.kb.insert(label, true);
+            }
+            if self.rage.load(std::sync::atomic::Ordering::Relaxed) {
+                panic!("embedded module raging (node tests)");
+            }
+        }
+    }
+
+    fn activation_records(kalis: &Kalis) -> Vec<(u64, JournalEvent)> {
+        let journal = kalis.telemetry().journal().snapshot();
+        (journal.records.into_iter())
+            .filter(|r| matches!(r.event.kind(), "module_activated" | "module_deactivated"))
+            .map(|r| (r.time_us, r.event))
+            .collect()
+    }
+
+    #[test]
+    fn undeclared_activation_still_flips_on_the_packet_that_writes_it() {
+        // The embedder declared nothing: the detector's slot subscribes to
+        // every change, so a label no contract names still reaches it.
+        let mut sensor = Embedded::boxed("VendorSensor", None);
+        sensor.writes = Some("Vendor.Feature");
+        let detector = Embedded::boxed(
+            "VendorDetector",
+            Some(|kb| kb.get_bool("Vendor.Feature") == Some(true)),
+        );
+        let mut kalis = Kalis::builder(KalisId::new("K1"))
+            .with_default_modules()
+            .with_module(sensor, false)
+            .with_module(detector, false)
+            .build();
+        assert!(!kalis.active_modules().contains(&"VendorDetector"));
+        kalis.ingest(ctp_packet(700, 0));
+        assert!(kalis.active_modules().contains(&"VendorDetector"));
+        let flips = activation_records(&kalis);
+        let (time_us, flip) = flips.last().expect("journaled");
+        assert_eq!(*time_us, 700_000);
+        assert!(
+            matches!(flip, JournalEvent::ModuleActivated { module, .. } if module == "VendorDetector"),
+            "{flip:?}"
+        );
+    }
+
+    #[test]
+    fn a_module_released_from_quarantine_is_re_evaluated_on_that_dispatch() {
+        let rage = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut detector =
+            Embedded::boxed("Fragile", Some(|kb| kb.get_bool("Feature") == Some(true)));
+        detector.contract = crate::modules::KnowggetContract::new()
+            .reads_activation("Feature", crate::modules::ValueType::Bool);
+        detector.rage = Arc::clone(&rage);
+        let supervisor = SupervisorConfig {
+            panic_limit: 1,
+            backoff_base: Duration::from_secs(2),
+            ..SupervisorConfig::default()
+        };
+        let mut kalis = Kalis::builder(KalisId::new("K1"))
+            .with_default_modules()
+            .with_supervisor_config(supervisor)
+            .with_module(detector, false)
+            .build();
+        kalis.insert_knowledge("Feature", true);
+        // Settle the stream's own knowledge, then crash into quarantine.
+        for i in 0..30 {
+            kalis.ingest(ctp_packet(i * 100, 0));
+        }
+        assert!(kalis.active_modules().contains(&"Fragile"));
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        rage.store(true, std::sync::atomic::Ordering::Relaxed);
+        kalis.ingest(ctp_packet(3_000, 0));
+        rage.store(false, std::sync::atomic::Ordering::Relaxed);
+        std::panic::set_hook(prev);
+        assert_eq!(kalis.quarantined_modules(), vec!["Fragile"]);
+        // Its activation input flips while reconfiguration passes it over.
+        kalis.insert_knowledge("Feature", false);
+        assert!(activation_records(&kalis)
+            .iter()
+            .all(|(_, flip)| !matches!(flip, JournalEvent::ModuleDeactivated { .. })));
+        // The dispatch that releases it is the one that switches it off,
+        // whatever else that packet did or did not change.
+        kalis.ingest(ctp_packet(5_100, 0));
+        assert!(kalis.quarantined_modules().is_empty());
+        assert!(!kalis.active_modules().contains(&"Fragile"));
+        let flips = activation_records(&kalis);
+        let (time_us, flip) = flips.last().expect("journaled");
+        assert_eq!(*time_us, 5_100_000);
+        assert!(
+            matches!(flip, JournalEvent::ModuleDeactivated { module, .. } if module == "Fragile"),
+            "{flip:?}"
+        );
+    }
+
+    #[test]
+    fn a_subscriber_hears_about_knowledge_that_arrived_from_a_peer() {
+        // Collective knowledge drives activation (the paper's knowledge
+        // sharing): this detector is wanted wherever *any* node saw a
+        // multi-hop network.
+        let mut detector = Embedded::boxed(
+            "Collaborative",
+            Some(|kb| {
+                let seen = kb.get_all_creators("Multihop");
+                seen.iter()
+                    .any(|(_, _, value)| value.as_bool() == Some(true))
+            }),
+        );
+        detector.contract = crate::modules::KnowggetContract::new()
+            .reads_activation("Multihop", crate::modules::ValueType::Bool);
+        let mut k2 = Kalis::builder(KalisId::new("K2"))
+            .with_default_modules()
+            .with_module(detector, false)
+            .build();
+        let rx = k2.subscribe();
+        let k1 = KalisId::new("K1");
+        let origin = crate::knowledge::KnowggetOrigin {
+            module: "TopologyDiscoveryModule".into(),
+            trace_id: 0xBEEF,
+            span_id: 1,
+        };
+        let learned =
+            crate::knowledge::Knowgget::new("Multihop", KnowValue::Bool(true), k1.clone())
+                .with_origin(origin);
+        k2.accept_sync(SyncMessage::new(k1.clone(), vec![learned]))
+            .unwrap();
+        assert!(k2.active_modules().contains(&"Collaborative"));
+        let events: Vec<_> = rx.try_iter().collect();
+        assert_eq!(
+            events,
+            [
+                KalisEvent::KnowledgeChanged {
+                    key: KnowKey::new(k1, "Multihop"),
+                    value: KnowValue::Bool(true),
+                    removed: false,
+                    trace_id: 0xBEEF,
+                },
+                KalisEvent::ModulesReconfigured {
+                    time: Timestamp::ZERO,
+                    activated: 1,
+                    deactivated: 0,
+                },
+            ]
+        );
+        // Static knowledge the embedder injects is published the same way.
+        k2.insert_knowledge("Mobile", false);
+        let events: Vec<_> = rx.try_iter().collect();
+        assert!(
+            matches!(&events[0], KalisEvent::KnowledgeChanged { key, .. } if key.label == "Mobile")
+        );
+        assert!(matches!(
+            events[1],
+            KalisEvent::ModulesReconfigured { activated: 1, .. }
+        ));
+    }
+
+    #[test]
+    fn a_late_subscriber_hears_the_tail_an_early_one_heard() {
+        // Events are built only once someone listens; from then on they
+        // are the events an always-subscribed twin got.
+        let twin = || {
+            Kalis::builder(KalisId::new("K1"))
+                .with_default_modules()
+                .build()
+        };
+        let (mut early, mut late) = (twin(), twin());
+        let heard_early = early.subscribe();
+        // The signal wobbles across a whole dB: knowledge keeps changing.
+        let wobbling = |i: u64| {
+            let mut packet = ctp_packet(i * 100, (i % 2) as u8);
+            packet.rssi_dbm = Some(if i % 4 < 2 { -49.0 } else { -52.0 });
+            packet
+        };
+        let stream: Vec<_> = (0..80).map(wobbling).collect();
+        for packet in &stream[..37] {
+            early.ingest(packet.clone());
+            late.ingest(packet.clone());
+        }
+        let before = heard_early.try_iter().count();
+        assert!(before > 0);
+        let heard_late = late.subscribe();
+        for packet in &stream[37..] {
+            early.ingest(packet.clone());
+            late.ingest(packet.clone());
+        }
+        let tail: Vec<_> = heard_early.try_iter().collect();
+        assert!(tail.len() > 10, "the tail holds events: {}", tail.len());
+        assert_eq!(heard_late.try_iter().collect::<Vec<_>>(), tail);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use kalis_packets::ctp::CtpFrame;
 use kalis_packets::icmpv6::Icmpv6Packet;
 use kalis_packets::packet::{NetworkLayer, Transport};
-use kalis_packets::CapturedPacket;
+use kalis_packets::{CapturedPacket, Entity};
 
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
 use crate::knowledge::{KnowValue, KnowledgeBase};
@@ -28,15 +28,15 @@ pub struct TopologyDiscoveryModule {
     frames_seen: u64,
     multihop_evidence: bool,
     entity_budget: usize,
-    transmitters: BoundedMap<String, ()>,
+    transmitters: BoundedMap<Entity, ()>,
     /// Running total of [`footprint`] over `transmitters`, so
     /// `state_bytes()` — read on every packet — does not walk the map.
     transmitter_bytes: usize,
 }
 
 /// What one remembered transmitter costs in `state_bytes()`.
-fn footprint(transmitter: &str) -> usize {
-    transmitter.len() + 32
+fn footprint(transmitter: &Entity) -> usize {
+    transmitter.as_str().len() + 32
 }
 
 impl Default for TopologyDiscoveryModule {
@@ -119,10 +119,9 @@ impl Module for TopologyDiscoveryModule {
         let Some(pkt) = packet.decoded() else { return };
 
         if let Some(tx) = pkt.transmitter() {
-            let key = tx.as_str().to_owned();
-            if self.transmitters.get_mut(&key).is_none() {
-                self.transmitter_bytes += footprint(&key);
-                if let Some((evicted, ())) = self.transmitters.insert(key, ()) {
+            if self.transmitters.get_mut(&tx).is_none() {
+                self.transmitter_bytes += footprint(&tx);
+                if let Some((evicted, ())) = self.transmitters.insert(tx, ()) {
                     self.transmitter_bytes -= footprint(&evicted);
                 }
                 ctx.kb
@@ -144,7 +143,7 @@ impl Module for TopologyDiscoveryModule {
                     CtpFrame::Routing(beacon) => {
                         let advertiser = pkt.transmitter();
                         if let Some(advertiser) = advertiser {
-                            let is_self_parent = advertiser.as_str() == beacon.parent.to_string();
+                            let is_self_parent = advertiser == Entity::from(beacon.parent);
                             if is_self_parent && beacon.etx == 0 {
                                 // The collection-tree root announcing
                                 // itself. First claimant wins: a *later*
@@ -152,7 +151,7 @@ impl Module for TopologyDiscoveryModule {
                                 // signature and must not poison the root
                                 // knowledge (the sinkhole detector flags
                                 // it instead).
-                                if ctx.kb.get_text(labels::CTP_ROOT).is_none() {
+                                if ctx.kb.get_ref(labels::CTP_ROOT).is_none() {
                                     ctx.kb
                                         .insert(labels::CTP_ROOT, advertiser.as_str().to_owned());
                                 }
@@ -430,7 +429,7 @@ mod tests {
         assert!(module.evictions() > 0);
         assert_eq!(
             module.state_bytes(),
-            128 + 16 * footprint(&ShortAddr(100).to_string())
+            128 + 16 * footprint(&Entity::from(ShortAddr(100)))
         );
         module.reset();
         assert_eq!(module.state_bytes(), 128);

@@ -1,0 +1,190 @@
+//! A packet that changes nothing anyone subscribed to costs the node no
+//! heap allocation, and neither does asking a decoded packet who sent
+//! it: counted with the allocator `kb_allocations.rs` counts with
+//! (`counting_alloc/mod.rs`), from the Knowledge Base out to the whole
+//! node.
+//!
+//! Three mechanisms hold the pin together, and reverting any one fails
+//! it: the Module Manager re-evaluates only slots whose activation
+//! inputs changed (no `required()` pass, no trigger text), change events
+//! are built only once someone subscribed, and `Entity` keeps short
+//! names inline.
+
+mod counting_alloc;
+
+use std::net::Ipv4Addr;
+
+use bytes::Bytes;
+use kalis_core::{Kalis, KalisId, KnowValue, Knowgget};
+use kalis_netsim::craft;
+use kalis_packets::tcp::TcpSegment;
+use kalis_packets::udp::UdpPacket;
+use kalis_packets::{CapturedPacket, ExtAddr, MacAddr, Medium, Packet, ShortAddr, Timestamp};
+use kalis_telemetry::names;
+
+use counting_alloc::allocations;
+
+/// The frame kinds of the periodic stream, one of each per period.
+const KINDS: [&str; 8] = [
+    "wifi tcp",
+    "wifi udp",
+    "wifi icmp",
+    "ctp data, originated",
+    "ctp data, forwarded",
+    "ctp beacon, root",
+    "ctp beacon, parent",
+    "zigbee data",
+];
+
+/// Frame `index` of a stream that repeats every `KINDS.len()` frames,
+/// 100 ms apart: a home gateway's WiFi side (one station talking TCP,
+/// UDP and ICMP to one server) and a three-node CTP tree plus a ZigBee
+/// pair on 802.15.4. The same identities at a steady rate, so every
+/// window and map settles at a steady length; each signal strength
+/// wobbles across a whole dB, so the published per-entity estimates
+/// (1 dB granularity) keep churning.
+fn frame(index: u64) -> CapturedPacket {
+    let period = index / KINDS.len() as u64;
+    let seq = period as u8;
+    let station = (MacAddr::from_index(7), Ipv4Addr::new(10, 0, 0, 7));
+    let server = (MacAddr::from_index(1), Ipv4Addr::new(10, 0, 0, 1));
+    let wifi = |ip| {
+        let bssid = MacAddr::from_index(0);
+        craft::wifi_ipv4(station.0, server.0, bssid, period as u16, &ip)
+    };
+    let (root, relay, leaf) = (ShortAddr(1), ShortAddr(2), ShortAddr(3));
+    let (medium, raw): (Medium, Bytes) = match index % KINDS.len() as u64 {
+        0 => {
+            let segment = TcpSegment::ack(40_000, 443, period as u32, 1);
+            (
+                Medium::Wifi,
+                wifi(craft::ipv4_tcp(station.1, server.1, &segment)),
+            )
+        }
+        1 => {
+            let datagram = UdpPacket::new(40_001, 5_683, b"reading".to_vec());
+            (
+                Medium::Wifi,
+                wifi(craft::ipv4_udp(station.1, server.1, &datagram)),
+            )
+        }
+        2 => {
+            let ping = craft::ipv4_echo_request(station.1, server.1, 1, period as u16);
+            (Medium::Wifi, wifi(ping))
+        }
+        3 => (
+            Medium::Ieee802154,
+            craft::ctp_data(leaf, relay, seq, leaf, seq, 0, b"r"),
+        ),
+        4 => (
+            Medium::Ieee802154,
+            craft::ctp_data(relay, root, seq, leaf, seq, 1, b"r"),
+        ),
+        5 => (Medium::Ieee802154, craft::ctp_beacon(root, seq, root, 0)),
+        6 => (Medium::Ieee802154, craft::ctp_beacon(relay, seq, root, 10)),
+        _ => {
+            let (from, to) = (ShortAddr(5), ShortAddr(6));
+            let raw = craft::zigbee_data(from, to, seq, from, to, seq, b"on");
+            (Medium::Ieee802154, raw)
+        }
+    };
+    // Every transmitter at its own distance (station, leaf, relay, root,
+    // relay, ZigBee sender), none of them moving.
+    let distance = [-40.5, -40.5, -40.5, -52.5, -58.5, -64.5, -58.5, -70.5];
+    let wobble = if period % 2 == 0 { 1.5 } else { -1.5 };
+    let rssi = distance[(index % KINDS.len() as u64) as usize] + wobble;
+    let time = Timestamp::from_millis(index * 100);
+    CapturedPacket::capture(time, medium, Some(rssi), "t", raw)
+}
+
+/// Whether the Knowledge Base went from `before` to `after` holding the
+/// same keys, with text nowhere among the values that differ.
+fn only_scalars_changed(before: &[Knowgget], after: &[Knowgget]) -> bool {
+    let text = |value: &KnowValue| matches!(value, KnowValue::Text(_));
+    before.len() == after.len()
+        && before.iter().zip(after).all(|(was, is)| {
+            was.key() == is.key()
+                && (was.value == is.value || !text(&was.value) && !text(&is.value))
+        })
+}
+
+#[test]
+fn a_packet_nobody_subscribed_to_allocates_nothing() {
+    // As it ships: default library, telemetry attached, nobody on the bus.
+    let mut node = Kalis::builder(KalisId::new("K1"))
+        .with_default_modules()
+        .build();
+    // Two minutes: every window (the longest is 30 s) has turned over.
+    const WARM: u64 = 1_200;
+    const MEASURED: u64 = 480;
+    for index in 0..WARM {
+        node.ingest(frame(index));
+    }
+    let ticks = node.telemetry().counter(names::TICKS);
+    let mut pinned = [0u32; KINDS.len()];
+    let mut churned = 0;
+    for index in WARM..WARM + MEASURED {
+        let packet = frame(index);
+        let before: Vec<Knowgget> = node.knowledge().iter().collect();
+        let was = (
+            ticks.get(),
+            node.alerts().len(),
+            node.active_modules(),
+            node.knowledge().revision(),
+        );
+        let allocated = allocations(|| node.ingest(packet));
+        let plain =
+            (ticks.get(), node.alerts().len(), node.active_modules()) == (was.0, was.1, was.2);
+        let after: Vec<Knowgget> = node.knowledge().iter().collect();
+        if !plain || !only_scalars_changed(&before, &after) {
+            continue;
+        }
+        let kind = (index % KINDS.len() as u64) as usize;
+        assert_eq!(
+            allocated, 0,
+            "packet {index} ({}) bore no tick, alert, flip, new key or text",
+            KINDS[kind]
+        );
+        pinned[kind] += 1;
+        churned += u32::from(node.knowledge().revision() != was.3);
+    }
+    // The pin held something: most packets of every kind, and among them
+    // packets that did change the Knowledge Base.
+    for (kind, count) in KINDS.iter().zip(pinned) {
+        assert!(
+            count >= 40,
+            "only {count} of 60 `{kind}` packets were plain"
+        );
+    }
+    assert!(
+        churned >= 100,
+        "only {churned} pinned packets changed knowledge"
+    );
+    // Activation was live throughout: the stream's features switched
+    // detection modules on.
+    assert!(node.active_modules().contains(&"BlackholeModule"));
+    assert!(node.active_modules().contains(&"UdpFloodModule"));
+}
+
+#[test]
+fn asking_a_packet_for_its_identities_allocates_nothing() {
+    let identities = |packet: &Packet| {
+        (
+            packet.transmitter(),
+            packet.receiver(),
+            packet.net_src(),
+            packet.net_dst(),
+        )
+    };
+    // Short addresses on both layers (ZigBee), MAC and IPv4 (WiFi).
+    for index in [2, 7] {
+        let captured = frame(index);
+        let packet = captured.decoded().expect("the frame decodes");
+        let mut named = (None, None, None, None);
+        assert_eq!(allocations(|| named = identities(packet)), 0);
+        assert!(named.0.is_some() && named.1.is_some() && named.2.is_some() && named.3.is_some());
+    }
+    // Extended addresses: the longest link-layer form.
+    let named = allocations(|| kalis_packets::Entity::from(ExtAddr(u64::MAX)));
+    assert_eq!(named, 0);
+}

@@ -64,6 +64,10 @@ pub enum Code {
     /// Writer and reader of a shared per-entity key declare
     /// inconsistent `entity_budget`s (or one side declares none).
     EntityBudgetMismatch,
+    /// A detection module whose contract declares no activation input:
+    /// the Module Manager cannot tell which knowledge its `required()`
+    /// reads, so it re-evaluates the module on every knowledge change.
+    WildcardSubscriber,
     /// A raw `HashMap`/`BTreeMap`/entity-keyed `Vec` in detection or
     /// sensing code outside `kalis_core::bounded` — unbounded
     /// per-entity state under adversarial cardinality.
@@ -101,6 +105,7 @@ impl Code {
             Code::ActivationCycle => "KL203",
             Code::UnreachableDetection => "KL204",
             Code::EntityBudgetMismatch => "KL205",
+            Code::WildcardSubscriber => "KL206",
             Code::RawPerEntityState => "KL301",
             Code::WallClockOnHotPath => "KL302",
             Code::FormattedKnowggetKey => "KL303",
@@ -111,7 +116,10 @@ impl Code {
     /// The severity this code reports at.
     pub fn severity(self) -> Severity {
         match self {
-            Code::DeadWrite | Code::UnknownParam | Code::ExportNeverRead => Severity::Warning,
+            Code::DeadWrite
+            | Code::UnknownParam
+            | Code::ExportNeverRead
+            | Code::WildcardSubscriber => Severity::Warning,
             _ => Severity::Error,
         }
     }

@@ -17,6 +17,10 @@
 //!   sensing writer or the node contract.
 //! * `KL205` — writer and reader of a shared per-entity key declaring
 //!   inconsistent `entity_budget`s.
+//! * `KL206` — a detection module declaring no activation input: the
+//!   Module Manager, which subscribes each module to the knowledge its
+//!   contract says activation reads, must subscribe this one to
+//!   everything and re-evaluate it on every change.
 //!
 //! The same graph renders as Graphviz DOT (`kalis-lint --graph`) and
 //! feeds the per-peer sync read sets of [`crate::readset`].
@@ -278,6 +282,7 @@ impl KnowledgeGraph {
         self.check_activation_cycles(&mut diags);
         self.check_detection_reachability(&mut diags);
         self.check_entity_budgets(&mut diags);
+        self.check_wildcard_subscribers(&mut diags);
         diags
     }
 
@@ -466,6 +471,26 @@ impl KnowledgeGraph {
             }
         }
     }
+
+    /// KL206 (warning): the Module Manager compiles its subscription
+    /// table from declared activation inputs; a detection module that
+    /// declares none is subscribed to every knowledge change.
+    fn check_wildcard_subscribers(&self, diags: &mut Vec<Diagnostic>) {
+        for node in &self.nodes {
+            if node.kind != NodeKind::Detection || node.contract.activation_inputs().count() > 0 {
+                continue;
+            }
+            diags.push(Diagnostic::system(
+                Code::WildcardSubscriber,
+                format!(
+                    "detection module `{}` declares no activation input: it is re-evaluated on every knowledge change",
+                    node.name
+                ),
+            ).with_note(
+                "declare every label `required()` reads with `reads_activation(..)`".to_owned(),
+            ));
+        }
+    }
 }
 
 /// The root label of a rendered key pattern (`Family.*` → `Family`).
@@ -584,7 +609,9 @@ mod tests {
         let reg = registry_with(vec![(
             "LonelySyncModule",
             ModuleDescriptor::detection("LonelySyncModule", AttackKind::Anomaly),
-            KnowggetContract::new().writes_collective("NobodyWantsThis", ValueType::Text),
+            KnowggetContract::new()
+                .reads_activation("Multihop", ValueType::Bool)
+                .writes_collective("NobodyWantsThis", ValueType::Text),
         )]);
         let diags = lint_graph(&reg);
         assert_eq!(codes(&diags), vec!["KL201"]);
@@ -598,6 +625,7 @@ mod tests {
             "LonelySyncModule",
             ModuleDescriptor::detection("LonelySyncModule", AttackKind::Anomaly),
             KnowggetContract::new()
+                .reads_activation("Multihop", ValueType::Bool)
                 .writes_collective("NobodyWantsThis", ValueType::Text)
                 .allow("KL201", "NobodyWantsThis", "future fleet consumer"),
         )]);
@@ -699,6 +727,29 @@ mod tests {
             .collect();
         assert!(!kl205.is_empty(), "got {:#?}", diags);
         assert!(kl205[0].message.contains("declares no `entity_budget`"));
+    }
+
+    #[test]
+    fn detection_without_activation_input_is_kl206_warning() {
+        // Reads knowledge, but says of none of it that activation does.
+        let reg = registry_with(vec![(
+            "AlwaysAskedModule",
+            ModuleDescriptor::detection("AlwaysAskedModule", AttackKind::Anomaly),
+            KnowggetContract::new().reads("Multihop", ValueType::Bool),
+        )]);
+        let diags = lint_graph(&reg);
+        assert_eq!(codes(&diags), vec!["KL206"]);
+        assert_eq!(diags[0].severity, crate::diagnostics::Severity::Warning);
+        assert!(diags[0].message.contains("AlwaysAskedModule"));
+        assert!(diags[0].notes[0].contains("reads_activation"));
+        assert!(diags[0].to_json().contains("\"code\":\"KL206\""));
+        // A sensing module is always on: nothing to subscribe.
+        let reg = registry_with(vec![(
+            "QuietSensorModule",
+            ModuleDescriptor::sensing("QuietSensorModule"),
+            KnowggetContract::new().reads("Multihop", ValueType::Bool),
+        )]);
+        assert!(lint_graph(&reg).is_empty());
     }
 
     #[test]

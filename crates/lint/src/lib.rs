@@ -24,8 +24,10 @@
 //!   module → key → module graph as a whole — collective writes with no
 //!   consumer (`KL201`), exported keys nobody reads (`KL202`),
 //!   activation oscillation cycles (`KL203`), detection modules
-//!   unreachable from sensing (`KL204`), and inconsistent per-entity
-//!   budgets (`KL205`) — plus the DOT rendering (`--graph`) and the
+//!   unreachable from sensing (`KL204`), inconsistent per-entity
+//!   budgets (`KL205`), and detection modules subscribed to every
+//!   change for want of a declared activation input (`KL206`, a
+//!   warning) — plus the DOT rendering (`--graph`) and the
 //!   per-peer sync [`ReadSets`] artifact (`--read-sets`) that
 //!   interest-based sync consumes.
 //! * **Source invariants** ([`scan_source`], `--source`): a hand-rolled

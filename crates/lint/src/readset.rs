@@ -15,10 +15,15 @@
 //! `OBSERVABILITY_MAP.md`) with three views: per-module, rolled up per
 //! attack family (via each detection module's `detects` descriptor), and
 //! the node-wide union an undifferentiated peer would subscribe to.
+//!
+//! A fourth view is the read set of the node's *own* subscriber: the
+//! `activation` edges, label → the detection modules whose activation
+//! reads it. The Module Manager compiles its runtime subscription table
+//! from the same contracts; a test below holds the two equal.
 
 use std::collections::BTreeMap;
 
-use kalis_core::modules::{KnowggetContract, ModuleRegistry};
+use kalis_core::modules::{KnowggetContract, ModuleKind, ModuleRegistry};
 use kalis_core::AttackKind;
 use kalis_telemetry::json::quote;
 
@@ -75,6 +80,11 @@ pub struct ReadSets {
     pub knowledge: BTreeMap<&'static str, Vec<String>>,
     /// The node-wide union: every key any module needs from sync.
     pub union: Vec<String>,
+    /// `activation input → sorted detection modules re-evaluated when it
+    /// changes` — the Module Manager's subscription. `*` lists the
+    /// detection modules that declare no activation input (`KL206`) and
+    /// are re-evaluated on every change; absent when there are none.
+    pub activation: BTreeMap<String, Vec<String>>,
 }
 
 /// The sync read set of one contract against the set of collective
@@ -123,7 +133,19 @@ impl ReadSets {
         let mut families: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
         let mut knowledge: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
         let mut union: Vec<String> = Vec::new();
+        let mut activation: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for (name, descriptor, contract) in &contracts {
+            if descriptor.kind == ModuleKind::Detection {
+                let mut inputs: Vec<String> = (contract.activation_inputs())
+                    .map(|input| input.pattern.to_string())
+                    .collect();
+                if inputs.is_empty() {
+                    inputs.push("*".to_owned());
+                }
+                for input in inputs {
+                    activation.entry(input).or_default().push(name.clone());
+                }
+            }
             let entries = contract_read_set(contract, &collective);
             union.extend(entries.iter().map(|e| e.key.clone()));
             if let Some(attack) = descriptor.detects {
@@ -140,7 +162,10 @@ impl ReadSets {
         for attack in AttackKind::all() {
             families.entry(attack.label()).or_default();
         }
-        for keys in families.values_mut().chain(knowledge.values_mut()) {
+        let sorted = (families.values_mut())
+            .chain(knowledge.values_mut())
+            .chain(activation.values_mut());
+        for keys in sorted {
             keys.sort();
             keys.dedup();
         }
@@ -151,6 +176,7 @@ impl ReadSets {
             families,
             knowledge,
             union,
+            activation,
         }
     }
 
@@ -205,6 +231,19 @@ impl ReadSets {
                 json_string_array(keys)
             ));
             if i != last_dep {
+                out.push(',');
+            }
+            out.push('\n');
+        }
+        out.push_str("  },\n  \"activation\": {\n");
+        let last_input = self.activation.len().saturating_sub(1);
+        for (i, (input, modules)) in self.activation.iter().enumerate() {
+            out.push_str(&format!(
+                "    {}: {}",
+                quote(input),
+                json_string_array(modules)
+            ));
+            if i != last_input {
                 out.push(',');
             }
             out.push('\n');
@@ -277,6 +316,41 @@ mod tests {
         assert!(!a.union.is_empty());
     }
 
+    /// The artifact's first consumer: the activation edges kalis-lint
+    /// emits are the subscription table a node compiles at build time,
+    /// label for label and module for module — the static picture and
+    /// the running system cannot drift apart.
+    #[test]
+    fn activation_edges_are_the_runtime_subscription_table() {
+        use kalis_core::config::ModuleDef;
+        use kalis_core::modules::ModuleManager;
+
+        let reg = ModuleRegistry::with_defaults();
+        // As `with_default_modules()` loads it: every module, unpinned.
+        let mut manager = ModuleManager::new();
+        for name in reg.names() {
+            manager.add(reg.build(&ModuleDef::new(name)).unwrap(), false);
+        }
+        let mut runtime = manager.subscriptions_by_name();
+        for (_, modules) in &mut runtime {
+            modules.sort_unstable();
+        }
+        runtime.sort();
+        assert!(runtime.len() >= 6, "{runtime:?}");
+
+        let sets = ReadSets::from_registry(&reg);
+        let emitted: Vec<(String, Vec<&str>)> = (sets.activation.iter())
+            .map(|(input, modules)| (input.clone(), modules.iter().map(String::as_str).collect()))
+            .collect();
+        assert_eq!(emitted, runtime);
+        // ... and the emitted text spells each of them.
+        let json = sets.to_json();
+        for (input, modules) in &sets.activation {
+            let line = format!("    {}: {}", quote(input), json_string_array(modules));
+            assert!(json.contains(&line), "{line} missing from:\n{json}");
+        }
+    }
+
     #[test]
     fn json_artifact_shape() {
         let json = ReadSets::from_registry(&ModuleRegistry::with_defaults()).to_json();
@@ -284,6 +358,7 @@ mod tests {
         assert!(json.contains("\"modules\""));
         assert!(json.contains("\"families\""));
         assert!(json.contains("\"knowledge\""));
+        assert!(json.contains("\"activation\""));
         assert!(json.contains("\"union\""));
         assert!(json.contains("\"collective-read\""));
         assert!(json.trim_end().ends_with('}'));

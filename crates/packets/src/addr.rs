@@ -154,6 +154,13 @@ impl FromStr for MacAddr {
 /// `Entity` is that namespace: a canonical string derived from whichever
 /// address the entity uses.
 ///
+/// Every packet names its transmitter, receiver, source and destination
+/// to every module that asks, so the text lives inside the value when it
+/// fits — up to [`Entity::INLINE`] bytes, which covers every link and IPv4
+/// address form — and on the heap only beyond that (IPv6 text, long
+/// operator-given names). Comparison, ordering and hashing are those of
+/// the text, exactly as for a `String`.
+///
 /// # Examples
 ///
 /// ```
@@ -162,66 +169,212 @@ impl FromStr for MacAddr {
 /// let e = Entity::from(ShortAddr(7));
 /// assert_eq!(e.as_str(), "0x0007");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Entity(String);
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Entity(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The name is the first `len` bytes of `text`: whole `str`s only.
+    Inline {
+        len: u8,
+        text: [u8; Entity::INLINE],
+    },
+    Heap(Box<str>),
+}
+
+// Detection windows size themselves by `size_of::<(Timestamp, Entity)>()`:
+// a different size moves every reported state figure.
+const _: () = assert!(core::mem::size_of::<Entity>() == 24);
 
 impl Entity {
+    /// The longest name, in bytes, held without a heap allocation.
+    pub const INLINE: usize = 22;
+
     /// Create an entity from an arbitrary name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Entity(name.into())
+    pub fn new<S: AsRef<str> + Into<String>>(name: S) -> Self {
+        let bytes = name.as_ref().as_bytes();
+        if bytes.len() > Self::INLINE {
+            return Entity(Repr::Heap(name.into().into_boxed_str()));
+        }
+        let mut text = [0; Self::INLINE];
+        text[..bytes.len()].copy_from_slice(bytes);
+        Entity(Repr::Inline {
+            len: bytes.len() as u8,
+            text,
+        })
     }
 
     /// The canonical string form.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, text } => {
+                core::str::from_utf8(&text[..usize::from(*len)]).expect("a whole str was copied in")
+            }
+            Repr::Heap(name) => name,
+        }
+    }
+
+    /// The canonical string form as bytes. UTF-8 byte order is `str`
+    /// order, so comparing these is comparing the names, without the
+    /// validation [`Entity::as_str`] pays for.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, text } => &text[..usize::from(*len)],
+            Repr::Heap(name) => name.as_bytes(),
+        }
+    }
+}
+
+impl PartialEq for Entity {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Entity {}
+
+impl PartialOrd for Entity {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entity {
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl core::hash::Hash for Entity {
+    /// What `str` feeds a hasher (the bytes, then `0xff`), so sketches
+    /// keyed on an entity land where they did when it was a `String`.
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Debug for Entity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Entity").field(&self.as_str()).finish()
     }
 }
 
 impl fmt::Display for Entity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
+    }
+}
+
+/// An inline name being spelled out of ASCII characters.
+struct Ascii {
+    len: usize,
+    text: [u8; Entity::INLINE],
+}
+
+impl Ascii {
+    fn new() -> Self {
+        Ascii {
+            len: 0,
+            text: [0; Entity::INLINE],
+        }
+    }
+
+    fn push(&mut self, ascii: u8) {
+        debug_assert!(ascii.is_ascii());
+        self.text[self.len] = ascii;
+        self.len += 1;
+    }
+
+    /// Two lower-case hex digits.
+    fn hex(&mut self, byte: u8) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        self.push(DIGITS[usize::from(byte >> 4)]);
+        self.push(DIGITS[usize::from(byte & 0xf)]);
+    }
+
+    /// `0x` and the bytes in hex: `{:#06x}` of a `u16`, `{:#018x}` of a `u64`.
+    fn prefixed_hex(mut self, bytes: &[u8]) -> Entity {
+        self.push(b'0');
+        self.push(b'x');
+        for byte in bytes {
+            self.hex(*byte);
+        }
+        self.finish()
+    }
+
+    /// Decimal, without leading zeros.
+    fn decimal(&mut self, byte: u8) {
+        if byte >= 100 {
+            self.push(b'0' + byte / 100);
+        }
+        if byte >= 10 {
+            self.push(b'0' + byte / 10 % 10);
+        }
+        self.push(b'0' + byte % 10);
+    }
+
+    fn finish(self) -> Entity {
+        Entity(Repr::Inline {
+            len: self.len as u8,
+            text: self.text,
+        })
     }
 }
 
 impl From<ShortAddr> for Entity {
     fn from(value: ShortAddr) -> Self {
-        Entity(value.to_string())
+        Ascii::new().prefixed_hex(&value.0.to_be_bytes())
     }
 }
 
 impl From<ExtAddr> for Entity {
     fn from(value: ExtAddr) -> Self {
-        Entity(value.to_string())
+        Ascii::new().prefixed_hex(&value.0.to_be_bytes())
     }
 }
 
 impl From<MacAddr> for Entity {
     fn from(value: MacAddr) -> Self {
-        Entity(value.to_string())
+        let mut name = Ascii::new();
+        for (i, octet) in value.0.iter().enumerate() {
+            if i > 0 {
+                name.push(b':');
+            }
+            name.hex(*octet);
+        }
+        name.finish()
     }
 }
 
 impl From<std::net::Ipv4Addr> for Entity {
     fn from(value: std::net::Ipv4Addr) -> Self {
-        Entity(value.to_string())
+        let mut name = Ascii::new();
+        for (i, octet) in value.octets().iter().enumerate() {
+            if i > 0 {
+                name.push(b'.');
+            }
+            name.decimal(*octet);
+        }
+        name.finish()
     }
 }
 
 impl From<std::net::Ipv6Addr> for Entity {
     fn from(value: std::net::Ipv6Addr) -> Self {
-        Entity(value.to_string())
+        Entity::new(value.to_string())
     }
 }
 
 impl From<&str> for Entity {
     fn from(value: &str) -> Self {
-        Entity(value.to_owned())
+        Entity::new(value)
     }
 }
 
 impl AsRef<str> for Entity {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
@@ -264,5 +417,89 @@ mod tests {
         let a = Entity::from(ShortAddr(1));
         let b = Entity::from(ExtAddr(1));
         assert_ne!(a, b);
+    }
+
+    fn hash_of(value: &impl core::hash::Hash) -> u64 {
+        use core::hash::Hasher;
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn entity_debug_prints_the_tuple_struct_it_was() {
+        let long = "a name well past the inline capacity";
+        assert_eq!(
+            format!("{:?}", Entity::new("0x0007")),
+            r#"Entity("0x0007")"#
+        );
+        assert_eq!(
+            format!("{:?}", Entity::new(long)),
+            format!("Entity({long:?})")
+        );
+    }
+
+    /// 0–40 characters of one to four bytes each: names on both sides of
+    /// the inline capacity, and straddling it mid-character.
+    const NAME: &str = "[a-z0-9:.é€😀]{0,40}";
+
+    proptest::proptest! {
+        /// An entity is its name: whichever representation holds it, it
+        /// compares, orders, hashes and prints as the `String` does.
+        #[test]
+        fn entity_behaves_as_its_name(a in NAME, b in NAME) {
+            let (ea, eb) = (Entity::new(a.clone()), Entity::from(b.as_str()));
+            proptest::prop_assert_eq!(ea.as_str(), a.as_str());
+            proptest::prop_assert_eq!(ea.to_string(), a.clone());
+            proptest::prop_assert_eq!(ea.as_ref(), a.as_str());
+            proptest::prop_assert_eq!(format!("{ea:?}"), format!("Entity({a:?})"));
+            proptest::prop_assert_eq!(ea == eb, a == b);
+            proptest::prop_assert_eq!(ea.cmp(&eb), a.cmp(&b));
+            proptest::prop_assert_eq!(ea.partial_cmp(&eb), a.partial_cmp(&b));
+            proptest::prop_assert_eq!(hash_of(&ea), hash_of(&a));
+            proptest::prop_assert_eq!(ea.clone(), ea);
+        }
+
+        /// The address conversions spell what the addresses' `Display` does.
+        #[test]
+        fn entity_from_an_address_is_its_display_text(
+            short in proptest::arbitrary::any::<u16>(),
+            ext in proptest::arbitrary::any::<u64>(),
+            mac in proptest::arbitrary::any::<[u8; 6]>(),
+            v4 in proptest::arbitrary::any::<[u8; 4]>(),
+            v6 in proptest::arbitrary::any::<[u16; 8]>(),
+        ) {
+            let short = ShortAddr(short);
+            proptest::prop_assert_eq!(Entity::from(short).as_str(), short.to_string());
+            let ext = ExtAddr(ext);
+            proptest::prop_assert_eq!(Entity::from(ext).as_str(), ext.to_string());
+            let mac = MacAddr(mac);
+            proptest::prop_assert_eq!(Entity::from(mac).as_str(), mac.to_string());
+            let v4 = std::net::Ipv4Addr::from(v4);
+            proptest::prop_assert_eq!(Entity::from(v4).as_str(), v4.to_string());
+            let v6 = std::net::Ipv6Addr::from(v6);
+            proptest::prop_assert_eq!(Entity::from(v6).as_str(), v6.to_string());
+        }
+    }
+
+    #[test]
+    fn entity_address_forms_at_their_extremes() {
+        for (entity, text) in [
+            (Entity::from(ShortAddr(0)), "0x0000"),
+            (Entity::from(ShortAddr::BROADCAST), "0xffff"),
+            (Entity::from(ExtAddr(0x1)), "0x0000000000000001"),
+            (Entity::from(ExtAddr(u64::MAX)), "0xffffffffffffffff"),
+            (Entity::from(MacAddr::BROADCAST), "ff:ff:ff:ff:ff:ff"),
+            (
+                Entity::from(std::net::Ipv4Addr::new(0, 9, 10, 99)),
+                "0.9.10.99",
+            ),
+            (
+                Entity::from(std::net::Ipv4Addr::new(100, 255, 200, 109)),
+                "100.255.200.109",
+            ),
+        ] {
+            assert_eq!(entity.as_str(), text);
+        }
     }
 }
