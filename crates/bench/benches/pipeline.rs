@@ -9,11 +9,13 @@ use criterion::{
 use kalis_baselines::snort::SnortIds;
 use kalis_baselines::traditional::{self, ReplicationChoice};
 use kalis_bench::experiments::spray_trace;
+use kalis_bench::runner::run_kalis_pair_nodes;
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
-use kalis_core::{Kalis, KalisId};
+use kalis_core::{AttackKind, Kalis, KalisId};
 use kalis_netsim::stress::burst_trace;
 use kalis_netsim::trace::merge_traces;
 use kalis_packets::{CapturedPacket, Timestamp};
+use kalis_telemetry::{FlightRecorder, SampleRate, DEFAULT_RING_DEPTH, TRIGGER_MASK_ALL};
 use std::time::Duration;
 
 /// Untimed packets fed before `flood_at_cap` starts timing: past
@@ -138,9 +140,43 @@ fn bench_pipeline(c: &mut Criterion) {
     // Node 1's side of the benchmark's `wsn-pair`: the wormhole
     // scenario's first vantage, 802.15.4/CTP through the watchdog and
     // topology modules.
-    let ctp = Scenario::build(ScenarioKind::Wormhole, 42, 200).captures;
+    let wormhole = Scenario::build(ScenarioKind::Wormhole, 42, 200);
+    let ctp = &wormhole.captures;
     let (fill, plain) = ctp.split_at(ctp.len() / 3);
     bench_warmed(&mut group, "ctp_pair_plain", fill, plain);
+    // The other clock of `wsn-pair`: the explicit 2 Hz `Kalis::tick` on
+    // the vantage whose wormhole verdict stands, both nodes warmed by
+    // the whole scenario and nothing arriving since — the idle gateway,
+    // where the tick is the whole load.
+    let second = wormhole.captures_b.as_deref().expect("two vantages");
+    let (k1, k2) = run_kalis_pair_nodes(ctp, second, SampleRate::off());
+    let mut node = [k1, k2]
+        .into_iter()
+        .find(|node| (node.alerts().iter()).any(|alert| alert.attack == AttackKind::Wormhole))
+        .expect("a vantage confirmed the wormhole");
+    let mut now = ctp.last().expect("captures").timestamp + Duration::from_secs(1);
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("ctp_pair_tick", |b| {
+        b.iter(|| {
+            now += Duration::from_millis(500);
+            node.tick(now);
+        });
+    });
+    // One flight-recorder sample of that node's whole registry (some 190
+    // instruments), the ring wrapped.
+    let tele = node.telemetry().clone();
+    let mut recorder = FlightRecorder::new(DEFAULT_RING_DEPTH, 1, TRIGGER_MASK_ALL);
+    let mut now_us = 0;
+    for _ in 0..2 * DEFAULT_RING_DEPTH {
+        now_us += 1;
+        recorder.sample(now_us, &tele);
+    }
+    group.bench_function("recorder_sample_wrapped", |b| {
+        b.iter(|| {
+            now_us += 1;
+            recorder.sample(now_us, &tele);
+        });
+    });
     group.finish();
 }
 

@@ -8,6 +8,12 @@
 //! collective) and correlates it against peers' `DroppedOrigins@B1`
 //! knowggets (published by the blackhole detector): overlapping origin
 //! sets across *different* Kalis creators ⇒ wormhole.
+//!
+//! The correlation runs on the tick, and its inputs settle early and
+//! then all but stand still, so the module keeps its last verdict and
+//! correlates again only when the Knowledge Base says one of the two
+//! labels changed ([`KnowledgeBase::last_changed`]); every tick still
+//! acts on the verdict — the alert gate, the `WormholeConfirmed` writes.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet; // kalis-lint: allow(KL301): values capped at ORIGIN_CAP
@@ -52,6 +58,33 @@ pub struct WormholeModule {
     // kalis-lint: allow(KL301): each set capped at ORIGIN_CAP before insert
     exotic: BoundedMap<Entity, BTreeSet<Entity>>,
     gate: AlertGate<(Entity, Entity)>,
+    /// The last correlation, kept while its inputs stand.
+    verdict: Option<Verdict>,
+}
+
+/// What one correlation pass found.
+#[derive(Debug)]
+struct Verdict {
+    /// `last_changed` of `DroppedOrigins` and `ExoticOrigins` when the
+    /// pass read them.
+    read_at: (u64, u64),
+    /// In correlation order: dropped-at by key, then exotic-at by key.
+    tunnels: Vec<Tunnel>,
+    /// What `state_bytes()` counts for this.
+    bytes: usize,
+}
+
+/// One confirmed pair of endpoints.
+#[derive(Debug)]
+struct Tunnel {
+    /// Where the origins were dropped, and who saw it.
+    b1: Entity,
+    dropped_per: KalisId,
+    /// Where they resurfaced, and who saw that.
+    b2: Entity,
+    exotic_per: KalisId,
+    /// Origins in both lists.
+    overlap: usize,
 }
 
 impl WormholeModule {
@@ -72,6 +105,7 @@ impl WormholeModule {
             local_origins: BoundedMap::new(entity_budget),
             exotic: BoundedMap::new(entity_budget),
             gate: AlertGate::bounded(Duration::from_secs(30), entity_budget),
+            verdict: None,
         }
     }
 }
@@ -97,6 +131,54 @@ fn origin_texts(found: &[(KalisId, Option<Entity>, KnowValue)]) -> Vec<Cow<'_, s
             scalar => Cow::Owned(scalar.to_wire()),
         })
         .collect()
+}
+
+impl Verdict {
+    /// Correlate across creators: dropped-at-B1 (a peer's view) ×
+    /// exotic-at-B2 (any creator's, ours included). `read_at`: the two
+    /// labels' `last_changed` as of this pass.
+    fn read(kb: &KnowledgeBase, read_at: (u64, u64)) -> Verdict {
+        let dropped = kb.get_all_creators(labels::DROPPED_ORIGINS);
+        let exotic = kb.get_all_creators(labels::EXOTIC_ORIGINS);
+        // Every origin list is split once per pass, not once per pair.
+        let (d_texts, e_texts) = (origin_texts(&dropped), origin_texts(&exotic));
+        // kalis-lint: allow(KL301): per-pass scratch over synced knowggets
+        let d_sets: Vec<BTreeSet<&str>> = d_texts.iter().map(|t| parse_set(t)).collect();
+        // kalis-lint: allow(KL301): per-pass scratch over synced knowggets
+        let e_sets: Vec<BTreeSet<&str>> = e_texts.iter().map(|t| parse_set(t)).collect();
+        // kalis-lint: allow(KL301): per pair of synced knowggets; kept only within the entity budget
+        let mut tunnels = Vec::new();
+        let mut bytes = 0;
+        for ((d_creator, d_entity, _), d_set) in dropped.iter().zip(&d_sets) {
+            let Some(b1) = d_entity else { continue };
+            for ((e_creator, e_entity, _), e_set) in exotic.iter().zip(&e_sets) {
+                if d_creator == e_creator {
+                    continue; // one vantage point alone is not a wormhole
+                }
+                let Some(b2) = e_entity else { continue };
+                if b1 == b2 {
+                    continue;
+                }
+                let overlap = d_set.intersection(e_set).count();
+                if overlap >= OVERLAP_THRESHOLD {
+                    let ids = d_creator.as_str().len() + e_creator.as_str().len();
+                    bytes += b1.as_str().len() + b2.as_str().len() + ids + 64;
+                    tunnels.push(Tunnel {
+                        b1: b1.clone(),
+                        dropped_per: d_creator.clone(),
+                        b2: b2.clone(),
+                        exotic_per: e_creator.clone(),
+                        overlap,
+                    });
+                }
+            }
+        }
+        Verdict {
+            read_at,
+            tunnels,
+            bytes,
+        }
+    }
 }
 
 impl Module for WormholeModule {
@@ -162,56 +244,49 @@ impl Module for WormholeModule {
             // the collaborative verdict until sync recovers.
             return;
         }
-        // Correlate across creators: dropped-at-B1 (peer) × exotic-at-B2
-        // (any creator, including us).
-        let dropped = ctx.kb.get_all_creators(labels::DROPPED_ORIGINS);
-        let exotic = ctx.kb.get_all_creators(labels::EXOTIC_ORIGINS);
-        if dropped.is_empty() || exotic.is_empty() {
-            return;
-        }
-        // Every origin list is split once per tick, not once per pair.
-        let (d_texts, e_texts) = (origin_texts(&dropped), origin_texts(&exotic));
-        // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
-        let d_sets: Vec<BTreeSet<&str>> = d_texts.iter().map(|t| parse_set(t)).collect();
-        // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
-        let e_sets: Vec<BTreeSet<&str>> = e_texts.iter().map(|t| parse_set(t)).collect();
+        // The verdict stands while neither label changed since it was
+        // read, and is kept only once both changes are behind the newest
+        // one: a label the Knowledge Base does not watch reads as
+        // changed just now, every time.
+        let kb = &*ctx.kb;
+        let read_at = (
+            kb.last_changed(labels::DROPPED_ORIGINS),
+            kb.last_changed(labels::EXOTIC_ORIGINS),
+        );
+        let settled = read_at.0 < kb.revision() && read_at.1 < kb.revision();
+        let verdict = match self.verdict.take() {
+            Some(standing) if settled && standing.read_at == read_at => standing,
+            _ => Verdict::read(kb, read_at),
+        };
         let now = ctx.now;
         let mut alerts = Vec::new();
-        // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
-        let mut confirmed: Vec<Entity> = Vec::new();
-        for ((d_creator, d_entity, _), d_set) in dropped.iter().zip(&d_sets) {
-            let Some(b1) = d_entity else { continue };
-            for ((e_creator, e_entity, _), e_set) in exotic.iter().zip(&e_sets) {
-                if d_creator == e_creator {
-                    continue; // one vantage point alone is not a wormhole
-                }
-                let Some(b2) = e_entity else { continue };
-                if b1 == b2 {
-                    continue;
-                }
-                let overlap = d_set.intersection(e_set).count();
-                if overlap >= OVERLAP_THRESHOLD {
-                    confirmed.push(b1.clone());
-                    confirmed.push(b2.clone());
-                    if self.gate.permit((b1.clone(), b2.clone()), now) {
-                        alerts.push(
-                            Alert::new(now, AttackKind::Wormhole, "WormholeModule")
-                                .with_suspect(b1.clone())
-                                .with_suspect(b2.clone())
-                                .with_details(format!(
-                                    "{overlap} origins dropped at {b1} (per {d_creator}) resurface at {b2} (per {e_creator})"
-                                )),
-                        );
-                    }
-                }
+        for tunnel in &verdict.tunnels {
+            let Tunnel {
+                b1, b2, overlap, ..
+            } = tunnel;
+            if self.gate.permit((b1.clone(), b2.clone()), now) {
+                let (d_creator, e_creator) = (&tunnel.dropped_per, &tunnel.exotic_per);
+                alerts.push(
+                    Alert::new(now, AttackKind::Wormhole, "WormholeModule")
+                        .with_suspect(b1.clone())
+                        .with_suspect(b2.clone())
+                        .with_details(format!(
+                            "{overlap} origins dropped at {b1} (per {d_creator}) resurface at {b2} (per {e_creator})"
+                        )),
+                );
             }
         }
-        for endpoint in confirmed {
-            ctx.kb
-                .insert_about_collective(WORMHOLE_CONFIRMED, endpoint, true);
+        // Unchanged writes, unless an entity eviction purged one.
+        for tunnel in &verdict.tunnels {
+            for endpoint in [&tunnel.b1, &tunnel.b2] {
+                (ctx.kb).insert_about_collective(WORMHOLE_CONFIRMED, endpoint.clone(), true);
+            }
         }
         for alert in alerts {
             ctx.raise(alert);
+        }
+        if settled && verdict.tunnels.len() <= self.entity_budget {
+            self.verdict = Some(verdict);
         }
     }
 
@@ -225,6 +300,7 @@ impl Module for WormholeModule {
                 .iter()
                 .map(|(_, s)| s.iter().map(|o| o.as_str().len() + 24).sum::<usize>() + 48)
                 .sum::<usize>()
+            + self.verdict.as_ref().map_or(0, |verdict| verdict.bytes)
             + 128
     }
 
@@ -248,6 +324,278 @@ impl Module for WormholeModule {
         self.local_origins.clear();
         self.exotic.clear();
         self.gate.clear();
+        self.verdict = None;
+    }
+}
+
+/// The module that keeps its verdict against the one that correlated on
+/// every tick ([`reference_on_tick`], the pre-change `on_tick` verbatim):
+/// a module and a Knowledge Base each, the same history applied to both,
+/// must raise the same alerts and leave the same knowledge after every
+/// tick. This test is the sole oracle for "a kept verdict is never
+/// stale": every way a `DroppedOrigins` / `ExoticOrigins` knowgget can
+/// change — written, removed, purged with its entity, accepted from a
+/// peer — reaches [`KnowledgeBase::last_changed`], and `reset()` and
+/// degraded mode leave nothing behind that the next tick acts on.
+#[cfg(test)]
+mod differential {
+    use std::collections::BTreeSet;
+    use std::time::Duration;
+
+    use kalis_packets::{Entity, Timestamp};
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::config::ModuleDef;
+    use crate::knowledge::{Knowgget, DEGRADED_LABEL};
+    use crate::modules::{ModuleManager, ModuleRegistry};
+
+    /// `WormholeModule::on_tick` before it kept a verdict.
+    fn reference_on_tick(module: &mut WormholeModule, ctx: &mut ModuleCtx<'_>) {
+        if ctx.kb.get_bool(crate::knowledge::DEGRADED_LABEL) == Some(true) {
+            return;
+        }
+        // Correlate across creators: dropped-at-B1 (peer) × exotic-at-B2
+        // (any creator, including us).
+        let dropped = ctx.kb.get_all_creators(labels::DROPPED_ORIGINS);
+        let exotic = ctx.kb.get_all_creators(labels::EXOTIC_ORIGINS);
+        if dropped.is_empty() || exotic.is_empty() {
+            return;
+        }
+        // Every origin list is split once per tick, not once per pair.
+        let (d_texts, e_texts) = (origin_texts(&dropped), origin_texts(&exotic));
+        let d_sets: Vec<BTreeSet<&str>> = d_texts.iter().map(|t| parse_set(t)).collect();
+        let e_sets: Vec<BTreeSet<&str>> = e_texts.iter().map(|t| parse_set(t)).collect();
+        let now = ctx.now;
+        let mut alerts = Vec::new();
+        let mut confirmed: Vec<Entity> = Vec::new();
+        for ((d_creator, d_entity, _), d_set) in dropped.iter().zip(&d_sets) {
+            let Some(b1) = d_entity else { continue };
+            for ((e_creator, e_entity, _), e_set) in exotic.iter().zip(&e_sets) {
+                if d_creator == e_creator {
+                    continue; // one vantage point alone is not a wormhole
+                }
+                let Some(b2) = e_entity else { continue };
+                if b1 == b2 {
+                    continue;
+                }
+                let overlap = d_set.intersection(e_set).count();
+                if overlap >= OVERLAP_THRESHOLD {
+                    confirmed.push(b1.clone());
+                    confirmed.push(b2.clone());
+                    if module.gate.permit((b1.clone(), b2.clone()), now) {
+                        alerts.push(
+                            Alert::new(now, AttackKind::Wormhole, "WormholeModule")
+                                .with_suspect(b1.clone())
+                                .with_suspect(b2.clone())
+                                .with_details(format!(
+                                    "{overlap} origins dropped at {b1} (per {d_creator}) resurface at {b2} (per {e_creator})"
+                                )),
+                        );
+                    }
+                }
+            }
+        }
+        for endpoint in confirmed {
+            ctx.kb
+                .insert_about_collective(WORMHOLE_CONFIRMED, endpoint, true);
+        }
+        for alert in alerts {
+            ctx.raise(alert);
+        }
+    }
+
+    /// Few enough entities that lists collide, more than [`KB_BUDGET`] so
+    /// writes purge.
+    const ENTITIES: [&str; 6] = ["0x000a", "0x0014", "0x001e", "0x0028", "0x0032", "0x003c"];
+    /// Origin lists: overlapping by two or more, by one, by none; a
+    /// one-origin list reads back as a number.
+    const LISTS: [&str; 6] = [
+        "0x001e,0x001f",
+        "0x001e,0x001f,0x0020",
+        "0x001f,0x0020",
+        "0x0020,0x0021",
+        "30",
+        "",
+    ];
+    const PEERS: [&str; 2] = ["K2", "K3"];
+    /// An activation input, a per-entity label nobody watches, and a
+    /// collective one: all churn the revision and the entity index.
+    const OTHER: [&str; 3] = ["Multihop", "SignalStrength", WORMHOLE_CONFIRMED];
+    const KB_BUDGET: usize = 4;
+    const MODULE_BUDGET: usize = 16;
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `DroppedOrigins` (`true`) or `ExoticOrigins` about an entity, by
+        /// the local node (`None`) or a peer.
+        Write(bool, usize, Option<usize>, usize),
+        Remove(bool, usize),
+        Other(usize, Option<usize>, bool),
+        Degraded(bool),
+        Reset,
+        /// Advance the clock by this many milliseconds, then tick.
+        Tick(u64),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let entity = || 0..ENTITIES.len();
+        let peer = || proptest::option::of(0..PEERS.len());
+        let write = || {
+            (any::<bool>(), entity(), peer(), 0..LISTS.len())
+                .prop_map(|(dropped, entity, peer, list)| Step::Write(dropped, entity, peer, list))
+        };
+        let tick = |ms: std::ops::Range<u64>| ms.prop_map(Step::Tick);
+        prop_oneof![
+            write(),
+            write(),
+            write(),
+            (any::<bool>(), entity()).prop_map(|(dropped, entity)| Step::Remove(dropped, entity)),
+            (
+                0..OTHER.len(),
+                proptest::option::of(entity()),
+                any::<bool>()
+            )
+                .prop_map(|(label, entity, value)| Step::Other(label, entity, value)),
+            (0..OTHER.len(), entity().prop_map(Some), any::<bool>())
+                .prop_map(|(label, entity, value)| Step::Other(label, entity, value)),
+            any::<bool>().prop_map(Step::Degraded),
+            Just(Step::Reset),
+            // Back to back, a second apart, and around the gate's 30 s.
+            tick(0..2),
+            tick(999..1_002),
+            tick(999..1_002),
+            tick(29_999..30_002),
+            tick(29_999..30_002),
+            tick(60_000..90_000),
+        ]
+    }
+
+    type Told = (Timestamp, Vec<Entity>, String);
+
+    /// One module with its Knowledge Base, as a node holds them.
+    struct Side {
+        module: WormholeModule,
+        kb: KnowledgeBase,
+        alerts: Vec<Alert>,
+    }
+
+    impl Side {
+        /// `in_node`: the Knowledge Base carries the subscription table the
+        /// default library compiles to, as in a node; otherwise it stands
+        /// alone and watches nothing.
+        fn new(in_node: bool) -> Side {
+            let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+            kb.set_entity_budget(KB_BUDGET);
+            if in_node {
+                let registry = ModuleRegistry::with_defaults();
+                let mut manager = ModuleManager::new();
+                for name in registry.names() {
+                    let module = registry.build(&ModuleDef::new(name)).expect("registered");
+                    manager.add(module, false);
+                }
+                kb.subscribe_activation(manager.subscriptions());
+            }
+            Side {
+                module: WormholeModule::new().with_entity_budget(MODULE_BUDGET),
+                kb,
+                alerts: Vec::new(),
+            }
+        }
+
+        fn apply(&mut self, step: &Step) {
+            let label = |dropped: bool| match dropped {
+                true => labels::DROPPED_ORIGINS,
+                false => labels::EXOTIC_ORIGINS,
+            };
+            match *step {
+                Step::Write(dropped, entity, None, list) => {
+                    let about = Entity::from(ENTITIES[entity]);
+                    (self.kb).insert_about_collective(label(dropped), about, LISTS[list]);
+                }
+                Step::Write(dropped, entity, Some(peer), list) => {
+                    let peer = KalisId::new(PEERS[peer]);
+                    let knowgget = Knowgget::about(
+                        label(dropped),
+                        KnowValue::Text(LISTS[list].to_owned()),
+                        peer.clone(),
+                        Entity::from(ENTITIES[entity]),
+                    );
+                    self.kb
+                        .accept_remote(&peer, knowgget)
+                        .expect("own knowledge");
+                }
+                Step::Remove(dropped, entity) => {
+                    (self.kb).remove_about(label(dropped), &Entity::from(ENTITIES[entity]));
+                }
+                Step::Other(label, None, value) => {
+                    self.kb.insert(OTHER[label], value);
+                }
+                Step::Other(label, Some(entity), value) => {
+                    (self.kb).insert_about(OTHER[label], Entity::from(ENTITIES[entity]), value);
+                }
+                Step::Degraded(true) => {
+                    self.kb.insert(DEGRADED_LABEL, true);
+                }
+                Step::Degraded(false) => {
+                    self.kb.remove(DEGRADED_LABEL);
+                }
+                Step::Reset => self.module.reset(),
+                Step::Tick(_) => unreachable!("ticks go through `tick`"),
+            }
+        }
+
+        fn tick(&mut self, now: Timestamp, on_tick: fn(&mut WormholeModule, &mut ModuleCtx<'_>)) {
+            let mut ctx = ModuleCtx {
+                now,
+                kb: &mut self.kb,
+                alerts: &mut self.alerts,
+            };
+            on_tick(&mut self.module, &mut ctx);
+        }
+
+        /// Every alert as `(time, suspects, details)`, the knowledge
+        /// held, and its revision.
+        fn story(&self) -> (Vec<Told>, Vec<Knowgget>, u64) {
+            let alerts = (self.alerts.iter())
+                .map(|alert| (alert.time, alert.suspects.clone(), alert.details.clone()))
+                .collect();
+            (alerts, self.kb.iter().collect(), self.kb.revision())
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn a_kept_verdict_tells_the_story_of_correlating_every_tick(
+            steps in proptest::collection::vec(step(), 1..80),
+        ) {
+            let mut kept = Side::new(true);
+            let mut reference = Side::new(true);
+            // The module over a Knowledge Base that watches nothing, as the
+            // benchmark's standalone leg drives it.
+            let mut alone = Side::new(false);
+            let idle = WormholeModule::new().with_entity_budget(MODULE_BUDGET).state_bytes();
+            let mut now = Timestamp::ZERO;
+            for step in &steps {
+                if let Step::Tick(ms) = step {
+                    now += Duration::from_millis(*ms);
+                    kept.tick(now, |module, ctx| module.on_tick(ctx));
+                    alone.tick(now, |module, ctx| module.on_tick(ctx));
+                    reference.tick(now, reference_on_tick);
+                    prop_assert_eq!(kept.story(), reference.story());
+                    prop_assert_eq!(alone.story(), reference.story());
+                    // Nothing is kept of a label nobody watches.
+                    prop_assert_eq!(alone.module.state_bytes(), idle);
+                    continue;
+                }
+                kept.apply(step);
+                alone.apply(step);
+                reference.apply(step);
+                if matches!(step, Step::Reset) {
+                    prop_assert_eq!(kept.module.state_bytes(), idle);
+                }
+            }
+        }
     }
 }
 

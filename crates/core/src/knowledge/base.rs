@@ -257,6 +257,20 @@ impl KnowledgeBase {
         self.revision
     }
 
+    /// The revision of the latest change to any knowgget labelled `label`
+    /// — whoever created it, whatever it is about, however it changed
+    /// (written, removed, purged with its entity, accepted from a peer) —
+    /// where the subscribed Module Manager's table watches `label`
+    /// ([`Subscriptions::watch`]). For any other label, and in a
+    /// standalone Knowledge Base, the current revision: as if it had just
+    /// changed, so whoever keeps a result while this stands still
+    /// recomputes it.
+    pub fn last_changed(&self, label: &str) -> u64 {
+        (self.subscriber.as_ref())
+            .and_then(|subscriber| subscriber.table.last_changed(label))
+            .unwrap_or(self.revision)
+    }
+
     /// Write `value` under `creator$label[@entity]` (`creator` `None`: the
     /// local node; `origin` `None`: the ambient writer and trace). Returns
     /// whether the stored value changed. A write that changes nothing
@@ -364,15 +378,16 @@ impl KnowledgeBase {
     /// Record that the knowgget under `encoded`, whose label is `label`,
     /// changed. Every path that changes the store comes through here. In
     /// a node the Module Manager's subscription hears of it: the slots
-    /// `label` concerns are marked pending and the batch's trigger record
-    /// grows. Returns whether the caller owes the change log a
+    /// `label` concerns are marked pending, a watched `label` is stamped
+    /// with this revision, and the batch's trigger record grows. Returns
+    /// whether the caller owes the change log a
     /// [`ChangeEvent`] — always in a standalone Knowledge Base; in a node,
     /// once someone listens.
     fn record(&mut self, encoded: &str, label: &str, removed: bool) -> bool {
         let Some(subscriber) = &mut self.subscriber else {
             return true;
         };
-        subscriber.table.collect(label, &mut subscriber.pending);
+        (subscriber.table).collect(label, self.revision, &mut subscriber.pending);
         subscriber.changed += 1;
         if subscriber.first.len() < TRIGGER_KEYS {
             (subscriber.first).push((removed, KeyBuf::concat(&[encoded])));
@@ -1241,5 +1256,56 @@ mod tests {
         let r2 = kb.revision();
         assert!(r1 > r0);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn last_changed_is_the_current_revision_unless_the_label_is_watched() {
+        // Standing alone, nothing is watched: every label reads as
+        // changed just now.
+        let mut alone = kb();
+        alone.insert_about("DroppedOrigins", Entity::from("0x000a"), "1,2");
+        alone.insert("Multihop", true);
+        for label in ["DroppedOrigins", "Multihop", "NeverWritten"] {
+            assert_eq!(alone.last_changed(label), alone.revision());
+        }
+
+        let mut table = Subscriptions::new(1);
+        table.subscribe(&crate::modules::KeyPattern::exact("Multihop"), 0);
+        table.watch("DroppedOrigins");
+        let mut node = kb();
+        node.subscribe_activation(table);
+        assert_eq!(node.last_changed("DroppedOrigins"), 0);
+        let b1 = Entity::from("0x000a");
+        // A local write, whatever it is about ...
+        node.insert_about("DroppedOrigins", b1.clone(), "1,2");
+        let written = node.revision();
+        assert_eq!(node.last_changed("DroppedOrigins"), written);
+        // ... stands while other labels change (a subscribed label is
+        // not thereby watched) and while the write repeats unchanged.
+        node.insert("Multihop", true);
+        node.insert_about("SignalStrength", b1.clone(), -60.0);
+        node.insert_about("DroppedOrigins", b1.clone(), "1,2");
+        assert!(node.revision() > written);
+        assert_eq!(node.last_changed("DroppedOrigins"), written);
+        for label in ["Multihop", "SignalStrength", "NeverWritten"] {
+            assert_eq!(node.last_changed(label), node.revision());
+        }
+        // A peer's knowgget, a removal and an entity purge all move it.
+        let k2 = KalisId::new("K2");
+        let theirs = Knowgget::about("DroppedOrigins", "3,4".into(), k2.clone(), b1.clone());
+        assert_eq!(node.accept_remote(&k2, theirs), Ok(true));
+        assert_eq!(node.last_changed("DroppedOrigins"), node.revision());
+        node.insert("Multihop", false);
+        assert!(node.remove_about("DroppedOrigins", &b1));
+        assert_eq!(node.last_changed("DroppedOrigins"), node.revision());
+        node.insert("Multihop", true);
+        node.set_entity_budget(1);
+        let before = node.revision();
+        node.insert_about("SignalStrength", Entity::from("0x0014"), -70.0);
+        assert_eq!(node.get_all_creators("DroppedOrigins"), []);
+        // The write, then what was still held about the evicted entity:
+        // the peer's list and the signal strength.
+        assert_eq!(node.revision(), before + 3);
+        assert_eq!(node.last_changed("DroppedOrigins"), node.revision());
     }
 }

@@ -2,7 +2,9 @@
 //! Base will in turn notify the Module Manager that recent changes …
 //! might require activating or deactivating specific modules"): the
 //! labels whose changes can move a module's activation, and the manager
-//! slots each one concerns.
+//! slots each one concerns — and the labels its modules correlate across
+//! creators on every tick, which are *watched*: the table remembers when
+//! each last changed, so such a module can tell without reading them.
 
 use std::collections::BTreeMap;
 
@@ -70,11 +72,22 @@ impl SlotSet {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Subscriptions {
     slots: usize,
-    exact: BTreeMap<String, SlotSet>,
+    exact: BTreeMap<String, Exact>,
     /// `Family` patterns, by root.
     families: Vec<(KeyPattern, SlotSet)>,
     /// Slots that declared no activation input: subscribed to everything.
     wildcard: SlotSet,
+}
+
+/// What the table holds for one exact label.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Exact {
+    /// The slots re-evaluated when the label changes; none, for a label
+    /// that is only watched.
+    slots: SlotSet,
+    /// Watched: the Knowledge Base revision of the latest change to any
+    /// knowgget so labelled (0: none yet). `None`: not watched.
+    changed_at: Option<u64>,
 }
 
 impl Subscriptions {
@@ -95,13 +108,13 @@ impl Subscriptions {
 
     /// Re-evaluate `slot` whenever a label `pattern` covers changes.
     pub fn subscribe(&mut self, pattern: &KeyPattern, slot: usize) {
-        let room = SlotSet::with_slots(self.slots);
         let set = match pattern {
-            KeyPattern::Exact(label) => self.exact.entry(label.clone()).or_insert(room),
+            KeyPattern::Exact(label) => &mut self.exact_entry(label).slots,
             KeyPattern::Family(_) => {
                 let at = (self.families.iter())
                     .position(|(held, _)| held == pattern)
                     .unwrap_or_else(|| {
+                        let room = SlotSet::with_slots(self.slots);
                         self.families.push((pattern.clone(), room));
                         self.families.len() - 1
                     });
@@ -111,17 +124,49 @@ impl Subscriptions {
         set.insert(slot);
     }
 
+    fn exact_entry(&mut self, label: &str) -> &mut Exact {
+        let slots = self.slots;
+        self.exact.entry(label.to_owned()).or_insert_with(|| Exact {
+            slots: SlotSet::with_slots(slots),
+            changed_at: None,
+        })
+    }
+
     /// Re-evaluate `slot` whenever anything changes.
     pub fn subscribe_all(&mut self, slot: usize) {
         self.wildcard.insert(slot);
     }
 
-    /// Add to `pending` every slot a change of `label` concerns: one map
-    /// lookup, plus a prefix test per declared family.
-    pub fn collect(&self, label: &str, pending: &mut SlotSet) {
+    /// Remember when `label` last changed
+    /// ([`Subscriptions::last_changed`]).
+    pub fn watch(&mut self, label: &str) {
+        self.exact_entry(label).changed_at.get_or_insert(0);
+    }
+
+    /// The watched labels, in label order.
+    pub fn watched(&self) -> impl Iterator<Item = &str> + '_ {
+        (self.exact.iter())
+            .filter(|(_, held)| held.changed_at.is_some())
+            .map(|(label, _)| label.as_str())
+    }
+
+    /// The revision [`Subscriptions::collect`] last heard `label` change
+    /// at; `None` for a label that is not watched.
+    pub fn last_changed(&self, label: &str) -> Option<u64> {
+        self.exact.get(label)?.changed_at
+    }
+
+    /// A knowgget labelled `label` changed, at `revision`: add to
+    /// `pending` every slot that concerns, and note the revision if the
+    /// label is watched — one map lookup for both, plus a prefix test
+    /// per declared family.
+    pub fn collect(&mut self, label: &str, revision: u64, pending: &mut SlotSet) {
         pending.union_with(&self.wildcard);
-        if let Some(slots) = self.exact.get(label) {
-            pending.union_with(slots);
+        if let Some(held) = self.exact.get_mut(label) {
+            pending.union_with(&held.slots);
+            if let Some(changed_at) = &mut held.changed_at {
+                *changed_at = revision;
+            }
         }
         for (family, slots) in &self.families {
             if family.matches(label) {
@@ -134,7 +179,9 @@ impl Subscriptions {
     /// group in label order; then the subscribed-to-everything slots
     /// under `None`, if any.
     pub fn edges(&self) -> Vec<(Option<KeyPattern>, Vec<usize>)> {
-        let exact = (self.exact.iter()).map(|(label, slots)| (KeyPattern::exact(label), slots));
+        let exact = (self.exact.iter())
+            .filter(|(_, held)| !held.slots.is_empty())
+            .map(|(label, held)| (KeyPattern::exact(label), &held.slots));
         let mut families: Vec<_> = (self.families.iter())
             .map(|(family, slots)| (family.clone(), slots))
             .collect();
@@ -178,21 +225,21 @@ mod tests {
         table.subscribe(&KeyPattern::exact("Multihop"), 0);
         table.subscribe(&KeyPattern::exact("Multihop"), 1);
         table.subscribe(&KeyPattern::family("ProtocolSeen"), 2);
-        let hit = |table: &Subscriptions, label: &str| {
+        let hit = |table: &mut Subscriptions, label: &str| {
             let mut pending = SlotSet::with_slots(4);
-            table.collect(label, &mut pending);
+            table.collect(label, 0, &mut pending);
             pending.iter().collect::<Vec<_>>()
         };
-        assert_eq!(hit(&table, "Multihop"), [0, 1]);
-        assert_eq!(hit(&table, "ProtocolSeen.IP"), [2]);
+        assert_eq!(hit(&mut table, "Multihop"), [0, 1]);
+        assert_eq!(hit(&mut table, "ProtocolSeen.IP"), [2]);
         // A family root is not one of its members, nor a longer label.
-        assert!(hit(&table, "ProtocolSeen").is_empty());
-        assert!(hit(&table, "ProtocolSeenX.IP").is_empty());
-        assert!(hit(&table, "Multihop.X").is_empty());
-        assert!(hit(&table, "SignalStrength").is_empty());
+        assert!(hit(&mut table, "ProtocolSeen").is_empty());
+        assert!(hit(&mut table, "ProtocolSeenX.IP").is_empty());
+        assert!(hit(&mut table, "Multihop.X").is_empty());
+        assert!(hit(&mut table, "SignalStrength").is_empty());
         table.subscribe_all(3);
-        assert_eq!(hit(&table, "SignalStrength"), [3]);
-        assert_eq!(hit(&table, "Multihop"), [0, 1, 3]);
+        assert_eq!(hit(&mut table, "SignalStrength"), [3]);
+        assert_eq!(hit(&mut table, "Multihop"), [0, 1, 3]);
         assert_eq!(
             table.edges(),
             [
@@ -200,6 +247,35 @@ mod tests {
                 (Some(KeyPattern::family("ProtocolSeen")), vec![2]),
                 (None, vec![3]),
             ]
+        );
+    }
+
+    #[test]
+    fn a_watched_label_remembers_its_latest_change_and_subscribes_nobody() {
+        let mut table = Subscriptions::new(2);
+        table.subscribe(&KeyPattern::exact("Multihop"), 0);
+        table.watch("DroppedOrigins");
+        table.watch("Multihop");
+        table.watch("Multihop");
+        assert_eq!(
+            table.watched().collect::<Vec<_>>(),
+            ["DroppedOrigins", "Multihop"]
+        );
+        assert_eq!(table.last_changed("DroppedOrigins"), Some(0));
+        assert_eq!(table.last_changed("ExoticOrigins"), None);
+        let mut pending = SlotSet::with_slots(2);
+        table.collect("DroppedOrigins", 7, &mut pending);
+        assert!(pending.is_empty());
+        table.collect("ExoticOrigins", 8, &mut pending);
+        table.collect("Multihop", 9, &mut pending);
+        assert_eq!(pending.iter().collect::<Vec<_>>(), [0]);
+        assert_eq!(table.last_changed("DroppedOrigins"), Some(7));
+        assert_eq!(table.last_changed("ExoticOrigins"), None);
+        assert_eq!(table.last_changed("Multihop"), Some(9));
+        // Watching adds no edge: the activation table reads as before.
+        assert_eq!(
+            table.edges(),
+            [(Some(KeyPattern::exact("Multihop")), vec![0])]
         );
     }
 }

@@ -346,18 +346,27 @@ impl ModuleManager {
     /// adaptive manager), the activation inputs its module's contract
     /// declares — the labels its [`Module::required`] reads. A slot that
     /// declares none (an embedder's module with the default, empty
-    /// contract) subscribes to every change. Compile it again after
-    /// [`ModuleManager::add`].
+    /// contract) subscribes to every change. And for every slot, the
+    /// exact labels its contract reads collectively, which the Knowledge
+    /// Base then watches ([`KnowledgeBase::last_changed`]). Compile it
+    /// again after [`ModuleManager::add`].
     pub fn subscriptions(&self) -> Subscriptions {
         let mut table = Subscriptions::new(self.slots.len());
         for (index, slot) in self.slots.iter().enumerate() {
+            let contract = slot.module.contract();
+            // What any loaded module correlates across creators is
+            // watched, whether or not knowledge switches the module.
+            for read in contract.reads.iter().filter(|read| read.collective) {
+                if let super::KeyPattern::Exact(label) = &read.pattern {
+                    table.watch(label);
+                }
+            }
             let switched = self.adaptive
                 && !slot.pinned
                 && slot.module.descriptor().kind == ModuleKind::Detection;
             if !switched {
                 continue;
             }
-            let contract = slot.module.contract();
             let mut declared = false;
             for input in contract.activation_inputs() {
                 table.subscribe(&input.pattern, index);
@@ -376,9 +385,7 @@ impl ModuleManager {
     pub fn subscriptions_by_name(&self) -> Vec<(String, Vec<&'static str>)> {
         let named = |(pattern, slots): (Option<super::KeyPattern>, Vec<usize>)| {
             let label = pattern.map_or_else(|| "*".to_owned(), |p| p.to_string());
-            let modules = (slots.iter())
-                .map(|slot| self.slots[*slot].module.descriptor().name)
-                .collect();
+            let modules = (slots.iter()).map(|slot| self.name_of(*slot)).collect();
             (label, modules)
         };
         self.subscriptions()
@@ -748,16 +755,27 @@ impl ModuleManager {
             .collect()
     }
 
-    /// Names of quarantined modules that are *pinned* by configuration.
-    /// The operator asked for these explicitly, so losing one flips
-    /// `/readyz` — an unpinned module benched by the supervisor only
-    /// degrades the node.
-    pub fn quarantined_pinned_names(&self) -> Vec<&'static str> {
-        self.slots
-            .iter()
-            .filter(|s| s.pinned && s.supervision.is_quarantined())
-            .map(|s| s.module.descriptor().name)
-            .collect()
+    /// The quarantined slots that are *pinned* by configuration; nothing
+    /// is allocated while there are none. The operator asked for these
+    /// explicitly, so losing one flips `/readyz` — an unpinned module
+    /// benched by the supervisor only degrades the node.
+    pub fn quarantined_pinned(&self) -> SlotSet {
+        let mut slots = SlotSet::default();
+        for (index, slot) in self.slots.iter().enumerate() {
+            if slot.pinned && slot.supervision.is_quarantined() {
+                slots.insert(index);
+            }
+        }
+        slots
+    }
+
+    /// The name of the module loaded in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// When no such slot is loaded.
+    pub fn name_of(&self, slot: usize) -> &'static str {
+        self.slots[slot].module.descriptor().name
     }
 
     /// Resource and health profiles for every loaded module, in load
@@ -1031,7 +1049,7 @@ mod tests {
             ]
         );
         let mut pending = SlotSet::default();
-        (mgr.subscriptions()).collect("SignalStrength", &mut pending);
+        (mgr.subscriptions()).collect("SignalStrength", 0, &mut pending);
         assert_eq!(pending.iter().collect::<Vec<_>>(), [2]);
         // Without knowledge-driven activation there is nothing to hear.
         let mut all_on = ModuleManager::all_always_active();

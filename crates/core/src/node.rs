@@ -2,7 +2,6 @@
 //! Knowledge Base, Module Manager, response engine, and collective
 //! synchronization into the paper's Fig. 4 architecture.
 
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,11 +9,9 @@ use std::time::Duration;
 use kalis_packets::{CapturedPacket, Entity, Timestamp};
 
 use kalis_telemetry::{
-    config_fingerprint, metric_name, names, AlertProvenance, Counter, EvidenceKnowgget,
-    FlightRecorder, Gauge, Histogram, JournalEvent, PacketRef, SampleRate, Telemetry, TraceContext,
-    TraceRef, Tracer, Trigger, DEFAULT_JOURNAL_TAIL, DEFAULT_RING_DEPTH,
-    DEFAULT_SNAPSHOT_INTERVAL_SECS, DEFAULT_TRACE_CAPACITY, ROOT_SPAN, SAMPLE_SCALE,
-    TRIGGER_MASK_ALL,
+    metric_name, names, AlertProvenance, Counter, EvidenceKnowgget, FlightRecorder, Gauge,
+    Histogram, JournalEvent, PacketRef, SampleRate, Telemetry, TraceContext, TraceRef, Tracer,
+    Trigger, DEFAULT_TRACE_CAPACITY, ROOT_SPAN, SAMPLE_SCALE,
 };
 
 use crate::alert::{Alert, AttackKind, Severity};
@@ -38,6 +35,10 @@ use crate::ops::{
 };
 use crate::response::ResponseEngine;
 use crate::store::{DataStore, WindowConfig};
+
+mod housekeeping;
+
+use housekeeping::{Housekeeping, NodeView, ReadinessKey};
 
 /// How often [`Kalis::process_source`] injects ticks between packets.
 const TICK_EVERY: Duration = Duration::from_secs(1);
@@ -356,21 +357,7 @@ impl KalisBuilder {
                 .get_or_insert_with(OpsConfig::default)
                 .hot_entities = k as usize;
         }
-        // The flight-recorder knobs ride the config language the same
-        // way. `Diag.RingDepth = 0` legitimately *disables* the
-        // recorder, so depth and mask use a non-negative read rather
-        // than the positive filter above.
-        let recorder = FlightRecorder::new(
-            numeric_knowgget(DIAG_RING_DEPTH_KEY)
-                .filter(|depth| *depth >= 0.0)
-                .map_or(DEFAULT_RING_DEPTH, |depth| depth as usize),
-            positive_knowgget(DIAG_INTERVAL_KEY)
-                .map_or(DEFAULT_SNAPSHOT_INTERVAL_SECS, |secs| secs as u64)
-                .saturating_mul(1_000_000),
-            numeric_knowgget(DIAG_TRIGGER_MASK_KEY)
-                .filter(|mask| *mask >= 0.0)
-                .map_or(TRIGGER_MASK_ALL, |mask| mask as u32),
-        );
+        let recorder = housekeeping::recorder_from(numeric_knowgget);
         // The tracing knob rides the config language the same way; only
         // fractions in [0, 1] are honored (kalis-lint flags the rest).
         let tracer = Arc::new(Tracer::new(
@@ -467,11 +454,7 @@ impl KalisBuilder {
             syncer,
             overload: OverloadController::default(),
             stats: NodeStats::new(&tele),
-            journaled_evictions: BTreeMap::new(),
-            journaled_kb_evictions: 0,
-            recorder,
-            diag_edges: DiagEdges::default(),
-            diag_bundles: Vec::new(),
+            housekeeping: Housekeeping::new(recorder, &tele),
             tele,
             ops,
             #[cfg(test)]
@@ -505,22 +488,6 @@ impl KalisBuilder {
     }
 }
 
-/// Last-observed values of every trigger signal, so `diag_tick` fires
-/// captures on *edges* (a readiness flip, a rising quarantine count)
-/// rather than re-capturing on every tick a condition persists.
-#[derive(Debug, Default)]
-struct DiagEdges {
-    reasons: Vec<String>,
-    quarantined: usize,
-    degraded: bool,
-    evictions: u64,
-    /// Whether the previous tick saw evictions advance — the
-    /// state-exhaustion trigger fires on the *rising edge* of eviction
-    /// activity, not on every tick of a sustained spray.
-    evicting: bool,
-    slo_breached: bool,
-}
-
 /// Node-level instrument handles, cached once at build time so the
 /// per-packet path never touches the registry lock.
 struct NodeStats {
@@ -551,9 +518,6 @@ struct NodeStats {
     pipeline_degraded: Arc<Gauge>,
     trace_sampled: Arc<Counter>,
     trace_dropped: Arc<Gauge>,
-    diag_captures: Arc<Counter>,
-    diag_occupancy: Arc<Gauge>,
-    diag_last_trigger: Arc<Gauge>,
 }
 
 impl NodeStats {
@@ -584,9 +548,6 @@ impl NodeStats {
             pipeline_degraded: registry.gauge(names::PIPELINE_DEGRADED),
             trace_sampled: registry.counter(names::TRACE_SAMPLED),
             trace_dropped: registry.gauge(names::TRACE_DROPPED),
-            diag_captures: registry.counter(names::DIAG_CAPTURES),
-            diag_occupancy: registry.gauge(names::DIAG_RING_OCCUPANCY),
-            diag_last_trigger: registry.gauge(names::DIAG_LAST_TRIGGER),
         }
     }
 }
@@ -605,10 +566,10 @@ struct OpsRuntime {
     /// Wall-clock instant of the last full report render, gating
     /// unforced refreshes to [`OPS_RENDER_MIN_INTERVAL`].
     last_render: Option<std::time::Instant>,
-    /// Readiness reasons at the last publish — the cheap comparison key
-    /// that lets `after_dispatch` detect a readiness transition without
-    /// rebuilding the whole report.
-    last_reasons: Vec<String>,
+    /// Readiness at the last publish — the comparison key that lets
+    /// `after_dispatch` detect a readiness transition without rendering
+    /// the reasons, let alone the whole report.
+    last_readiness: ReadinessKey,
     slo: Option<SloTracker>,
 }
 
@@ -648,7 +609,7 @@ impl OpsRuntime {
             sketch: SpaceSaving::new(config.hot_entities),
             started_us: None,
             last_render: None,
-            last_reasons: Vec::new(),
+            last_readiness: ReadinessKey::default(),
             slo,
         }
     }
@@ -711,20 +672,9 @@ pub struct Kalis {
     overload: OverloadController,
     tele: Arc<Telemetry>,
     stats: NodeStats,
-    /// Last-journaled cumulative eviction count per module: the delta
-    /// latch behind the aggregated `state_evicted` journal records
-    /// emitted at tick cadence.
-    journaled_evictions: BTreeMap<&'static str, u64>,
-    /// The same latch for the Knowledge Base's entity index.
-    journaled_kb_evictions: u64,
-    /// The flight recorder: bounded telemetry history plus capture
-    /// bookkeeping, sampled at tick cadence by [`Kalis::diag_tick`].
-    recorder: FlightRecorder,
-    /// Trigger edge detection state for the recorder.
-    diag_edges: DiagEdges,
-    /// Retained diagnostics bundles, oldest first: `(bundle id,
-    /// kalis.diag.v1 JSON)`, bounded to [`DIAG_BUNDLE_RETENTION`].
-    diag_bundles: Vec<(String, String)>,
+    /// The tick's own state: eviction audit latches, the flight
+    /// recorder, and the bundles it froze.
+    housekeeping: Housekeeping,
     ops: Option<OpsRuntime>,
     /// The reference node of the activation differential test:
     /// re-evaluates every slot after every dispatch.
@@ -933,7 +883,8 @@ impl Kalis {
         self.stats.work.add(outcome.work_units());
         self.response.expire(now);
         self.after_dispatch(now);
-        let evictions = self.journal_state_evictions(now);
+        let evictions =
+            (self.housekeeping).journal_state_evictions(now, &self.manager, &self.kb, &self.tele);
         // The ops surface refreshes at tick cadence: profiler gauges,
         // SLO posture, and the pre-rendered /status document.
         if self.ops.is_some() {
@@ -941,134 +892,24 @@ impl Kalis {
         }
         // The flight recorder samples (and latches captures) after the
         // ops refresh so the SLO breach latch is current for this tick.
-        self.diag_tick(now, evictions);
+        // The view is spelled out: `self.housekeeping` is borrowed apart.
+        let node = NodeView {
+            id: &self.id,
+            manager: &self.manager,
+            kb: &self.kb,
+            syncer: &self.syncer,
+            overload: &self.overload,
+            tele: &self.tele,
+            tracer: &self.tracer,
+            ops: self.ops.as_ref(),
+        };
+        self.housekeeping.diag_tick(now, evictions, &node);
         if own_trace {
             if self.current_trace.sampled {
                 self.kb.clear_trace();
                 self.stats.trace_dropped.set(self.tracer.dropped());
             }
             self.current_trace = TraceContext::none();
-        }
-    }
-
-    /// Journal aggregated bounded-state evictions: one `state_evicted`
-    /// record per structure (`module:<name>`, then `kb`) whose cumulative
-    /// count moved since the last tick. Aggregation is deliberate —
-    /// per-eviction records would let a state-exhaustion adversary flood
-    /// the journal at spray rate. Returns the cumulative evictions across
-    /// every budgeted structure, the state-exhaustion trigger signal.
-    fn journal_state_evictions(&mut self, now: Timestamp) -> u64 {
-        let journal = self.tele.journal();
-        let mut total = 0;
-        for (name, evicted) in self.manager.evictions() {
-            total += evicted;
-            if evicted > 0 && self.journaled_evictions.insert(name, evicted) != Some(evicted) {
-                let structure = format!("module:{name}");
-                journal.record(
-                    now.as_micros(),
-                    JournalEvent::StateEvicted { structure, evicted },
-                );
-            }
-        }
-        let evicted = self.kb.entity_evictions();
-        if evicted > 0 && std::mem::replace(&mut self.journaled_kb_evictions, evicted) != evicted {
-            let structure = "kb".to_owned();
-            journal.record(
-                now.as_micros(),
-                JournalEvent::StateEvicted { structure, evicted },
-            );
-        }
-        total + evicted
-    }
-
-    /// One flight-recorder pass at tick cadence: sample the telemetry
-    /// surface into the ring, then compare every trigger signal against
-    /// its last-seen value and freeze a `kalis.diag.v1` bundle on the
-    /// first armed edge. Runs on the virtual clock only — captures are
-    /// deterministic for a deterministic run.
-    fn diag_tick(&mut self, now: Timestamp, evictions: u64) {
-        if !self.recorder.enabled() {
-            return;
-        }
-        let now_us = now.as_micros();
-        self.recorder.maybe_sample(now_us, &self.tele);
-
-        let reasons = self.readiness().reasons;
-        let quarantined = self.manager.quarantined_count();
-        let degraded = self.syncer.degraded();
-        let evicting = evictions > self.diag_edges.evictions;
-        let slo_breached = self
-            .ops
-            .as_ref()
-            .and_then(|ops| ops.slo.as_ref())
-            .is_some_and(|tracker| tracker.breached);
-        let edges = [
-            (Trigger::ReadinessFlip, reasons != self.diag_edges.reasons),
-            (
-                Trigger::SloBreached,
-                slo_breached && !self.diag_edges.slo_breached,
-            ),
-            (
-                Trigger::ModuleQuarantined,
-                quarantined > self.diag_edges.quarantined,
-            ),
-            (Trigger::DegradedSync, degraded && !self.diag_edges.degraded),
-            (
-                Trigger::StateExhaustion,
-                evicting && !self.diag_edges.evicting,
-            ),
-        ];
-        let fired = edges
-            .iter()
-            .find(|(trigger, edge)| *edge && self.recorder.armed(*trigger))
-            .map(|(trigger, _)| *trigger);
-        self.diag_edges = DiagEdges {
-            reasons,
-            quarantined,
-            degraded,
-            evictions,
-            evicting,
-            slo_breached,
-        };
-        if let Some(trigger) = fired {
-            self.diag_capture(trigger, now_us);
-        }
-        self.stats
-            .diag_occupancy
-            .set(self.recorder.occupancy() as u64);
-    }
-
-    /// Freeze the ring plus the journal tail, trace trees, and config
-    /// fingerprint into a retained bundle, journal the capture, and
-    /// republish the `/debug/diag` surface.
-    fn diag_capture(&mut self, trigger: Trigger, now_us: u64) {
-        let fingerprint = config_fingerprint(&self.recommend_config().to_string());
-        let traces = self.tracer.enabled().then(|| self.tracer.to_json());
-        let bundle = self.recorder.capture(
-            trigger,
-            now_us,
-            &self.tele,
-            self.id.as_str(),
-            &fingerprint,
-            traces.as_deref(),
-            DEFAULT_JOURNAL_TAIL,
-        );
-        self.tele.journal().record(
-            now_us,
-            JournalEvent::DiagCaptured {
-                trigger: trigger.name().to_owned(),
-                bundle: bundle.bundle_id.clone(),
-            },
-        );
-        self.stats.diag_captures.inc();
-        self.stats.diag_last_trigger.set(u64::from(trigger.bit()));
-        self.diag_bundles
-            .push((bundle.bundle_id.clone(), bundle.to_json()));
-        if self.diag_bundles.len() > DIAG_BUNDLE_RETENTION {
-            self.diag_bundles.remove(0);
-        }
-        if let Some(ops) = &self.ops {
-            ops.shared.publish_diag(&self.diag_bundles);
         }
     }
 
@@ -1182,7 +1023,7 @@ impl Kalis {
         // the next tick: compare the (usually empty) reason set against
         // the last published one and republish only on change.
         if let Some(ops) = &self.ops {
-            if ops.last_reasons != self.readiness().reasons {
+            if ops.last_readiness != self.readiness_key() {
                 self.ops_refresh(now, true);
             }
         }
@@ -1210,130 +1051,21 @@ impl Kalis {
     /// compile-time on very small devices" (§VIII): the returned
     /// [`Config`] round-trips through the Fig. 6 text format.
     pub fn recommend_config(&self) -> Config {
-        let modules = self
-            .manager
-            .active_defs()
-            .into_iter()
-            .map(|(name, params)| {
-                let mut def = ModuleDef::new(name);
-                def.params = params;
-                def
-            })
-            .collect();
-        let mut knowggets: Vec<(String, KnowValue)> = self
-            .kb
-            .iter()
-            .filter(|k| {
-                // Stable local single-level knowledge only. DegradedMode
-                // is runtime sync state, not deployable configuration —
-                // baking it into a recommendation would pin a fresh node
-                // into degraded mode (and name a knowgget no contract
-                // registers as a-priori input).
-                k.creator == self.id
-                    && k.entity.is_none()
-                    && !k.label.contains('.')
-                    && k.label != crate::sensing::labels::MONITORED_NODES
-                    && k.label != DEGRADED_LABEL
-            })
-            .map(|k| (k.label, k.value))
-            .collect();
-        // The sync tunables carry dotted labels (excluded by the filter
-        // above) but belong in a deployable config: a node rebuilt from
-        // it keeps the same fault-tolerance posture. Normalize through
-        // the wire format so the emitted value re-parses to the exact
-        // same variant (`12.0` goes out as `12` and comes back as Int).
-        let sync = self.syncer.config();
-        for (key, secs) in [
-            (SYNC_PEER_TTL_KEY, sync.peer_ttl.as_secs_f64()),
-            (SYNC_BEACON_INTERVAL_KEY, sync.beacon_interval.as_secs_f64()),
-        ] {
-            knowggets.push((
-                key.to_owned(),
-                KnowValue::from_wire(&KnowValue::Float(secs).to_wire()),
-            ));
+        self.view().recommend_config(self.housekeeping.recorder())
+    }
+
+    /// This node as its housekeeping reads it.
+    fn view(&self) -> NodeView<'_> {
+        NodeView {
+            id: &self.id,
+            manager: &self.manager,
+            kb: &self.kb,
+            syncer: &self.syncer,
+            overload: &self.overload,
+            tele: &self.tele,
+            tracer: &self.tracer,
+            ops: self.ops.as_ref(),
         }
-        // The supervisor knobs round-trip the same way: a node rebuilt
-        // from the recommendation keeps the same crash-loop and overload
-        // posture. Quarantined modules were already excluded above
-        // (`active_names()` skips them).
-        let supervisor = self.manager.supervisor_config();
-        knowggets.push((
-            SUPERVISOR_PANIC_LIMIT_KEY.to_owned(),
-            KnowValue::Int(i64::from(supervisor.panic_limit)),
-        ));
-        if let Some(budget) = supervisor.budget {
-            knowggets.push((
-                SUPERVISOR_BUDGET_MS_KEY.to_owned(),
-                KnowValue::Int(budget.as_millis() as i64),
-            ));
-        }
-        knowggets.push((
-            SUPERVISOR_BURST_PPS_KEY.to_owned(),
-            KnowValue::Int(supervisor.burst_pps as i64),
-        ));
-        // The KB's own per-entity budget rides along when tuned, so a
-        // node rebuilt from the recommendation keeps the same
-        // state-exhaustion posture.
-        if self.kb.entity_budget() != crate::knowledge::DEFAULT_KB_ENTITY_BUDGET {
-            knowggets.push((
-                KB_ENTITY_BUDGET_KEY.to_owned(),
-                KnowValue::Int(self.kb.entity_budget() as i64),
-            ));
-        }
-        // The tracing knob rides along only when sampling is on, so a
-        // node rebuilt from the recommendation keeps the same
-        // observability posture (and a default node stays on the
-        // tracing-off fast path).
-        let threshold = self.tracer.sample_rate().threshold();
-        if threshold > 0 {
-            let fraction = f64::from(threshold) / f64::from(SAMPLE_SCALE);
-            knowggets.push((
-                TRACE_SAMPLE_RATE_KEY.to_owned(),
-                KnowValue::from_wire(&KnowValue::Float(fraction).to_wire()),
-            ));
-        }
-        // The ops knobs ride along when the surface is enabled: the
-        // bound port (resolved from 0 to the actual ephemeral one, so a
-        // node rebuilt from the recommendation is scrapeable at a known
-        // place), the SLO target, and any non-default sketch capacity.
-        if let Some(ops) = &self.ops {
-            knowggets.push((
-                OPS_PORT_KEY.to_owned(),
-                KnowValue::Int(i64::from(ops.server.addr().port())),
-            ));
-            if let Some(slo) = &ops.slo {
-                knowggets.push((OPS_SLO_KEY.to_owned(), KnowValue::Int(slo.target_us as i64)));
-            }
-            if ops.sketch.capacity() != crate::ops::DEFAULT_HOT_ENTITIES {
-                knowggets.push((
-                    OPS_HOT_ENTITIES_KEY.to_owned(),
-                    KnowValue::Int(ops.sketch.capacity() as i64),
-                ));
-            }
-        }
-        // The flight-recorder knobs ride along when tuned away from the
-        // defaults, so a node rebuilt from the recommendation keeps the
-        // same diagnostics-capture posture.
-        if self.recorder.depth() != DEFAULT_RING_DEPTH {
-            knowggets.push((
-                DIAG_RING_DEPTH_KEY.to_owned(),
-                KnowValue::Int(self.recorder.depth() as i64),
-            ));
-        }
-        let interval_secs = self.recorder.interval_us() / 1_000_000;
-        if interval_secs != DEFAULT_SNAPSHOT_INTERVAL_SECS {
-            knowggets.push((
-                DIAG_INTERVAL_KEY.to_owned(),
-                KnowValue::Int(interval_secs as i64),
-            ));
-        }
-        if self.recorder.trigger_mask() != TRIGGER_MASK_ALL {
-            knowggets.push((
-                DIAG_TRIGGER_MASK_KEY.to_owned(),
-                KnowValue::Int(i64::from(self.recorder.trigger_mask())),
-            ));
-        }
-        Config { modules, knowggets }
     }
 
     /// Drain a packet source to exhaustion, injecting periodic ticks
@@ -1813,12 +1545,12 @@ impl Kalis {
     /// [`DIAG_BUNDLE_RETENTION`]; also served via `/debug/diag` when
     /// the ops surface is enabled.
     pub fn diag_bundles(&self) -> &[(String, String)] {
-        &self.diag_bundles
+        self.housekeeping.bundles()
     }
 
     /// The trigger behind the flight recorder's most recent capture.
     pub fn diag_last_trigger(&self) -> Option<&'static str> {
-        self.recorder.last_trigger().map(Trigger::name)
+        (self.housekeeping.recorder().last_trigger()).map(Trigger::name)
     }
 
     /// The node's current readiness verdict: empty reasons means fit
@@ -1833,19 +1565,13 @@ impl Kalis {
     /// quarantined modules do not flip readiness: the knowledge-driven
     /// activation contract never promised they would run.
     pub fn readiness(&self) -> Readiness {
-        let mut reasons = Vec::new();
-        for name in self.manager.quarantined_pinned_names() {
-            reasons.push(format!("pinned_module_quarantined:{name}"));
-        }
-        match self.overload.mode() {
-            ShedMode::None => {}
-            ShedMode::Heavy => reasons.push("overload_shedding:heavy".to_owned()),
-            ShedMode::All => reasons.push("overload_shedding:all".to_owned()),
-        }
-        if self.syncer.degraded() {
-            reasons.push("sync_degraded".to_owned());
-        }
+        let reasons = self.readiness_key().reasons(&self.manager);
         Readiness { reasons }
+    }
+
+    /// [`Kalis::readiness`] as a key to compare, nothing rendered.
+    fn readiness_key(&self) -> ReadinessKey {
+        ReadinessKey::of(&self.manager, &self.overload, &self.syncer)
     }
 
     fn shed_label(mode: ShedMode) -> &'static str {
@@ -1875,11 +1601,11 @@ impl Kalis {
             return;
         }
         self.manager.publish_profiles();
-        let readiness = self.readiness();
+        let readiness = self.readiness_key();
         {
             let ops = self.ops.as_mut().expect("checked above");
             let due = force
-                || ops.last_reasons != readiness.reasons
+                || ops.last_readiness != readiness
                 || !ops
                     .last_render
                     .is_some_and(|at| at.elapsed() < OPS_RENDER_MIN_INTERVAL);
@@ -1889,6 +1615,8 @@ impl Kalis {
             // kalis-lint: allow(KL302): ops snapshot throttle is wall-clock by design
             ops.last_render = Some(std::time::Instant::now());
         }
+        // Due: only now are the reasons spelled out.
+        let reasons = self.readiness();
         let modules: Vec<ModuleStatus> = self
             .manager
             .module_profiles()
@@ -1954,17 +1682,18 @@ impl Kalis {
         let uptime_us = ops
             .started_us
             .map_or(0, |start| now.as_micros().saturating_sub(start));
+        let recorder = self.housekeeping.recorder();
         let (diag_captures, diag_ring_occupancy, diag_last_trigger) = (
-            self.recorder.captures(),
-            self.recorder.occupancy() as u64,
-            self.recorder
+            recorder.captures(),
+            recorder.occupancy() as u64,
+            recorder
                 .last_trigger()
                 .map(|t| t.name().to_owned())
                 .unwrap_or_default(),
         );
         let report = StatusReport {
             node: self.id.to_string(),
-            readiness,
+            readiness: reasons,
             capture_time_us: now.as_micros(),
             uptime_us,
             shed_mode: Self::shed_label(self.overload.mode()).to_owned(),
@@ -1980,7 +1709,7 @@ impl Kalis {
             diag_ring_occupancy,
             diag_last_trigger,
         };
-        ops.last_reasons = report.readiness.reasons.clone();
+        ops.last_readiness = readiness;
         ops.shared.publish(&report);
     }
 
@@ -2100,7 +1829,7 @@ impl Kalis {
         // Degraded-mode flips change readiness; publish them to /readyz
         // immediately rather than waiting for the next tick or packet.
         if let Some(ops) = &self.ops {
-            if ops.last_reasons != self.readiness().reasons {
+            if ops.last_readiness != self.readiness_key() {
                 self.ops_refresh(now, true);
             }
         }
@@ -2113,6 +1842,115 @@ impl Kalis {
     /// the latest capture-clock time this node has seen.
     fn capture_time_us(&self) -> u64 {
         self.last_tick.map_or(0, Timestamp::as_micros)
+    }
+}
+
+impl NodeView<'_> {
+    /// [`Kalis::recommend_config`], `recorder` being the node's.
+    fn recommend_config(&self, recorder: &FlightRecorder) -> Config {
+        let modules = self
+            .manager
+            .active_defs()
+            .into_iter()
+            .map(|(name, params)| {
+                let mut def = ModuleDef::new(name);
+                def.params = params;
+                def
+            })
+            .collect();
+        let mut knowggets: Vec<(String, KnowValue)> = self
+            .kb
+            .iter()
+            .filter(|k| {
+                // Stable local single-level knowledge only. DegradedMode
+                // is runtime sync state, not deployable configuration —
+                // baking it into a recommendation would pin a fresh node
+                // into degraded mode (and name a knowgget no contract
+                // registers as a-priori input).
+                k.creator == *self.id
+                    && k.entity.is_none()
+                    && !k.label.contains('.')
+                    && k.label != crate::sensing::labels::MONITORED_NODES
+                    && k.label != DEGRADED_LABEL
+            })
+            .map(|k| (k.label, k.value))
+            .collect();
+        // The sync tunables carry dotted labels (excluded by the filter
+        // above) but belong in a deployable config: a node rebuilt from
+        // it keeps the same fault-tolerance posture. Normalize through
+        // the wire format so the emitted value re-parses to the exact
+        // same variant (`12.0` goes out as `12` and comes back as Int).
+        let sync = self.syncer.config();
+        for (key, secs) in [
+            (SYNC_PEER_TTL_KEY, sync.peer_ttl.as_secs_f64()),
+            (SYNC_BEACON_INTERVAL_KEY, sync.beacon_interval.as_secs_f64()),
+        ] {
+            knowggets.push((
+                key.to_owned(),
+                KnowValue::from_wire(&KnowValue::Float(secs).to_wire()),
+            ));
+        }
+        // The supervisor knobs round-trip the same way: a node rebuilt
+        // from the recommendation keeps the same crash-loop and overload
+        // posture. Quarantined modules were already excluded above
+        // (`active_names()` skips them).
+        let supervisor = self.manager.supervisor_config();
+        knowggets.push((
+            SUPERVISOR_PANIC_LIMIT_KEY.to_owned(),
+            KnowValue::Int(i64::from(supervisor.panic_limit)),
+        ));
+        if let Some(budget) = supervisor.budget {
+            knowggets.push((
+                SUPERVISOR_BUDGET_MS_KEY.to_owned(),
+                KnowValue::Int(budget.as_millis() as i64),
+            ));
+        }
+        knowggets.push((
+            SUPERVISOR_BURST_PPS_KEY.to_owned(),
+            KnowValue::Int(supervisor.burst_pps as i64),
+        ));
+        // The KB's own per-entity budget rides along when tuned, so a
+        // node rebuilt from the recommendation keeps the same
+        // state-exhaustion posture.
+        if self.kb.entity_budget() != crate::knowledge::DEFAULT_KB_ENTITY_BUDGET {
+            knowggets.push((
+                KB_ENTITY_BUDGET_KEY.to_owned(),
+                KnowValue::Int(self.kb.entity_budget() as i64),
+            ));
+        }
+        // The tracing knob rides along only when sampling is on, so a
+        // node rebuilt from the recommendation keeps the same
+        // observability posture (and a default node stays on the
+        // tracing-off fast path).
+        let threshold = self.tracer.sample_rate().threshold();
+        if threshold > 0 {
+            let fraction = f64::from(threshold) / f64::from(SAMPLE_SCALE);
+            knowggets.push((
+                TRACE_SAMPLE_RATE_KEY.to_owned(),
+                KnowValue::from_wire(&KnowValue::Float(fraction).to_wire()),
+            ));
+        }
+        // The ops knobs ride along when the surface is enabled: the
+        // bound port (resolved from 0 to the actual ephemeral one, so a
+        // node rebuilt from the recommendation is scrapeable at a known
+        // place), the SLO target, and any non-default sketch capacity.
+        if let Some(ops) = self.ops {
+            knowggets.push((
+                OPS_PORT_KEY.to_owned(),
+                KnowValue::Int(i64::from(ops.server.addr().port())),
+            ));
+            if let Some(slo) = &ops.slo {
+                knowggets.push((OPS_SLO_KEY.to_owned(), KnowValue::Int(slo.target_us as i64)));
+            }
+            if ops.sketch.capacity() != crate::ops::DEFAULT_HOT_ENTITIES {
+                knowggets.push((
+                    OPS_HOT_ENTITIES_KEY.to_owned(),
+                    KnowValue::Int(ops.sketch.capacity() as i64),
+                ));
+            }
+        }
+        housekeeping::recommend_diag_knobs(recorder, &mut knowggets);
+        Config { modules, knowggets }
     }
 }
 

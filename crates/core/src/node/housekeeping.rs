@@ -1,0 +1,386 @@
+//! What a node's tick does besides ticking its modules: the audit of
+//! bounded-state evictions, the flight recorder's sample, and the
+//! trigger edges that freeze a `kalis.diag.v1` bundle. One struct holds
+//! the state of all three; [`Kalis::tick`](super::Kalis::tick) lends it
+//! the rest of the node ([`NodeView`]) for the duration of a call.
+
+use std::sync::Arc;
+
+use kalis_packets::Timestamp;
+use kalis_telemetry::{
+    config_fingerprint, names, Counter, FlightRecorder, Gauge, JournalEvent, Telemetry, Tracer,
+    Trigger, DEFAULT_JOURNAL_TAIL, DEFAULT_RING_DEPTH, DEFAULT_SNAPSHOT_INTERVAL_SECS,
+    TRIGGER_MASK_ALL,
+};
+
+use crate::id::KalisId;
+use crate::knowledge::{CollectiveSync, KnowValue, KnowledgeBase, SlotSet};
+use crate::modules::{ModuleManager, OverloadController, ShedMode};
+
+use super::{
+    OpsRuntime, DIAG_BUNDLE_RETENTION, DIAG_INTERVAL_KEY, DIAG_RING_DEPTH_KEY,
+    DIAG_TRIGGER_MASK_KEY,
+};
+
+/// The parts of a node its tick's housekeeping reads, borrowed apart
+/// from the housekeeping's own state.
+pub(super) struct NodeView<'a> {
+    pub(super) id: &'a KalisId,
+    pub(super) manager: &'a ModuleManager,
+    pub(super) kb: &'a KnowledgeBase,
+    pub(super) syncer: &'a CollectiveSync,
+    pub(super) overload: &'a OverloadController,
+    pub(super) tele: &'a Telemetry,
+    pub(super) tracer: &'a Tracer,
+    pub(super) ops: Option<&'a OpsRuntime>,
+}
+
+/// The flight recorder the `Diag.*` a-priori knowggets ask for, each
+/// looked up through `numeric_knowgget`. `Diag.RingDepth = 0`
+/// legitimately *disables* the recorder, so depth and mask accept any
+/// non-negative number where the interval wants a positive one.
+pub(super) fn recorder_from(numeric_knowgget: impl Fn(&str) -> Option<f64>) -> FlightRecorder {
+    FlightRecorder::new(
+        numeric_knowgget(DIAG_RING_DEPTH_KEY)
+            .filter(|depth| *depth >= 0.0)
+            .map_or(DEFAULT_RING_DEPTH, |depth| depth as usize),
+        numeric_knowgget(DIAG_INTERVAL_KEY)
+            .filter(|secs| *secs > 0.0)
+            .map_or(DEFAULT_SNAPSHOT_INTERVAL_SECS, |secs| secs as u64)
+            .saturating_mul(1_000_000),
+        numeric_knowgget(DIAG_TRIGGER_MASK_KEY)
+            .filter(|mask| *mask >= 0.0)
+            .map_or(TRIGGER_MASK_ALL, |mask| mask as u32),
+    )
+}
+
+/// The way back: the recorder's knobs ride a recommended configuration
+/// when tuned away from the defaults, so a node rebuilt from it keeps
+/// the same diagnostics-capture posture.
+pub(super) fn recommend_diag_knobs(
+    recorder: &FlightRecorder,
+    knowggets: &mut Vec<(String, KnowValue)>,
+) {
+    if recorder.depth() != DEFAULT_RING_DEPTH {
+        knowggets.push((
+            DIAG_RING_DEPTH_KEY.to_owned(),
+            KnowValue::Int(recorder.depth() as i64),
+        ));
+    }
+    let interval_secs = recorder.interval_us() / 1_000_000;
+    if interval_secs != DEFAULT_SNAPSHOT_INTERVAL_SECS {
+        knowggets.push((
+            DIAG_INTERVAL_KEY.to_owned(),
+            KnowValue::Int(interval_secs as i64),
+        ));
+    }
+    if recorder.trigger_mask() != TRIGGER_MASK_ALL {
+        knowggets.push((
+            DIAG_TRIGGER_MASK_KEY.to_owned(),
+            KnowValue::Int(i64::from(recorder.trigger_mask())),
+        ));
+    }
+}
+
+/// Everything [`Kalis::readiness`](super::Kalis::readiness) spells out
+/// as reasons, in a form that costs nothing to take and compare: two
+/// keys are equal exactly when the reasons read the same (two pinned
+/// slots of one name aside). The reasons are rendered when the key
+/// flips, not to find out whether it did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(super) struct ReadinessKey {
+    quarantined_pinned: SlotSet,
+    shed: ShedMode,
+    sync_degraded: bool,
+}
+
+impl ReadinessKey {
+    pub(super) fn of(
+        manager: &ModuleManager,
+        overload: &OverloadController,
+        syncer: &CollectiveSync,
+    ) -> Self {
+        ReadinessKey {
+            quarantined_pinned: manager.quarantined_pinned(),
+            shed: overload.mode(),
+            sync_degraded: syncer.degraded(),
+        }
+    }
+
+    /// The reasons, spelled out: `pinned_module_quarantined:<name>` per
+    /// quarantined pinned slot, `overload_shedding:<heavy|all>`,
+    /// `sync_degraded`. `manager` is the one the key was taken of.
+    pub(super) fn reasons(&self, manager: &ModuleManager) -> Vec<String> {
+        let mut reasons: Vec<String> = (self.quarantined_pinned.iter())
+            .map(|slot| format!("pinned_module_quarantined:{}", manager.name_of(slot)))
+            .collect();
+        match self.shed {
+            ShedMode::None => {}
+            ShedMode::Heavy => reasons.push("overload_shedding:heavy".to_owned()),
+            ShedMode::All => reasons.push("overload_shedding:all".to_owned()),
+        }
+        if self.sync_degraded {
+            reasons.push("sync_degraded".to_owned());
+        }
+        reasons
+    }
+}
+
+/// Last-observed values of every trigger signal, so the recorder fires
+/// captures on *edges* (a readiness flip, a rising quarantine count)
+/// rather than re-capturing on every tick a condition persists.
+#[derive(Debug, Default)]
+struct DiagEdges {
+    readiness: ReadinessKey,
+    quarantined: usize,
+    degraded: bool,
+    evictions: u64,
+    /// Whether the previous tick saw evictions advance — the
+    /// state-exhaustion trigger fires on the *rising edge* of eviction
+    /// activity, not on every tick of a sustained spray.
+    evicting: bool,
+    slo_breached: bool,
+}
+
+/// The tick's node-side state.
+pub(super) struct Housekeeping {
+    /// Last-journaled cumulative eviction count per Module Manager slot,
+    /// in load order: the delta latch behind the aggregated
+    /// `state_evicted` journal records emitted at tick cadence. Per
+    /// slot, not per name — two slots may load one module.
+    journaled_evictions: Vec<u64>,
+    /// The same latch for the Knowledge Base's entity index.
+    journaled_kb_evictions: u64,
+    /// The flight recorder: bounded telemetry history plus capture
+    /// bookkeeping, sampled at tick cadence.
+    recorder: FlightRecorder,
+    /// Trigger edge detection state for the recorder.
+    edges: DiagEdges,
+    /// Retained diagnostics bundles, oldest first: `(bundle id,
+    /// kalis.diag.v1 JSON)`, bounded to [`DIAG_BUNDLE_RETENTION`].
+    bundles: Vec<(String, String)>,
+    captures: Arc<Counter>,
+    occupancy: Arc<Gauge>,
+    last_trigger: Arc<Gauge>,
+}
+
+impl Housekeeping {
+    pub(super) fn new(recorder: FlightRecorder, tele: &Telemetry) -> Self {
+        Housekeeping {
+            journaled_evictions: Vec::new(),
+            journaled_kb_evictions: 0,
+            recorder,
+            edges: DiagEdges::default(),
+            bundles: Vec::new(),
+            captures: tele.counter(names::DIAG_CAPTURES),
+            occupancy: tele.gauge(names::DIAG_RING_OCCUPANCY),
+            last_trigger: tele.gauge(names::DIAG_LAST_TRIGGER),
+        }
+    }
+
+    pub(super) fn recorder(&self) -> &FlightRecorder {
+        &self.recorder
+    }
+
+    pub(super) fn bundles(&self) -> &[(String, String)] {
+        &self.bundles
+    }
+
+    /// Journal aggregated bounded-state evictions: one `state_evicted`
+    /// record per structure (`module:<name>` per slot, then `kb`) whose
+    /// cumulative count moved since the last tick. Aggregation is
+    /// deliberate — per-eviction records would let a state-exhaustion
+    /// adversary flood the journal at spray rate. Returns the cumulative
+    /// evictions across every budgeted structure, the state-exhaustion
+    /// trigger signal.
+    pub(super) fn journal_state_evictions(
+        &mut self,
+        now: Timestamp,
+        manager: &ModuleManager,
+        kb: &KnowledgeBase,
+        tele: &Telemetry,
+    ) -> u64 {
+        let journal = tele.journal();
+        let mut total = 0;
+        for (slot, (name, evicted)) in manager.evictions().enumerate() {
+            total += evicted;
+            if slot == self.journaled_evictions.len() {
+                self.journaled_evictions.push(0);
+            }
+            let journaled = &mut self.journaled_evictions[slot];
+            if evicted > 0 && std::mem::replace(journaled, evicted) != evicted {
+                let structure = format!("module:{name}");
+                journal.record(
+                    now.as_micros(),
+                    JournalEvent::StateEvicted { structure, evicted },
+                );
+            }
+        }
+        let evicted = kb.entity_evictions();
+        if evicted > 0 && std::mem::replace(&mut self.journaled_kb_evictions, evicted) != evicted {
+            let structure = "kb".to_owned();
+            journal.record(
+                now.as_micros(),
+                JournalEvent::StateEvicted { structure, evicted },
+            );
+        }
+        total + evicted
+    }
+
+    /// One flight-recorder pass at tick cadence: sample the telemetry
+    /// surface into the ring, then compare every trigger signal against
+    /// its last-seen value and freeze a `kalis.diag.v1` bundle on the
+    /// first armed edge. Runs on the virtual clock only — captures are
+    /// deterministic for a deterministic run. `evictions` is what
+    /// [`Housekeeping::journal_state_evictions`] returned this tick.
+    pub(super) fn diag_tick(&mut self, now: Timestamp, evictions: u64, node: &NodeView<'_>) {
+        if !self.recorder.enabled() {
+            return;
+        }
+        let now_us = now.as_micros();
+        self.recorder.maybe_sample(now_us, node.tele);
+
+        let readiness = ReadinessKey::of(node.manager, node.overload, node.syncer);
+        let quarantined = node.manager.quarantined_count();
+        let degraded = node.syncer.degraded();
+        let evicting = evictions > self.edges.evictions;
+        let slo_breached = (node.ops)
+            .and_then(|ops| ops.slo.as_ref())
+            .is_some_and(|tracker| tracker.breached);
+        let edges = [
+            (Trigger::ReadinessFlip, readiness != self.edges.readiness),
+            (
+                Trigger::SloBreached,
+                slo_breached && !self.edges.slo_breached,
+            ),
+            (
+                Trigger::ModuleQuarantined,
+                quarantined > self.edges.quarantined,
+            ),
+            (Trigger::DegradedSync, degraded && !self.edges.degraded),
+            (Trigger::StateExhaustion, evicting && !self.edges.evicting),
+        ];
+        let fired = edges
+            .iter()
+            .find(|(trigger, edge)| *edge && self.recorder.armed(*trigger))
+            .map(|(trigger, _)| *trigger);
+        self.edges = DiagEdges {
+            readiness,
+            quarantined,
+            degraded,
+            evictions,
+            evicting,
+            slo_breached,
+        };
+        if let Some(trigger) = fired {
+            self.diag_capture(trigger, now_us, node);
+        }
+        self.occupancy.set(self.recorder.occupancy() as u64);
+    }
+
+    /// Freeze the ring plus the journal tail, trace trees, and config
+    /// fingerprint into a retained bundle, journal the capture, and
+    /// republish the `/debug/diag` surface.
+    fn diag_capture(&mut self, trigger: Trigger, now_us: u64, node: &NodeView<'_>) {
+        let config = node.recommend_config(&self.recorder);
+        let fingerprint = config_fingerprint(&config.to_string());
+        let traces = node.tracer.enabled().then(|| node.tracer.to_json());
+        let bundle = self.recorder.capture(
+            trigger,
+            now_us,
+            node.tele,
+            node.id.as_str(),
+            &fingerprint,
+            traces.as_deref(),
+            DEFAULT_JOURNAL_TAIL,
+        );
+        node.tele.journal().record(
+            now_us,
+            JournalEvent::DiagCaptured {
+                trigger: trigger.name().to_owned(),
+                bundle: bundle.bundle_id.clone(),
+            },
+        );
+        self.captures.inc();
+        self.last_trigger.set(u64::from(trigger.bit()));
+        self.bundles
+            .push((bundle.bundle_id.clone(), bundle.to_json()));
+        if self.bundles.len() > DIAG_BUNDLE_RETENTION {
+            self.bundles.remove(0);
+        }
+        if let Some(ops) = node.ops {
+            ops.shared.publish_diag(&self.bundles);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use kalis_packets::CapturedPacket;
+
+    use super::*;
+    use crate::modules::{Module, ModuleCtx, ModuleDescriptor};
+    use crate::{Kalis, KalisId};
+
+    /// A module that has evicted whatever its test says it has.
+    struct Evicting(Arc<AtomicU64>);
+
+    impl Module for Evicting {
+        fn descriptor(&self) -> ModuleDescriptor {
+            ModuleDescriptor::sensing("TwinModule")
+        }
+        fn required(&self, _kb: &KnowledgeBase) -> bool {
+            true
+        }
+        fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
+        fn evictions(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    /// The `state_evicted` records journaled so far, as `(time_us, structure, evicted)`.
+    fn audit(node: &Kalis) -> Vec<(u64, String, u64)> {
+        let journal = node.telemetry().journal().snapshot();
+        (journal.records.into_iter())
+            .filter_map(|record| match record.event {
+                JournalEvent::StateEvicted { structure, evicted } => {
+                    Some((record.time_us, structure, evicted))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_slots_of_one_name_are_audited_apart() {
+        let (first, second) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let mut node = Kalis::builder(KalisId::new("K1"))
+            .with_module(Box::new(Evicting(Arc::clone(&first))), true)
+            .with_module(Box::new(Evicting(Arc::clone(&second))), true)
+            .build();
+        let twin =
+            |at: u64, evicted: u64| (at * 1_000_000, "module:TwinModule".to_owned(), evicted);
+        node.tick(Timestamp::from_secs(1));
+        assert_eq!(audit(&node), []);
+        // Both evict, different amounts: one record per slot, in load
+        // order.
+        first.store(3, Ordering::Relaxed);
+        second.store(5, Ordering::Relaxed);
+        node.tick(Timestamp::from_secs(2));
+        assert_eq!(audit(&node), [twin(2, 3), twin(2, 5)]);
+        // Neither moved: nothing, tick after tick. (Latched by name, each
+        // slot found the other's count and both were journaled again.)
+        node.tick(Timestamp::from_secs(3));
+        node.tick(Timestamp::from_secs(4));
+        assert_eq!(audit(&node).len(), 2);
+        // One moves: one record, its own.
+        second.store(6, Ordering::Relaxed);
+        node.tick(Timestamp::from_secs(5));
+        assert_eq!(audit(&node)[2..], [twin(5, 6)]);
+        first.store(6, Ordering::Relaxed);
+        node.tick(Timestamp::from_secs(6));
+        assert_eq!(audit(&node)[3..], [twin(6, 6)]);
+    }
+}

@@ -1,25 +1,32 @@
 //! A packet that changes nothing anyone subscribed to costs the node no
-//! heap allocation, and neither does asking a decoded packet who sent
-//! it: counted with the allocator `kb_allocations.rs` counts with
+//! heap allocation, neither does asking a decoded packet who sent it,
+//! and neither does a housekeeping tick whose wormhole verdict stands:
+//! counted with the allocator `kb_allocations.rs` counts with
 //! (`counting_alloc/mod.rs`), from the Knowledge Base out to the whole
 //! node.
 //!
-//! Three mechanisms hold the pin together, and reverting any one fails
-//! it: the Module Manager re-evaluates only slots whose activation
-//! inputs changed (no `required()` pass, no trigger text), change events
-//! are built only once someone subscribed, and `Entity` keeps short
-//! names inline.
+//! Three mechanisms hold the packet's pin together, and reverting any
+//! one fails it: the Module Manager re-evaluates only slots whose
+//! activation inputs changed (no `required()` pass, no trigger text),
+//! change events are built only once someone subscribed, and `Entity`
+//! keeps short names inline. The tick's pin rests on the wormhole
+//! module keeping its verdict while the Knowledge Base says neither
+//! input changed.
 
 mod counting_alloc;
 
 use std::net::Ipv4Addr;
+use std::time::Duration;
 
 use bytes::Bytes;
-use kalis_core::{Kalis, KalisId, KnowValue, Knowgget};
+use kalis_core::knowledge::SyncMessage;
+use kalis_core::{AttackKind, Kalis, KalisId, KnowValue, Knowgget};
 use kalis_netsim::craft;
 use kalis_packets::tcp::TcpSegment;
 use kalis_packets::udp::UdpPacket;
-use kalis_packets::{CapturedPacket, ExtAddr, MacAddr, Medium, Packet, ShortAddr, Timestamp};
+use kalis_packets::{
+    CapturedPacket, Entity, ExtAddr, MacAddr, Medium, Packet, ShortAddr, Timestamp,
+};
 use kalis_telemetry::names;
 
 use counting_alloc::allocations;
@@ -187,4 +194,78 @@ fn asking_a_packet_for_its_identities_allocates_nothing() {
     // Extended addresses: the longest link-layer form.
     let named = allocations(|| kalis_packets::Entity::from(ExtAddr(u64::MAX)));
     assert_eq!(named, 0);
+}
+
+/// Frame `index` of the stream above, with a wormhole exit on the
+/// 802.15.4 side: every fourth period, node `0x0014` relays a reading
+/// from one of two origins this vantage never hears originate.
+fn frame_near_a_wormhole_exit(index: u64) -> CapturedPacket {
+    let period = index / KINDS.len() as u64;
+    if index % KINDS.len() as u64 != 4 || period % 4 != 0 {
+        return frame(index);
+    }
+    let (exit, root) = (ShortAddr(0x14), ShortAddr(1));
+    let origin = ShortAddr(0x1e + (period / 4 % 2) as u16);
+    let seq = period as u8;
+    let raw = craft::ctp_data(exit, root, seq, origin, seq, 3, b"r");
+    let time = Timestamp::from_millis(index * 100);
+    CapturedPacket::capture(time, Medium::Ieee802154, Some(-58.5), "t", raw)
+}
+
+#[test]
+fn a_tick_whose_wormhole_verdict_stands_allocates_nothing() {
+    let mut node = Kalis::builder(KalisId::new("K1"))
+        .with_default_modules()
+        .build();
+    // The peer's half of the evidence: K2 watches `0x000a` swallow what
+    // both origins send.
+    let k2 = KalisId::new("K2");
+    let dropped = Knowgget::about(
+        "DroppedOrigins",
+        KnowValue::Text("0x001e,0x001f".to_owned()),
+        k2.clone(),
+        Entity::from(ShortAddr(0x0a)),
+    );
+    let accepted = node.accept_sync(SyncMessage::new(k2, vec![dropped]));
+    assert_eq!(accepted.ok(), Some(1));
+    // This node's own half comes from the frames; a minute in, both
+    // origins have resurfaced at `0x0014` and the verdict stands.
+    const WARM: u64 = 600;
+    const PERIODS: u64 = 90;
+    for index in 0..WARM {
+        node.ingest(frame_near_a_wormhole_exit(index));
+    }
+    assert_eq!(node.knowledge().get_bool("Multihop"), Some(true));
+    assert!(node.active_modules().contains(&"WormholeModule"));
+    let wormholes = |node: &Kalis| -> Vec<u64> {
+        (node.alerts().iter())
+            .filter(|alert| alert.attack == AttackKind::Wormhole)
+            .map(|alert| alert.time.as_micros() / 1_000)
+            .collect()
+    };
+    assert!(!wormholes(&node).is_empty(), "no verdict to keep");
+    let mut pinned = 0;
+    for period in WARM / 8..WARM / 8 + PERIODS {
+        for index in period * 8..period * 8 + 8 {
+            node.ingest(frame_near_a_wormhole_exit(index));
+        }
+        // Two housekeeping ticks back to back after the period's last
+        // frame, closer together than the recorder's interval.
+        let at = Timestamp::from_millis(period * 800 + 750);
+        node.tick(at);
+        let was = (node.alerts().len(), node.knowledge().revision());
+        let allocated = allocations(|| node.tick(at + Duration::from_millis(20)));
+        if (node.alerts().len(), node.knowledge().revision()) != was {
+            continue; // the gate let the periodic alert through, or a window expired
+        }
+        assert_eq!(allocated, 0, "the tick after period {period}");
+        pinned += 1;
+    }
+    assert!(
+        pinned >= PERIODS - 10,
+        "only {pinned} of {PERIODS} ticks were quiet"
+    );
+    // The verdict was acted on throughout: the alert came back whenever
+    // the gate's 30 s had passed, at a tick.
+    assert_eq!(wormholes(&node), [7_000, 37_000, 67_150, 97_550, 127_950]);
 }

@@ -349,6 +349,20 @@ mod tests {
             let line = format!("    {}: {}", quote(input), json_string_array(modules));
             assert!(json.contains(&line), "{line} missing from:\n{json}");
         }
+
+        // The same table tells the Knowledge Base which labels to watch
+        // for change: exactly the keys the artifact gives the reason
+        // `collective-read`, so contract, linter and runtime agree on
+        // what a tick correlates across creators.
+        let mut collective_reads: Vec<&str> = (sets.modules.values().flatten())
+            .filter(|entry| entry.reason == ReadReason::CollectiveRead)
+            .map(|entry| entry.key.as_str())
+            .collect();
+        collective_reads.sort_unstable();
+        collective_reads.dedup();
+        assert_eq!(collective_reads, ["DroppedOrigins", "ExoticOrigins"]);
+        let table = manager.subscriptions();
+        assert_eq!(table.watched().collect::<Vec<_>>(), collective_reads);
     }
 
     #[test]

@@ -401,6 +401,13 @@ impl Journal {
         self.state.lock().dropped
     }
 
+    /// `(next_seq, len, dropped)` read together — what a flight-recorder
+    /// frame stamps.
+    pub(crate) fn marks(&self) -> (u64, u64, u64) {
+        let state = self.state.lock();
+        (state.next_seq, state.records.len() as u64, state.dropped)
+    }
+
     /// Most records ever retained at once.
     pub fn high_water(&self) -> usize {
         self.state.lock().high_water

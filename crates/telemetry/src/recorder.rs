@@ -16,13 +16,19 @@
 //! fingerprint into a deterministic, schema-versioned [`DiagBundle`].
 //!
 //! Cost model: the recorder never touches the per-packet hot path.
-//! Sampling rides the housekeeping tick as a merge-walk over the
-//! registry's sorted instruments against sorted last-seen vectors —
-//! no snapshot, no name cloning, and on a quiet tick no allocation at
-//! all; captures happen only when something is already wrong, and the
-//! ring is bounded so memory is a fixed budget. The
-//! `experiments --diag-overhead` bench (BENCH_8) pins ingest overhead
-//! at ~0% with the recorder on.
+//! It holds one *column* per replayable counter and gauge — the
+//! instrument's handle, its value at the last sample, and the base
+//! folded out of evicted frames — learned in one locked walk of the
+//! registry in name order, and learned again only when the registry's
+//! instrument count moved. Sampling rides the housekeeping tick as one
+//! relaxed load per column, in name order, with no lock held and no
+//! name touched; a ring frame holds `(column, value)` pairs in buffers
+//! recycled from the frame it evicts, so once the ring has wrapped a
+//! sample allocates nothing however many instruments moved. Names are
+//! materialised by [`FlightRecorder::capture`] alone, which happens
+//! only when something is already wrong; the ring is bounded, so
+//! memory is a fixed budget. The `experiments --diag-overhead` bench
+//! (BENCH_8) pins ingest overhead at ~0% with the recorder on.
 //!
 //! Determinism: frames are stamped with caller-supplied capture-clock
 //! micros, bundle ids derive from the node id + capture ordinal +
@@ -32,9 +38,10 @@
 //! a seeded run produces byte-identical bundles across double runs.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use crate::json::{self, JsonValue};
-use crate::Telemetry;
+use crate::{Counter, Gauge, Telemetry};
 
 /// Schema tag stamped on every bundle.
 pub const DIAG_SCHEMA: &str = "kalis.diag.v1";
@@ -194,51 +201,170 @@ fn replayable(name: &str) -> bool {
     !WALL_DOMAIN.iter().any(|prefix| name.starts_with(prefix))
 }
 
-/// Merge-walk the sorted counter family against the sorted last-seen
-/// vector, pushing non-zero increments into `out` and updating `prev`
-/// in place. Instruments are never unregistered, so every `prev` name
-/// reappears in the walk; new names splice in at the walk position.
-fn walk_counters(tele: &Telemetry, prev: &mut Vec<(String, u64)>, out: &mut Vec<(String, u64)>) {
-    let mut idx = 0usize;
-    tele.visit_counters(|name, value| {
-        if !replayable(name) {
-            return;
-        }
-        if idx < prev.len() && prev[idx].0 == name {
-            let delta = value.saturating_sub(prev[idx].1);
-            if delta != 0 {
-                out.push((name.to_owned(), delta));
-            }
-            prev[idx].1 = value;
-        } else {
-            if value != 0 {
-                out.push((name.to_owned(), value));
-            }
-            prev.insert(idx, (name.to_owned(), value));
-        }
-        idx += 1;
-    });
+/// A scalar instrument a column can hold.
+trait Scalar {
+    /// Whether a frame records the instrument's new value when it moved
+    /// (a gauge) rather than its increment (a counter).
+    const ABSOLUTE: bool;
+
+    fn value(&self) -> u64;
 }
 
-/// Like [`walk_counters`] for gauges: records the new absolute value
-/// whenever a gauge moved (or first appeared).
-fn walk_gauges(tele: &Telemetry, prev: &mut Vec<(String, u64)>, out: &mut Vec<(String, u64)>) {
-    let mut idx = 0usize;
-    tele.visit_gauges(|name, value| {
-        if !replayable(name) {
-            return;
+impl Scalar for Counter {
+    const ABSOLUTE: bool = false;
+
+    fn value(&self) -> u64 {
+        self.get()
+    }
+}
+
+impl Scalar for Gauge {
+    const ABSOLUTE: bool = true;
+
+    fn value(&self) -> u64 {
+        self.get()
+    }
+}
+
+/// One replayable instrument as the recorder holds it.
+#[derive(Debug)]
+struct Column<I> {
+    /// Read by [`Columns::learn`] and [`FlightRecorder::capture`] only.
+    name: String,
+    instrument: Arc<I>,
+    /// The value at the last sample; `None` before the first, so a
+    /// gauge's first sample is recorded even when it is 0.
+    last: Option<u64>,
+    /// The absolute value just before the oldest retained frame, folded
+    /// forward as the ring evicts; `None` until an evicted frame named
+    /// this column.
+    base: Option<u64>,
+}
+
+/// `(column number, value)`: a frame's entry before it has a name.
+type Cell = (u32, u64);
+
+/// One instrument family's columns. A column's number is its position
+/// in `columns` and never changes — ring frames refer to columns by
+/// number — so a newly learned instrument is appended, and `by_name`
+/// keeps the order frames and bundles list names in.
+#[derive(Debug)]
+struct Columns<I> {
+    columns: Vec<Column<I>>,
+    /// Every column number, in name order.
+    by_name: Vec<u32>,
+}
+
+impl<I: Scalar> Columns<I> {
+    fn new() -> Self {
+        Columns {
+            columns: Vec::new(),
+            by_name: Vec::new(),
         }
-        if idx < prev.len() && prev[idx].0 == name {
-            if prev[idx].1 != value {
-                out.push((name.to_owned(), value));
-                prev[idx].1 = value;
+    }
+
+    /// Offer the registry's `at`-th replayable instrument of a walk in
+    /// name order. Instruments are never unregistered, so every held
+    /// name reappears in the walk: an unknown one is appended as a new
+    /// column and spliced in at the walk position.
+    fn learn(&mut self, at: usize, name: &str, instrument: &Arc<I>) {
+        let held = (self.by_name.get(at))
+            .is_some_and(|number| self.columns[*number as usize].name == name);
+        if !held {
+            self.by_name.insert(at, self.columns.len() as u32);
+            self.columns.push(Column {
+                name: name.to_owned(),
+                instrument: Arc::clone(instrument),
+                last: None,
+                base: None,
+            });
+        }
+    }
+
+    /// One load per column, in name order: push what moved since the
+    /// last sample into `out`.
+    fn sample(&mut self, out: &mut Vec<Cell>) {
+        for number in &self.by_name {
+            let column = &mut self.columns[*number as usize];
+            let value = column.instrument.value();
+            if I::ABSOLUTE {
+                if column.last != Some(value) {
+                    out.push((*number, value));
+                }
+            } else {
+                let delta = value.saturating_sub(column.last.unwrap_or(0));
+                if delta != 0 {
+                    out.push((*number, delta));
+                }
             }
-        } else {
-            out.push((name.to_owned(), value));
-            prev.insert(idx, (name.to_owned(), value));
+            column.last = Some(value);
         }
-        idx += 1;
-    });
+    }
+
+    /// Fold an evicted frame's cells into the bases, so the retained
+    /// ring still decodes to absolute values on its own.
+    fn fold(&mut self, evicted: &[Cell]) {
+        for (number, value) in evicted {
+            let base = &mut self.columns[*number as usize].base;
+            *base = Some(match *base {
+                Some(held) if !I::ABSOLUTE => held + value,
+                _ => *value,
+            });
+        }
+    }
+
+    fn named(&self, cells: &[Cell]) -> Vec<(String, u64)> {
+        let name = |number: u32| self.columns[number as usize].name.clone();
+        (cells.iter())
+            .map(|(n, value)| (name(*n), *value))
+            .collect()
+    }
+
+    /// `(name, base)` of every column an evicted frame named, in name
+    /// order.
+    fn bases(&self) -> Vec<(String, u64)> {
+        (self.by_name.iter())
+            .map(|number| &self.columns[*number as usize])
+            .filter_map(|column| Some((column.name.clone(), column.base?)))
+            .collect()
+    }
+}
+
+/// One retained sample as the ring holds it: [`Frame`] with column
+/// numbers where the names go.
+#[derive(Debug, Clone, Default)]
+struct RingFrame {
+    time_us: u64,
+    counter_deltas: Vec<Cell>,
+    gauge_sets: Vec<Cell>,
+    /// `(next_seq, len, dropped)`.
+    journal: (u64, u64, u64),
+}
+
+/// The most recent `limit` journal records, as a bundle freezes them.
+fn journal_tail(tele: &Telemetry, limit: usize) -> Vec<DiagJournalEntry> {
+    let journal = tele.journal().snapshot();
+    let tail_start = journal.records.len().saturating_sub(limit);
+    journal.records[tail_start..]
+        .iter()
+        .map(|record| DiagJournalEntry {
+            seq: record.seq,
+            time_us: record.time_us,
+            kind: record.event.kind().to_owned(),
+            fields: record
+                .event
+                .fields()
+                .into_iter()
+                .map(|(key, value)| {
+                    let value = match value {
+                        crate::JournalField::Str(s) => JsonValue::Str(s),
+                        crate::JournalField::Num(n) => JsonValue::Num(n),
+                    };
+                    (key.to_owned(), value)
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 /// FNV-1a over `text`, rendered as the bundle's config fingerprint.
@@ -251,21 +377,19 @@ pub fn config_fingerprint(text: &str) -> String {
     format!("fnv1a:{hash:016x}")
 }
 
-/// The in-process flight recorder: ring + trigger bookkeeping.
+/// The in-process flight recorder: ring + trigger bookkeeping. It
+/// samples one registry for its whole life.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub struct FlightRecorder {
     depth: usize,
     interval_us: u64,
     trigger_mask: u32,
-    frames: VecDeque<Frame>,
-    /// Absolute values just before the oldest retained frame, folded
-    /// forward as the ring evicts, so a capture decodes standalone.
-    base_counters: BTreeMap<String, u64>,
-    base_gauges: BTreeMap<String, u64>,
-    /// Absolute values at the last sample (delta baseline), sorted by
-    /// name so sampling is a merge-walk updated in place.
-    prev_counters: Vec<(String, u64)>,
-    prev_gauges: Vec<(String, u64)>,
+    frames: VecDeque<RingFrame>,
+    counters: Columns<Counter>,
+    gauges: Columns<Gauge>,
+    /// The registry's instrument count the columns were learned at.
+    learned: usize,
     last_sample_us: Option<u64>,
     samples: u64,
     captures: u64,
@@ -282,10 +406,9 @@ impl FlightRecorder {
             interval_us: interval_us.max(1),
             trigger_mask: trigger_mask & TRIGGER_MASK_ALL,
             frames: VecDeque::with_capacity(depth.min(4096)),
-            base_counters: BTreeMap::new(),
-            base_gauges: BTreeMap::new(),
-            prev_counters: Vec::new(),
-            prev_gauges: Vec::new(),
+            counters: Columns::new(),
+            gauges: Columns::new(),
+            learned: 0,
             last_sample_us: None,
             samples: 0,
             captures: 0,
@@ -362,34 +485,45 @@ impl FlightRecorder {
         if !self.enabled() {
             return;
         }
-        let mut counter_deltas = Vec::new();
-        walk_counters(tele, &mut self.prev_counters, &mut counter_deltas);
-        let mut gauge_sets = Vec::new();
-        walk_gauges(tele, &mut self.prev_gauges, &mut gauge_sets);
-        let journal = tele.journal();
-        let frame = Frame {
-            time_us: now_us,
-            counter_deltas,
-            gauge_sets,
-            journal_next_seq: journal.next_seq(),
-            journal_len: journal.len() as u64,
-            journal_dropped: journal.dropped(),
-        };
-        if self.frames.len() == self.depth {
-            if let Some(evicted) = self.frames.pop_front() {
-                // Fold the evicted frame into the base so the retained
-                // ring still decodes to absolute values on its own.
-                for (name, delta) in evicted.counter_deltas {
-                    *self.base_counters.entry(name).or_insert(0) += delta;
-                }
-                for (name, value) in evicted.gauge_sets {
-                    self.base_gauges.insert(name, value);
-                }
-            }
+        let registered = tele.instrument_count();
+        if registered != self.learned {
+            self.learn(tele);
+            self.learned = registered;
         }
+        // The frame this one evicts lends it its buffers.
+        let evicted = (self.frames.len() == self.depth).then(|| self.frames.pop_front());
+        let mut frame = evicted.flatten().unwrap_or_default();
+        self.counters.fold(&frame.counter_deltas);
+        self.gauges.fold(&frame.gauge_sets);
+        frame.counter_deltas.clear();
+        frame.gauge_sets.clear();
+        frame.time_us = now_us;
+        self.counters.sample(&mut frame.counter_deltas);
+        self.gauges.sample(&mut frame.gauge_sets);
+        frame.journal = tele.journal().marks();
         self.frames.push_back(frame);
         self.last_sample_us = Some(now_us);
         self.samples += 1;
+    }
+
+    /// Walk the registry's counters and gauges once, in name order and
+    /// under its locks, adding a column for every replayable instrument
+    /// not held yet.
+    fn learn(&mut self, tele: &Telemetry) {
+        let mut at = 0;
+        tele.each_counter(|name, counter| {
+            if replayable(name) {
+                self.counters.learn(at, name, counter);
+                at += 1;
+            }
+        });
+        let mut at = 0;
+        tele.each_gauge(|name, gauge| {
+            if replayable(name) {
+                self.gauges.learn(at, name, gauge);
+                at += 1;
+            }
+        });
     }
 
     /// Freeze the current ring plus evidence into a bundle. Forces a
@@ -406,7 +540,7 @@ impl FlightRecorder {
         node: &str,
         fingerprint: &str,
         traces_json: Option<&str>,
-        journal_tail: usize,
+        journal_tail_len: usize,
     ) -> DiagBundle {
         // Freeze the trigger instant itself into the ring — unless the
         // periodic sampler already recorded this exact timestamp, which
@@ -417,26 +551,14 @@ impl FlightRecorder {
         self.captures += 1;
         self.last_trigger = Some(trigger);
         let bundle_id = format!("{node}-{:03}-{}", self.captures, trigger.name());
-        let journal = tele.journal().snapshot();
-        let tail_start = journal.records.len().saturating_sub(journal_tail);
-        let journal_tail = journal.records[tail_start..]
-            .iter()
-            .map(|record| DiagJournalEntry {
-                seq: record.seq,
-                time_us: record.time_us,
-                kind: record.event.kind().to_owned(),
-                fields: record
-                    .event
-                    .fields()
-                    .into_iter()
-                    .map(|(key, value)| {
-                        let value = match value {
-                            crate::JournalField::Str(s) => JsonValue::Str(s),
-                            crate::JournalField::Num(n) => JsonValue::Num(n),
-                        };
-                        (key.to_owned(), value)
-                    })
-                    .collect(),
+        let frames = (self.frames.iter())
+            .map(|frame| Frame {
+                time_us: frame.time_us,
+                counter_deltas: self.counters.named(&frame.counter_deltas),
+                gauge_sets: self.gauges.named(&frame.gauge_sets),
+                journal_next_seq: frame.journal.0,
+                journal_len: frame.journal.1,
+                journal_dropped: frame.journal.2,
             })
             .collect();
         DiagBundle {
@@ -449,18 +571,10 @@ impl FlightRecorder {
             interval_us: self.interval_us,
             trigger_mask: u64::from(self.trigger_mask),
             samples: self.samples,
-            base_counters: self
-                .base_counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            base_gauges: self
-                .base_gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            frames: self.frames.iter().cloned().collect(),
-            journal_tail,
+            base_counters: self.counters.bases(),
+            base_gauges: self.gauges.bases(),
+            frames,
+            journal_tail: journal_tail(tele, journal_tail_len),
             traces: traces_json.and_then(|text| json::parse(text).ok()),
         }
     }
@@ -760,6 +874,11 @@ pub fn check_bundle(text: &str) -> Result<DiagStats, String> {
         trigger: trigger.name(),
     })
 }
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,7 @@
 use crate::{Counter, Gauge, Histogram, HistogramSnapshot, Journal, JournalSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Build a labelled metric name: `family[key=value]`.
@@ -51,6 +52,9 @@ pub struct Telemetry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    /// Instruments registered so far. They are never unregistered, so a
+    /// reader that saw this count has seen them all.
+    instruments: AtomicUsize,
     journal: Journal,
 }
 
@@ -72,6 +76,7 @@ impl Telemetry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
+            instruments: AtomicUsize::new(0),
             journal: Journal::new(capacity),
         };
         // The ring overwrites its oldest records when full; surface that
@@ -85,26 +90,32 @@ impl Telemetry {
 
     /// Get or register the counter called `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Self::get_or_insert(&self.counters, name)
+        Self::get_or_insert(&self.counters, name, &self.instruments)
     }
 
     /// Get or register the gauge called `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Self::get_or_insert(&self.gauges, name)
+        Self::get_or_insert(&self.gauges, name, &self.instruments)
     }
 
     /// Get or register the histogram called `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Self::get_or_insert(&self.histograms, name)
+        Self::get_or_insert(&self.histograms, name, &self.instruments)
     }
 
-    fn get_or_insert<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    fn get_or_insert<T: Default>(
+        map: &Mutex<BTreeMap<String, Arc<T>>>,
+        name: &str,
+        registered: &AtomicUsize,
+    ) -> Arc<T> {
         let mut map = map.lock();
         if let Some(existing) = map.get(name) {
             return Arc::clone(existing);
         }
         let fresh = Arc::new(T::default());
         map.insert(name.to_string(), Arc::clone(&fresh));
+        // A statistic: it publishes no data, the map's lock does.
+        registered.fetch_add(1, Ordering::Relaxed);
         fresh
     }
 
@@ -113,20 +124,26 @@ impl Telemetry {
         &self.journal
     }
 
-    /// Visit every registered counter as `(name, value)` in name order,
-    /// without cloning names or values — the flight recorder's per-tick
-    /// sampling path.
-    pub fn visit_counters(&self, mut f: impl FnMut(&str, u64)) {
+    /// How many instruments are registered. It only grows: while it
+    /// reads what it read before, the set of instruments is the one seen
+    /// then.
+    pub(crate) fn instrument_count(&self) -> usize {
+        self.instruments.load(Ordering::Relaxed)
+    }
+
+    /// Visit every registered counter in name order, under the lock —
+    /// how the flight recorder learns the handles it then samples
+    /// without it.
+    pub(crate) fn each_counter(&self, mut f: impl FnMut(&str, &Arc<Counter>)) {
         for (name, counter) in self.counters.lock().iter() {
-            f(name, counter.get());
+            f(name, counter);
         }
     }
 
-    /// Visit every registered gauge as `(name, value)` in name order,
-    /// without cloning names or values.
-    pub fn visit_gauges(&self, mut f: impl FnMut(&str, u64)) {
+    /// [`Telemetry::each_counter`] for gauges.
+    pub(crate) fn each_gauge(&self, mut f: impl FnMut(&str, &Arc<Gauge>)) {
         for (name, gauge) in self.gauges.lock().iter() {
-            f(name, gauge.get());
+            f(name, gauge);
         }
     }
 
