@@ -5,9 +5,15 @@
 //! `insert_changed` are the operations the benchmark's traced
 //! `knowledge.get_ns` / `knowledge.insert_ns` time from outside;
 //! `get_all_creators` is the wormhole detector's per-tick query.
+//! `insert_new_entity_at_cap` and `insert_changed_held` are the two
+//! writes a sprayed identity and a known one cost, on the Knowledge Base
+//! of a built node: its Module Manager subscribed, telemetry attached,
+//! nobody listening for change events.
+
+use std::net::Ipv4Addr;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use kalis_core::{KalisId, KnowValue, Knowgget, KnowledgeBase};
+use kalis_core::{Kalis, KalisId, KnowValue, Knowgget, KnowledgeBase};
 use kalis_packets::Entity;
 
 fn populated(entries: usize) -> KnowledgeBase {
@@ -22,6 +28,28 @@ fn populated(entries: usize) -> KnowledgeBase {
     }
     kb.drain_changes();
     kb
+}
+
+/// A default node whose Knowledge Base holds a signal strength about as
+/// many sprayed addresses as its entity budget allows.
+fn node_at_entity_cap() -> Kalis {
+    let mut node = Kalis::builder(KalisId::new("K1"))
+        .with_default_modules()
+        .build();
+    let kb = node.knowledge_mut();
+    for i in 0..kb.entity_budget() as u32 {
+        kb.insert_about_collective("SignalStrength", sprayed(i), -60.0);
+    }
+    assert_eq!(kb.entity_occupancy(), kb.entity_budget());
+    node
+}
+
+/// Sprayed address `i`, scrambled as the state-exhaustion attacker
+/// scrambles its counter: new keys land all over the key space.
+fn sprayed(i: u32) -> Entity {
+    Entity::from(Ipv4Addr::from(
+        0x6400_0000 | i.wrapping_mul(0x9e37_79b1) & 0x00ff_ffff,
+    ))
 }
 
 fn bench_kb(c: &mut Criterion) {
@@ -62,6 +90,26 @@ fn bench_kb(c: &mut Criterion) {
             rssi = if rssi < -80.0 { -40.0 } else { rssi - 0.5 };
             kb.insert_about("SignalStrength", entity.clone(), rssi);
             black_box(kb.drain_changes().len())
+        });
+    });
+    group.bench_function("insert_new_entity_at_cap", |b| {
+        let mut node = node_at_entity_cap();
+        let kb = node.knowledge_mut();
+        let mut next = kb.entity_budget() as u32;
+        b.iter(|| {
+            next += 1;
+            black_box(kb.insert_about_collective("SignalStrength", sprayed(next), -60.0))
+        });
+        assert_eq!(kb.entity_occupancy(), kb.entity_budget());
+    });
+    group.bench_function("insert_changed_held", |b| {
+        let mut node = node_at_entity_cap();
+        let kb = node.knowledge_mut();
+        let held = sprayed(7);
+        let mut rssi = -40.0;
+        b.iter(|| {
+            rssi = if rssi < -80.0 { -40.0 } else { rssi - 1.0 };
+            black_box(kb.insert_about_collective("SignalStrength", held.clone(), rssi))
         });
     });
     group.bench_function("get_all_creators", |b| {

@@ -33,8 +33,8 @@
 //! 3. `SpaceSaving` top-K entries satisfy `count - error` ≤ true count
 //!    ≤ `count`.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
@@ -89,12 +89,119 @@ pub(crate) fn budget_params(entity_budget: usize) -> Vec<(String, crate::knowled
 #[derive(Debug, Clone)]
 pub struct BoundedMap<K, V> {
     budget: usize,
-    seq: u64,
-    /// Each value beside the sequence number of its last use.
-    map: BTreeMap<K, (u64, V)>,
-    /// Recency index: sequence number of last use → key, oldest first.
-    lru: BTreeMap<u64, K>,
+    /// Each value beside the slot of `recency` that holds its key's place.
+    map: BTreeMap<K, (usize, V)>,
+    recency: Recency<K>,
     evictions: u64,
+}
+
+/// Keys in order of last use, oldest first: a doubly linked list threaded
+/// through a slab by slot number, so a touch is an unlink and a push and
+/// the least recently used key is the head. A released slot goes onto a
+/// free list and is the next one handed out: the slab never grows past
+/// the most keys listed at once.
+#[derive(Debug, Clone)]
+struct Recency<K> {
+    slots: Vec<Slot<K>>,
+    /// The least recently used slot.
+    head: usize,
+    /// The most recently used slot.
+    tail: usize,
+    /// The first free slot; free slots chain through `next`.
+    free: usize,
+}
+
+#[derive(Debug, Clone)]
+struct Slot<K> {
+    /// `None` while the slot is free.
+    key: Option<K>,
+    prev: usize,
+    next: usize,
+}
+
+/// No slot: past either end of the list, or an empty free list.
+const NIL: usize = usize::MAX;
+
+impl<K> Recency<K> {
+    fn new() -> Self {
+        Recency {
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
+    }
+
+    /// List `key` as the most recently used; returns its slot.
+    fn push(&mut self, key: K) -> usize {
+        let slot = match self.free {
+            NIL => {
+                self.slots.push(Slot {
+                    key: None,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.slots.len() - 1
+            }
+            free => {
+                self.free = self.slots[free].next;
+                free
+            }
+        };
+        self.slots[slot].key = Some(key);
+        self.link_last(slot);
+        slot
+    }
+
+    /// Make the key in `slot` the most recently used.
+    fn touch(&mut self, slot: usize) {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_last(slot);
+        }
+    }
+
+    /// Take the key in `slot` off the list and free the slot.
+    fn release(&mut self, slot: usize) -> Option<K> {
+        self.unlink(slot);
+        self.slots[slot].next = self.free;
+        self.free = slot;
+        self.slots[slot].key.take()
+    }
+
+    /// Take the least recently used key off the list.
+    fn pop_oldest(&mut self) -> Option<K> {
+        if self.head == NIL {
+            return None;
+        }
+        self.release(self.head)
+    }
+
+    fn clear(&mut self) {
+        *self = Recency::new();
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        match prev {
+            NIL => self.head = next,
+            prev => self.slots[prev].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.slots[next].prev = prev,
+        }
+    }
+
+    fn link_last(&mut self, slot: usize) {
+        self.slots[slot].prev = self.tail;
+        self.slots[slot].next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            tail => self.slots[tail].next = slot,
+        }
+        self.tail = slot;
+    }
 }
 
 impl<K: Ord + Clone, V> BoundedMap<K, V> {
@@ -102,9 +209,8 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
     pub fn new(budget: usize) -> Self {
         BoundedMap {
             budget: budget.max(1),
-            seq: 0,
             map: BTreeMap::new(),
-            lru: BTreeMap::new(),
+            recency: Recency::new(),
             evictions: 0,
         }
     }
@@ -112,6 +218,23 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
     /// The entry budget.
     pub fn budget(&self) -> usize {
         self.budget
+    }
+
+    /// Change the entry budget (min 1) in place. A smaller budget evicts
+    /// the least recently used entries down to it, oldest first, and
+    /// returns them; they count as evictions like any other, and the
+    /// recency of what stays is kept.
+    pub fn set_budget(&mut self, budget: usize) -> Vec<(K, V)> {
+        self.budget = budget.max(1);
+        let mut evicted = Vec::new();
+        while self.map.len() > self.budget {
+            let Some(entry) = self.evict_lru() else { break };
+            evicted.push(entry);
+        }
+        if self.recency.slots.len() > self.budget {
+            self.compact();
+        }
+        evicted
     }
 
     /// Current entries held (never exceeds [`BoundedMap::budget`]).
@@ -148,23 +271,22 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
 
     /// Touching read: refreshes the entry's recency.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let (used, value) = self.map.get_mut(key)?;
-        Self::touch(&mut self.lru, &mut self.seq, used);
+        let (slot, value) = self.map.get_mut(key)?;
+        self.recency.touch(*slot);
         Some(value)
     }
 
     /// Insert or replace `key`, touching it; returns the entry evicted
     /// to make room, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        if let Some((used, slot)) = self.map.get_mut(&key) {
-            *slot = value;
-            Self::touch(&mut self.lru, &mut self.seq, used);
+        if let Some((slot, held)) = self.map.get_mut(&key) {
+            *held = value;
+            self.recency.touch(*slot);
             return None;
         }
         let evicted = self.make_room();
-        self.seq += 1;
-        self.lru.insert(self.seq, key.clone());
-        self.map.insert(key, (self.seq, value));
+        let slot = self.recency.push(key.clone());
+        self.map.insert(key, (slot, value));
         evicted
     }
 
@@ -175,27 +297,29 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
         key: &K,
         default: impl FnOnce() -> V,
     ) -> (&mut V, Option<(K, V)>) {
-        let mut evicted = None;
-        if let Some((used, _)) = self.map.get_mut(key) {
-            Self::touch(&mut self.lru, &mut self.seq, used);
+        // Room is made before the entry is taken, while the map can
+        // still be searched for whether `key` needs any.
+        let evicted = if self.map.len() >= self.budget && !self.map.contains_key(key) {
+            self.evict_lru()
         } else {
-            evicted = self.make_room();
-            self.seq += 1;
-            self.lru.insert(self.seq, key.clone());
-            self.map.insert(key.clone(), (self.seq, default()));
-        }
-        let v = self
-            .map
-            .get_mut(key)
-            .map(|(_, v)| v)
-            .expect("just inserted");
-        (v, evicted)
+            None
+        };
+        let recency = &mut self.recency;
+        let value = match self.map.entry(key.clone()) {
+            Entry::Occupied(held) => {
+                let (slot, value) = held.into_mut();
+                recency.touch(*slot);
+                value
+            }
+            Entry::Vacant(vacant) => &mut vacant.insert((recency.push(key.clone()), default())).1,
+        };
+        (value, evicted)
     }
 
     /// Remove `key`, returning its value (not counted as an eviction).
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (used, v) = self.map.remove(key)?;
-        self.lru.remove(&used);
+        let (slot, v) = self.map.remove(key)?;
+        self.recency.release(slot);
         Some(v)
     }
 
@@ -203,7 +327,7 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
     /// full (counted as an eviction): for an owner whose budget this map
     /// shares with state held elsewhere.
     pub fn evict_lru(&mut self) -> Option<(K, V)> {
-        let (_, key) = self.lru.pop_first()?;
+        let key = self.recency.pop_oldest()?;
         let (_, value) = self.map.remove(&key)?;
         self.evictions += 1;
         Some((key, value))
@@ -223,36 +347,22 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
     /// Drop entries failing `pred` (retain-style housekeeping sweep;
     /// drops are not counted as budget evictions).
     pub fn retain(&mut self, mut pred: impl FnMut(&K, &mut V) -> bool) {
-        // `BTreeMap::retain` would desynchronize the lru index; sweep by
-        // hand through `remove` instead.
-        let mut dead: Vec<K> = Vec::new();
-        for (k, (_, v)) in self.map.iter_mut() {
-            if !pred(k, v) {
-                dead.push(k.clone());
+        let recency = &mut self.recency;
+        self.map.retain(|k, (slot, v)| {
+            let keep = pred(k, v);
+            if !keep {
+                recency.release(*slot);
             }
-        }
-        for k in dead {
-            self.remove(&k);
-        }
+            keep
+        });
     }
 
     /// Drop every entry and zero the eviction counter (module `reset()`
     /// support: a reset module reports a just-constructed state).
     pub fn clear(&mut self) {
         self.map.clear();
-        self.lru.clear();
-        self.seq = 0;
+        self.recency.clear();
         self.evictions = 0;
-    }
-
-    /// Move the entry last used at `*used` to the newest end of the
-    /// recency index; the index's copy of the key moves, nothing is cloned.
-    fn touch(lru: &mut BTreeMap<u64, K>, seq: &mut u64, used: &mut u64) {
-        *seq += 1;
-        if let Some(key) = lru.remove(used) {
-            lru.insert(*seq, key);
-        }
-        *used = *seq;
     }
 
     fn make_room(&mut self) -> Option<(K, V)> {
@@ -260,6 +370,17 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
             return None;
         }
         self.evict_lru()
+    }
+
+    /// Rebuild the slab with the listed keys alone, in recency order: what
+    /// a shrunk budget leaves free goes back to the allocator.
+    fn compact(&mut self) {
+        let mut old = std::mem::replace(&mut self.recency, Recency::new());
+        while let Some(key) = old.pop_oldest() {
+            if let Some((slot, _)) = self.map.get_mut(&key) {
+                *slot = self.recency.push(key);
+            }
+        }
     }
 }
 
@@ -540,6 +661,30 @@ mod tests {
     }
 
     #[test]
+    fn bounded_map_set_budget_evicts_the_stalest_in_place() {
+        let mut m: BoundedMap<u32, u32> = BoundedMap::new(6);
+        for i in 1..=6 {
+            m.insert(i, i * 10);
+        }
+        m.insert(7, 70); // evicts 1
+        assert_eq!(m.get_mut(&2), Some(&mut 20)); // 2 is now the newest
+        let evicted = m.set_budget(3);
+        assert_eq!(evicted, vec![(3, 30), (4, 40), (5, 50)], "oldest first");
+        let held: Vec<u32> = m.iter().map(|(k, _)| *k).collect();
+        assert_eq!(held, vec![2, 6, 7]);
+        assert_eq!((m.budget(), m.evictions()), (3, 4), "the count carries on");
+        assert_eq!(
+            m.insert(8, 80),
+            Some((6, 60)),
+            "recency survived the shrink"
+        );
+        // Growing evicts nothing; zero is clamped as in `new`.
+        assert_eq!(m.set_budget(9), vec![]);
+        assert_eq!(m.set_budget(0).len(), 2);
+        assert_eq!((m.budget(), m.len(), m.evictions()), (1, 1, 7));
+    }
+
+    #[test]
     fn cms_counts_and_never_undercounts_dense_keys() {
         let mut cms = CountMinSketch::new(64, 4);
         for i in 0..1000u32 {
@@ -670,6 +815,146 @@ mod proptests {
                 inserted - removed - m.evictions(),
                 "every departure is either a remove or a counted eviction"
             );
+        }
+    }
+
+    /// What `BoundedMap` promises, as plainly as it can be written: the
+    /// entries oldest-used first.
+    #[derive(Default)]
+    struct LruModel {
+        budget: usize,
+        entries: Vec<(u8, u16)>,
+        evictions: u64,
+    }
+
+    impl LruModel {
+        fn position(&self, key: u8) -> Option<usize> {
+            self.entries.iter().position(|(k, _)| *k == key)
+        }
+
+        /// The value under `key`, moved to the newest end when `touch`.
+        fn find(&mut self, key: u8, touch: bool) -> Option<&mut u16> {
+            let mut at = self.position(key)?;
+            if touch {
+                let entry = self.entries.remove(at);
+                self.entries.push(entry);
+                at = self.entries.len() - 1;
+            }
+            Some(&mut self.entries[at].1)
+        }
+
+        fn evict_lru(&mut self) -> Option<(u8, u16)> {
+            if self.entries.is_empty() {
+                return None;
+            }
+            self.evictions += 1;
+            Some(self.entries.remove(0))
+        }
+
+        /// `key` listed newest with `value`, unless it is held already.
+        fn admit(&mut self, key: u8, value: u16) -> Option<(u8, u16)> {
+            if self.position(key).is_some() {
+                return None;
+            }
+            let full = self.entries.len() >= self.budget;
+            let evicted = full.then(|| self.evict_lru()).flatten();
+            self.entries.push((key, value));
+            evicted
+        }
+    }
+
+    proptest! {
+        /// Every operation, in any interleaving, answers as the plain
+        /// model does — evicted pairs included — and leaves the same
+        /// entries in the same key order and the same recency order, the
+        /// same eviction count, and a slab no longer than the budget.
+        #[test]
+        fn bounded_map_behaves_as_a_plain_lru_list(
+            budget in 1usize..=6,
+            ops in proptest::collection::vec((0u8..10, 0u8..12, 0u16..4), 1..300),
+        ) {
+            let mut m: BoundedMap<u8, u16> = BoundedMap::new(budget);
+            let mut model = LruModel { budget, ..LruModel::default() };
+            for (op, key, arg) in ops {
+                match op {
+                    0 => {
+                        let evicted = model.admit(key, arg);
+                        if let Some(held) = model.find(key, true) {
+                            *held = arg;
+                        }
+                        prop_assert_eq!(m.insert(key, arg), evicted);
+                    }
+                    1 => prop_assert_eq!(m.get(&key), model.find(key, false).map(|v| &*v)),
+                    2 | 3 => {
+                        let touch = op == 2;
+                        let (real, plain) = if touch {
+                            (m.get_mut(&key), model.find(key, true))
+                        } else {
+                            (m.peek_mut(&key), model.find(key, false))
+                        };
+                        prop_assert_eq!(real.as_deref(), plain.as_deref());
+                        if let (Some(real), Some(plain)) = (real, plain) {
+                            *real += arg;
+                            *plain += arg;
+                        }
+                    }
+                    4 => {
+                        let evicted = model.admit(key, arg);
+                        let plain = model.find(key, true).copied();
+                        let (real, real_evicted) = m.get_or_insert_with(&key, || arg);
+                        prop_assert_eq!((Some(*real), real_evicted), (plain, evicted));
+                    }
+                    5 => {
+                        let plain = model.position(key).map(|at| model.entries.remove(at).1);
+                        prop_assert_eq!(m.remove(&key), plain);
+                    }
+                    6 => prop_assert_eq!(m.evict_lru(), model.evict_lru()),
+                    7 => {
+                        let keep = |k: &u8, v: &mut u16| {
+                            *v += 1;
+                            (u16::from(*k) + *v) % 3 != u16::from(key % 3)
+                        };
+                        m.retain(keep);
+                        model.entries.retain_mut(|(k, v)| keep(k, v));
+                    }
+                    8 => {
+                        model.budget = usize::from(key % 7).max(1);
+                        let over = model.entries.len().saturating_sub(model.budget);
+                        let evicted: Vec<_> = (0..over).filter_map(|_| model.evict_lru()).collect();
+                        prop_assert_eq!(m.set_budget(usize::from(key % 7)), evicted);
+                    }
+                    _ => {
+                        // Rarely: one op in ten would leave little to evict.
+                        if arg == 0 {
+                            m.clear();
+                            model.entries.clear();
+                            model.evictions = 0;
+                        }
+                    }
+                }
+                let mut by_key = model.entries.clone();
+                by_key.sort_unstable();
+                let held: Vec<(u8, u16)> = m.iter().map(|(k, v)| (*k, *v)).collect();
+                prop_assert_eq!(held, by_key);
+                let mut by_use = Vec::new();
+                let mut slot = m.recency.head;
+                // One step more than there are slots: a list that loops
+                // back on itself shows as too long, not as a hang.
+                for _ in 0..=m.recency.slots.len() {
+                    if slot == NIL {
+                        break;
+                    }
+                    by_use.extend(m.recency.slots[slot].key);
+                    slot = m.recency.slots[slot].next;
+                }
+                let plain_by_use: Vec<u8> = model.entries.iter().map(|(k, _)| *k).collect();
+                prop_assert_eq!(by_use, plain_by_use);
+                prop_assert_eq!(
+                    (m.len(), m.is_empty(), m.budget(), m.evictions()),
+                    (model.entries.len(), model.entries.is_empty(), model.budget, model.evictions)
+                );
+                prop_assert!(m.recency.slots.len() <= m.budget());
+            }
         }
     }
 }

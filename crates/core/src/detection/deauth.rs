@@ -67,11 +67,7 @@ impl Module for DeauthModule {
         let tx = Entity::from(frame.src);
         let now = packet.timestamp;
         self.deauths.push(now, (victim.clone(), tx));
-        let count = self
-            .deauths
-            .events(now)
-            .filter(|(_, (v, _))| *v == victim)
-            .count();
+        let count = self.deauths.count_matching(now, |(v, _)| *v == victim);
         if count < self.threshold || !self.gate.permit(victim.clone(), now) {
             return;
         }

@@ -83,8 +83,7 @@ impl Module for ScanModule {
         // Only distinct touches count. Dedup is best-effort over the
         // exact buffer: a touch whose record was spilled to the sketch
         // may be double-counted (over-count, never a miss).
-        let already = self.touches.events(now).any(|(_, k)| *k == key);
-        if !already {
+        if self.touches.exact(&key, now) == 0 {
             self.touches.push(now, key);
             self.probes.push(now, scanner.clone());
         }

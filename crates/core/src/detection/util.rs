@@ -1,7 +1,8 @@
 //! Shared detection-module utilities: sliding-window counters, alert
 //! rate gating, and RSSI-fingerprinting helpers.
 
-use std::collections::VecDeque;
+// kalis-lint: allow(KL301): `SlidingCounter`'s count index, bounded by its event buffer
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hash;
 use std::time::Duration;
 
@@ -53,16 +54,21 @@ pub struct SlidingCounter<K> {
     window: Duration,
     budget: usize,
     events: VecDeque<(Timestamp, K)>,
+    /// How many of `events` each key has, kept in step wherever an event
+    /// enters or leaves: a count is one lookup however long the buffer.
+    // kalis-lint: allow(KL301): one entry per distinct key of `events`, itself capped at `budget`
+    counts: BTreeMap<K, u32>,
     overflow: Option<WindowSketch>,
 }
 
-impl<K: PartialEq + Clone + Hash> SlidingCounter<K> {
+impl<K: Ord + Clone + Hash> SlidingCounter<K> {
     /// An unbounded counter with the given window length.
     pub fn new(window: Duration) -> Self {
         SlidingCounter {
             window,
             budget: usize::MAX,
             events: VecDeque::new(),
+            counts: BTreeMap::new(), // kalis-lint: allow(KL301): see field note
             overflow: None,
         }
     }
@@ -78,6 +84,7 @@ impl<K: PartialEq + Clone + Hash> SlidingCounter<K> {
             window,
             budget,
             events: VecDeque::new(),
+            counts: BTreeMap::new(), // kalis-lint: allow(KL301): see field note
             overflow: Some(WindowSketch::new(window, width, 4)),
         }
     }
@@ -85,9 +92,14 @@ impl<K: PartialEq + Clone + Hash> SlidingCounter<K> {
     /// Record an event. If the exact buffer is at budget, the oldest
     /// buffered event is evicted into the overflow sketch.
     pub fn push(&mut self, at: Timestamp, key: K) {
+        match self.counts.get_mut(&key) {
+            Some(held) => *held += 1,
+            None => drop(self.counts.insert(key.clone(), 1)),
+        }
         self.events.push_back((at, key));
         while self.events.len() > self.budget {
             if let Some((_, old)) = self.events.pop_front() {
+                Self::uncount(&mut self.counts, &old);
                 if let Some(sketch) = self.overflow.as_mut() {
                     sketch.spill(at, &old);
                 }
@@ -95,11 +107,21 @@ impl<K: PartialEq + Clone + Hash> SlidingCounter<K> {
         }
     }
 
+    /// One event of `key` left the buffer.
+    // kalis-lint: allow(KL301): see field note
+    fn uncount(counts: &mut BTreeMap<K, u32>, key: &K) {
+        match counts.get_mut(key) {
+            Some(held) if *held > 1 => *held -= 1,
+            _ => drop(counts.remove(key)),
+        }
+    }
+
     /// Drop events older than the window relative to `now` (aging out
     /// is not a budget eviction — expired events are simply forgotten).
     pub fn evict(&mut self, now: Timestamp) {
-        while let Some((ts, _)) = self.events.front() {
+        while let Some((ts, key)) = self.events.front() {
             if now.saturating_since(*ts) > self.window {
+                Self::uncount(&mut self.counts, key);
                 self.events.pop_front();
             } else {
                 break;
@@ -114,14 +136,28 @@ impl<K: PartialEq + Clone + Hash> SlidingCounter<K> {
     /// buffered matches plus the overflow sketch's (never-undercounting)
     /// estimate for spilled ones.
     pub fn count(&mut self, key: &K, now: Timestamp) -> usize {
-        self.evict(now);
-        let exact = self.events.iter().filter(|(_, k)| k == key).count();
+        let exact = self.exact(key, now);
         let spilled = self
             .overflow
             .as_ref()
             .map(|s| s.estimate(key) as usize)
             .unwrap_or(0);
         exact + spilled
+    }
+
+    /// Buffered events for `key` within the window ending at `now`: the
+    /// exact part of [`Self::count`] alone.
+    pub fn exact(&mut self, key: &K, now: Timestamp) -> usize {
+        self.evict(now);
+        self.counts.get(key).map_or(0, |held| *held as usize)
+    }
+
+    /// Buffered events within the window ending at `now` whose key
+    /// satisfies `wanted`, at one visit per distinct key.
+    pub fn count_matching(&mut self, now: Timestamp, wanted: impl Fn(&K) -> bool) -> usize {
+        self.evict(now);
+        let matching = self.counts.iter().filter(|(key, _)| wanted(key));
+        matching.map(|(_, held)| *held as usize).sum()
     }
 
     /// All events within the window ending at `now` (exact buffer only;
@@ -146,9 +182,11 @@ impl<K: PartialEq + Clone + Hash> SlidingCounter<K> {
         self.overflow.as_ref().map(|s| s.error_bound()).unwrap_or(0)
     }
 
-    /// Bytes held: exact buffer plus overflow sketch counters.
+    /// Bytes held: exact buffer, its per-key count index and overflow
+    /// sketch counters.
     pub fn state_bytes(&self) -> usize {
         self.events.len() * std::mem::size_of::<(Timestamp, K)>()
+            + self.counts.len() * std::mem::size_of::<(K, u32)>()
             + self.overflow.as_ref().map(|s| s.state_bytes()).unwrap_or(0)
     }
 
@@ -185,6 +223,7 @@ impl<K: PartialEq + Clone + Hash> SlidingCounter<K> {
     /// `reset()` support: the counter reports a just-constructed state).
     pub fn clear(&mut self) {
         self.events.clear();
+        self.counts.clear();
         if let Some(sketch) = self.overflow.as_mut() {
             sketch.clear();
         }
@@ -311,6 +350,98 @@ mod tests {
             c.count(&7777, Timestamp::from_secs(2)) >= 6,
             "spilled attacker events still counted"
         );
+    }
+
+    /// Events of `counter`'s buffer whose key satisfies `wanted`, counted
+    /// the slow way.
+    fn scan<K>(counter: &SlidingCounter<K>, wanted: impl Fn(&K) -> bool) -> usize {
+        let events = counter.events.iter();
+        events.filter(|(_, k)| wanted(k)).count()
+    }
+
+    /// Drive `counter` through `ops` over keys made by `key_of`; after
+    /// every step the index must say what a scan of the buffer says.
+    fn index_agrees_with_a_scan<K: Ord + Clone + Hash + std::fmt::Debug>(
+        mut counter: SlidingCounter<K>,
+        ops: &[(u8, u8, u64)],
+        key_of: fn(u8) -> K,
+    ) {
+        let mut millis = 0;
+        for &(op, key, advance) in ops {
+            // Time moves forward: mostly a fraction of the window, so the
+            // buffer fills past its budget; now and then by more than it.
+            millis += if advance % 13 == 0 {
+                advance * 6
+            } else {
+                advance / 4
+            };
+            let now = Timestamp::from_millis(millis);
+            let key = key_of(key);
+            match op {
+                0..=3 => counter.push(now, key.clone()),
+                4 => counter.evict(now),
+                5 => {
+                    let total = counter.total(now);
+                    assert_eq!(total, counter.events.len());
+                }
+                6 => {
+                    let keys = counter.keys(now);
+                    let indexed: Vec<&K> = counter.counts.keys().collect();
+                    let mut sorted: Vec<&K> = keys.iter().collect();
+                    sorted.sort();
+                    assert_eq!(sorted, indexed, "the index holds the buffer's keys");
+                }
+                7 if advance < 20 => counter.clear(),
+                _ => {}
+            }
+            for (indexed, held) in &counter.counts {
+                assert_eq!(
+                    *held as usize,
+                    scan(&counter, |k| k == indexed),
+                    "{indexed:?}"
+                );
+                assert_ne!(*held, 0, "{indexed:?} left the buffer and stayed indexed");
+            }
+            let indexed: usize = counter.counts.values().map(|held| *held as usize).sum();
+            assert_eq!(indexed, counter.events.len(), "every event is indexed");
+            assert!(counter.events.len() <= counter.budget);
+            let index_bytes = counter.counts.len() * std::mem::size_of::<(K, u32)>();
+            let rest = counter.events.len() * std::mem::size_of::<(Timestamp, K)>()
+                + (counter.overflow.as_ref()).map_or(0, |s| s.state_bytes());
+            assert_eq!(counter.state_bytes(), rest + index_bytes);
+            // What is due to leave leaves first, so the reads below see
+            // one buffer and one sketch.
+            counter.evict(now);
+            let spilled = (counter.overflow.as_ref()).map_or(0, |s| s.estimate(&key) as usize);
+            let scanned = scan(&counter, |k| *k == key);
+            assert_eq!(counter.exact(&key, now), scanned);
+            assert_eq!(counter.count(&key, now), scanned + spilled);
+            let below = counter.count_matching(now, |k| *k <= key);
+            assert_eq!(below, scan(&counter, |k| *k <= key));
+        }
+    }
+
+    proptest::proptest! {
+        /// Bounded and unbounded, short keys, spilling keys and tuple
+        /// keys: wherever an event enters or leaves — pushed, aged out,
+        /// spilled at the budget, cleared — the index moves with it.
+        #[test]
+        fn the_count_index_agrees_with_a_scan_of_the_buffer(
+            ops in proptest::collection::vec((0u8..8, 0u8..6, 0u64..1_500), 1..300),
+            budget in 1usize..12,
+        ) {
+            let window = Duration::from_secs(5);
+            let entity = |n: u8| match n {
+                // One name past the inline capacity.
+                0 => Entity::new("fe80::0202:b3ff:fe1e:8329"),
+                n => Entity::from(kalis_packets::ShortAddr(u16::from(n))),
+            };
+            let pair = |n: u8| (Entity::from(kalis_packets::ShortAddr(u16::from(n / 2))), u16::from(n % 2));
+            index_agrees_with_a_scan(SlidingCounter::bounded(window, budget), &ops, entity);
+            index_agrees_with_a_scan(SlidingCounter::new(window), &ops, entity);
+            index_agrees_with_a_scan(SlidingCounter::bounded(window, budget), &ops, pair);
+            index_agrees_with_a_scan(SlidingCounter::new(window), &ops, pair);
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! `creator$label@entity` strings and holding typed values, with the
 //! paper's prefix/suffix query patterns and change tracking.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use kalis_packets::Entity;
+use kalis_packets::{Entity, InlineStr};
 use kalis_telemetry::{metric_name, names, Counter, Gauge, Telemetry};
 
 use crate::bounded::BoundedMap;
@@ -76,7 +76,9 @@ pub struct ChangeEvent {
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     local: KalisId,
-    entries: BTreeMap<String, Entry>,
+    /// Searched by the bytes a [`KeyBuf`] assembles, never by `str`: no
+    /// comparison on the way down a tree of inline keys validates UTF-8.
+    entries: BTreeMap<StoredKey, Entry>,
     /// Σ [`entry_bytes`] over `entries`, kept current wherever an entry
     /// is written or removed.
     entries_bytes: usize,
@@ -98,7 +100,7 @@ pub struct KnowledgeBase {
     /// of every knowgget about it. When a fresh entity would exceed the
     /// budget, the least-recently-written entity is evicted and all of
     /// its knowggets purged.
-    entity_index: BoundedMap<Entity, BTreeSet<String>>,
+    entity_index: BoundedMap<Entity, KeySet>,
     stats: Option<KbStats>,
 }
 
@@ -121,6 +123,74 @@ struct Subscriber {
 
 /// How many changed keys a flip's journal record spells out.
 const TRIGGER_KEYS: usize = 3;
+
+/// An encoded key as the store holds it: inside the tree node up to 46
+/// bytes, which under a two-letter node id fits every default label about
+/// a short, MAC or IPv4 address but the longest
+/// (`K1$TrafficFrequency.TCPSYNACK@100.100.100.100` is 45).
+type StoredKey = InlineStr<46>;
+
+/// The encoded keys of the knowggets about one entity, in key order.
+/// Most entities have one, held here; more go to a sorted `Vec`.
+#[derive(Debug, Clone)]
+enum KeySet {
+    One(StoredKey),
+    Many(Vec<StoredKey>),
+}
+
+impl Default for KeySet {
+    fn default() -> Self {
+        KeySet::Many(Vec::new())
+    }
+}
+
+impl KeySet {
+    fn as_slice(&self) -> &[StoredKey] {
+        match self {
+            KeySet::One(key) => std::slice::from_ref(key),
+            KeySet::Many(keys) => keys,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Where `encoded` is, or where it goes.
+    fn search(&self, encoded: &str) -> Result<usize, usize> {
+        (self.as_slice()).binary_search_by(|key| key.as_bytes().cmp(encoded.as_bytes()))
+    }
+
+    fn insert(&mut self, encoded: &str) {
+        let Err(at) = self.search(encoded) else {
+            return;
+        };
+        let key = StoredKey::from(encoded);
+        *self = match std::mem::take(self) {
+            KeySet::Many(keys) if keys.is_empty() => KeySet::One(key),
+            KeySet::Many(mut keys) => {
+                keys.insert(at, key);
+                KeySet::Many(keys)
+            }
+            KeySet::One(held) => {
+                let mut keys = Vec::with_capacity(2);
+                keys.push(held);
+                keys.insert(at, key);
+                KeySet::Many(keys)
+            }
+        };
+    }
+
+    fn remove(&mut self, encoded: &str) {
+        let Ok(at) = self.search(encoded) else {
+            return;
+        };
+        match self {
+            KeySet::One(_) => *self = KeySet::default(),
+            KeySet::Many(keys) => drop(keys.remove(at)),
+        }
+    }
+}
 
 /// Everything held under one encoded key.
 #[derive(Debug, Clone)]
@@ -290,8 +360,7 @@ impl KnowledgeBase {
             label.as_ref(),
             entity.as_ref().map(Entity::as_str),
         );
-        let encoded = buf.as_str();
-        let mut held = self.entries.get_mut(encoded);
+        let mut held = self.entries.get_mut(buf.as_bytes());
         if let Some(entry) = &mut held {
             entry.collective |= collective;
             if entry.holds(&value) {
@@ -304,6 +373,7 @@ impl KnowledgeBase {
             _ => None,
         };
         let wire_len = (spelling.as_deref()).map_or_else(|| canonical.wire_len(), str::len);
+        let encoded = buf.as_str();
         self.entries_bytes += entry_bytes(encoded.len(), wire_len);
         // Provenance follows the value: only a *real* change
         // re-attributes the knowgget (duplicated sync frames and
@@ -340,7 +410,7 @@ impl KnowledgeBase {
                     collective,
                     dirty: collective,
                 };
-                self.entries.insert(encoded.to_owned(), entry);
+                self.entries.insert(StoredKey::from(encoded), entry);
                 trace_id
             }
         };
@@ -350,10 +420,10 @@ impl KnowledgeBase {
         // eviction (if any) is purged only after this write's own change
         // is recorded, and can never touch the fresh write.
         let evicted = entity.as_ref().and_then(|entity| {
-            let (keys, evicted) = self.entity_index.get_or_insert_with(entity, BTreeSet::new);
-            if !keys.contains(encoded) {
-                keys.insert(encoded.to_owned());
-            }
+            let (keys, evicted) = self
+                .entity_index
+                .get_or_insert_with(entity, KeySet::default);
+            keys.insert(encoded);
             evicted
         });
         if self.record(encoded, label.as_ref(), false) {
@@ -405,11 +475,12 @@ impl KnowledgeBase {
     /// Remove every knowgget belonging to an entity evicted from the
     /// bounded entity index. Each removal is a real change: modules see
     /// removal events exactly as if the knowgget had expired normally.
-    fn purge_entity_keys(&mut self, keys: &BTreeSet<String>) {
-        for encoded in keys {
-            let Some(entry) = self.entries.remove(encoded) else {
+    fn purge_entity_keys(&mut self, keys: &KeySet) {
+        for key in keys.as_slice() {
+            let Some(entry) = self.entries.remove(key.as_bytes()) else {
                 continue;
             };
+            let encoded = key.as_str();
             self.forget(encoded, &entry);
             self.revision += 1;
             let Some((creator, label, entity)) = split(encoded) else {
@@ -507,26 +578,14 @@ impl KnowledgeBase {
 
     /// Cap the number of distinct entities that may hold per-entity
     /// knowggets (`KB.PerEntityBudget`). Shrinking below the current
-    /// occupancy immediately purges the overflow entities' knowledge.
+    /// occupancy immediately purges the knowledge of the overflow — the
+    /// least recently written entities, stalest first.
     pub fn set_entity_budget(&mut self, budget: usize) {
         let budget = budget.max(1);
         if budget == self.entity_index.budget() {
             return;
         }
-        let old: Vec<(Entity, BTreeSet<String>)> = self
-            .entity_index
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let mut index = BoundedMap::new(budget);
-        let mut purged = Vec::new();
-        for (entity, keys) in old {
-            if let Some((_, dropped)) = index.insert(entity, keys) {
-                purged.push(dropped);
-            }
-        }
-        self.entity_index = index;
-        for keys in purged {
+        for (_, keys) in self.entity_index.set_budget(budget) {
             self.purge_entity_keys(&keys);
         }
         self.note_churn();
@@ -576,7 +635,7 @@ impl KnowledgeBase {
     /// Write provenance for an encoded key (`creator$label@entity`), if
     /// any was recorded.
     pub fn origin_of_encoded(&self, encoded: &str) -> Option<&KnowggetOrigin> {
-        self.entries.get(encoded)?.origin.as_ref()
+        self.entries.get(encoded.as_bytes())?.origin.as_ref()
     }
 
     /// Write provenance for a key, if any was recorded.
@@ -642,10 +701,10 @@ impl KnowledgeBase {
     fn remove_key(&mut self, label: &str, entity: Option<&Entity>) -> bool {
         self.note_remove();
         let buf = KeyBuf::key(self.local.as_str(), label, entity.map(Entity::as_str));
-        let encoded = buf.as_str();
-        let Some(entry) = self.entries.remove(encoded) else {
+        let Some(entry) = self.entries.remove(buf.as_bytes()) else {
             return false;
         };
+        let encoded = buf.as_str();
         self.forget(encoded, &entry);
         self.revision += 1;
         if let Some(entity) = entity {
@@ -677,7 +736,7 @@ impl KnowledgeBase {
     fn local_entry(&self, label: &str, entity: Option<&Entity>) -> Option<&Entry> {
         self.note_get();
         let buf = KeyBuf::key(self.local.as_str(), label, entity.map(Entity::as_str));
-        self.entries.get(buf.as_str())
+        self.entries.get(buf.as_bytes())
     }
 
     /// Look up a local network-level knowgget, in the form the paper's
@@ -729,17 +788,17 @@ impl KnowledgeBase {
         // `$`) — a handful of seeks, however many entries.
         let mut seek = KeyBuf::concat(&[]);
         while let Some((first, _)) = self.from(seek.as_str()).next() {
-            let Some((creator, _)) = first.split_once('$') else {
+            let Some((creator, _)) = first.as_str().split_once('$') else {
                 break; // every key is `creator$…`
             };
             let exact = KeyBuf::key(creator, label, None);
             let scoped = KeyBuf::key(creator, label, Some(""));
-            let hits = (self.entries.get_key_value(exact.as_str()).into_iter())
+            let hits = (self.entries.get_key_value(exact.as_bytes()).into_iter())
                 .chain(self.with_prefix(scoped.as_str()));
             for (encoded, entry) in hits {
                 // What the key *decodes* to decides (a label holding `@`
                 // decodes as a shorter label about an entity).
-                if let Some((creator, found_label, entity)) = split(encoded) {
+                if let Some((creator, found_label, entity)) = split(encoded.as_str()) {
                     if found_label == label {
                         let entity = entity.map(|e| Entity::new(e.to_owned()));
                         found.push((KalisId::new(creator), entity, entry.value.clone()));
@@ -752,16 +811,16 @@ impl KnowledgeBase {
     }
 
     /// Entries from key `start` on, in key order.
-    fn from<'a>(&'a self, start: &str) -> impl Iterator<Item = (&'a String, &'a Entry)> + 'a {
-        (self.entries).range::<str, _>((Bound::Included(start), Bound::Unbounded))
+    fn from<'a>(&'a self, start: &str) -> impl Iterator<Item = (&'a StoredKey, &'a Entry)> + 'a {
+        (self.entries).range::<[u8], _>((Bound::Included(start.as_bytes()), Bound::Unbounded))
     }
 
     /// Entries whose encoded key starts with `prefix`, in key order.
     fn with_prefix<'a>(
         &'a self,
         prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a String, &'a Entry)> + 'a {
-        (self.from(prefix)).take_while(move |(k, _)| k.starts_with(prefix))
+    ) -> impl Iterator<Item = (&'a StoredKey, &'a Entry)> + 'a {
+        (self.from(prefix)).take_while(move |(k, _)| k.as_bytes().starts_with(prefix.as_bytes()))
     }
 
     /// Every local entry whose key starts `local$root` + `mark`, as what
@@ -771,7 +830,7 @@ impl KnowledgeBase {
         let prefix = KeyBuf::concat(&[self.local.as_str(), "$", root, mark]);
         let prefix = prefix.as_str();
         self.with_prefix(prefix)
-            .map(|(k, entry)| (decode(&k[prefix.len()..]), entry.value.clone()))
+            .map(|(k, entry)| (decode(&k.as_str()[prefix.len()..]), entry.value.clone()))
             .collect()
     }
 
@@ -791,7 +850,7 @@ impl KnowledgeBase {
 
     /// Iterate over every entry as decoded knowggets.
     pub fn iter(&self) -> impl Iterator<Item = Knowgget> + '_ {
-        (self.entries.iter()).filter_map(|(k, entry)| entry.knowgget(k))
+        (self.entries.iter()).filter_map(|(k, entry)| entry.knowgget(k.as_str()))
     }
 
     /// Number of knowggets stored.
@@ -841,7 +900,9 @@ impl KnowledgeBase {
             return Vec::new();
         }
         (self.entries.iter_mut())
-            .filter_map(|(k, entry)| std::mem::take(&mut entry.dirty).then(|| entry.knowgget(k))?)
+            .filter_map(|(k, entry)| {
+                std::mem::take(&mut entry.dirty).then(|| entry.knowgget(k.as_str()))?
+            })
             .collect()
     }
 
@@ -851,7 +912,7 @@ impl KnowledgeBase {
     pub fn collective_knowggets(&self) -> Vec<Knowgget> {
         (self.entries.iter())
             .filter(|(_, entry)| entry.collective)
-            .filter_map(|(k, entry)| entry.knowgget(k))
+            .filter_map(|(k, entry)| entry.knowgget(k.as_str()))
             .collect()
     }
 
@@ -900,7 +961,7 @@ fn attribute(origin: &mut Option<KnowggetOrigin>, writer: &str, (trace_id, span_
         }
         _ => {
             *origin = Some(KnowggetOrigin {
-                module: writer.to_owned(),
+                module: writer.into(),
                 trace_id,
                 span_id,
             });
@@ -1204,6 +1265,38 @@ mod tests {
         assert_eq!(kb.entity_occupancy(), 2);
         assert_eq!(kb.len(), 2);
         assert_eq!(kb.entity_budget(), 2);
+    }
+
+    #[test]
+    fn shrinking_the_entity_budget_purges_the_stalest_and_keeps_counting() {
+        let mut kb = kb();
+        kb.set_entity_budget(8);
+        for name in ["a", "b", "c", "d", "e", "f", "g", "h"] {
+            kb.insert_about("SignalStrength", Entity::new(name), -60.0);
+        }
+        // `a` is written again: the most recently written of the eight.
+        kb.insert_about("SignalStrength", Entity::new("a"), -61.0);
+        kb.drain_changes();
+        kb.set_entity_budget(4);
+        let survivors: Vec<_> = (kb.entities_with("SignalStrength").into_iter())
+            .map(|(entity, _)| entity.to_string())
+            .collect();
+        assert_eq!(survivors, ["a", "f", "g", "h"], "not the last four by name");
+        let purged: Vec<_> = (kb.drain_changes().iter())
+            .map(|change| {
+                (
+                    change.removed,
+                    change.key.entity.as_ref().unwrap().to_string(),
+                )
+            })
+            .collect();
+        let stalest_first = ["b", "c", "d", "e"].map(|name| (true, name.to_owned()));
+        assert_eq!(purged, stalest_first);
+        assert_eq!((kb.entity_occupancy(), kb.entity_evictions()), (4, 4));
+        // The count carries on from there.
+        kb.insert_about("SignalStrength", Entity::new("i"), -62.0);
+        assert_eq!(kb.entity_evictions(), 5);
+        assert!(kb.get_about("SignalStrength", &Entity::new("f")).is_none());
     }
 
     proptest::proptest! {

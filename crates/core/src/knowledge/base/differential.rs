@@ -231,7 +231,7 @@ fn apply(typed: &mut KnowledgeBase, string: &mut StringStore, step: &Step) {
                 creator: KalisId::new(NODES[*creator]),
                 entity: entity_of(*entity),
                 origin: origin.map(|(module, trace_id)| KnowggetOrigin {
-                    module: WRITERS[module].to_owned(),
+                    module: WRITERS[module].into(),
                     trace_id,
                     span_id: 1,
                 }),

@@ -3,7 +3,9 @@
 //! differential test holds the typed store to: every value is its wire
 //! string, every lookup encodes a `KnowKey` and parses the value back,
 //! and provenance, the collective marks and the sync outbox live in
-//! side tables keyed by the encoded string.
+//! side tables keyed by the encoded string. Where the store's rules
+//! changed since, the model was edited to the new rule: a shrunk entity
+//! budget evicts the least recently written entities, in place.
 
 // The model keeps the old API whole, used by the test or not.
 #![allow(dead_code)]
@@ -172,26 +174,14 @@ impl KnowledgeBase {
 
     /// Cap the number of distinct entities that may hold per-entity
     /// knowggets (`KB.PerEntityBudget`). Shrinking below the current
-    /// occupancy immediately purges the overflow entities' knowledge.
+    /// occupancy immediately purges the knowledge of the overflow — the
+    /// least recently written entities, stalest first.
     pub fn set_entity_budget(&mut self, budget: usize) {
         let budget = budget.max(1);
         if budget == self.entity_index.budget() {
             return;
         }
-        let old: Vec<(String, BTreeSet<String>)> = self
-            .entity_index
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let mut index = BoundedMap::new(budget);
-        let mut purged = Vec::new();
-        for (entity, keys) in old {
-            if let Some((_, dropped)) = index.insert(entity, keys) {
-                purged.push(dropped);
-            }
-        }
-        self.entity_index = index;
-        for keys in purged {
+        for (_, keys) in self.entity_index.set_budget(budget) {
             self.purge_entity_keys(&keys);
         }
     }
@@ -218,7 +208,7 @@ impl KnowledgeBase {
             return None;
         }
         Some(KnowggetOrigin {
-            module: self.writer.clone(),
+            module: self.writer.as_str().into(),
             trace_id: self.trace.0,
             span_id: self.trace.1,
         })

@@ -177,7 +177,7 @@ impl SyncMessage {
             let (trace_id, span_id) = Self::parse_trace_wire(&trace)?;
             let origin = (!origin_module.is_empty() || trace_id != 0 || span_id != 0).then_some(
                 KnowggetOrigin {
-                    module: origin_module,
+                    module: origin_module.into(),
                     trace_id,
                     span_id,
                 },

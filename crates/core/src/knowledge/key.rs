@@ -180,6 +180,15 @@ impl KeyBuf {
         }
         std::str::from_utf8(&self.stack[..self.len]).expect("whole strs, end to end")
     }
+
+    /// The text's bytes, without the validation [`KeyBuf::as_str`] pays
+    /// for: what the store is searched with.
+    pub(super) fn as_bytes(&self) -> &[u8] {
+        if self.len > KeyBuf::STACK {
+            return self.heap.as_bytes();
+        }
+        &self.stack[..self.len]
+    }
 }
 
 #[cfg(test)]

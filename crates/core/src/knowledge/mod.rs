@@ -21,7 +21,7 @@ pub use sync::{
 };
 pub use value::KnowValue;
 
-use kalis_packets::Entity;
+use kalis_packets::{Entity, InlineStr};
 use serde::{Deserialize, Serialize};
 
 use crate::id::KalisId;
@@ -69,7 +69,9 @@ pub struct Knowgget {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct KnowggetOrigin {
     /// The module that performed the write (empty for operator/config).
-    pub module: String,
+    /// Inline up to 30 bytes — the longest default module name is 25 — so
+    /// attributing a write allocates nothing.
+    pub module: InlineStr<30>,
     /// The trace the write happened under (0 = untraced).
     pub trace_id: u64,
     /// The span within the trace (0 = untraced).

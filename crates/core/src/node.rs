@@ -1202,7 +1202,7 @@ impl Kalis {
         EvidenceKnowgget {
             key: encoded,
             value: value.to_string(),
-            writer_module: origin.map_or_else(String::new, |o| o.module.clone()),
+            writer_module: origin.map_or_else(String::new, |o| o.module.to_string()),
             origin: TraceRef {
                 node,
                 trace_id: origin.map_or(0, |o| o.trace_id),

@@ -62,11 +62,39 @@ pub mod labels {
         }
     }
 
+    /// The [`TRAFFIC_FREQUENCY`] leaf for `class`.
+    pub fn traffic_frequency(class: kalis_packets::TrafficClass) -> &'static str {
+        use kalis_packets::TrafficClass;
+        match class {
+            TrafficClass::TcpSyn => "TrafficFrequency.TCPSYN",
+            TrafficClass::TcpSynAck => "TrafficFrequency.TCPSYNACK",
+            TrafficClass::TcpAck => "TrafficFrequency.TCPACK",
+            TrafficClass::TcpOther => "TrafficFrequency.TCP",
+            TrafficClass::Udp => "TrafficFrequency.UDP",
+            TrafficClass::IcmpEchoRequest => "TrafficFrequency.ICMPREQ",
+            TrafficClass::IcmpEchoReply => "TrafficFrequency.ICMPRESP",
+            TrafficClass::IcmpOther => "TrafficFrequency.ICMP",
+            TrafficClass::ZigbeeData => "TrafficFrequency.ZIGBEEDATA",
+            TrafficClass::ZigbeeRouting => "TrafficFrequency.ZIGBEEROUTING",
+            TrafficClass::CtpData => "TrafficFrequency.CTPDATA",
+            TrafficClass::CtpBeacon => "TrafficFrequency.CTPBEACON",
+            TrafficClass::SixLowpan => "TrafficFrequency.SIXLOWPAN",
+            TrafficClass::Rpl => "TrafficFrequency.RPL",
+            TrafficClass::WifiMgmt => "TrafficFrequency.WIFIMGMT",
+            TrafficClass::MacAck => "TrafficFrequency.MACACK",
+            TrafficClass::BleAdv => "TrafficFrequency.BLEADV",
+            // `Other`, and — the enum being non-exhaustive — a class
+            // added without its leaf: the test below walks
+            // `TrafficClass::all()` to catch that.
+            _ => "TrafficFrequency.OTHER",
+        }
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
         use crate::knowledge::KnowKey;
-        use kalis_packets::Medium;
+        use kalis_packets::{Medium, TrafficClass};
 
         #[test]
         fn spelled_out_leaves_equal_the_scoped_constructor() {
@@ -87,6 +115,11 @@ pub mod labels {
                 (PROTOCOL_SEEN_RPL, "RPL"),
             ] {
                 assert_eq!(spelled, KnowKey::scoped(PROTOCOL_SEEN, leaf));
+            }
+            assert_eq!(TrafficClass::all().len(), 18);
+            for class in TrafficClass::all() {
+                let scoped = KnowKey::scoped(TRAFFIC_FREQUENCY, class.label());
+                assert_eq!(traffic_frequency(*class), scoped);
             }
         }
     }

@@ -8,7 +8,7 @@ use std::time::Duration;
 use kalis_packets::{CapturedPacket, Entity, Timestamp, TrafficClass};
 
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
-use crate::knowledge::{KnowKey, KnowValue, KnowledgeBase};
+use crate::knowledge::{KnowValue, KnowledgeBase};
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
 use crate::sensing::labels;
 
@@ -119,14 +119,11 @@ impl TrafficStatsModule {
         self.entity_budget * EVENTS_PER_BUDGET_UNIT
     }
 
-    fn key(class: TrafficClass) -> String {
-        KnowKey::scoped(labels::TRAFFIC_FREQUENCY, class.label())
-    }
-
     fn write_rate(kb: &mut KnowledgeBase, (class, dst): RateKey, rate: f64) {
+        let label = labels::traffic_frequency(class);
         match dst {
-            None => kb.insert(Self::key(class), rate),
-            Some(entity) => kb.insert_about(Self::key(class), entity, rate),
+            None => kb.insert(label, rate),
+            Some(entity) => kb.insert_about(label, entity, rate),
         };
     }
 

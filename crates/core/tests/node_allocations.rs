@@ -1,9 +1,10 @@
 //! A packet that changes nothing anyone subscribed to costs the node no
 //! heap allocation, neither does asking a decoded packet who sent it,
-//! and neither does a housekeeping tick whose wormhole verdict stands:
-//! counted with the allocator `kb_allocations.rs` counts with
-//! (`counting_alloc/mod.rs`), from the Knowledge Base out to the whole
-//! node.
+//! and neither does a housekeeping tick whose wormhole verdict stands;
+//! a packet of identities never seen before, with every budget full,
+//! allocates next to nothing: counted with the allocator
+//! `kb_allocations.rs` counts with (`counting_alloc/mod.rs`), from the
+//! Knowledge Base out to the whole node.
 //!
 //! Three mechanisms hold the packet's pin together, and reverting any
 //! one fails it: the Module Manager re-evaluates only slots whose
@@ -11,7 +12,9 @@
 //! change events are built only once someone subscribed, and `Entity`
 //! keeps short names inline. The tick's pin rests on the wormhole
 //! module keeping its verdict while the Knowledge Base says neither
-//! input changed.
+//! input changed. The new identity's pin rests on the Knowledge Base
+//! holding encoded keys and origin names inline, in the entry and in the
+//! entity index alike: with either a `String` again, it fails.
 
 mod counting_alloc;
 
@@ -268,4 +271,79 @@ fn a_tick_whose_wormhole_verdict_stands_allocates_nothing() {
     // The verdict was acted on throughout: the alert came back whenever
     // the gate's 30 s had passed, at a tick.
     assert_eq!(wormholes(&node), [7_000, 37_000, 67_150, 97_550, 127_950]);
+}
+
+/// The identity sprayed frame `index` carries: scrambled as
+/// `kalis_attacks::StateExhaustionAttacker` scrambles its counter (an odd
+/// multiplier is a bijection on 24 bits), so new keys land all over the
+/// ordered maps instead of always past their last one.
+fn sprayed_identity(index: u32) -> u32 {
+    index.wrapping_mul(0x9e37_79b1) & 0x00ff_ffff
+}
+
+/// Sprayed frame `index`: a UDP datagram whose source, destination and
+/// transmitter MAC no earlier frame carried (the attacker's shape), 3 ms
+/// after the last.
+fn sprayed(index: u32) -> CapturedPacket {
+    let id = sprayed_identity(index);
+    let [_, a, b, c] = id.to_be_bytes();
+    let (src, dst) = (Ipv4Addr::new(100, a, b, c), Ipv4Addr::new(101, a, b, c));
+    let datagram = UdpPacket::new(1024 + (id & 0x7fff) as u16, 53, vec![0; 24]);
+    let raw = craft::wifi_ipv4(
+        MacAddr::from_index(0x0100_0000 + id),
+        MacAddr::BROADCAST,
+        MacAddr::from_index(0),
+        index as u16,
+        &craft::ipv4_udp(src, dst, &datagram),
+    );
+    let time = Timestamp::from_millis(u64::from(index) * 3);
+    CapturedPacket::capture(time, Medium::Wifi, Some(-60.0), "t", raw)
+}
+
+#[test]
+fn a_never_seen_identity_at_every_cap_allocates_next_to_nothing() {
+    let mut node = Kalis::builder(KalisId::new("K1"))
+        .with_default_modules()
+        .build();
+    // Past every budget: the modules' 1,024 and the Knowledge Base's
+    // 4,096 entities, so each new identity evicts an old one everywhere.
+    const WARM: u32 = 6_000;
+    const MEASURED: u32 = 400;
+    for index in 0..WARM {
+        node.ingest(sprayed(index));
+    }
+    let budget = node.knowledge().entity_budget();
+    assert_eq!(node.knowledge().entity_occupancy(), budget);
+    let evicted = node.knowledge().entity_evictions();
+    let counts: Vec<u64> = (WARM..WARM + MEASURED)
+        .map(|index| {
+            let packet = sprayed(index);
+            allocations(|| node.ingest(packet))
+        })
+        .collect();
+    assert!(node.knowledge().entity_evictions() >= evicted + u64::from(MEASURED));
+    // The one allocation is the suspect list `UdpFloodModule` starts
+    // for the new destination. Tree nodes split now and then, and one
+    // packet in sixteen has the traffic statistics publish a burst of
+    // per-destination rates; the rest make a handful of knowggets out of
+    // nothing.
+    let at_most = |limit: u64| counts.iter().filter(|count| **count <= limit).count();
+    assert!(
+        at_most(1) * 4 >= counts.len() * 3 && at_most(3) * 100 >= counts.len() * 85,
+        "of {MEASURED} new identities {} allocated at most once and {} at most 3 times: {counts:?}",
+        at_most(1),
+        at_most(3)
+    );
+    let worst = counts.iter().max().copied();
+    assert!(worst <= Some(75), "a packet allocated {worst:?} times");
+
+    // A changed value under a key the store holds allocates nothing,
+    // collective or not: the last identity's signal strength moves.
+    let last = sprayed_identity(WARM + MEASURED - 1);
+    let held = Entity::from(MacAddr::from_index(0x0100_0000 + last));
+    let knowledge = node.knowledge_mut();
+    let revision = knowledge.revision();
+    let changed = allocations(|| knowledge.insert_about_collective("SignalStrength", held, -71.0));
+    assert_eq!(changed, 0);
+    assert_eq!(knowledge.revision(), revision + 1);
 }

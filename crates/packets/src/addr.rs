@@ -5,6 +5,8 @@ use core::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use crate::inline::InlineStr;
+
 /// An IEEE 802.15.4 16-bit short address.
 ///
 /// # Examples
@@ -169,18 +171,8 @@ impl FromStr for MacAddr {
 /// let e = Entity::from(ShortAddr(7));
 /// assert_eq!(e.as_str(), "0x0007");
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
-pub struct Entity(Repr);
-
-#[derive(Clone)]
-enum Repr {
-    /// The name is the first `len` bytes of `text`: whole `str`s only.
-    Inline {
-        len: u8,
-        text: [u8; Entity::INLINE],
-    },
-    Heap(Box<str>),
-}
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct Entity(InlineStr<{ Entity::INLINE }>);
 
 // Detection windows size themselves by `size_of::<(Timestamp, Entity)>()`:
 // a different size moves every reported state figure.
@@ -192,56 +184,12 @@ impl Entity {
 
     /// Create an entity from an arbitrary name.
     pub fn new<S: AsRef<str> + Into<String>>(name: S) -> Self {
-        let bytes = name.as_ref().as_bytes();
-        if bytes.len() > Self::INLINE {
-            return Entity(Repr::Heap(name.into().into_boxed_str()));
-        }
-        let mut text = [0; Self::INLINE];
-        text[..bytes.len()].copy_from_slice(bytes);
-        Entity(Repr::Inline {
-            len: bytes.len() as u8,
-            text,
-        })
+        Entity(InlineStr::new(name))
     }
 
     /// The canonical string form.
     pub fn as_str(&self) -> &str {
-        match &self.0 {
-            Repr::Inline { len, text } => {
-                core::str::from_utf8(&text[..usize::from(*len)]).expect("a whole str was copied in")
-            }
-            Repr::Heap(name) => name,
-        }
-    }
-
-    /// The canonical string form as bytes. UTF-8 byte order is `str`
-    /// order, so comparing these is comparing the names, without the
-    /// validation [`Entity::as_str`] pays for.
-    fn as_bytes(&self) -> &[u8] {
-        match &self.0 {
-            Repr::Inline { len, text } => &text[..usize::from(*len)],
-            Repr::Heap(name) => name.as_bytes(),
-        }
-    }
-}
-
-impl PartialEq for Entity {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
-    }
-}
-
-impl Eq for Entity {}
-
-impl PartialOrd for Entity {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entity {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.as_bytes().cmp(other.as_bytes())
+        self.0.as_str()
     }
 }
 
@@ -249,7 +197,7 @@ impl core::hash::Hash for Entity {
     /// What `str` feeds a hasher (the bytes, then `0xff`), so sketches
     /// keyed on an entity land where they did when it was a `String`.
     fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
-        state.write(self.as_bytes());
+        state.write(self.0.as_bytes());
         state.write_u8(0xff);
     }
 }
@@ -315,10 +263,7 @@ impl Ascii {
     }
 
     fn finish(self) -> Entity {
-        Entity(Repr::Inline {
-            len: self.len as u8,
-            text: self.text,
-        })
+        Entity(InlineStr::from_ascii(&self.text[..self.len]))
     }
 }
 

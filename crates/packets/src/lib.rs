@@ -38,6 +38,7 @@ pub mod ethernet;
 pub mod icmpv4;
 pub mod icmpv6;
 pub mod ieee802154;
+pub mod inline;
 pub mod ipv4;
 pub mod ipv6;
 pub mod packet;
@@ -52,5 +53,6 @@ pub mod zigbee;
 
 pub use addr::{Entity, ExtAddr, MacAddr, PanId, ShortAddr};
 pub use error::DecodeError;
+pub use inline::InlineStr;
 pub use packet::{CapturedPacket, Medium, Packet, TrafficClass};
 pub use time::Timestamp;
