@@ -9,8 +9,9 @@ use criterion::{
 use kalis_baselines::snort::SnortIds;
 use kalis_baselines::traditional::{self, ReplicationChoice};
 use kalis_bench::experiments::spray_trace;
-use kalis_bench::runner::run_kalis_pair_nodes;
+use kalis_bench::runner::{exchange, run_kalis_pair_nodes};
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
+use kalis_core::knowledge::XorChannel;
 use kalis_core::{AttackKind, Kalis, KalisId};
 use kalis_netsim::stress::burst_trace;
 use kalis_netsim::trace::merge_traces;
@@ -150,18 +151,32 @@ fn bench_pipeline(c: &mut Criterion) {
     // where the tick is the whole load.
     let second = wormhole.captures_b.as_deref().expect("two vantages");
     let (k1, k2) = run_kalis_pair_nodes(ctp, second, SampleRate::off());
-    let mut node = [k1, k2]
-        .into_iter()
-        .find(|node| (node.alerts().iter()).any(|alert| alert.attack == AttackKind::Wormhole))
+    let mut pair = [k1, k2];
+    let confirmed = (pair.iter())
+        .position(|node| (node.alerts().iter()).any(|alert| alert.attack == AttackKind::Wormhole))
         .expect("a vantage confirmed the wormhole");
     let mut now = ctp.last().expect("captures").timestamp + Duration::from_secs(1);
     group.throughput(Throughput::Elements(1));
     group.bench_function("ctp_pair_tick", |b| {
         b.iter(|| {
             now += Duration::from_millis(500);
-            node.tick(now);
+            pair[confirmed].tick(now);
         });
     });
+    // What `wsn-pair` does every 500 virtual ms between packets, once:
+    // the knowledge exchange both ways (both outboxes empty, as on all
+    // but a few rounds of the workload), then both nodes' ticks.
+    let channel = XorChannel::new(0x6b616c6973);
+    let [k1, k2] = &mut pair;
+    group.bench_function("ctp_pair_round", |b| {
+        b.iter(|| {
+            now += Duration::from_millis(500);
+            exchange(k1, k2, &channel);
+            k1.tick(now);
+            k2.tick(now);
+        });
+    });
+    let node = &pair[confirmed];
     // One flight-recorder sample of that node's whole registry (some 190
     // instruments), the ring wrapped.
     let tele = node.telemetry().clone();

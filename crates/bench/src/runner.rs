@@ -227,7 +227,9 @@ pub fn run_kalis_pair_nodes(
     (a, b)
 }
 
-fn exchange(a: &mut Kalis, b: &mut Kalis, channel: &XorChannel) {
+/// One knowledge exchange of the pair, both ways: `collective_outbox →
+/// seal → open → accept_sync`.
+pub fn exchange(a: &mut Kalis, b: &mut Kalis, channel: &XorChannel) {
     if let Some(msg) = a.collective_outbox() {
         let sealed = msg.seal(channel);
         if let Ok(opened) = kalis_core::knowledge::SyncMessage::open(&sealed, channel) {

@@ -52,10 +52,14 @@ struct Watchdog {
     pending: VecDeque<Pending>,
     observations: VecDeque<(Timestamp, ShortAddr, ShortAddr, Outcome)>, // (ts, forwarder, origin, outcome)
     evictions: u64,
-    /// `(forwarder, drops, total)` over `observations`, recounted by every
+    /// `(forwarder, drops, total)` over `observations`, recounted by
     /// [`Watchdog::expire`] into the same buffer: counting allocates
     /// nothing.
     tally: Vec<(ShortAddr, usize, usize)>,
+    /// `observations` changed since `tally` was counted. Set where a
+    /// relay is matched, an expectation expires, an observation ages out
+    /// and by `clear`; nothing else moves the ledger.
+    moved: bool,
 }
 
 impl Watchdog {
@@ -73,6 +77,7 @@ impl Watchdog {
             observations: VecDeque::new(),
             evictions: 0,
             tally: Vec::new(),
+            moved: false,
         }
     }
 
@@ -81,6 +86,8 @@ impl Watchdog {
             self.pending.pop_front();
             self.evictions += 1;
         }
+        // Only a push can put the ledger over budget, and every push
+        // marks it moved: the spill needs no mark of its own.
         while self.observations.len() > self.budget {
             self.observations.pop_front();
             self.evictions += 1;
@@ -101,6 +108,7 @@ impl Watchdog {
             if let Some(p) = idx.and_then(|idx| self.pending.remove(idx)) {
                 self.observations
                     .push_back((now, p.forwarder, p.origin, Outcome::Forwarded));
+                self.moved = true;
             }
         }
         // A frame addressed to a non-root node should be relayed.
@@ -123,7 +131,11 @@ impl Watchdog {
         self.enforce_budget();
     }
 
-    fn expire(&mut self, now: Timestamp) {
+    /// Turn overdue expectations into drops, age observations out of the
+    /// window, and bring `tally` up to date. Returns whether the ledger
+    /// moved since the last call: while it has not, `tally` and
+    /// [`Watchdog::dropped_origins`] stand as they were.
+    fn expire(&mut self, now: Timestamp) -> bool {
         while self
             .pending
             .front()
@@ -134,16 +146,22 @@ impl Watchdog {
             };
             self.observations
                 .push_back((now, p.forwarder, p.origin, Outcome::Dropped));
+            self.moved = true;
         }
         while let Some((ts, ..)) = self.observations.front() {
             if now.saturating_since(*ts) > RATIO_WINDOW {
                 self.observations.pop_front();
+                self.moved = true;
             } else {
                 break;
             }
         }
         self.enforce_budget();
-        self.recount();
+        let moved = std::mem::take(&mut self.moved);
+        if moved {
+            self.recount();
+        }
+        moved
     }
 
     /// Count the observations by forwarder, in the order the forwarders
@@ -192,7 +210,7 @@ impl Watchdog {
     fn clear(&mut self) {
         self.pending.clear();
         self.observations.clear();
-        self.tally.clear();
+        self.moved = true;
         self.evictions = 0;
     }
 }
@@ -369,14 +387,14 @@ impl Module for BlackholeModule {
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
         self.watchdog.on_packet(ctx, packet);
-        self.watchdog.expire(packet.timestamp);
-        self.evaluate(ctx, packet.timestamp);
+        let moved = self.watchdog.expire(packet.timestamp);
+        self.evaluate(ctx, packet.timestamp, moved);
     }
 
     fn on_tick(&mut self, ctx: &mut ModuleCtx<'_>) {
         let now = ctx.now;
-        self.watchdog.expire(now);
-        self.evaluate(ctx, now);
+        let moved = self.watchdog.expire(now);
+        self.evaluate(ctx, now, moved);
     }
 
     fn state_bytes(&self) -> usize {
@@ -406,38 +424,303 @@ impl Module for BlackholeModule {
 }
 
 impl BlackholeModule {
-    fn evaluate(&mut self, ctx: &mut ModuleCtx<'_>, now: Timestamp) {
+    /// `moved`: what [`Watchdog::expire`] just returned.
+    fn evaluate(&mut self, ctx: &mut ModuleCtx<'_>, now: Timestamp, moved: bool) {
         for (forwarder, drops, total) in self.watchdog.ratios() {
             let ratio = drops as f64 / total as f64;
             if ratio < 0.9 {
                 continue;
             }
-            let origins = self.watchdog.dropped_origins(forwarder);
             // Publish the evidence collectively even while the alert is
-            // cooling down — peers correlate continuously.
-            let mut names: Vec<String> = origins.iter().map(|o| o.to_string()).collect();
-            names.sort_unstable();
-            ctx.kb.insert_about_collective(
-                labels::DROPPED_ORIGINS,
-                Entity::from(forwarder),
-                names.join(","),
-            );
+            // cooling down — peers correlate continuously. The text is a
+            // function of the ledger, so while the ledger stands the
+            // write would change nothing — unless the Knowledge Base let
+            // the knowgget go (an entity eviction purged it), which only
+            // the Knowledge Base can say.
+            let suspect = Entity::from(forwarder);
+            if moved || !(ctx.kb).holds_about(labels::DROPPED_ORIGINS, &suspect) {
+                let origins = self.watchdog.dropped_origins(forwarder);
+                let mut names: Vec<String> = origins.iter().map(|o| o.to_string()).collect();
+                names.sort_unstable();
+                let about = suspect.clone();
+                (ctx.kb).insert_about_collective(labels::DROPPED_ORIGINS, about, names.join(","));
+            }
             // Classification refinement: once collective correlation has
             // confirmed this endpoint as half of a wormhole, stop
             // reporting it as a plain blackhole.
             let confirmed_wormhole = ctx
                 .kb
-                .get_about(super::wormhole_confirmed_label(), &Entity::from(forwarder))
+                .get_about(super::wormhole_confirmed_label(), &suspect)
                 .and_then(|v| v.as_bool())
                 .unwrap_or(false);
             if !confirmed_wormhole && self.gate.permit(forwarder, now) {
                 ctx.raise(
                     Alert::new(now, AttackKind::Blackhole, "BlackholeModule")
-                        .with_suspect(Entity::from(forwarder))
+                        .with_suspect(suspect)
                         .with_details(format!("dropped {drops}/{total} overheard relays")),
                 );
             }
         }
+    }
+}
+
+/// The ledger-moved rule against models a few lines long, inside the
+/// tests: `tally` against a fresh [`Watchdog::recount`] after every step,
+/// and [`BlackholeModule`] against itself told "moved" on every call, so
+/// that it derives and writes its evidence each time as it used to —
+/// same alerts, same Knowledge Base, same sync outbox, an entity budget
+/// of one purging the evidence between calls.
+#[cfg(test)]
+mod differential {
+    use kalis_packets::Medium;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::id::KalisId;
+    use crate::knowledge::Knowgget;
+
+    const ROOT: ShortAddr = ShortAddr(1);
+    const FORWARDERS: [ShortAddr; 2] = [ShortAddr(2), ShortAddr(3)];
+    const ORIGINS: [ShortAddr; 3] = [ShortAddr(10), ShortAddr(11), ShortAddr(12)];
+    /// Small enough that six frames spill both ledgers.
+    const BUDGET: usize = 6;
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `gap` ms on, origin `.1` hands frame `.2` to forwarder `.0`…
+        Data(usize, usize, u8, u64),
+        /// …and the forwarder passes it on to the root.
+        Relay(usize, usize, u8, u64),
+        Tick(u64),
+        Reset,
+        /// Entity-scoped knowledge about someone else: with an entity
+        /// budget of one, the evidence is purged.
+        Other(u16, bool),
+        /// `WormholeConfirmed` about a forwarder.
+        Confirmed(usize, bool),
+        /// The sync layer takes the outbox.
+        Drain,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let frame = || (0..FORWARDERS.len(), 0..ORIGINS.len(), 0..3u8, 0..400u64);
+        let tick = |ms: std::ops::Range<u64>| ms.prop_map(Step::Tick);
+        prop_oneof![
+            frame().prop_map(|(f, o, seq, gap)| Step::Data(f, o, seq, gap)),
+            frame().prop_map(|(f, o, seq, gap)| Step::Data(f, o, seq, gap)),
+            frame().prop_map(|(f, o, seq, gap)| Step::Data(f, o, seq, gap)),
+            frame().prop_map(|(f, o, seq, gap)| Step::Relay(f, o, seq, gap)),
+            // Back to back, around the relay deadline, the gate's 15 s
+            // and the 30 s window.
+            tick(0..2),
+            tick(0..2),
+            tick(799..802),
+            tick(799..802),
+            tick(14_999..15_002),
+            tick(29_999..30_002),
+            Just(Step::Reset),
+            (20..22u16, any::<bool>()).prop_map(|(entity, value)| Step::Other(entity, value)),
+            (20..22u16, any::<bool>()).prop_map(|(entity, value)| Step::Other(entity, value)),
+            (0..FORWARDERS.len(), any::<bool>()).prop_map(|(f, v)| Step::Confirmed(f, v)),
+            Just(Step::Drain),
+        ]
+    }
+
+    fn capture(
+        now: Timestamp,
+        src: ShortAddr,
+        dst: ShortAddr,
+        origin: usize,
+        seq: u8,
+    ) -> CapturedPacket {
+        let thl = u8::from(src != ORIGINS[origin]);
+        let raw = kalis_netsim::craft::ctp_data(src, dst, seq, ORIGINS[origin], seq, thl, b"r");
+        CapturedPacket::capture(now, Medium::Ieee802154, Some(-50.0), "t", raw)
+    }
+
+    /// The frame a `Data` or `Relay` step puts on the air at `now`.
+    fn frame(step: &Step, now: Timestamp) -> Option<CapturedPacket> {
+        match *step {
+            Step::Data(f, o, seq, _) => Some(capture(now, ORIGINS[o], FORWARDERS[f], o, seq)),
+            Step::Relay(f, o, seq, _) => Some(capture(now, FORWARDERS[f], ROOT, o, seq)),
+            _ => None,
+        }
+    }
+
+    fn kb(entity_budget: usize) -> KnowledgeBase {
+        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+        kb.set_entity_budget(entity_budget);
+        kb.insert(sense::MULTIHOP, true);
+        kb.insert(sense::CTP_ROOT, ROOT.to_string());
+        kb
+    }
+
+    /// Six frames to the first forwarder, none passed on: a blackhole
+    /// verdict stands a second after the last.
+    fn blackhole() -> Vec<Step> {
+        let mut steps: Vec<Step> = (0..6).map(|seq| Step::Data(0, 0, seq, 100)).collect();
+        steps.push(Step::Tick(1_000));
+        steps
+    }
+
+    proptest! {
+        #[test]
+        fn the_tally_is_a_fresh_recount_after_every_step(
+            steps in proptest::collection::vec(step(), 1..120),
+        ) {
+            let mut kb = kb(4);
+            let mut alerts = Vec::new();
+            let mut watchdog = Watchdog::new(BUDGET);
+            let mut now = Timestamp::ZERO;
+            for step in blackhole().iter().chain(&steps) {
+                let ledger = watchdog.observations.clone();
+                match *step {
+                    Step::Data(.., gap) | Step::Relay(.., gap) | Step::Tick(gap) => {
+                        now += Duration::from_millis(gap);
+                    }
+                    Step::Reset => watchdog.clear(),
+                    Step::Other(..) | Step::Confirmed(..) | Step::Drain => continue,
+                }
+                if let Some(packet) = frame(step, now) {
+                    let ctx = ModuleCtx { now, kb: &mut kb, alerts: &mut alerts };
+                    watchdog.on_packet(&ctx, &packet);
+                }
+                let moved = watchdog.expire(now);
+                // A ledger that differs moved (one that moved may read
+                // the same: an outcome spilled by its twin).
+                prop_assert!(moved || ledger == watchdog.observations);
+                let tally = watchdog.tally.clone();
+                watchdog.recount();
+                prop_assert_eq!(&tally, &watchdog.tally);
+                prop_assert!(!watchdog.expire(now), "nothing moved since");
+            }
+        }
+    }
+
+    type Told = (Timestamp, Vec<Entity>, String);
+
+    /// One module with its Knowledge Base, as a node holds them.
+    struct Side {
+        module: BlackholeModule,
+        kb: KnowledgeBase,
+        alerts: Vec<Alert>,
+        /// Whether every call derives and writes the evidence.
+        every_call: bool,
+    }
+
+    impl Side {
+        fn new(every_call: bool) -> Side {
+            Side {
+                module: BlackholeModule::build(BUDGET),
+                kb: kb(1),
+                alerts: Vec::new(),
+                every_call,
+            }
+        }
+
+        /// `on_packet` (`on_tick`, without a packet) at `now`.
+        fn call(&mut self, now: Timestamp, packet: Option<&CapturedPacket>) {
+            let mut ctx = ModuleCtx {
+                now,
+                kb: &mut self.kb,
+                alerts: &mut self.alerts,
+            };
+            match (self.every_call, packet) {
+                (false, Some(packet)) => self.module.on_packet(&mut ctx, packet),
+                (false, None) => self.module.on_tick(&mut ctx),
+                (true, packet) => {
+                    if let Some(packet) = packet {
+                        self.module.watchdog.on_packet(&ctx, packet);
+                    }
+                    self.module.watchdog.expire(now);
+                    self.module.evaluate(&mut ctx, now, true);
+                }
+            }
+        }
+
+        /// Every alert as `(time, suspects, details)`, the knowledge
+        /// held, and its revision.
+        fn story(&self) -> (Vec<Told>, Vec<Knowgget>, u64) {
+            let alerts = (self.alerts.iter())
+                .map(|alert| (alert.time, alert.suspects.clone(), alert.details.clone()))
+                .collect();
+            (alerts, self.kb.iter().collect(), self.kb.revision())
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn evidence_written_when_the_ledger_moved_tells_the_story_of_writing_it_every_call(
+            steps in proptest::collection::vec(step(), 1..120),
+        ) {
+            let mut sides = [Side::new(false), Side::new(true)];
+            let mut now = Timestamp::ZERO;
+            for step in blackhole().iter().chain(&steps) {
+                if let Step::Data(.., gap) | Step::Relay(.., gap) | Step::Tick(gap) = *step {
+                    now += Duration::from_millis(gap);
+                }
+                let packet = frame(step, now);
+                let mut outboxes = Vec::new();
+                for side in &mut sides {
+                    match *step {
+                        Step::Data(..) | Step::Relay(..) | Step::Tick(_) => {
+                            side.call(now, packet.as_ref());
+                        }
+                        Step::Reset => side.module.reset(),
+                        Step::Other(entity, value) => {
+                            let about = Entity::from(ShortAddr(entity));
+                            side.kb.insert_about("SignalStrength", about, value);
+                        }
+                        Step::Confirmed(f, value) => {
+                            let about = Entity::from(FORWARDERS[f]);
+                            let label = super::super::wormhole_confirmed_label();
+                            side.kb.insert_about_collective(label, about, value);
+                        }
+                        Step::Drain => outboxes.push(side.kb.drain_dirty_collective()),
+                    }
+                }
+                let [moved, every_call] = &sides;
+                prop_assert_eq!(moved.story(), every_call.story());
+                prop_assert!(outboxes.windows(2).all(|pair| pair[0] == pair[1]));
+            }
+            // What is still owed to the peers is owed alike.
+            let [moved, every_call] = &mut sides;
+            prop_assert_eq!(moved.kb.drain_dirty_collective(), every_call.kb.drain_dirty_collective());
+        }
+    }
+
+    /// The prelude's verdict does stand, and the purge the second test
+    /// leans on does happen: the cases above are not vacuous.
+    #[test]
+    fn a_purged_evidence_knowgget_is_written_again_by_the_next_idle_tick() {
+        let mut side = Side::new(false);
+        let mut now = Timestamp::ZERO;
+        for step in blackhole() {
+            if let Step::Data(.., gap) | Step::Tick(gap) = step {
+                now += Duration::from_millis(gap);
+            }
+            side.call(now, frame(&step, now).as_ref());
+        }
+        let suspect = Entity::from(FORWARDERS[0]);
+        let evidence = |side: &Side| side.kb.get_about(labels::DROPPED_ORIGINS, &suspect);
+        assert_eq!(
+            evidence(&side),
+            Some(KnowValue::Text(ORIGINS[0].to_string()))
+        );
+        assert_eq!(side.alerts.len(), 1);
+        // An idle tick: nothing written, nothing changed.
+        let revision = side.kb.revision();
+        side.call(now + Duration::from_millis(10), None);
+        assert_eq!(side.kb.revision(), revision);
+        // Someone else takes the one entity slot; the next idle tick
+        // puts the evidence back.
+        (side.kb).insert_about("SignalStrength", Entity::from(ShortAddr(20)), true);
+        assert_eq!(evidence(&side), None);
+        side.call(now + Duration::from_millis(20), None);
+        assert_eq!(
+            evidence(&side),
+            Some(KnowValue::Text(ORIGINS[0].to_string()))
+        );
     }
 }
 

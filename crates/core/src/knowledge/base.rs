@@ -756,6 +756,13 @@ impl KnowledgeBase {
         Some(self.local_entry(label, Some(entity))?.value.clone())
     }
 
+    /// Whether a local knowgget `label@entity` is held, whatever its
+    /// value: how a writer that would only repeat itself learns that an
+    /// entity eviction took its knowgget. Counted as a get.
+    pub fn holds_about(&self, label: &str, entity: &Entity) -> bool {
+        self.local_entry(label, Some(entity)).is_some()
+    }
+
     /// Typed lookup: boolean.
     pub fn get_bool(&self, label: &str) -> Option<bool> {
         self.local_entry(label, None)?.value.as_bool()

@@ -215,17 +215,27 @@ pub struct ModuleManager {
     supervisor: SupervisorConfig,
     stats: SupervisorStats,
     tele: Option<ManagerTele>,
-    /// Dispatch sequence number driving latency sampling.
+    /// Packet and tick dispatch sequence numbers driving latency
+    /// sampling — apart, so that traffic at a fixed number of packets a
+    /// tick cannot keep every tick in, or out of, the sample.
     dispatch_seq: u64,
+    tick_seq: u64,
 }
 
-/// Per-module dispatch latency is sampled on one packet in
-/// `DISPATCH_SAMPLE + 1`: clock reads are the dominant instrumentation
-/// cost (N modules need N+1 reads), and sampling keeps them off the
-/// common path while the histograms stay statistically representative.
-/// (When a watchdog budget is configured, every dispatch is timed
-/// regardless — the budget check cannot sample.)
+/// Per-module dispatch latency is sampled on one packet, and one tick,
+/// in `DISPATCH_SAMPLE_MASK + 1`: clock reads are the dominant
+/// instrumentation cost (N modules need N+1 reads, and a recorded call
+/// a histogram update and a `module.cpu_ns` add on top), and sampling
+/// keeps them off the common path while the histograms stay
+/// statistically representative. (When a watchdog budget is configured,
+/// every dispatch is timed regardless — the budget check cannot sample.)
 const DISPATCH_SAMPLE_MASK: u64 = 7;
+
+/// Advance `seq` and say whether the dispatch it numbers is sampled.
+fn sampled(seq: &mut u64) -> bool {
+    *seq = seq.wrapping_add(1);
+    *seq & DISPATCH_SAMPLE_MASK == 0
+}
 
 /// Human-readable panic payload for the journal.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -263,6 +273,7 @@ impl ModuleManager {
             stats: SupervisorStats::default(),
             tele: None,
             dispatch_seq: 0,
+            tick_seq: 0,
         }
     }
 
@@ -512,27 +523,25 @@ impl ModuleManager {
         packet: &CapturedPacket,
         shed: ShedMode,
     ) -> DispatchOutcome {
-        self.dispatch_seq = self.dispatch_seq.wrapping_add(1);
-        let sampled = self.tele.is_some() && self.dispatch_seq & DISPATCH_SAMPLE_MASK == 0;
+        let record = sampled(&mut self.dispatch_seq) && self.tele.is_some();
         self.supervise(
             ctx,
             shed,
-            sampled,
+            record,
             |t| &t.packet_hist,
             |module, ctx| module.on_packet(ctx, packet),
         )
     }
 
     /// Route a tick to every active module. Supervised like packet
-    /// dispatch (panic isolation, budgets, quarantine) but never shed:
-    /// ticks are rare and drive window expiry, and every one is timed
-    /// when a registry is attached.
+    /// dispatch (panic isolation, budgets, quarantine, latency sampled
+    /// by the same rule) but never shed: ticks drive window expiry.
     pub fn dispatch_tick(&mut self, ctx: &mut ModuleCtx<'_>) -> DispatchOutcome {
-        let attached = self.tele.is_some();
+        let record = sampled(&mut self.tick_seq) && self.tele.is_some();
         self.supervise(
             ctx,
             ShedMode::None,
-            attached,
+            record,
             |t| &t.tick_hist,
             |module, ctx| module.on_tick(ctx),
         )
@@ -803,11 +812,18 @@ impl ModuleManager {
             .collect()
     }
 
-    /// `(name, cumulative evictions)` of every loaded module, in load
-    /// order, borrowed: the tick's eviction audit, which needs nothing
-    /// else of [`ModuleManager::module_profiles`].
-    pub fn evictions(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        (self.slots.iter()).map(|s| (s.module.descriptor().name, s.module.evictions()))
+    /// The tick's one look at the slot table: every loaded module's
+    /// cumulative evictions into `evictions`, in load order (what the
+    /// eviction audit needs of [`ModuleManager::module_profiles`]), and
+    /// [`ModuleManager::state_bytes`] as the result.
+    pub fn state_and_evictions(&self, evictions: &mut Vec<u64>) -> usize {
+        evictions.clear();
+        let mut bytes = 0;
+        for slot in &self.slots {
+            evictions.push(slot.module.evictions());
+            bytes += slot.module.state_bytes();
+        }
+        bytes
     }
 
     /// Refresh the per-module `module.occupancy` and `module.work_units`
@@ -1635,5 +1651,90 @@ mod tests {
         assert_eq!(gauges, [[4, 3, 0, 1], [0, 0, 1, 0], [1, 0, 0, 1]]);
         let through_tick = crash_loop_through(|mgr, ctx| mgr.dispatch_tick(ctx));
         assert_eq!((journal, gauges), through_tick);
+    }
+
+    /// A sensing module whose tick takes as long as its test says.
+    struct SlowTick(Duration);
+
+    impl Module for SlowTick {
+        fn descriptor(&self) -> ModuleDescriptor {
+            ModuleDescriptor::sensing("SlowTick")
+        }
+        fn required(&self, _kb: &KnowledgeBase) -> bool {
+            true
+        }
+        fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
+        fn on_tick(&mut self, _ctx: &mut ModuleCtx<'_>) {
+            std::thread::sleep(self.0);
+        }
+    }
+
+    #[test]
+    fn tick_latency_is_sampled_one_tick_in_eight_whatever_the_packets_between() {
+        let tele = Arc::new(Telemetry::new());
+        let (mut kb, mut alerts) = ctx_parts();
+        let mut mgr = ModuleManager::new();
+        mgr.set_telemetry(&tele);
+        mgr.add(Box::new(SlowTick(Duration::ZERO)), false);
+        mgr.add(Box::new(NeedsMultihop { processed: 0 }), true);
+        for second in 0..64 {
+            let mut ctx = ModuleCtx {
+                now: Timestamp::from_secs(second),
+                kb: &mut kb,
+                alerts: &mut alerts,
+            };
+            // Seven packets a tick: eight dispatches a round, the rate at
+            // which one shared sequence would sample every tick or none.
+            for _ in 0..7 {
+                mgr.dispatch_packet(&mut ctx, &packet());
+            }
+            assert_eq!(mgr.dispatch_tick(&mut ctx).modules_run, 2);
+        }
+        let snapshot = tele.snapshot();
+        let samples = |family: &str| -> Vec<u64> {
+            (snapshot.histograms_in(family))
+                .map(|(_, hist)| hist.count)
+                .collect()
+        };
+        assert_eq!(samples(names::DISPATCH_TICK), [8, 8]);
+        assert_eq!(samples(names::DISPATCH_PACKET), [56, 56]);
+        // Every call consumed work, sampled or not.
+        let profiles = mgr.module_profiles();
+        assert!(profiles.iter().all(|p| p.dispatches == 64 * 8));
+    }
+
+    #[test]
+    fn a_budget_overrun_on_a_tick_outside_the_sample_is_still_struck() {
+        let tele = Arc::new(Telemetry::new());
+        let (mut kb, mut alerts) = ctx_parts();
+        let mut mgr = ModuleManager::new();
+        mgr.set_telemetry(&tele);
+        mgr.set_supervisor(SupervisorConfig {
+            budget: Some(Duration::from_micros(100)),
+            overrun_limit: 3,
+            ..SupervisorConfig::default()
+        });
+        mgr.add(Box::new(SlowTick(Duration::from_millis(3))), false);
+        // The first three ticks: the sample takes the eighth.
+        for second in 0..3 {
+            let mut ctx = ModuleCtx {
+                now: Timestamp::from_secs(second),
+                kb: &mut kb,
+                alerts: &mut alerts,
+            };
+            mgr.dispatch_tick(&mut ctx);
+        }
+        let recorded: u64 = (tele.snapshot().histograms_in(names::DISPATCH_TICK))
+            .map(|(_, hist)| hist.count)
+            .sum();
+        assert_eq!(recorded, 0);
+        assert_eq!(mgr.supervisor_stats().overruns, 3);
+        assert_eq!(
+            mgr.module_health("SlowTick"),
+            Some(ModuleHealth::Quarantined)
+        );
+        assert_eq!(mgr.quarantined_count(), 1);
+        // Timed because budgeted: the CPU account has all three.
+        assert!(mgr.module_profiles()[0].cpu_ns >= 9_000_000);
     }
 }

@@ -737,7 +737,7 @@ impl Kalis {
         let shed = self.observe_arrival(now);
         self.store.push(packet);
         self.dispatch_newest(now, shed);
-        self.after_dispatch(now);
+        self.after_dispatch(now, self.manager.state_bytes());
         if self.current_trace.sampled {
             self.kb.clear_trace();
             self.stats.trace_dropped.set(self.tracer.dropped());
@@ -882,7 +882,8 @@ impl Kalis {
         let outcome = self.manager.dispatch_tick(&mut ctx);
         self.stats.work.add(outcome.work_units());
         self.response.expire(now);
-        self.after_dispatch(now);
+        let modules_state = self.housekeeping.read_slots(&self.manager);
+        self.after_dispatch(now, modules_state);
         let evictions =
             (self.housekeeping).journal_state_evictions(now, &self.manager, &self.kb, &self.tele);
         // The ops surface refreshes at tick cadence: profiler gauges,
@@ -960,7 +961,10 @@ impl Kalis {
         }
     }
 
-    fn after_dispatch(&mut self, now: Timestamp) {
+    /// What follows every dispatch, packet or tick: reconfiguration,
+    /// alert post-processing, state accounting. `modules_state`: the
+    /// Module Manager's `state_bytes()` as the dispatch left it.
+    fn after_dispatch(&mut self, now: Timestamp, modules_state: usize) {
         if self.reconfigure_due() {
             self.reconfigure_on_changes(now);
         }
@@ -1017,7 +1021,7 @@ impl Kalis {
             }
         }
         self.pending_alert_cursor = self.alerts.len();
-        let state = self.store.state_bytes() + self.kb.state_bytes() + self.manager.state_bytes();
+        let state = self.store.state_bytes() + self.kb.state_bytes() + modules_state;
         self.stats.peak_state.set_max(state as u64);
         // Readiness transitions must reach /readyz immediately, not at
         // the next tick: compare the (usually empty) reason set against

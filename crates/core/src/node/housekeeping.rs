@@ -149,6 +149,9 @@ pub(super) struct Housekeeping {
     /// `state_evicted` journal records emitted at tick cadence. Per
     /// slot, not per name — two slots may load one module.
     journaled_evictions: Vec<u64>,
+    /// The counts those are compared with: what each slot had evicted
+    /// when [`Housekeeping::read_slots`] last looked.
+    seen_evictions: Vec<u64>,
     /// The same latch for the Knowledge Base's entity index.
     journaled_kb_evictions: u64,
     /// The flight recorder: bounded telemetry history plus capture
@@ -168,6 +171,7 @@ impl Housekeeping {
     pub(super) fn new(recorder: FlightRecorder, tele: &Telemetry) -> Self {
         Housekeeping {
             journaled_evictions: Vec::new(),
+            seen_evictions: Vec::new(),
             journaled_kb_evictions: 0,
             recorder,
             edges: DiagEdges::default(),
@@ -186,9 +190,17 @@ impl Housekeeping {
         &self.bundles
     }
 
+    /// The tick's one look at the Module Manager's slot table, taken
+    /// once its modules have ticked: the eviction counts are kept for
+    /// [`Housekeeping::journal_state_evictions`], the modules' state
+    /// bytes are the result.
+    pub(super) fn read_slots(&mut self, manager: &ModuleManager) -> usize {
+        manager.state_and_evictions(&mut self.seen_evictions)
+    }
+
     /// Journal aggregated bounded-state evictions: one `state_evicted`
-    /// record per structure (`module:<name>` per slot, then `kb`) whose
-    /// cumulative count moved since the last tick. Aggregation is
+    /// record per structure (`module:<name>` per slot as last read, then
+    /// `kb`) whose cumulative count moved since the last tick. Aggregation is
     /// deliberate — per-eviction records would let a state-exhaustion
     /// adversary flood the journal at spray rate. Returns the cumulative
     /// evictions across every budgeted structure, the state-exhaustion
@@ -202,14 +214,15 @@ impl Housekeeping {
     ) -> u64 {
         let journal = tele.journal();
         let mut total = 0;
-        for (slot, (name, evicted)) in manager.evictions().enumerate() {
+        (self.journaled_evictions).resize(self.seen_evictions.len(), 0);
+        let slots = self
+            .seen_evictions
+            .iter()
+            .zip(&mut self.journaled_evictions);
+        for (slot, (&evicted, journaled)) in slots.enumerate() {
             total += evicted;
-            if slot == self.journaled_evictions.len() {
-                self.journaled_evictions.push(0);
-            }
-            let journaled = &mut self.journaled_evictions[slot];
             if evicted > 0 && std::mem::replace(journaled, evicted) != evicted {
-                let structure = format!("module:{name}");
+                let structure = format!("module:{}", manager.name_of(slot));
                 journal.record(
                     now.as_micros(),
                     JournalEvent::StateEvicted { structure, evicted },

@@ -1,6 +1,7 @@
 //! A packet that changes nothing anyone subscribed to costs the node no
 //! heap allocation, neither does asking a decoded packet who sent it,
-//! and neither does a housekeeping tick whose wormhole verdict stands;
+//! and neither does a housekeeping tick whose wormhole verdict stands,
+//! nor a reading or a tick under a blackhole verdict that stands;
 //! a packet of identities never seen before, with every budget full,
 //! allocates next to nothing: counted with the allocator
 //! `kb_allocations.rs` counts with (`counting_alloc/mod.rs`), from the
@@ -12,7 +13,9 @@
 //! change events are built only once someone subscribed, and `Entity`
 //! keeps short names inline. The tick's pin rests on the wormhole
 //! module keeping its verdict while the Knowledge Base says neither
-//! input changed. The new identity's pin rests on the Knowledge Base
+//! input changed, the blackhole's on the watchdog saying whether its
+//! ledger moved and the Knowledge Base whether it still holds the
+//! evidence. The new identity's pin rests on the Knowledge Base
 //! holding encoded keys and origin names inline, in the entry and in the
 //! entity index alike: with either a `String` again, it fails.
 
@@ -271,6 +274,85 @@ fn a_tick_whose_wormhole_verdict_stands_allocates_nothing() {
     // The verdict was acted on throughout: the alert came back whenever
     // the gate's 30 s had passed, at a tick.
     assert_eq!(wormholes(&node), [7_000, 37_000, 67_150, 97_550, 127_950]);
+}
+
+/// Frame `index` of the stream above, the relay a blackhole: what the
+/// leaf hands it is never passed on (the root beacons in that slot
+/// instead).
+fn frame_into_a_blackhole(index: u64) -> CapturedPacket {
+    if index % KINDS.len() as u64 != 4 {
+        return frame(index);
+    }
+    let root = ShortAddr(1);
+    let raw = craft::ctp_beacon(root, (index / KINDS.len() as u64) as u8, root, 0);
+    let time = Timestamp::from_millis(index * 100);
+    CapturedPacket::capture(time, Medium::Ieee802154, Some(-64.5), "t", raw)
+}
+
+#[test]
+fn a_standing_blackhole_verdict_allocates_nothing_for_its_evidence() {
+    let mut node = Kalis::builder(KalisId::new("K1"))
+        .with_default_modules()
+        .build();
+    // A minute in, the watchdog has seen the relay swallow seventy
+    // readings: the verdict stands and its evidence is published.
+    const WARM: u64 = 600;
+    const PERIODS: u64 = 90;
+    for index in 0..WARM {
+        node.ingest(frame_into_a_blackhole(index));
+    }
+    let (relay, leaf) = (ShortAddr(2), ShortAddr(3));
+    let blackholes = |node: &Kalis| {
+        (node.alerts().iter())
+            .filter(|alert| alert.attack == AttackKind::Blackhole)
+            .count()
+    };
+    assert!(blackholes(&node) > 0, "no verdict to stand");
+    let evidence =
+        |node: &Kalis| (node.knowledge()).get_about("DroppedOrigins", &Entity::from(relay));
+    assert_eq!(evidence(&node), Some(KnowValue::Text(leaf.to_string())));
+    let ticks = node.telemetry().counter(names::TICKS);
+    let (mut quiet_ticks, mut quiet_frames) = (0, 0);
+    for period in WARM / 8..WARM / 8 + PERIODS {
+        for index in period * 8..period * 8 + 8 {
+            node.ingest(frame_into_a_blackhole(index));
+        }
+        // A housekeeping tick, on which the extra reading of the period
+        // before comes overdue (the period is the relay deadline): from
+        // here to the end of the period the watchdog's ledger stands, and
+        // with it the evidence. At the parent each of the two measured
+        // calls derived the origin list, named every origin, joined the
+        // names and handed the Knowledge Base the text it already held.
+        let at = Timestamp::from_millis(period * 800 + 780);
+        node.tick(at);
+        // A further reading for the relay to swallow.
+        let raw = craft::ctp_data(leaf, relay, 200, leaf, period as u8, 0, b"r");
+        let reading = CapturedPacket::capture(at, Medium::Ieee802154, Some(-52.5), "t", raw);
+        let before: Vec<Knowgget> = node.knowledge().iter().collect();
+        let was = (ticks.get(), node.alerts().len());
+        let allocated = allocations(|| node.ingest(reading));
+        let after: Vec<Knowgget> = node.knowledge().iter().collect();
+        if (ticks.get(), node.alerts().len()) == was && only_scalars_changed(&before, &after) {
+            assert_eq!(allocated, 0, "the reading after period {period}");
+            quiet_frames += 1;
+        }
+        // The tick that publishes what the reading did to the rates, then
+        // an idle one, sooner than the recorder samples again.
+        node.tick(at + Duration::from_millis(5));
+        let was = (node.alerts().len(), node.knowledge().revision());
+        let allocated = allocations(|| node.tick(at + Duration::from_millis(10)));
+        if (node.alerts().len(), node.knowledge().revision()) == was {
+            assert_eq!(allocated, 0, "the idle tick after period {period}");
+            quiet_ticks += 1;
+        }
+    }
+    assert!(
+        quiet_ticks >= PERIODS - 10 && quiet_frames >= PERIODS - 10,
+        "only {quiet_ticks} ticks and {quiet_frames} readings of {PERIODS} were quiet"
+    );
+    // The verdict stood throughout: the alert came back at the gate's pace.
+    assert!(blackholes(&node) >= 5);
+    assert_eq!(evidence(&node), Some(KnowValue::Text(leaf.to_string())));
 }
 
 /// The identity sprayed frame `index` carries: scrambled as
