@@ -3,7 +3,9 @@
 //! its insert of a new one (which evicts the least recently used), and
 //! `SlidingCounter::count` with the exact buffer full — at the default
 //! `entity_budget` and at four times it, because what an operator raises
-//! to resist a spray must not be what a packet pays for.
+//! to resist a spray must not be what a packet pays for. Beside them, the
+//! touch of a map holding five keys: what the workloads that spray
+//! nothing pay for the same map.
 
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -39,6 +41,20 @@ fn bench_bounded(c: &mut Criterion) {
             // A stride coprime to the budget: every key in turn, never
             // the one touched last.
             next = (next + 389) % keys.len();
+            black_box(map.get_mut(&keys[next]).map(|rssi| *rssi -= 0.5))
+        });
+    });
+    group.bench_function("bounded_map_touch_small", |b| {
+        // What most maps hold off a spray: a handful of keys (a flood's
+        // one victim and its few transmitters) under the default budget.
+        let keys: Vec<Entity> = (0..5).map(sprayed).collect();
+        let mut map = BoundedMap::new(DEFAULT_ENTITY_BUDGET);
+        for key in &keys {
+            map.insert(key.clone(), -60.0);
+        }
+        let mut next = 0;
+        b.iter(|| {
+            next = (next + 2) % keys.len();
             black_box(map.get_mut(&keys[next]).map(|rssi| *rssi -= 0.5))
         });
     });

@@ -23,7 +23,9 @@ use kalis_packets::ctp::CtpFrame;
 use kalis_packets::{CapturedPacket, Entity};
 
 use crate::alert::{Alert, AttackKind};
-use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
+use crate::bounded::{
+    budget_params, BoundedMap, Touched, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET,
+};
 use crate::id::KalisId;
 use crate::knowledge::{KnowValue, KnowledgeBase};
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
@@ -57,6 +59,9 @@ pub struct WormholeModule {
     /// Origins relayed by each forwarder that were never heard locally.
     // kalis-lint: allow(KL301): each set capped at ORIGIN_CAP before insert
     exotic: BoundedMap<Entity, BTreeSet<Entity>>,
+    /// What `state_bytes()` counts for `local_origins` and `exotic`, kept
+    /// as they change so that the per-packet read walks neither.
+    origin_bytes: usize,
     gate: AlertGate<(Entity, Entity)>,
     /// The last correlation, kept while its inputs stand.
     verdict: Option<Verdict>,
@@ -104,10 +109,31 @@ impl WormholeModule {
             entity_budget,
             local_origins: BoundedMap::new(entity_budget),
             exotic: BoundedMap::new(entity_budget),
+            origin_bytes: 0,
             gate: AlertGate::bounded(Duration::from_secs(30), entity_budget),
             verdict: None,
         }
     }
+
+    /// `origin_bytes` recomputed by walking both maps.
+    fn recount_origin_bytes(&self) -> usize {
+        let local = self.local_origins.iter().map(|(o, _)| footprint(o));
+        let exotic = self.exotic.iter().map(|(_, set)| set_footprint(set));
+        local.chain(exotic).sum()
+    }
+}
+
+/// What one remembered origin costs in `state_bytes()`.
+fn footprint(origin: &Entity) -> usize {
+    origin.as_str().len() + 24
+}
+
+/// What a forwarder's exotic-origin set costs besides its origins.
+const SET_BYTES: usize = 48;
+
+// kalis-lint: allow(KL301): reads one exotic set, capped at ORIGIN_CAP
+fn set_footprint(set: &BTreeSet<Entity>) -> usize {
+    set.iter().map(footprint).sum::<usize>() + SET_BYTES
 }
 
 impl Default for WormholeModule {
@@ -213,17 +239,38 @@ impl Module for WormholeModule {
         let origin = Entity::from(data.origin);
         if data.thl == 0 {
             // Heard the origin itself transmitting: it is local.
-            self.local_origins.insert(origin, ());
+            if let Touched::Inserted(_, evicted) =
+                self.local_origins.touch_or_insert(&origin, || ())
+            {
+                self.origin_bytes += footprint(&origin);
+                if let Some((lost, ())) = evicted {
+                    self.origin_bytes -= footprint(&lost);
+                }
+            }
             return;
         }
         // A relay of traffic whose origin we never heard: exotic.
         if !self.local_origins.contains_key(&origin) {
             // kalis-lint: allow(KL301): set growth gated on ORIGIN_CAP below
-            let (set, _) = self.exotic.get_or_insert_with(&tx, BTreeSet::new);
+            let set = match self.exotic.touch_or_insert(&tx, BTreeSet::new) {
+                Touched::Held(set) => set,
+                Touched::Inserted(set, evicted) => {
+                    self.origin_bytes += SET_BYTES;
+                    if let Some((_, lost)) = evicted {
+                        self.origin_bytes -= set_footprint(&lost);
+                    }
+                    set
+                }
+            };
             if set.len() >= ORIGIN_CAP {
                 return;
             }
-            if set.insert(origin) && set.len() >= EXOTIC_THRESHOLD {
+            let bytes = footprint(&origin);
+            if !set.insert(origin) {
+                return;
+            }
+            self.origin_bytes += bytes;
+            if set.len() >= EXOTIC_THRESHOLD {
                 let mut joined = String::new();
                 for origin in set.iter() {
                     if !joined.is_empty() {
@@ -291,17 +338,8 @@ impl Module for WormholeModule {
     }
 
     fn state_bytes(&self) -> usize {
-        self.local_origins
-            .iter()
-            .map(|(s, _)| s.as_str().len() + 24)
-            .sum::<usize>()
-            + self
-                .exotic
-                .iter()
-                .map(|(_, s)| s.iter().map(|o| o.as_str().len() + 24).sum::<usize>() + 48)
-                .sum::<usize>()
-            + self.verdict.as_ref().map_or(0, |verdict| verdict.bytes)
-            + 128
+        debug_assert_eq!(self.origin_bytes, self.recount_origin_bytes());
+        self.origin_bytes + self.verdict.as_ref().map_or(0, |verdict| verdict.bytes) + 128
     }
 
     fn occupancy(&self) -> usize {
@@ -323,6 +361,7 @@ impl Module for WormholeModule {
     fn reset(&mut self) {
         self.local_origins.clear();
         self.exotic.clear();
+        self.origin_bytes = 0;
         self.gate.clear();
         self.verdict = None;
     }
@@ -778,6 +817,28 @@ mod tests {
             format!("{},{}", ShortAddr(30), ShortAddr(31)),
         );
         assert!(tick(&mut module, &mut kb, 1000).is_empty());
+    }
+
+    #[test]
+    fn origin_bytes_follow_gains_evictions_and_reset() {
+        let mut module = WormholeModule::new().with_entity_budget(16);
+        let mut kb = KnowledgeBase::new(KalisId::new("K2"));
+        assert_eq!(module.state_bytes(), 128);
+        // Forty local origins and forty relays against 16 slots a map:
+        // relayed origins repeat, forwarders come back after eviction.
+        for i in 0..40u16 {
+            let ms = u64::from(i) * 10;
+            let caps = vec![
+                originated(ms, 100 + i, 1),
+                relayed(ms + 1, 300 + i % 20, 500 + i % 7, 1),
+                relayed(ms + 2, 300 + i % 20, 100 + i, 1),
+            ];
+            feed(&mut module, &mut kb, caps);
+            assert_eq!(module.state_bytes(), 128 + module.recount_origin_bytes());
+        }
+        assert!(module.local_origins.evictions() > 0 && module.exotic.evictions() > 0);
+        module.reset();
+        assert_eq!(module.state_bytes(), 128);
     }
 
     #[test]

@@ -220,6 +220,9 @@ pub struct ModuleManager {
     /// tick cannot keep every tick in, or out of, the sample.
     dispatch_seq: u64,
     tick_seq: u64,
+    /// Slots in quarantine, kept where `supervise` flips and releases
+    /// them: read on every packet, it walks no slots.
+    quarantined: usize,
 }
 
 /// Per-module dispatch latency is sampled on one packet, and one tick,
@@ -274,6 +277,7 @@ impl ModuleManager {
             tele: None,
             dispatch_seq: 0,
             tick_seq: 0,
+            quarantined: 0,
         }
     }
 
@@ -687,8 +691,11 @@ impl ModuleManager {
         self.stats.overruns += overruns;
         self.stats.quarantines += quarantine_flips;
         if quarantine_flips + quarantine_releases > 0 {
+            self.quarantined += quarantine_flips as usize;
+            self.quarantined -= quarantine_releases as usize;
+            debug_assert_eq!(self.quarantined, self.recount_quarantined());
             if let Some(t) = tele {
-                t.quarantined.set(self.quarantined_count() as u64);
+                t.quarantined.set(self.quarantined as u64);
                 t.active.set(self.active_count() as u64);
             }
         }
@@ -770,6 +777,9 @@ impl ModuleManager {
     /// benched by the supervisor only degrades the node.
     pub fn quarantined_pinned(&self) -> SlotSet {
         let mut slots = SlotSet::default();
+        if self.quarantined == 0 {
+            return slots;
+        }
         for (index, slot) in self.slots.iter().enumerate() {
             if slot.pinned && slot.supervision.is_quarantined() {
                 slots.insert(index);
@@ -843,8 +853,12 @@ impl ModuleManager {
 
     /// Number of currently quarantined modules.
     pub fn quarantined_count(&self) -> usize {
-        self.slots
-            .iter()
+        self.quarantined
+    }
+
+    /// `quarantined` recounted by walking the slots.
+    fn recount_quarantined(&self) -> usize {
+        (self.slots.iter())
             .filter(|s| s.supervision.is_quarantined())
             .count()
     }

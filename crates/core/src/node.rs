@@ -704,8 +704,8 @@ impl Kalis {
     /// dispatch (heavyweight anomaly modules first, pinned signature
     /// modules never) instead of the node falling behind the capture.
     pub fn ingest(&mut self, packet: CapturedPacket) {
-        let pipeline = Arc::clone(&self.stats.pipeline);
-        let _span = pipeline.span();
+        // kalis-lint: allow(KL302): the whole-ingest latency histogram is wall-clock by design
+        let started = std::time::Instant::now();
         self.stats.packets.inc();
         let now = packet.timestamp;
         self.ingest_seq = self.ingest_seq.wrapping_add(1);
@@ -744,6 +744,9 @@ impl Kalis {
         }
         self.current_trace = TraceContext::none();
         self.current_packet_seq = None;
+        self.stats
+            .pipeline
+            .record(started.elapsed().as_nanos() as u64);
     }
 
     /// Route the packet just stored to the active modules, borrowed from

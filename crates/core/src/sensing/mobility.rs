@@ -7,7 +7,9 @@
 
 use kalis_packets::{CapturedPacket, Entity, Timestamp};
 
-use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
+use crate::bounded::{
+    budget_params, BoundedMap, Touched, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET,
+};
 use crate::knowledge::{KnowValue, KnowledgeBase};
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
 use crate::sensing::labels;
@@ -89,16 +91,15 @@ impl Module for MobilityAwarenessModule {
             return;
         };
         self.started.get_or_insert(packet.timestamp);
-        match self.estimates.get_mut(&tx) {
-            None => {
+        match self.estimates.touch_or_insert(&tx, || rssi) {
+            Touched::Inserted(..) => {
                 // A sprayed identity that displaces a tracked one only
                 // costs its smoothed estimate: the estimate re-seeds
                 // from the next sample if the real node speaks again.
-                self.estimates.insert(tx.clone(), rssi);
                 ctx.kb
                     .insert_about_collective(labels::SIGNAL_STRENGTH, tx, rssi);
             }
-            Some(est) => {
+            Touched::Held(est) => {
                 let deviation = (rssi - *est).abs();
                 *est = *est * (1.0 - EWMA_ALPHA) + rssi * EWMA_ALPHA;
                 // Publish at coarse (1 dB) granularity to avoid churning

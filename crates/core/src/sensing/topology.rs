@@ -9,7 +9,9 @@ use kalis_packets::icmpv6::Icmpv6Packet;
 use kalis_packets::packet::{NetworkLayer, Transport};
 use kalis_packets::{CapturedPacket, Entity};
 
-use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
+use crate::bounded::{
+    budget_params, BoundedMap, Touched, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET,
+};
 use crate::knowledge::{KnowValue, KnowledgeBase};
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
 use crate::sensing::labels;
@@ -119,9 +121,9 @@ impl Module for TopologyDiscoveryModule {
         let Some(pkt) = packet.decoded() else { return };
 
         if let Some(tx) = pkt.transmitter() {
-            if self.transmitters.get_mut(&tx).is_none() {
+            if let Touched::Inserted(_, evicted) = self.transmitters.touch_or_insert(&tx, || ()) {
                 self.transmitter_bytes += footprint(&tx);
-                if let Some((evicted, ())) = self.transmitters.insert(tx, ()) {
+                if let Some((evicted, ())) = evicted {
                     self.transmitter_bytes -= footprint(&evicted);
                 }
                 ctx.kb
