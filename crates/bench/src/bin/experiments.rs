@@ -23,8 +23,8 @@
 //!
 //! `--exhaustion` runs the adversarial-cardinality experiment: a
 //! ≥100k-fake-identity spray interleaved with a real ICMP flood, with
-//! hard exit gates on occupancy ≤ budget, evictions > 0, and recall
-//! matching the spray-free baseline. `--exhaustion-json PATH` writes
+//! hard exit gates on occupancy ≤ budget, evictions > 0, no Knowledge
+//! Base entity evicted, and recall matching the spray-free baseline. `--exhaustion-json PATH` writes
 //! the machine-readable report (`BENCH_7.json`);
 //! `--spray-identities N` sets the per-burst identity count (8 bursts
 //! total).
@@ -419,13 +419,18 @@ fn main() {
             println!("wrote {path} ({} bytes)", json.len());
         }
         // Hard gates: the run is a failure if any budgeted structure
-        // overflowed, nothing was evicted under a six-figure spray, or
-        // the spray cost recall on the concurrent real attack.
+        // overflowed, nothing was evicted under a six-figure spray, an
+        // identity heard once reached the Knowledge Base far enough to
+        // evict an entity, or the spray cost recall on the concurrent real
+        // attack.
         if !result.bounded() {
             die("state exhaustion: occupancy exceeded a configured budget");
         }
         if result.total_evictions() == 0 {
             die("state exhaustion: spray produced no evictions (budgets not exercised)");
+        }
+        if result.kb_evictions > 0 {
+            die("state exhaustion: the spray evicted Knowledge Base entities");
         }
         if !result.recall_held() {
             die("state exhaustion: recall dropped below the spray-free baseline");

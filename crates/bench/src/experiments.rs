@@ -764,6 +764,7 @@ mod exhaustion {
             assert!(result.fake_identities >= 3200);
             assert!(result.spray_packets >= 3200);
             assert!(result.bounded(), "occupancy exceeded budget: {result:?}");
+            assert_eq!(result.kb_evictions, 0, "the spray reached the KB");
             assert!(
                 result.baseline_detection_rate > 0.0,
                 "baseline scenario must detect its own attack"

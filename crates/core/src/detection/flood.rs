@@ -23,16 +23,49 @@ const COOLDOWN: Duration = Duration::from_secs(10);
 /// Distinct transmitters remembered per victim for alert attribution.
 const MAX_SUSPECTS: usize = 8;
 
-/// Remember `tx` as a suspect transmitter towards `victim`, within the
-/// per-victim attribution cap.
-// kalis-lint: allow(KL301): inner attribution list capped at MAX_SUSPECTS
-fn note_suspect(map: &mut BoundedMap<Entity, Vec<Entity>>, victim: &Entity, tx: Option<Entity>) {
-    if let Some(tx) = tx {
-        let (list, _) = map.get_or_insert_with(victim, Vec::new);
-        if !list.contains(&tx) && list.len() < MAX_SUSPECTS {
-            list.push(tx);
+/// The distinct transmitters remembered towards one victim, in the order
+/// first heard. Most victims of a spray are heard from once, so the first
+/// is held here and only a second starts a `Vec`.
+#[derive(Debug)]
+enum Suspects {
+    One(Entity),
+    // kalis-lint: allow(KL301): capped at MAX_SUSPECTS by `note_suspect`
+    Many(Vec<Entity>),
+}
+
+impl Default for Suspects {
+    fn default() -> Self {
+        Suspects::Many(Vec::new())
+    }
+}
+
+impl Suspects {
+    fn as_slice(&self) -> &[Entity] {
+        match self {
+            Suspects::One(tx) => std::slice::from_ref(tx),
+            Suspects::Many(txs) => txs,
         }
     }
+}
+
+/// Remember `tx` as a suspect transmitter towards `victim`, within the
+/// per-victim attribution cap.
+fn note_suspect(map: &mut BoundedMap<Entity, Suspects>, victim: &Entity, tx: Option<Entity>) {
+    let Some(tx) = tx else { return };
+    let (suspects, _) = map.get_or_insert_with(victim, Suspects::default);
+    if suspects.as_slice().contains(&tx) || suspects.as_slice().len() >= MAX_SUSPECTS {
+        return;
+    }
+    match suspects {
+        Suspects::Many(txs) if txs.is_empty() => *suspects = Suspects::One(tx),
+        Suspects::Many(txs) => txs.push(tx),
+        Suspects::One(held) => *suspects = Suspects::Many(vec![held.clone(), tx]),
+    }
+}
+
+/// The suspects remembered towards `victim`.
+fn suspects_of<'a>(map: &'a BoundedMap<Entity, Suspects>, victim: &Entity) -> &'a [Entity] {
+    map.get(victim).map_or(&[], Suspects::as_slice)
 }
 
 /// Detects ICMP Echo-Reply floods (single attacker, many claimed sender
@@ -47,8 +80,7 @@ pub struct IcmpFloodModule {
     entity_budget: usize,
     replies: SlidingCounter<Entity>,          // victim
     spoofed_requests: SlidingCounter<Entity>, // claimed src of echo requests
-    // kalis-lint: allow(KL301): inner list capped at MAX_SUSPECTS
-    suspects: BoundedMap<Entity, Vec<Entity>>, // victim → transmitters
+    suspects: BoundedMap<Entity, Suspects>,   // victim → transmitters
     gate: AlertGate<Entity>,
 }
 
@@ -130,11 +162,11 @@ impl Module for IcmpFloodModule {
                 if !self.gate.permit(victim.clone(), now) {
                     return;
                 }
-                let suspects = self.suspects.get(&victim).cloned().unwrap_or_default();
+                let suspects = suspects_of(&self.suspects, &victim);
                 ctx.raise(
                     Alert::new(now, AttackKind::IcmpFlood, "IcmpFloodModule")
                         .with_victim(victim)
-                        .with_suspects(suspects)
+                        .with_suspects(suspects.iter().cloned())
                         .with_details(format!("{count} echo replies in {WINDOW:?}")),
                 );
             }
@@ -185,9 +217,8 @@ impl Module for IcmpFloodModule {
 pub struct SmurfModule {
     threshold: usize,
     entity_budget: usize,
-    replies: SlidingCounter<Entity>, // victim
-    // kalis-lint: allow(KL301): inner list capped at MAX_SUSPECTS
-    spoofers: BoundedMap<Entity, Vec<Entity>>, // claimed src → transmitters
+    replies: SlidingCounter<Entity>,        // victim
+    spoofers: BoundedMap<Entity, Suspects>, // claimed src → transmitters
     gate: AlertGate<Entity>,
 }
 
@@ -258,7 +289,7 @@ impl Module for SmurfModule {
                 if !self.gate.permit(victim.clone(), now) {
                     return;
                 }
-                let spoofers = self.spoofers.get(&victim).cloned().unwrap_or_default();
+                let spoofers = suspects_of(&self.spoofers, &victim);
                 let alert = if spoofers.is_empty() {
                     // No spoofed-request evidence: the technique falls back
                     // to suspecting nodes two hops from the victim. In a
@@ -272,7 +303,7 @@ impl Module for SmurfModule {
                 } else {
                     Alert::new(now, AttackKind::Smurf, "SmurfModule")
                         .with_victim(victim)
-                        .with_suspects(spoofers)
+                        .with_suspects(spoofers.iter().cloned())
                         .with_details("spoofed echo requests correlated with reply flood")
                 };
                 ctx.raise(alert);
@@ -315,10 +346,9 @@ impl Module for SmurfModule {
 pub struct SynFloodModule {
     threshold: usize,
     entity_budget: usize,
-    syns: SlidingCounter<Entity>, // victim
-    acks: SlidingCounter<Entity>, // victim (handshake completions)
-    // kalis-lint: allow(KL301): inner list capped at MAX_SUSPECTS
-    suspects: BoundedMap<Entity, Vec<Entity>>, // victim → transmitters
+    syns: SlidingCounter<Entity>,           // victim
+    acks: SlidingCounter<Entity>,           // victim (handshake completions)
+    suspects: BoundedMap<Entity, Suspects>, // victim → transmitters
     gate: AlertGate<Entity>,
 }
 
@@ -388,11 +418,11 @@ impl Module for SynFloodModule {
                 if !self.gate.permit(victim.clone(), now) {
                     return;
                 }
-                let suspects = self.suspects.get(&victim).cloned().unwrap_or_default();
+                let suspects = suspects_of(&self.suspects, &victim);
                 ctx.raise(
                     Alert::new(now, AttackKind::SynFlood, "SynFloodModule")
                         .with_victim(victim)
-                        .with_suspects(suspects)
+                        .with_suspects(suspects.iter().cloned())
                         .with_details(format!(
                             "{syn_count} SYNs vs {completions} completions in {WINDOW:?}"
                         )),
@@ -443,9 +473,8 @@ impl Module for SynFloodModule {
 pub struct UdpFloodModule {
     threshold: usize,
     entity_budget: usize,
-    datagrams: SlidingCounter<Entity>, // victim
-    // kalis-lint: allow(KL301): inner list capped at MAX_SUSPECTS
-    suspects: BoundedMap<Entity, Vec<Entity>>, // victim → transmitters
+    datagrams: SlidingCounter<Entity>,      // victim
+    suspects: BoundedMap<Entity, Suspects>, // victim → transmitters
     gate: AlertGate<Entity>,
 }
 
@@ -508,11 +537,11 @@ impl Module for UdpFloodModule {
         if count < self.threshold || !self.gate.permit(victim.clone(), now) {
             return;
         }
-        let suspects = self.suspects.get(&victim).cloned().unwrap_or_default();
+        let suspects = suspects_of(&self.suspects, &victim);
         ctx.raise(
             Alert::new(now, AttackKind::UdpFlood, "UdpFloodModule")
                 .with_victim(victim)
-                .with_suspects(suspects)
+                .with_suspects(suspects.iter().cloned())
                 .with_details(format!("{count} datagrams in {WINDOW:?}")),
         );
     }

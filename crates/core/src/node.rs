@@ -2094,8 +2094,9 @@ mod tests {
         let mut k2 = Kalis::builder(KalisId::new("K2"))
             .with_default_modules()
             .build();
-        // K1 observes a node → publishes collective SignalStrength.
+        // K1 hears a node twice → publishes collective SignalStrength.
         k1.ingest(ctp_packet(0, 0));
+        k1.ingest(ctp_packet(100, 0));
         let msg = k1
             .collective_outbox()
             .expect("signal strength is collective");
@@ -2700,6 +2701,7 @@ mod tests {
             .with_trace_sampling(SampleRate::full())
             .build();
         k1.ingest(ctp_packet(0, 0));
+        k1.ingest(ctp_packet(100, 0));
         let msg = k1.collective_outbox().expect("collective knowledge");
         let traced: Vec<_> = msg
             .knowggets

@@ -2,8 +2,8 @@
 //! when any node's signal strength changes more than a certain threshold".
 //!
 //! Per-entity smoothed RSSI is also published (collectively) as
-//! `SignalStrength@<entity>` knowggets, enabling the cross-node
-//! correlation example of §IV-B3.
+//! `SignalStrength@<entity>` knowggets from an entity's second sample
+//! on, enabling the cross-node correlation example of §IV-B3.
 
 use kalis_packets::{CapturedPacket, Entity, Timestamp};
 
@@ -91,33 +91,30 @@ impl Module for MobilityAwarenessModule {
             return;
         };
         self.started.get_or_insert(packet.timestamp);
-        match self.estimates.touch_or_insert(&tx, || rssi) {
-            Touched::Inserted(..) => {
-                // A sprayed identity that displaces a tracked one only
-                // costs its smoothed estimate: the estimate re-seeds
-                // from the next sample if the real node speaks again.
-                ctx.kb
-                    .insert_about_collective(labels::SIGNAL_STRENGTH, tx, rssi);
-            }
-            Touched::Held(est) => {
-                let deviation = (rssi - *est).abs();
-                *est = *est * (1.0 - EWMA_ALPHA) + rssi * EWMA_ALPHA;
-                // Publish at coarse (1 dB) granularity to avoid churning
-                // the Knowledge Base on shadowing noise.
-                let published = (*est).round();
-                let prev = ctx
-                    .kb
-                    .get_about(labels::SIGNAL_STRENGTH, &tx)
-                    .and_then(|v| v.as_f64());
-                if prev != Some(published) {
-                    ctx.kb
-                        .insert_about_collective(labels::SIGNAL_STRENGTH, tx, published);
-                }
-                if deviation > self.threshold_db {
-                    self.last_deviation = Some(packet.timestamp);
-                    ctx.kb.insert(labels::MOBILE, true);
-                }
-            }
+        // A first sample only seeds the estimate: one sample is not a
+        // smoothed estimate, and an identity heard once — what a spray is
+        // made of — never reaches the Knowledge Base. A sprayed identity
+        // that displaces a tracked one only costs its estimate, which
+        // re-seeds if the real node speaks again.
+        let Touched::Held(est) = self.estimates.touch_or_insert(&tx, || rssi) else {
+            return;
+        };
+        let deviation = (rssi - *est).abs();
+        *est = *est * (1.0 - EWMA_ALPHA) + rssi * EWMA_ALPHA;
+        // Publish at coarse (1 dB) granularity to avoid churning the
+        // Knowledge Base on shadowing noise.
+        let published = (*est).round();
+        let prev = ctx
+            .kb
+            .get_about(labels::SIGNAL_STRENGTH, &tx)
+            .and_then(|v| v.as_f64());
+        if prev != Some(published) {
+            ctx.kb
+                .insert_about_collective(labels::SIGNAL_STRENGTH, tx, published);
+        }
+        if deviation > self.threshold_db {
+            self.last_deviation = Some(packet.timestamp);
+            ctx.kb.insert(labels::MOBILE, true);
         }
     }
 
@@ -218,8 +215,23 @@ mod tests {
         }
         assert_eq!(module.occupancy(), 16);
         assert!(module.evictions() >= 184);
-        // Spray must not fabricate mobility: every identity was seen once.
+        // Spray must not fabricate mobility, nor reach the Knowledge Base:
+        // every identity was seen once.
         assert_eq!(kb.get_bool(labels::MOBILE), None);
+        assert!(kb.entities_with(labels::SIGNAL_STRENGTH).is_empty());
+    }
+
+    #[test]
+    fn the_second_sample_publishes_the_rounded_estimate() {
+        let mut module = MobilityAwarenessModule::new();
+        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+        let tx = Entity::from(ShortAddr(2));
+        feed(&mut module, &mut kb, zigbee_from(2, -60.4, 0));
+        assert_eq!(kb.get_about(labels::SIGNAL_STRENGTH, &tx), None);
+        // -60.4 smoothed towards -61.0 is -60.55.
+        feed(&mut module, &mut kb, zigbee_from(2, -61.0, 100));
+        let published = kb.get_about(labels::SIGNAL_STRENGTH, &tx);
+        assert_eq!(published.and_then(|v| v.as_f64()), Some(-61.0));
     }
 
     #[test]
@@ -268,6 +280,8 @@ mod tests {
         let mut module = MobilityAwarenessModule::new();
         let mut kb = KnowledgeBase::new(KalisId::new("K1"));
         feed(&mut module, &mut kb, zigbee_from(2, -67.0, 0));
+        assert!(kb.drain_dirty_collective().is_empty());
+        feed(&mut module, &mut kb, zigbee_from(2, -67.0, 100));
         let dirty = kb.drain_dirty_collective();
         assert_eq!(dirty.len(), 1);
         assert_eq!(dirty[0].label, labels::SIGNAL_STRENGTH);
@@ -282,7 +296,8 @@ mod tests {
         let mut module = MobilityAwarenessModule::new();
         let mut kb = KnowledgeBase::new(KalisId::new("K1"));
         feed(&mut module, &mut kb, zigbee_from(2, -60.0, 0));
-        kb.drain_changes();
+        feed(&mut module, &mut kb, zigbee_from(2, -60.0, 50));
+        assert_eq!(kb.drain_changes().len(), 1);
         // Sub-dB jitter must not churn the KB.
         feed(&mut module, &mut kb, zigbee_from(2, -60.3, 100));
         feed(&mut module, &mut kb, zigbee_from(2, -59.8, 200));

@@ -2,7 +2,8 @@
 //! type, network-wide and per monitored device, over a configurable
 //! window (default 5 seconds, the paper's default).
 
-use std::collections::{BTreeMap, VecDeque}; // kalis-lint: allow(KL301): see field notes
+use std::collections::{BTreeMap, HashMap, VecDeque}; // kalis-lint: allow(KL301): see field notes
+use std::mem::size_of;
 use std::time::Duration;
 
 use kalis_packets::{CapturedPacket, Entity, Timestamp, TrafficClass};
@@ -17,6 +18,11 @@ use crate::sensing::labels;
 /// budget before oldest-first shedding kicks in.
 const EVENTS_PER_BUDGET_UNIT: usize = 8;
 
+/// Window events a destination needs before its rate may reach the
+/// Knowledge Base: one event is not a rate, and a destination heard once
+/// is what an identity spray is made of.
+const SIGHTINGS_TO_ADMIT: u32 = 2;
+
 /// A published rate's identity: network-wide (`None`) or towards one
 /// destination.
 type RateKey = (TrafficClass, Option<Entity>);
@@ -27,10 +33,6 @@ struct Event {
     at: Timestamp,
     class: TrafficClass,
     dst: Option<Entity>,
-    /// Whether this event is counted in `written[(class, dst)].count`.
-    /// A destination key is counted for all of its window events or for
-    /// none, so the flag is the same on every event of one key.
-    admitted: bool,
 }
 
 /// What `written` holds per destination key.
@@ -40,10 +42,92 @@ struct Published {
     rate: f64,
     /// Window events counted towards this key, bumped and decremented as
     /// events come and go.
-    count: usize,
+    count: u32,
     /// Whether the key sits in `dirty`: a key is queued once, however
     /// many of its events come and go between two publishes.
     queued: bool,
+}
+
+/// The destination keys of the window not admitted: the doorkeeper at
+/// the Knowledge Base's door.
+///
+/// Each key has its exact window count, and the keys with at least
+/// [`SIGHTINGS_TO_ADMIT`] events stand in line in the order they got
+/// there. A key whose count falls back below loses its place.
+#[derive(Debug, Default)]
+struct Pending {
+    /// The keys are identities an attacker picks, so the hash is std's
+    /// per-map `RandomState`; the map is never iterated, so no hash order
+    /// escapes.
+    // kalis-lint: allow(KL301): one entry per key of a window event, so ≤ window events ≤ the event cap
+    counts: HashMap<RateKey, Waiting>,
+    /// The eligible keys by place.
+    // kalis-lint: allow(KL301): one entry per eligible key of `counts`, so ≤ window events / 2
+    line: BTreeMap<u64, RateKey>,
+    /// The place the next key to become eligible gets.
+    next_place: u64,
+}
+
+/// What [`Pending`] holds per key.
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    /// Window events towards the key.
+    count: u32,
+    /// The key's place in line, while `count` is at least
+    /// [`SIGHTINGS_TO_ADMIT`].
+    place: u64,
+}
+
+impl Pending {
+    /// Hold `key` with `count` window events, last in line if that makes
+    /// it eligible.
+    fn hold(&mut self, key: RateKey, count: u32) {
+        let place = self.next_place;
+        if count >= SIGHTINGS_TO_ADMIT {
+            self.line.insert(place, key.clone());
+            self.next_place += 1;
+        }
+        self.counts.insert(key, Waiting { count, place });
+    }
+
+    /// Count one more window event towards `key`.
+    fn arrive(&mut self, key: &RateKey) {
+        let Some(waiting) = self.counts.get_mut(key) else {
+            return self.hold(key.clone(), 1);
+        };
+        waiting.count += 1;
+        if waiting.count == SIGHTINGS_TO_ADMIT {
+            waiting.place = self.next_place;
+            self.line.insert(self.next_place, key.clone());
+            self.next_place += 1;
+        }
+    }
+
+    /// Count one fewer window event towards `key`.
+    fn forget(&mut self, key: &RateKey) {
+        let Some(waiting) = self.counts.get_mut(key) else {
+            return;
+        };
+        waiting.count -= 1;
+        if waiting.count == 0 {
+            self.counts.remove(key);
+        } else if waiting.count + 1 == SIGHTINGS_TO_ADMIT {
+            self.line.remove(&waiting.place);
+        }
+    }
+
+    /// Let the first key in line through, with its window count.
+    fn admit(&mut self) -> Option<(RateKey, u32)> {
+        let (_, key) = self.line.pop_first()?;
+        let waiting = self.counts.remove(&key)?;
+        Some((key, waiting.count))
+    }
+
+    /// Each key at the size of its entry, in the map and in line.
+    fn state_bytes(&self) -> usize {
+        self.counts.len() * size_of::<(RateKey, Waiting)>()
+            + self.line.len() * size_of::<(u64, RateKey)>()
+    }
 }
 
 /// The Traffic Statistics sensing module.
@@ -57,6 +141,12 @@ struct Published {
 /// The window counts are kept incrementally and keys whose count moved
 /// are queued, so a publish costs the changed keys plus the events that
 /// just expired, whatever the window depth or the number of live keys.
+///
+/// A destination's rate reaches the Knowledge Base from its second
+/// window event, never its first, and only into room the budget has:
+/// until then its count waits in `pending`. So a destination heard once
+/// costs a map entry for as long as its event stays in the window, not a
+/// slot, a knowgget and the eviction that makes room for both.
 #[derive(Debug)]
 pub struct TrafficStatsModule {
     window: Duration,
@@ -69,13 +159,13 @@ pub struct TrafficStatsModule {
     shed_events: u64,
     /// Window events per class, whatever their destination.
     // kalis-lint: allow(KL301): at most one entry per TrafficClass variant
-    class_counts: BTreeMap<TrafficClass, usize>,
+    class_counts: BTreeMap<TrafficClass, u32>,
     /// The non-zero network-wide rates last written to the Knowledge
     /// Base. Each takes a slot of `entity_budget` beside `written`.
     // kalis-lint: allow(KL301): at most one entry per TrafficClass variant
     class_rates: BTreeMap<TrafficClass, f64>,
-    /// Window events that carry a destination whose key is not admitted.
-    unadmitted: usize,
+    /// Destination keys of the window not admitted, with their counts.
+    pending: Pending,
     /// Per-destination rates; a changed write refreshes a key's recency.
     written: BoundedMap<RateKey, Published>,
     /// Keys of `written` whose count moved since the last publish.
@@ -109,7 +199,7 @@ impl TrafficStatsModule {
             shed_events: 0,
             class_counts: BTreeMap::new(), // kalis-lint: allow(KL301): see field note
             class_rates: BTreeMap::new(),  // kalis-lint: allow(KL301): see field note
-            unadmitted: 0,
+            pending: Pending::default(),
             written: BoundedMap::new(entity_budget),
             dirty: Vec::new(), // kalis-lint: allow(KL301): see field note
         }
@@ -143,35 +233,33 @@ impl TrafficStatsModule {
             self.shed_events += 1;
         }
         *self.class_counts.entry(class).or_default() += 1;
-        // Lend the entity to the key for the lookup, then take it back.
+        // Lend the entity to the key for the lookups, then take it back.
         let key = (class, dst);
-        let admitted = key.1.is_some()
-            && self
-                .written
-                .peek_mut(&key)
-                .map(|published| {
-                    published.count += 1;
-                    if !std::mem::replace(&mut published.queued, true) {
-                        self.dirty.push(key.clone());
-                    }
-                })
-                .is_some();
-        let (class, dst) = key;
-        if dst.is_some() && !admitted {
-            self.unadmitted += 1;
+        if key.1.is_some() {
+            self.arrive(&key);
         }
-        self.events.push_back(Event {
-            at,
-            class,
-            dst,
-            admitted,
-        });
+        let (class, dst) = key;
+        self.events.push_back(Event { at, class, dst });
         // Publish opportunistically so rates stay fresh under bursts even
         // between ticks: whenever the window length is a multiple of 16.
         // At the cap the length is pinned (at a multiple of 16, for any
         // even budget), so every packet publishes.
         if self.events.len() % 16 == 0 {
             self.publish(ctx, at);
+        }
+    }
+
+    /// Count a window event towards destination `key`: into its published
+    /// rate if the key is admitted, else into `pending`.
+    fn arrive(&mut self, key: &RateKey) {
+        match self.written.peek_mut(key) {
+            Some(published) => {
+                published.count += 1;
+                if !std::mem::replace(&mut published.queued, true) {
+                    self.dirty.push(key.clone());
+                }
+            }
+            None => self.pending.arrive(key),
         }
     }
 
@@ -183,55 +271,27 @@ impl TrafficStatsModule {
         if event.dst.is_none() {
             return;
         }
-        if !event.admitted {
-            self.unadmitted -= 1;
-            return;
-        }
         let key = (event.class, event.dst);
-        if let Some(published) = self.written.peek_mut(&key) {
-            published.count -= 1;
-            if !std::mem::replace(&mut published.queued, true) {
-                self.dirty.push(key);
+        match self.written.peek_mut(&key) {
+            Some(published) => {
+                published.count -= 1;
+                if !std::mem::replace(&mut published.queued, true) {
+                    self.dirty.push(key);
+                }
             }
+            None => self.pending.forget(&key),
         }
     }
 
-    /// Admit per-destination keys only while the budget has room, oldest
-    /// un-admitted destination first; churning a slot (and a KB write)
-    /// per sprayed one-shot destination would let an identity spray turn
-    /// every publish into a full-cache rewrite. Destinations that keep
-    /// talking re-enter once stale entries expire out of the window and
-    /// free their slot. Returns the newly admitted keys with their
-    /// window counts; the walk over the window runs only when there is
-    /// something to admit and room to admit it into.
-    // kalis-lint: allow(KL301): per-publish scratch, admission-capped by the budget
-    fn admit(&mut self) -> BTreeMap<RateKey, usize> {
-        // kalis-lint: allow(KL301): the same scratch
-        let mut fresh: BTreeMap<RateKey, usize> = BTreeMap::new();
+    /// Admit eligible keys into the room the budget has, the longest
+    /// eligible first, each with its exact window count. Churning a slot
+    /// and a KB write per one-shot destination would let an identity
+    /// spray turn every publish into a full-cache rewrite; destinations
+    /// that keep talking get in once stale entries expire out of the
+    /// window and free their slot.
+    fn admit(&mut self, changed: &mut Vec<(RateKey, u32)>) {
         let room = self.entity_budget.saturating_sub(self.occupancy());
-        if self.unadmitted == 0 || room == 0 {
-            return fresh;
-        }
-        for event in self.events.iter_mut().filter(|e| !e.admitted) {
-            if event.dst.is_none() {
-                continue;
-            }
-            // Lend the entity to the key for the lookup; no clone unless
-            // the key is new.
-            let key = (event.class, event.dst.take());
-            if let Some(count) = fresh.get_mut(&key) {
-                *count += 1;
-                event.admitted = true;
-            } else if fresh.len() < room {
-                fresh.insert(key.clone(), 1);
-                event.admitted = true;
-            }
-            event.dst = key.1;
-            if event.admitted {
-                self.unadmitted -= 1;
-            }
-        }
-        fresh
+        changed.extend(std::iter::from_fn(|| self.pending.admit()).take(room));
     }
 
     fn publish(&mut self, ctx: &mut ModuleCtx<'_>, now: Timestamp) {
@@ -248,11 +308,11 @@ impl TrafficStatsModule {
         // The keys whose rate moved, with their counts, and the keys
         // nothing counts towards any more.
         // kalis-lint: allow(KL301): queued keys, admitted keys and one per class
-        let mut changed: Vec<(RateKey, usize)> = Vec::new();
+        let mut changed: Vec<(RateKey, u32)> = Vec::new();
         // kalis-lint: allow(KL301): queued keys and one per class
         let mut zeroed: Vec<RateKey> = Vec::new();
         for (class, &count) in &self.class_counts {
-            let rate = count as f64 / secs;
+            let rate = f64::from(count) / secs;
             let published = self.class_rates.get(class).copied();
             if rate == published.unwrap_or(0.0) {
                 continue;
@@ -264,24 +324,20 @@ impl TrafficStatsModule {
             if published.is_none() && self.occupancy() >= self.entity_budget {
                 // A class new to the window takes its slot before any
                 // destination is admitted: on a full budget it displaces
-                // the least recently written destination, whose events go
-                // back to the un-admitted pool.
+                // the least recently written destination, whose count goes
+                // back to `pending`.
                 let Some((lost, dropped)) = self.written.evict_lru() else {
                     continue;
                 };
                 if dropped.count > 0 {
-                    self.events
-                        .iter_mut()
-                        .filter(|e| e.admitted && e.class == lost.0 && e.dst == lost.1)
-                        .for_each(|e| e.admitted = false);
-                    self.unadmitted += dropped.count;
+                    self.pending.hold(lost.clone(), dropped.count);
                 }
                 zeroed.push(lost);
             }
             self.class_rates.insert(*class, rate);
             changed.push(((*class, None), count));
         }
-        changed.extend(self.admit());
+        self.admit(&mut changed);
         for key in self.dirty.drain(..) {
             // A key displaced above is gone, and already zeroed.
             let Some(published) = self.written.peek_mut(&key) else {
@@ -290,7 +346,7 @@ impl TrafficStatsModule {
             published.queued = false;
             if published.count == 0 {
                 zeroed.push(key);
-            } else if published.count as f64 / secs != published.rate {
+            } else if f64::from(published.count) / secs != published.rate {
                 changed.push((key, published.count));
             }
         }
@@ -298,12 +354,12 @@ impl TrafficStatsModule {
         changed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         zeroed.sort_unstable();
         for (key, count) in changed {
-            let rate = count as f64 / secs;
+            let rate = f64::from(count) / secs;
             Self::write_rate(ctx.kb, key.clone(), rate);
             if key.1.is_some() {
                 // The write refreshes recency, so destinations whose rate
-                // moves outlive sprayed one-shot identities when a class
-                // needs a slot. Admission left room for every new key.
+                // moves outlive quiet ones when a class needs a slot.
+                // Admission left room for every new key.
                 let published = Published {
                     rate,
                     count,
@@ -367,10 +423,10 @@ impl Module for TrafficStatsModule {
     }
 
     fn state_bytes(&self) -> usize {
-        // 48 per event covers the admission flag (it sits in the event's
-        // padding), 64 per published rate covers the count and the queued
-        // flag beside it, and the per-class counts are fixed-size overhead.
-        self.events.len() * 48 + self.occupancy() * 64 + 128
+        // 48 per event, 64 per published rate covers the count and the
+        // queued flag beside it, the keys not admitted count at their
+        // entries' size, and the per-class counts are fixed-size overhead.
+        self.events.len() * 48 + self.occupancy() * 64 + self.pending.state_bytes() + 128
     }
 
     fn occupancy(&self) -> usize {
@@ -394,7 +450,7 @@ impl Module for TrafficStatsModule {
         self.shed_events = 0;
         self.class_counts.clear();
         self.class_rates.clear();
-        self.unadmitted = 0;
+        self.pending = Pending::default();
         self.written.clear();
         self.dirty.clear();
     }
@@ -480,7 +536,7 @@ mod tests {
         let victim = Ipv4Addr::new(10, 0, 0, 7);
         let other = Ipv4Addr::new(10, 0, 0, 8);
         let mut packets: Vec<_> = (0..8).map(|i| wifi_echo_reply(i * 100, victim)).collect();
-        packets.push(wifi_echo_reply(900, other));
+        packets.extend([wifi_echo_reply(850, other), wifi_echo_reply(900, other)]);
         run(&mut module, &mut kb, packets, Timestamp::from_millis(1000));
         let per_victim = kb
             .get_about("TrafficFrequency.ICMPRESP", &Entity::new("10.0.0.7"))
@@ -531,12 +587,13 @@ mod tests {
         let budget = 16;
         let mut module = TrafficStatsModule::new().with_entity_budget(budget);
         let mut kb = KnowledgeBase::new(KalisId::new("K1"));
-        // Twelve seconds of echo replies, each towards a new destination:
-        // past the budget within two seconds, and through the 5 s window
-        // more than twice. A class the window has not seen arrives on the
-        // full cache at 3 s and the spray goes on through many publishes.
+        // Twelve seconds of echo replies, each pair towards a new
+        // destination: past the budget within three seconds, and through
+        // the 5 s window more than twice. A class the window has not seen
+        // arrives on the full cache at 3 s and the spray goes on through
+        // many publishes.
         let mut packets: Vec<_> = (0..120u64)
-            .map(|i| wifi_echo_reply(i * 100, Ipv4Addr::new(10, 0, 1, i as u8)))
+            .map(|i| wifi_echo_reply(i * 100, Ipv4Addr::new(10, 0, 1, (i / 2) as u8)))
             .collect();
         let sent = packets.clone();
         let rest = packets.split_off(30);
@@ -592,16 +649,175 @@ mod tests {
         assert!(subs.iter().any(|(k, _)| k == "CTPDATA"));
         assert!(subs.iter().any(|(k, _)| k == "ICMPRESP"));
     }
+
+    /// The published echo-reply rate towards `dst`, if any.
+    fn reply_rate(kb: &KnowledgeBase, dst: Ipv4Addr) -> Option<f64> {
+        let label = labels::traffic_frequency(TrafficClass::IcmpEchoReply);
+        (kb.get_about(label, &Entity::new(dst.to_string()))).and_then(|v| v.as_f64())
+    }
+
+    #[test]
+    fn a_destination_heard_once_is_never_written() {
+        let mut module = TrafficStatsModule::new();
+        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+        let once = Ipv4Addr::new(10, 0, 0, 9);
+        let packets = vec![wifi_echo_reply(0, once)];
+        run(&mut module, &mut kb, packets, Timestamp::from_millis(100));
+        // The class rate counts it; the destination's waits at the door
+        // until its one event leaves the window.
+        assert_eq!(kb.get_f64("TrafficFrequency.ICMPRESP"), Some(0.2));
+        assert_eq!(reply_rate(&kb, once), None);
+        run(&mut module, &mut kb, Vec::new(), Timestamp::from_secs(60));
+        assert_eq!(reply_rate(&kb, once), None);
+        assert!(module.pending.counts.is_empty());
+    }
+
+    #[test]
+    fn a_destination_heard_twice_is_written_at_its_exact_rate() {
+        let mut module = TrafficStatsModule::new();
+        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+        let twice = Ipv4Addr::new(10, 0, 0, 9);
+        let packets = vec![wifi_echo_reply(0, twice), wifi_echo_reply(300, twice)];
+        run(&mut module, &mut kb, packets, Timestamp::from_millis(400));
+        assert_eq!(reply_rate(&kb, twice), Some(2.0 / 5.0));
+        assert!(module.pending.counts.is_empty());
+    }
+
+    #[test]
+    fn a_first_event_that_leaves_before_the_second_counts_for_nothing() {
+        // The first event expires at a tick before the second arrives, or
+        // at the publish after it: either way the window never holds two.
+        for tick_between in [true, false] {
+            let mut module = TrafficStatsModule::new();
+            let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+            let late = Ipv4Addr::new(10, 0, 0, 9);
+            let first = vec![wifi_echo_reply(0, late)];
+            run(&mut module, &mut kb, first, Timestamp::from_millis(100));
+            if tick_between {
+                run(
+                    &mut module,
+                    &mut kb,
+                    Vec::new(),
+                    Timestamp::from_millis(5_500),
+                );
+            }
+            let second = vec![wifi_echo_reply(6_000, late)];
+            run(&mut module, &mut kb, second, Timestamp::from_millis(6_100));
+            assert_eq!(reply_rate(&kb, late), None, "tick between: {tick_between}");
+            assert!(module.pending.line.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_destination_a_class_displaces_waits_with_its_count() {
+        let budget = 16;
+        let mut module = TrafficStatsModule::new().with_entity_budget(budget);
+        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+        let dst = |n: u8| Ipv4Addr::new(10, 0, 1, n);
+        // Destinations 1, 0 and 2 to 14, two replies each: with their
+        // class, the whole budget. The first sixteen events publish 0 to 7
+        // together, in key order, so 0 is the least recently written.
+        let mut packets = vec![
+            wifi_echo_reply(0, dst(1)),
+            wifi_echo_reply(50, dst(1)),
+            wifi_echo_reply(100, dst(0)),
+            wifi_echo_reply(150, dst(0)),
+        ];
+        packets.extend((2..15u8).flat_map(|n| {
+            let ms = 200 + u64::from(n) * 20;
+            [
+                wifi_echo_reply(ms, dst(n)),
+                wifi_echo_reply(ms + 10, dst(n)),
+            ]
+        }));
+        run(&mut module, &mut kb, packets, Timestamp::from_millis(1_500));
+        assert_eq!(module.occupancy(), budget);
+        assert_eq!(reply_rate(&kb, dst(0)), Some(0.4));
+        // A class new to the window takes destination 0's slot: its rate
+        // reads zero, and its two events wait in line.
+        run(
+            &mut module,
+            &mut kb,
+            vec![ctp(2_000)],
+            Timestamp::from_millis(2_000),
+        );
+        assert_eq!(reply_rate(&kb, dst(0)), Some(0.0));
+        let key = (
+            TrafficClass::IcmpEchoReply,
+            Some(Entity::new(dst(0).to_string())),
+        );
+        let waiting = module.pending.counts.get(&key).map(|waiting| waiting.count);
+        assert_eq!(waiting, Some(2));
+        assert!(module.pending.line.values().any(|held| *held == key));
+        // Destination 1's events leave the window and free a slot, which
+        // goes to destination 0 at its exact rate, with no new sighting.
+        run(
+            &mut module,
+            &mut kb,
+            Vec::new(),
+            Timestamp::from_millis(5_060),
+        );
+        run(
+            &mut module,
+            &mut kb,
+            Vec::new(),
+            Timestamp::from_millis(5_070),
+        );
+        assert_eq!(reply_rate(&kb, dst(1)), Some(0.0));
+        assert_eq!(reply_rate(&kb, dst(0)), Some(0.4));
+    }
+
+    #[test]
+    fn keys_sent_twice_onto_a_full_budget_wait_in_bounded_state() {
+        let budget = 16;
+        let mut module = TrafficStatsModule::new().with_entity_budget(budget);
+        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+        let mut alerts = Vec::new();
+        // An event a millisecond for thirty seconds, at the event cap from
+        // the first eighth of a second on. Fifteen destinations talk
+        // steadily and hold the budget with their class; from two seconds
+        // on, two events in three are an adversary's, every key twice.
+        for ms in 0..30_000u64 {
+            let dst = match (ms / 3, ms % 3) {
+                (key, 0) | (key @ 0..=666, _) => format!("10.0.0.{}", key % 15),
+                (key, _) => format!("10.9.{}.{}", key >> 8, key & 0xff),
+            };
+            let now = Timestamp::from_millis(ms);
+            let mut ctx = ModuleCtx {
+                now,
+                kb: &mut kb,
+                alerts: &mut alerts,
+            };
+            module.observe(&mut ctx, now, TrafficClass::Udp, Some(Entity::new(dst)));
+            if ms % 100 == 0 {
+                module.on_tick(&mut ctx);
+            }
+            // An eligible key has two events of its own in the window.
+            let (pending, line) = (module.pending.counts.len(), module.pending.line.len());
+            assert!(
+                pending <= module.events.len(),
+                "{pending} pending at {ms} ms"
+            );
+            assert!(line * 2 <= module.events.len(), "{line} in line at {ms} ms");
+            assert!(module.occupancy() <= budget);
+        }
+        // Thousands of keys stood in line, never more than the window's
+        // worth at once.
+        assert!(module.pending.next_place > 5_000);
+        assert_eq!(module.occupancy(), budget);
+    }
 }
 
 /// The whole-window recounting model the differential test holds the
 /// incremental module to: `publish` recounts every event and compares
 /// every live key against what it last wrote. It states the publish rule
 /// — network-wide rates in their own per-class map, sharing the budget
-/// with the per-destination LRU; admission only into room; recency
+/// with the per-destination LRU; a destination admitted from its second
+/// window event, into room only, the longest eligible first; recency
 /// refreshed by changed writes only — without any of the bookkeeping
-/// (`count`, `queued`, `admitted`, `unadmitted`, `dirty`) that makes the
-/// module's publish cost independent of the number of live keys.
+/// (`count`, `queued`, `dirty`, the counts and places of `pending`) that
+/// makes the module's publish cost independent of the number of live
+/// keys.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -614,6 +830,10 @@ mod reference {
         shed_events: u64,
         class_rates: BTreeMap<TrafficClass, f64>,
         written: BoundedMap<RateKey, f64>,
+        /// The destination keys not written whose recount is at least
+        /// two, in the order they got there: the rule's only memory, as
+        /// the order is not in the window.
+        line: Vec<RateKey>,
     }
 
     impl RecountingTrafficStats {
@@ -625,6 +845,7 @@ mod reference {
                 shed_events: 0,
                 class_rates: BTreeMap::new(),
                 written: BoundedMap::new(entity_budget),
+                line: Vec::new(),
             }
         }
 
@@ -639,16 +860,52 @@ mod reference {
             }
         }
 
+        /// Window events towards the destination keys not written.
+        fn held(&self) -> BTreeMap<RateKey, u32> {
+            let mut held = BTreeMap::new();
+            for (_, class, dst) in &self.events {
+                let key = (*class, dst.clone());
+                if key.1.is_some() && !self.written.contains_key(&key) {
+                    *held.entry(key).or_default() += 1;
+                }
+            }
+            held
+        }
+
+        /// The window or `written` changed for `key`: after every change,
+        /// a destination key not written stands in line exactly while its
+        /// recount is at least two, and a key joining goes last.
+        fn recount(&mut self, key: RateKey) {
+            let count = (self.events.iter())
+                .filter(|(_, class, dst)| (*class, dst) == (key.0, &key.1))
+                .count();
+            let eligible = key.1.is_some()
+                && !self.written.contains_key(&key)
+                && count >= SIGHTINGS_TO_ADMIT as usize;
+            let in_line = self.line.contains(&key);
+            if eligible && !in_line {
+                self.line.push(key);
+            } else if !eligible && in_line {
+                self.line.retain(|held| *held != key);
+            }
+        }
+
+        fn pop(&mut self) {
+            if let Some((_, class, dst)) = self.events.pop_front() {
+                self.recount((class, dst));
+            }
+        }
+
         fn publish(&mut self, ctx: &mut ModuleCtx<'_>, now: Timestamp) {
             while let Some((ts, ..)) = self.events.front() {
                 if now.saturating_since(*ts) > self.window {
-                    self.events.pop_front();
+                    self.pop();
                 } else {
                     break;
                 }
             }
             let secs = self.window.as_secs_f64();
-            let mut counts: BTreeMap<RateKey, usize> = BTreeMap::new();
+            let mut counts: BTreeMap<RateKey, u32> = BTreeMap::new();
             for (_, class, _) in &self.events {
                 *counts.entry((*class, None)).or_default() += 1;
             }
@@ -663,7 +920,10 @@ mod reference {
                 }
                 if self.occupancy() >= self.entity_budget {
                     match self.written.evict_lru() {
-                        Some((lost, _)) => stale.push(lost),
+                        Some((lost, _)) => {
+                            self.recount(lost.clone());
+                            stale.push(lost);
+                        }
                         None => {
                             counts.remove(&(class, None));
                             continue;
@@ -673,19 +933,12 @@ mod reference {
                 // No live class has rate 0, so the loop below writes it.
                 self.class_rates.insert(class, 0.0);
             }
-            let mut admitted = 0usize;
+            let room = self.entity_budget.saturating_sub(self.occupancy());
+            let admitted: Vec<RateKey> = self.line.drain(..room.min(self.line.len())).collect();
             for (_, class, dst) in &self.events {
-                if dst.is_none() {
-                    continue;
-                }
                 let key = (*class, dst.clone());
-                if let Some(count) = counts.get_mut(&key) {
-                    *count += 1;
-                } else if self.written.contains_key(&key) {
-                    counts.insert(key, 1);
-                } else if self.occupancy() + admitted < self.entity_budget {
-                    admitted += 1;
-                    counts.insert(key, 1);
+                if key.1.is_some() && (self.written.contains_key(&key) || admitted.contains(&key)) {
+                    *counts.entry(key).or_default() += 1;
                 }
             }
             stale.extend(
@@ -697,7 +950,7 @@ mod reference {
             );
             stale.sort_unstable();
             for (key, count) in counts {
-                let rate = count as f64 / secs;
+                let rate = f64::from(count) / secs;
                 if self.published(&key) == Some(rate) {
                     continue;
                 }
@@ -724,10 +977,11 @@ mod reference {
             dst: Option<Entity>,
         ) {
             if self.events.len() >= self.event_cap() {
-                self.events.pop_front();
+                self.pop();
                 self.shed_events += 1;
             }
-            self.events.push_back((at, class, dst));
+            self.events.push_back((at, class, dst.clone()));
+            self.recount((class, dst));
             if self.events.len() % 16 == 0 {
                 self.publish(ctx, at);
             }
@@ -739,7 +993,13 @@ mod reference {
         }
 
         pub(super) fn state_bytes(&self) -> usize {
-            self.events.len() * 48 + self.occupancy() * 64 + 128
+            let held = self.held();
+            let eligible = held.values().filter(|count| **count >= SIGHTINGS_TO_ADMIT);
+            self.events.len() * 48
+                + self.occupancy() * 64
+                + held.len() * size_of::<(RateKey, Waiting)>()
+                + eligible.count() * size_of::<(u64, RateKey)>()
+                + 128
         }
 
         pub(super) fn occupancy(&self) -> usize {
@@ -936,15 +1196,17 @@ mod differential {
                     arriving,
                     packets,
                 } => {
-                    // 48 destinations in 48 ms: twice the larger budget,
-                    // well inside the shorter window.
+                    // 48 destinations in 96 ms, each heard twice: twice
+                    // the larger budget, well inside the shorter window.
                     for _ in 0..48 {
                         sprayed += 1;
-                        steps.push(Step::Packet {
-                            gap_us: 1_000,
-                            class: *class,
-                            dst: Some(sprayed),
-                        });
+                        for _ in 0..2 {
+                            steps.push(Step::Packet {
+                                gap_us: 1_000,
+                                class: *class,
+                                dst: Some(sprayed),
+                            });
+                        }
                     }
                     for i in 0..*packets {
                         steps.push(Step::Packet {

@@ -3,7 +3,7 @@
 //! and neither does a housekeeping tick whose wormhole verdict stands,
 //! nor a reading or a tick under a blackhole verdict that stands;
 //! a packet of identities never seen before, with every budget full,
-//! allocates next to nothing: counted with the allocator
+//! almost always allocates nothing: counted with the allocator
 //! `kb_allocations.rs` counts with (`counting_alloc/mod.rs`), from the
 //! Knowledge Base out to the whole node.
 //!
@@ -15,9 +15,10 @@
 //! module keeping its verdict while the Knowledge Base says neither
 //! input changed, the blackhole's on the watchdog saying whether its
 //! ledger moved and the Knowledge Base whether it still holds the
-//! evidence. The new identity's pin rests on the Knowledge Base
-//! holding encoded keys and origin names inline, in the entry and in the
-//! entity index alike: with either a `String` again, it fails.
+//! evidence. The new identity's pin rests on the sensing modules
+//! publishing about an identity from its second sighting only, so none
+//! reaches the Knowledge Base, and on the flood detectors holding a
+//! victim's first suspect inline: with either undone, it fails.
 
 mod counting_alloc;
 
@@ -387,43 +388,48 @@ fn a_never_seen_identity_at_every_cap_allocates_next_to_nothing() {
     let mut node = Kalis::builder(KalisId::new("K1"))
         .with_default_modules()
         .build();
-    // Past every budget: the modules' 1,024 and the Knowledge Base's
-    // 4,096 entities, so each new identity evicts an old one everywhere.
+    // Past every module's budget of 1,024, so each new identity evicts an
+    // old one everywhere; and past the Knowledge Base's 4,096 entities,
+    // had any of them been heard twice.
     const WARM: u32 = 6_000;
     const MEASURED: u32 = 400;
     for index in 0..WARM {
         node.ingest(sprayed(index));
     }
-    let budget = node.knowledge().entity_budget();
-    assert_eq!(node.knowledge().entity_occupancy(), budget);
-    let evicted = node.knowledge().entity_evictions();
+    let kb_untouched = |node: &Kalis| {
+        let knowledge = node.knowledge();
+        (knowledge.entity_occupancy(), knowledge.entity_evictions()) == (0, 0)
+    };
+    assert!(kb_untouched(&node), "a sprayed identity reached the KB");
     let counts: Vec<u64> = (WARM..WARM + MEASURED)
         .map(|index| {
             let packet = sprayed(index);
             allocations(|| node.ingest(packet))
         })
         .collect();
-    assert!(node.knowledge().entity_evictions() >= evicted + u64::from(MEASURED));
-    // The one allocation is the suspect list `UdpFloodModule` starts
-    // for the new destination. Tree nodes split now and then, and one
-    // packet in sixteen has the traffic statistics publish a burst of
-    // per-destination rates; the rest make a handful of knowggets out of
-    // nothing.
+    assert!(kb_untouched(&node), "a sprayed identity reached the KB");
+    // What allocates now and then: a count index's tree node splitting,
+    // and the packets that bear a housekeeping tick.
     let at_most = |limit: u64| counts.iter().filter(|count| **count <= limit).count();
     assert!(
-        at_most(1) * 4 >= counts.len() * 3 && at_most(3) * 100 >= counts.len() * 85,
-        "of {MEASURED} new identities {} allocated at most once and {} at most 3 times: {counts:?}",
-        at_most(1),
-        at_most(3)
+        at_most(0) * 10 >= counts.len() * 9 && at_most(1) * 50 >= counts.len() * 49,
+        "of {MEASURED} new identities {} allocated nothing and {} at most once: {counts:?}",
+        at_most(0),
+        at_most(1)
     );
     let worst = counts.iter().max().copied();
-    assert!(worst <= Some(75), "a packet allocated {worst:?} times");
+    assert!(worst <= Some(20), "a packet allocated {worst:?} times");
 
     // A changed value under a key the store holds allocates nothing,
-    // collective or not: the last identity's signal strength moves.
-    let last = sprayed_identity(WARM + MEASURED - 1);
-    let held = Entity::from(MacAddr::from_index(0x0100_0000 + last));
+    // collective or not: an identity heard twice has its signal strength
+    // published, and then it moves.
+    let twice = sprayed(WARM + MEASURED);
+    node.ingest(twice.clone());
+    node.ingest(twice);
+    let id = sprayed_identity(WARM + MEASURED);
+    let held = Entity::from(MacAddr::from_index(0x0100_0000 + id));
     let knowledge = node.knowledge_mut();
+    assert!(knowledge.get_about("SignalStrength", &held).is_some());
     let revision = knowledge.revision();
     let changed = allocations(|| knowledge.insert_about_collective("SignalStrength", held, -71.0));
     assert_eq!(changed, 0);
