@@ -8,11 +8,15 @@
 //! `insert_new_entity_at_cap` and `insert_changed_held` are the two
 //! writes a sprayed identity and a known one cost, on the Knowledge Base
 //! of a built node: its Module Manager subscribed, telemetry attached,
-//! nobody listening for change events.
+//! nobody listening for change events. `sync_round_trip` is one
+//! direction of the benchmark's `wsn-pair` exchange carrying two changed
+//! knowggets: `collective_outbox → seal → open → accept_sync`, the two
+//! writes that dirtied them included.
 
 use std::net::Ipv4Addr;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use kalis_core::knowledge::{SyncMessage, XorChannel};
 use kalis_core::{Kalis, KalisId, KnowValue, Knowgget, KnowledgeBase};
 use kalis_packets::Entity;
 
@@ -147,6 +151,30 @@ fn bench_kb(c: &mut Criterion) {
             i += 1;
             let knowgget = Knowgget::new("Mobile", KnowValue::Int(i as i64), k2.clone());
             black_box(kb.accept_remote(&k2, knowgget).unwrap());
+        });
+    });
+    group.bench_function("sync_round_trip", |b| {
+        // Two default nodes; K1's signal strength about two neighbours
+        // moves between rounds, as `wsn-pair`'s shipped knowggets do.
+        let node = |id: &str| {
+            Kalis::builder(KalisId::new(id))
+                .with_default_modules()
+                .build()
+        };
+        let (mut k1, mut k2) = (node("K1"), node("K2"));
+        let channel = XorChannel::new(0x006b_616c_6973);
+        let (near, far) = (Entity::new("0x0002"), Entity::new("0x0003"));
+        let mut round = 0u32;
+        b.iter(|| {
+            round += 1;
+            let wobble = f64::from(round % 4);
+            let kb = k1.knowledge_mut();
+            kb.insert_about_collective("SignalStrength", near.clone(), -52.0 - wobble);
+            kb.insert_about_collective("SignalStrength", far.clone(), -64.5 - wobble);
+            let message = k1.collective_outbox().expect("two knowggets moved");
+            let sealed = message.seal(&channel);
+            let opened = SyncMessage::open(&sealed, &channel).expect("authentic");
+            black_box(k2.accept_sync(opened).expect("K1's own knowledge"))
         });
     });
     group.finish();

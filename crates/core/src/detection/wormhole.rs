@@ -13,7 +13,8 @@
 //! then all but stand still, so the module keeps its last verdict and
 //! correlates again only when the Knowledge Base says one of the two
 //! labels changed ([`KnowledgeBase::last_changed`]); every tick still
-//! acts on the verdict — the alert gate, the `WormholeConfirmed` writes.
+//! offers the verdict to the alert gate. Its `WormholeConfirmed` writes
+//! are made again only once an entity eviction may have purged one.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet; // kalis-lint: allow(KL301): values capped at ORIGIN_CAP
@@ -77,6 +78,9 @@ struct Verdict {
     tunnels: Vec<Tunnel>,
     /// What `state_bytes()` counts for this.
     bytes: usize,
+    /// The Knowledge Base's `entity_evictions()` right after this
+    /// verdict's `WormholeConfirmed` writes; `None` before the first.
+    confirmed_at: Option<u64>,
 }
 
 /// One confirmed pair of endpoints.
@@ -203,6 +207,7 @@ impl Verdict {
             read_at,
             tunnels,
             bytes,
+            confirmed_at: None,
         }
     }
 }
@@ -301,7 +306,7 @@ impl Module for WormholeModule {
             kb.last_changed(labels::EXOTIC_ORIGINS),
         );
         let settled = read_at.0 < kb.revision() && read_at.1 < kb.revision();
-        let verdict = match self.verdict.take() {
+        let mut verdict = match self.verdict.take() {
             Some(standing) if settled && standing.read_at == read_at => standing,
             _ => Verdict::read(kb, read_at),
         };
@@ -323,11 +328,16 @@ impl Module for WormholeModule {
                 );
             }
         }
-        // Unchanged writes, unless an entity eviction purged one.
-        for tunnel in &verdict.tunnels {
-            for endpoint in [&tunnel.b1, &tunnel.b2] {
-                (ctx.kb).insert_about_collective(WORMHOLE_CONFIRMED, endpoint.clone(), true);
+        // What a standing verdict confirmed is still held, unless an
+        // entity eviction purged it: the module is the only writer of its
+        // own `WormholeConfirmed`.
+        if verdict.confirmed_at != Some(ctx.kb.entity_evictions()) {
+            for tunnel in &verdict.tunnels {
+                for endpoint in [&tunnel.b1, &tunnel.b2] {
+                    (ctx.kb).insert_about_collective(WORMHOLE_CONFIRMED, endpoint.clone(), true);
+                }
             }
+            verdict.confirmed_at = Some(ctx.kb.entity_evictions());
         }
         for alert in alerts {
             ctx.raise(alert);
@@ -570,6 +580,17 @@ mod differential {
                 Step::Other(label, None, value) => {
                     self.kb.insert(OTHER[label], value);
                 }
+                // A confirmation about an entity is the module's alone to
+                // write locally (what it skips rewriting rests on that):
+                // this one is a peer's.
+                Step::Other(label, Some(entity), value) if OTHER[label] == WORMHOLE_CONFIRMED => {
+                    let peer = KalisId::new(PEERS[0]);
+                    let about = Entity::from(ENTITIES[entity]);
+                    let knowgget = Knowgget::about(OTHER[label], value.into(), peer.clone(), about);
+                    self.kb
+                        .accept_remote(&peer, knowgget)
+                        .expect("own knowledge");
+                }
                 Step::Other(label, Some(entity), value) => {
                     (self.kb).insert_about(OTHER[label], Entity::from(ENTITIES[entity]), value);
                 }
@@ -769,6 +790,61 @@ mod tests {
             alerts[0].suspects,
             vec![Entity::from(ShortAddr(10)), Entity::from(ShortAddr(20))]
         );
+    }
+
+    #[test]
+    fn a_standing_verdict_rewrites_its_confirmations_only_after_an_entity_eviction() {
+        use kalis_telemetry::{metric_name, names, Telemetry};
+        // As a node holds it: subscribed, so the two inputs are watched.
+        let mut kb = KnowledgeBase::new(KalisId::new("K2"));
+        let registry = crate::modules::ModuleRegistry::with_defaults();
+        let mut manager = crate::modules::ModuleManager::new();
+        for name in registry.names() {
+            let def = crate::config::ModuleDef::new(name);
+            manager.add(registry.build(&def).expect("registered"), false);
+        }
+        kb.subscribe_activation(manager.subscriptions());
+        let tele = Telemetry::new();
+        kb.set_telemetry(&tele);
+        let inserts = tele.counter(&metric_name(names::KB_OPS, &[("op", "insert")]));
+        // Written first, so the stalest entity.
+        kb.insert_about("SignalStrength", Entity::from(ShortAddr(40)), -60.0);
+        let mut module = WormholeModule::new();
+        feed(
+            &mut module,
+            &mut kb,
+            vec![relayed(0, 20, 30, 1), relayed(100, 20, 31, 1)],
+        );
+        let k1 = KalisId::new("K1");
+        let dropped = Knowgget::about(
+            labels::DROPPED_ORIGINS,
+            KnowValue::Text(format!("{},{}", ShortAddr(30), ShortAddr(31))),
+            k1.clone(),
+            Entity::from(ShortAddr(10)),
+        );
+        kb.accept_remote(&k1, dropped).unwrap();
+        assert_eq!(tick(&mut module, &mut kb, 1_000).len(), 1);
+        // The second tick finds the inputs settled and keeps the verdict.
+        tick(&mut module, &mut kb, 2_000);
+        let confirmed = |kb: &KnowledgeBase, at: u16| {
+            kb.get_about(WORMHOLE_CONFIRMED, &Entity::from(ShortAddr(at)))
+        };
+        assert_eq!(confirmed(&kb, 10), Some(KnowValue::Bool(true)));
+        assert_eq!(confirmed(&kb, 20), Some(KnowValue::Bool(true)));
+        let written = inserts.get();
+        tick(&mut module, &mut kb, 3_000);
+        assert_eq!(inserts.get(), written, "a standing verdict writes nothing");
+        // An eviction — here of the unrelated entity — might have taken
+        // a confirmation: the next tick writes both again, unchanged.
+        kb.set_entity_budget(kb.entity_occupancy());
+        kb.insert_about("SignalStrength", Entity::from(ShortAddr(41)), -61.0);
+        assert_eq!(kb.entity_evictions(), 1);
+        let (written, revision) = (inserts.get(), kb.revision());
+        tick(&mut module, &mut kb, 4_000);
+        assert_eq!(inserts.get(), written + 2);
+        assert_eq!(kb.revision(), revision, "the rewrites changed nothing");
+        tick(&mut module, &mut kb, 5_000);
+        assert_eq!(inserts.get(), written + 2);
     }
 
     #[test]

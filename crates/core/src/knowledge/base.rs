@@ -2,7 +2,7 @@
 //! `creator$label@entity` strings and holding typed values, with the
 //! paper's prefix/suffix query patterns and change tracking.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -82,8 +82,10 @@ pub struct KnowledgeBase {
     /// Σ [`entry_bytes`] over `entries`, kept current wherever an entry
     /// is written or removed.
     entries_bytes: usize,
-    /// Entries whose `dirty` flag is set.
-    dirty: usize,
+    /// The keys of the entries whose `dirty` flag is set, in key order:
+    /// what the sync outbox drains, walked without visiting a clean
+    /// entry. A removed entry takes its key out.
+    dirty: BTreeSet<StoredKey>,
     /// The change log: every change of a standalone Knowledge Base; in a
     /// node, the changes recorded since someone began listening.
     changes: Vec<ChangeEvent>,
@@ -96,6 +98,10 @@ pub struct KnowledgeBase {
     /// The trace context of the packet/tick being dispatched
     /// (`(trace_id, span_id)`; zeros = untraced).
     trace: (u64, u32),
+    /// Set by [`Module::on_tick`](crate::modules::Module::on_tick)'s
+    /// default body, taken by the Module Manager after each tick call:
+    /// the module called has no tick work.
+    no_tick_work: bool,
     /// Bounded index of per-entity knowledge: entity → the encoded keys
     /// of every knowgget about it. When a fresh entity would exceed the
     /// budget, the least-recently-written entity is evicted and all of
@@ -251,12 +257,13 @@ impl KnowledgeBase {
             local,
             entries: BTreeMap::new(),
             entries_bytes: 0,
-            dirty: 0,
+            dirty: BTreeSet::new(),
             changes: Vec::new(),
             subscriber: None,
             revision: 0,
             writer: String::new(),
             trace: (0, 0),
+            no_tick_work: false,
             entity_index: BoundedMap::new(DEFAULT_KB_ENTITY_BUDGET),
             stats: None,
         }
@@ -356,7 +363,7 @@ impl KnowledgeBase {
         origin: Option<Option<KnowggetOrigin>>,
     ) -> bool {
         let buf = KeyBuf::key(
-            creator.as_ref().unwrap_or(&self.local).as_str(),
+            creator.as_ref().unwrap_or(&self.local).as_bytes(),
             label.as_ref(),
             entity.as_ref().map(Entity::as_str),
         );
@@ -382,9 +389,10 @@ impl KnowledgeBase {
             Some(entry) => {
                 self.entries_bytes -= entry_bytes(encoded.len(), entry.wire_len);
                 // An entry once marked collective stays so.
-                self.dirty += usize::from(entry.collective);
-                self.dirty -= usize::from(entry.dirty);
-                entry.dirty = entry.collective;
+                if entry.collective && !entry.dirty {
+                    entry.dirty = true;
+                    self.dirty.insert(StoredKey::from(encoded));
+                }
                 entry.value = canonical;
                 entry.spelling = spelling;
                 entry.wire_len = wire_len;
@@ -401,7 +409,9 @@ impl KnowledgeBase {
                     ambient
                 });
                 let trace_id = origin.as_ref().map_or(0, |o| o.trace_id);
-                self.dirty += usize::from(collective);
+                if collective {
+                    self.dirty.insert(StoredKey::from(encoded));
+                }
                 let entry = Entry {
                     value: canonical,
                     spelling,
@@ -469,7 +479,9 @@ impl KnowledgeBase {
     /// `encoded`.
     fn forget(&mut self, encoded: &str, entry: &Entry) {
         self.entries_bytes -= entry_bytes(encoded.len(), entry.wire_len);
-        self.dirty -= usize::from(entry.dirty);
+        if entry.dirty {
+            self.dirty.remove(encoded.as_bytes());
+        }
     }
 
     /// Remove every knowgget belonging to an entity evicted from the
@@ -632,6 +644,17 @@ impl KnowledgeBase {
         self.trace = (0, 0);
     }
 
+    /// Say that the module whose `on_tick` is running has no tick work.
+    pub(crate) fn note_no_tick_work(&mut self) {
+        self.no_tick_work = true;
+    }
+
+    /// Whether the tick call just made said it had no tick work; clears
+    /// the answer for the next call.
+    pub(crate) fn take_no_tick_work(&mut self) -> bool {
+        std::mem::take(&mut self.no_tick_work)
+    }
+
     /// Write provenance for an encoded key (`creator$label@entity`), if
     /// any was recorded.
     pub fn origin_of_encoded(&self, encoded: &str) -> Option<&KnowggetOrigin> {
@@ -641,7 +664,7 @@ impl KnowledgeBase {
     /// Write provenance for a key, if any was recorded.
     pub fn origin_of(&self, key: &KnowKey) -> Option<&KnowggetOrigin> {
         let entity = key.entity.as_ref().map(Entity::as_str);
-        self.origin_of_encoded(KeyBuf::key(key.creator.as_str(), &key.label, entity).as_str())
+        self.origin_of_encoded(KeyBuf::key(key.creator.as_bytes(), &key.label, entity).as_str())
     }
 
     /// Insert or update a local network-level knowgget. Returns whether
@@ -700,7 +723,7 @@ impl KnowledgeBase {
 
     fn remove_key(&mut self, label: &str, entity: Option<&Entity>) -> bool {
         self.note_remove();
-        let buf = KeyBuf::key(self.local.as_str(), label, entity.map(Entity::as_str));
+        let buf = KeyBuf::key(self.local.as_bytes(), label, entity.map(Entity::as_str));
         let Some(entry) = self.entries.remove(buf.as_bytes()) else {
             return false;
         };
@@ -735,7 +758,7 @@ impl KnowledgeBase {
     /// The local node's entry for `label[@entity]`, counted as a get.
     fn local_entry(&self, label: &str, entity: Option<&Entity>) -> Option<&Entry> {
         self.note_get();
-        let buf = KeyBuf::key(self.local.as_str(), label, entity.map(Entity::as_str));
+        let buf = KeyBuf::key(self.local.as_bytes(), label, entity.map(Entity::as_str));
         self.entries.get(buf.as_bytes())
     }
 
@@ -793,13 +816,13 @@ impl KnowledgeBase {
         // Keys sort by creator first: visit the two places `label` can be
         // in a creator's run of keys, then seek past the run (`%` follows
         // `$`) — a handful of seeks, however many entries.
-        let mut seek = KeyBuf::concat(&[]);
+        let mut seek = KeyBuf::concat::<&str>(&[]);
         while let Some((first, _)) = self.from(seek.as_str()).next() {
             let Some((creator, _)) = first.as_str().split_once('$') else {
                 break; // every key is `creator$…`
             };
-            let exact = KeyBuf::key(creator, label, None);
-            let scoped = KeyBuf::key(creator, label, Some(""));
+            let exact = KeyBuf::key(creator.as_bytes(), label, None);
+            let scoped = KeyBuf::key(creator.as_bytes(), label, Some(""));
             let hits = (self.entries.get_key_value(exact.as_bytes()).into_iter())
                 .chain(self.with_prefix(scoped.as_str()));
             for (encoded, entry) in hits {
@@ -807,7 +830,7 @@ impl KnowledgeBase {
                 // decodes as a shorter label about an entity).
                 if let Some((creator, found_label, entity)) = split(encoded.as_str()) {
                     if found_label == label {
-                        let entity = entity.map(|e| Entity::new(e.to_owned()));
+                        let entity = entity.map(Entity::new);
                         found.push((KalisId::new(creator), entity, entry.value.clone()));
                     }
                 }
@@ -834,7 +857,12 @@ impl KnowledgeBase {
     /// `decode` makes of the rest of its key, with its value.
     fn family<T>(&self, root: &str, mark: &str, decode: fn(&str) -> T) -> Vec<(T, KnowValue)> {
         self.note_get();
-        let prefix = KeyBuf::concat(&[self.local.as_str(), "$", root, mark]);
+        let prefix = KeyBuf::concat(&[
+            self.local.as_bytes(),
+            b"$",
+            root.as_bytes(),
+            mark.as_bytes(),
+        ]);
         let prefix = prefix.as_str();
         self.with_prefix(prefix)
             .map(|(k, entry)| (decode(&k.as_str()[prefix.len()..]), entry.value.clone()))
@@ -852,7 +880,7 @@ impl KnowledgeBase {
     /// Every entity that has a local knowgget with `label`, with its value
     /// — the suffix query of the paper.
     pub fn entities_with(&self, label: &str) -> Vec<(Entity, KnowValue)> {
-        self.family(label, "@", |entity| Entity::new(entity.to_owned()))
+        self.family(label, "@", |entity| Entity::new(entity))
     }
 
     /// Iterate over every entry as decoded knowggets.
@@ -901,16 +929,18 @@ impl KnowledgeBase {
     }
 
     /// Drain the collective knowggets that changed since the last call —
-    /// the outbox of the synchronization mechanism.
+    /// the outbox of the synchronization mechanism — in key order. Visits
+    /// the changed entries only.
     pub fn drain_dirty_collective(&mut self) -> Vec<Knowgget> {
-        if std::mem::take(&mut self.dirty) == 0 {
-            return Vec::new();
+        let mut out = Vec::with_capacity(self.dirty.len());
+        // One at a time, so the set keeps its root node for the next round.
+        while let Some(key) = self.dirty.pop_first() {
+            let entry =
+                (self.entries.get_mut(key.as_bytes())).expect("a removed entry takes its key out");
+            entry.dirty = false;
+            out.extend(entry.knowgget(key.as_str()));
         }
-        (self.entries.iter_mut())
-            .filter_map(|(k, entry)| {
-                std::mem::take(&mut entry.dirty).then(|| entry.knowgget(k.as_str()))?
-            })
-            .collect()
+        out
     }
 
     /// Every knowgget currently marked collective, regardless of dirty

@@ -9,6 +9,18 @@
 //! evaluation exercises the exchange semantics, not cryptographic
 //! strength); production deployments would implement [`SecureChannel`]
 //! over an AEAD cipher.
+//!
+//! Wire form of a message's plaintext: the sender id, a `u16` knowgget
+//! count, then six fields per knowgget — label, value (its
+//! [`KnowValue::to_wire`] text), creator, entity, origin module and trace
+//! (`trace_id:span_id` in decimal; empty when untraced) — every field and
+//! the sender a `u16` big-endian length followed by that many UTF-8 bytes.
+//! Values are written straight from their typed form into the one buffer
+//! that is sealed in place, and a received message is parsed from
+//! borrowed slices: a knowgget crosses the wire building no string but
+//! its label.
+
+use core::fmt;
 
 use kalis_packets::Entity;
 
@@ -27,6 +39,14 @@ pub const MAX_SYNC_KNOWGGETS: usize = 512;
 /// allocating.
 const MIN_KNOWGGET_WIRE: usize = 12;
 
+/// The longest field a `u16` length prefix announces.
+const FIELD_MAX: usize = u16::MAX as usize;
+
+/// Room [`SyncMessage::seal`] leaves after the plaintext for the
+/// channel's authentication tag, so that sealing in place grows nothing
+/// ([`XorChannel`]'s tag is 8 bytes; an AEAD's is 16).
+pub(crate) const SEAL_ROOM: usize = 16;
+
 /// A batch of collective knowggets announced by one Kalis node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncMessage {
@@ -37,43 +57,86 @@ pub struct SyncMessage {
     pub knowggets: Vec<Knowgget>,
 }
 
+/// `fmt::Write` into the end of a byte buffer.
+struct Append<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Append<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// A knowgget's trace attribution, `None` when untraced.
+fn traced(origin: Option<&KnowggetOrigin>) -> Option<(u64, u32)> {
+    let origin = origin?;
+    (origin.trace_id != 0 || origin.span_id != 0).then_some((origin.trace_id, origin.span_id))
+}
+
+/// The byte lengths of a knowgget's six wire fields, or `None` when one
+/// is longer than its `u16` prefix can announce.
+fn field_lens(k: &Knowgget) -> Option<[usize; 6]> {
+    let trace = traced(k.origin.as_ref()).map_or(0, |(trace_id, span_id)| {
+        digits(trace_id) + 1 + digits(span_id.into())
+    });
+    let lens = [
+        k.label.len(),
+        k.value.wire_len(),
+        k.creator.as_bytes().len(),
+        k.entity.as_ref().map_or(0, |e| e.as_str().len()),
+        k.origin.as_ref().map_or(0, |o| o.module.len()),
+        trace,
+    ];
+    lens.iter().all(|len| *len <= FIELD_MAX).then_some(lens)
+}
+
+/// What goes on the wire of `knowggets`, in order, with each one's field
+/// lengths: every knowgget but one with a field too long for its length
+/// prefix — left out whole rather than cut, which would leave the peer a
+/// frame it must reject (or a character split in two) — and at most
+/// `u16::MAX` of them, what the count field can say.
+fn shipped(knowggets: &[Knowgget]) -> impl Iterator<Item = (&Knowgget, [usize; 6])> {
+    (knowggets.iter())
+        .filter_map(|k| Some((k, field_lens(k)?)))
+        .take(FIELD_MAX)
+}
+
+fn put_len(buf: &mut Vec<u8>, len: usize) {
+    buf.extend_from_slice(&(len as u16).to_be_bytes());
+}
+
 impl SyncMessage {
     /// Build a message from a node's dirty collective knowggets.
     pub fn new(from: KalisId, knowggets: Vec<Knowgget>) -> Self {
         SyncMessage { from, knowggets }
     }
 
+    /// A length-prefixed field: `s`, cut to what the prefix can announce.
     pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-        let bytes = s.as_bytes();
-        buf.extend_from_slice(&(bytes.len().min(u16::MAX as usize) as u16).to_be_bytes());
-        buf.extend_from_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
+        let bytes = &s.as_bytes()[..s.len().min(FIELD_MAX)];
+        put_len(buf, bytes.len());
+        buf.extend_from_slice(bytes);
     }
 
-    pub(crate) fn get_str(buf: &[u8], pos: &mut usize) -> Option<String> {
+    /// The length-prefixed field at `*pos`, borrowed, and `*pos` moved
+    /// past it; `None` when it runs past the end of `buf` or is not
+    /// UTF-8.
+    pub(crate) fn get_str<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
         // Checked arithmetic throughout: an adversarial `pos`/length pair
         // must fail cleanly, never wrap or panic.
         let header_end = pos.checked_add(2)?;
-        if buf.len() < header_end {
-            return None;
-        }
-        let len = u16::from_be_bytes([buf[*pos], buf[*pos + 1]]) as usize;
+        let header = buf.get(*pos..header_end)?;
+        let len = usize::from(u16::from_be_bytes([header[0], header[1]]));
         *pos = header_end;
         let body_end = pos.checked_add(len)?;
-        if buf.len() < body_end {
-            return None;
-        }
-        let s = String::from_utf8(buf[*pos..body_end].to_vec()).ok()?;
+        let body = std::str::from_utf8(buf.get(*pos..body_end)?).ok()?;
         *pos = body_end;
-        Some(s)
-    }
-
-    /// Wire form of a knowgget's trace attribution: `trace_id:span_id`
-    /// in decimal, or empty when untraced.
-    fn trace_wire(origin: Option<&KnowggetOrigin>) -> String {
-        match origin {
-            Some(o) if o.trace_id != 0 || o.span_id != 0 => format!("{}:{}", o.trace_id, o.span_id),
-            _ => String::new(),
-        }
+        Some(body)
     }
 
     /// Parse the `trace_id:span_id` wire form back; empty means
@@ -82,56 +145,69 @@ impl SyncMessage {
         if s.is_empty() {
             return Ok((0, 0));
         }
-        let (id, span) = s
-            .split_once(':')
-            .ok_or_else(|| format!("malformed trace `{s}`"))?;
-        let trace_id: u64 = id.parse().map_err(|_| format!("malformed trace `{s}`"))?;
-        let span_id: u32 = span.parse().map_err(|_| format!("malformed trace `{s}`"))?;
+        let malformed = || format!("malformed trace `{s}`");
+        let (id, span) = s.split_once(':').ok_or_else(malformed)?;
+        let trace_id: u64 = id.parse().map_err(|_| malformed())?;
+        let span_id: u32 = span.parse().map_err(|_| malformed())?;
         Ok((trace_id, span_id))
     }
 
     /// Plaintext wire size in bytes (what [`SyncMessage::seal`] encodes
     /// before the channel adds its own overhead) — the basis of the
-    /// sync-traffic byte counters.
+    /// sync-traffic byte counters. Exact: a knowgget left off the wire
+    /// counts nothing.
     pub fn encoded_len(&self) -> usize {
-        let mut len = 2 + self.from.as_str().len() + 2;
-        for k in &self.knowggets {
-            len += 2 + k.label.len();
-            len += 2 + k.value.to_wire().len();
-            len += 2 + k.creator.as_str().len();
-            len += 2 + k.entity.as_ref().map_or(0, |e| e.as_str().len());
-            len += 2 + k.origin.as_ref().map_or(0, |o| o.module.len());
-            len += 2 + Self::trace_wire(k.origin.as_ref()).len();
-        }
-        len
+        Self::wire_len(&self.from, &self.knowggets)
     }
 
-    /// Encode the plaintext payload (what [`SyncMessage::seal`] hands to
-    /// the channel, and what the sequence-numbered envelope of
-    /// [`super::CollectiveSync`] embeds after its header).
-    pub(crate) fn encode_payload(&self) -> Vec<u8> {
-        let mut plain = Vec::new();
-        Self::put_str(&mut plain, self.from.as_str());
-        plain
-            .extend_from_slice(&(self.knowggets.len().min(u16::MAX as usize) as u16).to_be_bytes());
-        for k in &self.knowggets {
-            Self::put_str(&mut plain, &k.label);
-            Self::put_str(&mut plain, &k.value.to_wire());
-            Self::put_str(&mut plain, k.creator.as_str());
-            Self::put_str(&mut plain, k.entity.as_ref().map_or("", |e| e.as_str()));
-            Self::put_str(
-                &mut plain,
-                k.origin.as_ref().map_or("", |o| o.module.as_str()),
-            );
-            Self::put_str(&mut plain, &Self::trace_wire(k.origin.as_ref()));
-        }
-        plain
+    /// [`SyncMessage::encoded_len`] of a message from `from` carrying
+    /// `knowggets`.
+    pub(crate) fn wire_len(from: &KalisId, knowggets: &[Knowgget]) -> usize {
+        let fields =
+            shipped(knowggets).map(|(_, lens)| 2 * lens.len() + lens.iter().sum::<usize>());
+        2 + from.as_bytes().len().min(FIELD_MAX) + 2 + fields.sum::<usize>()
     }
 
-    /// Parse a plaintext payload produced by
-    /// [`SyncMessage::encode_payload`], with hostile-input hardening:
-    /// declared counts are capped and checked against the bytes actually
-    /// present before any allocation.
+    /// Append the plaintext payload of a message from `from` carrying
+    /// `knowggets` to `buf`, [`SyncMessage::wire_len`] bytes (what
+    /// [`SyncMessage::seal`] hands to the channel, and what the
+    /// sequence-numbered envelope of [`super::CollectiveSync`] embeds
+    /// after its header).
+    pub(crate) fn encode_into(from: &KalisId, knowggets: &[Knowgget], buf: &mut Vec<u8>) {
+        Self::put_str(buf, from.as_str());
+        let count_at = buf.len();
+        put_len(buf, 0);
+        let mut count = 0;
+        for (k, lens) in shipped(knowggets) {
+            let [label, value, creator, entity, module, trace] = lens;
+            put_len(buf, label);
+            buf.extend_from_slice(k.label.as_bytes());
+            put_len(buf, value);
+            let at = buf.len();
+            k.value
+                .write_wire(&mut Append(buf))
+                .expect("appending to a Vec cannot fail");
+            debug_assert_eq!(buf.len() - at, value);
+            put_len(buf, creator);
+            buf.extend_from_slice(k.creator.as_bytes());
+            put_len(buf, entity);
+            buf.extend_from_slice(k.entity.as_ref().map_or(&[], |e| e.as_str().as_bytes()));
+            put_len(buf, module);
+            buf.extend_from_slice(k.origin.as_ref().map_or(&[], |o| o.module.as_bytes()));
+            put_len(buf, trace);
+            if let Some((trace_id, span_id)) = traced(k.origin.as_ref()) {
+                fmt::Write::write_fmt(&mut Append(buf), format_args!("{trace_id}:{span_id}"))
+                    .expect("appending to a Vec cannot fail");
+            }
+            count += 1;
+        }
+        buf[count_at..count_at + 2].copy_from_slice(&(count as u16).to_be_bytes());
+    }
+
+    /// Parse a plaintext payload produced by [`SyncMessage::encode_into`],
+    /// with hostile-input hardening: declared counts are capped and
+    /// checked against the bytes actually present before any allocation,
+    /// and every field is read where it lies.
     pub(crate) fn decode_payload(plain: &[u8]) -> Result<SyncMessage, String> {
         let mut pos = 0;
         let from = Self::get_str(plain, &mut pos).ok_or("truncated sender")?;
@@ -139,12 +215,9 @@ impl SyncMessage {
             return Err("empty sender".to_owned());
         }
         let from = KalisId::try_new(from)?;
-        let count_end = pos.checked_add(2).ok_or("truncated count")?;
-        if plain.len() < count_end {
-            return Err("truncated count".to_owned());
-        }
-        let count = u16::from_be_bytes([plain[pos], plain[pos + 1]]) as usize;
-        pos = count_end;
+        let count = plain.get(pos..pos + 2).ok_or("truncated count")?;
+        let count = usize::from(u16::from_be_bytes([count[0], count[1]]));
+        pos += 2;
         if count > MAX_SYNC_KNOWGGETS {
             return Err(format!(
                 "declared knowgget count {count} exceeds cap {MAX_SYNC_KNOWGGETS}"
@@ -174,17 +247,17 @@ impl SyncMessage {
             if entity.contains(['$', '@']) {
                 return Err(format!("entity `{entity}` contains key delimiters"));
             }
-            let (trace_id, span_id) = Self::parse_trace_wire(&trace)?;
-            let origin = (!origin_module.is_empty() || trace_id != 0 || span_id != 0).then_some(
+            let (trace_id, span_id) = Self::parse_trace_wire(trace)?;
+            let origin = (!origin_module.is_empty() || trace_id != 0 || span_id != 0).then(|| {
                 KnowggetOrigin {
                     module: origin_module.into(),
                     trace_id,
                     span_id,
-                },
-            );
+                }
+            });
             knowggets.push(Knowgget {
-                label,
-                value: KnowValue::from_wire(&value),
+                label: label.to_owned(),
+                value: KnowValue::from_wire(value),
                 creator: KalisId::try_new(creator)?,
                 entity: (!entity.is_empty()).then(|| Entity::new(entity)),
                 origin,
@@ -193,9 +266,13 @@ impl SyncMessage {
         Ok(SyncMessage { from, knowggets })
     }
 
-    /// Serialize and seal for transmission over `channel`.
+    /// Serialize and seal for transmission over `channel`: one buffer,
+    /// sized by [`SyncMessage::encoded_len`], encoded and sealed in place.
     pub fn seal(&self, channel: &dyn SecureChannel) -> Vec<u8> {
-        channel.seal(&self.encode_payload())
+        let mut buf = Vec::with_capacity(self.encoded_len() + SEAL_ROOM);
+        Self::encode_into(&self.from, &self.knowggets, &mut buf);
+        channel.seal_in_place(&mut buf);
+        buf
     }
 
     /// Open and parse a sealed message.
@@ -219,6 +296,14 @@ pub trait SecureChannel: Send + Sync {
 
     /// Verify and decrypt; `None` when authentication fails.
     fn open(&self, sealed: &[u8]) -> Option<Vec<u8>>;
+
+    /// Seal the plaintext `buf` holds where it lies: afterwards `buf`
+    /// holds what [`SecureChannel::seal`] would have returned. The
+    /// default goes through `seal`; a channel that can encrypt in place
+    /// overrides it and allocates nothing while `buf` has room.
+    fn seal_in_place(&self, buf: &mut Vec<u8>) {
+        *buf = self.seal(buf);
+    }
 }
 
 /// The stand-in channel: xorshift keystream encryption with a keyed FNV-1a
@@ -229,22 +314,25 @@ pub struct XorChannel {
 }
 
 impl XorChannel {
+    /// Bytes the authentication tag adds to a plaintext.
+    const TAG: usize = 8;
+
     /// A channel using the shared secret `key`.
     pub fn new(key: u64) -> Self {
         XorChannel { key }
     }
 
-    fn keystream(&self, len: usize) -> Vec<u8> {
+    /// XOR `data` with the keystream, one xorshift step per eight bytes.
+    fn apply_keystream(&self, data: &mut [u8]) {
         let mut state = self.key | 1;
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
+        for chunk in data.chunks_mut(8) {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            out.extend_from_slice(&state.to_be_bytes());
+            for (byte, key) in chunk.iter_mut().zip(state.to_be_bytes()) {
+                *byte ^= key;
+            }
         }
-        out.truncate(len);
-        out
     }
 
     fn tag(&self, data: &[u8]) -> u64 {
@@ -259,22 +347,24 @@ impl XorChannel {
 
 impl SecureChannel for XorChannel {
     fn seal(&self, plaintext: &[u8]) -> Vec<u8> {
-        let ks = self.keystream(plaintext.len());
-        let mut out: Vec<u8> = plaintext.iter().zip(ks).map(|(p, k)| p ^ k).collect();
-        let tag = self.tag(plaintext);
-        out.extend_from_slice(&tag.to_be_bytes());
-        out
+        let mut buf = Vec::with_capacity(plaintext.len() + Self::TAG);
+        buf.extend_from_slice(plaintext);
+        self.seal_in_place(&mut buf);
+        buf
     }
 
     fn open(&self, sealed: &[u8]) -> Option<Vec<u8>> {
-        if sealed.len() < 8 {
-            return None;
-        }
-        let (body, tag_bytes) = sealed.split_at(sealed.len() - 8);
-        let ks = self.keystream(body.len());
-        let plain: Vec<u8> = body.iter().zip(ks).map(|(c, k)| c ^ k).collect();
-        let expected = u64::from_be_bytes(tag_bytes.try_into().ok()?);
+        let body = sealed.len().checked_sub(Self::TAG)?;
+        let expected = u64::from_be_bytes(sealed[body..].try_into().ok()?);
+        let mut plain = sealed[..body].to_vec();
+        self.apply_keystream(&mut plain);
         (self.tag(&plain) == expected).then_some(plain)
+    }
+
+    fn seal_in_place(&self, buf: &mut Vec<u8>) {
+        let tag = self.tag(buf);
+        self.apply_keystream(buf);
+        buf.extend_from_slice(&tag.to_be_bytes());
     }
 }
 
@@ -447,6 +537,118 @@ mod tests {
         plain.extend_from_slice(&0u16.to_be_bytes());
         let err = SyncMessage::open(&channel.seal(&plain), &channel).unwrap_err();
         assert!(err.contains("empty sender"), "{err}");
+    }
+
+    /// One of each value type, a network-level and an entity-scoped
+    /// knowgget, no origin, an untraced origin and a traced one.
+    fn pinned_knowggets() -> Vec<Knowgget> {
+        let k2 = KalisId::new("K2");
+        vec![
+            Knowgget::new("Multihop", KnowValue::Bool(true), k2.clone()),
+            Knowgget::new("MonitoredNodes", KnowValue::Int(8), k2.clone()).with_origin(
+                KnowggetOrigin {
+                    module: "TopologyDiscoveryModule".into(),
+                    trace_id: 0,
+                    span_id: 0,
+                },
+            ),
+            Knowgget::about(
+                "SignalStrength",
+                KnowValue::Float(-84.5),
+                k2.clone(),
+                Entity::new("0x000a"),
+            )
+            .with_origin(KnowggetOrigin {
+                module: "MobilityAwarenessModule".into(),
+                trace_id: 0x1234_5678_9abc_def0,
+                span_id: 17,
+            }),
+            Knowgget::about(
+                "DroppedOrigins",
+                KnowValue::Text("0x001e,0x001f".to_owned()),
+                k2,
+                Entity::new("0x0014"),
+            ),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|byte| format!("{byte:02x}")).collect()
+    }
+
+    /// The sealed bytes of a fixed message, and of the sequenced envelope
+    /// of the same payload, as the string-building encoder spelled them:
+    /// peers of either build understand each other.
+    #[test]
+    fn the_wire_format_is_pinned() {
+        let channel = XorChannel::new(0x006b_616c_6973);
+        let message = SyncMessage::new(KalisId::new("K2"), pinned_knowggets());
+        let sealed = message.seal(&channel);
+        assert_eq!(
+            hex(&sealed),
+            concat!(
+                "ed33fe997b5c8d6931ad6b430b3f2b4b519401520c4684713158118d7ec8bfbb",
+                "2a74c79cef8cd46b6fc2806910628f377b402fc5c261c490e034f4417e4f6811",
+                "c8a8bc92f126655cd04d8f4c4c73248a57c1098feb63f4d76299882d6eb32114",
+                "75814d00672d0cafae90655f93bfc614c46f2bc4cca0f9fc20c0a43c46a66fb9",
+                "73cef64050a8efe56c4978edf2ab16e6be0094ded7603180cc616b372f4afa0c",
+                "0fdc3d5f51b72f5e747152e3689ece702bcf0d71e2b7285a12168e069a7b6180",
+                "ceece47f21ee3904daecc11f548fd88a344ccab15513b1bd128365f7b61d06",
+            )
+        );
+        assert_eq!(sealed.len(), message.encoded_len() + 8);
+        assert_eq!(channel.seal(&channel.open(&sealed).unwrap()), sealed);
+
+        let mut engine = crate::knowledge::CollectiveSync::new(
+            KalisId::new("K2"),
+            Box::new(channel),
+            crate::knowledge::SyncConfig::default(),
+        );
+        let (k1, now) = (KalisId::new("K1"), kalis_packets::Timestamp::from_secs(1));
+        engine.observe_peer(&k1, now);
+        engine.take_resync_peers();
+        engine.enqueue_to(&k1, pinned_knowggets(), now);
+        assert_eq!(
+            hex(&engine.poll(now)[0].bytes),
+            concat!(
+                "ec31b5ab7b588d617cd807352965443f519838551557ed1b151a11890abacade",
+                "2a78c1c181e5a0041da7e4293269842d0f2e65a0a46499f48547e314293f0536",
+                "95cfc5d68f016943c94492527858298c58cb7fea9914ead1618285243dc7537f",
+                "488f5e06064472e3e8db3e38e59cf411ef6767dac9909ab7058dcd6e57fa36fd",
+                "6b8f966c4dafe8ec764e4cc3e1bf08e6d073d69eab3e62c398305d162a4ff80a",
+                "01da365957ba2a5f47482fa134dc8e2f7eb77f16c1ac2959627eda31d822378c",
+                "8caf9c4221a76f34e9c2df2f2a8f908b627dfcfa6713b74bc59ab97f60c8a8d9",
+                "67c17dc864998bbfdd",
+            )
+        );
+    }
+
+    #[test]
+    fn an_over_long_field_leaves_its_knowgget_off_the_wire() {
+        let k2 = KalisId::new("K2");
+        let small = Knowgget::new("Mobile", KnowValue::Bool(true), k2.clone());
+        // A 70,000-byte text with a two-byte character across the 65,535
+        // mark, where a cut would split it.
+        let text = format!("{}é{}", "a".repeat(65_534), "b".repeat(4_464));
+        assert_eq!(text.len(), 70_000);
+        let long = Knowgget::new("Notes", KnowValue::Text(text), k2.clone());
+        let channel = XorChannel::new(5);
+        let message = SyncMessage::new(k2.clone(), vec![long, small.clone()]);
+        let sealed = message.seal(&channel);
+        assert_eq!(
+            sealed.len(),
+            message.encoded_len() + 8,
+            "encoded_len is exact"
+        );
+        let only_small = SyncMessage::new(k2.clone(), vec![small.clone()]);
+        assert_eq!(message.encoded_len(), only_small.encoded_len());
+        let back = SyncMessage::open(&sealed, &channel).expect("the rest ships");
+        assert_eq!(back.knowggets, [small]);
+        // A long label, entity or module name is left out the same way.
+        let long_label = Knowgget::new("L".repeat(70_000), KnowValue::Int(1), k2.clone());
+        let message = SyncMessage::new(k2, vec![long_label]);
+        let back = SyncMessage::open(&message.seal(&channel), &channel).unwrap();
+        assert!(back.knowggets.is_empty());
     }
 
     mod fuzz {

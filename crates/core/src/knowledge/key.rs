@@ -127,7 +127,7 @@ impl FromStr for KnowKey {
         Ok(KnowKey {
             creator: KalisId::new(creator),
             label: label.to_owned(),
-            entity: entity.map(|e| Entity::new(e.to_owned())),
+            entity: entity.map(Entity::new),
         })
     }
 }
@@ -145,32 +145,36 @@ pub(super) struct KeyBuf {
 impl KeyBuf {
     const STACK: usize = 120;
 
-    /// The concatenation of `pieces`.
-    pub(super) fn concat(pieces: &[&str]) -> Self {
-        let len = pieces.iter().map(|p| p.len()).sum();
+    /// The concatenation of `pieces`, each the bytes of a whole `str`
+    /// (a [`KalisId`]'s are taken as they lie, not checked again).
+    pub(super) fn concat<P: AsRef<[u8]>>(pieces: &[P]) -> Self {
+        let len = pieces.iter().map(|p| p.as_ref().len()).sum();
         let mut buf = KeyBuf {
             stack: [0; KeyBuf::STACK],
             len,
             heap: String::new(),
         };
         if len > KeyBuf::STACK {
-            buf.heap = pieces.concat();
+            let bytes = pieces.iter().flat_map(|p| p.as_ref()).copied().collect();
+            buf.heap = String::from_utf8(bytes).expect("whole strs, end to end");
             return buf;
         }
         let mut at = 0;
         for piece in pieces {
-            buf.stack[at..at + piece.len()].copy_from_slice(piece.as_bytes());
+            let piece = piece.as_ref();
+            buf.stack[at..at + piece.len()].copy_from_slice(piece);
             at += piece.len();
         }
         buf
     }
 
     /// `creator$label` or `creator$label@entity`, as [`KnowKey::encode`]
-    /// spells it.
-    pub(super) fn key(creator: &str, label: &str, entity: Option<&str>) -> Self {
+    /// spells it; `creator` is the bytes of a creator's id.
+    pub(super) fn key(creator: &[u8], label: &str, entity: Option<&str>) -> Self {
+        let (label, dollar, at): (&[u8], &[u8], &[u8]) = (label.as_bytes(), b"$", b"@");
         match entity {
-            Some(entity) => Self::concat(&[creator, "$", label, "@", entity]),
-            None => Self::concat(&[creator, "$", label]),
+            Some(entity) => Self::concat(&[creator, dollar, label, at, entity.as_bytes()]),
+            None => Self::concat(&[creator, dollar, label]),
         }
     }
 
@@ -246,9 +250,9 @@ mod tests {
                 label: label.to_owned(),
                 entity: entity.map(Entity::new),
             };
-            assert_eq!(KeyBuf::key("K1", label, entity).as_str(), key.encode());
+            assert_eq!(KeyBuf::key(b"K1", label, entity).as_str(), key.encode());
         }
-        assert_eq!(KeyBuf::concat(&[]).as_str(), "");
+        assert_eq!(KeyBuf::concat::<&str>(&[]).as_str(), "");
     }
 
     #[test]

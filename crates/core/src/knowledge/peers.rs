@@ -28,7 +28,7 @@ pub struct PeerBeacon {
 impl PeerBeacon {
     /// Serialize for broadcast.
     pub fn encode(&self) -> Vec<u8> {
-        format!("KALIS {}", self.from).into_bytes()
+        [b"KALIS ", self.from.as_bytes()].concat()
     }
 
     /// Parse a received broadcast; `None` for anything that is not a

@@ -32,7 +32,7 @@ use kalis_packets::Timestamp;
 
 use crate::id::KalisId;
 
-use super::collective::{SecureChannel, SyncMessage, MAX_SYNC_KNOWGGETS};
+use super::collective::{SecureChannel, SyncMessage, MAX_SYNC_KNOWGGETS, SEAL_ROOM};
 use super::Knowgget;
 
 /// The KB label a node sets on itself while in degraded local-only mode.
@@ -442,11 +442,13 @@ impl CollectiveSync {
                 }
                 frame.attempts += 1;
                 frame.next_due = now + config.backoff(frame.attempts);
-                let msg = SyncMessage::new(local.clone(), frame.knowggets.clone());
-                let plain = Self::frame_plain(KIND_DATA, frame.seq, &msg.encode_payload());
+                let payload = SyncMessage::wire_len(&local, &frame.knowggets);
+                let mut bytes = Self::envelope(KIND_DATA, frame.seq, payload);
+                SyncMessage::encode_into(&local, &frame.knowggets, &mut bytes);
+                self.channel.seal_in_place(&mut bytes);
                 out.push(SyncTransmit {
                     to: peer.clone(),
-                    bytes: self.channel.seal(&plain),
+                    bytes,
                     seq: frame.seq,
                     retransmit: frame.attempts > 1,
                     knowggets: frame.knowggets.len() as u64,
@@ -517,8 +519,11 @@ impl CollectiveSync {
                 }
                 self.mark_alive(&from, now);
                 let duplicate = !self.note_received(&from, seq);
-                let ack_plain = Self::frame_plain(KIND_ACK, seq, &Self::ack_payload(&self.local));
-                let reply = Some(self.channel.seal(&ack_plain));
+                let local = self.local.as_str();
+                let mut ack = Self::envelope(KIND_ACK, seq, 2 + local.len());
+                SyncMessage::put_str(&mut ack, local);
+                self.channel.seal_in_place(&mut ack);
+                let reply = Some(ack);
                 self.update_degraded(now);
                 Ok(Receipt {
                     from,
@@ -534,8 +539,7 @@ impl CollectiveSync {
             KIND_ACK => {
                 let mut pos = 0;
                 let from = SyncMessage::get_str(payload, &mut pos)
-                    .filter(|s| !s.is_empty())
-                    .map(KalisId::new)
+                    .and_then(|id| KalisId::try_new(id).ok())
                     .ok_or("truncated ack sender")?;
                 if from == self.local {
                     return Ok(Receipt {
@@ -572,19 +576,14 @@ impl CollectiveSync {
         std::mem::take(&mut self.events)
     }
 
-    fn frame_plain(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-        let mut plain = Vec::with_capacity(ENVELOPE_HEADER + payload.len());
+    /// An envelope's header, in a buffer with room for a `payload`-byte
+    /// payload and the channel's tag, to be sealed in place.
+    fn envelope(kind: u8, seq: u64, payload: usize) -> Vec<u8> {
+        let mut plain = Vec::with_capacity(ENVELOPE_HEADER + payload + SEAL_ROOM);
         plain.push(ENVELOPE_VERSION);
         plain.push(kind);
         plain.extend_from_slice(&seq.to_be_bytes());
-        plain.extend_from_slice(payload);
         plain
-    }
-
-    fn ack_payload(from: &KalisId) -> Vec<u8> {
-        let mut buf = Vec::new();
-        SyncMessage::put_str(&mut buf, from.as_str());
-        buf
     }
 
     /// Refresh liveness for `peer`, creating the link if unknown.

@@ -37,7 +37,7 @@ pub enum KnowValue {
 
 impl KnowValue {
     /// Write the wire form into `out`: the one place that spells it.
-    fn write_wire(&self, out: &mut impl fmt::Write) -> fmt::Result {
+    pub(crate) fn write_wire(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
             KnowValue::Bool(b) => write!(out, "{b}"),
             KnowValue::Int(i) => write!(out, "{i}"),

@@ -37,6 +37,9 @@ struct Slot {
     dispatches: u64,
     /// Dispatches skipped by overload shedding.
     sheds: u64,
+    /// The module's `on_tick` said it has no tick work (the trait's
+    /// default body): its ticks are counted, not called.
+    no_tick_work: bool,
     /// Present exactly when the manager has a registry attached.
     tele: Option<SlotTele>,
 }
@@ -327,6 +330,7 @@ impl ModuleManager {
             cpu_ns: 0,
             dispatches: 0,
             sheds: 0,
+            no_tick_work: false,
             tele,
         });
         if let Some(t) = &self.tele {
@@ -532,6 +536,7 @@ impl ModuleManager {
             ctx,
             shed,
             record,
+            false,
             |t| &t.packet_hist,
             |module, ctx| module.on_packet(ctx, packet),
         )
@@ -540,12 +545,15 @@ impl ModuleManager {
     /// Route a tick to every active module. Supervised like packet
     /// dispatch (panic isolation, budgets, quarantine, latency sampled
     /// by the same rule) but never shed: ticks drive window expiry.
+    /// A module whose `on_tick` said it has no tick work is not called;
+    /// its tick is accounted as a call that completed at once.
     pub fn dispatch_tick(&mut self, ctx: &mut ModuleCtx<'_>) -> DispatchOutcome {
         let record = sampled(&mut self.tick_seq) && self.tele.is_some();
         self.supervise(
             ctx,
             ShedMode::None,
             record,
+            true,
             |t| &t.tick_hist,
             |module, ctx| module.on_tick(ctx),
         )
@@ -555,12 +563,15 @@ impl ModuleManager {
     /// every active module that is neither quarantined nor shed. With
     /// `record` set each completed call's latency goes to the slot's
     /// `hist` series; calls are timed when recorded or when a watchdog
-    /// budget is configured.
+    /// budget is configured. On a `tick`, a slot without tick work goes
+    /// through the same accounting — dispatch and work counted, latency
+    /// timed and recorded, clean streak advanced — with no call.
     fn supervise(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         shed: ShedMode,
         record: bool,
+        tick: bool,
         hist: impl Fn(&SlotTele) -> &Histogram,
         mut call: impl FnMut(&mut dyn Module, &mut ModuleCtx<'_>),
     ) -> DispatchOutcome {
@@ -609,12 +620,18 @@ impl ModuleManager {
                     }
                 }
             }
-            // Attribute KB writes from the callback to this module, so
-            // alert provenance can name who produced each knowgget.
-            ctx.kb.set_writer(descriptor.name);
-            let result = {
+            let result = if tick && slot.no_tick_work {
+                Ok(())
+            } else {
+                // Attribute KB writes from the callback to this module, so
+                // alert provenance can name who produced each knowgget.
+                ctx.kb.set_writer(descriptor.name);
                 let module = slot.module.as_mut();
-                catch_unwind(AssertUnwindSafe(|| call(module, ctx)))
+                let result = catch_unwind(AssertUnwindSafe(|| call(module, ctx)));
+                // Taken after every call, so that no report outlives it.
+                let idle = ctx.kb.take_no_tick_work();
+                slot.no_tick_work |= tick && idle;
+                result
             };
             // Timing: consecutive `Instant::now()` reads so N modules
             // cost N+1 clock reads, not 2N.
@@ -1750,5 +1767,152 @@ mod tests {
         assert_eq!(mgr.quarantined_count(), 1);
         // Timed because budgeted: the CPU account has all three.
         assert!(mgr.module_profiles()[0].cpu_ns >= 9_000_000);
+    }
+
+    /// A detection module with no tick work (the default `on_tick`) that
+    /// panics on every packet while `rage` is up.
+    struct PacketCrasher(Arc<std::sync::atomic::AtomicBool>);
+
+    impl Module for PacketCrasher {
+        fn descriptor(&self) -> ModuleDescriptor {
+            ModuleDescriptor::detection("PacketCrasher", AttackKind::Smurf)
+        }
+        fn required(&self, _kb: &KnowledgeBase) -> bool {
+            true
+        }
+        fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
+            if self.0.load(std::sync::atomic::Ordering::Relaxed) {
+                panic!("Crashy packet (no tick work)");
+            }
+        }
+    }
+
+    /// A wrapper that counts its ticks and either forwards them (to the
+    /// default body) or does nothing with them: a module that is called
+    /// for every tick and has no tick work.
+    struct Wrapped {
+        inner: PacketCrasher,
+        forward: bool,
+        ticks: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Module for Wrapped {
+        fn descriptor(&self) -> ModuleDescriptor {
+            self.inner.descriptor()
+        }
+        fn required(&self, kb: &KnowledgeBase) -> bool {
+            self.inner.required(kb)
+        }
+        fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
+            self.inner.on_packet(ctx, packet);
+        }
+        fn on_tick(&mut self, ctx: &mut ModuleCtx<'_>) {
+            self.ticks
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.forward {
+                self.inner.on_tick(ctx);
+            }
+        }
+    }
+
+    /// Crash two modules into quarantine on packets, then tick them out
+    /// of it and through their heal streak. `forward`: both keep the
+    /// default `on_tick`, one bare and one behind a forwarding wrapper;
+    /// otherwise both override it with an empty body and are called.
+    /// Returns a record of every step and each wrapper's tick calls.
+    fn tick_through_probation(forward: bool) -> (Vec<String>, [u64; 2]) {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        quiet_panics();
+        let rage = Arc::new(AtomicBool::new(true));
+        let ticks = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
+        let wrap = |ticks: &Arc<AtomicU64>, forward| {
+            let inner = PacketCrasher(Arc::clone(&rage));
+            let ticks = Arc::clone(ticks);
+            Box::new(Wrapped {
+                inner,
+                forward,
+                ticks,
+            })
+        };
+        let (mut kb, mut alerts) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
+        let mut mgr = ModuleManager::all_always_active();
+        mgr.set_telemetry(&tele);
+        if forward {
+            mgr.add(Box::new(PacketCrasher(Arc::clone(&rage))), false);
+        } else {
+            mgr.add(wrap(&ticks[0], false), false);
+        }
+        mgr.add(wrap(&ticks[1], forward), false);
+        let cfg = SupervisorConfig::default();
+        let mut steps = Vec::new();
+        let mut step = |mgr: &mut ModuleManager, now: Timestamp, tick: bool| {
+            let mut ctx = ModuleCtx {
+                now,
+                kb: &mut kb,
+                alerts: &mut alerts,
+            };
+            let mut outcome = if tick {
+                mgr.dispatch_tick(&mut ctx)
+            } else {
+                mgr.dispatch_packet(&mut ctx, &packet())
+            };
+            outcome.cpu_ns = 0;
+            let profiles: Vec<_> = (mgr.module_profiles().into_iter())
+                .map(|p| (p.health, p.dispatches, p.active))
+                .collect();
+            let samples: Vec<u64> = (tele.snapshot().histograms_in(names::DISPATCH_TICK))
+                .map(|(_, hist)| hist.count)
+                .collect();
+            steps.push(format!(
+                "{outcome:?} {profiles:?} {samples:?} {:?} {}",
+                mgr.supervisor_stats(),
+                mgr.quarantined_count()
+            ));
+        };
+        for second in 0..u64::from(cfg.panic_limit) {
+            step(&mut mgr, Timestamp::from_secs(second), false);
+        }
+        assert_eq!(mgr.quarantined_count(), 2);
+        rage.store(false, Ordering::Relaxed);
+        // Quarantined, both sit out a tick; past the backoff a tick
+        // releases them to probation, and clean ticks heal them.
+        let released = Timestamp::from_secs(u64::from(cfg.panic_limit)) + cfg.backoff_base;
+        step(
+            &mut mgr,
+            Timestamp::from_secs(u64::from(cfg.panic_limit)),
+            true,
+        );
+        for tick in 0..u64::from(cfg.heal_streak) + 2 {
+            step(&mut mgr, released + Duration::from_millis(tick), true);
+        }
+        assert!(mgr
+            .module_profiles()
+            .iter()
+            .all(|p| p.health == ModuleHealth::Healthy));
+        let kinds: Vec<&str> = (tele.journal().snapshot().records.iter())
+            .map(|record| record.event.kind())
+            .collect();
+        steps.push(format!("{kinds:?}"));
+        (steps, ticks.map(|count| count.load(Ordering::Relaxed)))
+    }
+
+    #[test]
+    fn a_module_without_tick_work_is_accounted_a_tick_it_is_not_called_for() {
+        let (skipped, calls) = tick_through_probation(true);
+        let (called, empty_calls) = tick_through_probation(false);
+        let heal_streak = u64::from(SupervisorConfig::default().heal_streak);
+        // An empty `on_tick` is called on every tick from the release on.
+        assert_eq!(empty_calls, [heal_streak + 2; 2]);
+        // The wrapper's first tick reported the default body; no other
+        // tick reached it.
+        assert_eq!(calls[1], 1);
+        // Dispatches, work units, health through probation and healing,
+        // latency samples, supervisor totals and journal: step by step
+        // what the empty calls produced.
+        assert_eq!(skipped.len(), called.len());
+        for (step, (skipped, called)) in skipped.iter().zip(&called).enumerate() {
+            assert_eq!(skipped, called, "step {step}");
+        }
     }
 }

@@ -135,9 +135,13 @@ pub trait Module: Send {
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket);
 
     /// Periodic housekeeping (window rollover, timeout expiry). Called on
-    /// every [`crate::Kalis::tick`] regardless of packet arrival.
+    /// every [`crate::Kalis::tick`] regardless of packet arrival — if the
+    /// module has any: this default body tells the Module Manager so
+    /// through `ctx`, and the manager counts the module's later ticks as
+    /// dispatched without calling it again. A wrapper that forwards
+    /// `on_tick` to a module keeping the default is skipped alike.
     fn on_tick(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let _ = ctx;
+        ctx.kb.note_no_tick_work();
     }
 
     /// Rough live-state size (RAM proxy).

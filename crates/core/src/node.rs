@@ -1313,8 +1313,19 @@ impl Kalis {
     /// # Errors
     ///
     /// Returns [`KalisError::SyncRejected`] when any knowgget violates the
-    /// ownership rule; accepted knowggets before the violation are kept.
+    /// ownership rule; accepted knowggets before the violation are kept,
+    /// counted, and acted on as an accepted message's are.
     pub fn accept_sync(&mut self, message: SyncMessage) -> Result<usize, KalisError> {
+        let result = self.apply_sync(message);
+        if self.reconfigure_due() {
+            let now = self.last_tick.unwrap_or(Timestamp::ZERO);
+            self.reconfigure_on_changes(now);
+        }
+        result
+    }
+
+    /// [`Kalis::accept_sync`] up to its reconfiguration pass.
+    fn apply_sync(&mut self, message: SyncMessage) -> Result<usize, KalisError> {
         let sender = message.from.to_string();
         let bytes = message.encoded_len() as u64;
         self.stats.sync_bytes_in.add(bytes);
@@ -1356,6 +1367,7 @@ impl Kalis {
                 }
                 Ok(false) => {}
                 Err(reason) => {
+                    self.stats.sync_knowggets_in.add(accepted as u64);
                     self.stats.sync_rejected.inc();
                     self.tele.journal().record(
                         self.capture_time_us(),
@@ -1381,10 +1393,6 @@ impl Kalis {
                 bytes,
             },
         );
-        if self.reconfigure_due() {
-            let now = self.last_tick.unwrap_or(Timestamp::ZERO);
-            self.reconfigure_on_changes(now);
-        }
         Ok(accepted)
     }
 
@@ -2118,6 +2126,51 @@ mod tests {
             )],
         );
         assert!(k2.accept_sync(forged).is_err());
+    }
+
+    #[test]
+    fn a_rejected_sync_message_counts_and_announces_what_it_applied() {
+        let mut k2 = Kalis::builder(KalisId::new("K2"))
+            .with_default_modules()
+            .build();
+        let rx = k2.subscribe();
+        let k1 = KalisId::new("K1");
+        let knowgget = |label: &str, creator: &str| {
+            crate::knowledge::Knowgget::new(label, KnowValue::Bool(true), KalisId::new(creator))
+        };
+        // The second claims a creator other than its sender.
+        let message = SyncMessage::new(
+            k1,
+            vec![
+                knowgget("Multihop", "K1"),
+                knowgget("Mobile", "K3"),
+                knowgget("Fragmented", "K1"),
+            ],
+        );
+        assert!(matches!(
+            k2.accept_sync(message),
+            Err(KalisError::SyncRejected { .. })
+        ));
+        let held = |kalis: &Kalis, label| kalis.knowledge().get_all_creators(label).len();
+        assert_eq!(
+            [
+                held(&k2, "Multihop"),
+                held(&k2, "Mobile"),
+                held(&k2, "Fragmented")
+            ],
+            [1, 0, 0]
+        );
+        let count = |name| k2.telemetry().counter(name).get();
+        assert_eq!(count(names::SYNC_KNOWGGETS_IN), 1);
+        assert_eq!(count(names::SYNC_REJECTED), 1);
+        // A subscriber heard of the applied one before the call returned.
+        let heard: Vec<String> = (rx.try_iter())
+            .filter_map(|event| match event {
+                crate::bus::KalisEvent::KnowledgeChanged { key, .. } => Some(key.encode()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(heard, ["K1$Multihop"]);
     }
 
     #[test]
