@@ -3,13 +3,12 @@
 use core::fmt;
 
 use kalis_packets::{Entity, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// The attack classifications known to the module library.
 ///
 /// The set mirrors the paper's feature/attack taxonomy (Fig. 3) plus the
 /// attacks exercised in its evaluation (§VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum AttackKind {
     /// ICMP Echo-Reply flood from a single attacker using many identities.
@@ -92,7 +91,7 @@ impl fmt::Display for AttackKind {
 }
 
 /// How severe an alert is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Severity {
     /// Informational: worth logging.
     Info,
@@ -127,7 +126,7 @@ impl fmt::Display for Severity {
 /// assert_eq!(alert.attack, AttackKind::IcmpFlood);
 /// assert_eq!(alert.severity, Severity::Critical);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alert {
     /// When the incident was detected.
     pub time: Timestamp,
@@ -146,7 +145,6 @@ pub struct Alert {
     pub details: String,
     /// The causal trace this alert was raised under (0 = untraced, e.g.
     /// sampling was off for the triggering packet).
-    #[serde(default)]
     pub trace_id: u64,
 }
 

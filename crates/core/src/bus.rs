@@ -5,11 +5,12 @@
 //! automated response systems, and real-time user notification
 //! mechanisms."
 //!
-//! Subscribers receive events over crossbeam channels, so consumers may
-//! live on other threads (a dashboard uploader, a notifier) without
-//! blocking the detection path.
+//! Subscribers receive events over unbounded `std::sync::mpsc`
+//! channels, so consumers may live on other threads (a dashboard
+//! uploader, a notifier) without blocking the detection path.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
+use std::sync::mpsc::{channel, Receiver, Sender};
+
 use kalis_packets::Timestamp;
 
 use crate::alert::Alert;
@@ -77,20 +78,15 @@ impl EventBus {
     /// Subscribe; the returned receiver gets every event published after
     /// this call. Dropped receivers are pruned automatically.
     pub fn subscribe(&mut self) -> Receiver<KalisEvent> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.subscribers.push(tx);
         rx
     }
 
     /// Publish an event to every live subscriber.
     pub fn publish(&mut self, event: KalisEvent) {
-        self.subscribers.retain(|tx| {
-            match tx.try_send(event.clone()) {
-                Ok(()) => true,
-                Err(TrySendError::Disconnected(_)) => false,
-                Err(TrySendError::Full(_)) => true, // unbounded: unreachable
-            }
-        });
+        // An unbounded send fails only once the receiver is gone.
+        (self.subscribers).retain(|tx| tx.send(event.clone()).is_ok());
     }
 
     /// Number of live subscribers.
@@ -120,8 +116,8 @@ mod tests {
             activated: 2,
             deactivated: 0,
         });
-        assert_eq!(rx1.len(), 2);
-        assert_eq!(rx2.len(), 2);
+        assert_eq!(rx1.try_iter().count(), 2);
+        assert_eq!(rx2.try_iter().count(), 2);
     }
 
     #[test]
@@ -132,7 +128,7 @@ mod tests {
         let live = bus.subscribe();
         bus.publish(KalisEvent::AlertRaised(alert()));
         assert_eq!(bus.subscriber_count(), 1);
-        assert_eq!(live.len(), 1);
+        assert_eq!(live.try_iter().count(), 1);
     }
 
     #[test]

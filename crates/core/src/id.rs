@@ -3,7 +3,6 @@
 use core::fmt;
 
 use kalis_packets::InlineStr;
-use serde::{Deserialize, Serialize};
 
 /// The identifier of a Kalis node, used as the `creator` field of
 /// knowggets (`K1$Multihop`) and as the sender identity in collective
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let id = KalisId::new("K1");
 /// assert_eq!(id.as_str(), "K1");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct KalisId(InlineStr<22>);
 
 impl KalisId {

@@ -4,7 +4,6 @@ use core::fmt;
 use core::str::FromStr;
 
 use kalis_packets::Entity;
-use serde::{Deserialize, Serialize};
 
 use crate::id::KalisId;
 
@@ -26,7 +25,7 @@ use crate::id::KalisId;
 /// assert_eq!(key.encode(), "K1$SignalStrength@SensorA");
 /// # Ok::<(), kalis_core::knowledge::ParseKeyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KnowKey {
     /// The Kalis node that created the knowgget.
     pub creator: KalisId,

@@ -22,7 +22,6 @@ pub use sync::{
 pub use value::KnowValue;
 
 use kalis_packets::{Entity, InlineStr};
-use serde::{Deserialize, Serialize};
 
 use crate::id::KalisId;
 
@@ -42,7 +41,7 @@ use crate::id::KalisId;
 /// let k = Knowgget::new("Multihop", KnowValue::Bool(true), KalisId::new("K1"));
 /// assert_eq!(k.key().encode(), "K1$Multihop");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Knowgget {
     /// The label (dot notation for multilevel knowggets).
     pub label: String,
@@ -57,7 +56,6 @@ pub struct Knowgget {
     /// for operator/config-seeded knowledge and for peers that predate
     /// the provenance wire extension (the creator field already names
     /// the originating node).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub origin: Option<KnowggetOrigin>,
 }
 
@@ -66,7 +64,7 @@ pub struct Knowgget {
 /// `trace_id == 0` means the write was untraced (sampling off); the
 /// origin still names the writing module. The originating *node* is the
 /// knowgget's `creator`, so it is not repeated here.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KnowggetOrigin {
     /// The module that performed the write (empty for operator/config).
     /// Inline up to 30 bytes — the longest default module name is 25 — so

@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
 
 /// The value of a knowgget.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(KnowValue::from_wire("8"), KnowValue::Int(8));
 /// assert_eq!(KnowValue::from_wire("hello"), KnowValue::Text("hello".into()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum KnowValue {
     /// A boolean feature (e.g. `Multihop = true`).
     Bool(bool),

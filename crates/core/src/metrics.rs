@@ -7,10 +7,9 @@
 //! packet) for CPU, and **state bytes** (live window + Knowledge Base +
 //! module state) for RAM.
 
-use serde::{Deserialize, Serialize};
 
 /// Accumulated resource usage for one IDS instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourceMeter {
     /// Packets ingested.
     pub packets: u64,

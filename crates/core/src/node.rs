@@ -1043,7 +1043,7 @@ impl Kalis {
     /// The receiver hears of everything that happens after this call.
     /// Knowledge-change events are built only from the first call on: a
     /// node nobody listens to records its changes without them.
-    pub fn subscribe(&mut self) -> crossbeam::channel::Receiver<KalisEvent> {
+    pub fn subscribe(&mut self) -> std::sync::mpsc::Receiver<KalisEvent> {
         self.kb.listen();
         self.bus.subscribe()
     }

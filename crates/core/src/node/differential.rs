@@ -255,7 +255,7 @@ fn apply(
     (op, label, entity_no, pick): (u8, u8, u8, u8),
     at: Timestamp,
     rage: &AtomicBool,
-    listener: &mut Option<crossbeam::channel::Receiver<KalisEvent>>,
+    listener: &mut Option<std::sync::mpsc::Receiver<KalisEvent>>,
 ) {
     let label = LABELS[usize::from(label) % LABELS.len()];
     let peer = KalisId::new("K2");
@@ -300,7 +300,7 @@ fn apply(
 /// Everything about `node` the two sides must agree on.
 fn observe(
     node: &Kalis,
-    listener: &Option<crossbeam::channel::Receiver<KalisEvent>>,
+    listener: &Option<std::sync::mpsc::Receiver<KalisEvent>>,
 ) -> (String, Vec<KalisEvent>) {
     let heard = listener.iter().flat_map(|rx| rx.try_iter()).collect();
     let state = format!(

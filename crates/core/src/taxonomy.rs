@@ -2,12 +2,11 @@
 //! (Table I) and the feature/attack relationship matrix (Fig. 3) that the
 //! knowledge-driven activation conditions are derived from.
 
-use serde::{Deserialize, Serialize};
 
 use crate::alert::AttackKind;
 
 /// An actor in the taxonomy by target (Table I's rows and columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Actor {
     /// A cloud/Internet service.
     InternetService,
@@ -22,7 +21,7 @@ pub enum Actor {
 }
 
 /// The attack-pattern nomenclature of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackPattern {
     /// Denial of Service against an Internet service.
     DenialOfService,
@@ -74,7 +73,7 @@ pub fn attack_pattern(source: Actor, target: Actor) -> Option<AttackPattern> {
 }
 
 /// A network/device feature from the taxonomy by features (Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Feature {
     /// The network portion is multi-hop.
@@ -99,7 +98,7 @@ pub enum Feature {
 }
 
 /// A cell of the Fig. 3 matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relation {
     /// Dot: the attack is possible under this feature.
     Possible,

@@ -1,6 +1,5 @@
 //! Planar geometry for node placement and radio range computation.
 
-use serde::{Deserialize, Serialize};
 
 /// A position on the simulation plane, in meters.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Position::new(3.0, 4.0);
 /// assert_eq!(a.distance_to(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// X coordinate in meters.
     pub x: f64,

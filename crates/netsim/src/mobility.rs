@@ -3,12 +3,11 @@
 //! ground truth it is scored against.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::Position;
 
 /// How a node moves over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum MobilityModel {
     /// The node never moves.

@@ -3,14 +3,13 @@
 use std::net::Ipv4Addr;
 
 use kalis_packets::{MacAddr, ShortAddr};
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::Position;
 use crate::mobility::MobilityModel;
 use crate::radio::RadioConfig;
 
 /// Identifier of a node inside one simulator instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl core::fmt::Display for NodeId {
@@ -21,7 +20,7 @@ impl core::fmt::Display for NodeId {
 
 /// The role a node plays in the paper's attack taxonomy by target
 /// (Table I: Internet service, hub, sub, router).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Role {
     /// A cloud/Internet service reachable through the router.

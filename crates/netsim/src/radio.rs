@@ -3,7 +3,6 @@
 //! Awareness and Sybil/replication detectors observe.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Radio parameters for one node.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let far = radio.mean_rssi_dbm(20.0);
 /// assert!(near > far);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
     /// Transmit power in dBm.
     pub tx_power_dbm: f64,

@@ -3,7 +3,6 @@
 use core::fmt;
 use core::str::FromStr;
 
-use serde::{Deserialize, Serialize};
 
 use crate::inline::InlineStr;
 
@@ -18,7 +17,7 @@ use crate::inline::InlineStr;
 /// assert_eq!(addr.to_string(), "0x1234");
 /// assert_eq!(ShortAddr::BROADCAST, ShortAddr(0xffff));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShortAddr(pub u16);
 
 impl ShortAddr {
@@ -44,7 +43,7 @@ impl From<u16> for ShortAddr {
 }
 
 /// An IEEE 802.15.4 64-bit extended (EUI-64) address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExtAddr(pub u64);
 
 impl fmt::Display for ExtAddr {
@@ -60,7 +59,7 @@ impl From<u64> for ExtAddr {
 }
 
 /// An IEEE 802.15.4 PAN (personal area network) identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PanId(pub u16);
 
 impl PanId {
@@ -86,7 +85,7 @@ impl fmt::Display for PanId {
 /// assert_eq!("de:ad:be:ef:00:01".parse::<MacAddr>()?, mac);
 /// # Ok::<(), kalis_packets::addr::ParseMacError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -171,7 +170,7 @@ impl FromStr for MacAddr {
 /// let e = Entity::from(ShortAddr(7));
 /// assert_eq!(e.as_str(), "0x0007");
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Entity(InlineStr<{ Entity::INLINE }>);
 
 // Detection windows size themselves by `size_of::<(Timestamp, Entity)>()`:

@@ -1,7 +1,6 @@
 //! Bluetooth Low Energy advertising-channel PDUs (simplified).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::MacAddr;
 use crate::codec::{ensure, Decode, Encode};
@@ -10,7 +9,7 @@ use crate::DecodeError;
 const PROTO: &str = "ble-adv";
 
 /// The advertising PDU type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BleAdvType {
     /// Connectable undirected advertising (ADV_IND).
     AdvInd,
@@ -60,7 +59,7 @@ impl BleAdvType {
 /// assert_eq!(BleAdvPdu::from_slice(&adv.to_bytes())?, adv);
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BleAdvPdu {
     /// PDU type.
     pub pdu_type: BleAdvType,

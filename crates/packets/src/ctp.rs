@@ -6,7 +6,6 @@
 //! then the CTP header.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::ShortAddr;
 use crate::codec::{ensure, Decode, Encode};
@@ -22,7 +21,7 @@ pub const AM_CTP_ROUTING: u8 = 0x70;
 pub const AM_CTP_DATA: u8 = 0x71;
 
 /// A CTP data frame (TEP 123 §3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtpData {
     /// Routing-pull bit.
     pub pull: bool,
@@ -44,7 +43,7 @@ pub struct CtpData {
 }
 
 /// A CTP routing beacon (TEP 123 §3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtpRoutingBeacon {
     /// Routing-pull bit.
     pub pull: bool,
@@ -80,7 +79,7 @@ pub struct CtpRoutingBeacon {
 /// assert_eq!(back, frame);
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CtpFrame {
     /// A data frame travelling up the collection tree.
     Data(CtpData),

@@ -1,7 +1,6 @@
 //! Ethernet II frames — the wired side of a smart router deployment.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::MacAddr;
 use crate::codec::{ensure, Decode, Encode};
@@ -34,7 +33,7 @@ pub const ETHERTYPE_IPV6: u16 = 0x86dd;
 /// assert_eq!(EthernetFrame::from_slice(&frame.to_bytes())?, frame);
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EthernetFrame {
     /// Destination MAC.
     pub dst: MacAddr,

@@ -2,7 +2,6 @@
 //! (ICMP Flood vs Smurf disambiguation).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{ensure, internet_checksum, Decode, Encode};
 use crate::DecodeError;
@@ -10,7 +9,7 @@ use crate::DecodeError;
 const PROTO: &str = "icmpv4";
 
 /// The ICMPv4 message type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Icmpv4Type {
     /// Echo Reply (0) — the flood vector in both ICMP Flood and Smurf.
     EchoReply,
@@ -63,7 +62,7 @@ impl From<u8> for Icmpv4Type {
 /// assert_eq!(back.echo_id(), Some(7));
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Icmpv4Packet {
     icmp_type: Icmpv4Type,
     code: u8,

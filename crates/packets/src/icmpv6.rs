@@ -1,7 +1,6 @@
 //! ICMPv6 messages, including echo and the RPL control message (type 155).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{ensure, internet_checksum, Decode, Encode};
 use crate::rpl::{RplMessage, ICMPV6_RPL_TYPE};
@@ -26,7 +25,7 @@ const PROTO: &str = "icmpv6";
 /// assert_eq!(Icmpv6Packet::from_slice(&ping.to_bytes())?, ping);
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Icmpv6Packet {
     /// Echo Request (128).
     EchoRequest {

@@ -2,7 +2,6 @@
 //! TinyOS/CTP traffic.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::{ExtAddr, PanId, ShortAddr};
 use crate::codec::{ensure, Decode, Encode};
@@ -11,7 +10,7 @@ use crate::DecodeError;
 const PROTO: &str = "ieee802154";
 
 /// The MAC frame type carried in the frame-control field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
     /// Superframe beacon.
     Beacon,
@@ -45,7 +44,7 @@ impl FrameType {
 }
 
 /// An 802.15.4 address in one of the three addressing modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Address {
     /// No address present (addressing mode 0).
     None,
@@ -142,7 +141,7 @@ impl From<ExtAddr> for Address {
 /// assert_eq!(back, frame);
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ieee802154Frame {
     /// MAC frame type.
     pub frame_type: FrameType,

@@ -3,7 +3,6 @@
 use std::net::Ipv4Addr;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{ensure, internet_checksum, Decode, Encode};
 use crate::DecodeError;
@@ -11,7 +10,7 @@ use crate::DecodeError;
 const PROTO: &str = "ipv4";
 
 /// IP protocol numbers this crate demultiplexes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpProtocol {
     /// ICMP (1).
     Icmp,
@@ -70,7 +69,7 @@ impl From<u8> for IpProtocol {
 /// assert_eq!(back, pkt);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv4Packet {
     /// Time to live.
     pub ttl: u8,

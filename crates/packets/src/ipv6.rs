@@ -3,7 +3,6 @@
 use std::net::Ipv6Addr;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{ensure, Decode, Encode};
 use crate::ipv4::IpProtocol;
@@ -24,7 +23,7 @@ const PROTO: &str = "ipv6";
 /// assert_eq!(Ipv6Packet::from_slice(&pkt.to_bytes())?, pkt);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv6Packet {
     /// Hop limit.
     pub hop_limit: u8,

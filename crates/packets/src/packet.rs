@@ -2,7 +2,6 @@
 //! stacks, and traffic classification.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::addr::Entity;
 use crate::ble::BleAdvPdu;
@@ -26,7 +25,7 @@ use crate::DecodeError;
 ///
 /// Kalis is multi-medium by design: the Communication System owns one
 /// capture interface per medium it has hardware for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Medium {
     /// IEEE 802.15.4 (ZigBee, 6LoWPAN, TinyOS/CTP).
     Ieee802154,
@@ -51,7 +50,7 @@ impl core::fmt::Display for Medium {
 }
 
 /// The decoded link layer of a captured frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LinkLayer {
     /// An 802.15.4 MAC frame.
     Ieee802154(Ieee802154Frame),
@@ -64,7 +63,7 @@ pub enum LinkLayer {
 }
 
 /// The decoded network layer, if any.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetworkLayer {
     /// ZigBee NWK.
     Zigbee(ZigbeeFrame),
@@ -85,7 +84,7 @@ pub enum NetworkLayer {
 }
 
 /// The decoded transport (or control) layer, if any.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Transport {
     /// TCP.
     Tcp(TcpSegment),
@@ -98,7 +97,7 @@ pub enum Transport {
 }
 
 /// A fully demultiplexed packet stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Link layer.
     pub link: LinkLayer,
@@ -401,7 +400,7 @@ fn demux_802154_payload(frame: &Ieee802154Frame) -> (Option<NetworkLayer>, Optio
 /// The traffic-type classification used by the Traffic Statistics sensing
 /// module (paper §V lists TCP SYN, TCP ACK, ICMP Requests/Responses,
 /// ZigBee plain, and CTP among the tracked types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum TrafficClass {
     /// Pure TCP SYN (connection attempts — the SYN flood observable).
@@ -500,7 +499,7 @@ impl core::fmt::Display for TrafficClass {
 
 /// A frame as overheard by a capture interface: raw bytes plus reception
 /// metadata, with the decoded stack attached when parsing succeeded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapturedPacket {
     /// Capture time.
     pub timestamp: Timestamp,

@@ -5,7 +5,6 @@
 //! RPL-routed networks.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{ensure, Decode, Encode};
 use crate::DecodeError;
@@ -19,7 +18,7 @@ pub const ICMPV6_RPL_TYPE: u8 = 155;
 pub const ROOT_RANK: u16 = 256;
 
 /// A RPL control message body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RplMessage {
     /// DODAG Information Solicitation (code 0x00).
     Dis,

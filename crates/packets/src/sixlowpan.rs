@@ -6,7 +6,6 @@
 //! is uncompressed (`0x41`) or IPHC-compressed.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::ShortAddr;
 use crate::codec::{ensure, Decode, Encode};
@@ -19,7 +18,7 @@ pub const DISPATCH_IPV6: u8 = 0x41;
 
 /// The RFC 4944 mesh header: who originated the frame and who it is
 /// ultimately for, under mesh-under forwarding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshHeader {
     /// Hops left (decremented at each forwarder).
     pub hops_left: u8,
@@ -30,7 +29,7 @@ pub struct MeshHeader {
 }
 
 /// An RFC 4944 fragmentation header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FragHeader {
     /// First fragment: total datagram size and tag.
     First {
@@ -51,7 +50,7 @@ pub enum FragHeader {
 }
 
 /// The inner payload of a 6LoWPAN frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SixLowpanPayload {
     /// A full IPv6 datagram after the `0x41` dispatch byte.
     Ipv6(Bytes),
@@ -85,7 +84,7 @@ pub enum SixLowpanPayload {
 /// assert!(back.is_mesh_forwarded());
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SixLowpanFrame {
     /// Mesh-under forwarding header, if present.
     pub mesh: Option<MeshHeader>,

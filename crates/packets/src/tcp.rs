@@ -1,7 +1,6 @@
 //! TCP segments.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{ensure, Decode, Encode};
 use crate::DecodeError;
@@ -19,7 +18,7 @@ const PROTO: &str = "tcp";
 /// assert!(syn_ack.contains(TcpFlags::SYN));
 /// assert!(!syn_ack.contains(TcpFlags::FIN));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(u8);
 
 impl TcpFlags {
@@ -99,7 +98,7 @@ impl core::fmt::Display for TcpFlags {
 /// The checksum field is carried verbatim; pseudo-header verification is a
 /// transport-stack concern, not a sniffer concern, so this codec neither
 /// computes nor verifies it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpSegment {
     /// Source port.
     pub src_port: u16,

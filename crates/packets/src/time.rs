@@ -4,7 +4,6 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 use core::time::Duration;
 
-use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing timestamp in microseconds since an arbitrary
 /// epoch (simulation start or capture start).
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t - Timestamp::ZERO, Duration::from_millis(5));
 /// ```
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
+    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
 )]
 pub struct Timestamp(u64);
 

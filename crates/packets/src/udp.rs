@@ -1,7 +1,6 @@
 //! UDP datagrams.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{ensure, Decode, Encode};
 use crate::DecodeError;
@@ -24,7 +23,7 @@ const PROTO: &str = "udp";
 /// assert_eq!(UdpPacket::from_slice(&dgram.to_bytes())?, dgram);
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpPacket {
     /// Source port.
     pub src_port: u16,

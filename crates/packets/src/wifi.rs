@@ -6,7 +6,6 @@
 //! detection.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::MacAddr;
 use crate::codec::{ensure, Decode, Encode};
@@ -15,7 +14,7 @@ use crate::DecodeError;
 const PROTO: &str = "wifi";
 
 /// The body of an 802.11 frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WifiBody {
     /// AP beacon advertising an SSID.
     Beacon {
@@ -77,7 +76,7 @@ impl WifiBody {
 /// assert_eq!(WifiFrame::from_slice(&frame.to_bytes())?, frame);
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WifiFrame {
     /// Transmitter address.
     pub src: MacAddr,

@@ -1,7 +1,6 @@
 //! ZigBee network-layer (NWK) frames, carried in IEEE 802.15.4 data frames.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::ShortAddr;
 use crate::codec::{ensure, Decode, Encode};
@@ -17,7 +16,7 @@ pub const PROTOCOL_VERSION: u8 = 2;
 /// Only the commands relevant to routing behaviour (and hence to routing
 /// attacks such as sinkhole) are modelled; unknown command ids decode as
 /// [`ZigbeeCommand::Other`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZigbeeCommand {
     /// AODV-style route request flooded through the mesh.
     RouteRequest {
@@ -139,7 +138,7 @@ impl ZigbeeCommand {
 }
 
 /// The NWK frame body: application data or a routing command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZigbeeBody {
     /// Application payload (APS frame, treated as opaque).
     Data(Bytes),
@@ -161,7 +160,7 @@ pub enum ZigbeeBody {
 /// assert_eq!(back, frame);
 /// # Ok::<(), kalis_packets::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZigbeeFrame {
     /// NWK destination.
     pub dst: ShortAddr,

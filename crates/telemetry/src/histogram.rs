@@ -123,7 +123,7 @@ impl Histogram {
 }
 
 /// One non-empty bucket in a [`HistogramSnapshot`]: samples in `lo..=hi`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Bucket {
     pub lo: u64,
     pub hi: u64,
@@ -131,7 +131,7 @@ pub struct Bucket {
 }
 
 /// An immutable copy of a histogram, with quantile estimation.
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,

@@ -19,7 +19,7 @@ use crate::counter::{Counter, Gauge};
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
 /// One structured pipeline event.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalEvent {
     /// A detection module was switched on; `trigger` names the knowgget
     /// change (or other cause) that made it relevant.
@@ -280,7 +280,7 @@ impl JournalEvent {
 }
 
 /// A journal entry: an event plus its order and capture time.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalRecord {
     /// Monotonic sequence number, never reused even after eviction.
     pub seq: u64,
@@ -425,7 +425,7 @@ impl Journal {
 }
 
 /// An immutable copy of the journal contents.
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JournalSnapshot {
     /// Records evicted to stay within capacity.
     pub dropped: u64,

@@ -179,7 +179,7 @@ impl Telemetry {
 /// via [`TelemetrySnapshot::to_prometheus`] and to JSON via
 /// [`TelemetrySnapshot::to_json`] / parseable back with
 /// [`TelemetrySnapshot::from_json`].
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, u64>,
