@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-
 /// The value of a knowgget.
 ///
 /// The paper's implementation stores every value as a string and lets

@@ -7,7 +7,6 @@
 //! packet) for CPU, and **state bytes** (live window + Knowledge Base +
 //! module state) for RAM.
 
-
 /// Accumulated resource usage for one IDS instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourceMeter {

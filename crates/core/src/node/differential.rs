@@ -10,10 +10,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use proptest::prelude::*;
 
 use super::*;
-use crate::knowledge::{ChangeEvent, Knowgget};
-use crate::modules::{KnowggetContract, ModuleDescriptor, ValueType};
+use crate::knowledge::{ChangeEvent, Knowgget, SyncMessage};
+use crate::modules::{KeyPattern, KnowggetContract, Module, ModuleDescriptor, ValueType};
 use crate::sensing::labels;
-use kalis_packets::{MacAddr, Medium, ShortAddr};
+use kalis_packets::{Entity, MacAddr, Medium, ShortAddr};
 
 /// The reference's trigger text: the batch's first three changed keys
 /// and how many more changed.

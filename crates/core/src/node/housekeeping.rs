@@ -1,39 +1,27 @@
 //! What a node's tick does besides ticking its modules: the audit of
-//! bounded-state evictions, the flight recorder's sample, and the
-//! trigger edges that freeze a `kalis.diag.v1` bundle. One struct holds
-//! the state of all three; [`Kalis::tick`](super::Kalis::tick) lends it
-//! the rest of the node ([`NodeView`]) for the duration of a call.
+//! bounded-state evictions, the ops refresh, the flight recorder's
+//! sample, and the trigger edges that freeze a `kalis.diag.v1` bundle.
+//! [`Housekeeping`] holds the state of the audit and the recorder;
+//! [`Kalis::housekeep`] runs the lot in the one order the journal
+//! depends on.
 
 use std::sync::Arc;
 
 use kalis_packets::Timestamp;
 use kalis_telemetry::{
-    config_fingerprint, names, Counter, FlightRecorder, Gauge, JournalEvent, Telemetry, Tracer,
-    Trigger, DEFAULT_JOURNAL_TAIL, DEFAULT_RING_DEPTH, DEFAULT_SNAPSHOT_INTERVAL_SECS,
-    TRIGGER_MASK_ALL,
+    config_fingerprint, names, Counter, FlightRecorder, Gauge, JournalEvent, Telemetry, Trigger,
+    DEFAULT_JOURNAL_TAIL, DEFAULT_RING_DEPTH, DEFAULT_SNAPSHOT_INTERVAL_SECS, TRIGGER_MASK_ALL,
 };
 
-use crate::id::KalisId;
-use crate::knowledge::{CollectiveSync, KnowValue, KnowledgeBase, SlotSet};
-use crate::modules::{ModuleManager, OverloadController, ShedMode};
+use crate::knowledge::KnowValue;
 
-use super::{
-    OpsRuntime, DIAG_BUNDLE_RETENTION, DIAG_INTERVAL_KEY, DIAG_RING_DEPTH_KEY,
-    DIAG_TRIGGER_MASK_KEY,
-};
+use super::build::{DIAG_INTERVAL_KEY, DIAG_RING_DEPTH_KEY, DIAG_TRIGGER_MASK_KEY};
+use super::ops::ReadinessKey;
+use super::Kalis;
 
-/// The parts of a node its tick's housekeeping reads, borrowed apart
-/// from the housekeeping's own state.
-pub(super) struct NodeView<'a> {
-    pub(super) id: &'a KalisId,
-    pub(super) manager: &'a ModuleManager,
-    pub(super) kb: &'a KnowledgeBase,
-    pub(super) syncer: &'a CollectiveSync,
-    pub(super) overload: &'a OverloadController,
-    pub(super) tele: &'a Telemetry,
-    pub(super) tracer: &'a Tracer,
-    pub(super) ops: Option<&'a OpsRuntime>,
-}
+/// How many captured diagnostics bundles a node retains (and serves
+/// via `/debug/diag`); older bundles are dropped first.
+pub const DIAG_BUNDLE_RETENTION: usize = 4;
 
 /// The flight recorder the `Diag.*` a-priori knowggets ask for, each
 /// looked up through `numeric_knowgget`. `Diag.RingDepth = 0`
@@ -82,50 +70,6 @@ pub(super) fn recommend_diag_knobs(
     }
 }
 
-/// Everything [`Kalis::readiness`](super::Kalis::readiness) spells out
-/// as reasons, in a form that costs nothing to take and compare: two
-/// keys are equal exactly when the reasons read the same (two pinned
-/// slots of one name aside). The reasons are rendered when the key
-/// flips, not to find out whether it did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(super) struct ReadinessKey {
-    quarantined_pinned: SlotSet,
-    shed: ShedMode,
-    sync_degraded: bool,
-}
-
-impl ReadinessKey {
-    pub(super) fn of(
-        manager: &ModuleManager,
-        overload: &OverloadController,
-        syncer: &CollectiveSync,
-    ) -> Self {
-        ReadinessKey {
-            quarantined_pinned: manager.quarantined_pinned(),
-            shed: overload.mode(),
-            sync_degraded: syncer.degraded(),
-        }
-    }
-
-    /// The reasons, spelled out: `pinned_module_quarantined:<name>` per
-    /// quarantined pinned slot, `overload_shedding:<heavy|all>`,
-    /// `sync_degraded`. `manager` is the one the key was taken of.
-    pub(super) fn reasons(&self, manager: &ModuleManager) -> Vec<String> {
-        let mut reasons: Vec<String> = (self.quarantined_pinned.iter())
-            .map(|slot| format!("pinned_module_quarantined:{}", manager.name_of(slot)))
-            .collect();
-        match self.shed {
-            ShedMode::None => {}
-            ShedMode::Heavy => reasons.push("overload_shedding:heavy".to_owned()),
-            ShedMode::All => reasons.push("overload_shedding:all".to_owned()),
-        }
-        if self.sync_degraded {
-            reasons.push("sync_degraded".to_owned());
-        }
-        reasons
-    }
-}
-
 /// Last-observed values of every trigger signal, so the recorder fires
 /// captures on *edges* (a readiness flip, a rising quarantine count)
 /// rather than re-capturing on every tick a condition persists.
@@ -150,13 +94,13 @@ pub(super) struct Housekeeping {
     /// slot, not per name — two slots may load one module.
     journaled_evictions: Vec<u64>,
     /// The counts those are compared with: what each slot had evicted
-    /// when [`Housekeeping::read_slots`] last looked.
+    /// when the tick last read the slot table.
     seen_evictions: Vec<u64>,
     /// The same latch for the Knowledge Base's entity index.
     journaled_kb_evictions: u64,
     /// The flight recorder: bounded telemetry history plus capture
     /// bookkeeping, sampled at tick cadence.
-    recorder: FlightRecorder,
+    pub(super) recorder: FlightRecorder,
     /// Trigger edge detection state for the recorder.
     edges: DiagEdges,
     /// Retained diagnostics bundles, oldest first: `(bundle id,
@@ -181,21 +125,41 @@ impl Housekeeping {
             last_trigger: tele.gauge(names::DIAG_LAST_TRIGGER),
         }
     }
+}
 
-    pub(super) fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
+impl Kalis {
+    /// Everything a tick does once its modules have ticked, in the one
+    /// order its journal records depend on:
+    ///
+    /// 1. one look at the slot table, before the dispatch is settled
+    ///    (reconfiguration may reset a module's state): the modules'
+    ///    state bytes and their eviction counts;
+    /// 2. the dispatch settled like a packet's — reconfiguration, alert
+    ///    post-processing, state accounting;
+    /// 3. the evictions those counts show, journaled;
+    /// 4. the ops refresh, which latches the SLO verdict;
+    /// 5. the flight recorder, comparing trigger edges against all of
+    ///    the above.
+    pub(super) fn housekeep(&mut self, now: Timestamp, force_ops: bool) {
+        let seen = &mut self.housekeeping.seen_evictions;
+        let modules_state = self.manager.state_and_evictions(seen);
+        self.after_dispatch(now, modules_state);
+        let evictions = self.journal_state_evictions(now);
+        self.ops_refresh(now, force_ops);
+        self.diag_tick(now, evictions);
     }
 
-    pub(super) fn bundles(&self) -> &[(String, String)] {
-        &self.bundles
+    /// Diagnostics bundles retained by the flight recorder, oldest
+    /// first: `(bundle id, kalis.diag.v1 JSON)`. Bounded to
+    /// [`DIAG_BUNDLE_RETENTION`]; also served via `/debug/diag` when
+    /// the ops surface is enabled.
+    pub fn diag_bundles(&self) -> &[(String, String)] {
+        &self.housekeeping.bundles
     }
 
-    /// The tick's one look at the Module Manager's slot table, taken
-    /// once its modules have ticked: the eviction counts are kept for
-    /// [`Housekeeping::journal_state_evictions`], the modules' state
-    /// bytes are the result.
-    pub(super) fn read_slots(&mut self, manager: &ModuleManager) -> usize {
-        manager.state_and_evictions(&mut self.seen_evictions)
+    /// The trigger behind the flight recorder's most recent capture.
+    pub fn diag_last_trigger(&self) -> Option<&'static str> {
+        (self.housekeeping.recorder.last_trigger()).map(Trigger::name)
     }
 
     /// Journal aggregated bounded-state evictions: one `state_evicted`
@@ -205,32 +169,27 @@ impl Housekeeping {
     /// adversary flood the journal at spray rate. Returns the cumulative
     /// evictions across every budgeted structure, the state-exhaustion
     /// trigger signal.
-    pub(super) fn journal_state_evictions(
-        &mut self,
-        now: Timestamp,
-        manager: &ModuleManager,
-        kb: &KnowledgeBase,
-        tele: &Telemetry,
-    ) -> u64 {
-        let journal = tele.journal();
+    fn journal_state_evictions(&mut self, now: Timestamp) -> u64 {
+        let journal = self.tele.journal();
+        let audit = &mut self.housekeeping;
         let mut total = 0;
-        (self.journaled_evictions).resize(self.seen_evictions.len(), 0);
-        let slots = self
+        (audit.journaled_evictions).resize(audit.seen_evictions.len(), 0);
+        let slots = audit
             .seen_evictions
             .iter()
-            .zip(&mut self.journaled_evictions);
+            .zip(&mut audit.journaled_evictions);
         for (slot, (&evicted, journaled)) in slots.enumerate() {
             total += evicted;
             if evicted > 0 && std::mem::replace(journaled, evicted) != evicted {
-                let structure = format!("module:{}", manager.name_of(slot));
+                let structure = format!("module:{}", self.manager.name_of(slot));
                 journal.record(
                     now.as_micros(),
                     JournalEvent::StateEvicted { structure, evicted },
                 );
             }
         }
-        let evicted = kb.entity_evictions();
-        if evicted > 0 && std::mem::replace(&mut self.journaled_kb_evictions, evicted) != evicted {
+        let evicted = self.kb.entity_evictions();
+        if evicted > 0 && std::mem::replace(&mut audit.journaled_kb_evictions, evicted) != evicted {
             let structure = "kb".to_owned();
             journal.record(
                 now.as_micros(),
@@ -245,39 +204,34 @@ impl Housekeeping {
     /// its last-seen value and freeze a `kalis.diag.v1` bundle on the
     /// first armed edge. Runs on the virtual clock only — captures are
     /// deterministic for a deterministic run. `evictions` is what
-    /// [`Housekeeping::journal_state_evictions`] returned this tick.
-    pub(super) fn diag_tick(&mut self, now: Timestamp, evictions: u64, node: &NodeView<'_>) {
-        if !self.recorder.enabled() {
+    /// [`Kalis::journal_state_evictions`] returned this tick.
+    fn diag_tick(&mut self, now: Timestamp, evictions: u64) {
+        if !self.housekeeping.recorder.enabled() {
             return;
         }
         let now_us = now.as_micros();
-        self.recorder.maybe_sample(now_us, node.tele);
-
-        let readiness = ReadinessKey::of(node.manager, node.overload, node.syncer);
-        let quarantined = node.manager.quarantined_count();
-        let degraded = node.syncer.degraded();
-        let evicting = evictions > self.edges.evictions;
-        let slo_breached = (node.ops)
+        let readiness = self.readiness_key();
+        let quarantined = self.manager.quarantined_count();
+        let degraded = self.sync.engine.degraded();
+        let slo_breached = (self.ops.as_ref())
             .and_then(|ops| ops.slo.as_ref())
             .is_some_and(|tracker| tracker.breached);
+        let state = &mut self.housekeeping;
+        state.recorder.maybe_sample(now_us, &self.tele);
+        let last = &state.edges;
+        let evicting = evictions > last.evictions;
         let edges = [
-            (Trigger::ReadinessFlip, readiness != self.edges.readiness),
-            (
-                Trigger::SloBreached,
-                slo_breached && !self.edges.slo_breached,
-            ),
-            (
-                Trigger::ModuleQuarantined,
-                quarantined > self.edges.quarantined,
-            ),
-            (Trigger::DegradedSync, degraded && !self.edges.degraded),
-            (Trigger::StateExhaustion, evicting && !self.edges.evicting),
+            (Trigger::ReadinessFlip, readiness != last.readiness),
+            (Trigger::SloBreached, slo_breached && !last.slo_breached),
+            (Trigger::ModuleQuarantined, quarantined > last.quarantined),
+            (Trigger::DegradedSync, degraded && !last.degraded),
+            (Trigger::StateExhaustion, evicting && !last.evicting),
         ];
         let fired = edges
             .iter()
-            .find(|(trigger, edge)| *edge && self.recorder.armed(*trigger))
+            .find(|(trigger, edge)| *edge && state.recorder.armed(*trigger))
             .map(|(trigger, _)| *trigger);
-        self.edges = DiagEdges {
+        state.edges = DiagEdges {
             readiness,
             quarantined,
             degraded,
@@ -286,43 +240,43 @@ impl Housekeeping {
             slo_breached,
         };
         if let Some(trigger) = fired {
-            self.diag_capture(trigger, now_us, node);
+            self.diag_capture(trigger, now_us);
         }
-        self.occupancy.set(self.recorder.occupancy() as u64);
+        let occupancy = self.housekeeping.recorder.occupancy() as u64;
+        self.housekeeping.occupancy.set(occupancy);
     }
 
     /// Freeze the ring plus the journal tail, trace trees, and config
     /// fingerprint into a retained bundle, journal the capture, and
     /// republish the `/debug/diag` surface.
-    fn diag_capture(&mut self, trigger: Trigger, now_us: u64, node: &NodeView<'_>) {
-        let config = node.recommend_config(&self.recorder);
-        let fingerprint = config_fingerprint(&config.to_string());
-        let traces = node.tracer.enabled().then(|| node.tracer.to_json());
-        let bundle = self.recorder.capture(
+    fn diag_capture(&mut self, trigger: Trigger, now_us: u64) {
+        let fingerprint = config_fingerprint(&self.recommend_config().to_string());
+        let traces = self.tracer.enabled().then(|| self.tracer.to_json());
+        let state = &mut self.housekeeping;
+        let bundle = state.recorder.capture(
             trigger,
             now_us,
-            node.tele,
-            node.id.as_str(),
+            &self.tele,
+            self.id.as_str(),
             &fingerprint,
             traces.as_deref(),
             DEFAULT_JOURNAL_TAIL,
         );
-        node.tele.journal().record(
+        self.tele.journal().record(
             now_us,
             JournalEvent::DiagCaptured {
                 trigger: trigger.name().to_owned(),
                 bundle: bundle.bundle_id.clone(),
             },
         );
-        self.captures.inc();
-        self.last_trigger.set(u64::from(trigger.bit()));
-        self.bundles
-            .push((bundle.bundle_id.clone(), bundle.to_json()));
-        if self.bundles.len() > DIAG_BUNDLE_RETENTION {
-            self.bundles.remove(0);
+        state.captures.inc();
+        state.last_trigger.set(u64::from(trigger.bit()));
+        (state.bundles).push((bundle.bundle_id.clone(), bundle.to_json()));
+        if state.bundles.len() > DIAG_BUNDLE_RETENTION {
+            state.bundles.remove(0);
         }
-        if let Some(ops) = node.ops {
-            ops.shared.publish_diag(&self.bundles);
+        if let Some(ops) = &self.ops {
+            ops.shared.publish_diag(&state.bundles);
         }
     }
 }
@@ -334,8 +288,9 @@ mod tests {
     use kalis_packets::CapturedPacket;
 
     use super::*;
+    use crate::knowledge::KnowledgeBase;
     use crate::modules::{Module, ModuleCtx, ModuleDescriptor};
-    use crate::{Kalis, KalisId};
+    use crate::KalisId;
 
     /// A module that has evicted whatever its test says it has.
     struct Evicting(Arc<AtomicU64>);

@@ -2,7 +2,6 @@
 //! (Table I) and the feature/attack relationship matrix (Fig. 3) that the
 //! knowledge-driven activation conditions are derived from.
 
-
 use crate::alert::AttackKind;
 
 /// An actor in the taxonomy by target (Table I's rows and columns).

@@ -1,6 +1,5 @@
 //! Planar geometry for node placement and radio range computation.
 
-
 /// A position on the simulation plane, in meters.
 ///
 /// # Examples

@@ -3,7 +3,6 @@
 use core::fmt;
 use core::str::FromStr;
 
-
 use crate::inline::InlineStr;
 
 /// An IEEE 802.15.4 16-bit short address.

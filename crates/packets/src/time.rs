@@ -4,7 +4,6 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 use core::time::Duration;
 
-
 /// A monotonically increasing timestamp in microseconds since an arbitrary
 /// epoch (simulation start or capture start).
 ///
@@ -18,9 +17,7 @@ use core::time::Duration;
 /// assert_eq!(t.as_micros(), 5_000);
 /// assert_eq!(t - Timestamp::ZERO, Duration::from_millis(5));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
