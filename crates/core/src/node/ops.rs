@@ -10,8 +10,8 @@ use std::time::Duration;
 use kalis_packets::{Entity, Timestamp};
 use kalis_telemetry::{names, Gauge, JournalEvent, Telemetry};
 
-use crate::knowledge::{CollectiveSync, SlotSet};
-use crate::modules::{ModuleManager, OverloadController, ShedMode};
+use crate::knowledge::SlotSet;
+use crate::modules::{ModuleManager, ShedMode};
 use crate::ops::{
     HotEntity, ModuleStatus, OpsConfig, OpsServer, OpsShared, Readiness, SloStatus, SpaceSaving,
     StatusReport,
@@ -128,14 +128,6 @@ pub(super) struct ReadinessKey {
 }
 
 impl ReadinessKey {
-    fn of(manager: &ModuleManager, overload: &OverloadController, syncer: &CollectiveSync) -> Self {
-        ReadinessKey {
-            quarantined_pinned: manager.quarantined_pinned(),
-            shed: overload.mode(),
-            sync_degraded: syncer.degraded(),
-        }
-    }
-
     /// The reasons, spelled out: `pinned_module_quarantined:<name>` per
     /// quarantined pinned slot, `overload_shedding:<heavy|all>`,
     /// `sync_degraded`. `manager` is the one the key was taken of.
@@ -186,7 +178,11 @@ impl Kalis {
 
     /// [`Kalis::readiness`] as a key to compare, nothing rendered.
     pub(super) fn readiness_key(&self) -> ReadinessKey {
-        ReadinessKey::of(&self.manager, &self.overload, &self.sync.engine)
+        ReadinessKey {
+            quarantined_pinned: self.manager.quarantined_pinned(),
+            shed: self.overload.mode(),
+            sync_degraded: self.sync.engine.degraded(),
+        }
     }
 
     /// Readiness transitions must reach `/readyz` at once, not at the
