@@ -326,7 +326,6 @@ mod supervisor {
     use std::time::Duration;
 
     use kalis_core::config::Config;
-    use kalis_core::knowledge::KnowledgeBase;
     use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, ShedMode, SupervisorConfig};
     use kalis_core::{AttackKind, Kalis, KalisId};
     use kalis_netsim::stress;
@@ -351,10 +350,6 @@ mod supervisor {
     impl Module for PoisonModule {
         fn descriptor(&self) -> ModuleDescriptor {
             ModuleDescriptor::detection(POISON_MODULE, AttackKind::Sybil).heavy()
-        }
-
-        fn required(&self, _kb: &KnowledgeBase) -> bool {
-            true
         }
 
         fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {

@@ -8,9 +8,8 @@ use kalis_packets::wifi::WifiBody;
 use kalis_packets::{CapturedPacket, Entity};
 
 use crate::alert::{Alert, AttackKind};
-use crate::knowledge::{KnowKey, KnowledgeBase};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
-use crate::sensing::labels as sense;
+use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::taxonomy::Feature;
 
 use super::util::{AlertGate, SlidingCounter};
 
@@ -43,16 +42,11 @@ impl Default for DeauthModule {
 impl Module for DeauthModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("DeauthModule", AttackKind::Deauth)
+            .needs(&[Feature::WifiMedium])
     }
 
     fn contract(&self) -> KnowggetContract {
-        KnowggetContract::new()
-            .reads_activation(KnowKey::scoped(sense::MEDIUM_SEEN, "wifi"), ValueType::Bool)
-            .accepts_param(ParamSpec::number("threshold", 1.0))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::MEDIUM_SEEN_WIFI) == Some(true)
+        KnowggetContract::new().accepts_param(ParamSpec::number("threshold", 1.0))
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -99,6 +93,7 @@ impl Module for DeauthModule {
 mod tests {
     use super::*;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use kalis_packets::codec::Encode;
     use kalis_packets::wifi::WifiFrame;
     use kalis_packets::{MacAddr, Medium, Timestamp};

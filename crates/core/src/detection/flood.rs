@@ -12,9 +12,10 @@ use kalis_packets::{CapturedPacket, Entity, TrafficClass};
 
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
-use crate::knowledge::{KnowKey, KnowValue, KnowledgeBase};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
+use crate::knowledge::KnowValue;
+use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
 use crate::sensing::labels as sense;
+use crate::taxonomy::Feature;
 
 use super::util::{AlertGate, SlidingCounter};
 
@@ -118,18 +119,13 @@ impl Default for IcmpFloodModule {
 impl Module for IcmpFloodModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("IcmpFloodModule", AttackKind::IcmpFlood)
+            .needs(&[Feature::MultiHop, Feature::SingleHop])
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(sense::MULTIHOP, ValueType::Bool)
             .accepts_param(ParamSpec::number("threshold", 1.0))
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        // Needs topology knowledge to interpret the symptom.
-        kb.get_bool(sense::MULTIHOP).is_some()
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -254,18 +250,13 @@ impl Default for SmurfModule {
 
 impl Module for SmurfModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection("SmurfModule", AttackKind::Smurf)
+        ModuleDescriptor::detection("SmurfModule", AttackKind::Smurf).needs(&[Feature::MultiHop])
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(sense::MULTIHOP, ValueType::Bool)
             .accepts_param(ParamSpec::number("threshold", 1.0))
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::MULTIHOP) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -386,17 +377,13 @@ impl Default for SynFloodModule {
 impl Module for SynFloodModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("SynFloodModule", AttackKind::SynFlood)
+            .needs(&[Feature::IpConnectivity])
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(KnowKey::scoped(sense::PROTOCOL_SEEN, "IP"), ValueType::Bool)
             .accepts_param(ParamSpec::number("threshold", 1.0))
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::PROTOCOL_SEEN_IP) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -511,17 +498,13 @@ impl Default for UdpFloodModule {
 impl Module for UdpFloodModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("UdpFloodModule", AttackKind::UdpFlood)
+            .needs(&[Feature::IpConnectivity])
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(KnowKey::scoped(sense::PROTOCOL_SEEN, "IP"), ValueType::Bool)
             .accepts_param(ParamSpec::number("threshold", 1.0))
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::PROTOCOL_SEEN_IP) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -577,6 +560,7 @@ impl Module for UdpFloodModule {
 mod tests {
     use super::*;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use kalis_packets::{MacAddr, Medium, Timestamp};
     use std::net::Ipv4Addr;
 
@@ -641,21 +625,6 @@ mod tests {
         let mut kb = KnowledgeBase::new(KalisId::new("K1"));
         kb.insert(sense::MULTIHOP, false);
         kb
-    }
-
-    #[test]
-    fn activation_conditions_follow_topology_knowledge() {
-        let flood = IcmpFloodModule::default();
-        let smurf = SmurfModule::default();
-        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
-        assert!(!flood.required(&kb), "unknown topology → flood off");
-        assert!(!smurf.required(&kb));
-        kb.insert(sense::MULTIHOP, false);
-        assert!(flood.required(&kb), "single-hop → flood on");
-        assert!(!smurf.required(&kb), "single-hop → smurf off");
-        kb.insert(sense::MULTIHOP, true);
-        assert!(flood.required(&kb));
-        assert!(smurf.required(&kb), "multi-hop → smurf on");
     }
 
     #[test]

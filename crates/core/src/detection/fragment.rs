@@ -10,9 +10,8 @@ use kalis_packets::reassembly::{DatagramKey, Reassembler};
 use kalis_packets::{CapturedPacket, Entity, ShortAddr};
 
 use crate::alert::{Alert, AttackKind};
-use crate::knowledge::{KnowKey, KnowledgeBase};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
-use crate::sensing::labels as sense;
+use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::taxonomy::Feature;
 
 use super::util::AlertGate;
 
@@ -47,19 +46,11 @@ impl Default for FragmentFloodModule {
 impl Module for FragmentFloodModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("FragmentFloodModule", AttackKind::FragmentFlood)
+            .needs(&[Feature::SixLowpan])
     }
 
     fn contract(&self) -> KnowggetContract {
-        KnowggetContract::new()
-            .reads_activation(
-                KnowKey::scoped(sense::PROTOCOL_SEEN, "SIXLOWPAN"),
-                ValueType::Bool,
-            )
-            .accepts_param(ParamSpec::number("threshold", 1.0))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::PROTOCOL_SEEN_SIXLOWPAN) == Some(true)
+        KnowggetContract::new().accepts_param(ParamSpec::number("threshold", 1.0))
     }
 
     fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -112,6 +103,7 @@ impl Module for FragmentFloodModule {
 mod tests {
     use super::*;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use bytes::Bytes;
     use kalis_packets::codec::Encode;
     use kalis_packets::sixlowpan::{FragHeader, SixLowpanFrame, SixLowpanPayload};
@@ -164,15 +156,6 @@ mod tests {
         module.on_tick(&mut ctx);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].attack, AttackKind::FragmentFlood);
-    }
-
-    #[test]
-    fn required_gates_on_sixlowpan_presence() {
-        let module = FragmentFloodModule::default();
-        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
-        assert!(!module.required(&kb));
-        kb.insert(format!("{}.SIXLOWPAN", sense::PROTOCOL_SEEN), true);
-        assert!(module.required(&kb));
     }
 
     #[test]

@@ -24,9 +24,9 @@ use kalis_packets::{CapturedPacket, Entity, Timestamp};
 
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
-use crate::knowledge::{KnowValue, KnowledgeBase};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
-use crate::sensing::labels as sense;
+use crate::knowledge::KnowValue;
+use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::taxonomy::Feature;
 
 use super::util::{fingerprint_identity, AlertGate};
 
@@ -217,17 +217,14 @@ impl Default for ReplicationStaticModule {
 
 impl Module for ReplicationStaticModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection("ReplicationStaticModule", AttackKind::Replication).heavy()
+        ModuleDescriptor::detection("ReplicationStaticModule", AttackKind::Replication)
+            .needs(&[Feature::Static])
+            .heavy()
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(sense::MOBILE, ValueType::Bool)
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::MOBILE) == Some(false)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -331,17 +328,14 @@ impl Default for ReplicationMobileModule {
 
 impl Module for ReplicationMobileModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection("ReplicationMobileModule", AttackKind::Replication).heavy()
+        ModuleDescriptor::detection("ReplicationMobileModule", AttackKind::Replication)
+            .needs(&[Feature::Mobile])
+            .heavy()
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(sense::MOBILE, ValueType::Bool)
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::MOBILE) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -407,6 +401,7 @@ impl Module for ReplicationMobileModule {
 mod tests {
     use super::*;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use kalis_packets::{Medium, ShortAddr};
 
     const CLONED: u16 = 4;
@@ -556,17 +551,5 @@ mod tests {
         assert_eq!(module.state_bytes(), points * 16 + 32 * 64 + 128);
         module.reset();
         assert_eq!(module.state_bytes(), 128);
-    }
-
-    #[test]
-    fn required_splits_on_mobility_knowledge() {
-        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
-        let stat = ReplicationStaticModule::new();
-        let mob = ReplicationMobileModule::new();
-        assert!(!stat.required(&kb) && !mob.required(&kb));
-        kb.insert(sense::MOBILE, false);
-        assert!(stat.required(&kb) && !mob.required(&kb));
-        kb.insert(sense::MOBILE, true);
-        assert!(!stat.required(&kb) && mob.required(&kb));
     }
 }

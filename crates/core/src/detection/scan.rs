@@ -7,9 +7,9 @@ use kalis_packets::{CapturedPacket, Entity, TrafficClass};
 
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
-use crate::knowledge::{KnowKey, KnowValue, KnowledgeBase};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
-use crate::sensing::labels as sense;
+use crate::knowledge::KnowValue;
+use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::taxonomy::Feature;
 
 use super::util::{AlertGate, SlidingCounter};
 
@@ -56,17 +56,13 @@ impl Default for ScanModule {
 impl Module for ScanModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("ScanModule", AttackKind::Scan)
+            .needs(&[Feature::IpConnectivity])
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(KnowKey::scoped(sense::PROTOCOL_SEEN, "IP"), ValueType::Bool)
             .accepts_param(ParamSpec::number("threshold", 1.0))
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::PROTOCOL_SEEN_IP) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -129,6 +125,7 @@ impl Module for ScanModule {
 mod tests {
     use super::*;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use kalis_packets::tcp::TcpSegment;
     use kalis_packets::{MacAddr, Medium, Timestamp};
     use std::net::Ipv4Addr;

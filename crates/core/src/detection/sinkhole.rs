@@ -13,9 +13,9 @@ use kalis_packets::zigbee::{ZigbeeBody, ZigbeeCommand};
 use kalis_packets::{CapturedPacket, Entity};
 
 use crate::alert::{Alert, AttackKind};
-use crate::knowledge::KnowledgeBase;
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ValueType};
 use crate::sensing::labels as sense;
+use crate::taxonomy::Feature;
 
 use super::util::AlertGate;
 
@@ -62,17 +62,11 @@ impl Default for SinkholeModule {
 impl Module for SinkholeModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("SinkholeModule", AttackKind::Sinkhole)
+            .needs(&[Feature::MultiHop])
     }
 
     fn contract(&self) -> KnowggetContract {
-        KnowggetContract::new()
-            .reads_activation(sense::MULTIHOP, ValueType::Bool)
-            .reads(sense::CTP_ROOT, ValueType::Text)
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        // Routing attraction only matters in routed (multi-hop) networks.
-        kb.get_bool(sense::MULTIHOP) == Some(true)
+        KnowggetContract::new().reads(sense::CTP_ROOT, ValueType::Text)
     }
 
     fn reset(&mut self) {
@@ -141,6 +135,7 @@ impl Module for SinkholeModule {
 mod tests {
     use super::*;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use kalis_packets::{Medium, ShortAddr, Timestamp};
 
     fn beacon(ms: u64, from: u16, parent: u16, etx: u16) -> CapturedPacket {

@@ -8,9 +8,9 @@ use kalis_packets::{CapturedPacket, Entity, Timestamp};
 
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
-use crate::knowledge::{KnowKey, KnowValue, KnowledgeBase};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
-use crate::sensing::labels as sense;
+use crate::knowledge::KnowValue;
+use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::taxonomy::Feature;
 
 use super::util::{fingerprint_identity, AlertGate};
 
@@ -98,21 +98,14 @@ impl Default for SybilModule {
 
 impl Module for SybilModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection("SybilModule", AttackKind::Sybil).heavy()
+        ModuleDescriptor::detection("SybilModule", AttackKind::Sybil)
+            .needs(&[Feature::Ieee802154Medium])
+            .heavy()
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(
-                KnowKey::scoped(sense::MEDIUM_SEEN, "802.15.4"),
-                ValueType::Bool,
-            )
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        // RSSI fingerprinting needs a wireless constrained medium.
-        kb.get_bool(sense::MEDIUM_SEEN_802154) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -199,6 +192,7 @@ impl Module for SybilModule {
 mod tests {
     use super::*;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use kalis_packets::{Medium, ShortAddr};
 
     fn zigbee(ms: u64, id: u16, rssi: f64) -> CapturedPacket {
@@ -326,14 +320,5 @@ mod tests {
         module.reset();
         assert_eq!(module.occupancy(), 0);
         assert_eq!(module.evictions(), 0, "reset zeroes eviction telemetry");
-    }
-
-    #[test]
-    fn required_gates_on_medium() {
-        let module = SybilModule::new();
-        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
-        assert!(!module.required(&kb));
-        kb.insert(format!("{}.802.15.4", sense::MEDIUM_SEEN), true);
-        assert!(module.required(&kb));
     }
 }

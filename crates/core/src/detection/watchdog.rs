@@ -17,9 +17,10 @@ use kalis_packets::{CapturedPacket, Entity, ShortAddr, Timestamp};
 
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
-use crate::knowledge::{KnowValue, KnowledgeBase};
+use crate::knowledge::KnowValue;
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
 use crate::sensing::labels as sense;
+use crate::taxonomy::Feature;
 
 use super::labels;
 use super::util::AlertGate;
@@ -215,11 +216,6 @@ impl Watchdog {
     }
 }
 
-/// `current_params` payload shared by both watchdog-backed modules.
-fn watchdog_required(kb: &KnowledgeBase) -> bool {
-    kb.get_bool(sense::MULTIHOP) == Some(true)
-}
-
 /// Detects selective forwarding: a forwarder dropping *part* of the
 /// traffic (drop ratio in `[0.15, 0.9)`).
 #[derive(Debug)]
@@ -259,18 +255,14 @@ impl Default for SelectiveForwardingModule {
 impl Module for SelectiveForwardingModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("SelectiveForwardingModule", AttackKind::SelectiveForwarding)
+            .needs(&[Feature::MultiHop])
             .heavy()
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(sense::MULTIHOP, ValueType::Bool)
             .reads(sense::CTP_ROOT, ValueType::Text)
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        watchdog_required(kb)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -369,20 +361,17 @@ impl Default for BlackholeModule {
 
 impl Module for BlackholeModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection("BlackholeModule", AttackKind::Blackhole).heavy()
+        ModuleDescriptor::detection("BlackholeModule", AttackKind::Blackhole)
+            .needs(&[Feature::MultiHop])
+            .heavy()
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(sense::MULTIHOP, ValueType::Bool)
             .reads(sense::CTP_ROOT, ValueType::Text)
             .reads_per_entity(super::wormhole_confirmed_label(), ValueType::Bool)
             .writes_collective(labels::DROPPED_ORIGINS, ValueType::Text)
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        watchdog_required(kb)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -477,7 +466,7 @@ mod differential {
 
     use super::*;
     use crate::id::KalisId;
-    use crate::knowledge::Knowgget;
+    use crate::knowledge::{Knowgget, KnowledgeBase};
 
     const ROOT: ShortAddr = ShortAddr(1);
     const FORWARDERS: [ShortAddr; 2] = [ShortAddr(2), ShortAddr(3)];
@@ -728,6 +717,7 @@ mod differential {
 mod tests {
     use super::*;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use kalis_packets::Medium;
 
     const LEAF: ShortAddr = ShortAddr(3);
@@ -857,19 +847,5 @@ mod tests {
             .map(|i| data_to(u64::from(i) * 1000, LEAF, FORWARDER, LEAF, i, 0))
             .collect();
         assert!(run(&mut module, &mut kb, caps, 10_000).is_empty());
-    }
-
-    #[test]
-    fn activation_requires_multihop_knowledge() {
-        let module = SelectiveForwardingModule::new();
-        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
-        assert!(!module.required(&kb));
-        kb.insert(sense::MULTIHOP, false);
-        assert!(
-            !module.required(&kb),
-            "selective forwarding impossible in single-hop"
-        );
-        kb.insert(sense::MULTIHOP, true);
-        assert!(module.required(&kb));
     }
 }

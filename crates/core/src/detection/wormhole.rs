@@ -30,7 +30,7 @@ use crate::bounded::{
 use crate::id::KalisId;
 use crate::knowledge::{KnowValue, KnowledgeBase};
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
-use crate::sensing::labels as sense;
+use crate::taxonomy::Feature;
 
 use super::labels;
 use super::util::AlertGate;
@@ -214,12 +214,13 @@ impl Verdict {
 
 impl Module for WormholeModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection("WormholeModule", AttackKind::Wormhole).heavy()
+        ModuleDescriptor::detection("WormholeModule", AttackKind::Wormhole)
+            .needs(&[Feature::MultiHop])
+            .heavy()
     }
 
     fn contract(&self) -> KnowggetContract {
         KnowggetContract::new()
-            .reads_activation(sense::MULTIHOP, ValueType::Bool)
             // Degraded (local-only) sync mode suppresses collective
             // correlation; produced by the node's sync layer, not by a
             // module.
@@ -229,10 +230,6 @@ impl Module for WormholeModule {
             .writes_collective(labels::EXOTIC_ORIGINS, ValueType::Text)
             .writes_collective(WORMHOLE_CONFIRMED, ValueType::Bool)
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(sense::MULTIHOP) == Some(true)
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {

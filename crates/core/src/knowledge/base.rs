@@ -1400,7 +1400,7 @@ mod tests {
         }
 
         let mut table = Subscriptions::new(1);
-        table.subscribe(&crate::modules::KeyPattern::exact("Multihop"), 0);
+        table.subscribe("Multihop", 0);
         table.watch("DroppedOrigins");
         let mut node = kb();
         node.subscribe_activation(table);

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::modules::KeyPattern;
-
 /// A set of Module Manager slot numbers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotSet {
@@ -68,13 +66,11 @@ impl SlotSet {
 /// The subscription table: which slots to re-evaluate when a label
 /// changes. Compiled by
 /// [`ModuleManager::subscriptions`](crate::modules::ModuleManager::subscriptions)
-/// from the activation inputs its modules' contracts declare.
+/// from the activation inputs its modules' descriptors declare.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Subscriptions {
     slots: usize,
     exact: BTreeMap<String, Exact>,
-    /// `Family` patterns, by root.
-    families: Vec<(KeyPattern, SlotSet)>,
     /// Slots that declared no activation input: subscribed to everything.
     wildcard: SlotSet,
 }
@@ -96,7 +92,6 @@ impl Subscriptions {
         Subscriptions {
             slots,
             exact: BTreeMap::new(),
-            families: Vec::new(),
             wildcard: SlotSet::with_slots(slots),
         }
     }
@@ -106,22 +101,9 @@ impl Subscriptions {
         self.slots
     }
 
-    /// Re-evaluate `slot` whenever a label `pattern` covers changes.
-    pub fn subscribe(&mut self, pattern: &KeyPattern, slot: usize) {
-        let set = match pattern {
-            KeyPattern::Exact(label) => &mut self.exact_entry(label).slots,
-            KeyPattern::Family(_) => {
-                let at = (self.families.iter())
-                    .position(|(held, _)| held == pattern)
-                    .unwrap_or_else(|| {
-                        let room = SlotSet::with_slots(self.slots);
-                        self.families.push((pattern.clone(), room));
-                        self.families.len() - 1
-                    });
-                &mut self.families[at].1
-            }
-        };
-        set.insert(slot);
+    /// Re-evaluate `slot` whenever `label` changes.
+    pub fn subscribe(&mut self, label: &str, slot: usize) {
+        self.exact_entry(label).slots.insert(slot);
     }
 
     fn exact_entry(&mut self, label: &str) -> &mut Exact {
@@ -158,8 +140,7 @@ impl Subscriptions {
 
     /// A knowgget labelled `label` changed, at `revision`: add to
     /// `pending` every slot that concerns, and note the revision if the
-    /// label is watched — one map lookup for both, plus a prefix test
-    /// per declared family.
+    /// label is watched — one map lookup for both.
     pub fn collect(&mut self, label: &str, revision: u64, pending: &mut SlotSet) {
         pending.union_with(&self.wildcard);
         if let Some(held) = self.exact.get_mut(label) {
@@ -168,27 +149,14 @@ impl Subscriptions {
                 *changed_at = revision;
             }
         }
-        for (family, slots) in &self.families {
-            if family.matches(label) {
-                pending.union_with(slots);
-            }
-        }
     }
 
-    /// Every subscription as `(pattern, slots)`, exact labels first, each
-    /// group in label order; then the subscribed-to-everything slots
-    /// under `None`, if any.
-    pub fn edges(&self) -> Vec<(Option<KeyPattern>, Vec<usize>)> {
-        let exact = (self.exact.iter())
+    /// Every subscription as `(label, slots)`, in label order; then the
+    /// subscribed-to-everything slots under `None`, if any.
+    pub fn edges(&self) -> Vec<(Option<&str>, Vec<usize>)> {
+        let mut edges: Vec<_> = (self.exact.iter())
             .filter(|(_, held)| !held.slots.is_empty())
-            .map(|(label, held)| (KeyPattern::exact(label), &held.slots));
-        let mut families: Vec<_> = (self.families.iter())
-            .map(|(family, slots)| (family.clone(), slots))
-            .collect();
-        families.sort_by(|a, b| a.0.root().cmp(b.0.root()));
-        let mut edges: Vec<_> = exact
-            .chain(families)
-            .map(|(pattern, slots)| (Some(pattern), slots.iter().collect()))
+            .map(|(label, held)| (Some(label.as_str()), held.slots.iter().collect()))
             .collect();
         if !self.wildcard.is_empty() {
             edges.push((None, self.wildcard.iter().collect()));
@@ -222,9 +190,9 @@ mod tests {
     #[test]
     fn collect_matches_exact_labels_family_members_and_wildcards() {
         let mut table = Subscriptions::new(4);
-        table.subscribe(&KeyPattern::exact("Multihop"), 0);
-        table.subscribe(&KeyPattern::exact("Multihop"), 1);
-        table.subscribe(&KeyPattern::family("ProtocolSeen"), 2);
+        table.subscribe("Multihop", 0);
+        table.subscribe("Multihop", 1);
+        table.subscribe("ProtocolSeen.IP", 2);
         let hit = |table: &mut Subscriptions, label: &str| {
             let mut pending = SlotSet::with_slots(4);
             table.collect(label, 0, &mut pending);
@@ -232,8 +200,10 @@ mod tests {
         };
         assert_eq!(hit(&mut table, "Multihop"), [0, 1]);
         assert_eq!(hit(&mut table, "ProtocolSeen.IP"), [2]);
-        // A family root is not one of its members, nor a longer label.
+        // A family member is subscribed by its whole label: not by the
+        // family root, a sibling, or a longer label.
         assert!(hit(&mut table, "ProtocolSeen").is_empty());
+        assert!(hit(&mut table, "ProtocolSeen.CTP").is_empty());
         assert!(hit(&mut table, "ProtocolSeenX.IP").is_empty());
         assert!(hit(&mut table, "Multihop.X").is_empty());
         assert!(hit(&mut table, "SignalStrength").is_empty());
@@ -243,8 +213,8 @@ mod tests {
         assert_eq!(
             table.edges(),
             [
-                (Some(KeyPattern::exact("Multihop")), vec![0, 1]),
-                (Some(KeyPattern::family("ProtocolSeen")), vec![2]),
+                (Some("Multihop"), vec![0, 1]),
+                (Some("ProtocolSeen.IP"), vec![2]),
                 (None, vec![3]),
             ]
         );
@@ -253,7 +223,7 @@ mod tests {
     #[test]
     fn a_watched_label_remembers_its_latest_change_and_subscribes_nobody() {
         let mut table = Subscriptions::new(2);
-        table.subscribe(&KeyPattern::exact("Multihop"), 0);
+        table.subscribe("Multihop", 0);
         table.watch("DroppedOrigins");
         table.watch("Multihop");
         table.watch("Multihop");
@@ -273,9 +243,6 @@ mod tests {
         assert_eq!(table.last_changed("ExoticOrigins"), None);
         assert_eq!(table.last_changed("Multihop"), Some(9));
         // Watching adds no edge: the activation table reads as before.
-        assert_eq!(
-            table.edges(),
-            [(Some(KeyPattern::exact("Multihop")), vec![0])]
-        );
+        assert_eq!(table.edges(), [(Some("Multihop"), vec![0])]);
     }
 }

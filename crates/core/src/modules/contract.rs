@@ -6,11 +6,13 @@
 //! sensing modules, a-priori configuration, or peer sync must produce.
 //! Historically those links were untyped `&str` lookups: a typo'd key or
 //! a reader with no producer silently yields a module that can never
-//! activate. A [`KnowggetContract`] declares every key a module reads,
-//! writes, and subscribes to (with its expected [`ValueType`] and
-//! [`KeyPattern`] families for dot-suffixed labels), so the `kalis-lint`
-//! whole-system analysis can verify the graph at build time instead of
-//! discovering holes at detection time.
+//! activate. A [`KnowggetContract`] declares every other key a module
+//! reads and every key it writes (with its expected [`ValueType`] and
+//! [`KeyPattern`] families for dot-suffixed labels); the keys its
+//! activation reads follow from the features its descriptor
+//! [`needs`](super::ModuleDescriptor::needs). The `kalis-lint`
+//! whole-system analysis joins the two to verify the graph at build time
+//! instead of discovering holes at detection time.
 
 use core::fmt;
 
@@ -153,11 +155,6 @@ pub struct KeyUse {
     pub pattern: KeyPattern,
     /// The value type the module expects (reads) or produces (writes).
     pub value_type: ValueType,
-    /// For reads: this key feeds the module's activation predicate
-    /// ([`super::Module::required`]), i.e. the module *subscribes* to
-    /// changes of it — the Module Manager's reconfiguration pass is what
-    /// delivers the subscription.
-    pub activation: bool,
     /// The knowgget is entity-specific (`label@entity`).
     pub per_entity: bool,
     /// For writes: the knowgget is marked collective (synchronized to
@@ -181,7 +178,6 @@ impl KeyUse {
         KeyUse {
             pattern,
             value_type,
-            activation: false,
             per_entity: false,
             collective: false,
             exported: false,
@@ -233,7 +229,8 @@ pub struct AllowRule {
 }
 
 /// The declarative knowgget contract of one module: every key it reads
-/// (and whether that read gates activation), every key it writes, and the
+/// beyond its activation inputs (those follow from the features its
+/// [`super::ModuleDescriptor`] needs), every key it writes, and the
 /// constructor parameters it accepts.
 ///
 /// Built fluently:
@@ -242,16 +239,14 @@ pub struct AllowRule {
 /// use kalis_core::modules::{KnowggetContract, ValueType};
 ///
 /// let contract = KnowggetContract::new()
-///     .reads_activation("Multihop", ValueType::Bool)
+///     .reads("CtpRoot", ValueType::Text)
 ///     .writes_family("TrafficFrequency", ValueType::Float);
 /// assert_eq!(contract.reads.len(), 1);
-/// assert!(contract.reads[0].activation);
 /// assert!(contract.writes[0].pattern.matches("TrafficFrequency.TCPSYN"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KnowggetContract {
-    /// Keys the module consults (KB lookups in `on_packet`/`on_tick`
-    /// and the activation predicate).
+    /// Keys the module consults in `on_packet`/`on_tick`.
     pub reads: Vec<KeyUse>,
     /// Keys the module produces.
     pub writes: Vec<KeyUse>,
@@ -268,28 +263,21 @@ impl KnowggetContract {
         KnowggetContract::default()
     }
 
-    fn push_read(mut self, mut key: KeyUse, activation: bool) -> Self {
-        key.activation = activation;
+    fn push_read(mut self, key: KeyUse) -> Self {
         self.reads.push(key);
         self
     }
 
     /// Declare a plain read.
     pub fn reads(self, label: impl Into<String>, ty: ValueType) -> Self {
-        self.push_read(KeyUse::new(KeyPattern::exact(label), ty), false)
-    }
-
-    /// Declare a read that feeds the activation predicate (the module is
-    /// effectively *subscribed* to changes of this key).
-    pub fn reads_activation(self, label: impl Into<String>, ty: ValueType) -> Self {
-        self.push_read(KeyUse::new(KeyPattern::exact(label), ty), true)
+        self.push_read(KeyUse::new(KeyPattern::exact(label), ty))
     }
 
     /// Declare an entity-specific read (`label@entity`).
     pub fn reads_per_entity(self, label: impl Into<String>, ty: ValueType) -> Self {
         let mut key = KeyUse::new(KeyPattern::exact(label), ty);
         key.per_entity = true;
-        self.push_read(key, false)
+        self.push_read(key)
     }
 
     /// Declare a cross-creator (collective-correlation) read: the module
@@ -299,7 +287,7 @@ impl KnowggetContract {
         let mut key = KeyUse::new(KeyPattern::exact(label), ty);
         key.per_entity = true;
         key.collective = true;
-        self.push_read(key, false)
+        self.push_read(key)
     }
 
     fn push_write(mut self, key: KeyUse) -> Self {
@@ -389,12 +377,6 @@ impl KnowggetContract {
         self.param("entity_budget")
     }
 
-    /// The reads that gate activation — the inputs the Module Manager's
-    /// reconfiguration pass effectively subscribes the module to.
-    pub fn activation_inputs(&self) -> impl Iterator<Item = &KeyUse> {
-        self.reads.iter().filter(|k| k.activation)
-    }
-
     /// Whether any declared read or write covers `label`.
     pub fn mentions(&self, label: &str) -> bool {
         self.reads
@@ -451,7 +433,7 @@ mod tests {
     #[test]
     fn builder_flags_land_on_the_right_edges() {
         let c = KnowggetContract::new()
-            .reads_activation("Mobile", ValueType::Bool)
+            .reads("Mobile", ValueType::Bool)
             .reads_collective("DroppedOrigins", ValueType::Text)
             .reads("Trace.SampleRate", ValueType::Float)
             .bounded(0.0, 1.0)
@@ -459,7 +441,7 @@ mod tests {
             .writes("Multihop", ValueType::Bool)
             .exported()
             .accepts_param(ParamSpec::number("threshold", 1.0));
-        assert!(c.reads[0].activation && !c.reads[0].collective);
+        assert!(!c.reads[0].collective && !c.reads[0].per_entity);
         assert!(c.reads[1].collective && c.reads[1].per_entity);
         assert_eq!(c.reads[2].min, Some(0.0));
         assert_eq!(c.reads[2].max, Some(1.0));
@@ -467,7 +449,6 @@ mod tests {
         assert!(c.writes[0].collective && c.writes[0].per_entity);
         assert!(c.writes[1].exported);
         assert_eq!(c.params[0].name, "threshold");
-        assert_eq!(c.activation_inputs().count(), 1);
         assert!(c.mentions("Mobile"));
         assert!(!c.mentions("Multihop.X"));
     }

@@ -362,13 +362,15 @@ impl ModuleManager {
 
     /// The subscription table of the slots loaded so far: for every
     /// slot knowledge can switch (unpinned detection modules of an
-    /// adaptive manager), the activation inputs its module's contract
-    /// declares — the labels its [`Module::required`] reads. A slot that
-    /// declares none (an embedder's module with the default, empty
-    /// contract) subscribes to every change. And for every slot, the
-    /// exact labels its contract reads collectively, which the Knowledge
-    /// Base then watches ([`KnowledgeBase::last_changed`]). Compile it
-    /// again after [`ModuleManager::add`].
+    /// adaptive manager), the activation inputs its module's descriptor
+    /// declares — the labels of the features it
+    /// [`needs`](super::ModuleDescriptor::needs), which
+    /// [`Module::required`] reads. A slot that declares none (an
+    /// embedder's module with the default descriptor) subscribes to every
+    /// change. And for every slot, the exact labels its contract reads
+    /// collectively, which the Knowledge Base then watches
+    /// ([`KnowledgeBase::last_changed`]). Compile it again after
+    /// [`ModuleManager::add`].
     pub fn subscriptions(&self) -> Subscriptions {
         let mut table = Subscriptions::new(self.slots.len());
         for (index, slot) in self.slots.iter().enumerate() {
@@ -380,15 +382,15 @@ impl ModuleManager {
                     table.watch(label);
                 }
             }
-            let switched = self.adaptive
-                && !slot.pinned
-                && slot.module.descriptor().kind == ModuleKind::Detection;
+            let descriptor = slot.module.descriptor();
+            let switched =
+                self.adaptive && !slot.pinned && descriptor.kind == ModuleKind::Detection;
             if !switched {
                 continue;
             }
             let mut declared = false;
-            for input in contract.activation_inputs() {
-                table.subscribe(&input.pattern, index);
+            for label in descriptor.activation_labels() {
+                table.subscribe(label, index);
                 declared = true;
             }
             if !declared {
@@ -399,11 +401,11 @@ impl ModuleManager {
     }
 
     /// [`ModuleManager::subscriptions`] by name: each subscribed label
-    /// (`Root.*` for a family, `*` for every change) with the modules
-    /// re-evaluated when it changes.
+    /// (`*` for every change) with the modules re-evaluated when it
+    /// changes.
     pub fn subscriptions_by_name(&self) -> Vec<(String, Vec<&'static str>)> {
-        let named = |(pattern, slots): (Option<super::KeyPattern>, Vec<usize>)| {
-            let label = pattern.map_or_else(|| "*".to_owned(), |p| p.to_string());
+        let named = |(label, slots): (Option<&str>, Vec<usize>)| {
+            let label = label.unwrap_or("*").to_owned();
             let modules = (slots.iter()).map(|slot| self.name_of(*slot)).collect();
             (label, modules)
         };
@@ -719,14 +721,17 @@ impl ModuleManager {
         outcome
     }
 
-    /// The declared knowgget contract of the named module, if loaded —
-    /// how the provenance assembler knows which KB keys an alerting
-    /// module consulted.
-    pub fn contract_of(&self, name: &str) -> Option<super::KnowggetContract> {
-        self.slots
-            .iter()
-            .find(|s| s.module.descriptor().name == name)
-            .map(|s| s.module.contract())
+    /// The descriptor and contract of the named module, if loaded — how
+    /// the provenance assembler knows which KB keys an alerting module
+    /// consulted.
+    pub(crate) fn declaration_of(
+        &self,
+        name: &str,
+    ) -> Option<(super::ModuleDescriptor, super::KnowggetContract)> {
+        (self.slots.iter())
+            .map(|s| (s.module.descriptor(), s))
+            .find(|(descriptor, _)| descriptor.name == name)
+            .map(|(descriptor, s)| (descriptor, s.module.contract()))
     }
 
     /// Whether the named module is currently active — recorded into an
@@ -955,9 +960,6 @@ mod tests {
         fn descriptor(&self) -> ModuleDescriptor {
             ModuleDescriptor::detection("Crashy", AttackKind::Smurf)
         }
-        fn required(&self, _kb: &KnowledgeBase) -> bool {
-            true
-        }
         fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
             self.seen += 1;
             if self.seen % self.every == 0 {
@@ -1061,15 +1063,13 @@ mod tests {
         struct Declared;
         impl Module for Declared {
             fn descriptor(&self) -> ModuleDescriptor {
+                use crate::taxonomy::Feature;
                 ModuleDescriptor::detection("Declared", AttackKind::Smurf)
+                    .needs(&[Feature::MultiHop, Feature::SingleHop])
             }
             fn contract(&self) -> crate::modules::KnowggetContract {
                 crate::modules::KnowggetContract::new()
-                    .reads_activation("Multihop", crate::modules::ValueType::Bool)
                     .reads("CtpRoot", crate::modules::ValueType::Text)
-            }
-            fn required(&self, kb: &KnowledgeBase) -> bool {
-                kb.get_bool("Multihop") == Some(true)
             }
             fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
         }
@@ -1086,8 +1086,9 @@ mod tests {
         };
         let mut mgr = ModuleManager::new();
         load(&mut mgr);
-        // Slot 0 by its declared activation input (a plain read is none),
-        // slot 2 by everything; pinned and sensing slots never flip.
+        // Slot 0 by its declared activation input, once for the two
+        // features it senses (a plain read is none), slot 2 by
+        // everything; pinned and sensing slots never flip.
         assert_eq!(
             mgr.subscriptions_by_name(),
             [
@@ -1221,9 +1222,6 @@ mod tests {
         fn descriptor(&self) -> ModuleDescriptor {
             ModuleDescriptor::detection("BudgetedCrashy", AttackKind::Smurf)
         }
-        fn required(&self, _kb: &KnowledgeBase) -> bool {
-            true
-        }
         fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
             self.step();
         }
@@ -1332,9 +1330,6 @@ mod tests {
             fn descriptor(&self) -> ModuleDescriptor {
                 ModuleDescriptor::detection("Slow", AttackKind::Smurf)
             }
-            fn required(&self, _kb: &KnowledgeBase) -> bool {
-                true
-            }
             fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
                 std::thread::sleep(Duration::from_millis(3));
             }
@@ -1369,9 +1364,6 @@ mod tests {
         impl Module for Heavy {
             fn descriptor(&self) -> ModuleDescriptor {
                 ModuleDescriptor::detection("HeavyMod", AttackKind::Wormhole).heavy()
-            }
-            fn required(&self, _kb: &KnowledgeBase) -> bool {
-                true
             }
             fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
                 self.seen += 1;
@@ -1477,9 +1469,6 @@ mod tests {
             } else {
                 descriptor
             }
-        }
-        fn required(&self, _kb: &KnowledgeBase) -> bool {
-            true
         }
         fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
             self.packets += 1;
@@ -1691,9 +1680,6 @@ mod tests {
         fn descriptor(&self) -> ModuleDescriptor {
             ModuleDescriptor::sensing("SlowTick")
         }
-        fn required(&self, _kb: &KnowledgeBase) -> bool {
-            true
-        }
         fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
         fn on_tick(&mut self, _ctx: &mut ModuleCtx<'_>) {
             std::thread::sleep(self.0);
@@ -1776,9 +1762,6 @@ mod tests {
     impl Module for PacketCrasher {
         fn descriptor(&self) -> ModuleDescriptor {
             ModuleDescriptor::detection("PacketCrasher", AttackKind::Smurf)
-        }
-        fn required(&self, _kb: &KnowledgeBase) -> bool {
-            true
         }
         fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
             if self.0.load(std::sync::atomic::Ordering::Relaxed) {

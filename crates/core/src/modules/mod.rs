@@ -18,6 +18,7 @@ use kalis_packets::{CapturedPacket, Timestamp};
 
 use crate::alert::{Alert, AttackKind};
 use crate::knowledge::{KnowValue, KnowledgeBase};
+use crate::taxonomy::Feature;
 
 /// Whether a module senses features or detects attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,6 +55,9 @@ pub struct ModuleDescriptor {
     pub detects: Option<AttackKind>,
     /// Per-dispatch cost class, for the shed priority order.
     pub weight: ModuleWeight,
+    /// The Fig. 3 features any one of which switches the module on;
+    /// empty for a module knowledge does not switch.
+    pub needs: &'static [Feature],
 }
 
 impl ModuleDescriptor {
@@ -64,6 +68,7 @@ impl ModuleDescriptor {
             kind: ModuleKind::Sensing,
             detects: None,
             weight: ModuleWeight::Light,
+            needs: &[],
         }
     }
 
@@ -74,6 +79,7 @@ impl ModuleDescriptor {
             kind: ModuleKind::Detection,
             detects: Some(attack),
             weight: ModuleWeight::Light,
+            needs: &[],
         }
     }
 
@@ -82,6 +88,28 @@ impl ModuleDescriptor {
     pub fn heavy(mut self) -> Self {
         self.weight = ModuleWeight::Heavy;
         self
+    }
+
+    /// Declare the features that switch the module on: it is required
+    /// wherever any one of them holds ([`Module::required`]).
+    pub fn needs(mut self, features: &'static [Feature]) -> Self {
+        self.needs = features;
+        self
+    }
+
+    /// The distinct knowgget labels that sense the needed features
+    /// ([`Feature::knowgget`]), in declaration order: the module's
+    /// activation inputs, which the Module Manager subscribes it to.
+    pub fn activation_labels(&self) -> impl Iterator<Item = &'static str> {
+        let needs = self.needs;
+        let label = |feature: &Feature| feature.knowgget().map(|(label, _)| label);
+        (needs.iter().enumerate()).filter_map(move |(at, feature)| {
+            let held = label(feature)?;
+            (!needs[..at]
+                .iter()
+                .any(|earlier| label(earlier) == Some(held)))
+            .then_some(held)
+        })
     }
 }
 
@@ -110,15 +138,18 @@ impl ModuleCtx<'_> {
 /// Each module is able, *given a particular instance of the Knowledge
 /// Base*, to determine whether its services are required
 /// ([`Module::required`]) — the hook the Module Manager uses for dynamic
-/// activation.
+/// activation. A module says so once, in Fig. 3's words, by the features
+/// its descriptor [`needs`](ModuleDescriptor::needs): `required`,
+/// the Module Manager's subscriptions, alert provenance and `kalis-lint`
+/// all read that declaration.
 pub trait Module: Send {
     /// Static facts about this module.
     fn descriptor(&self) -> ModuleDescriptor;
 
     /// The module's declarative knowgget contract: every key it reads
-    /// (and whether the read gates activation), every key it writes, and
-    /// the constructor parameters it accepts — the machine-checked form
-    /// of the knowledge links that `kalis-lint` analyzes. The default is
+    /// beyond its activation inputs, every key it writes, and the
+    /// constructor parameters it accepts — the machine-checked form of
+    /// the knowledge links that `kalis-lint` analyzes. The default is
     /// an empty contract, which the lint pass treats as "undeclared" and
     /// stays silent about; built-in modules all declare theirs.
     fn contract(&self) -> KnowggetContract {
@@ -126,10 +157,20 @@ pub trait Module: Send {
     }
 
     /// Whether this module's services are required under the current
-    /// knowledge. Sensing modules usually return `true` unconditionally;
-    /// detection modules gate on features (e.g. Smurf detection requires
-    /// a multi-hop network).
-    fn required(&self, kb: &KnowledgeBase) -> bool;
+    /// knowledge: wherever any feature its descriptor needs holds (e.g.
+    /// Smurf detection requires a multi-hop network), and always when it
+    /// needs none. An embedder's module may decide otherwise, but the
+    /// Module Manager re-evaluates it only when the labels of its needed
+    /// features change (on every change, when it needs none).
+    fn required(&self, kb: &KnowledgeBase) -> bool {
+        let descriptor = self.descriptor();
+        let holds =
+            |label, value| (descriptor.needs.iter()).any(|f| f.knowgget() == Some((label, value)));
+        // One lookup a label, however many needed features it senses.
+        descriptor.needs.is_empty()
+            || (descriptor.activation_labels())
+                .any(|label| kb.get_bool(label).is_some_and(|value| holds(label, value)))
+    }
 
     /// Process one captured packet (only called while active).
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket);

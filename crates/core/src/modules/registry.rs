@@ -286,74 +286,6 @@ mod tests {
         }
     }
 
-    /// A subscription is only as sound as the contract it was compiled
-    /// from: no shipped module's `required()` may answer to a label its
-    /// contract does not declare as an activation input. Exhaustive over
-    /// every label any shipped contract mentions (families by the members
-    /// the sensing modules write), each toggled alone — absent, true,
-    /// false — over the other activation labels all absent and again all
-    /// present.
-    #[test]
-    fn required_answers_only_to_declared_activation_inputs() {
-        use crate::knowledge::KnowledgeBase;
-        use crate::sensing::labels;
-        use std::collections::BTreeSet;
-
-        let reg = ModuleRegistry::with_defaults();
-        let contracts = reg.contracts();
-        let members = [
-            labels::MEDIUM_SEEN_802154,
-            labels::MEDIUM_SEEN_WIFI,
-            labels::MEDIUM_SEEN_ETHERNET,
-            labels::MEDIUM_SEEN_BLE,
-            labels::PROTOCOL_SEEN_CTP,
-            labels::PROTOCOL_SEEN_ZIGBEE,
-            labels::PROTOCOL_SEEN_SIXLOWPAN,
-            labels::PROTOCOL_SEEN_IP,
-            labels::PROTOCOL_SEEN_RPL,
-            "TrafficFrequency.TCPSYN",
-        ];
-        let mentioned: BTreeSet<String> = (contracts.iter())
-            .flat_map(|(_, _, c)| c.reads.iter().chain(&c.writes))
-            .map(|key| key.pattern.root().to_owned())
-            .chain(members.map(str::to_owned))
-            .collect();
-        let activation: BTreeSet<String> = (contracts.iter())
-            .flat_map(|(_, _, c)| c.activation_inputs())
-            .map(|key| key.pattern.root().to_owned())
-            .collect();
-        assert!(activation.contains(labels::MULTIHOP) && mentioned.len() > activation.len());
-        for name in reg.names() {
-            let module = reg.build(&ModuleDef::new(name)).unwrap();
-            let contract = module.contract();
-            for others_present in [false, true] {
-                for label in &mentioned {
-                    let answers: BTreeSet<bool> = [None, Some(true), Some(false)]
-                        .into_iter()
-                        .map(|state| {
-                            let mut kb = KnowledgeBase::new(crate::KalisId::new("K1"));
-                            for other in activation.iter().filter(|_| others_present) {
-                                kb.insert(other.as_str(), true);
-                            }
-                            match state {
-                                Some(held) => drop(kb.insert(label.as_str(), held)),
-                                None => drop(kb.remove(label)),
-                            }
-                            module.required(&kb)
-                        })
-                        .collect();
-                    let declared =
-                        (contract.activation_inputs()).any(|key| key.pattern.matches(label));
-                    assert!(
-                        answers.len() == 1 || declared,
-                        "{name}.required() answers to `{label}`, which its contract does not \
-                         declare as an activation input"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn custom_registration_overrides() {
         let mut reg = ModuleRegistry::with_defaults();

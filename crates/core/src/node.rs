@@ -605,6 +605,8 @@ mod tests {
     use crate::config::Config;
     use crate::knowledge::{KnowKey, SyncMessage};
     use crate::modules::Module;
+    use crate::sensing::labels;
+    use crate::taxonomy::Feature;
     use kalis_packets::{Entity, Medium, ShortAddr};
     use kalis_telemetry::SampleRate;
 
@@ -814,7 +816,8 @@ mod tests {
     /// either way writing `writes = true` on every packet it sees.
     struct Embedded {
         name: &'static str,
-        contract: crate::modules::KnowggetContract,
+        /// The features whose labels re-evaluate `gate`.
+        needs: &'static [Feature],
         gate: Option<fn(&KnowledgeBase) -> bool>,
         writes: Option<&'static str>,
         /// Panic on every packet while set.
@@ -825,7 +828,7 @@ mod tests {
         fn boxed(name: &'static str, gate: Option<fn(&KnowledgeBase) -> bool>) -> Box<Self> {
             Box::new(Embedded {
                 name,
-                contract: crate::modules::KnowggetContract::new(),
+                needs: &[],
                 gate,
                 writes: None,
                 rage: Arc::default(),
@@ -838,12 +841,10 @@ mod tests {
             match self.gate {
                 Some(_) => {
                     crate::modules::ModuleDescriptor::detection(self.name, AttackKind::Anomaly)
+                        .needs(self.needs)
                 }
                 None => crate::modules::ModuleDescriptor::sensing(self.name),
             }
-        }
-        fn contract(&self) -> crate::modules::KnowggetContract {
-            self.contract.clone()
         }
         fn required(&self, kb: &KnowledgeBase) -> bool {
             self.gate.is_none_or(|gate| gate(kb))
@@ -896,10 +897,11 @@ mod tests {
     #[test]
     fn a_module_released_from_quarantine_is_re_evaluated_on_that_dispatch() {
         let rage = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut detector =
-            Embedded::boxed("Fragile", Some(|kb| kb.get_bool("Feature") == Some(true)));
-        detector.contract = crate::modules::KnowggetContract::new()
-            .reads_activation("Feature", crate::modules::ValueType::Bool);
+        let mut detector = Embedded::boxed(
+            "Fragile",
+            Some(|kb| kb.get_bool(labels::MEDIUM_SEEN_WIFI) == Some(true)),
+        );
+        detector.needs = &[Feature::WifiMedium];
         detector.rage = Arc::clone(&rage);
         let supervisor = SupervisorConfig {
             panic_limit: 1,
@@ -911,7 +913,7 @@ mod tests {
             .with_supervisor_config(supervisor)
             .with_module(detector, false)
             .build();
-        kalis.insert_knowledge("Feature", true);
+        kalis.insert_knowledge(labels::MEDIUM_SEEN_WIFI, true);
         // Settle the stream's own knowledge, then crash into quarantine.
         for i in 0..30 {
             kalis.ingest(ctp_packet(i * 100, 0));
@@ -924,11 +926,13 @@ mod tests {
         rage.store(false, std::sync::atomic::Ordering::Relaxed);
         std::panic::set_hook(prev);
         assert_eq!(kalis.quarantined_modules(), vec!["Fragile"]);
-        // Its activation input flips while reconfiguration passes it over.
-        kalis.insert_knowledge("Feature", false);
-        assert!(activation_records(&kalis)
-            .iter()
-            .all(|(_, flip)| !matches!(flip, JournalEvent::ModuleDeactivated { .. })));
+        // Its activation input flips while reconfiguration passes it over
+        // (and switches the library's 802.11 detector off).
+        kalis.insert_knowledge(labels::MEDIUM_SEEN_WIFI, false);
+        assert!(activation_records(&kalis).iter().all(|(_, flip)| !matches!(
+            flip,
+            JournalEvent::ModuleDeactivated { module, .. } if module == "Fragile"
+        )));
         // The dispatch that releases it is the one that switches it off,
         // whatever else that packet did or did not change.
         kalis.ingest(ctp_packet(5_100, 0));
@@ -956,8 +960,7 @@ mod tests {
                     .any(|(_, _, value)| value.as_bool() == Some(true))
             }),
         );
-        detector.contract = crate::modules::KnowggetContract::new()
-            .reads_activation("Multihop", crate::modules::ValueType::Bool);
+        detector.needs = &[Feature::MultiHop];
         let mut k2 = Kalis::builder(KalisId::new("K2"))
             .with_default_modules()
             .with_module(detector, false)

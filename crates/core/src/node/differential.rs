@@ -11,8 +11,9 @@ use proptest::prelude::*;
 
 use super::*;
 use crate::knowledge::{ChangeEvent, Knowgget, SyncMessage};
-use crate::modules::{KeyPattern, KnowggetContract, Module, ModuleDescriptor, ValueType};
+use crate::modules::{Module, ModuleDescriptor};
 use crate::sensing::labels;
+use crate::taxonomy::Feature;
 use kalis_packets::{Entity, MacAddr, Medium, ShortAddr};
 
 /// The reference's trigger text: the batch's first three changed keys
@@ -58,23 +59,30 @@ pub(super) fn reconfigure_on_changes(node: &mut Kalis, now: Timestamp) {
     }
 }
 
-/// A detection module required while some network-level knowledge
-/// holds, with whatever contract the test gives it.
+/// A detection module required wherever one of the features it needs
+/// holds.
 struct Gated {
     name: &'static str,
-    contract: KnowggetContract,
-    required: fn(&KnowledgeBase) -> bool,
+    needs: &'static [Feature],
 }
 
 impl Module for Gated {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection(self.name, AttackKind::Anomaly)
+        ModuleDescriptor::detection(self.name, AttackKind::Anomaly).needs(self.needs)
     }
-    fn contract(&self) -> KnowggetContract {
-        self.contract.clone()
+    fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
+}
+
+/// An embedder's detection module that declares no need, and is
+/// required while a label nothing declares holds.
+struct Wildcard;
+
+impl Module for Wildcard {
+    fn descriptor(&self) -> ModuleDescriptor {
+        ModuleDescriptor::detection("Wildcard", AttackKind::Anomaly)
     }
     fn required(&self, kb: &KnowledgeBase) -> bool {
-        (self.required)(kb)
+        kb.get_bool(UNDECLARED) == Some(true)
     }
     fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
 }
@@ -88,13 +96,7 @@ struct Crashy {
 
 impl Module for Crashy {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection("Crashy", AttackKind::Anomaly)
-    }
-    fn contract(&self) -> KnowggetContract {
-        KnowggetContract::new().reads_activation(labels::MULTIHOP, ValueType::Bool)
-    }
-    fn required(&self, kb: &KnowledgeBase) -> bool {
-        kb.get_bool(labels::MULTIHOP) == Some(true)
+        ModuleDescriptor::detection("Crashy", AttackKind::Anomaly).needs(&[Feature::MultiHop])
     }
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
         self.packets += 1;
@@ -191,20 +193,11 @@ fn packet(kind: u8, at: Timestamp) -> CapturedPacket {
 }
 
 /// One node of the pair: the default library, a pinned module, a
-/// module subscribed to everything, one behind a `Family` activation
-/// input, one that crash-loops on demand — over a Knowledge Base of
+/// module subscribed to everything, one switched by two features of one
+/// label, one that crash-loops on demand — over a Knowledge Base of
 /// three entities at most, so entity writes purge.
 fn node(reference: bool, rage: &Arc<AtomicBool>) -> Kalis {
-    let mut family =
-        KnowggetContract::new().reads_activation(labels::PROTOCOL_SEEN, ValueType::Bool);
-    family.reads[0].pattern = KeyPattern::family(labels::PROTOCOL_SEEN);
-    let gated = |name, contract, required| {
-        Box::new(Gated {
-            name,
-            contract,
-            required,
-        })
-    };
+    let gated = |name, needs| Box::new(Gated { name, needs });
     let mut builder = Kalis::builder(KalisId::new("K1"))
         .with_config(
             "knowggets = { KB.PerEntityBudget = 3 }"
@@ -217,25 +210,10 @@ fn node(reference: bool, rage: &Arc<AtomicBool>) -> Kalis {
             backoff_base: Duration::from_millis(400),
             ..SupervisorConfig::default()
         })
+        .with_module(gated("PinnedGated", &[Feature::Mobile]), true)
+        .with_module(Box::new(Wildcard), false)
         .with_module(
-            gated(
-                "PinnedGated",
-                KnowggetContract::new().reads_activation(labels::MOBILE, ValueType::Bool),
-                |kb| kb.get_bool(labels::MOBILE) == Some(true),
-            ),
-            true,
-        )
-        .with_module(
-            gated("Wildcard", KnowggetContract::new(), |kb| {
-                kb.get_bool(UNDECLARED) == Some(true)
-            }),
-            false,
-        )
-        .with_module(
-            gated("FamilyGated", family, |kb| {
-                let seen = kb.sublabels(labels::PROTOCOL_SEEN);
-                seen.iter().any(|(_, value)| value.as_bool() == Some(true))
-            }),
+            gated("MobilityKnown", &[Feature::Mobile, Feature::Static]),
             false,
         )
         .with_module(

@@ -288,7 +288,6 @@ mod tests {
     use kalis_packets::CapturedPacket;
 
     use super::*;
-    use crate::knowledge::KnowledgeBase;
     use crate::modules::{Module, ModuleCtx, ModuleDescriptor};
     use crate::KalisId;
 
@@ -298,9 +297,6 @@ mod tests {
     impl Module for Evicting {
         fn descriptor(&self) -> ModuleDescriptor {
             ModuleDescriptor::sensing("TwinModule")
-        }
-        fn required(&self, _kb: &KnowledgeBase) -> bool {
-            true
         }
         fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
         fn evictions(&self) -> u64 {

@@ -27,23 +27,24 @@ impl Kalis {
     }
 
     /// Build the evidence chain for `alerts()[index]` from the raising
-    /// module's declared contract, resolved against the Knowledge Base
-    /// at emission time.
+    /// module's declared activation inputs and contract, resolved against
+    /// the Knowledge Base at emission time.
     pub(super) fn assemble_provenance(&self, index: usize, time_us: u64) -> AlertProvenance {
         let alert = &self.alerts[index];
-        let contract = self.manager.contract_of(&alert.module).unwrap_or_default();
         let mut activation = Vec::new();
-        for input in contract.activation_inputs() {
-            let label = input.pattern.root();
-            let value = self
-                .kb
-                .get(label)
-                .map_or_else(|| "unset".to_owned(), |v| v.to_string());
-            activation.push(format!("{label} = {value}"));
-        }
         let mut evidence = Vec::new();
-        for read in &contract.reads {
-            self.resolve_evidence(read, &mut evidence);
+        if let Some((descriptor, contract)) = self.manager.declaration_of(&alert.module) {
+            for label in descriptor.activation_labels() {
+                let value = self
+                    .kb
+                    .get(label)
+                    .map_or_else(|| "unset".to_owned(), |v| v.to_string());
+                activation.push(format!("{label} = {value}"));
+                self.local_evidence(label, &mut evidence);
+            }
+            for read in &contract.reads {
+                self.resolve_evidence(read, &mut evidence);
+            }
         }
         let packet = self.current_packet_seq.map(|seq| PacketRef {
             seq,
@@ -102,12 +103,15 @@ impl Kalis {
                     out.push(self.evidence_entry(key, &value, false));
                 }
             }
-            KeyPattern::Exact(label) => {
-                if let Some(value) = self.kb.get(label) {
-                    let key = KnowKey::new(self.id.clone(), label.clone());
-                    out.push(self.evidence_entry(key, &value, false));
-                }
-            }
+            KeyPattern::Exact(label) => self.local_evidence(label, out),
+        }
+    }
+
+    /// The local knowgget labelled `label`, if any.
+    fn local_evidence(&self, label: &str, out: &mut Vec<EvidenceKnowgget>) {
+        if let Some(value) = self.kb.get(label) {
+            let key = KnowKey::new(self.id.clone(), label);
+            out.push(self.evidence_entry(key, &value, false));
         }
     }
 

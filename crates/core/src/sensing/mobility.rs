@@ -10,7 +10,7 @@ use kalis_packets::{CapturedPacket, Entity, Timestamp};
 use crate::bounded::{
     budget_params, BoundedMap, Touched, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET,
 };
-use crate::knowledge::{KnowValue, KnowledgeBase};
+use crate::knowledge::KnowValue;
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
 use crate::sensing::labels;
 
@@ -79,10 +79,6 @@ impl Module for MobilityAwarenessModule {
             .writes(labels::MOBILE, ValueType::Bool)
             .accepts_param(ParamSpec::number("thresholdDb", 0.5))
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, _kb: &KnowledgeBase) -> bool {
-        true
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -165,6 +161,7 @@ mod tests {
     use super::*;
     use crate::alert::Alert;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use kalis_packets::{Medium, ShortAddr};
 
     fn zigbee_from(addr: u16, rssi: f64, ms: u64) -> CapturedPacket {

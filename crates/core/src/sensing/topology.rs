@@ -12,7 +12,7 @@ use kalis_packets::{CapturedPacket, Entity};
 use crate::bounded::{
     budget_params, BoundedMap, Touched, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET,
 };
-use crate::knowledge::{KnowValue, KnowledgeBase};
+use crate::knowledge::KnowValue;
 use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
 use crate::sensing::labels;
 
@@ -109,10 +109,6 @@ impl Module for TopologyDiscoveryModule {
             .writes_family(labels::MEDIUM_SEEN, ValueType::Bool)
             .writes_family(labels::PROTOCOL_SEEN, ValueType::Bool)
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
-    }
-
-    fn required(&self, _kb: &KnowledgeBase) -> bool {
-        true
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
@@ -241,6 +237,7 @@ mod tests {
     use super::*;
     use crate::alert::Alert;
     use crate::id::KalisId;
+    use crate::knowledge::KnowledgeBase;
     use bytes::Bytes;
     use kalis_packets::{Medium, ShortAddr, Timestamp};
 

@@ -407,10 +407,6 @@ impl Module for TrafficStatsModule {
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
     }
 
-    fn required(&self, _kb: &KnowledgeBase) -> bool {
-        true
-    }
-
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
         let class = packet.traffic_class();
         let dst = packet.decoded().and_then(|p| p.net_dst());

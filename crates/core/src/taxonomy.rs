@@ -1,8 +1,13 @@
 //! The paper's two taxonomies (§III-B): attack patterns by source/target
-//! (Table I) and the feature/attack relationship matrix (Fig. 3) that the
-//! knowledge-driven activation conditions are derived from.
+//! (Table I) and the feature/attack relationship matrix (Fig. 3).
+//!
+//! Fig. 3's features are also the vocabulary of knowledge-driven
+//! activation: each detection module names the features that switch it
+//! on ([`crate::modules::ModuleDescriptor::needs`]), and
+//! [`Feature::knowgget`] says which knowgget senses each one.
 
 use crate::alert::AttackKind;
+use crate::sensing::labels;
 
 /// An actor in the taxonomy by target (Table I's rows and columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,6 +99,27 @@ pub enum Feature {
     /// Link/network-layer cryptography is deployed (a *prevention
     /// technique* counted as a feature, per the paper).
     CryptoDeployed,
+    /// 6LoWPAN adaptation is in use.
+    SixLowpan,
+}
+
+impl Feature {
+    /// The knowgget that senses this feature, as `(label, value)`: the
+    /// feature holds where the Knowledge Base has `label = value`.
+    /// `None` for the features no module senses.
+    pub fn knowgget(self) -> Option<(&'static str, bool)> {
+        match self {
+            Feature::MultiHop => Some((labels::MULTIHOP, true)),
+            Feature::SingleHop => Some((labels::MULTIHOP, false)),
+            Feature::Mobile => Some((labels::MOBILE, true)),
+            Feature::Static => Some((labels::MOBILE, false)),
+            Feature::IpConnectivity => Some((labels::PROTOCOL_SEEN_IP, true)),
+            Feature::WifiMedium => Some((labels::MEDIUM_SEEN_WIFI, true)),
+            Feature::Ieee802154Medium => Some((labels::MEDIUM_SEEN_802154, true)),
+            Feature::SixLowpan => Some((labels::PROTOCOL_SEEN_SIXLOWPAN, true)),
+            Feature::ConstrainedDevices | Feature::CryptoDeployed => None,
+        }
+    }
 }
 
 /// A cell of the Fig. 3 matrix.
@@ -140,22 +166,7 @@ pub fn relation(feature: Feature, attack: AttackKind) -> Relation {
 /// Every attack possible under *all* of `features` (the set an IDS should
 /// load detection modules for).
 pub fn possible_attacks(features: &[Feature]) -> Vec<AttackKind> {
-    const ALL: [AttackKind; 13] = [
-        AttackKind::IcmpFlood,
-        AttackKind::Smurf,
-        AttackKind::SynFlood,
-        AttackKind::UdpFlood,
-        AttackKind::SelectiveForwarding,
-        AttackKind::Blackhole,
-        AttackKind::Sinkhole,
-        AttackKind::Sybil,
-        AttackKind::Replication,
-        AttackKind::Wormhole,
-        AttackKind::Deauth,
-        AttackKind::Scan,
-        AttackKind::Anomaly,
-    ];
-    ALL.into_iter()
+    (AttackKind::all().iter().copied())
         .filter(|attack| {
             features
                 .iter()
@@ -247,6 +258,7 @@ mod tests {
     #[test]
     fn possible_attacks_shrink_with_knowledge() {
         let unknown = possible_attacks(&[]);
+        assert_eq!(unknown, AttackKind::all(), "nothing is ruled out unsensed");
         let single_hop = possible_attacks(&[Feature::SingleHop]);
         let single_hop_crypto = possible_attacks(&[Feature::SingleHop, Feature::CryptoDeployed]);
         assert!(single_hop.len() < unknown.len());

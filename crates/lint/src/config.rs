@@ -10,6 +10,7 @@ use kalis_core::modules::{KnowggetContract, ModuleRegistry};
 
 use crate::diagnostics::{Code, Diagnostic, Severity};
 use crate::distance::closest;
+use crate::graph::{GraphNode, NodeKind};
 use crate::system::{overlaps, suggestion_candidates, SystemModel};
 
 /// Run every `KL1xx` check over one configuration file's text.
@@ -44,7 +45,7 @@ pub fn lint_config(file: &str, text: &str, registry: &ModuleRegistry) -> Vec<Dia
         check_knowgget(file, entry, &model, &mut diags);
     }
 
-    check_scope_satisfaction(file, &config, registry, &mut diags);
+    check_scope_satisfaction(file, &config, &model, &mut diags);
     diags
 }
 
@@ -139,11 +140,8 @@ fn check_knowgget(
         .filter(|(_, k)| k.pattern.matches(label))
         .collect();
     if mentioned.is_empty() {
-        let patterns: Vec<_> = model
-            .contracts
-            .iter()
-            .flat_map(|(_, c)| c.reads.iter().chain(c.writes.iter()))
-            .map(|k| &k.pattern)
+        let patterns: Vec<_> = (model.reads().chain(model.writes()))
+            .map(|(_, k)| &k.pattern)
             .collect();
         let candidates = suggestion_candidates(label, patterns.into_iter());
         let diag = Diagnostic::at(
@@ -206,24 +204,25 @@ fn check_knowgget(
 fn check_scope_satisfaction(
     file: &str,
     config: &SpannedConfig,
-    registry: &ModuleRegistry,
+    model: &SystemModel,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let contracts: Vec<(&SpannedModule, KnowggetContract)> = config
-        .modules
-        .iter()
-        .filter_map(|m| registry.contract(&m.name).map(|c| (m, c)))
+    let configured = |module: &SpannedModule| {
+        (model.nodes.iter()).find(|n| n.kind != NodeKind::System && n.name == module.name)
+    };
+    let nodes: Vec<(&SpannedModule, &GraphNode)> = (config.modules.iter())
+        .filter_map(|m| configured(m).map(|n| (m, n)))
         .collect();
     let system = kalis_core::system_contract();
-    let scope_writes: Vec<_> = contracts
+    let scope_writes: Vec<_> = nodes
         .iter()
-        .flat_map(|(_, c)| c.writes.iter())
+        .flat_map(|(_, n)| n.contract.writes.iter())
         .chain(system.writes.iter())
         .collect();
     let apriori: Vec<&str> = config.knowggets.iter().map(|e| label_of(&e.key)).collect();
 
-    for (module, contract) in &contracts {
-        for read in &contract.reads {
+    for (module, node) in &nodes {
+        for read in &node.contract.reads {
             let satisfied = scope_writes
                 .iter()
                 .any(|w| overlaps(&w.pattern, &read.pattern))
@@ -231,7 +230,7 @@ fn check_scope_satisfaction(
             if satisfied {
                 continue;
             }
-            if read.activation {
+            if node.activates(read) {
                 diags.push(Diagnostic::at(
                     Code::UnsatisfiedRead,
                     file,

@@ -18,15 +18,17 @@
 //!
 //! A fourth view is the read set of the node's *own* subscriber: the
 //! `activation` edges, label → the detection modules whose activation
-//! reads it. The Module Manager compiles its runtime subscription table
-//! from the same contracts; a test below holds the two equal.
+//! reads it. Both the Module Manager's runtime subscription table and
+//! this view come from the features each module's descriptor needs; a
+//! test below holds the two equal.
 
 use std::collections::BTreeMap;
 
-use kalis_core::modules::{KnowggetContract, ModuleKind, ModuleRegistry};
+use kalis_core::modules::{KnowggetContract, ModuleRegistry};
 use kalis_core::AttackKind;
 use kalis_telemetry::json::quote;
 
+use crate::graph::{GraphNode, NodeKind};
 use crate::system::overlaps;
 
 /// Why a key is in a module's sync read set.
@@ -123,10 +125,10 @@ impl ReadSets {
     /// contracts. Deterministic: registries iterate in name order and
     /// every collection here is sorted.
     pub fn from_registry(registry: &ModuleRegistry) -> Self {
-        let contracts = registry.contracts();
-        let collective: Vec<&kalis_core::modules::KeyUse> = contracts
-            .iter()
-            .flat_map(|(_, _, c)| c.writes.iter().filter(|w| w.collective))
+        let nodes = GraphNode::from_registry(registry);
+        let modules_only = || nodes.iter().filter(|n| n.kind != NodeKind::System);
+        let collective: Vec<&kalis_core::modules::KeyUse> = modules_only()
+            .flat_map(|n| n.contract.writes.iter().filter(|w| w.collective))
             .collect();
 
         let mut modules = BTreeMap::new();
@@ -134,21 +136,24 @@ impl ReadSets {
         let mut knowledge: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
         let mut union: Vec<String> = Vec::new();
         let mut activation: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for (name, descriptor, contract) in &contracts {
-            if descriptor.kind == ModuleKind::Detection {
-                let mut inputs: Vec<String> = (contract.activation_inputs())
-                    .map(|input| input.pattern.to_string())
-                    .collect();
-                if inputs.is_empty() {
-                    inputs.push("*".to_owned());
-                }
+        for node in modules_only() {
+            let (name, contract) = (&node.name, &node.contract);
+            if node.kind == NodeKind::Detection {
+                let inputs = if node.activation.is_empty() {
+                    &["*"][..]
+                } else {
+                    &node.activation[..]
+                };
                 for input in inputs {
-                    activation.entry(input).or_default().push(name.clone());
+                    activation
+                        .entry(input.to_string())
+                        .or_default()
+                        .push(name.clone());
                 }
             }
             let entries = contract_read_set(contract, &collective);
             union.extend(entries.iter().map(|e| e.key.clone()));
-            if let Some(attack) = descriptor.detects {
+            if let Some(attack) = node.detects {
                 let keys = families.entry(attack.label()).or_default();
                 keys.extend(entries.iter().map(|e| e.key.clone()));
                 let deps = knowledge.entry(attack.label()).or_default();

@@ -5,10 +5,11 @@
 //! on value types, nothing is written into the void, and every module has
 //! at least one satisfiable path to activation.
 
-use kalis_core::modules::{KeyPattern, KeyUse, KnowggetContract, ModuleRegistry};
+use kalis_core::modules::{KeyPattern, KeyUse, ModuleRegistry};
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::distance::closest;
+use crate::graph::GraphNode;
 
 /// Display name for the node-level contract (supervisor/sync knobs and
 /// the degraded-mode flag) in diagnostics.
@@ -17,36 +18,29 @@ pub const SYSTEM_OWNER: &str = "kalis-node";
 /// The flattened system view: every contract edge with its owner.
 #[derive(Debug, Clone)]
 pub struct SystemModel {
-    /// `(module name, contract)` for every registered module, plus the
-    /// node-level contract under [`SYSTEM_OWNER`].
-    pub contracts: Vec<(String, KnowggetContract)>,
+    /// Every registered module, plus the node-level contract under
+    /// [`SYSTEM_OWNER`].
+    pub nodes: Vec<GraphNode>,
 }
 
 impl SystemModel {
     /// Build the model from a registry, appending the node-level
     /// contract from [`kalis_core::system_contract`].
     pub fn from_registry(registry: &ModuleRegistry) -> Self {
-        let mut contracts: Vec<(String, KnowggetContract)> = registry
-            .contracts()
-            .into_iter()
-            .map(|(name, _descriptor, contract)| (name, contract))
-            .collect();
-        contracts.push((SYSTEM_OWNER.to_owned(), kalis_core::system_contract()));
-        SystemModel { contracts }
+        SystemModel {
+            nodes: GraphNode::from_registry(registry),
+        }
     }
 
     /// Every write edge, with its owner's name.
     pub fn writes(&self) -> impl Iterator<Item = (&str, &KeyUse)> {
-        self.contracts
-            .iter()
-            .flat_map(|(name, c)| c.writes.iter().map(move |w| (name.as_str(), w)))
+        (self.nodes.iter())
+            .flat_map(|n| n.contract.writes.iter().map(move |w| (n.name.as_str(), w)))
     }
 
     /// Every read edge, with its owner's name.
     pub fn reads(&self) -> impl Iterator<Item = (&str, &KeyUse)> {
-        self.contracts
-            .iter()
-            .flat_map(|(name, c)| c.reads.iter().map(move |r| (name.as_str(), r)))
+        (self.nodes.iter()).flat_map(|n| n.contract.reads.iter().map(move |r| (n.name.as_str(), r)))
     }
 
     /// The writers whose pattern overlaps `read`'s.
@@ -98,9 +92,10 @@ pub fn lint_system(registry: &ModuleRegistry) -> Vec<Diagnostic> {
     // compatible type. The node-level contract's reads are exempt from
     // the producer requirement — they are operator knobs sourced from
     // a-priori configuration, not from other modules.
-    for (owner, contract) in &model.contracts {
+    for node in &model.nodes {
+        let owner = &node.name;
         if owner != SYSTEM_OWNER {
-            for read in &contract.reads {
+            for read in &node.contract.reads {
                 let producers = model.producers_of(&read.pattern);
                 if producers.is_empty() {
                     diags.push(orphan_read(&model, owner, read));
@@ -122,11 +117,9 @@ pub fn lint_system(registry: &ModuleRegistry) -> Vec<Diagnostic> {
 
         // KL006: a module whose every activation input is producer-less
         // can never be switched on by the Module Manager.
-        let mut activation = contract.activation_inputs().peekable();
-        if activation.peek().is_some()
-            && contract
-                .activation_inputs()
-                .all(|read| model.producers_of(&read.pattern).is_empty())
+        if !node.activation.is_empty()
+            && (node.activation.iter())
+                .all(|label| model.producers_of(&KeyPattern::exact(*label)).is_empty())
         {
             diags.push(Diagnostic::system(
                 Code::NeverActivatable,
@@ -201,8 +194,9 @@ fn orphan_read(model: &SystemModel, owner: &str, read: &KeyUse) -> Diagnostic {
 mod tests {
     use super::*;
     use kalis_core::config::ModuleDef;
-    use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, ValueType};
-    use kalis_core::KnowledgeBase;
+    use kalis_core::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ValueType};
+    use kalis_core::taxonomy::Feature;
+    use kalis_core::AttackKind;
     use kalis_packets::CapturedPacket;
 
     /// The shipped library must lint clean — that is the whole point of
@@ -227,9 +221,6 @@ mod tests {
         }
         fn contract(&self) -> KnowggetContract {
             self.contract.clone()
-        }
-        fn required(&self, _kb: &KnowledgeBase) -> bool {
-            false
         }
         fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
     }
@@ -259,8 +250,7 @@ mod tests {
     #[test]
     fn near_miss_read_is_kl003_with_suggestion() {
         // `Mutlihop` is two edits from the topology module's `Multihop`.
-        let reg =
-            registry_with(KnowggetContract::new().reads_activation("Mutlihop", ValueType::Bool));
+        let reg = registry_with(KnowggetContract::new().reads("Mutlihop", ValueType::Bool));
         let diags = lint_system(&reg);
         assert!(codes(&diags).contains(&"KL003"), "got {:?}", diags);
         let kl003 = diags.iter().find(|d| d.code == Code::NearMissKey).unwrap();
@@ -315,9 +305,17 @@ mod tests {
 
     #[test]
     fn never_activatable_is_kl006() {
-        let reg = registry_with(
-            KnowggetContract::new().reads_activation("TotallyAbsentKey", ValueType::Bool),
-        );
+        // A library with no sensing module: nothing produces `Multihop`.
+        struct Stranded;
+        impl Module for Stranded {
+            fn descriptor(&self) -> ModuleDescriptor {
+                ModuleDescriptor::detection("Stranded", AttackKind::Anomaly)
+                    .needs(&[Feature::MultiHop])
+            }
+            fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
+        }
+        let mut reg = ModuleRegistry::new();
+        reg.register("Stranded", |_| Box::new(Stranded));
         let diags = lint_system(&reg);
         assert!(codes(&diags).contains(&"KL001"));
         assert!(codes(&diags).contains(&"KL006"), "got {:?}", diags);

@@ -11,7 +11,6 @@ use std::time::Duration;
 use kalis_bench::experiments::spray_trace;
 use kalis_core::alert::AttackKind;
 use kalis_core::config::Config;
-use kalis_core::knowledge::KnowledgeBase;
 use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, SupervisorConfig};
 use kalis_core::{Kalis, KalisId, OpsConfig};
 use kalis_packets::{CapturedPacket, MacAddr, Medium, Timestamp};
@@ -74,10 +73,6 @@ struct CrashyModule;
 impl Module for CrashyModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection(CRASHY, AttackKind::Sybil)
-    }
-
-    fn required(&self, _kb: &KnowledgeBase) -> bool {
-        true
     }
 
     fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {

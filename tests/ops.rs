@@ -13,7 +13,7 @@ use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 
 use kalis_core::alert::AttackKind;
 use kalis_core::config::Config;
-use kalis_core::knowledge::{KnowledgeBase, PeerBeacon};
+use kalis_core::knowledge::PeerBeacon;
 use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, ShedMode, SupervisorConfig};
 use kalis_core::{Kalis, KalisId, OpsConfig};
 use kalis_packets::{CapturedPacket, MacAddr, Medium, Timestamp};
@@ -79,10 +79,6 @@ struct CrashyModule;
 impl Module for CrashyModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection(CRASHY, AttackKind::Sybil)
-    }
-
-    fn required(&self, _kb: &KnowledgeBase) -> bool {
-        true
     }
 
     fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
