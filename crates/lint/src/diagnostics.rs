@@ -64,7 +64,7 @@ pub enum Code {
     /// Writer and reader of a shared per-entity key declare
     /// inconsistent `entity_budget`s (or one side declares none).
     EntityBudgetMismatch,
-    /// A detection module whose contract declares no activation input:
+    /// A detection module whose descriptor declares no needed feature:
     /// the Module Manager cannot tell which knowledge its `required()`
     /// reads, so it re-evaluates the module on every knowledge change.
     WildcardSubscriber,
