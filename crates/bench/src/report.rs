@@ -157,10 +157,14 @@ pub fn render_telemetry(snapshot: &TelemetrySnapshot) -> String {
             h.quantile(0.99),
         ));
     }
-    let mut dispatch: Vec<_> = snapshot.histograms_in(names::DISPATCH_PACKET).collect();
-    // Hottest module first.
+    let mut dispatch: Vec<_> = snapshot
+        .histograms_in(names::DISPATCH_PACKET)
+        .filter(|(_, h)| h.count > 0)
+        .collect();
+    // Hottest module first; every sampled module, so that which rows
+    // show does not hang on wall-clock sums.
     dispatch.sort_by_key(|(_, h)| std::cmp::Reverse(h.sum));
-    for (name, h) in dispatch.iter().take(8) {
+    for (name, h) in &dispatch {
         out.push_str(&format!(
             "{name}: n={} p50={}ns p95={}ns p99={}ns\n",
             h.count,
