@@ -12,13 +12,7 @@ fn bench_fig8(c: &mut Criterion) {
         let scenario = Scenario::build(*kind, 42, 5);
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
-                let outcome = match &scenario.captures_b {
-                    Some(captures_b) => {
-                        let (a, _) = runner::run_kalis_pair(&scenario.captures, captures_b);
-                        a
-                    }
-                    None => runner::run_kalis(&scenario.captures),
-                };
+                let outcome = runner::run_kalis(&scenario.vantages());
                 black_box(outcome.detections.len())
             });
         });

@@ -9,14 +9,14 @@ use criterion::{
 use kalis_baselines::snort::SnortIds;
 use kalis_baselines::traditional::{self, ReplicationChoice};
 use kalis_bench::experiments::spray_trace;
-use kalis_bench::runner::{exchange, run_kalis_pair_nodes};
+use kalis_bench::runner::{exchange, run_nodes};
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
 use kalis_core::knowledge::XorChannel;
 use kalis_core::{AttackKind, Kalis, KalisId};
 use kalis_netsim::stress::burst_trace;
 use kalis_netsim::trace::merge_traces;
 use kalis_packets::{CapturedPacket, Timestamp};
-use kalis_telemetry::{FlightRecorder, SampleRate, DEFAULT_RING_DEPTH, TRIGGER_MASK_ALL};
+use kalis_telemetry::{FlightRecorder, DEFAULT_RING_DEPTH, TRIGGER_MASK_ALL};
 use std::time::Duration;
 
 /// Untimed packets fed before `flood_at_cap` starts timing: past
@@ -149,9 +149,12 @@ fn bench_pipeline(c: &mut Criterion) {
     // the vantage whose wormhole verdict stands, both nodes warmed by
     // the whole scenario and nothing arriving since — the idle gateway,
     // where the tick is the whole load.
-    let second = wormhole.captures_b.as_deref().expect("two vantages");
-    let (k1, k2) = run_kalis_pair_nodes(ctp, second, SampleRate::off());
-    let mut pair = [k1, k2];
+    let mut pair = ["K1", "K2"].map(|id| {
+        Kalis::builder(KalisId::new(id))
+            .with_default_modules()
+            .build()
+    });
+    run_nodes(&mut pair, &wormhole.vantages());
     let confirmed = (pair.iter())
         .position(|node| (node.alerts().iter()).any(|alert| alert.attack == AttackKind::Wormhole))
         .expect("a vantage confirmed the wormhole");

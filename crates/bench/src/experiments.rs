@@ -2,10 +2,11 @@
 
 use kalis_core::metrics::ResourceMeter;
 use kalis_core::{AttackKind, Kalis, KalisId};
+use kalis_netsim::fault::FaultStats;
 use kalis_packets::Timestamp;
-use kalis_telemetry::TelemetrySnapshot;
+use kalis_telemetry::{JournalEvent, TelemetrySnapshot};
 
-use crate::runner::{self, Detection, RunOutcome};
+use crate::runner::{self, RunOutcome};
 use crate::scenarios::{Scenario, ScenarioKind};
 use crate::scoring::{self, CountermeasureScore, Score};
 
@@ -68,26 +69,9 @@ pub fn run_scenario_all_systems(kind: ScenarioKind, seed: u64, symptoms: u32) ->
     let scenario = Scenario::build(kind, seed, symptoms);
     let mut systems = Vec::new();
 
-    // Kalis: collaborative pair for the wormhole scenario, single node
-    // otherwise.
-    let kalis_outcome = match &scenario.captures_b {
-        Some(captures_b) => {
-            let (a, b) = runner::run_kalis_pair(&scenario.captures, captures_b);
-            let mut detections = a.detections;
-            detections.extend(b.detections);
-            let mut meter = a.meter;
-            meter.merge(&b.meter);
-            let mut revocations = a.revocations;
-            revocations.extend(b.revocations);
-            RunOutcome {
-                detections,
-                meter,
-                revocations,
-                telemetry: a.telemetry,
-            }
-        }
-        None => runner::run_kalis(&scenario.captures),
-    };
+    // Kalis: one node per capture tap, so the wormhole scenario's two
+    // taps run the collaborating pair.
+    let kalis_outcome = runner::run_kalis(&scenario.vantages());
     systems.push(evaluate(&scenario, kalis_outcome, "Kalis", true));
 
     // Traditional IDS: single vantage point, all modules always on.
@@ -268,11 +252,12 @@ pub struct ReactivityResult {
 pub fn run_reactivity(seed: u64, symptoms: u32) -> ReactivityResult {
     let scenario = Scenario::build(ScenarioKind::SelectiveForwarding, seed, symptoms);
     // Empty config: library loaded but nothing pinned, no knowledge.
-    let mut kalis = Kalis::builder(KalisId::new("K1"))
+    let mut kalis = [Kalis::builder(KalisId::new("K1"))
         .with_config(kalis_core::config::Config::empty())
         .with_default_modules()
-        .build();
-    let outcome = runner::run_kalis_instance(&mut kalis, &scenario.captures);
+        .build()];
+    runner::run_nodes(&mut kalis, &[&scenario.captures]);
+    let outcome = runner::outcome(&mut kalis);
     let score = scoring::score(&scenario.truth, &outcome.detections);
     let first_symptom = scenario
         .truth
@@ -289,7 +274,7 @@ pub fn run_reactivity(seed: u64, symptoms: u32) -> ReactivityResult {
         first_symptom,
         first_detection,
         detection_rate: score.detection_rate(),
-        final_active_modules: kalis.active_modules(),
+        final_active_modules: kalis[0].active_modules(),
     }
 }
 
@@ -311,7 +296,9 @@ pub use exhaustion::{
     MAX_STRUCTURES_PER_MODULE,
 };
 
-pub use resilience::{run_sync_chaos, run_sync_resilience, SyncChaosSpec, SyncResilienceResult};
+pub use resilience::{
+    run_sync_chaos, run_sync_resilience, SyncChaosRun, SyncChaosSpec, SyncResilienceResult,
+};
 
 pub use supervisor::{
     run_burst_shedding, run_supervisor_chaos, BurstSheddingResult, SupervisorChaosResult,
@@ -434,16 +421,18 @@ mod supervisor {
             stress::poison_train(start + Duration::from_secs(4), 10, Duration::from_secs(2));
         let merged = merge_traces(vec![scenario.captures.clone(), poison]);
 
-        let mut control = Kalis::builder(KalisId::new("K-ctl"))
+        let mut control = [Kalis::builder(KalisId::new("K-ctl"))
             .with_default_modules()
-            .build();
-        let control_outcome = runner::run_kalis_instance(&mut control, &merged);
+            .build()];
+        runner::run_nodes(&mut control, &[&merged]);
+        let control_outcome = runner::outcome(&mut control);
 
-        let mut faulted = Kalis::builder(KalisId::new("K-chaos"))
+        let mut faulted = [Kalis::builder(KalisId::new("K-chaos"))
             .with_default_modules()
             .with_module(Box::new(PoisonModule { processed: 0 }), false)
-            .build();
-        let faulted_outcome = runner::run_kalis_instance(&mut faulted, &merged);
+            .build()];
+        runner::run_nodes(&mut faulted, &[&merged]);
+        let faulted_outcome = runner::outcome(&mut faulted);
 
         let snapshot = faulted_outcome.telemetry.expect("telemetry enabled");
         let count = |pred: fn(&JournalEvent) -> bool| {
@@ -462,7 +451,7 @@ mod supervisor {
             panics: count(|e| matches!(e, JournalEvent::ModulePanicked { .. })),
             quarantines: count(|e| matches!(e, JournalEvent::ModuleQuarantined { .. })),
             probations: count(|e| matches!(e, JournalEvent::ModuleProbation { .. })),
-            quarantined_at_end: faulted
+            quarantined_at_end: faulted[0]
                 .quarantined_modules()
                 .iter()
                 .map(|n| (*n).to_owned())
@@ -527,8 +516,9 @@ mod supervisor {
             .map(|c| c.timestamp)
             .unwrap_or(Timestamp::ZERO);
 
-        let mut baseline = burst_node("K-base", CAPACITY_PPS);
-        let baseline_outcome = runner::run_kalis_instance(&mut baseline, &scenario.captures);
+        let mut baseline = [burst_node("K-base", CAPACITY_PPS)];
+        runner::run_nodes(&mut baseline, &[&scenario.captures]);
+        let baseline_outcome = runner::outcome(&mut baseline);
 
         let burst = stress::burst_trace(
             seed,
@@ -537,8 +527,9 @@ mod supervisor {
             Duration::from_secs(5),
         );
         let merged = merge_traces(vec![scenario.captures.clone(), burst]);
-        let mut node = burst_node("K-burst", CAPACITY_PPS);
-        let burst_outcome = runner::run_kalis_instance(&mut node, &merged);
+        let mut node = [burst_node("K-burst", CAPACITY_PPS)];
+        runner::run_nodes(&mut node, &[&merged]);
+        let burst_outcome = runner::outcome(&mut node);
 
         let snapshot = burst_outcome.telemetry.expect("telemetry enabled");
         let engaged = snapshot
@@ -564,7 +555,7 @@ mod supervisor {
                 .detection_rate(),
             burst_detection_rate: scoring::score(&scenario.truth, &burst_outcome.detections)
                 .detection_rate(),
-            final_mode: node.shed_mode(),
+            final_mode: node[0].shed_mode(),
             journal: snapshot.journal,
         }
     }
@@ -697,20 +688,22 @@ mod exhaustion {
     pub fn run_state_exhaustion(seed: u64, identities_per_burst: u32) -> StateExhaustionResult {
         let scenario = Scenario::build(ScenarioKind::IcmpFlood, seed, SYMPTOMS);
 
-        let mut baseline = Kalis::builder(KalisId::new("K-base"))
+        let mut baseline = [Kalis::builder(KalisId::new("K-base"))
             .with_default_modules()
-            .build();
-        let baseline_outcome = runner::run_kalis_instance(&mut baseline, &scenario.captures);
+            .build()];
+        runner::run_nodes(&mut baseline, &[&scenario.captures]);
+        let baseline_outcome = runner::outcome(&mut baseline);
 
         let spray = spray_trace(seed, identities_per_burst, SPRAY_BURSTS);
         let spray_packets = spray.len();
         let merged = merge_traces(vec![scenario.captures.clone(), spray]);
-        let mut node = Kalis::builder(KalisId::new("K-spray"))
+        let mut node = [Kalis::builder(KalisId::new("K-spray"))
             .with_default_modules()
-            .build();
-        let sprayed_outcome = runner::run_kalis_instance(&mut node, &merged);
+            .build()];
+        runner::run_nodes(&mut node, &[&merged]);
+        let sprayed_outcome = runner::outcome(&mut node);
 
-        let modules: Vec<ModuleStateRow> = node
+        let modules: Vec<ModuleStateRow> = node[0]
             .module_state()
             .iter()
             .filter(|p| p.state_budget > 0)
@@ -736,9 +729,9 @@ mod exhaustion {
             sprayed_detection_rate: scoring::score(&scenario.truth, &sprayed_outcome.detections)
                 .detection_rate(),
             modules,
-            kb_budget: node.knowledge().entity_budget(),
-            kb_occupancy: node.knowledge().entity_occupancy(),
-            kb_evictions: node.knowledge().entity_evictions(),
+            kb_budget: node[0].knowledge().entity_budget(),
+            kb_occupancy: node[0].knowledge().entity_occupancy(),
+            kb_evictions: node[0].knowledge().entity_evictions(),
             eviction_journal_events,
             baseline_peak_state_bytes: baseline_outcome.meter.peak_state_bytes,
             sprayed_peak_state_bytes: sprayed_outcome.meter.peak_state_bytes,
@@ -785,11 +778,13 @@ mod resilience {
 
     use kalis_core::config::Config;
     use kalis_core::knowledge::PeerBeacon;
-    use kalis_core::{AttackKind, Kalis, KalisId};
+    use kalis_core::{Alert, AttackKind, Kalis, KalisId};
     use kalis_netsim::fault::{FaultPlan, FaultStats, FaultWindow, LinkFaults};
     use kalis_netsim::wire::Wire;
     use kalis_packets::{CapturedPacket, Medium, ShortAddr, Timestamp};
     use kalis_telemetry::{names, AlertProvenance, JournalEvent, JournalSnapshot};
+
+    use super::record_faults;
 
     /// Virtual-time step of the harness loop.
     const STEP: Duration = Duration::from_millis(250);
@@ -835,19 +830,27 @@ mod resilience {
         pub converged_at: Option<Timestamp>,
         /// Aggregate fault-injection counters for the whole run.
         pub fault_stats: FaultStats,
+    }
+
+    /// One finished sync-chaos run: both nodes, alerts undrained, plus
+    /// what only the harness saw.
+    pub struct SyncChaosRun {
+        /// K1 and K2, wire endpoints 0 and 1.
+        pub nodes: [Kalis; 2],
+        /// First virtual instant at which both nodes held each other's
+        /// collective knowledge (checked at 1-second granularity), if
+        /// convergence was ever observed.
+        pub converged_at: Option<Timestamp>,
+        /// Aggregate fault-injection counters for the whole run.
+        pub fault_stats: FaultStats,
         /// Per-directed-link fault counters, sorted by `(from, to)`.
         pub link_faults: Vec<((u32, u32), FaultStats)>,
-        /// Labels of every alert raised across both nodes, in drain order.
-        pub alert_kinds: Vec<String>,
-        /// Modules quarantined on either node by the end of the run.
-        pub quarantined: Vec<String>,
-        /// End-of-run readiness blockers, prefixed with the node name
-        /// (empty when both nodes finished ready).
-        pub readiness_reasons: Vec<String>,
-        /// `kalis.diag.v1` bundles the flight recorders retained,
-        /// `(bundle_id, json)` across both nodes (ids carry the node
-        /// name already).
-        pub diag_bundles: Vec<(String, String)>,
+        /// Sync retransmissions across both nodes.
+        pub retransmits: u64,
+        /// `degraded_entered` journal events on node K2.
+        pub degraded_entered: u64,
+        /// `degraded_exited` journal events on node K2.
+        pub degraded_exited: u64,
     }
 
     /// Knobs for a generalized sync-chaos run: the canonical two-node
@@ -976,12 +979,38 @@ mod resilience {
         // wormhole correlator on both nodes. Replayed sync frames causing
         // double alerts remain visible through the replay-vs-control
         // alert-count comparison.
-        run_sync_chaos(&SyncChaosSpec {
+        let run = run_sync_chaos(&SyncChaosSpec {
             plan,
             run: Duration::from_secs(RUN_SECS),
             extra_knowggets: ", Multihop = true".to_owned(),
             wormhole_evidence: true,
-        })
+        });
+        let [k1, k2] = &run.nodes;
+        let (s1, s2) = (k1.telemetry().snapshot(), k2.telemetry().snapshot());
+        let is_wormhole = |alert: &&Alert| alert.attack == AttackKind::Wormhole;
+        SyncResilienceResult {
+            converged: knows_all_from(k2, k1) && knows_all_from(k1, k2),
+            degraded_entered: run.degraded_entered,
+            degraded_exited: run.degraded_exited,
+            retransmits: run.retransmits,
+            duplicates_dropped: s1.counter(names::SYNC_DUPLICATES)
+                + s2.counter(names::SYNC_DUPLICATES),
+            queue_overflow_dropped: s1.counter(names::SYNC_QUEUE_DROPPED)
+                + s2.counter(names::SYNC_QUEUE_DROPPED),
+            wormhole_alerts: (run.nodes.iter())
+                .flat_map(|node| node.alerts())
+                .filter(is_wormhole)
+                .count(),
+            wormhole_provenance: (run.nodes.iter())
+                .flat_map(|node| node.alerts().iter().zip(node.alert_provenance()))
+                .filter(|(alert, _)| is_wormhole(alert))
+                .map(|(_, record)| record.clone())
+                .collect(),
+            faults_dropped: run.fault_stats.dropped,
+            journal: s2.journal,
+            converged_at: run.converged_at,
+            fault_stats: run.fault_stats,
+        }
     }
 
     /// Run the two-node chaos harness under an arbitrary fault plan.
@@ -989,7 +1018,7 @@ mod resilience {
     /// [`Wire`]; the nodes' sync tunables (3s peer TTL, 1s beacons, full
     /// trace sampling) keep health transitions observable within short
     /// runs.
-    pub fn run_sync_chaos(spec: &SyncChaosSpec) -> SyncResilienceResult {
+    pub fn run_sync_chaos(spec: &SyncChaosSpec) -> SyncChaosRun {
         let mut k1 = node("K1", &spec.extra_knowggets);
         let mut k2 = node("K2", &spec.extra_knowggets);
         let mut wire = Wire::new(spec.plan.clone(), LINK_DELAY);
@@ -1068,102 +1097,55 @@ mod resilience {
             }
             now += STEP;
         }
-        let converged = knows_all_from(&k2, &k1) && knows_all_from(&k1, &k2);
-        if converged && converged_at.is_none() {
+        if converged_at.is_none() && knows_all_from(&k2, &k1) && knows_all_from(&k1, &k2) {
             converged_at = Some(end);
         }
-        // Surface the wire's fault-injection counters in K2's journal
-        // (per directed link, plus the aggregate) so downstream
-        // expectation failures can distinguish "the fault plan never
-        // fired" from a genuine resilience miss.
-        let mut fault_rows = wire.link_fault_stats();
-        fault_rows.push(((u32::MAX, u32::MAX), wire.fault_stats()));
-        for ((from, to), stats) in fault_rows {
-            let link = if from == u32::MAX {
-                "total".to_owned()
-            } else {
-                format!("{from}->{to}")
-            };
-            k2.telemetry().journal().record(
-                end.as_micros(),
-                JournalEvent::FaultsInjected {
-                    link,
-                    dropped: stats.dropped,
-                    duplicated: stats.duplicated,
-                    corrupted: stats.corrupted,
-                    delayed: stats.delayed,
-                },
-            );
-        }
-        let s1 = k1.telemetry().snapshot();
-        let s2 = k2.telemetry().snapshot();
+        // The wire's fault counters go into K2's journal.
+        record_faults(&k2, end, wire.fault_stats(), &wire.link_fault_stats());
+        let journal = k2.telemetry().snapshot().journal;
         let count_events = |pred: fn(&JournalEvent) -> bool| {
-            s2.journal.records.iter().filter(|r| pred(&r.event)).count() as u64
+            journal.records.iter().filter(|r| pred(&r.event)).count() as u64
         };
-        // Capture wormhole provenance before draining discards it.
-        let wormhole_provenance: Vec<AlertProvenance> = [&k1, &k2]
-            .into_iter()
-            .flat_map(|node| {
-                node.alerts()
-                    .iter()
-                    .zip(node.alert_provenance())
-                    .filter(|(alert, _)| alert.attack == AttackKind::Wormhole)
-                    .map(|(_, record)| record.clone())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let quarantined: Vec<String> = [&k1, &k2]
-            .into_iter()
-            .flat_map(|node| node.quarantined_modules())
-            .map(str::to_owned)
-            .collect();
-        let readiness_reasons: Vec<String> = [("K1", &k1), ("K2", &k2)]
-            .into_iter()
-            .flat_map(|(name, node)| {
-                node.readiness()
-                    .reasons
-                    .into_iter()
-                    .map(move |r| format!("{name}:{r}"))
-            })
-            .collect();
-        let alerts_k1 = k1.drain_alerts();
-        let alerts_k2 = k2.drain_alerts();
-        let wormhole_alerts = alerts_k1
-            .iter()
-            .chain(alerts_k2.iter())
-            .filter(|a| a.attack == AttackKind::Wormhole)
-            .count();
-        let alert_kinds = alerts_k1
-            .iter()
-            .chain(alerts_k2.iter())
-            .map(|a| a.attack.label().to_owned())
-            .collect();
-        SyncResilienceResult {
-            converged,
+        SyncChaosRun {
+            retransmits: [&k1, &k2]
+                .iter()
+                .map(|node| node.telemetry().snapshot().counter(names::SYNC_RETRANSMITS))
+                .sum(),
             degraded_entered: count_events(|e| matches!(e, JournalEvent::DegradedEntered { .. })),
             degraded_exited: count_events(|e| matches!(e, JournalEvent::DegradedExited { .. })),
-            retransmits: s1.counter(names::SYNC_RETRANSMITS) + s2.counter(names::SYNC_RETRANSMITS),
-            duplicates_dropped: s1.counter(names::SYNC_DUPLICATES)
-                + s2.counter(names::SYNC_DUPLICATES),
-            queue_overflow_dropped: s1.counter(names::SYNC_QUEUE_DROPPED)
-                + s2.counter(names::SYNC_QUEUE_DROPPED),
-            wormhole_alerts,
-            wormhole_provenance,
-            faults_dropped: wire.fault_stats().dropped,
-            journal: s2.journal.clone(),
             converged_at,
             fault_stats: wire.fault_stats(),
             link_faults: wire.link_fault_stats(),
-            alert_kinds,
-            quarantined,
-            readiness_reasons,
-            diag_bundles: k1
-                .diag_bundles()
-                .iter()
-                .chain(k2.diag_bundles())
-                .cloned()
-                .collect(),
+            nodes: [k1, k2],
         }
+    }
+}
+
+/// Surface fault-injection counters in `node`'s journal — one
+/// `faults_injected` record per directed link, then the `total` — so an
+/// expectation failure can tell "the fault plan never fired" from a
+/// genuine miss.
+pub fn record_faults(
+    node: &Kalis,
+    at: Timestamp,
+    total: FaultStats,
+    links: &[((u32, u32), FaultStats)],
+) {
+    let rows = links
+        .iter()
+        .map(|((from, to), stats)| (format!("{from}->{to}"), *stats))
+        .chain(std::iter::once(("total".to_owned(), total)));
+    for (link, stats) in rows {
+        node.telemetry().journal().record(
+            at.as_micros(),
+            JournalEvent::FaultsInjected {
+                link,
+                dropped: stats.dropped,
+                duplicated: stats.duplicated,
+                corrupted: stats.corrupted,
+                delayed: stats.delayed,
+            },
+        );
     }
 }
 
@@ -1176,8 +1158,8 @@ pub fn run_knowledge_sharing(seed: u64, symptoms: u32) -> KnowledgeSharingResult
     let captures_b = scenario.captures_b.as_ref().expect("wormhole has two taps");
 
     // Isolated runs: no synchronization.
-    let isolated_a = runner::run_kalis(&scenario.captures);
-    let isolated_b = runner::run_kalis(captures_b);
+    let isolated_a = runner::run_kalis(&[&scenario.captures]);
+    let isolated_b = runner::run_kalis(&[captures_b]);
     let mut isolated_kinds: Vec<AttackKind> = isolated_a
         .detections
         .iter()
@@ -1188,9 +1170,7 @@ pub fn run_knowledge_sharing(seed: u64, symptoms: u32) -> KnowledgeSharingResult
     isolated_kinds.dedup();
 
     // Collaborative run.
-    let (a, b) = runner::run_kalis_pair(&scenario.captures, captures_b);
-    let mut all: Vec<Detection> = a.detections;
-    all.extend(b.detections);
+    let all = runner::run_kalis(&scenario.vantages()).detections;
     let mut collaborative_kinds: Vec<AttackKind> = all.iter().map(|d| d.attack).collect();
     collaborative_kinds.sort();
     collaborative_kinds.dedup();
@@ -1557,16 +1537,17 @@ pub fn run_diag_overhead(seed: u64, symptoms: u32, repeats: u32) -> DiagOverhead
     let chaos_run = || -> (u64, String, Vec<(String, String)>) {
         let spray = spray_trace(seed, 400, 8);
         let merged = merge_traces(vec![captures.clone(), spray]);
-        let mut node = Kalis::builder(KalisId::new("K-diag"))
+        let mut node = [Kalis::builder(KalisId::new("K-diag"))
             .with_default_modules()
-            .build();
-        let outcome = runner::run_kalis_instance(&mut node, &merged);
+            .build()];
+        runner::run_nodes(&mut node, &[&merged]);
+        let outcome = runner::outcome(&mut node);
         let captured = outcome
             .telemetry
             .as_ref()
             .map_or(0, |s| s.counter(names::DIAG_CAPTURES));
-        let trigger = node.diag_last_trigger().unwrap_or("-").to_owned();
-        (captured, trigger, node.diag_bundles().to_vec())
+        let trigger = node[0].diag_last_trigger().unwrap_or("-").to_owned();
+        (captured, trigger, node[0].diag_bundles().to_vec())
     };
     let first = chaos_run();
     let second = chaos_run();

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use kalis_baselines::snort::{SnortAlert, SnortIds};
 use kalis_baselines::traditional;
-use kalis_core::knowledge::{PeerRegistry, XorChannel};
+use kalis_core::knowledge::{PeerBeacon, PeerRegistry, SyncMessage, XorChannel};
 use kalis_core::metrics::ResourceMeter;
 use kalis_core::response::Revocation;
 use kalis_core::{Alert, AttackKind, Kalis, KalisId};
@@ -62,41 +62,27 @@ pub struct RunOutcome {
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
-/// Run an adaptive Kalis node (full default library, autonomous knowledge
-/// discovery) over a capture stream.
-pub fn run_kalis(captures: &[CapturedPacket]) -> RunOutcome {
-    let mut kalis = Kalis::builder(KalisId::new("K1"))
-        .with_default_modules()
-        .build();
-    run_kalis_instance(&mut kalis, captures)
-}
-
-/// Run a pre-built Kalis (or traditional) instance over a capture stream.
-pub fn run_kalis_instance(kalis: &mut Kalis, captures: &[CapturedPacket]) -> RunOutcome {
-    for packet in captures {
-        kalis.ingest(packet.clone());
-    }
-    if let Some(last) = captures.last() {
-        // Final housekeeping tick so window-based detectors flush.
-        kalis.tick(last.timestamp + Duration::from_secs(2));
-    }
-    RunOutcome {
-        detections: kalis
-            .drain_alerts()
-            .into_iter()
-            .map(Detection::from)
-            .collect(),
-        meter: kalis.meter(),
-        revocations: kalis.response().history().to_vec(),
-        telemetry: Some(kalis.telemetry().snapshot()),
-    }
+/// Run one adaptive Kalis node per capture tap (`K1`, `K2`, full
+/// default library, autonomous knowledge discovery) — the §VI-D
+/// collaborating pair when the scenario has a second tap.
+pub fn run_kalis(vantages: &[&[CapturedPacket]]) -> RunOutcome {
+    let mut nodes: Vec<Kalis> = (1..=vantages.len())
+        .map(|i| {
+            Kalis::builder(KalisId::new(format!("K{i}")))
+                .with_default_modules()
+                .build()
+        })
+        .collect();
+    run_nodes(&mut nodes, vantages);
+    outcome(&mut nodes)
 }
 
 /// Run the traditional-IDS baseline (all modules always on, one
 /// randomly-chosen replication variant per run).
 pub fn run_traditional(captures: &[CapturedPacket], seed: u64) -> RunOutcome {
-    let mut ids = traditional::build_with_seed("T1", seed);
-    run_kalis_instance(&mut ids, captures)
+    let mut ids = [traditional::build_with_seed("T1", seed)];
+    run_nodes(&mut ids, &[captures]);
+    outcome(&mut ids)
 }
 
 /// Run the Snort baseline with its community ruleset.
@@ -117,114 +103,105 @@ pub fn run_snort(captures: &[CapturedPacket]) -> RunOutcome {
     }
 }
 
-/// Run two collaborating Kalis nodes over two vantage points, exchanging
-/// collective knowledge through the (stand-in) encrypted channel every
-/// 500 ms of capture time — the §VI-D deployment.
-///
-/// Returns the outcomes for node A and node B.
-pub fn run_kalis_pair(
-    captures_a: &[CapturedPacket],
-    captures_b: &[CapturedPacket],
-) -> (RunOutcome, RunOutcome) {
-    let (mut a, mut b) =
-        run_kalis_pair_nodes(captures_a, captures_b, kalis_telemetry::SampleRate::off());
-    let out_a = RunOutcome {
-        detections: a.drain_alerts().into_iter().map(Detection::from).collect(),
-        meter: a.meter(),
-        revocations: a.response().history().to_vec(),
-        telemetry: Some(a.telemetry().snapshot()),
-    };
-    let out_b = RunOutcome {
-        detections: b.drain_alerts().into_iter().map(Detection::from).collect(),
-        meter: b.meter(),
-        revocations: b.response().history().to_vec(),
-        telemetry: Some(b.telemetry().snapshot()),
-    };
-    (out_a, out_b)
-}
+/// Capture time between two collaboration rounds of a pair.
+const SYNC_ROUND: Duration = Duration::from_millis(500);
 
-/// Same collaborative run as [`run_kalis_pair`], but returns the nodes
-/// themselves (alerts undrained) so callers can inspect alert
-/// provenance, traces, and knowledge state — with causal tracing at the
-/// given sample rate on both vantage points.
-pub fn run_kalis_pair_nodes(
-    captures_a: &[CapturedPacket],
-    captures_b: &[CapturedPacket],
-    sampling: kalis_telemetry::SampleRate,
-) -> (Kalis, Kalis) {
-    let mut a = Kalis::builder(KalisId::new("K1"))
-        .with_default_modules()
-        .with_trace_sampling(sampling)
-        .build();
-    let mut b = Kalis::builder(KalisId::new("K2"))
-        .with_default_modules()
-        .with_trace_sampling(sampling)
-        .build();
+/// Drive one node per capture tap on the capture clock: `vantages[i]`
+/// feeds `nodes[i]`, the earliest next packet first (a tie goes to the
+/// lower tap). Alerts stay undrained, so callers can still inspect
+/// provenance, traces and knowledge state.
+///
+/// Two nodes collaborate as in §VI-D: every 500 ms of capture time each
+/// observes the other's beacon, the pair exchanges collective knowledge
+/// through the (stand-in) encrypted channel once both have discovered a
+/// peer, and both tick. After the last packet a pair exchanges once
+/// more; then every node ticks at the latest capture + 2 s so
+/// window-based detectors flush.
+pub fn run_nodes(nodes: &mut [Kalis], vantages: &[&[CapturedPacket]]) {
+    assert!(
+        nodes.len() == vantages.len() && (1..=2).contains(&nodes.len()),
+        "one node per capture tap, one or two taps"
+    );
     let channel = XorChannel::new(0x6b616c6973);
     // Discovery-through-advertisement (paper §V): each node learns of the
     // other from its broadcast beacon before any knowledge flows.
-    let mut peers_a = PeerRegistry::new(a.id().clone());
-    let mut peers_b = PeerRegistry::new(b.id().clone());
-    let mut ia = 0usize;
-    let mut ib = 0usize;
-    let mut next_sync = Timestamp::ZERO + Duration::from_millis(500);
-    loop {
-        let ta = captures_a.get(ia).map(|c| c.timestamp);
-        let tb = captures_b.get(ib).map(|c| c.timestamp);
-        let (node_is_a, ts) = match (ta, tb) {
-            (None, None) => break,
-            (Some(t), None) => (true, t),
-            (None, Some(t)) => (false, t),
-            (Some(x), Some(y)) => {
-                if x <= y {
-                    (true, x)
-                } else {
-                    (false, y)
-                }
+    let mut peers: Vec<PeerRegistry> = nodes
+        .iter()
+        .map(|node| PeerRegistry::new(node.id().clone()))
+        .collect();
+    let mut next = vec![0usize; nodes.len()];
+    let mut next_round = Timestamp::ZERO + SYNC_ROUND;
+    while let Some((tap, ts)) = (0..nodes.len())
+        .filter_map(|i| vantages[i].get(next[i]).map(|c| (i, c.timestamp)))
+        .min_by_key(|&(i, ts)| (ts, i))
+    {
+        if let [a, b] = nodes {
+            while ts >= next_round {
+                round(a, b, &mut peers, &channel, next_round);
+                next_round += SYNC_ROUND;
             }
-        };
-        // Periodic beaconing + knowledge exchange on the capture clock.
-        while ts >= next_sync {
-            let beacon_a = peers_a.own_beacon().encode();
-            let beacon_b = peers_b.own_beacon().encode();
-            if let Some(beacon) = kalis_core::knowledge::PeerBeacon::decode(&beacon_b) {
-                peers_a.observe(beacon, next_sync);
-            }
-            if let Some(beacon) = kalis_core::knowledge::PeerBeacon::decode(&beacon_a) {
-                peers_b.observe(beacon, next_sync);
-            }
-            // Knowledge flows only between discovered peers.
-            if !peers_a.peers(next_sync).is_empty() && !peers_b.peers(next_sync).is_empty() {
-                exchange(&mut a, &mut b, &channel);
-            }
-            a.tick(next_sync);
-            b.tick(next_sync);
-            next_sync += Duration::from_millis(500);
         }
-        if node_is_a {
-            a.ingest(captures_a[ia].clone());
-            ia += 1;
-        } else {
-            b.ingest(captures_b[ib].clone());
-            ib += 1;
+        nodes[tap].ingest(vantages[tap][next[tap]].clone());
+        next[tap] += 1;
+    }
+    if let [a, b] = nodes {
+        exchange(a, b, &channel);
+    }
+    let last = vantages
+        .iter()
+        .filter_map(|tap| tap.last())
+        .map(|c| c.timestamp)
+        .max();
+    if let Some(last) = last {
+        for node in nodes {
+            node.tick(last + Duration::from_secs(2));
         }
     }
-    // Final exchange + flush.
-    exchange(&mut a, &mut b, &channel);
-    let end = captures_a
-        .last()
-        .map(|c| c.timestamp)
-        .unwrap_or(Timestamp::ZERO)
-        .max(
-            captures_b
-                .last()
-                .map(|c| c.timestamp)
-                .unwrap_or(Timestamp::ZERO),
-        )
-        + Duration::from_secs(2);
-    a.tick(end);
-    b.tick(end);
-    (a, b)
+}
+
+/// One collaboration round of a pair at `at`: both beacons are encoded
+/// before either is observed, knowledge flows only between discovered
+/// peers, then both nodes tick.
+fn round(
+    a: &mut Kalis,
+    b: &mut Kalis,
+    peers: &mut [PeerRegistry],
+    channel: &XorChannel,
+    at: Timestamp,
+) {
+    let beacons: Vec<Vec<u8>> = peers.iter().map(|p| p.own_beacon().encode()).collect();
+    for (registry, beacon) in peers.iter_mut().zip(beacons.iter().rev()) {
+        if let Some(beacon) = PeerBeacon::decode(beacon) {
+            registry.observe(beacon, at);
+        }
+    }
+    if peers.iter().all(|p| !p.peers(at).is_empty()) {
+        exchange(a, b, channel);
+    }
+    a.tick(at);
+    b.tick(at);
+}
+
+/// Drain the nodes of one run, in index order, into one outcome:
+/// detections and revocations concatenated, meters merged, and node 0's
+/// telemetry.
+pub fn outcome(nodes: &mut [Kalis]) -> RunOutcome {
+    let mut detections = Vec::new();
+    let mut meter = ResourceMeter::default();
+    let mut revocations = Vec::new();
+    let mut telemetry = None;
+    for node in nodes {
+        detections.extend(node.drain_alerts().into_iter().map(Detection::from));
+        meter.merge(&node.meter());
+        revocations.extend_from_slice(node.response().history());
+        telemetry.get_or_insert_with(|| node.telemetry().snapshot());
+    }
+    RunOutcome {
+        detections,
+        meter,
+        revocations,
+        telemetry,
+    }
 }
 
 /// One knowledge exchange of the pair, both ways: `collective_outbox →
@@ -232,13 +209,13 @@ pub fn run_kalis_pair_nodes(
 pub fn exchange(a: &mut Kalis, b: &mut Kalis, channel: &XorChannel) {
     if let Some(msg) = a.collective_outbox() {
         let sealed = msg.seal(channel);
-        if let Ok(opened) = kalis_core::knowledge::SyncMessage::open(&sealed, channel) {
+        if let Ok(opened) = SyncMessage::open(&sealed, channel) {
             let _ = b.accept_sync(opened);
         }
     }
     if let Some(msg) = b.collective_outbox() {
         let sealed = msg.seal(channel);
-        if let Ok(opened) = kalis_core::knowledge::SyncMessage::open(&sealed, channel) {
+        if let Ok(opened) = SyncMessage::open(&sealed, channel) {
             let _ = a.accept_sync(opened);
         }
     }

@@ -145,7 +145,8 @@ pub struct Scenario {
     pub kind: ScenarioKind,
     /// The primary Kalis vantage point's captures, in time order.
     pub captures: Vec<CapturedPacket>,
-    /// The second vantage point's captures (wormhole scenario only).
+    /// The second tap's captures, in time order (wormhole scenario
+    /// only); the runner gives it its own node.
     pub captures_b: Option<Vec<CapturedPacket>>,
     /// Injected symptom ground truth.
     pub truth: Vec<SymptomInstance>,
@@ -175,6 +176,14 @@ impl Scenario {
     /// deterministically.
     pub fn build(kind: ScenarioKind, seed: u64, symptoms: u32) -> Scenario {
         Scenario::build_with(kind, seed, symptoms, &BuildOptions::default())
+    }
+
+    /// The capture taps, one per node: `captures`, then `captures_b`
+    /// when there is a second tap.
+    pub fn vantages(&self) -> Vec<&[CapturedPacket]> {
+        std::iter::once(self.captures.as_slice())
+            .chain(self.captures_b.as_deref())
+            .collect()
     }
 
     /// [`Scenario::build`] with cross-cutting options (fault plans).

@@ -2,36 +2,38 @@
 //! bench harnesses for one seed and collect the [`Evidence`] the
 //! expectation checks consume.
 //!
-//! Three execution shapes exist, all fully deterministic in the seed:
+//! The deployment is one Kalis node per capture tap. The topology picks
+//! the transport between the taps and the nodes, and both are fully
+//! deterministic in the seed:
 //!
-//! * **pair** — the two-node sync-chaos harness
-//!   ([`run_sync_chaos`]): the `faults` section becomes the wire's
-//!   [`FaultPlan`], the `node` knowggets ride each node's chaos config.
-//! * **single, wormhole** — the wormhole scenario's two vantage-point
-//!   traces feed two collaborating nodes
-//!   ([`run_kalis_pair_nodes`]), alerts left undrained so provenance
-//!   and module state stay inspectable.
-//! * **single, everything else** — each `attacks` entry builds its
-//!   seeded trace (plus the state-exhaustion identity spray), the
-//!   captures merge on the capture clock, and one Kalis node (with the
-//!   `node` section's config applied) ingests the lot.
+//! * **single** — lossless taps on the capture clock ([`run_nodes`]).
+//!   Each `attacks` entry builds its seeded trace: tap 0 takes every
+//!   attack's captures plus the state-exhaustion identity spray, merged
+//!   on the capture clock; tap 1 takes an attack's second tap, which
+//!   only the wormhole has. Each tap gets a node (`K1`, `K2`) with the
+//!   `node` section's config and the default library.
+//! * **pair** — the two-node sync-chaos harness ([`run_sync_chaos`]):
+//!   the `faults` section becomes the wire's [`FaultPlan`], the `node`
+//!   knowggets ride each node's chaos config.
+//!
+//! One collector, [`evidence`], turns either run's nodes into evidence,
+//! alerts undrained so provenance and module state stay inspectable.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use kalis_bench::experiments::{
-    run_sync_chaos, spray_trace, SyncChaosSpec, MAX_STRUCTURES_PER_MODULE,
+    record_faults, run_sync_chaos, spray_trace, SyncChaosSpec, MAX_STRUCTURES_PER_MODULE,
 };
-use kalis_bench::runner::run_kalis_pair_nodes;
-use kalis_bench::scenarios::{BuildOptions, Scenario, ScenarioKind};
-use kalis_bench::scoring::score;
+use kalis_bench::runner::run_nodes;
+use kalis_bench::scenarios::{BuildOptions, Scenario};
+use kalis_bench::scoring::{score, Score};
 use kalis_bench::Detection;
 use kalis_core::config::Config;
 use kalis_core::modules::ModuleHealth;
 use kalis_core::{Kalis, KalisId};
 use kalis_netsim::fault::{FaultPlan, FaultStats};
-use kalis_packets::{CapturedPacket, Timestamp};
-use kalis_telemetry::{JournalEvent, SampleRate};
+use kalis_packets::CapturedPacket;
 
 use crate::expect::{AlertEvidence, Evidence, ModuleBudget};
 use crate::spec::{AttackSpec, ScenarioSpec, Topology};
@@ -40,29 +42,14 @@ use crate::spec::{AttackSpec, ScenarioSpec, Topology};
 pub fn execute(spec: &ScenarioSpec, seed: u64) -> Evidence {
     match spec.topology {
         Topology::Pair => execute_pair(spec, seed),
-        Topology::Single => {
-            let wormhole = spec.attacks.iter().any(|a| {
-                matches!(
-                    a,
-                    AttackSpec::Standard {
-                        kind: ScenarioKind::Wormhole,
-                        ..
-                    }
-                )
-            });
-            if wormhole {
-                execute_wormhole(spec, seed)
-            } else {
-                execute_single(spec, seed)
-            }
-        }
+        Topology::Single => execute_single(spec, seed),
     }
 }
 
 /// The two-node chaos harness: faults on the wire, convergence and
 /// degraded-mode telemetry as evidence.
 fn execute_pair(spec: &ScenarioSpec, seed: u64) -> Evidence {
-    let result = run_sync_chaos(&SyncChaosSpec {
+    let run = run_sync_chaos(&SyncChaosSpec {
         plan: spec
             .fault_plan(seed)
             .unwrap_or_else(|| FaultPlan::new(seed)),
@@ -70,119 +57,25 @@ fn execute_pair(spec: &ScenarioSpec, seed: u64) -> Evidence {
         extra_knowggets: spec.extra_knowggets.clone(),
         wormhole_evidence: spec.wormhole_evidence,
     });
-    let alerts = result
-        .alert_kinds
-        .iter()
-        .map(|kind| AlertEvidence {
-            kind: kind.clone(),
-            module: "-".to_owned(),
-            victim: "-".to_owned(),
-            trace: "-".to_owned(),
-            time_us: 0,
-        })
-        .collect();
-    Evidence {
-        // No scored symptom instances on the pair path: an empty truth
-        // set scores as trivially perfect.
-        score: score(&[], &[]),
-        alerts,
-        // Pair nodes pin nothing: every quarantine is an unpinned one.
-        unpinned_quarantined: result.quarantined.clone(),
-        readiness_reasons: result.readiness_reasons.clone(),
-        modules: Vec::new(),
-        structures_per_module: MAX_STRUCTURES_PER_MODULE,
-        kb_occupancy: 0,
-        kb_budget: 0,
-        fault_stats: result.fault_stats,
-        link_faults: named_links(&result.link_faults),
-        converged_at_secs: result.converged_at.map(|t| t.as_micros() / 1_000_000),
-        degraded_entered: result.degraded_entered,
-        degraded_exited: result.degraded_exited,
-        retransmits: result.retransmits,
-        journal: result.journal.records.clone(),
-        diag_bundles: result.diag_bundles.clone(),
-    }
-}
-
-/// The wormhole scenario: two vantage-point traces into two
-/// collaborating nodes, alerts undrained for provenance.
-fn execute_wormhole(spec: &ScenarioSpec, seed: u64) -> Evidence {
-    let symptoms = spec
-        .attacks
-        .iter()
-        .find_map(|a| match a {
-            AttackSpec::Standard { symptoms, .. } => Some(*symptoms),
-            AttackSpec::Exhaustion { .. } => None,
-        })
-        .unwrap_or(1);
-    let options = BuildOptions {
-        fault_plan: spec.fault_plan(seed),
-    };
-    let scenario = Scenario::build_with(ScenarioKind::Wormhole, seed, symptoms, &options);
-    let captures_b = scenario
-        .captures_b
-        .as_ref()
-        .expect("the wormhole scenario always has two taps");
-    let (a, b) = run_kalis_pair_nodes(&scenario.captures, captures_b, SampleRate::off());
-
-    let last = scenario
-        .captures
-        .iter()
-        .chain(captures_b.iter())
-        .map(|c| c.timestamp)
-        .max()
-        .unwrap_or(Timestamp::ZERO);
-    record_fault_events(&a, last, &scenario);
-
-    let detections: Vec<Detection> = a
-        .alerts()
-        .iter()
-        .chain(b.alerts().iter())
-        .cloned()
-        .map(Detection::from)
-        .collect();
-    let mut evidence = Evidence {
-        score: score(&scenario.truth, &detections),
-        alerts: alert_evidence(&a).chain(alert_evidence(&b)).collect(),
-        unpinned_quarantined: unpinned_quarantined(&a, "K1:")
-            .chain(unpinned_quarantined(&b, "K2:"))
-            .collect(),
-        readiness_reasons: prefixed_reasons(&a, "K1:")
-            .chain(prefixed_reasons(&b, "K2:"))
-            .collect(),
-        modules: module_budgets(&a, "K1:")
-            .chain(module_budgets(&b, "K2:"))
-            .collect(),
-        structures_per_module: MAX_STRUCTURES_PER_MODULE,
-        kb_occupancy: a
-            .knowledge()
-            .entity_occupancy()
-            .max(b.knowledge().entity_occupancy()),
-        kb_budget: a.knowledge().entity_budget(),
-        fault_stats: scenario.fault_stats,
-        link_faults: named_links(&scenario.link_fault_stats),
-        converged_at_secs: None,
-        degraded_entered: 0,
-        degraded_exited: 0,
-        retransmits: 0,
-        journal: a.telemetry().snapshot().journal.records,
-        diag_bundles: a
-            .diag_bundles()
-            .iter()
-            .chain(b.diag_bundles())
-            .cloned()
-            .collect(),
-    };
-    evidence
-        .journal
-        .extend(b.telemetry().snapshot().journal.records);
+    // No scored symptom instances on the pair path: an empty truth set
+    // scores as trivially perfect.
+    let mut evidence = evidence(
+        &run.nodes,
+        score(&[], &[]),
+        run.fault_stats,
+        &run.link_faults,
+    );
+    evidence.converged_at_secs = run.converged_at.map(|t| t.as_micros() / 1_000_000);
+    evidence.degraded_entered = run.degraded_entered;
+    evidence.degraded_exited = run.degraded_exited;
+    evidence.retransmits = run.retransmits;
     evidence
 }
 
-/// The general single-node path: merge every attack's seeded trace on
-/// the capture clock and run one node over it.
+/// The lossless taps: build every attack's seeded trace, give each tap
+/// a node, and run them on the capture clock.
 fn execute_single(spec: &ScenarioSpec, seed: u64) -> Evidence {
-    let mut captures: Vec<CapturedPacket> = Vec::new();
+    let mut taps: [Vec<CapturedPacket>; 2] = Default::default();
     let mut truth = Vec::new();
     let mut fault_stats = FaultStats::default();
     let mut links: BTreeMap<(u32, u32), FaultStats> = BTreeMap::new();
@@ -193,7 +86,8 @@ fn execute_single(spec: &ScenarioSpec, seed: u64) -> Evidence {
                     fault_plan: spec.fault_plan(seed),
                 };
                 let scenario = Scenario::build_with(*kind, seed, *symptoms, &options);
-                captures.extend(scenario.captures);
+                taps[0].extend(scenario.captures);
+                taps[1].extend(scenario.captures_b.unwrap_or_default());
                 truth.extend(scenario.truth);
                 fault_stats.accumulate(scenario.fault_stats);
                 for (link, stats) in scenario.link_fault_stats {
@@ -203,162 +97,139 @@ fn execute_single(spec: &ScenarioSpec, seed: u64) -> Evidence {
             AttackSpec::Exhaustion { identities, bursts } => {
                 // The spray has no scored ground truth: it exists to
                 // pressure bounded state, not to be detected.
-                captures.extend(spray_trace(seed, *identities, *bursts));
+                taps[0].extend(spray_trace(seed, *identities, *bursts));
             }
         }
     }
-    captures.sort_by_key(|c| c.timestamp);
-
-    let mut builder = Kalis::builder(KalisId::new("K1"));
-    if let Some(text) = &spec.node_config {
-        let config: Config = text
-            .parse()
-            .expect("node overrides were validated at parse time");
-        builder = builder.with_config(config);
+    for tap in &mut taps {
+        tap.sort_by_key(|c| c.timestamp);
     }
-    let mut node = builder.with_default_modules().build();
-    let mut last = Timestamp::ZERO;
-    for packet in captures {
-        last = last.max(packet.timestamp);
-        node.ingest(packet);
+    // A second node only when some attack has a second tap.
+    let used = if taps[1].is_empty() { 1 } else { 2 };
+    let vantages: Vec<&[CapturedPacket]> = taps[..used].iter().map(Vec::as_slice).collect();
+
+    let config: Option<Config> = spec.node_config.as_ref().map(|text| {
+        text.parse()
+            .expect("node overrides were validated at parse time")
+    });
+    let mut nodes: Vec<Kalis> = (1..=vantages.len())
+        .map(|i| {
+            let mut builder = Kalis::builder(KalisId::new(format!("K{i}")));
+            if let Some(config) = &config {
+                builder = builder.with_config(config.clone());
+            }
+            builder.with_default_modules().build()
+        })
+        .collect();
+    run_nodes(&mut nodes, &vantages);
+
+    let links: Vec<((u32, u32), FaultStats)> = links.into_iter().collect();
+    if fault_stats.total() > 0 {
+        let last = vantages
+            .iter()
+            .filter_map(|tap| tap.last())
+            .map(|c| c.timestamp)
+            .max()
+            .unwrap_or_default();
+        record_faults(&nodes[0], last, fault_stats, &links);
     }
-    // Final housekeeping tick so window-based detectors flush.
-    node.tick(last + Duration::from_secs(2));
+    let detections: Vec<Detection> = nodes
+        .iter()
+        .flat_map(|node| node.alerts())
+        .cloned()
+        .map(Detection::from)
+        .collect();
+    evidence(&nodes, score(&truth, &detections), fault_stats, &links)
+}
 
-    let link_fault_stats: Vec<((u32, u32), FaultStats)> = links.into_iter().collect();
-    let scenario_like = ScenarioFaults {
-        fault_stats,
-        link_fault_stats,
-    };
-    record_fault_events_raw(&node, last, &scenario_like);
-
-    let detections: Vec<Detection> = node.alerts().iter().cloned().map(Detection::from).collect();
-    Evidence {
-        score: score(&truth, &detections),
-        alerts: alert_evidence(&node).collect(),
-        unpinned_quarantined: unpinned_quarantined(&node, "").collect(),
-        readiness_reasons: node.readiness().reasons,
-        modules: module_budgets(&node, "").collect(),
+/// Turn one run's nodes into evidence, in node order: alerts (with
+/// their time, module, victim and trace), unpinned quarantines,
+/// readiness blockers, module budgets, Knowledge Base occupancy,
+/// journals and diag bundles. With two nodes, per-module names and
+/// readiness reasons carry the node's `K{i}:` prefix.
+fn evidence(
+    nodes: &[Kalis],
+    score: Score,
+    fault_stats: FaultStats,
+    links: &[((u32, u32), FaultStats)],
+) -> Evidence {
+    let mut evidence = Evidence {
+        score,
+        alerts: Vec::new(),
+        unpinned_quarantined: Vec::new(),
+        readiness_reasons: Vec::new(),
+        modules: Vec::new(),
         structures_per_module: MAX_STRUCTURES_PER_MODULE,
-        kb_occupancy: node.knowledge().entity_occupancy(),
-        kb_budget: node.knowledge().entity_budget(),
-        fault_stats: scenario_like.fault_stats,
-        link_faults: named_links(&scenario_like.link_fault_stats),
+        kb_occupancy: 0,
+        kb_budget: nodes[0].knowledge().entity_budget(),
+        fault_stats,
+        link_faults: links
+            .iter()
+            .map(|((from, to), stats)| (format!("{from}->{to}"), *stats))
+            .collect(),
         converged_at_secs: None,
         degraded_entered: 0,
         degraded_exited: 0,
         retransmits: 0,
-        journal: node.telemetry().snapshot().journal.records,
-        diag_bundles: node.diag_bundles().to_vec(),
-    }
-}
-
-/// The fault counters of one execution, in scenario shape.
-struct ScenarioFaults {
-    fault_stats: FaultStats,
-    link_fault_stats: Vec<((u32, u32), FaultStats)>,
-}
-
-/// `(from, to)` links to `from->to` labels.
-fn named_links(links: &[((u32, u32), FaultStats)]) -> Vec<(String, FaultStats)> {
-    links
-        .iter()
-        .map(|((from, to), stats)| (format!("{from}->{to}"), *stats))
-        .collect()
-}
-
-/// Surface the fault-injection counters in the node's journal so
-/// expectation failures can cite `faults_injected` events.
-fn record_fault_events(node: &Kalis, at: Timestamp, scenario: &Scenario) {
-    record_fault_events_raw(
-        node,
-        at,
-        &ScenarioFaults {
-            fault_stats: scenario.fault_stats,
-            link_fault_stats: scenario.link_fault_stats.clone(),
-        },
-    );
-}
-
-fn record_fault_events_raw(node: &Kalis, at: Timestamp, faults: &ScenarioFaults) {
-    if faults.fault_stats.total() == 0 {
-        return;
-    }
-    let journal = node.telemetry().journal();
-    for ((from, to), stats) in &faults.link_fault_stats {
-        journal.record(
-            at.as_micros(),
-            JournalEvent::FaultsInjected {
-                link: format!("{from}->{to}"),
-                dropped: stats.dropped,
-                duplicated: stats.duplicated,
-                corrupted: stats.corrupted,
-                delayed: stats.delayed,
-            },
-        );
-    }
-    journal.record(
-        at.as_micros(),
-        JournalEvent::FaultsInjected {
-            link: "total".to_owned(),
-            dropped: faults.fault_stats.dropped,
-            duplicated: faults.fault_stats.duplicated,
-            corrupted: faults.fault_stats.corrupted,
-            delayed: faults.fault_stats.delayed,
-        },
-    );
-}
-
-/// Undrained alerts as expectation evidence.
-fn alert_evidence(node: &Kalis) -> impl Iterator<Item = AlertEvidence> + '_ {
-    node.alerts().iter().map(|alert| AlertEvidence {
-        kind: alert.attack.label().to_owned(),
-        module: alert.module.clone(),
-        victim: alert
-            .victim
-            .as_ref()
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "-".to_owned()),
-        trace: if alert.trace_id == 0 {
-            "untraced".to_owned()
+        journal: Vec::new(),
+        diag_bundles: Vec::new(),
+    };
+    let pair = nodes.len() > 1;
+    for node in nodes {
+        let prefix = if pair {
+            format!("{}:", node.id())
         } else {
-            format!("trace:{:016x}", alert.trace_id)
-        },
-        time_us: alert.time.as_micros(),
-    })
-}
-
-/// Names of quarantined modules that configuration did not pin.
-fn unpinned_quarantined<'a>(node: &'a Kalis, prefix: &'a str) -> impl Iterator<Item = String> + 'a {
-    node.module_state()
-        .into_iter()
-        .filter(|profile| profile.health == ModuleHealth::Quarantined && !profile.pinned)
-        .map(move |profile| format!("{prefix}{}", profile.name))
-}
-
-/// End-of-run readiness blockers, node-prefixed.
-fn prefixed_reasons<'a>(node: &'a Kalis, prefix: &'a str) -> impl Iterator<Item = String> + 'a {
-    node.readiness()
-        .reasons
-        .into_iter()
-        .map(move |reason| format!("{prefix}{reason}"))
-}
-
-/// Per-module budget occupancy rows.
-fn module_budgets<'a>(node: &'a Kalis, prefix: &'a str) -> impl Iterator<Item = ModuleBudget> + 'a {
-    node.module_state()
-        .into_iter()
-        .map(move |profile| ModuleBudget {
-            name: format!("{prefix}{}", profile.name),
-            occupancy: profile.occupancy,
-            budget: profile.state_budget,
-            evictions: profile.evictions,
-        })
+            String::new()
+        };
+        evidence.alerts.extend(node.alerts().iter().map(|alert| {
+            AlertEvidence {
+                kind: alert.attack.label().to_owned(),
+                module: alert.module.clone(),
+                victim: alert
+                    .victim
+                    .as_ref()
+                    .map_or_else(|| "-".to_owned(), |v| v.to_string()),
+                trace: if alert.trace_id == 0 {
+                    "untraced".to_owned()
+                } else {
+                    format!("trace:{:016x}", alert.trace_id)
+                },
+                time_us: alert.time.as_micros(),
+            }
+        }));
+        for profile in node.module_state() {
+            if profile.health == ModuleHealth::Quarantined && !profile.pinned {
+                evidence
+                    .unpinned_quarantined
+                    .push(format!("{prefix}{}", profile.name));
+            }
+            evidence.modules.push(ModuleBudget {
+                name: format!("{prefix}{}", profile.name),
+                occupancy: profile.occupancy,
+                budget: profile.state_budget,
+                evictions: profile.evictions,
+            });
+        }
+        evidence.readiness_reasons.extend(
+            (node.readiness().reasons.into_iter()).map(|reason| format!("{prefix}{reason}")),
+        );
+        evidence.kb_occupancy = evidence
+            .kb_occupancy
+            .max(node.knowledge().entity_occupancy());
+        evidence
+            .journal
+            .extend(node.telemetry().snapshot().journal.records);
+        evidence.diag_bundles.extend_from_slice(node.diag_bundles());
+    }
+    evidence
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kalis_bench::scenarios::ScenarioKind;
+    use kalis_telemetry::JournalEvent;
+
     use crate::expect::Expectation;
     use crate::spec::ScenarioSpec;
 
@@ -395,6 +266,26 @@ mod tests {
         let kinds: Vec<&str> = evidence.alerts.iter().map(|a| a.kind.as_str()).collect();
         assert!(kinds.contains(&"icmp-flood"), "{kinds:?}");
         assert!(kinds.contains(&"scan"), "{kinds:?}");
+    }
+
+    #[test]
+    fn wormhole_composes_with_other_attacks_and_node_overrides() {
+        let spec = parse(
+            "attacks = { wormhole (symptoms = 4), icmp-flood (symptoms = 4) }\n\
+             node = { Trace.SampleRate = 1 }\n\
+             expectations = { alerts (kind = wormhole, min = 1) }\n",
+        );
+        let evidence = execute(&spec, 42);
+        // One node per tap: the wormhole's second tap gets K2.
+        for prefix in ["K1:", "K2:"] {
+            assert!(
+                evidence.modules.iter().any(|m| m.name.starts_with(prefix)),
+                "no {prefix} module rows"
+            );
+        }
+        let wormhole = Scenario::build(ScenarioKind::Wormhole, 42, 4);
+        assert_eq!(evidence.score.instances, wormhole.truth.len() + 4);
+        assert!(evidence.alerts.iter().any(|a| a.kind == "wormhole"));
     }
 
     #[test]

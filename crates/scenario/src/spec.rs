@@ -1289,46 +1289,6 @@ impl<'a> ScnParser<'a> {
             }
         }
 
-        // The wormhole scenario needs both vantage points to itself: its
-        // captures cannot merge with other attacks' single-tap traces,
-        // and its two fixed nodes take no config overrides.
-        let wormhole_pos = self
-            .attacks
-            .iter()
-            .find(|(a, _)| {
-                matches!(
-                    a,
-                    AttackSpec::Standard {
-                        kind: ScenarioKind::Wormhole,
-                        ..
-                    }
-                )
-            })
-            .map(|(_, pos)| *pos);
-        if let Some(pos) = wormhole_pos {
-            if self.attacks.len() > 1 {
-                self.err_note(
-                    Code::Conflict,
-                    pos,
-                    "`wormhole` cannot combine with other attacks",
-                    "the wormhole scenario spans two vantage points whose traces \
-                     feed two collaborating nodes; merged single-tap traces from \
-                     other attacks have nowhere to go",
-                );
-            }
-            if self.node_pos.is_some()
-                && (!self.node_modules.is_empty() || !self.node_knowggets.is_empty())
-            {
-                let node_pos = self.node_pos.expect("checked above");
-                self.err(
-                    Code::Conflict,
-                    node_pos,
-                    "`node` overrides do not apply to the wormhole scenario's fixed \
-                     collaborating pair",
-                );
-            }
-        }
-
         // Expectation / topology applicability.
         let mismatches: Vec<(SourcePos, String, &'static str)> = self
             .expectations
@@ -1378,7 +1338,7 @@ impl<'a> ScnParser<'a> {
         }
 
         // Compile and lint the node overrides.
-        let (node_config, extra_knowggets) = self.compile_node_overrides(wormhole_pos.is_some());
+        let (node_config, extra_knowggets) = self.compile_node_overrides();
 
         ScenarioSpec {
             name: self.name.clone().unwrap_or_else(|| default_name(self.file)),
@@ -1407,7 +1367,7 @@ impl<'a> ScnParser<'a> {
     /// `with_default_modules()` — scope-satisfaction (`KL106`) must be
     /// judged against the module set that will actually run, not the
     /// pinned subset alone.
-    fn compile_node_overrides(&mut self, wormhole: bool) -> (Option<String>, String) {
+    fn compile_node_overrides(&mut self) -> (Option<String>, String) {
         if self.node_modules.is_empty() && self.node_knowggets.is_empty() {
             return (None, String::new());
         }
@@ -1479,29 +1439,27 @@ impl<'a> ScnParser<'a> {
             push_line(&mut text, &mut map, "}", anchor);
         }
 
-        if !wormhole {
-            for diag in lint_config(self.file, &text, &registry) {
-                if diag.severity != LintSeverity::Error {
-                    continue;
-                }
-                let pos = diag
-                    .pos
-                    .and_then(|p| map.get(p.line.saturating_sub(1)).copied())
-                    .unwrap_or(anchor);
-                let mut out = Diagnostic::at(
-                    Code::NodeContract,
-                    self.file,
-                    pos,
-                    format!(
-                        "node override rejected by config lint [{}]: {}",
-                        diag.code, diag.message
-                    ),
-                );
-                for note in diag.notes {
-                    out = out.with_note(note);
-                }
-                self.diags.push(out);
+        for diag in lint_config(self.file, &text, &registry) {
+            if diag.severity != LintSeverity::Error {
+                continue;
             }
+            let pos = diag
+                .pos
+                .and_then(|p| map.get(p.line.saturating_sub(1)).copied())
+                .unwrap_or(anchor);
+            let mut out = Diagnostic::at(
+                Code::NodeContract,
+                self.file,
+                pos,
+                format!(
+                    "node override rejected by config lint [{}]: {}",
+                    diag.code, diag.message
+                ),
+            );
+            for note in diag.notes {
+                out = out.with_note(note);
+            }
+            self.diags.push(out);
         }
 
         // The runtime text: exactly what was written.
@@ -1761,16 +1719,6 @@ mod tests {
             diags[0].notes.iter().any(|n| n.contains("IcmpFloodModule")),
             "lint suggestion carried over: {diags:?}"
         );
-    }
-
-    #[test]
-    fn wormhole_must_run_alone() {
-        let result = parse(
-            "attacks = { wormhole, icmp-flood }\n\
-             expectations = { alerts (kind = wormhole, min = 1) }\n",
-        );
-        let diags = result.unwrap_err();
-        assert!(diags.iter().any(|d| d.code == Code::Conflict), "{diags:?}");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! render it with `kalis-trace --explain`).
 
 use kalis_bench::experiments;
-use kalis_bench::runner::run_kalis_pair_nodes;
+use kalis_bench::runner::run_nodes;
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
-use kalis_core::AttackKind;
+use kalis_core::{AttackKind, Kalis, KalisId};
 use kalis_telemetry::SampleRate;
 
 fn main() {
@@ -68,10 +68,15 @@ fn main() {
     // Replay the collaborative run with full causal-trace sampling and
     // explain the wormhole verdict end to end.
     let scenario = Scenario::build(ScenarioKind::Wormhole, 42, 30);
-    let captures_b = scenario.captures_b.as_ref().expect("wormhole has two taps");
-    let (k1, k2) = run_kalis_pair_nodes(&scenario.captures, captures_b, SampleRate::full());
-    let (node, index) = [&k1, &k2]
-        .into_iter()
+    let mut nodes = ["K1", "K2"].map(|id| {
+        Kalis::builder(KalisId::new(id))
+            .with_default_modules()
+            .with_trace_sampling(SampleRate::full())
+            .build()
+    });
+    run_nodes(&mut nodes, &scenario.vantages());
+    let (node, index) = nodes
+        .iter()
         .find_map(|node| {
             node.alerts()
                 .iter()
@@ -91,8 +96,8 @@ fn main() {
             std::fs::write(&path, contents).expect("write trace artifact");
             println!("wrote {path}");
         };
-        write("k1.trace.json", k1.tracer().to_json());
-        write("k2.trace.json", k2.tracer().to_json());
+        write("k1.trace.json", nodes[0].tracer().to_json());
+        write("k2.trace.json", nodes[1].tracer().to_json());
         write("wormhole.provenance.json", provenance.to_json());
     }
 }

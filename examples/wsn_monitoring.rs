@@ -63,7 +63,9 @@ fn main() {
         kalis.active_modules()
     );
     let captures = tap.drain();
-    let outcome = runner::run_kalis_instance(&mut kalis, &captures);
+    let nodes = std::slice::from_mut(&mut kalis);
+    runner::run_nodes(nodes, &[&captures]);
+    let outcome = runner::outcome(nodes);
     println!(
         "modules active after discovery: {:?}",
         kalis.active_modules()

@@ -68,7 +68,7 @@ fn traditional_ids_misses_replication_with_the_wrong_module() {
     let mut trad_worse = 0;
     for seed in 0..6u64 {
         let scenario = Scenario::build(ScenarioKind::Replication, seed, 8);
-        let kalis = runner::run_kalis(&scenario.captures);
+        let kalis = runner::run_kalis(&[&scenario.captures]);
         let trad = runner::run_traditional(&scenario.captures, seed);
         let kalis_score = kalis_bench::scoring::score(&scenario.truth, &kalis.detections);
         let trad_score = kalis_bench::scoring::score(&scenario.truth, &trad.detections);

@@ -9,24 +9,7 @@ use kalis_core::AttackKind;
 
 fn kalis_on(kind: ScenarioKind, seed: u64, symptoms: u32) -> (Scenario, runner::RunOutcome) {
     let scenario = Scenario::build(kind, seed, symptoms);
-    let outcome = match &scenario.captures_b {
-        Some(b) => {
-            let (a, bo) = runner::run_kalis_pair(&scenario.captures, b);
-            let mut detections = a.detections;
-            detections.extend(bo.detections);
-            let mut revocations = a.revocations;
-            revocations.extend(bo.revocations);
-            let mut meter = a.meter;
-            meter.merge(&bo.meter);
-            runner::RunOutcome {
-                detections,
-                meter,
-                revocations,
-                telemetry: a.telemetry,
-            }
-        }
-        None => runner::run_kalis(&scenario.captures),
-    };
+    let outcome = runner::run_kalis(&scenario.vantages());
     (scenario, outcome)
 }
 

@@ -110,7 +110,7 @@ fn lossy_capture_still_detects_floods() {
         .filter(|_| rng.gen_bool(0.75))
         .cloned()
         .collect();
-    let outcome = kalis_bench::runner::run_kalis(&lossy);
+    let outcome = kalis_bench::runner::run_kalis(&[&lossy]);
     let score = kalis_bench::scoring::score(&scenario.truth, &outcome.detections);
     assert!(
         score.detection_rate() >= 0.8,

@@ -2,7 +2,7 @@
 //! Kalis nodes can classify the wormhole.
 
 use kalis_bench::experiments::run_knowledge_sharing;
-use kalis_bench::runner::run_kalis_pair_nodes;
+use kalis_bench::runner::run_nodes;
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
 use kalis_core::knowledge::{SyncMessage, XorChannel};
 use kalis_core::{AttackKind, Kalis, KalisId, KnowValue, Knowgget};
@@ -31,11 +31,16 @@ fn collaboration_identifies_the_wormhole() {
 #[test]
 fn wormhole_provenance_spans_both_nodes() {
     let scenario = Scenario::build(ScenarioKind::Wormhole, 42, 25);
-    let captures_b = scenario.captures_b.as_ref().expect("wormhole has two taps");
-    let (a, b) = run_kalis_pair_nodes(&scenario.captures, captures_b, SampleRate::full());
+    let mut nodes = ["K1", "K2"].map(|id| {
+        Kalis::builder(KalisId::new(id))
+            .with_default_modules()
+            .with_trace_sampling(SampleRate::full())
+            .build()
+    });
+    run_nodes(&mut nodes, &scenario.vantages());
 
-    let (node, index, alert) = [&a, &b]
-        .into_iter()
+    let (node, index, alert) = nodes
+        .iter()
         .find_map(|node| {
             node.alerts()
                 .iter()

@@ -249,6 +249,29 @@ fn knowledge_sharing_scenario_file_matches_the_hand_coded_harness() {
     }
 }
 
+/// Pair alerts carry their real capture-clock time, so a deadline the
+/// run misses fails: the chaos run's scripted wormhole evidence lands
+/// at 5–6 s, and no alert can fire within the first second.
+#[test]
+fn chaos_scenario_fails_a_first_detection_deadline_it_misses() {
+    let path = repo_path("examples/scenarios/chaos_sync.scn.kalis");
+    let text = fs::read_to_string(&path).expect("chaos scenario").replace(
+        "expectations = {",
+        "expectations = {\n  first-detection-within = 1,",
+    );
+    let report = run_scenario("chaos_sync.scn.kalis", &text, &[42]).expect("valid scenario");
+    let deadline = report.runs[0]
+        .reports
+        .iter()
+        .find(|r| r.name == "first-detection-within")
+        .expect("the deadline is evaluated");
+    assert!(
+        !deadline.passed,
+        "no alert fires within 1 s: {}",
+        deadline.observed
+    );
+}
+
 #[test]
 fn broken_runtime_fixture_fails_with_observed_vs_expected_evidence() {
     let path = repo_path("tests/scenario_fixtures/runtime/impossible_recall.scn.kalis");

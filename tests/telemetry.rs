@@ -175,10 +175,14 @@ fn journal_eviction_is_visible_as_counter_and_gauge() {
 #[test]
 fn sync_counters_track_collaborative_exchange() {
     let scenario = Scenario::build(ScenarioKind::Wormhole, 42, 8);
-    let captures_b = scenario.captures_b.as_ref().expect("two taps");
-    let (a, b) = kalis_bench::runner::run_kalis_pair(&scenario.captures, captures_b);
-    let snap_a = a.telemetry.expect("node A snapshot");
-    let snap_b = b.telemetry.expect("node B snapshot");
+    let mut nodes = ["K1", "K2"].map(|id| {
+        Kalis::builder(KalisId::new(id))
+            .with_default_modules()
+            .build()
+    });
+    kalis_bench::runner::run_nodes(&mut nodes, &scenario.vantages());
+    let snap_a = nodes[0].telemetry().snapshot();
+    let snap_b = nodes[1].telemetry().snapshot();
 
     // Knowledge flowed in both directions and the ledgers agree.
     assert!(snap_a.counter(names::SYNC_SENT) > 0);
