@@ -4,8 +4,9 @@
 //! `SlidingCounter::count` with the exact buffer full — at the default
 //! `entity_budget` and at four times it, because what an operator raises
 //! to resist a spray must not be what a packet pays for. Beside them, the
-//! touch of a map holding five keys: what the workloads that spray
-//! nothing pay for the same map.
+//! touch of a map holding five keys and the count of a counter whose
+//! full buffer holds five: what the workloads that spray nothing pay for
+//! the same structures.
 
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -93,6 +94,29 @@ fn bench_bounded(c: &mut Criterion) {
             });
         });
     }
+    group.bench_function("sliding_counter_count_few", |b| {
+        // A flood's shape: five victims in turn, the buffer at the
+        // default budget, every push spilling the oldest event.
+        let victims: Vec<Entity> = (0..5).map(sprayed).collect();
+        let mut counter =
+            SlidingCounter::bounded(Duration::from_secs(3_600), DEFAULT_ENTITY_BUDGET);
+        let mut next = 0usize;
+        let mut push = |counter: &mut SlidingCounter<Entity>| {
+            next += 1;
+            let now = Timestamp::from_millis(next as u64);
+            let victim = &victims[next % victims.len()];
+            counter.push(now, victim.clone());
+            (now, victim)
+        };
+        for _ in 0..2 * DEFAULT_ENTITY_BUDGET {
+            push(&mut counter);
+        }
+        assert_eq!(counter.len(), DEFAULT_ENTITY_BUDGET);
+        b.iter(|| {
+            let (now, victim) = push(&mut counter);
+            black_box(counter.count(victim, now))
+        });
+    });
     group.finish();
 }
 

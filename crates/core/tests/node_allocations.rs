@@ -412,14 +412,16 @@ fn a_never_seen_identity_at_every_cap_allocates_next_to_nothing() {
         })
         .collect();
     assert!(kb_untouched(&node), "a sprayed identity reached the KB");
-    // What allocates now and then: a count index's tree node splitting,
-    // and the packets that bear a housekeeping tick.
-    let at_most = |limit: u64| counts.iter().filter(|count| **count <= limit).count();
+    // What allocates: the two packets that bear the 1 s housekeeping
+    // tick (measured indices 12 and 346; packets are 3 ms apart) and the
+    // packet 13 after each (25 and 359). Every other new identity is
+    // looked up, counted and evicted in place.
+    let allocating: Vec<usize> = (counts.iter().enumerate())
+        .filter_map(|(at, count)| (*count > 0).then_some(at))
+        .collect();
     assert!(
-        at_most(0) * 10 >= counts.len() * 9 && at_most(1) * 50 >= counts.len() * 49,
-        "of {MEASURED} new identities {} allocated nothing and {} at most once: {counts:?}",
-        at_most(0),
-        at_most(1)
+        allocating.len() <= 4,
+        "of {MEASURED} new identities, those at {allocating:?} allocated: {counts:?}"
     );
     let worst = counts.iter().max().copied();
     assert!(worst <= Some(20), "a packet allocated {worst:?} times");
