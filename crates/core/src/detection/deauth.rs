@@ -8,7 +8,9 @@ use kalis_packets::wifi::WifiBody;
 use kalis_packets::{CapturedPacket, Entity};
 
 use crate::alert::{Alert, AttackKind};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::modules::{
+    FrameClass, KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec,
+};
 use crate::taxonomy::Feature;
 
 use super::util::{AlertGate, SlidingCounter};
@@ -43,6 +45,7 @@ impl Module for DeauthModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("DeauthModule", AttackKind::Deauth)
             .needs(&[Feature::WifiMedium])
+            .reads(FrameClass::WIFI_MGMT)
     }
 
     fn contract(&self) -> KnowggetContract {

@@ -13,7 +13,9 @@ use kalis_packets::{CapturedPacket, Entity, TrafficClass};
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
 use crate::knowledge::KnowValue;
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::modules::{
+    FrameClass, KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec,
+};
 use crate::sensing::labels as sense;
 use crate::taxonomy::Feature;
 
@@ -120,6 +122,7 @@ impl Module for IcmpFloodModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("IcmpFloodModule", AttackKind::IcmpFlood)
             .needs(&[Feature::MultiHop, Feature::SingleHop])
+            .reads(FrameClass::ICMP_ECHO)
     }
 
     fn contract(&self) -> KnowggetContract {
@@ -250,7 +253,9 @@ impl Default for SmurfModule {
 
 impl Module for SmurfModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        ModuleDescriptor::detection("SmurfModule", AttackKind::Smurf).needs(&[Feature::MultiHop])
+        ModuleDescriptor::detection("SmurfModule", AttackKind::Smurf)
+            .needs(&[Feature::MultiHop])
+            .reads(FrameClass::ICMP_ECHO)
     }
 
     fn contract(&self) -> KnowggetContract {
@@ -378,6 +383,7 @@ impl Module for SynFloodModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("SynFloodModule", AttackKind::SynFlood)
             .needs(&[Feature::IpConnectivity])
+            .reads(FrameClass::TCP)
     }
 
     fn contract(&self) -> KnowggetContract {
@@ -499,6 +505,7 @@ impl Module for UdpFloodModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("UdpFloodModule", AttackKind::UdpFlood)
             .needs(&[Feature::IpConnectivity])
+            .reads(FrameClass::UDP)
     }
 
     fn contract(&self) -> KnowggetContract {

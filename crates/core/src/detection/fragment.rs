@@ -10,7 +10,9 @@ use kalis_packets::reassembly::{DatagramKey, Reassembler};
 use kalis_packets::{CapturedPacket, Entity, ShortAddr};
 
 use crate::alert::{Alert, AttackKind};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::modules::{
+    FrameClass, KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec,
+};
 use crate::taxonomy::Feature;
 
 use super::util::AlertGate;
@@ -47,6 +49,7 @@ impl Module for FragmentFloodModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("FragmentFloodModule", AttackKind::FragmentFlood)
             .needs(&[Feature::SixLowpan])
+            .reads(FrameClass::SIXLOWPAN)
     }
 
     fn contract(&self) -> KnowggetContract {

@@ -8,7 +8,9 @@ use kalis_packets::{CapturedPacket, Entity, TrafficClass};
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
 use crate::knowledge::KnowValue;
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::modules::{
+    FrameClass, KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec,
+};
 use crate::taxonomy::Feature;
 
 use super::util::{AlertGate, SlidingCounter};
@@ -57,6 +59,7 @@ impl Module for ScanModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("ScanModule", AttackKind::Scan)
             .needs(&[Feature::IpConnectivity])
+            .reads(FrameClass::TCP)
     }
 
     fn contract(&self) -> KnowggetContract {

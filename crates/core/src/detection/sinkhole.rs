@@ -13,7 +13,9 @@ use kalis_packets::zigbee::{ZigbeeBody, ZigbeeCommand};
 use kalis_packets::{CapturedPacket, Entity};
 
 use crate::alert::{Alert, AttackKind};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ValueType};
+use crate::modules::{
+    FrameClass, KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ValueType,
+};
 use crate::sensing::labels as sense;
 use crate::taxonomy::Feature;
 
@@ -63,6 +65,7 @@ impl Module for SinkholeModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("SinkholeModule", AttackKind::Sinkhole)
             .needs(&[Feature::MultiHop])
+            .reads(FrameClass::CTP | FrameClass::ZIGBEE | FrameClass::RPL)
     }
 
     fn contract(&self) -> KnowggetContract {

@@ -9,7 +9,9 @@ use kalis_packets::{CapturedPacket, Entity, Timestamp};
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, BoundedMap, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
 use crate::knowledge::KnowValue;
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec};
+use crate::modules::{
+    FrameClass, KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec,
+};
 use crate::taxonomy::Feature;
 
 use super::util::{fingerprint_identity, AlertGate};
@@ -100,6 +102,7 @@ impl Module for SybilModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("SybilModule", AttackKind::Sybil)
             .needs(&[Feature::Ieee802154Medium])
+            .reads(FrameClass::IEEE802154)
             .heavy()
     }
 

@@ -254,6 +254,8 @@ impl Default for SelectiveForwardingModule {
 
 impl Module for SelectiveForwardingModule {
     fn descriptor(&self) -> ModuleDescriptor {
+        // Reads every frame, not CTP alone: `on_packet` expires and
+        // evaluates on each, so the deadline clock runs on every medium.
         ModuleDescriptor::detection("SelectiveForwardingModule", AttackKind::SelectiveForwarding)
             .needs(&[Feature::MultiHop])
             .heavy()
@@ -361,6 +363,8 @@ impl Default for BlackholeModule {
 
 impl Module for BlackholeModule {
     fn descriptor(&self) -> ModuleDescriptor {
+        // Reads every frame, not CTP alone: `on_packet` expires and
+        // evaluates on each, so the deadline clock runs on every medium.
         ModuleDescriptor::detection("BlackholeModule", AttackKind::Blackhole)
             .needs(&[Feature::MultiHop])
             .heavy()

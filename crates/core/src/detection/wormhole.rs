@@ -29,7 +29,9 @@ use crate::bounded::{
 };
 use crate::id::KalisId;
 use crate::knowledge::{KnowValue, KnowledgeBase};
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
+use crate::modules::{
+    FrameClass, KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType,
+};
 use crate::taxonomy::Feature;
 
 use super::labels;
@@ -216,6 +218,7 @@ impl Module for WormholeModule {
     fn descriptor(&self) -> ModuleDescriptor {
         ModuleDescriptor::detection("WormholeModule", AttackKind::Wormhole)
             .needs(&[Feature::MultiHop])
+            .reads(FrameClass::CTP)
             .heavy()
     }
 

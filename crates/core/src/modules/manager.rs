@@ -1,5 +1,6 @@
-//! The Module Manager: routes packets to active modules and re-evaluates
-//! activation whenever the Knowledge Base changes.
+//! The Module Manager: routes each packet to the active modules that
+//! read its frame class and re-evaluates activation whenever the
+//! Knowledge Base changes.
 //!
 //! Every dispatch is supervised (see [`super::supervisor`]): panics are
 //! caught and isolated, watchdog-budget overruns are tracked, crash-looping
@@ -17,13 +18,15 @@ use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEven
 use crate::knowledge::{KnowledgeBase, SlotSet, Subscriptions};
 
 use super::supervisor::{ModuleHealth, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict};
-use super::{Module, ModuleCtx, ModuleKind, ModuleWeight};
+use super::{FrameClass, Module, ModuleCtx, ModuleKind, ModuleWeight};
 
 struct Slot {
     module: Box<dyn Module>,
     active: bool,
     /// Activated by configuration: stays on regardless of knowledge.
     pinned: bool,
+    /// The frame classes the module's descriptor reads.
+    reads: FrameClass,
     /// Panic/budget/quarantine bookkeeping for this module.
     supervision: Supervision,
     /// Shed-eligible dispatches seen; drives the deterministic 1-in-N
@@ -316,15 +319,17 @@ impl ModuleManager {
     /// Add a module. `pinned` modules (named in the configuration file)
     /// start active and stay active.
     pub fn add(&mut self, module: Box<dyn Module>, pinned: bool) {
-        let active = pinned || !self.adaptive || module.descriptor().kind == ModuleKind::Sensing;
+        let descriptor = module.descriptor();
+        let active = pinned || !self.adaptive || descriptor.kind == ModuleKind::Sensing;
         let tele = self
             .tele
             .as_ref()
-            .map(|t| SlotTele::new(&t.registry, module.descriptor().name));
+            .map(|t| SlotTele::new(&t.registry, descriptor.name));
         self.slots.push(Slot {
             module,
             active,
             pinned,
+            reads: descriptor.reads,
             supervision: Supervision::default(),
             shed_seq: 0,
             cpu_ns: 0,
@@ -514,7 +519,8 @@ impl ModuleManager {
         (activated, deactivated)
     }
 
-    /// Route one packet to every active module (no shedding).
+    /// Route one packet to every active module that reads its frame
+    /// class (no shedding).
     pub fn dispatch_packet(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -523,10 +529,11 @@ impl ModuleManager {
         self.dispatch_packet_shed(ctx, packet, ShedMode::None)
     }
 
-    /// Route one packet to every active module under the given shed
-    /// mode. Every module call is supervised: panics are caught and
-    /// isolated, budget overruns tracked, quarantined modules skipped
-    /// (and released to probation when their backoff expires).
+    /// Route one packet to every active module that reads its
+    /// [`FrameClass`], under the given shed mode. Every module call is
+    /// supervised: panics are caught and isolated, budget overruns
+    /// tracked, quarantined modules skipped (and released to probation
+    /// when their backoff expires, whatever the frame).
     pub fn dispatch_packet_shed(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -538,15 +545,16 @@ impl ModuleManager {
             ctx,
             shed,
             record,
-            false,
+            Some(FrameClass::of(packet)),
             |t| &t.packet_hist,
             |module, ctx| module.on_packet(ctx, packet),
         )
     }
 
-    /// Route a tick to every active module. Supervised like packet
-    /// dispatch (panic isolation, budgets, quarantine, latency sampled
-    /// by the same rule) but never shed: ticks drive window expiry.
+    /// Route a tick to every active module, whatever frame classes it
+    /// reads. Supervised like packet dispatch (panic isolation, budgets,
+    /// quarantine, latency sampled by the same rule) but never shed:
+    /// ticks drive window expiry.
     /// A module whose `on_tick` said it has no tick work is not called;
     /// its tick is accounted as a call that completed at once.
     pub fn dispatch_tick(&mut self, ctx: &mut ModuleCtx<'_>) -> DispatchOutcome {
@@ -555,17 +563,18 @@ impl ModuleManager {
             ctx,
             ShedMode::None,
             record,
-            true,
+            None,
             |t| &t.tick_hist,
             |module, ctx| module.on_tick(ctx),
         )
     }
 
     /// The supervise policy behind both entry points: run `call` on
-    /// every active module that is neither quarantined nor shed. With
-    /// `record` set each completed call's latency goes to the slot's
-    /// `hist` series; calls are timed when recorded or when a watchdog
-    /// budget is configured. On a `tick`, a slot without tick work goes
+    /// every active module that is neither quarantined nor shed and, for
+    /// a packet of `frame` class, reads that class; `frame` is `None`
+    /// for a tick. With `record` set each completed call's latency goes
+    /// to the slot's `hist` series; calls are timed when recorded or when
+    /// a watchdog budget is configured. On a tick, a slot without tick work goes
     /// through the same accounting — dispatch and work counted, latency
     /// timed and recorded, clean streak advanced — with no call.
     fn supervise(
@@ -573,7 +582,7 @@ impl ModuleManager {
         ctx: &mut ModuleCtx<'_>,
         shed: ShedMode,
         record: bool,
-        tick: bool,
+        frame: Option<FrameClass>,
         hist: impl Fn(&SlotTele) -> &Histogram,
         mut call: impl FnMut(&mut dyn Module, &mut ModuleCtx<'_>),
     ) -> DispatchOutcome {
@@ -581,6 +590,7 @@ impl ModuleManager {
         let cfg = &self.supervisor;
         let tele = self.tele.as_ref();
         let budget = cfg.budget;
+        let tick = frame.is_none();
         // kalis-lint: allow(KL302): measures real CPU cost for the supervisor budget
         let mut prev = (record || budget.is_some()).then(Instant::now);
         let mut quarantine_flips: u64 = 0;
@@ -602,6 +612,11 @@ impl ModuleManager {
                 if let Some(t) = tele {
                     t.note_probation(ctx.now, slot.module.descriptor().name);
                 }
+            }
+            // Routing: a packet reaches only the modules that read its
+            // class — no call, no dispatch, no shed, no shed step.
+            if frame.is_some_and(|class| !slot.reads.intersects(class)) {
+                continue;
             }
             // Shed gate: sensing and pinned modules always run; unpinned
             // detection modules see deterministic 1-in-N sampling while
@@ -1897,5 +1912,232 @@ mod tests {
         for (step, (skipped, called)) in skipped.iter().zip(&called).enumerate() {
             assert_eq!(skipped, called, "step {step}");
         }
+    }
+
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Packet and tick calls a [`Reader`] received.
+    type Calls = Arc<[AtomicU64; 2]>;
+
+    /// A detection module reading `reads`, counting its packet and tick
+    /// calls, panicking on every packet while `crash` is set.
+    struct Reader {
+        name: &'static str,
+        reads: FrameClass,
+        calls: Calls,
+        crash: bool,
+    }
+
+    impl Reader {
+        fn boxed(name: &'static str, reads: FrameClass) -> (Box<dyn Module>, Calls) {
+            let calls = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+            let reader = Reader {
+                name,
+                reads,
+                calls: Arc::clone(&calls),
+                crash: false,
+            };
+            (Box::new(reader), calls)
+        }
+    }
+
+    impl Module for Reader {
+        fn descriptor(&self) -> ModuleDescriptor {
+            ModuleDescriptor::detection(self.name, AttackKind::Sybil).reads(self.reads)
+        }
+        fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
+            self.calls[0].fetch_add(1, Ordering::Relaxed);
+            if self.crash {
+                panic!("Crashy reader");
+            }
+        }
+        fn on_tick(&mut self, _ctx: &mut ModuleCtx<'_>) {
+            self.calls[1].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn frame(medium: Medium, secs: u64) -> CapturedPacket {
+        CapturedPacket::capture(Timestamp::from_secs(secs), medium, None, "t", Bytes::new())
+    }
+
+    fn dispatch(
+        mgr: &mut ModuleManager,
+        kb: &mut KnowledgeBase,
+        packet: &CapturedPacket,
+        shed: ShedMode,
+    ) -> DispatchOutcome {
+        let mut alerts = Vec::new();
+        let mut ctx = ModuleCtx {
+            now: packet.timestamp,
+            kb,
+            alerts: &mut alerts,
+        };
+        mgr.dispatch_packet_shed(&mut ctx, packet, shed)
+    }
+
+    fn dispatches(mgr: &ModuleManager, name: &str) -> u64 {
+        let profiles = mgr.module_profiles();
+        profiles.iter().find(|p| p.name == name).unwrap().dispatches
+    }
+
+    #[test]
+    fn a_wifi_frame_skips_an_802154_only_module() {
+        let (mut kb, _) = ctx_parts();
+        let mut mgr = ModuleManager::all_always_active();
+        let (sybil, sybil_calls) = Reader::boxed("Only154", FrameClass::IEEE802154);
+        let (every, every_calls) = Reader::boxed("Every", FrameClass::ANY);
+        mgr.add(sybil, false);
+        mgr.add(every, false);
+        let outcome = dispatch(&mut mgr, &mut kb, &frame(Medium::Wifi, 0), ShedMode::None);
+        assert_eq!((outcome.work_units(), outcome.modules_shed), (1, 0));
+        assert_eq!(sybil_calls[0].load(Ordering::Relaxed), 0);
+        assert_eq!(every_calls[0].load(Ordering::Relaxed), 1);
+        assert_eq!(
+            (dispatches(&mgr, "Only154"), dispatches(&mgr, "Every")),
+            (0, 1)
+        );
+        // An 802.15.4 frame reaches both.
+        let outcome = dispatch(
+            &mut mgr,
+            &mut kb,
+            &frame(Medium::Ieee802154, 1),
+            ShedMode::None,
+        );
+        assert_eq!(outcome.work_units(), 2);
+        assert_eq!(dispatches(&mgr, "Only154"), 1);
+    }
+
+    #[test]
+    fn an_undecodable_frame_reaches_every_every_frame_module() {
+        let (mut kb, _) = ctx_parts();
+        let mut mgr = ModuleManager::all_always_active();
+        let mut counts = Vec::new();
+        for (name, reads) in [
+            ("EveryA", FrameClass::ANY),
+            ("Udp", FrameClass::UDP),
+            ("EveryB", FrameClass::ANY),
+            ("Wifi", FrameClass::WIFI | FrameClass::WIFI_MGMT),
+        ] {
+            let (module, calls) = Reader::boxed(name, reads);
+            mgr.add(module, false);
+            counts.push(calls);
+        }
+        let junk = frame(Medium::Wifi, 0);
+        assert!(junk.decoded().is_none());
+        let outcome = dispatch(&mut mgr, &mut kb, &junk, ShedMode::None);
+        assert_eq!(outcome.modules_run, 2);
+        let calls: Vec<u64> = (counts.iter())
+            .map(|c| c[0].load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(calls, [1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn a_tick_reaches_every_active_slot_whatever_it_reads() {
+        let (mut kb, mut alerts) = ctx_parts();
+        let mut mgr = ModuleManager::all_always_active();
+        let mut counts = Vec::new();
+        for (name, reads) in [
+            ("Only154", FrameClass::IEEE802154),
+            ("Udp", FrameClass::UDP),
+            ("Every", FrameClass::ANY),
+        ] {
+            let (module, calls) = Reader::boxed(name, reads);
+            mgr.add(module, false);
+            counts.push(calls);
+        }
+        let mut ctx = ModuleCtx {
+            now: Timestamp::ZERO,
+            kb: &mut kb,
+            alerts: &mut alerts,
+        };
+        assert_eq!(mgr.dispatch_tick(&mut ctx).modules_run, 3);
+        assert!(counts.iter().all(|c| c[1].load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn a_quarantined_module_leaves_quarantine_on_time_on_frames_it_does_not_read() {
+        quiet_panics();
+        let (mut kb, _) = ctx_parts();
+        let mut mgr = ModuleManager::all_always_active();
+        let tele = Arc::new(Telemetry::new());
+        mgr.set_telemetry(&tele);
+        let calls = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        mgr.add(
+            Box::new(Reader {
+                name: "Only154",
+                reads: FrameClass::IEEE802154,
+                calls: Arc::clone(&calls),
+                crash: true,
+            }),
+            false,
+        );
+        let cfg = SupervisorConfig::default();
+        let limit = u64::from(cfg.panic_limit);
+        for secs in 0..limit {
+            dispatch(
+                &mut mgr,
+                &mut kb,
+                &frame(Medium::Ieee802154, secs),
+                ShedMode::None,
+            );
+        }
+        assert_eq!(
+            mgr.module_health("Only154"),
+            Some(ModuleHealth::Quarantined)
+        );
+        // Quarantined at the last panic; released by the first frame —
+        // of any class — at or after the backoff.
+        let release = limit - 1 + cfg.backoff_base.as_secs();
+        for secs in limit..release + 3 {
+            dispatch(
+                &mut mgr,
+                &mut kb,
+                &frame(Medium::Wifi, secs),
+                ShedMode::None,
+            );
+            let want = if secs < release {
+                ModuleHealth::Quarantined
+            } else {
+                ModuleHealth::Degraded
+            };
+            assert_eq!(mgr.module_health("Only154"), Some(want), "at {secs}s");
+        }
+        let probation: Vec<u64> = (tele.journal().snapshot().records.iter())
+            .filter(|record| record.event.kind() == "module_probation")
+            .map(|record| record.time_us)
+            .collect();
+        assert_eq!(probation, [release * 1_000_000]);
+        // On probation, it was not called on the WiFi frames.
+        assert_eq!(calls[0].load(Ordering::Relaxed), limit);
+    }
+
+    #[test]
+    fn routed_out_slots_are_not_shed_and_keep_their_shed_step() {
+        let (mut kb, _) = ctx_parts();
+        let mut mgr = ModuleManager::all_always_active();
+        let (sybil, sybil_calls) = Reader::boxed("Only154", FrameClass::IEEE802154);
+        let (every, _) = Reader::boxed("Every", FrameClass::ANY);
+        mgr.add(sybil, false);
+        mgr.add(every, false);
+        let keep = SupervisorConfig::default().shed_sample;
+        let mut shed = 0;
+        for secs in 0..32 {
+            shed +=
+                dispatch(&mut mgr, &mut kb, &frame(Medium::Wifi, secs), ShedMode::All).modules_shed;
+        }
+        // Only the every-frame module was shed, one call in `keep` kept.
+        assert_eq!(shed, 32 - 32 / keep);
+        let profiles = mgr.module_profiles();
+        assert_eq!((profiles[0].sheds, profiles[0].dispatches), (0, 0));
+        // The routed-out slot's shed sequence did not move: its first
+        // frame under shedding is the one kept.
+        dispatch(
+            &mut mgr,
+            &mut kb,
+            &frame(Medium::Ieee802154, 32),
+            ShedMode::All,
+        );
+        assert_eq!(sybil_calls[0].load(Ordering::Relaxed), 1);
     }
 }

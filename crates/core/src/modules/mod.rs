@@ -3,11 +3,13 @@
 //! and the registry that constructs them by name from configuration text.
 
 mod contract;
+mod frame;
 mod manager;
 mod registry;
 mod supervisor;
 
 pub use contract::{AllowRule, KeyPattern, KeyUse, KnowggetContract, ParamSpec, ValueType};
+pub use frame::FrameClass;
 pub use manager::{DispatchOutcome, ModuleManager, ModuleProfile};
 pub use registry::ModuleRegistry;
 pub use supervisor::{
@@ -58,6 +60,9 @@ pub struct ModuleDescriptor {
     /// The Fig. 3 features any one of which switches the module on;
     /// empty for a module knowledge does not switch.
     pub needs: &'static [Feature],
+    /// The frame classes the module reads: the Module Manager calls its
+    /// `on_packet` only on frames of one of them.
+    pub reads: FrameClass,
 }
 
 impl ModuleDescriptor {
@@ -69,6 +74,7 @@ impl ModuleDescriptor {
             detects: None,
             weight: ModuleWeight::Light,
             needs: &[],
+            reads: FrameClass::ANY,
         }
     }
 
@@ -80,6 +86,7 @@ impl ModuleDescriptor {
             detects: Some(attack),
             weight: ModuleWeight::Light,
             needs: &[],
+            reads: FrameClass::ANY,
         }
     }
 
@@ -94,6 +101,14 @@ impl ModuleDescriptor {
     /// wherever any one of them holds ([`Module::required`]).
     pub fn needs(mut self, features: &'static [Feature]) -> Self {
         self.needs = features;
+        self
+    }
+
+    /// Declare the frame classes the module reads (every frame, by
+    /// default). Its `on_packet` must leave a frame outside them
+    /// unread: the Module Manager does not call it on one.
+    pub fn reads(mut self, classes: FrameClass) -> Self {
+        self.reads = classes;
         self
     }
 
@@ -172,7 +187,8 @@ pub trait Module: Send {
                 .any(|label| kb.get_bool(label).is_some_and(|value| holds(label, value)))
     }
 
-    /// Process one captured packet (only called while active).
+    /// Process one captured packet (only called while active, and only
+    /// on frames of a class the descriptor [`reads`](ModuleDescriptor::reads)).
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket);
 
     /// Periodic housekeeping (window rollover, timeout expiry). Called on

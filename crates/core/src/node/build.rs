@@ -388,6 +388,7 @@ impl KalisBuilder {
             provenance: Vec::new(),
             tracer,
             ingest_seq: 0,
+            packets: 0,
             current_trace: TraceContext::none(),
             current_packet_seq: None,
             response: ResponseEngine::new(),

@@ -6,6 +6,8 @@
 //! on ([`crate::modules::ModuleDescriptor::needs`]), and
 //! [`Feature::knowgget`] says which knowgget senses each one.
 
+use kalis_packets::Medium;
+
 use crate::alert::AttackKind;
 use crate::sensing::labels;
 
@@ -104,6 +106,16 @@ pub enum Feature {
 }
 
 impl Feature {
+    /// The medium a medium feature says is present; `None` for the
+    /// other features.
+    pub fn medium(self) -> Option<Medium> {
+        match self {
+            Feature::WifiMedium => Some(Medium::Wifi),
+            Feature::Ieee802154Medium => Some(Medium::Ieee802154),
+            _ => None,
+        }
+    }
+
     /// The knowgget that senses this feature, as `(label, value)`: the
     /// feature holds where the Knowledge Base has `label = value`.
     /// `None` for the features no module senses.

@@ -68,6 +68,10 @@ pub enum Code {
     /// the Module Manager cannot tell which knowledge its `required()`
     /// reads, so it re-evaluates the module on every knowledge change.
     WildcardSubscriber,
+    /// A module whose descriptor needs a medium feature but reads no
+    /// frame class that medium carries: routing never hands it a frame
+    /// of the network portion that switches it on.
+    NeededMediumUnread,
     /// A raw `HashMap`/`BTreeMap`/entity-keyed `Vec` in detection or
     /// sensing code outside `kalis_core::bounded` — unbounded
     /// per-entity state under adversarial cardinality.
@@ -106,6 +110,7 @@ impl Code {
             Code::UnreachableDetection => "KL204",
             Code::EntityBudgetMismatch => "KL205",
             Code::WildcardSubscriber => "KL206",
+            Code::NeededMediumUnread => "KL207",
             Code::RawPerEntityState => "KL301",
             Code::WallClockOnHotPath => "KL302",
             Code::FormattedKnowggetKey => "KL303",

@@ -21,6 +21,10 @@
 //!   Module Manager, which subscribes each module to the labels of the
 //!   features its descriptor needs, must subscribe this one to
 //!   everything and re-evaluate it on every change.
+//! * `KL207` — a module that needs a medium feature but reads no frame
+//!   class on that medium (`needs(WifiMedium)` with `reads` limited to
+//!   802.15.4 classes): the Module Manager routes it no frame of the
+//!   portion that switches it on.
 //!
 //! The same graph renders as Graphviz DOT (`kalis-lint --graph`) and
 //! feeds the per-peer sync read sets of [`crate::readset`].
@@ -28,8 +32,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use kalis_core::modules::{
-    KeyPattern, KeyUse, KnowggetContract, ModuleKind, ModuleRegistry, ValueType,
+    FrameClass, KeyPattern, KeyUse, KnowggetContract, ModuleKind, ModuleRegistry, ValueType,
 };
+use kalis_core::taxonomy::Feature;
 use kalis_core::AttackKind;
 
 use crate::diagnostics::{Code, Diagnostic};
@@ -72,6 +77,11 @@ pub struct GraphNode {
     /// The module's activation inputs: the knowgget labels of the
     /// features its descriptor needs (none for the node contract).
     pub activation: Vec<&'static str>,
+    /// The features its descriptor needs (none for the node contract).
+    pub needs: &'static [Feature],
+    /// The frame classes its descriptor reads (every frame, for the
+    /// node contract).
+    pub reads: FrameClass,
 }
 
 impl GraphNode {
@@ -93,6 +103,8 @@ impl GraphNode {
                     detects: descriptor.detects,
                     contract,
                     activation,
+                    needs: descriptor.needs,
+                    reads: descriptor.reads,
                 }
             })
             .collect();
@@ -102,6 +114,8 @@ impl GraphNode {
             detects: None,
             contract: kalis_core::system_contract(),
             activation: Vec::new(),
+            needs: &[],
+            reads: FrameClass::ANY,
         });
         nodes
     }
@@ -308,6 +322,7 @@ impl KnowledgeGraph {
         self.check_detection_reachability(&mut diags);
         self.check_entity_budgets(&mut diags);
         self.check_wildcard_subscribers(&mut diags);
+        self.check_medium_reads(&mut diags);
         diags
     }
 
@@ -514,6 +529,32 @@ impl KnowledgeGraph {
             ).with_note(
                 "declare the features that switch it on with `ModuleDescriptor::needs(..)`".to_owned(),
             ));
+        }
+    }
+
+    /// KL207: a module switched on by a medium must read a frame class
+    /// that medium carries, or routing hands it none of that medium's
+    /// frames.
+    fn check_medium_reads(&self, diags: &mut Vec<Diagnostic>) {
+        for node in &self.nodes {
+            let unread = (node.needs.iter().filter_map(|need| need.medium()))
+                .filter(|medium| !node.reads.carried_on(*medium));
+            for medium in unread {
+                diags.push(
+                    Diagnostic::system(
+                        Code::NeededMediumUnread,
+                        format!(
+                            "module `{}` needs the {medium} medium but reads only `{}` frames, none of which {medium} carries",
+                            node.name,
+                            node.reads.names()
+                        ),
+                    )
+                    .with_note(
+                        "declare a frame class of that medium with `ModuleDescriptor::reads(..)`"
+                            .to_owned(),
+                    ),
+                );
+            }
         }
     }
 }
@@ -770,6 +811,33 @@ mod tests {
             KnowggetContract::new().reads("Multihop", ValueType::Bool),
         )]);
         assert!(lint_graph(&reg).is_empty());
+    }
+
+    #[test]
+    fn a_needed_medium_whose_frames_are_unread_is_kl207() {
+        let contract = KnowggetContract::new();
+        let wifi_on_154 = ModuleDescriptor::detection("WifiBlindModule", AttackKind::Anomaly)
+            .needs(&[Feature::WifiMedium])
+            .reads(FrameClass::IEEE802154 | FrameClass::CTP);
+        let diags = lint_graph(&registry_with(vec![(
+            "WifiBlindModule",
+            wifi_on_154,
+            contract.clone(),
+        )]));
+        assert_eq!(codes(&diags), vec!["KL207"]);
+        assert_eq!(diags[0].severity, crate::diagnostics::Severity::Error);
+        assert!(diags[0].message.contains("WifiBlindModule"));
+        assert!(diags[0].message.contains("wifi"));
+        assert!(diags[0].notes[0].contains("reads"));
+        // Reading a class the medium carries — its own, an IP class, or
+        // every frame — is clean.
+        for reads in [FrameClass::WIFI_MGMT, FrameClass::UDP, FrameClass::ANY] {
+            let descriptor = ModuleDescriptor::detection("WifiReaderModule", AttackKind::Anomaly)
+                .needs(&[Feature::WifiMedium])
+                .reads(reads);
+            let reg = registry_with(vec![("WifiReaderModule", descriptor, contract.clone())]);
+            assert!(lint_graph(&reg).is_empty(), "{}", reads.names());
+        }
     }
 
     #[test]

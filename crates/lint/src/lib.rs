@@ -27,7 +27,8 @@
 //!   unreachable from sensing (`KL204`), inconsistent per-entity
 //!   budgets (`KL205`), and detection modules subscribed to every
 //!   change for want of a declared activation input (`KL206`, a
-//!   warning) — plus the DOT rendering (`--graph`) and the
+//!   warning), and modules that need a medium whose frames they do not
+//!   read (`KL207`) — plus the DOT rendering (`--graph`) and the
 //!   per-peer sync [`ReadSets`] artifact (`--read-sets`) that
 //!   interest-based sync consumes.
 //! * **Source invariants** ([`scan_source`], `--source`): a hand-rolled

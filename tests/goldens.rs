@@ -4,8 +4,10 @@
 //! fault and sync counters — must read exactly as
 //! `tests/goldens/<name>-42.txt` says. Beside the corpus sit the
 //! activation matrix (which detection modules the default library runs
-//! under every sensed-feature state, `activation.txt`) and `kalis-lint`'s
-//! two dataflow artifacts (`knowledge-graph.dot`, `read-sets.json`).
+//! under every sensed-feature state, `activation.txt`), the routing table
+//! (which default modules read each frame class, `routing.txt`) and
+//! `kalis-lint`'s two dataflow artifacts (`knowledge-graph.dot`,
+//! `read-sets.json`).
 //!
 //! A refactor that claims to change nothing proves it here. When a
 //! change is meant to move these, rewrite the files with
@@ -18,7 +20,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use kalis_core::config::ModuleDef;
-use kalis_core::modules::{ModuleKind, ModuleManager, ModuleRegistry};
+use kalis_core::modules::{FrameClass, ModuleKind, ModuleManager, ModuleRegistry};
 use kalis_core::sensing::labels;
 use kalis_core::taxonomy::{relation, Feature, Relation};
 use kalis_core::{AttackKind, KalisId, KnowledgeBase};
@@ -359,6 +361,23 @@ fn activation_matrix_renders_its_golden() {
         }
     }
     assert_golden("tests/goldens/activation.txt", &out);
+}
+
+/// The routing table: one line per frame class naming the default
+/// modules that read a frame of it — those declaring the class, and
+/// those reading every frame — so a declaration change shows in review.
+#[test]
+fn routing_table_renders_its_golden() {
+    let modules = ModuleRegistry::with_defaults().contracts();
+    let mut out = String::new();
+    for (class, name) in FrameClass::NAMED {
+        let readers: Vec<&str> = (modules.iter())
+            .filter(|(_, descriptor, _)| descriptor.reads.intersects(class | FrameClass::ANY))
+            .map(|(module, _, _)| module.as_str())
+            .collect();
+        writeln!(out, "{name} -> {}", readers.join(" ")).unwrap();
+    }
+    assert_golden("tests/goldens/routing.txt", &out);
 }
 
 /// `kalis-lint --graph` and `kalis-lint --read-sets`, byte for byte.

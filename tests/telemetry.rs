@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
 use kalis_core::{Kalis, KalisId};
+use kalis_packets::{CapturedPacket, Medium, Timestamp};
 use kalis_telemetry::{names, JournalEvent, Telemetry, TelemetrySnapshot};
 
 fn run_scenario(kind: ScenarioKind) -> (Kalis, usize) {
@@ -65,9 +66,10 @@ fn dispatch_histograms_and_audit_trail_populate() {
     let (kalis, packets) = run_scenario(ScenarioKind::IcmpFlood);
     let snap = kalis.telemetry().snapshot();
 
-    // One pipeline sample per ingested packet.
+    // One pipeline sample per packet the sampling rule times.
     let pipeline = snap.histogram(names::PIPELINE).expect("pipeline histogram");
-    assert_eq!(pipeline.count, packets as u64);
+    let timed = (1..=packets as u64).filter(|&n| Kalis::ingest_timed(n));
+    assert_eq!(pipeline.count, timed.count() as u64);
 
     // Per-module dispatch latency histograms exist and the modules that
     // ran have samples (histograms are pre-registered for the whole
@@ -203,4 +205,39 @@ fn sync_counters_track_collaborative_exchange() {
         .filter(|r| r.event.kind().starts_with("sync_"))
         .count();
     assert!(sync_events > 0, "journal records the exchange");
+}
+
+/// The whole-ingest histogram times one packet in eight by a hash of the
+/// packet count, so a trace that ticks on every eighth packet neither
+/// keeps every tick-bearing packet in the sample nor keeps them all out.
+#[test]
+fn ingest_sample_does_not_phase_lock_with_the_tick() {
+    let mut kalis = Kalis::builder(KalisId::new("K1"))
+        .with_default_modules()
+        .build();
+    let registry = kalis.telemetry();
+    let (ticks, pipeline) = (
+        registry.counter(names::TICKS),
+        registry.histogram(names::PIPELINE),
+    );
+    let (mut sampled, mut tick_bearing) = (0u64, 0u64);
+    let packets = 4_000u64;
+    for n in 0..packets {
+        // 125 ms apart: the one-second tick falls on every eighth packet.
+        let raw = bytes::Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef]);
+        let at = Timestamp::from_millis(n * 125);
+        let packet = CapturedPacket::capture(at, Medium::Wifi, None, "w", raw);
+        let (ticks_before, timed_before) = (ticks.get(), pipeline.count());
+        kalis.ingest(packet);
+        let timed = pipeline.count() > timed_before;
+        assert_eq!(timed, Kalis::ingest_timed(n + 1), "packet {n}");
+        sampled += u64::from(timed);
+        tick_bearing += u64::from(timed && ticks.get() > ticks_before);
+    }
+    assert_eq!(ticks.get(), packets / 8, "a tick every eighth packet");
+    assert!((packets / 10..=packets / 6).contains(&sampled), "{sampled}");
+    assert!(
+        (sampled / 16..=sampled / 4).contains(&tick_bearing),
+        "{tick_bearing} of {sampled} sampled packets bore a tick"
+    );
 }
