@@ -43,6 +43,7 @@
 use kalis_bench::experiments;
 use kalis_bench::report;
 
+#[derive(Debug, PartialEq)]
 struct Args {
     table1: bool,
     fig3: bool,
@@ -67,7 +68,10 @@ struct Args {
     diag_json: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Parse the command line (without the program name). `--all` selects
+/// the default set, added to whatever other selectors are named, in any
+/// order; with no selector at all the default set runs too.
+fn parse_args(mut iter: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
         table1: false,
         fig3: false,
@@ -92,7 +96,7 @@ fn parse_args() -> Args {
         diag_json: None,
     };
     let mut any = false;
-    let mut iter = std::env::args().skip(1);
+    let mut all = false;
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--table1" => {
@@ -173,7 +177,7 @@ fn parse_args() -> Args {
                 args.lint = true;
                 any = true;
             }
-            "--all" => any = false,
+            "--all" => all = true,
             "--symptoms" => {
                 args.symptoms = iter
                     .next()
@@ -214,7 +218,7 @@ fn parse_args() -> Args {
             other => die(&format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if !any {
+    if all || !any {
         args.table1 = true;
         args.fig3 = true;
         args.table2 = true;
@@ -231,7 +235,7 @@ fn die(msg: &str) -> ! {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1));
     let tracing = args
         .tracing_overhead
         .then(|| experiments::run_tracing_overhead(args.seed, args.symptoms.max(50), 3));
@@ -499,5 +503,23 @@ fn main() {
             "detection rate        : {}",
             report::pct(result.score.detection_rate())
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Args {
+        parse_args(args.iter().map(|arg| (*arg).to_owned()))
+    }
+
+    #[test]
+    fn all_selects_the_default_set_whatever_flags_follow() {
+        let selection = parse(&["--all", "--extended"]);
+        assert_eq!(selection, parse(&["--extended", "--all"]));
+        assert!(selection.table1 && selection.knowledge_sharing && selection.extended);
+        assert!(!selection.supervisor);
+        assert_eq!(parse(&["--all"]), parse(&[]));
     }
 }

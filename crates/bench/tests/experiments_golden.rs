@@ -1,7 +1,12 @@
 //! Golden render of the `experiments` binary. One fixed invocation —
 //! Table II, Fig. 8, the extended set, reactivity, resilience, the
 //! supervisor and knowledge sharing at seed 42 — must print exactly what
-//! `tests/goldens/experiments-42.txt` says.
+//! `tests/goldens/experiments-42.txt` says. A second, ignored by default
+//! because a debug build takes about 14 s over it, pins the complete run
+//! that EXPERIMENTS.md cites, `--all --extended --replication-runs 100
+//! --seed 42`, to `experiments_output.txt` at the repository root; run
+//! it with `cargo test --release -p kalis-bench --test experiments_golden
+//! -- --ignored`.
 //!
 //! Only wall-clock figures are masked: the `p50=`/`p95=`/`p99=` values
 //! of the "Telemetry (Kalis node)" histogram lines. The dispatch lines
@@ -9,9 +14,9 @@
 //! compared sorted. Everything else, the histograms' `n=` counts
 //! included, is deterministic in the seed.
 //!
-//! When a change is meant to move this output, rewrite the file with
-//! `KALIS_BLESS=1 cargo test -p kalis-bench --test experiments_golden`
-//! and review the diff.
+//! When a change is meant to move this output, rewrite the files with
+//! `KALIS_BLESS=1 cargo test -p kalis-bench --test experiments_golden
+//! -- --include-ignored` and review the diff.
 
 use std::fs;
 use std::path::PathBuf;
@@ -33,8 +38,20 @@ const ARGS: &[&str] = &[
     "42",
 ];
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/experiments-42.txt")
+const FULL_ARGS: &[&str] = &[
+    "--all",
+    "--extended",
+    "--replication-runs",
+    "100",
+    "--seed",
+    "42",
+];
+
+/// `path` relative to the repository root.
+fn repo_path(path: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(path)
 }
 
 /// `name: n=N p50=Ans p95=Bns p99=Cns` → `name: n=N p50=_ p95=_ p99=_`;
@@ -88,10 +105,11 @@ fn mask_covers_only_histogram_quantiles() {
     assert_eq!(mask_histogram("x: n=3 p50=1ms p95=2ns p99=3ns"), None);
 }
 
-#[test]
-fn experiments_output_matches_its_golden() {
+/// Run the binary with `args` and compare its masked stdout with the
+/// file at `path` (rewrite it under `KALIS_BLESS=1`).
+fn check(args: &[&str], path: PathBuf) {
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(ARGS)
+        .args(args)
         .output()
         .expect("run the experiments binary");
     assert!(
@@ -100,7 +118,6 @@ fn experiments_output_matches_its_golden() {
         String::from_utf8_lossy(&output.stderr)
     );
     let got = masked(&String::from_utf8(output.stdout).expect("utf-8 stdout"));
-    let path = golden_path();
     if std::env::var_os("KALIS_BLESS").is_some_and(|v| v == "1") {
         fs::write(&path, &got).unwrap();
         return;
@@ -123,4 +140,15 @@ fn experiments_output_matches_its_golden() {
             diff.join("\n")
         );
     }
+}
+
+#[test]
+fn experiments_output_matches_its_golden() {
+    check(ARGS, repo_path("tests/goldens/experiments-42.txt"));
+}
+
+#[test]
+#[ignore = "about 14 s in a debug build; CI runs it in release"]
+fn the_complete_run_matches_experiments_output() {
+    check(FULL_ARGS, repo_path("experiments_output.txt"));
 }

@@ -37,6 +37,22 @@ struct KbStats {
     entity_evictions: Arc<Gauge>,
 }
 
+impl KbStats {
+    fn new(registry: &Telemetry) -> Self {
+        let op = |name: &str| registry.counter(&metric_name(names::KB_OPS, &[("op", name)]));
+        KbStats {
+            inserts: op("insert"),
+            gets: op("get"),
+            removes: op("remove"),
+            syncs: op("sync"),
+            churn: registry.counter(names::KB_CHURN),
+            revision: registry.gauge(names::KB_REVISION),
+            entity_occupancy: registry.gauge(names::KB_ENTITY_OCCUPANCY),
+            entity_evictions: registry.gauge(names::KB_ENTITY_EVICTIONS),
+        }
+    }
+}
+
 /// A change to the Knowledge Base, consumed by the Module Manager to
 /// decide module activation (paper: "the Knowledge Base will in turn
 /// notify the Module Manager that recent changes ... might require
@@ -94,7 +110,7 @@ pub struct KnowledgeBase {
     revision: u64,
     /// The module currently dispatching (set by the Module Manager
     /// around each callback); empty = operator/config/embedder write.
-    writer: String,
+    writer: &'static str,
     /// The trace context of the packet/tick being dispatched
     /// (`(trace_id, span_id)`; zeros = untraced).
     trace: (u64, u32),
@@ -107,7 +123,9 @@ pub struct KnowledgeBase {
     /// budget, the least-recently-written entity is evicted and all of
     /// its knowggets purged.
     entity_index: BoundedMap<Entity, KeySet>,
-    stats: Option<KbStats>,
+    /// Handles into a private registry until
+    /// [`KnowledgeBase::set_telemetry`] attaches the node's.
+    stats: KbStats,
 }
 
 /// The Module Manager as a subscriber: its table, and what the changes
@@ -261,67 +279,49 @@ impl KnowledgeBase {
             changes: Vec::new(),
             subscriber: None,
             revision: 0,
-            writer: String::new(),
+            writer: "",
             trace: (0, 0),
             no_tick_work: false,
             entity_index: BoundedMap::new(DEFAULT_KB_ENTITY_BUDGET),
-            stats: None,
+            stats: KbStats::new(&Telemetry::new()),
         }
     }
 
-    /// Attach a telemetry registry: from now on every operation is
-    /// counted under `kb.ops[op=...]` and revision churn is tracked.
+    /// Attach the node's telemetry registry in place of the KB's private
+    /// one: from now on every operation is counted there under
+    /// `kb.ops[op=...]` and revision churn is tracked there.
     pub fn set_telemetry(&mut self, registry: &Telemetry) {
-        let op = |name: &str| registry.counter(&metric_name(names::KB_OPS, &[("op", name)]));
-        self.stats = Some(KbStats {
-            inserts: op("insert"),
-            gets: op("get"),
-            removes: op("remove"),
-            syncs: op("sync"),
-            churn: registry.counter(names::KB_CHURN),
-            revision: registry.gauge(names::KB_REVISION),
-            entity_occupancy: registry.gauge(names::KB_ENTITY_OCCUPANCY),
-            entity_evictions: registry.gauge(names::KB_ENTITY_EVICTIONS),
-        });
+        self.stats = KbStats::new(registry);
     }
 
     #[inline]
     fn note_insert(&self) {
-        if let Some(s) = &self.stats {
-            s.inserts.inc();
-        }
+        self.stats.inserts.inc();
     }
 
     #[inline]
     fn note_get(&self) {
-        if let Some(s) = &self.stats {
-            s.gets.inc();
-        }
+        self.stats.gets.inc();
     }
 
     #[inline]
     fn note_remove(&self) {
-        if let Some(s) = &self.stats {
-            s.removes.inc();
-        }
+        self.stats.removes.inc();
     }
 
     #[inline]
     fn note_sync(&self) {
-        if let Some(s) = &self.stats {
-            s.syncs.inc();
-        }
+        self.stats.syncs.inc();
     }
 
     /// Record a revision bump (a real state change).
     #[inline]
     fn note_churn(&self) {
-        if let Some(s) = &self.stats {
-            s.churn.inc();
-            s.revision.set(self.revision);
-            s.entity_occupancy.set(self.entity_index.len() as u64);
-            s.entity_evictions.set(self.entity_index.evictions());
-        }
+        let s = &self.stats;
+        s.churn.inc();
+        s.revision.set(self.revision);
+        s.entity_occupancy.set(self.entity_index.len() as u64);
+        s.entity_evictions.set(self.entity_index.evictions());
     }
 
     /// The owning Kalis node's identifier.
@@ -398,14 +398,14 @@ impl KnowledgeBase {
                 entry.wire_len = wire_len;
                 match origin {
                     Some(given) => entry.origin = given,
-                    None => attribute(&mut entry.origin, &self.writer, self.trace),
+                    None => attribute(&mut entry.origin, self.writer, self.trace),
                 }
                 entry.origin.as_ref().map_or(0, |o| o.trace_id)
             }
             None => {
                 let origin = origin.unwrap_or_else(|| {
                     let mut ambient = None;
-                    attribute(&mut ambient, &self.writer, self.trace);
+                    attribute(&mut ambient, self.writer, self.trace);
                     ambient
                 });
                 let trace_id = origin.as_ref().map_or(0, |o| o.trace_id);
@@ -621,16 +621,13 @@ impl KnowledgeBase {
     /// Declare the module about to perform writes (called by the Module
     /// Manager around each dispatch). Empty string = no module
     /// (operator/config writes).
-    pub fn set_writer(&mut self, module: &str) {
-        if self.writer != module {
-            self.writer.clear();
-            self.writer.push_str(module);
-        }
+    pub fn set_writer(&mut self, module: &'static str) {
+        self.writer = module;
     }
 
     /// Clear the ambient writer attribution.
     pub fn clear_writer(&mut self) {
-        self.writer.clear();
+        self.writer = "";
     }
 
     /// Declare the trace context writes should be attributed to

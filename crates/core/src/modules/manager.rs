@@ -18,33 +18,35 @@ use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEven
 use crate::knowledge::{KnowledgeBase, SlotSet, Subscriptions};
 
 use super::supervisor::{ModuleHealth, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict};
-use super::{FrameClass, Module, ModuleCtx, ModuleKind, ModuleWeight};
+use super::{FrameClass, Module, ModuleCtx, ModuleDescriptor, ModuleKind, ModuleWeight};
 
+/// One loaded module and everything the manager keeps about it.
 struct Slot {
     module: Box<dyn Module>,
+    /// The module's descriptor, read once when the slot is added.
+    descriptor: ModuleDescriptor,
     active: bool,
     /// Activated by configuration: stays on regardless of knowledge.
     pinned: bool,
-    /// The frame classes the module's descriptor reads.
-    reads: FrameClass,
     /// Panic/budget/quarantine bookkeeping for this module.
     supervision: Supervision,
     /// Shed-eligible dispatches seen; drives the deterministic 1-in-N
     /// sampling while shedding.
     shed_seq: u64,
-    /// Cumulative measured CPU self-time, ns. Only timed dispatches
-    /// contribute (see [`DISPATCH_SAMPLE_MASK`]), so this is a sampled
-    /// lower bound on true self-time.
-    cpu_ns: u64,
-    /// Dispatches that consumed work (completed or panicked part-way).
+    /// Dispatches that consumed work (completed or panicked part-way),
+    /// published as `module.work_units`.
     dispatches: u64,
-    /// Dispatches skipped by overload shedding.
-    sheds: u64,
     /// The module's `on_tick` said it has no tick work (the trait's
     /// default body): its ticks are counted, not called.
     no_tick_work: bool,
-    /// Present exactly when the manager has a registry attached.
-    tele: Option<SlotTele>,
+    tele: SlotTele,
+}
+
+impl Slot {
+    /// In the dispatch set: active, and not benched by the supervisor.
+    fn is_active(&self) -> bool {
+        self.active && !self.supervision.is_quarantined()
+    }
 }
 
 /// Cached per-module instrument handles (`...[module=<name>]`).
@@ -52,9 +54,12 @@ struct SlotTele {
     /// `dispatch.packet` / `dispatch.tick` latency series.
     packet_hist: Arc<Histogram>,
     tick_hist: Arc<Histogram>,
-    /// `supervisor.shed` counter.
+    /// `supervisor.shed` counter: the slot's dispatches skipped by
+    /// overload shedding.
     shed: Arc<Counter>,
-    /// `module.cpu_ns` counter.
+    /// `module.cpu_ns` counter: the slot's measured CPU self-time, ns.
+    /// Only timed dispatches contribute (see [`DISPATCH_SAMPLE_MASK`]),
+    /// so this is a sampled lower bound on true self-time.
     cpu: Arc<Counter>,
     /// `module.occupancy` gauge, refreshed by
     /// [`ModuleManager::publish_profiles`].
@@ -84,7 +89,8 @@ impl SlotTele {
     }
 }
 
-/// Cached instrument handles for the manager itself.
+/// Cached instrument handles for the manager itself: the one holder of
+/// its lifetime activation and supervisor totals.
 struct ManagerTele {
     registry: Arc<Telemetry>,
     activated: Arc<Counter>,
@@ -98,13 +104,27 @@ struct ManagerTele {
 }
 
 impl ManagerTele {
-    fn journal(&self, now: Timestamp, event: JournalEvent) {
-        self.registry.journal().record(now.as_micros(), event);
+    fn new(registry: &Arc<Telemetry>) -> Self {
+        ManagerTele {
+            registry: Arc::clone(registry),
+            activated: registry.counter(names::MODULES_ACTIVATED),
+            deactivated: registry.counter(names::MODULES_DEACTIVATED),
+            active: registry.gauge(names::MODULES_ACTIVE),
+            panics: registry.counter(names::MODULE_PANICS),
+            overruns: registry.counter(names::BUDGET_OVERRUNS),
+            quarantines: registry.counter(names::MODULE_QUARANTINES),
+            quarantined: registry.gauge(names::MODULES_QUARANTINED),
+            shed_skips: registry.counter(names::SHED_SKIPS),
+        }
+    }
+
+    fn journal(&self, time_us: u64, event: JournalEvent) {
+        self.registry.journal().record(time_us, event);
     }
 
     fn note_probation(&self, now: Timestamp, module: &str) {
         self.journal(
-            now,
+            now.as_micros(),
             JournalEvent::ModuleProbation {
                 module: module.to_string(),
             },
@@ -114,7 +134,7 @@ impl ManagerTele {
     fn note_panicked(&self, now: Timestamp, module: &str, message: &str) {
         self.panics.inc();
         self.journal(
-            now,
+            now.as_micros(),
             JournalEvent::ModulePanicked {
                 module: module.to_string(),
                 message: message.to_string(),
@@ -125,7 +145,7 @@ impl ManagerTele {
     fn note_quarantined(&self, now: Timestamp, module: &str, reason: String, backoff: Duration) {
         self.quarantines.inc();
         self.journal(
-            now,
+            now.as_micros(),
             JournalEvent::ModuleQuarantined {
                 module: module.to_string(),
                 reason,
@@ -148,10 +168,6 @@ pub struct DispatchOutcome {
     /// Modules skipped by overload shedding. Shed dispatches cost no
     /// work and are *not* part of `work.units`.
     pub modules_shed: u64,
-    /// Measured CPU self-time spent inside module handlers during this
-    /// dispatch, ns. Zero when the dispatch was untimed (timing is
-    /// sampled; see `DISPATCH_SAMPLE_MASK`).
-    pub cpu_ns: u64,
 }
 
 impl DispatchOutcome {
@@ -176,11 +192,13 @@ pub struct ModuleProfile {
     pub active: bool,
     /// Supervisor health state.
     pub health: ModuleHealth,
-    /// Cumulative measured CPU self-time, ns (sampled lower bound).
+    /// Cumulative measured CPU self-time, ns (sampled lower bound): the
+    /// module's `module.cpu_ns` counter.
     pub cpu_ns: u64,
     /// Dispatches that consumed work (completed or panicked part-way).
     pub dispatches: u64,
-    /// Dispatches skipped by overload shedding.
+    /// Dispatches skipped by overload shedding: the module's
+    /// `supervisor.shed` counter.
     pub sheds: u64,
     /// Entries currently held in the module's per-entity tracking maps.
     pub occupancy: usize,
@@ -193,19 +211,6 @@ pub struct ModuleProfile {
     pub state_bytes: usize,
 }
 
-/// Lifetime supervisor totals across all modules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Panics caught and isolated.
-    pub panics: u64,
-    /// Watchdog-budget overruns observed.
-    pub overruns: u64,
-    /// Quarantine transitions entered.
-    pub quarantines: u64,
-    /// Dispatches skipped by overload shedding.
-    pub sheds: u64,
-}
-
 /// Coordinates the module library (paper §IV-B4): "activating/deactivating
 /// them as needed, depending on changes in the Knowledge Base, routing new
 /// packet events to all the interested parties, and collecting alerts".
@@ -216,11 +221,10 @@ pub struct ModuleManager {
     /// the paper's evaluation ("running our system without Knowledge Base,
     /// and with all the modules active at all times").
     adaptive: bool,
-    activations: u64,
-    deactivations: u64,
     supervisor: SupervisorConfig,
-    stats: SupervisorStats,
-    tele: Option<ManagerTele>,
+    /// A private registry until [`ModuleManager::set_telemetry`] attaches
+    /// the node's.
+    tele: ManagerTele,
     /// Packet and tick dispatch sequence numbers driving latency
     /// sampling — apart, so that traffic at a fixed number of packets a
     /// tick cannot keep every tick in, or out of, the sample.
@@ -276,11 +280,8 @@ impl ModuleManager {
         ModuleManager {
             slots: Vec::new(),
             adaptive: true,
-            activations: 0,
-            deactivations: 0,
             supervisor: SupervisorConfig::default(),
-            stats: SupervisorStats::default(),
-            tele: None,
+            tele: ManagerTele::new(&Arc::new(Telemetry::new())),
             dispatch_seq: 0,
             tick_seq: 0,
             quarantined: 0,
@@ -311,58 +312,36 @@ impl ModuleManager {
         &self.supervisor
     }
 
-    /// Lifetime supervisor totals.
-    pub fn supervisor_stats(&self) -> SupervisorStats {
-        self.stats
-    }
-
     /// Add a module. `pinned` modules (named in the configuration file)
     /// start active and stay active.
     pub fn add(&mut self, module: Box<dyn Module>, pinned: bool) {
         let descriptor = module.descriptor();
         let active = pinned || !self.adaptive || descriptor.kind == ModuleKind::Sensing;
-        let tele = self
-            .tele
-            .as_ref()
-            .map(|t| SlotTele::new(&t.registry, descriptor.name));
+        let tele = SlotTele::new(&self.tele.registry, descriptor.name);
         self.slots.push(Slot {
             module,
+            descriptor,
             active,
             pinned,
-            reads: descriptor.reads,
             supervision: Supervision::default(),
             shed_seq: 0,
-            cpu_ns: 0,
             dispatches: 0,
-            sheds: 0,
             no_tick_work: false,
             tele,
         });
-        if let Some(t) = &self.tele {
-            t.active.set(self.active_count() as u64);
-        }
+        self.tele.active.set(self.active_count() as u64);
     }
 
-    /// Attach a telemetry registry: per-module dispatch latency is
-    /// recorded from now on, and [`ModuleManager::reconfigure_traced`]
-    /// journals every activation flip.
+    /// Attach the node's telemetry registry in place of the manager's
+    /// private one: per-module dispatch latency, the supervisor and
+    /// activation totals, and the journal of every activation flip and
+    /// supervisor verdict are recorded there from now on.
     pub fn set_telemetry(&mut self, registry: &Arc<Telemetry>) {
-        let tele = ManagerTele {
-            registry: Arc::clone(registry),
-            activated: registry.counter(names::MODULES_ACTIVATED),
-            deactivated: registry.counter(names::MODULES_DEACTIVATED),
-            active: registry.gauge(names::MODULES_ACTIVE),
-            panics: registry.counter(names::MODULE_PANICS),
-            overruns: registry.counter(names::BUDGET_OVERRUNS),
-            quarantines: registry.counter(names::MODULE_QUARANTINES),
-            quarantined: registry.gauge(names::MODULES_QUARANTINED),
-            shed_skips: registry.counter(names::SHED_SKIPS),
-        };
+        self.tele = ManagerTele::new(registry);
         for slot in &mut self.slots {
-            slot.tele = Some(SlotTele::new(registry, slot.module.descriptor().name));
+            slot.tele = SlotTele::new(registry, slot.descriptor.name);
         }
-        tele.active.set(self.active_count() as u64);
-        self.tele = Some(tele);
+        self.tele.active.set(self.active_count() as u64);
     }
 
     /// The subscription table of the slots loaded so far: for every
@@ -387,7 +366,7 @@ impl ModuleManager {
                     table.watch(label);
                 }
             }
-            let descriptor = slot.module.descriptor();
+            let descriptor = &slot.descriptor;
             let switched =
                 self.adaptive && !slot.pinned && descriptor.kind == ModuleKind::Detection;
             if !switched {
@@ -471,6 +450,7 @@ impl ModuleManager {
         if !self.adaptive {
             return (0, 0);
         }
+        let tele = &self.tele;
         let mut activated = 0;
         let mut deactivated = 0;
         let mut trigger_text = None;
@@ -485,48 +465,29 @@ impl ModuleManager {
             }
             // Sensing modules are the knowledge source; they stay on.
             let want = slot.pinned
-                || slot.module.descriptor().kind == ModuleKind::Sensing
+                || slot.descriptor.kind == ModuleKind::Sensing
                 || slot.module.required(kb);
             if want == slot.active {
                 continue;
             }
             slot.active = want;
-            let (flips, total) = if want {
-                (&mut activated, &mut self.activations)
+            let module = slot.descriptor.name.to_string();
+            let trigger = trigger_text.get_or_insert_with(trigger).clone();
+            let event = if want {
+                activated += 1;
+                tele.activated.inc();
+                JournalEvent::ModuleActivated { module, trigger }
             } else {
-                (&mut deactivated, &mut self.deactivations)
+                deactivated += 1;
+                tele.deactivated.inc();
+                JournalEvent::ModuleDeactivated { module, trigger }
             };
-            *flips += 1;
-            *total += 1;
-            if let Some(t) = &self.tele {
-                let module = slot.module.descriptor().name.to_string();
-                let trigger = trigger_text.get_or_insert_with(trigger).clone();
-                let event = if want {
-                    t.activated.inc();
-                    JournalEvent::ModuleActivated { module, trigger }
-                } else {
-                    t.deactivated.inc();
-                    JournalEvent::ModuleDeactivated { module, trigger }
-                };
-                t.registry.journal().record(time_us, event);
-            }
+            tele.journal(time_us, event);
         }
         if activated + deactivated > 0 {
-            if let Some(t) = &self.tele {
-                t.active.set(self.active_count() as u64);
-            }
+            self.tele.active.set(self.active_count() as u64);
         }
         (activated, deactivated)
-    }
-
-    /// Route one packet to every active module that reads its frame
-    /// class (no shedding).
-    pub fn dispatch_packet(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        packet: &CapturedPacket,
-    ) -> DispatchOutcome {
-        self.dispatch_packet_shed(ctx, packet, ShedMode::None)
     }
 
     /// Route one packet to every active module that reads its
@@ -540,7 +501,7 @@ impl ModuleManager {
         packet: &CapturedPacket,
         shed: ShedMode,
     ) -> DispatchOutcome {
-        let record = sampled(&mut self.dispatch_seq) && self.tele.is_some();
+        let record = sampled(&mut self.dispatch_seq);
         self.supervise(
             ctx,
             shed,
@@ -558,7 +519,7 @@ impl ModuleManager {
     /// A module whose `on_tick` said it has no tick work is not called;
     /// its tick is accounted as a call that completed at once.
     pub fn dispatch_tick(&mut self, ctx: &mut ModuleCtx<'_>) -> DispatchOutcome {
-        let record = sampled(&mut self.tick_seq) && self.tele.is_some();
+        let record = sampled(&mut self.tick_seq);
         self.supervise(
             ctx,
             ShedMode::None,
@@ -588,18 +549,18 @@ impl ModuleManager {
     ) -> DispatchOutcome {
         let mut outcome = DispatchOutcome::default();
         let cfg = &self.supervisor;
-        let tele = self.tele.as_ref();
+        let tele = &self.tele;
         let budget = cfg.budget;
         let tick = frame.is_none();
         // kalis-lint: allow(KL302): measures real CPU cost for the supervisor budget
         let mut prev = (record || budget.is_some()).then(Instant::now);
-        let mut quarantine_flips: u64 = 0;
-        let mut quarantine_releases: u64 = 0;
-        let mut overruns: u64 = 0;
+        let mut quarantine_flips: usize = 0;
+        let mut quarantine_releases: usize = 0;
         for (index, slot) in self.slots.iter_mut().enumerate() {
             if !slot.active {
                 continue;
             }
+            let name = slot.descriptor.name;
             if slot.supervision.is_quarantined() {
                 if !slot.supervision.try_release(ctx.now, cfg) {
                     continue;
@@ -609,30 +570,24 @@ impl ModuleManager {
                 // quarantine: whatever its activation inputs did in the
                 // meantime is looked at after this dispatch.
                 ctx.kb.mark_pending(index);
-                if let Some(t) = tele {
-                    t.note_probation(ctx.now, slot.module.descriptor().name);
-                }
+                tele.note_probation(ctx.now, name);
             }
             // Routing: a packet reaches only the modules that read its
             // class — no call, no dispatch, no shed, no shed step.
-            if frame.is_some_and(|class| !slot.reads.intersects(class)) {
+            if frame.is_some_and(|class| !slot.descriptor.reads.intersects(class)) {
                 continue;
             }
             // Shed gate: sensing and pinned modules always run; unpinned
             // detection modules see deterministic 1-in-N sampling while
             // the overload controller is shedding.
-            let descriptor = slot.module.descriptor();
-            if descriptor.kind == ModuleKind::Detection && !slot.pinned {
-                if let Some(keep) = shed_keep_interval(cfg, descriptor.weight, shed) {
+            if slot.descriptor.kind == ModuleKind::Detection && !slot.pinned {
+                if let Some(keep) = shed_keep_interval(cfg, slot.descriptor.weight, shed) {
                     let seq = slot.shed_seq;
                     slot.shed_seq = slot.shed_seq.wrapping_add(1);
                     if seq % keep != 0 {
                         outcome.modules_shed += 1;
-                        slot.sheds += 1;
-                        if let (Some(t), Some(s)) = (tele, &slot.tele) {
-                            t.shed_skips.inc();
-                            s.shed.inc();
-                        }
+                        tele.shed_skips.inc();
+                        slot.tele.shed.inc();
                         continue;
                     }
                 }
@@ -642,7 +597,7 @@ impl ModuleManager {
             } else {
                 // Attribute KB writes from the callback to this module, so
                 // alert provenance can name who produced each knowgget.
-                ctx.kb.set_writer(descriptor.name);
+                ctx.kb.set_writer(name);
                 let module = slot.module.as_mut();
                 let result = catch_unwind(AssertUnwindSafe(|| call(module, ctx)));
                 // Taken after every call, so that no report outlives it.
@@ -660,28 +615,18 @@ impl ModuleManager {
             });
             slot.dispatches += 1;
             if let Some(e) = elapsed {
-                let ns = e.as_nanos() as u64;
-                outcome.cpu_ns += ns;
-                slot.cpu_ns += ns;
-                if let Some(s) = &slot.tele {
-                    s.cpu.add(ns);
-                }
+                slot.tele.cpu.add(e.as_nanos() as u64);
             }
             // A strike (overrun or panic) yields the supervisor's verdict
             // and, for a panic, its message.
             let strike = match result {
                 Ok(()) => {
                     outcome.modules_run += 1;
-                    if record {
-                        if let (Some(e), Some(s)) = (elapsed, &slot.tele) {
-                            hist(s).record(e.as_nanos() as u64);
-                        }
+                    if let (true, Some(e)) = (record, elapsed) {
+                        hist(&slot.tele).record(e.as_nanos() as u64);
                     }
                     if matches!((elapsed, budget), (Some(e), Some(b)) if e > b) {
-                        overruns += 1;
-                        if let Some(t) = tele {
-                            t.overruns.inc();
-                        }
+                        tele.overruns.inc();
                         Some((slot.supervision.note_overrun(ctx.now, cfg), None))
                     } else {
                         slot.supervision.note_clean(cfg);
@@ -697,41 +642,29 @@ impl ModuleManager {
                     // The reset emptied the module's bounded structures;
                     // reflect that on the ops surface immediately rather
                     // than waiting for the next profile publish.
-                    if let Some(s) = &slot.tele {
-                        s.occupancy.set(0);
-                        s.evictions.set(0);
-                    }
+                    slot.tele.occupancy.set(0);
+                    slot.tele.evictions.set(0);
                     let verdict = slot.supervision.note_panic(ctx.now, cfg);
-                    if let Some(t) = tele {
-                        t.note_panicked(ctx.now, descriptor.name, &message);
-                    }
+                    tele.note_panicked(ctx.now, name, &message);
                     Some((verdict, Some(message)))
                 }
             };
             if let Some((SupervisorVerdict::Quarantined { backoff, .. }, panic)) = strike {
                 quarantine_flips += 1;
-                if let Some(t) = tele {
-                    let reason = match panic {
-                        Some(message) => format!("panic: {message}"),
-                        None => "repeated watchdog budget overruns".to_string(),
-                    };
-                    t.note_quarantined(ctx.now, descriptor.name, reason, backoff);
-                }
+                let reason = match panic {
+                    Some(message) => format!("panic: {message}"),
+                    None => "repeated watchdog budget overruns".to_string(),
+                };
+                tele.note_quarantined(ctx.now, name, reason, backoff);
             }
         }
         ctx.kb.clear_writer();
-        self.stats.panics += outcome.modules_panicked;
-        self.stats.sheds += outcome.modules_shed;
-        self.stats.overruns += overruns;
-        self.stats.quarantines += quarantine_flips;
         if quarantine_flips + quarantine_releases > 0 {
-            self.quarantined += quarantine_flips as usize;
-            self.quarantined -= quarantine_releases as usize;
+            self.quarantined += quarantine_flips;
+            self.quarantined -= quarantine_releases;
             debug_assert_eq!(self.quarantined, self.recount_quarantined());
-            if let Some(t) = tele {
-                t.quarantined.set(self.quarantined as u64);
-                t.active.set(self.active_count() as u64);
-            }
+            self.tele.quarantined.set(self.quarantined as u64);
+            self.tele.active.set(self.active_count() as u64);
         }
         outcome
     }
@@ -742,29 +675,23 @@ impl ModuleManager {
     pub(crate) fn declaration_of(
         &self,
         name: &str,
-    ) -> Option<(super::ModuleDescriptor, super::KnowggetContract)> {
+    ) -> Option<(&ModuleDescriptor, super::KnowggetContract)> {
         (self.slots.iter())
-            .map(|s| (s.module.descriptor(), s))
-            .find(|(descriptor, _)| descriptor.name == name)
-            .map(|(descriptor, s)| (descriptor, s.module.contract()))
+            .find(|s| s.descriptor.name == name)
+            .map(|s| (&s.descriptor, s.module.contract()))
     }
 
     /// Whether the named module is currently active — recorded into an
     /// alert's provenance as the activation state that made the module
     /// eligible to raise it.
     pub fn is_active(&self, name: &str) -> bool {
-        self.slots.iter().any(|s| {
-            s.active && !s.supervision.is_quarantined() && s.module.descriptor().name == name
-        })
+        (self.slots.iter()).any(|s| s.is_active() && s.descriptor.name == name)
     }
 
     /// Number of modules currently active (quarantined modules are not
     /// active: they are excluded from dispatch until probation).
     pub fn active_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.active && !s.supervision.is_quarantined())
-            .count()
+        self.slots.iter().filter(|s| s.is_active()).count()
     }
 
     /// Total number of modules loaded.
@@ -781,10 +708,9 @@ impl ModuleManager {
     /// ones, so `recommend_config()` never recommends a module the
     /// supervisor has benched).
     pub fn active_names(&self) -> Vec<&'static str> {
-        self.slots
-            .iter()
-            .filter(|s| s.active && !s.supervision.is_quarantined())
-            .map(|s| s.module.descriptor().name)
+        (self.slots.iter())
+            .filter(|s| s.is_active())
+            .map(|s| s.descriptor.name)
             .collect()
     }
 
@@ -792,19 +718,17 @@ impl ModuleManager {
     /// — the parameterized module list `recommend_config` emits, so
     /// tuned knobs (thresholds, entity budgets) survive the round-trip.
     pub fn active_defs(&self) -> Vec<(&'static str, Vec<(String, crate::knowledge::KnowValue)>)> {
-        self.slots
-            .iter()
-            .filter(|s| s.active && !s.supervision.is_quarantined())
-            .map(|s| (s.module.descriptor().name, s.module.current_params()))
+        (self.slots.iter())
+            .filter(|s| s.is_active())
+            .map(|s| (s.descriptor.name, s.module.current_params()))
             .collect()
     }
 
     /// Names of the currently quarantined modules.
     pub fn quarantined_names(&self) -> Vec<&'static str> {
-        self.slots
-            .iter()
+        (self.slots.iter())
             .filter(|s| s.supervision.is_quarantined())
-            .map(|s| s.module.descriptor().name)
+            .map(|s| s.descriptor.name)
             .collect()
     }
 
@@ -831,7 +755,7 @@ impl ModuleManager {
     ///
     /// When no such slot is loaded.
     pub fn name_of(&self, slot: usize) -> &'static str {
-        self.slots[slot].module.descriptor().name
+        self.slots[slot].descriptor.name
     }
 
     /// Resource and health profiles for every loaded module, in load
@@ -839,22 +763,19 @@ impl ModuleManager {
     pub fn module_profiles(&self) -> Vec<ModuleProfile> {
         self.slots
             .iter()
-            .map(|s| {
-                let descriptor = s.module.descriptor();
-                ModuleProfile {
-                    name: descriptor.name,
-                    kind: descriptor.kind,
-                    pinned: s.pinned,
-                    active: s.active && !s.supervision.is_quarantined(),
-                    health: s.supervision.health(),
-                    cpu_ns: s.cpu_ns,
-                    dispatches: s.dispatches,
-                    sheds: s.sheds,
-                    occupancy: s.module.occupancy(),
-                    evictions: s.module.evictions(),
-                    state_budget: s.module.state_budget(),
-                    state_bytes: s.module.state_bytes(),
-                }
+            .map(|s| ModuleProfile {
+                name: s.descriptor.name,
+                kind: s.descriptor.kind,
+                pinned: s.pinned,
+                active: s.is_active(),
+                health: s.supervision.health(),
+                cpu_ns: s.tele.cpu.get(),
+                dispatches: s.dispatches,
+                sheds: s.tele.shed.get(),
+                occupancy: s.module.occupancy(),
+                evictions: s.module.evictions(),
+                state_budget: s.module.state_budget(),
+                state_bytes: s.module.state_bytes(),
             })
             .collect()
     }
@@ -879,12 +800,11 @@ impl ModuleManager {
     /// off the per-packet path.
     pub fn publish_profiles(&mut self) {
         for slot in &self.slots {
-            if let Some(s) = &slot.tele {
-                s.occupancy.set(slot.module.occupancy() as u64);
-                s.evictions.set(slot.module.evictions());
-                s.budget.set(slot.module.state_budget() as u64);
-                s.work.set(slot.dispatches);
-            }
+            let s = &slot.tele;
+            s.occupancy.set(slot.module.occupancy() as u64);
+            s.evictions.set(slot.module.evictions());
+            s.budget.set(slot.module.state_budget() as u64);
+            s.work.set(slot.dispatches);
         }
     }
 
@@ -902,15 +822,9 @@ impl ModuleManager {
 
     /// The supervision health of the named module.
     pub fn module_health(&self, name: &str) -> Option<ModuleHealth> {
-        self.slots
-            .iter()
-            .find(|s| s.module.descriptor().name == name)
+        (self.slots.iter())
+            .find(|s| s.descriptor.name == name)
             .map(|s| s.supervision.health())
-    }
-
-    /// Lifetime activation/deactivation counts.
-    pub fn activation_stats(&self) -> (u64, u64) {
-        (self.activations, self.deactivations)
     }
 
     /// Rough live-state size across modules (RAM proxy). Inactive modules
@@ -1015,10 +929,24 @@ mod tests {
         });
     }
 
+    /// The manager's lifetime supervisor totals as its registry holds
+    /// them: panics, budget overruns, quarantines and shed dispatches.
+    fn supervisor_totals(tele: &Telemetry) -> [u64; 4] {
+        [
+            names::MODULE_PANICS,
+            names::BUDGET_OVERRUNS,
+            names::MODULE_QUARANTINES,
+            names::SHED_SKIPS,
+        ]
+        .map(|name| tele.counter(name).get())
+    }
+
     #[test]
     fn adaptive_manager_gates_on_knowledge() {
         let (mut kb, mut alerts) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
         let mut mgr = ModuleManager::new();
+        mgr.set_telemetry(&tele);
         mgr.add(Box::new(NeedsMultihop { processed: 0 }), false);
         assert_eq!(mgr.active_count(), 0, "detection modules start inactive");
 
@@ -1028,7 +956,11 @@ mod tests {
             kb: &mut kb,
             alerts: &mut alerts,
         };
-        assert_eq!(mgr.dispatch_packet(&mut ctx, &packet()).modules_run, 0);
+        assert_eq!(
+            mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None)
+                .modules_run,
+            0
+        );
 
         // Multihop discovered → module activates.
         kb.insert("Multihop", true);
@@ -1039,14 +971,19 @@ mod tests {
             kb: &mut kb,
             alerts: &mut alerts,
         };
-        assert_eq!(mgr.dispatch_packet(&mut ctx, &packet()).modules_run, 1);
+        assert_eq!(
+            mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None)
+                .modules_run,
+            1
+        );
 
         // Knowledge flips → module deactivates.
         kb.insert("Multihop", false);
         let (act, deact) = mgr.reconfigure(&kb);
         assert_eq!((act, deact), (0, 1));
         assert_eq!(mgr.active_count(), 0);
-        assert_eq!(mgr.activation_stats(), (1, 1));
+        let flips = [names::MODULES_ACTIVATED, names::MODULES_DEACTIVATED];
+        assert_eq!(flips.map(|name| tele.counter(name).get()), [1, 1]);
     }
 
     #[test]
@@ -1132,7 +1069,9 @@ mod tests {
         quiet_panics();
         let resets = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let (mut kb, mut alerts) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
         let mut mgr = ModuleManager::all_always_active();
+        mgr.set_telemetry(&tele);
         mgr.add(
             Box::new(Crashy {
                 seen: 0,
@@ -1147,12 +1086,12 @@ mod tests {
             kb: &mut kb,
             alerts: &mut alerts,
         };
-        let outcome = mgr.dispatch_packet(&mut ctx, &packet());
+        let outcome = mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         assert_eq!(outcome.modules_panicked, 1, "panic caught, not propagated");
         assert_eq!(outcome.modules_run, 1, "other module still ran");
         assert_eq!(outcome.work_units(), 2);
         assert_eq!(resets.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert_eq!(mgr.supervisor_stats().panics, 1);
+        assert_eq!(tele.counter(names::MODULE_PANICS).get(), 1);
         assert_eq!(mgr.module_health("Crashy"), Some(ModuleHealth::Degraded));
     }
 
@@ -1161,7 +1100,9 @@ mod tests {
         quiet_panics();
         let resets = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let (mut kb, mut alerts) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
         let mut mgr = ModuleManager::all_always_active();
+        mgr.set_telemetry(&tele);
         let cfg = SupervisorConfig::default();
         mgr.add(
             Box::new(Crashy {
@@ -1177,7 +1118,7 @@ mod tests {
                 kb: &mut kb,
                 alerts: &mut alerts,
             };
-            mgr.dispatch_packet(&mut ctx, &packet());
+            mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         }
         assert_eq!(
             mgr.module_health("Crashy"),
@@ -1194,7 +1135,7 @@ mod tests {
             kb: &mut kb,
             alerts: &mut alerts,
         };
-        let outcome = mgr.dispatch_packet(&mut ctx, &packet());
+        let outcome = mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         assert_eq!(outcome.modules_run + outcome.modules_panicked, 0);
 
         // After the backoff expires it re-enters on probation.
@@ -1204,14 +1145,14 @@ mod tests {
             kb: &mut kb,
             alerts: &mut alerts,
         };
-        let outcome = mgr.dispatch_packet(&mut ctx, &packet());
+        let outcome = mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         assert_eq!(outcome.modules_panicked, 1, "probation dispatch happened");
         assert_eq!(
             mgr.module_health("Crashy"),
             Some(ModuleHealth::Quarantined),
             "one probation strike re-quarantines"
         );
-        assert_eq!(mgr.supervisor_stats().quarantines, 2);
+        assert_eq!(tele.counter(names::MODULE_QUARANTINES).get(), 2);
     }
 
     /// A module holding real bounded per-entity state that panics while
@@ -1282,7 +1223,7 @@ mod tests {
                 kb: &mut kb,
                 alerts: &mut alerts,
             };
-            mgr.dispatch_packet(&mut ctx, &packet());
+            mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         }
         mgr.publish_profiles();
         let occ = tele.gauge(&metric_name(
@@ -1307,7 +1248,7 @@ mod tests {
                 kb: &mut kb,
                 alerts: &mut alerts,
             };
-            mgr.dispatch_packet(&mut ctx, &packet());
+            mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         }
         // The panic-path reset zeroed the gauges immediately — the ops
         // surface never reports stale occupancy for an emptied module.
@@ -1323,7 +1264,7 @@ mod tests {
             kb: &mut kb,
             alerts: &mut alerts,
         };
-        let outcome = mgr.dispatch_packet(&mut ctx, &packet());
+        let outcome = mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         assert_eq!(outcome.modules_run, 1, "probation dispatch ran clean");
         let profile = mgr
             .module_profiles()
@@ -1350,7 +1291,9 @@ mod tests {
             }
         }
         let (mut kb, mut alerts) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
         let mut mgr = ModuleManager::all_always_active();
+        mgr.set_telemetry(&tele);
         let cfg = SupervisorConfig {
             budget: Some(Duration::from_micros(100)),
             overrun_limit: 3,
@@ -1364,11 +1307,10 @@ mod tests {
                 kb: &mut kb,
                 alerts: &mut alerts,
             };
-            mgr.dispatch_packet(&mut ctx, &packet());
+            mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         }
         assert_eq!(mgr.module_health("Slow"), Some(ModuleHealth::Quarantined));
-        assert_eq!(mgr.supervisor_stats().overruns, 3);
-        assert_eq!(mgr.supervisor_stats().quarantines, 1);
+        assert_eq!(supervisor_totals(&tele), [0, 3, 1, 0]);
     }
 
     #[test]
@@ -1385,7 +1327,9 @@ mod tests {
             }
         }
         let (mut kb, mut alerts) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
         let mut mgr = ModuleManager::all_always_active();
+        mgr.set_telemetry(&tele);
         mgr.add(Box::new(Heavy { seen: 0 }), false);
         // Pinned module: must never be shed.
         mgr.add(Box::new(NeedsMultihop { processed: 0 }), true);
@@ -1404,7 +1348,7 @@ mod tests {
         // Pinned ran all 32 times; heavy unpinned ran 1-in-4 (= 8).
         assert_eq!(ran, 32 + 8);
         assert_eq!(shed, 24);
-        assert_eq!(mgr.supervisor_stats().sheds, 24);
+        assert_eq!(tele.counter(names::SHED_SKIPS).get(), 24);
         // Light unpinned modules are untouched in Heavy mode.
         let mut mgr2 = ModuleManager::all_always_active();
         mgr2.add(Box::new(NeedsMultihop { processed: 0 }), false);
@@ -1439,7 +1383,7 @@ mod tests {
                 kb: &mut kb,
                 alerts: &mut alerts,
             };
-            mgr.dispatch_packet(&mut ctx, &packet());
+            mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         }
         assert_eq!(mgr.quarantined_count(), 1);
         let (act, deact) = mgr.reconfigure(&kb);
@@ -1515,24 +1459,21 @@ mod tests {
     }
 
     /// One seeded run of packets (under every shed mode) and ticks over
-    /// crashing, overrunning and shed modules. Returns everything
-    /// detection-relevant observed after each step, plus the lifetime
-    /// supervisor totals.
-    fn parity_run(tele: Option<&Arc<Telemetry>>) -> (Vec<String>, SupervisorStats) {
+    /// crashing, overrunning and shed modules, on a manager carrying
+    /// `tele`. Returns the manager and the run's outcomes summed.
+    fn supervised_run(tele: &Arc<Telemetry>) -> (ModuleManager, DispatchOutcome) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
         let (mut kb, mut alerts) = ctx_parts();
         let mut mgr = ModuleManager::new();
-        if let Some(tele) = tele {
-            mgr.set_telemetry(tele);
-        }
+        mgr.set_telemetry(tele);
         mgr.add(Chatty::boxed("PacketCrasher", false, 5, 0), false);
         mgr.add(Chatty::boxed("TickCrasher", true, 0, 2), false);
         mgr.add(Chatty::boxed("Pinned", false, 0, 0), true);
         mgr.add(Box::new(NeedsMultihop { processed: 0 }), false);
         let mut rng = StdRng::seed_from_u64(0x5eed);
-        let mut steps = Vec::new();
+        let mut sum = DispatchOutcome::default();
         for step in 0..400u64 {
             // Second half: a 0 ns watchdog budget turns every completed
             // dispatch into an overrun.
@@ -1548,53 +1489,54 @@ mod tests {
                 kb: &mut kb,
                 alerts: &mut alerts,
             };
-            let mut outcome = if rng.gen_range(0..4) == 0 {
+            let outcome = if rng.gen_range(0..4) == 0 {
                 mgr.dispatch_tick(&mut ctx)
             } else {
                 let shed =
                     [ShedMode::None, ShedMode::Heavy, ShedMode::All][rng.gen_range(0..3usize)];
                 mgr.dispatch_packet_shed(&mut ctx, &packet(), shed)
             };
-            outcome.cpu_ns = 0;
-            let flips = mgr.reconfigure_traced(&kb, "parity", now.as_micros());
-            steps.push(format!(
-                "{outcome:?} {flips:?} {:?} {:?} {:?} {:?} {:?} {:?}",
-                std::mem::take(&mut alerts),
-                kb.iter().collect::<Vec<_>>(),
-                mgr.activation_stats(),
-                mgr.supervisor_stats(),
-                ["PacketCrasher", "TickCrasher", "Pinned", "NeedsMultihop"]
-                    .map(|name| mgr.module_health(name)),
-                mgr.quarantined_names(),
-            ));
+            sum.modules_run += outcome.modules_run;
+            sum.modules_panicked += outcome.modules_panicked;
+            sum.modules_shed += outcome.modules_shed;
+            mgr.reconfigure_traced(&kb, "supervised", now.as_micros());
         }
-        (steps, mgr.supervisor_stats())
+        (mgr, sum)
     }
 
     #[test]
-    fn detection_does_not_depend_on_an_attached_registry() {
+    fn module_profiles_agree_with_the_registry() {
         quiet_panics();
         let tele = Arc::new(Telemetry::new());
-        let (detached, detached_stats) = parity_run(None);
-        let (attached, stats) = parity_run(Some(&tele));
-        for (step, (detached, attached)) in detached.iter().zip(&attached).enumerate() {
-            assert_eq!(detached, attached, "step {step}");
+        let (mut mgr, sum) = supervised_run(&tele);
+        // The run exercised every supervise branch, and the registry
+        // counted exactly what the dispatches reported.
+        let [panics, overruns, quarantines, sheds] = supervisor_totals(&tele);
+        assert_eq!((panics, sheds), (sum.modules_panicked, sum.modules_shed));
+        assert!(panics > 0 && overruns > 0 && sheds > 0);
+        assert!(quarantines > 1, "quarantined, released, re-quarantined");
+        // What `/status` serves is what `/metrics` exports.
+        mgr.publish_profiles();
+        let profiles = mgr.module_profiles();
+        for p in &profiles {
+            let name = |family| metric_name(family, &[("module", p.name)]);
+            let cpu_ns = tele.counter(&name(names::MODULE_CPU_NS)).get();
+            let shed = tele.counter(&name(names::SHED_BY_MODULE)).get();
+            let work = tele.gauge(&name(names::MODULE_WORK_UNITS)).get();
+            assert_eq!(
+                (p.cpu_ns, p.sheds, p.dispatches),
+                (cpu_ns, shed, work),
+                "{}",
+                p.name
+            );
         }
-        assert_eq!(detached_stats, stats);
-        // The run exercised every supervise branch, and the attached
-        // side counted exactly what the manager did.
-        assert!(stats.panics > 0 && stats.overruns > 0 && stats.sheds > 0);
+        assert_eq!(profiles.iter().map(|p| p.sheds).sum::<u64>(), sheds);
+        let work: u64 = profiles.iter().map(|p| p.dispatches).sum();
+        assert_eq!(work, sum.work_units());
         assert!(
-            stats.quarantines > 1,
-            "quarantined, released, re-quarantined"
+            profiles.iter().all(|p| p.cpu_ns > 0),
+            "each module had timed dispatches"
         );
-        assert_eq!(tele.counter(names::MODULE_PANICS).get(), stats.panics);
-        assert_eq!(tele.counter(names::BUDGET_OVERRUNS).get(), stats.overruns);
-        assert_eq!(
-            tele.counter(names::MODULE_QUARANTINES).get(),
-            stats.quarantines
-        );
-        assert_eq!(tele.counter(names::SHED_SKIPS).get(), stats.sheds);
         let kinds: Vec<&str> = (tele.journal().snapshot().records.iter())
             .map(|record| record.event.kind())
             .collect();
@@ -1669,7 +1611,8 @@ mod tests {
     #[test]
     fn packet_and_tick_panics_leave_the_same_journal_and_gauges() {
         quiet_panics();
-        let (journal, gauges) = crash_loop_through(|mgr, ctx| mgr.dispatch_packet(ctx, &packet()));
+        let (journal, gauges) =
+            crash_loop_through(|mgr, ctx| mgr.dispatch_packet_shed(ctx, &packet(), ShedMode::None));
         let kinds: Vec<&str> = (journal.records.iter())
             .map(|record| record.event.kind())
             .collect();
@@ -1718,7 +1661,7 @@ mod tests {
             // Seven packets a tick: eight dispatches a round, the rate at
             // which one shared sequence would sample every tick or none.
             for _ in 0..7 {
-                mgr.dispatch_packet(&mut ctx, &packet());
+                mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
             }
             assert_eq!(mgr.dispatch_tick(&mut ctx).modules_run, 2);
         }
@@ -1760,7 +1703,7 @@ mod tests {
             .map(|(_, hist)| hist.count)
             .sum();
         assert_eq!(recorded, 0);
-        assert_eq!(mgr.supervisor_stats().overruns, 3);
+        assert_eq!(tele.counter(names::BUDGET_OVERRUNS).get(), 3);
         assert_eq!(
             mgr.module_health("SlowTick"),
             Some(ModuleHealth::Quarantined)
@@ -1850,12 +1793,11 @@ mod tests {
                 kb: &mut kb,
                 alerts: &mut alerts,
             };
-            let mut outcome = if tick {
+            let outcome = if tick {
                 mgr.dispatch_tick(&mut ctx)
             } else {
-                mgr.dispatch_packet(&mut ctx, &packet())
+                mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None)
             };
-            outcome.cpu_ns = 0;
             let profiles: Vec<_> = (mgr.module_profiles().into_iter())
                 .map(|p| (p.health, p.dispatches, p.active))
                 .collect();
@@ -1864,7 +1806,7 @@ mod tests {
                 .collect();
             steps.push(format!(
                 "{outcome:?} {profiles:?} {samples:?} {:?} {}",
-                mgr.supervisor_stats(),
+                supervisor_totals(&tele),
                 mgr.quarantined_count()
             ));
         };
@@ -2139,5 +2081,54 @@ mod tests {
             ShedMode::All,
         );
         assert_eq!(sybil_calls[0].load(Ordering::Relaxed), 1);
+    }
+
+    /// A detection module counting its `descriptor` calls. Its
+    /// `required` does not call it, so every count is the manager's.
+    struct Counted(Arc<AtomicU64>);
+
+    impl Module for Counted {
+        fn descriptor(&self) -> ModuleDescriptor {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            ModuleDescriptor::detection("Counted", AttackKind::Smurf)
+                .needs(&[crate::taxonomy::Feature::MultiHop])
+        }
+        fn required(&self, kb: &KnowledgeBase) -> bool {
+            kb.get_bool("Multihop") == Some(true)
+        }
+        fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {}
+    }
+
+    #[test]
+    fn the_manager_reads_a_descriptor_once() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let (mut kb, mut alerts) = ctx_parts();
+        let mut mgr = ModuleManager::new();
+        mgr.add(Box::new(Counted(Arc::clone(&calls))), false);
+        mgr.set_telemetry(&Arc::new(Telemetry::new()));
+        assert_eq!(mgr.subscriptions().edges().len(), 1);
+        kb.insert("Multihop", true);
+        assert_eq!(mgr.reconfigure(&kb), (1, 0));
+        for secs in 0..64 {
+            dispatch(
+                &mut mgr,
+                &mut kb,
+                &frame(Medium::Wifi, secs),
+                ShedMode::None,
+            );
+        }
+        for secs in 64..72 {
+            let mut ctx = ModuleCtx {
+                now: Timestamp::from_secs(secs),
+                kb: &mut kb,
+                alerts: &mut alerts,
+            };
+            mgr.dispatch_tick(&mut ctx);
+        }
+        assert_eq!(mgr.module_profiles()[0].dispatches, 64 + 8);
+        assert!(mgr.is_active("Counted"));
+        assert_eq!(mgr.active_names(), ["Counted"]);
+        assert!(mgr.declaration_of("Counted").is_some());
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 }

@@ -281,10 +281,11 @@ fn observe(
     listener: &Option<std::sync::mpsc::Receiver<KalisEvent>>,
 ) -> (String, Vec<KalisEvent>) {
     let heard = listener.iter().flat_map(|rx| rx.try_iter()).collect();
+    let flips = [names::MODULES_ACTIVATED, names::MODULES_DEACTIVATED];
     let state = format!(
         "active {:?}\nstats {:?}\nquarantined {:?}\njournal {:#?}\nalerts {:?}\nknowledge {:?}",
         node.active_modules(),
-        node.manager.activation_stats(),
+        flips.map(|name| node.tele.counter(name).get()),
         node.quarantined_modules(),
         node.tele.journal().snapshot(),
         node.alerts(),
