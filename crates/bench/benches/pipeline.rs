@@ -9,9 +9,9 @@ use criterion::{
 use kalis_baselines::snort::SnortIds;
 use kalis_baselines::traditional::{self, ReplicationChoice};
 use kalis_bench::experiments::spray_trace;
-use kalis_bench::runner::{exchange, run_nodes};
+use kalis_bench::runner::{run_nodes, Link};
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
-use kalis_core::knowledge::XorChannel;
+use kalis_core::knowledge::{SyncMessage, XorChannel};
 use kalis_core::{AttackKind, Kalis, KalisId};
 use kalis_netsim::stress::burst_trace;
 use kalis_netsim::trace::merge_traces;
@@ -154,7 +154,7 @@ fn bench_pipeline(c: &mut Criterion) {
             .with_default_modules()
             .build()
     });
-    run_nodes(&mut pair, &wormhole.vantages());
+    run_nodes(&mut pair, &wormhole.vantages(), &mut Link::default());
     let confirmed = (pair.iter())
         .position(|node| (node.alerts().iter()).any(|alert| alert.attack == AttackKind::Wormhole))
         .expect("a vantage confirmed the wormhole");
@@ -167,14 +167,23 @@ fn bench_pipeline(c: &mut Criterion) {
         });
     });
     // What `wsn-pair` does every 500 virtual ms between packets, once:
-    // the knowledge exchange both ways (both outboxes empty, as on all
-    // but a few rounds of the workload), then both nodes' ticks.
+    // the one-shot knowledge exchange both ways, `collective_outbox →
+    // seal → open → accept_sync` (both outboxes empty, as on all but a
+    // few rounds of the workload), then both nodes' ticks.
     let channel = XorChannel::new(0x6b616c6973);
+    let one_way = |from: &mut Kalis, to: &mut Kalis| {
+        if let Some(message) = from.collective_outbox() {
+            if let Ok(opened) = SyncMessage::open(&message.seal(&channel), &channel) {
+                let _ = to.accept_sync(opened);
+            }
+        }
+    };
     let [k1, k2] = &mut pair;
     group.bench_function("ctp_pair_round", |b| {
         b.iter(|| {
             now += Duration::from_millis(500);
-            exchange(k1, k2, &channel);
+            one_way(k1, k2);
+            one_way(k2, k1);
             k1.tick(now);
             k2.tick(now);
         });

@@ -6,7 +6,7 @@ use kalis_netsim::fault::FaultStats;
 use kalis_packets::Timestamp;
 use kalis_telemetry::{JournalEvent, TelemetrySnapshot};
 
-use crate::runner::{self, RunOutcome};
+use crate::runner::{self, Link, RunOutcome};
 use crate::scenarios::{Scenario, ScenarioKind};
 use crate::scoring::{self, CountermeasureScore, Score};
 
@@ -256,7 +256,7 @@ pub fn run_reactivity(seed: u64, symptoms: u32) -> ReactivityResult {
         .with_config(kalis_core::config::Config::empty())
         .with_default_modules()
         .build()];
-    runner::run_nodes(&mut kalis, &[&scenario.captures]);
+    runner::run_nodes(&mut kalis, &[&scenario.captures], &mut Link::default());
     let outcome = runner::outcome(&mut kalis);
     let score = scoring::score(&scenario.truth, &outcome.detections);
     let first_symptom = scenario
@@ -297,7 +297,8 @@ pub use exhaustion::{
 };
 
 pub use resilience::{
-    run_sync_chaos, run_sync_resilience, SyncChaosRun, SyncChaosSpec, SyncResilienceResult,
+    converged, degraded_transitions, resilience_node, run_sync_resilience, wormhole_evidence,
+    SyncResilienceResult,
 };
 
 pub use supervisor::{
@@ -320,7 +321,7 @@ mod supervisor {
     use kalis_packets::{CapturedPacket, Timestamp};
     use kalis_telemetry::{metric_name, names, JournalEvent, JournalSnapshot};
 
-    use crate::runner;
+    use crate::runner::{self, Link};
     use crate::scenarios::{Scenario, ScenarioKind};
     use crate::scoring;
 
@@ -424,14 +425,14 @@ mod supervisor {
         let mut control = [Kalis::builder(KalisId::new("K-ctl"))
             .with_default_modules()
             .build()];
-        runner::run_nodes(&mut control, &[&merged]);
+        runner::run_nodes(&mut control, &[&merged], &mut Link::default());
         let control_outcome = runner::outcome(&mut control);
 
         let mut faulted = [Kalis::builder(KalisId::new("K-chaos"))
             .with_default_modules()
             .with_module(Box::new(PoisonModule { processed: 0 }), false)
             .build()];
-        runner::run_nodes(&mut faulted, &[&merged]);
+        runner::run_nodes(&mut faulted, &[&merged], &mut Link::default());
         let faulted_outcome = runner::outcome(&mut faulted);
 
         let snapshot = faulted_outcome.telemetry.expect("telemetry enabled");
@@ -517,7 +518,7 @@ mod supervisor {
             .unwrap_or(Timestamp::ZERO);
 
         let mut baseline = [burst_node("K-base", CAPACITY_PPS)];
-        runner::run_nodes(&mut baseline, &[&scenario.captures]);
+        runner::run_nodes(&mut baseline, &[&scenario.captures], &mut Link::default());
         let baseline_outcome = runner::outcome(&mut baseline);
 
         let burst = stress::burst_trace(
@@ -528,7 +529,7 @@ mod supervisor {
         );
         let merged = merge_traces(vec![scenario.captures.clone(), burst]);
         let mut node = [burst_node("K-burst", CAPACITY_PPS)];
-        runner::run_nodes(&mut node, &[&merged]);
+        runner::run_nodes(&mut node, &[&merged], &mut Link::default());
         let burst_outcome = runner::outcome(&mut node);
 
         let snapshot = burst_outcome.telemetry.expect("telemetry enabled");
@@ -580,7 +581,7 @@ mod exhaustion {
     use kalis_packets::{CapturedPacket, Medium};
     use kalis_telemetry::JournalEvent;
 
-    use crate::runner;
+    use crate::runner::{self, Link};
     use crate::scenarios::{Scenario, ScenarioKind, VICTIM_IP};
     use crate::scoring;
 
@@ -691,7 +692,7 @@ mod exhaustion {
         let mut baseline = [Kalis::builder(KalisId::new("K-base"))
             .with_default_modules()
             .build()];
-        runner::run_nodes(&mut baseline, &[&scenario.captures]);
+        runner::run_nodes(&mut baseline, &[&scenario.captures], &mut Link::default());
         let baseline_outcome = runner::outcome(&mut baseline);
 
         let spray = spray_trace(seed, identities_per_burst, SPRAY_BURSTS);
@@ -700,7 +701,7 @@ mod exhaustion {
         let mut node = [Kalis::builder(KalisId::new("K-spray"))
             .with_default_modules()
             .build()];
-        runner::run_nodes(&mut node, &[&merged]);
+        runner::run_nodes(&mut node, &[&merged], &mut Link::default());
         let sprayed_outcome = runner::outcome(&mut node);
 
         let modules: Vec<ModuleStateRow> = node[0]
@@ -772,24 +773,20 @@ mod exhaustion {
 /// collective knowledge over a faulty link (seeded drops, duplicates,
 /// corruption, and a hard partition), exercising the fault-tolerant sync
 /// engine end to end — retransmission, dedup, peer-health decay,
-/// degraded local-only mode, and post-heal re-synchronization.
+/// degraded local-only mode, and post-heal re-synchronization. It is
+/// [`runner::run_nodes`] with a fault plan on the pair's sync wire.
 mod resilience {
     use std::time::Duration;
 
     use kalis_core::config::Config;
-    use kalis_core::knowledge::PeerBeacon;
-    use kalis_core::{Alert, AttackKind, Kalis, KalisId};
+    use kalis_core::{Alert, AttackKind, Kalis, KalisId, Knowgget};
     use kalis_netsim::fault::{FaultPlan, FaultStats, FaultWindow, LinkFaults};
-    use kalis_netsim::wire::Wire;
     use kalis_packets::{CapturedPacket, Medium, ShortAddr, Timestamp};
-    use kalis_telemetry::{names, AlertProvenance, JournalEvent, JournalSnapshot};
+    use kalis_telemetry::{names, AlertProvenance, JournalEvent, JournalRecord, JournalSnapshot};
 
     use super::record_faults;
+    use crate::runner::{run_nodes, Link};
 
-    /// Virtual-time step of the harness loop.
-    const STEP: Duration = Duration::from_millis(250);
-    /// One-way link latency for beacons, sync frames, and acks.
-    const LINK_DELAY: Duration = Duration::from_micros(500);
     /// Total virtual run time.
     const RUN_SECS: u64 = 90;
     /// The lossy phase: link faults apply during `[0, FAULTY_UNTIL)`.
@@ -803,9 +800,9 @@ mod resilience {
         /// Whether each node's self-authored collective knowggets all
         /// reached the other node by the end of the run.
         pub converged: bool,
-        /// `degraded_entered` journal events on node K2.
+        /// `degraded_entered` journal events on both nodes.
         pub degraded_entered: u64,
-        /// `degraded_exited` journal events on node K2.
+        /// `degraded_exited` journal events on both nodes.
         pub degraded_exited: u64,
         /// Sync retransmissions across both nodes.
         pub retransmits: u64,
@@ -824,63 +821,21 @@ mod resilience {
         pub faults_dropped: u64,
         /// Node K2's full event journal, for fine-grained assertions.
         pub journal: JournalSnapshot,
-        /// First virtual instant at which both nodes held each other's
-        /// collective knowledge (checked at 1-second granularity), if
-        /// convergence was ever observed.
+        /// First round (or the run's end) at which both nodes held each
+        /// other's collective knowledge, if convergence was ever
+        /// observed.
         pub converged_at: Option<Timestamp>,
         /// Aggregate fault-injection counters for the whole run.
         pub fault_stats: FaultStats,
-    }
-
-    /// One finished sync-chaos run: both nodes, alerts undrained, plus
-    /// what only the harness saw.
-    pub struct SyncChaosRun {
-        /// K1 and K2, wire endpoints 0 and 1.
-        pub nodes: [Kalis; 2],
-        /// First virtual instant at which both nodes held each other's
-        /// collective knowledge (checked at 1-second granularity), if
-        /// convergence was ever observed.
-        pub converged_at: Option<Timestamp>,
-        /// Aggregate fault-injection counters for the whole run.
-        pub fault_stats: FaultStats,
-        /// Per-directed-link fault counters, sorted by `(from, to)`.
-        pub link_faults: Vec<((u32, u32), FaultStats)>,
-        /// Sync retransmissions across both nodes.
-        pub retransmits: u64,
-        /// `degraded_entered` journal events on node K2.
-        pub degraded_entered: u64,
-        /// `degraded_exited` journal events on node K2.
-        pub degraded_exited: u64,
-    }
-
-    /// Knobs for a generalized sync-chaos run: the canonical two-node
-    /// collaborating topology with the fault plan, run length, and node
-    /// knowggets supplied by the caller (the `kalis-scenario` runner
-    /// compiles a scenario file's `faults` and `node` sections into
-    /// this).
-    #[derive(Debug, Clone)]
-    pub struct SyncChaosSpec {
-        /// The seeded fault plan the wire routes every frame through.
-        /// Endpoint 0 is K1, endpoint 1 is K2.
-        pub plan: FaultPlan,
-        /// Total virtual run time.
-        pub run: Duration,
-        /// Extra knowgget text appended to each node's chaos config
-        /// (e.g. `", Multihop = true"`), after the built-in sync/trace
-        /// tunables.
-        pub extra_knowggets: String,
-        /// Feed the scripted cross-region wormhole evidence (exotic
-        /// origins into K2 at t=5s, dropped-origin traffic into K1 at
-        /// t=6s) so the collaborative verdict has something to fire on.
-        pub wormhole_evidence: bool,
     }
 
     /// A Kalis node with chaos-friendly sync tunables carried by the
     /// Fig. 6 config language: a 3-second peer TTL and 1-second beacons
     /// so health transitions happen within the 90-second run, plus full
     /// trace sampling so every sync contribution carries its origin
-    /// trace across the faulty link.
-    fn node(name: &str, extra_knowggets: &str) -> Kalis {
+    /// trace across the faulty link. `extra_knowggets` is appended to
+    /// those (e.g. `", Multihop = true"`).
+    pub fn resilience_node(name: &str, extra_knowggets: &str) -> Kalis {
         let text = format!(
             "knowggets = {{ Sync.PeerTtl = 3, Sync.BeaconInterval = 1, \
              Trace.SampleRate = 1{extra_knowggets} }}"
@@ -890,6 +845,31 @@ mod resilience {
             .with_config(config)
             .with_default_modules()
             .build()
+    }
+
+    /// The scripted cross-region wormhole evidence, as the two nodes'
+    /// capture taps. K2 hears traffic relayed for exotic origins 30/31
+    /// at 5 s. K1 overhears, from 6 s, traffic from those origins
+    /// addressed to forwarder B1 (node 10), which never relays it: the
+    /// watchdog registers the drops and the blackhole module publishes
+    /// `DroppedOrigins@10` collectively — a traced module write, so the
+    /// evidence carries its origin trace across the sync wire.
+    pub fn wormhole_evidence() -> [Vec<CapturedPacket>; 2] {
+        let exotic = Timestamp::from_secs(5);
+        let dropped = Timestamp::from_secs(6);
+        let k1 = [(30, 1), (30, 2), (30, 3), (31, 1), (31, 2), (31, 3)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (origin, seq))| {
+                let at = dropped + Duration::from_millis(10 * i as u64);
+                toward(at, 10, origin, seq)
+            })
+            .collect();
+        let k2 = vec![
+            relayed(exotic, 20, 30, 1),
+            relayed(exotic + Duration::from_millis(50), 20, 31, 2),
+        ];
+        [k1, k2]
     }
 
     /// A CTP data frame relayed by `relay` for `origin` (THL > 0), the
@@ -923,22 +903,42 @@ mod resilience {
         CapturedPacket::capture(at, Medium::Ieee802154, Some(-50.0), "chaos", raw)
     }
 
-    /// Whether every collective knowgget authored by `source` is present
-    /// (same creator, entity, and value) in `target`'s Knowledge Base.
-    fn knows_all_from(target: &Kalis, source: &Kalis) -> bool {
-        let authored: Vec<_> = source
-            .knowledge()
-            .collective_knowggets()
-            .into_iter()
-            .filter(|k| k.creator == *source.id())
+    /// Whether every node authored at least one collective knowgget and
+    /// holds every one the others authored (same creator, label, entity
+    /// and value). Reads the Knowledge Bases without counting a get.
+    pub fn converged(nodes: &[Kalis]) -> bool {
+        let held: Vec<Vec<Knowgget>> = (nodes.iter())
+            .map(|node| node.knowledge().iter().collect())
             .collect();
-        !authored.is_empty()
-            && authored.iter().all(|k| {
-                target.knowledge().get_all_creators(&k.label).iter().any(
-                    |(creator, entity, value)| {
-                        creator == &k.creator && entity == &k.entity && value == &k.value
-                    },
-                )
+        nodes.iter().all(|source| {
+            let authored: Vec<Knowgget> = (source.knowledge().collective_knowggets())
+                .into_iter()
+                .filter(|k| k.creator == *source.id())
+                .collect();
+            !authored.is_empty()
+                && held.iter().all(|target| {
+                    authored.iter().all(|k| {
+                        target.iter().any(|h| {
+                            h.creator == k.creator
+                                && h.label == k.label
+                                && h.entity == k.entity
+                                && h.value == k.value
+                        })
+                    })
+                })
+        })
+    }
+
+    /// How often `records` say degraded mode was entered and exited.
+    pub fn degraded_transitions<'a>(
+        records: impl IntoIterator<Item = &'a JournalRecord>,
+    ) -> (u64, u64) {
+        records
+            .into_iter()
+            .fold((0, 0), |(entered, exited), record| match record.event {
+                JournalEvent::DegradedEntered { .. } => (entered + 1, exited),
+                JournalEvent::DegradedExited { .. } => (entered, exited + 1),
+                _ => (entered, exited),
             })
     }
 
@@ -979,144 +979,57 @@ mod resilience {
         // wormhole correlator on both nodes. Replayed sync frames causing
         // double alerts remain visible through the replay-vs-control
         // alert-count comparison.
-        let run = run_sync_chaos(&SyncChaosSpec {
-            plan,
-            run: Duration::from_secs(RUN_SECS),
-            extra_knowggets: ", Multihop = true".to_owned(),
-            wormhole_evidence: true,
-        });
-        let [k1, k2] = &run.nodes;
+        let mut nodes = ["K1", "K2"].map(|id| resilience_node(id, ", Multihop = true"));
+        let taps = wormhole_evidence();
+        let mut converged_at = None;
+        let (end, wire) = {
+            let mut link = Link {
+                until: Timestamp::from_secs(RUN_SECS),
+                observe: Box::new(|now, pair: &[Kalis]| {
+                    if converged_at.is_none() && converged(pair) {
+                        converged_at = Some(now);
+                    }
+                }),
+                ..Link::new(plan)
+            };
+            (
+                run_nodes(&mut nodes, &[&taps[0], &taps[1]], &mut link),
+                link.wire,
+            )
+        };
+        let fault_stats = wire.fault_stats();
+        let [k1, k2] = &nodes;
+        record_faults(
+            k2,
+            end.expect("a timed run"),
+            fault_stats,
+            &wire.link_fault_stats(),
+        );
         let (s1, s2) = (k1.telemetry().snapshot(), k2.telemetry().snapshot());
+        let sum = |name: &str| s1.counter(name) + s2.counter(name);
+        let (degraded_entered, degraded_exited) =
+            degraded_transitions(s1.journal.records.iter().chain(&s2.journal.records));
         let is_wormhole = |alert: &&Alert| alert.attack == AttackKind::Wormhole;
         SyncResilienceResult {
-            converged: knows_all_from(k2, k1) && knows_all_from(k1, k2),
-            degraded_entered: run.degraded_entered,
-            degraded_exited: run.degraded_exited,
-            retransmits: run.retransmits,
-            duplicates_dropped: s1.counter(names::SYNC_DUPLICATES)
-                + s2.counter(names::SYNC_DUPLICATES),
-            queue_overflow_dropped: s1.counter(names::SYNC_QUEUE_DROPPED)
-                + s2.counter(names::SYNC_QUEUE_DROPPED),
-            wormhole_alerts: (run.nodes.iter())
+            converged: converged(&nodes),
+            degraded_entered,
+            degraded_exited,
+            retransmits: sum(names::SYNC_RETRANSMITS),
+            duplicates_dropped: sum(names::SYNC_DUPLICATES),
+            queue_overflow_dropped: sum(names::SYNC_QUEUE_DROPPED),
+            wormhole_alerts: (nodes.iter())
                 .flat_map(|node| node.alerts())
                 .filter(is_wormhole)
                 .count(),
-            wormhole_provenance: (run.nodes.iter())
+            wormhole_provenance: (nodes.iter())
                 .flat_map(|node| node.alerts().iter().zip(node.alert_provenance()))
                 .filter(|(alert, _)| is_wormhole(alert))
                 .map(|(_, record)| record.clone())
                 .collect(),
-            faults_dropped: run.fault_stats.dropped,
+            faults_dropped: fault_stats.dropped,
             journal: s2.journal,
-            converged_at: run.converged_at,
-            fault_stats: run.fault_stats,
-        }
-    }
-
-    /// Run the two-node chaos harness under an arbitrary fault plan.
-    /// Every frame — beacons, sync frames, acks — rides the faulty
-    /// [`Wire`]; the nodes' sync tunables (3s peer TTL, 1s beacons, full
-    /// trace sampling) keep health transitions observable within short
-    /// runs.
-    pub fn run_sync_chaos(spec: &SyncChaosSpec) -> SyncChaosRun {
-        let mut k1 = node("K1", &spec.extra_knowggets);
-        let mut k2 = node("K2", &spec.extra_knowggets);
-        let mut wire = Wire::new(spec.plan.clone(), LINK_DELAY);
-        let mut fed_exotic = !spec.wormhole_evidence;
-        let mut fed_dropped = !spec.wormhole_evidence;
-        let mut converged_at = None;
-        let end = Timestamp::ZERO + spec.run;
-        let mut now = Timestamp::ZERO;
-        loop {
-            // Deliver everything due by `now`, oldest first.
-            for msg in wire.due(now) {
-                let node = if msg.to == 0 { &mut k1 } else { &mut k2 };
-                if let Some(beacon) = PeerBeacon::decode(&msg.bytes) {
-                    node.observe_beacon(&beacon, now);
-                } else if let Ok(receipt) = node.receive_sync_frame(&msg.bytes, now) {
-                    if let Some(reply) = receipt.reply {
-                        wire.send(msg.to, 1 - msg.to, &reply, now);
-                    }
-                }
-                // Rejected frames (corruption) are already counted in
-                // the node's own telemetry.
-            }
-            // Scripted wormhole evidence, injected mid-loss-phase so it
-            // must survive the faulty link.
-            if !fed_exotic && now >= Timestamp::from_secs(5) {
-                fed_exotic = true;
-                k2.ingest(relayed(now, 20, 30, 1));
-                k2.ingest(relayed(now + Duration::from_millis(50), 20, 31, 2));
-            }
-            if !fed_dropped && now >= Timestamp::from_secs(6) {
-                fed_dropped = true;
-                // K1 overhears traffic from origins 30/31 addressed to
-                // forwarder B1 (node 10), which never relays it: the
-                // watchdog registers the drops and the blackhole module
-                // publishes `DroppedOrigins@10` collectively — a traced
-                // module write, so the evidence carries its origin trace
-                // across the faulty link.
-                for (i, (origin, seq)) in [(30, 1), (30, 2), (30, 3), (31, 1), (31, 2), (31, 3)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let at = now + Duration::from_millis(10 * i as u64);
-                    k1.ingest(toward(at, 10, origin, seq));
-                }
-            }
-            // Outbound work: beacons, first transmissions, retransmits,
-            // and resync snapshots — all through the fault plan.
-            let poll = k1.sync_poll(now);
-            if let Some(beacon) = poll.beacon {
-                wire.send(0, 1, &beacon.encode(), now);
-            }
-            for frame in &poll.frames {
-                wire.send(0, 1, &frame.bytes, now);
-            }
-            let poll = k2.sync_poll(now);
-            if let Some(beacon) = poll.beacon {
-                wire.send(1, 0, &beacon.encode(), now);
-            }
-            for frame in &poll.frames {
-                wire.send(1, 0, &frame.bytes, now);
-            }
-            k1.tick(now);
-            k2.tick(now);
-            // Sample convergence at 1-second granularity so expectation
-            // deadlines ("sync converged within N seconds") have an
-            // observed instant to report.
-            if converged_at.is_none()
-                && now.as_micros() % 1_000_000 == 0
-                && knows_all_from(&k2, &k1)
-                && knows_all_from(&k1, &k2)
-            {
-                converged_at = Some(now);
-            }
-            if now >= end {
-                break;
-            }
-            now += STEP;
-        }
-        if converged_at.is_none() && knows_all_from(&k2, &k1) && knows_all_from(&k1, &k2) {
-            converged_at = Some(end);
-        }
-        // The wire's fault counters go into K2's journal.
-        record_faults(&k2, end, wire.fault_stats(), &wire.link_fault_stats());
-        let journal = k2.telemetry().snapshot().journal;
-        let count_events = |pred: fn(&JournalEvent) -> bool| {
-            journal.records.iter().filter(|r| pred(&r.event)).count() as u64
-        };
-        SyncChaosRun {
-            retransmits: [&k1, &k2]
-                .iter()
-                .map(|node| node.telemetry().snapshot().counter(names::SYNC_RETRANSMITS))
-                .sum(),
-            degraded_entered: count_events(|e| matches!(e, JournalEvent::DegradedEntered { .. })),
-            degraded_exited: count_events(|e| matches!(e, JournalEvent::DegradedExited { .. })),
             converged_at,
-            fault_stats: wire.fault_stats(),
-            link_faults: wire.link_fault_stats(),
-            nodes: [k1, k2],
+            fault_stats,
         }
     }
 }
@@ -1540,7 +1453,7 @@ pub fn run_diag_overhead(seed: u64, symptoms: u32, repeats: u32) -> DiagOverhead
         let mut node = [Kalis::builder(KalisId::new("K-diag"))
             .with_default_modules()
             .build()];
-        runner::run_nodes(&mut node, &[&merged]);
+        runner::run_nodes(&mut node, &[&merged], &mut Link::default());
         let outcome = runner::outcome(&mut node);
         let captured = outcome
             .telemetry

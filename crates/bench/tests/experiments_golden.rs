@@ -14,6 +14,10 @@
 //! compared sorted. Everything else, the histograms' `n=` counts
 //! included, is deterministic in the seed.
 //!
+//! A third, ignored for the same reason, regenerates the
+//! state-exhaustion artifact with `--exhaustion --exhaustion-json` and
+//! compares it byte for byte with `BENCH_7.json` at the repository root.
+//!
 //! When a change is meant to move this output, rewrite the files with
 //! `KALIS_BLESS=1 cargo test -p kalis-bench --test experiments_golden
 //! -- --include-ignored` and review the diff.
@@ -105,9 +109,8 @@ fn mask_covers_only_histogram_quantiles() {
     assert_eq!(mask_histogram("x: n=3 p50=1ms p95=2ns p99=3ns"), None);
 }
 
-/// Run the binary with `args` and compare its masked stdout with the
-/// file at `path` (rewrite it under `KALIS_BLESS=1`).
-fn check(args: &[&str], path: PathBuf) {
+/// Run the binary with `args` and return its stdout.
+fn run(args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
         .output()
@@ -117,9 +120,14 @@ fn check(args: &[&str], path: PathBuf) {
         "experiments failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-    let got = masked(&String::from_utf8(output.stdout).expect("utf-8 stdout"));
+    String::from_utf8(output.stdout).expect("utf-8 stdout")
+}
+
+/// Compare `got` with the file at `path` (rewrite it under
+/// `KALIS_BLESS=1`).
+fn compare(path: PathBuf, got: &str) {
     if std::env::var_os("KALIS_BLESS").is_some_and(|v| v == "1") {
-        fs::write(&path, &got).unwrap();
+        fs::write(&path, got).unwrap();
         return;
     }
     let want = fs::read_to_string(&path)
@@ -142,6 +150,12 @@ fn check(args: &[&str], path: PathBuf) {
     }
 }
 
+/// Run the binary with `args` and compare its masked stdout with the
+/// file at `path`.
+fn check(args: &[&str], path: PathBuf) {
+    compare(path, &masked(&run(args)));
+}
+
 #[test]
 fn experiments_output_matches_its_golden() {
     check(ARGS, repo_path("tests/goldens/experiments-42.txt"));
@@ -151,4 +165,13 @@ fn experiments_output_matches_its_golden() {
 #[ignore = "about 14 s in a debug build; CI runs it in release"]
 fn the_complete_run_matches_experiments_output() {
     check(FULL_ARGS, repo_path("experiments_output.txt"));
+}
+
+#[test]
+#[ignore = "about 10 s in a debug build; CI runs it in release"]
+fn the_exhaustion_artifact_matches_bench_7() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("BENCH_7.json");
+    run(&["--exhaustion", "--exhaustion-json", path.to_str().unwrap()]);
+    let got = fs::read_to_string(&path).expect("the binary wrote the artifact");
+    compare(repo_path("BENCH_7.json"), &got);
 }

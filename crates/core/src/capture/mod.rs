@@ -122,11 +122,6 @@ impl CommunicationSystem {
         self.staged.push(None);
     }
 
-    /// Number of attached sources.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
-    }
-
     /// The distinct mediums observed so far.
     pub fn mediums_seen(&self) -> &[Medium] {
         &self.mediums_seen

@@ -263,11 +263,6 @@ impl<K: Eq + Clone + Hash> SlidingCounter<K> {
         self.budget
     }
 
-    /// Worst-case per-key over-count contributed by the overflow sketch.
-    pub fn sketch_error_bound(&self) -> u64 {
-        self.overflow.as_ref().map(|s| s.error_bound()).unwrap_or(0)
-    }
-
     /// Bytes held: exact buffer, its per-key count index and overflow
     /// sketch counters.
     pub fn state_bytes(&self) -> usize {

@@ -324,11 +324,6 @@ impl KnowledgeBase {
         s.entity_evictions.set(self.entity_index.evictions());
     }
 
-    /// The owning Kalis node's identifier.
-    pub fn local_id(&self) -> &KalisId {
-        &self.local
-    }
-
     /// Monotonic revision counter; bumps on every change.
     pub fn revision(&self) -> u64 {
         self.revision

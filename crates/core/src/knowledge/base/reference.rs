@@ -73,11 +73,6 @@ impl KnowledgeBase {
         }
     }
 
-    /// The owning Kalis node's identifier.
-    pub fn local_id(&self) -> &KalisId {
-        &self.local
-    }
-
     /// Monotonic revision counter; bumps on every change.
     pub fn revision(&self) -> u64 {
         self.revision

@@ -297,11 +297,6 @@ impl ModuleManager {
         }
     }
 
-    /// Whether knowledge-driven activation is enabled.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
     /// Replace the supervisor tuning knobs.
     pub fn set_supervisor(&mut self, cfg: SupervisorConfig) {
         self.supervisor = cfg;

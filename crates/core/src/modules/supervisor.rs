@@ -147,11 +147,6 @@ impl Supervision {
         self.health == ModuleHealth::Quarantined
     }
 
-    /// Lifetime quarantine count.
-    pub fn quarantine_count(&self) -> u32 {
-        self.quarantines
-    }
-
     /// When the current quarantine expires (meaningful only while
     /// quarantined).
     pub fn quarantined_until(&self) -> Timestamp {

@@ -1,11 +1,19 @@
 //! The node's side of knowledge sharing (paper §IV-B3): two endpoints
-//! over one Knowledge Base. The plain one ([`Kalis::collective_outbox`]
-//! / [`Kalis::accept_sync`]) hands messages to a caller that moves them;
-//! the fault-tolerant one ([`Kalis::observe_beacon`] /
+//! over one Knowledge Base.
+//!
+//! The fault-tolerant one ([`Kalis::observe_beacon`] /
 //! [`Kalis::sync_poll`] / [`Kalis::receive_sync_frame`]) drives the
 //! [`CollectiveSync`] engine — beacons, acks, retransmission, peer
 //! health — and turns its state-machine events into journal records,
-//! gauges, and the `DegradedMode` knowgget.
+//! gauges, and the `DegradedMode` knowgget. It is the one every harness
+//! drives: `kalis_bench::runner::run_nodes` carries a pair's beacons,
+//! frames and acks over a `kalis_netsim::wire::Wire`, lossless for
+//! Fig. 8, §VI-D and the scenario files, faulty for the chaos run.
+//!
+//! The one-shot pair ([`Kalis::collective_outbox`] /
+//! [`Kalis::accept_sync`]) hands a plain message to a caller that moves
+//! it. Only the benchmark's `Cluster`, the `kb_ops` and `pipeline`
+//! micro-benches, the allocation pins and unit tests still call it.
 
 use std::sync::Arc;
 
@@ -143,7 +151,13 @@ impl Kalis {
     /// ownership rule; accepted knowggets before the violation are kept,
     /// counted, and acted on as an accepted message's are.
     pub fn accept_sync(&mut self, message: SyncMessage) -> Result<usize, KalisError> {
-        let result = self.apply_sync(message);
+        let bytes = message.encoded_len() as u64;
+        self.accept(message, bytes)
+    }
+
+    /// [`Kalis::accept_sync`] for a message that took `bytes` to carry.
+    fn accept(&mut self, message: SyncMessage, bytes: u64) -> Result<usize, KalisError> {
+        let result = self.apply_sync(message, bytes);
         if self.reconfigure_due() {
             let now = self.last_tick.unwrap_or(Timestamp::ZERO);
             self.reconfigure_on_changes(now);
@@ -151,10 +165,9 @@ impl Kalis {
         result
     }
 
-    /// [`Kalis::accept_sync`] up to its reconfiguration pass.
-    fn apply_sync(&mut self, message: SyncMessage) -> Result<usize, KalisError> {
+    /// [`Kalis::accept`] up to its reconfiguration pass.
+    fn apply_sync(&mut self, message: SyncMessage, bytes: u64) -> Result<usize, KalisError> {
         let sender = message.from.to_string();
-        let bytes = message.encoded_len() as u64;
         self.sync.bytes_in.add(bytes);
         let trace_enabled = self.tracer.enabled();
         let mut accepted = 0;
@@ -285,8 +298,10 @@ impl Kalis {
                     reply: receipt.reply,
                 };
                 match receipt.kind {
+                    // Counted in sealed bytes, as `sync_poll` counts
+                    // what it sends.
                     ReceiptKind::Fresh(message) => {
-                        (self.accept_sync(message)).map(|accepted| SyncReceipt {
+                        (self.accept(message, sealed.len() as u64)).map(|accepted| SyncReceipt {
                             accepted,
                             ..settled
                         })

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 
-use kalis_packets::{CapturedPacket, Timestamp, TrafficClass};
+use kalis_packets::{CapturedPacket, Timestamp};
 
 /// Retention policy for the in-memory window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,13 +140,6 @@ impl DataStore {
     /// Packets in the window newer than `since`.
     pub fn since(&self, since: Timestamp) -> impl Iterator<Item = &CapturedPacket> {
         self.window.iter().filter(move |p| p.timestamp >= since)
-    }
-
-    /// Count window packets of `class` newer than `since`.
-    pub fn count_class_since(&self, class: TrafficClass, since: Timestamp) -> usize {
-        self.since(since)
-            .filter(|p| p.traffic_class() == class)
-            .count()
     }
 
     /// Number of packets in the window.

@@ -90,6 +90,11 @@ impl Wire {
             .collect()
     }
 
+    /// The earliest delivery instant of a frame still in flight.
+    pub fn next_due(&self) -> Option<Timestamp> {
+        self.queue.iter().map(|m| m.at).min()
+    }
+
     /// Frames currently in flight.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -118,6 +123,7 @@ mod tests {
         wire.send(1, 0, b"second", Timestamp::from_micros(100));
         assert_eq!(wire.pending(), 2);
         assert!(wire.due(Timestamp::from_micros(400)).is_empty());
+        assert_eq!(wire.next_due(), Some(Timestamp::from_micros(500)));
         let arrived = wire.due(Timestamp::from_micros(700));
         assert_eq!(
             arrived
@@ -129,6 +135,7 @@ mod tests {
         assert_eq!(arrived[0].to, 1);
         assert_eq!(arrived[1].to, 0);
         assert_eq!(wire.pending(), 0);
+        assert_eq!(wire.next_due(), None);
     }
 
     #[test]

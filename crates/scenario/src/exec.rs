@@ -1,31 +1,34 @@
 //! Scenario execution: compile a validated [`ScenarioSpec`] onto the
-//! bench harnesses for one seed and collect the [`Evidence`] the
+//! bench harness for one seed and collect the [`Evidence`] the
 //! expectation checks consume.
 //!
-//! The deployment is one Kalis node per capture tap. The topology picks
-//! the transport between the taps and the nodes, and both are fully
-//! deterministic in the seed:
+//! The deployment is one Kalis node per capture tap, run on the capture
+//! clock by [`run_nodes`]; two nodes collaborate through their sync
+//! engines over a wire. Everything is deterministic in the seed. The
+//! taps come from the `attacks` (tap 0 takes every attack's captures
+//! plus the state-exhaustion identity spray, merged on the capture
+//! clock; tap 1 an attack's second tap, which only the wormhole has) or
+//! from the `wormhole-evidence` script. The topology decides where the
+//! `faults` section's [`FaultPlan`] applies:
 //!
-//! * **single** — lossless taps on the capture clock ([`run_nodes`]).
-//!   Each `attacks` entry builds its seeded trace: tap 0 takes every
-//!   attack's captures plus the state-exhaustion identity spray, merged
-//!   on the capture clock; tap 1 takes an attack's second tap, which
-//!   only the wormhole has. Each tap gets a node (`K1`, `K2`) with the
-//!   `node` section's config and the default library.
-//! * **pair** — the two-node sync-chaos harness ([`run_sync_chaos`]):
-//!   the `faults` section becomes the wire's [`FaultPlan`], the `node`
-//!   knowggets ride each node's chaos config.
+//! * **single** — on the capture links, as each attack's trace is
+//!   built; nodes carry the `node` section's config and the default
+//!   library, and a second node runs only when some attack has a second
+//!   tap;
+//! * **pair** — on the sync wire between `K1` (endpoint 0) and `K2`
+//!   (endpoint 1); both nodes carry the chaos sync tunables plus the
+//!   `node` knowggets, and the run lasts at least `duration`.
 //!
-//! One collector, [`evidence`], turns either run's nodes into evidence,
+//! One collector, [`evidence`], turns the run's nodes into evidence,
 //! alerts undrained so provenance and module state stay inspectable.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use kalis_bench::experiments::{
-    record_faults, run_sync_chaos, spray_trace, SyncChaosSpec, MAX_STRUCTURES_PER_MODULE,
+    converged, degraded_transitions, record_faults, resilience_node, spray_trace,
+    wormhole_evidence, MAX_STRUCTURES_PER_MODULE,
 };
-use kalis_bench::runner::run_nodes;
+use kalis_bench::runner::{run_nodes, Link};
 use kalis_bench::scenarios::{BuildOptions, Scenario};
 use kalis_bench::scoring::{score, Score};
 use kalis_bench::Detection;
@@ -33,48 +36,19 @@ use kalis_core::config::Config;
 use kalis_core::modules::ModuleHealth;
 use kalis_core::{Kalis, KalisId};
 use kalis_netsim::fault::{FaultPlan, FaultStats};
-use kalis_packets::CapturedPacket;
+use kalis_packets::{CapturedPacket, Timestamp};
+use kalis_telemetry::names;
 
 use crate::expect::{AlertEvidence, Evidence, ModuleBudget};
 use crate::spec::{AttackSpec, ScenarioSpec, Topology};
 
 /// Run one seeded execution of the scenario and gather its evidence.
 pub fn execute(spec: &ScenarioSpec, seed: u64) -> Evidence {
-    match spec.topology {
-        Topology::Pair => execute_pair(spec, seed),
-        Topology::Single => execute_single(spec, seed),
-    }
-}
-
-/// The two-node chaos harness: faults on the wire, convergence and
-/// degraded-mode telemetry as evidence.
-fn execute_pair(spec: &ScenarioSpec, seed: u64) -> Evidence {
-    let run = run_sync_chaos(&SyncChaosSpec {
-        plan: spec
-            .fault_plan(seed)
-            .unwrap_or_else(|| FaultPlan::new(seed)),
-        run: Duration::from_secs(spec.duration_secs),
-        extra_knowggets: spec.extra_knowggets.clone(),
-        wormhole_evidence: spec.wormhole_evidence,
-    });
-    // No scored symptom instances on the pair path: an empty truth set
-    // scores as trivially perfect.
-    let mut evidence = evidence(
-        &run.nodes,
-        score(&[], &[]),
-        run.fault_stats,
-        &run.link_faults,
-    );
-    evidence.converged_at_secs = run.converged_at.map(|t| t.as_micros() / 1_000_000);
-    evidence.degraded_entered = run.degraded_entered;
-    evidence.degraded_exited = run.degraded_exited;
-    evidence.retransmits = run.retransmits;
-    evidence
-}
-
-/// The lossless taps: build every attack's seeded trace, give each tap
-/// a node, and run them on the capture clock.
-fn execute_single(spec: &ScenarioSpec, seed: u64) -> Evidence {
+    let pair = spec.topology == Topology::Pair;
+    let (capture_plan, wire_plan) = match spec.fault_plan(seed) {
+        Some(plan) if pair => (None, plan),
+        plan => (plan, FaultPlan::new(seed)),
+    };
     let mut taps: [Vec<CapturedPacket>; 2] = Default::default();
     let mut truth = Vec::new();
     let mut fault_stats = FaultStats::default();
@@ -83,7 +57,7 @@ fn execute_single(spec: &ScenarioSpec, seed: u64) -> Evidence {
         match attack {
             AttackSpec::Standard { kind, symptoms } => {
                 let options = BuildOptions {
-                    fault_plan: spec.fault_plan(seed),
+                    fault_plan: capture_plan.clone(),
                 };
                 let scenario = Scenario::build_with(*kind, seed, *symptoms, &options);
                 taps[0].extend(scenario.captures);
@@ -101,37 +75,63 @@ fn execute_single(spec: &ScenarioSpec, seed: u64) -> Evidence {
             }
         }
     }
+    if spec.wormhole_evidence {
+        for (tap, script) in taps.iter_mut().zip(wormhole_evidence()) {
+            tap.extend(script);
+        }
+    }
     for tap in &mut taps {
         tap.sort_by_key(|c| c.timestamp);
     }
-    // A second node only when some attack has a second tap.
-    let used = if taps[1].is_empty() { 1 } else { 2 };
+    let used = if pair || !taps[1].is_empty() { 2 } else { 1 };
     let vantages: Vec<&[CapturedPacket]> = taps[..used].iter().map(Vec::as_slice).collect();
 
     let config: Option<Config> = spec.node_config.as_ref().map(|text| {
         text.parse()
             .expect("node overrides were validated at parse time")
     });
-    let mut nodes: Vec<Kalis> = (1..=vantages.len())
+    let mut nodes: Vec<Kalis> = (1..=used)
         .map(|i| {
-            let mut builder = Kalis::builder(KalisId::new(format!("K{i}")));
+            let id = format!("K{i}");
+            if pair {
+                return resilience_node(&id, &spec.extra_knowggets);
+            }
+            let mut builder = Kalis::builder(KalisId::new(id));
             if let Some(config) = &config {
                 builder = builder.with_config(config.clone());
             }
             builder.with_default_modules().build()
         })
         .collect();
-    run_nodes(&mut nodes, &vantages);
+    let mut converged_at = None;
+    let (end, wire) = {
+        let mut link = Link {
+            until: Timestamp::from_secs(if pair { spec.duration_secs } else { 0 }),
+            observe: Box::new(|now, nodes: &[Kalis]| {
+                if converged_at.is_none() && converged(nodes) {
+                    converged_at = Some(now);
+                }
+            }),
+            ..Link::new(wire_plan)
+        };
+        (run_nodes(&mut nodes, &vantages, &mut link), link.wire)
+    };
 
-    let links: Vec<((u32, u32), FaultStats)> = links.into_iter().collect();
-    if fault_stats.total() > 0 {
+    // Faults on the capture links were all injected by the last capture;
+    // faults on the sync wire, by the end of the run. Either way the last
+    // node's journal records them.
+    let (fault_stats, links, at) = if pair {
+        (wire.fault_stats(), wire.link_fault_stats(), end)
+    } else {
         let last = vantages
             .iter()
             .filter_map(|tap| tap.last())
-            .map(|c| c.timestamp)
-            .max()
-            .unwrap_or_default();
-        record_faults(&nodes[0], last, fault_stats, &links);
+            .map(|c| c.timestamp);
+        (fault_stats, links.into_iter().collect(), last.max())
+    };
+    if fault_stats.total() > 0 {
+        let node = nodes.last().expect("one node per tap");
+        record_faults(node, at.unwrap_or_default(), fault_stats, &links);
     }
     let detections: Vec<Detection> = nodes
         .iter()
@@ -139,14 +139,17 @@ fn execute_single(spec: &ScenarioSpec, seed: u64) -> Evidence {
         .cloned()
         .map(Detection::from)
         .collect();
-    evidence(&nodes, score(&truth, &detections), fault_stats, &links)
+    let mut evidence = evidence(&nodes, score(&truth, &detections), fault_stats, &links);
+    evidence.converged_at_secs = converged_at.map(|t| t.as_micros() / 1_000_000);
+    evidence
 }
 
 /// Turn one run's nodes into evidence, in node order: alerts (with
 /// their time, module, victim and trace), unpinned quarantines,
 /// readiness blockers, module budgets, Knowledge Base occupancy,
-/// journals and diag bundles. With two nodes, per-module names and
-/// readiness reasons carry the node's `K{i}:` prefix.
+/// journals, sync retransmissions, degraded-mode transitions and diag
+/// bundles. With two nodes, per-module names and readiness reasons carry
+/// the node's `K{i}:` prefix.
 fn evidence(
     nodes: &[Kalis],
     score: Score,
@@ -216,11 +219,12 @@ fn evidence(
         evidence.kb_occupancy = evidence
             .kb_occupancy
             .max(node.knowledge().entity_occupancy());
-        evidence
-            .journal
-            .extend(node.telemetry().snapshot().journal.records);
+        let snapshot = node.telemetry().snapshot();
+        evidence.retransmits += snapshot.counter(names::SYNC_RETRANSMITS);
+        evidence.journal.extend(snapshot.journal.records);
         evidence.diag_bundles.extend_from_slice(node.diag_bundles());
     }
+    (evidence.degraded_entered, evidence.degraded_exited) = degraded_transitions(&evidence.journal);
     evidence
 }
 

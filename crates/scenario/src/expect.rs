@@ -114,9 +114,10 @@ impl Expectation {
     }
 
     /// Whether the topology produces the evidence this claim needs.
-    /// Detection scoring and budget inspection exist only on the
-    /// single-node trace path; sync convergence and degraded-mode
-    /// transitions only on the two-node chaos path.
+    /// Detection scoring and budget inspection need the labelled
+    /// `attacks` taps of `single`; sync convergence, degraded-mode
+    /// transitions and retransmissions need the faulted sync wire of
+    /// `pair`.
     pub fn applies_to(&self, topology: Topology) -> bool {
         match self {
             Expectation::MinRecall(_)
@@ -459,14 +460,14 @@ pub struct ModuleBudget {
 /// Everything a finished run leaves behind for expectation evaluation.
 #[derive(Debug, Clone)]
 pub struct Evidence {
-    /// Ground-truth detection score (trivially perfect for a pair run,
-    /// which injects no scored symptom instances).
+    /// Ground-truth detection score (a pair run injects no labelled
+    /// instances, so its alerts all count as unmatched).
     pub score: Score,
     /// Every alert raised, with provenance.
     pub alerts: Vec<AlertEvidence>,
     /// Unpinned modules quarantined at end of run.
     pub unpinned_quarantined: Vec<String>,
-    /// End-of-run readiness blockers (node-prefixed on the pair path).
+    /// End-of-run readiness blockers (node-prefixed with two nodes).
     pub readiness_reasons: Vec<String>,
     /// Per-module budget occupancy.
     pub modules: Vec<ModuleBudget>,
@@ -480,16 +481,16 @@ pub struct Evidence {
     pub fault_stats: FaultStats,
     /// Per-directed-link fault counters, formatted as `from->to`.
     pub link_faults: Vec<(String, FaultStats)>,
-    /// First instant both nodes held each other's collective knowledge
-    /// (pair path), in whole seconds.
+    /// First round (or the run's end) at which two nodes held each
+    /// other's collective knowledge, in whole seconds.
     pub converged_at_secs: Option<u64>,
-    /// `degraded_entered` journal events.
+    /// `degraded_entered` journal events, every node's.
     pub degraded_entered: u64,
-    /// `degraded_exited` journal events.
+    /// `degraded_exited` journal events, every node's.
     pub degraded_exited: u64,
-    /// Sync retransmissions across both nodes (pair path).
+    /// Sync retransmissions across every node.
     pub retransmits: u64,
-    /// The node's retained event journal (node K2's on the pair path).
+    /// Every node's retained event journal, in node order.
     pub journal: Vec<JournalRecord>,
     /// `kalis.diag.v1` bundles the flight recorders retained,
     /// `(bundle_id, json)` across every node in the topology.

@@ -29,10 +29,11 @@
 //! }
 //! ```
 //!
-//! Two topologies exist. `single` (the default) compiles the `attacks`
-//! section onto the seeded trace builders in `kalis-bench` and runs one
-//! Kalis node over the merged captures; `pair` compiles the `faults`
-//! section onto the two-node collaborating sync-chaos harness. The
+//! Two topologies exist, run by the same capture-clock loop. `single`
+//! (the default) compiles the `attacks` section onto the seeded trace
+//! builders in `kalis-bench`, one Kalis node per capture tap, with the
+//! `faults` section on the capture links; `pair` runs two collaborating
+//! nodes with the `faults` section on their sync wire. The
 //! parser validates everything it can statically — attack names, fault
 //! probabilities, expectation applicability per topology, and `node`
 //! overrides (which are compiled to Fig. 6 text and pushed through the
@@ -75,12 +76,13 @@ const SECTION_NAMES: &[&str] = &[
     "expectations",
 ];
 
-/// Which harness executes the scenario.
+/// Where the scenario's faults land; both run the same loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
-    /// One Kalis node over a merged seeded capture trace (default).
+    /// One Kalis node per seeded capture tap, faults on the taps
+    /// (default).
     Single,
-    /// Two collaborating nodes on the faulty sync wire.
+    /// Two collaborating nodes, faults on their sync wire.
     Pair,
 }
 
@@ -188,7 +190,8 @@ pub struct ScenarioSpec {
     pub duration_secs: u64,
     /// The attack workload (single topology).
     pub attacks: Vec<AttackSpec>,
-    /// Feed the scripted wormhole evidence on the pair harness.
+    /// Feed the scripted wormhole evidence as tap traffic (pair
+    /// topology).
     pub wormhole_evidence: bool,
     /// The compiled fault plan inputs.
     pub faults: FaultsSpec,
@@ -1233,8 +1236,8 @@ impl<'a> ScnParser<'a> {
                     Code::Conflict,
                     pos,
                     "`attacks` requires `topology = { single }`",
-                    "the pair topology runs the two-node sync-chaos harness; its only \
-                     traffic knob is `workload = { wormhole-evidence }`",
+                    "the pair topology puts its faults on the sync wire, not on attack \
+                     traffic; its only traffic knob is `workload = { wormhole-evidence }`",
                 );
             }
             if let Some(item) = self.node_modules.first() {

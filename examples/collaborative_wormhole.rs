@@ -13,7 +13,7 @@
 //! render it with `kalis-trace --explain`).
 
 use kalis_bench::experiments;
-use kalis_bench::runner::run_nodes;
+use kalis_bench::runner::{run_nodes, Link};
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
 use kalis_core::{AttackKind, Kalis, KalisId};
 use kalis_telemetry::SampleRate;
@@ -74,7 +74,7 @@ fn main() {
             .with_trace_sampling(SampleRate::full())
             .build()
     });
-    run_nodes(&mut nodes, &scenario.vantages());
+    run_nodes(&mut nodes, &scenario.vantages(), &mut Link::default());
     let (node, index) = nodes
         .iter()
         .find_map(|node| {

@@ -64,7 +64,7 @@ fn main() {
     );
     let captures = tap.drain();
     let nodes = std::slice::from_mut(&mut kalis);
-    runner::run_nodes(nodes, &[&captures]);
+    runner::run_nodes(nodes, &[&captures], &mut runner::Link::default());
     let outcome = runner::outcome(nodes);
     println!(
         "modules active after discovery: {:?}",

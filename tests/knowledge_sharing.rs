@@ -2,7 +2,7 @@
 //! Kalis nodes can classify the wormhole.
 
 use kalis_bench::experiments::run_knowledge_sharing;
-use kalis_bench::runner::run_nodes;
+use kalis_bench::runner::{run_nodes, Link};
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
 use kalis_core::knowledge::{SyncMessage, XorChannel};
 use kalis_core::{AttackKind, Kalis, KalisId, KnowValue, Knowgget};
@@ -37,7 +37,7 @@ fn wormhole_provenance_spans_both_nodes() {
             .with_trace_sampling(SampleRate::full())
             .build()
     });
-    run_nodes(&mut nodes, &scenario.vantages());
+    run_nodes(&mut nodes, &scenario.vantages(), &mut Link::default());
 
     let (node, index, alert) = nodes
         .iter()

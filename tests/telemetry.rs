@@ -182,7 +182,11 @@ fn sync_counters_track_collaborative_exchange() {
             .with_default_modules()
             .build()
     });
-    kalis_bench::runner::run_nodes(&mut nodes, &scenario.vantages());
+    kalis_bench::runner::run_nodes(
+        &mut nodes,
+        &scenario.vantages(),
+        &mut kalis_bench::runner::Link::default(),
+    );
     let snap_a = nodes[0].telemetry().snapshot();
     let snap_b = nodes[1].telemetry().snapshot();
 
