@@ -150,23 +150,36 @@ impl Kalis {
     /// Returns [`KalisError::SyncRejected`] when any knowgget violates the
     /// ownership rule; accepted knowggets before the violation are kept,
     /// counted, and acted on as an accepted message's are.
+    /// The message is journaled, and acts on the Module Manager, at the
+    /// node's last tick: a one-shot exchange has no instant of its own.
     pub fn accept_sync(&mut self, message: SyncMessage) -> Result<usize, KalisError> {
         let bytes = message.encoded_len() as u64;
-        self.accept(message, bytes)
+        let now = self.last_tick.unwrap_or(Timestamp::ZERO);
+        self.accept(message, bytes, now)
     }
 
-    /// [`Kalis::accept_sync`] for a message that took `bytes` to carry.
-    fn accept(&mut self, message: SyncMessage, bytes: u64) -> Result<usize, KalisError> {
-        let result = self.apply_sync(message, bytes);
+    /// [`Kalis::accept_sync`] for a message that took `bytes` to carry,
+    /// journaled and acted on at `now`.
+    fn accept(
+        &mut self,
+        message: SyncMessage,
+        bytes: u64,
+        now: Timestamp,
+    ) -> Result<usize, KalisError> {
+        let result = self.apply_sync(message, bytes, now.as_micros());
         if self.reconfigure_due() {
-            let now = self.last_tick.unwrap_or(Timestamp::ZERO);
             self.reconfigure_on_changes(now);
         }
         result
     }
 
     /// [`Kalis::accept`] up to its reconfiguration pass.
-    fn apply_sync(&mut self, message: SyncMessage, bytes: u64) -> Result<usize, KalisError> {
+    fn apply_sync(
+        &mut self,
+        message: SyncMessage,
+        bytes: u64,
+        time_us: u64,
+    ) -> Result<usize, KalisError> {
         let sender = message.from.to_string();
         self.sync.bytes_in.add(bytes);
         let trace_enabled = self.tracer.enabled();
@@ -198,7 +211,7 @@ impl Kalis {
                         self.tracer.record(
                             &ctx,
                             0,
-                            self.capture_time_us(),
+                            time_us,
                             format!("sync.accept:{encoded}"),
                             self.id.as_str(),
                             format!("from {sender} written by {}", origin.module),
@@ -208,7 +221,6 @@ impl Kalis {
                 Ok(false) => {}
                 Err(reason) => {
                     self.sync.knowggets_in.add(accepted as u64);
-                    let time_us = self.capture_time_us();
                     return Err(self.sync.rejected(&self.tele, time_us, sender, reason));
                 }
             }
@@ -216,7 +228,7 @@ impl Kalis {
         self.sync.accepted.inc();
         self.sync.knowggets_in.add(accepted as u64);
         self.tele.journal().record(
-            self.capture_time_us(),
+            time_us,
             JournalEvent::SyncAccepted {
                 peer: sender,
                 knowggets: accepted as u64,
@@ -300,12 +312,11 @@ impl Kalis {
                 match receipt.kind {
                     // Counted in sealed bytes, as `sync_poll` counts
                     // what it sends.
-                    ReceiptKind::Fresh(message) => {
-                        (self.accept(message, sealed.len() as u64)).map(|accepted| SyncReceipt {
+                    ReceiptKind::Fresh(message) => (self.accept(message, sealed.len() as u64, now))
+                        .map(|accepted| SyncReceipt {
                             accepted,
                             ..settled
-                        })
-                    }
+                        }),
                     ReceiptKind::Duplicate => {
                         self.sync.duplicates.inc();
                         let peer = settled.from.to_string();
@@ -449,6 +460,30 @@ mod tests {
     fn peer_engine(id: &str) -> CollectiveSync {
         let channel = Box::new(XorChannel::new(0x006b_616c_6973));
         CollectiveSync::new(KalisId::new(id), channel, SyncConfig::default())
+    }
+
+    /// A frame the transport delivers between two ticks is journaled at
+    /// its delivery instant, not at the tick before it.
+    #[test]
+    fn a_frame_delivered_between_ticks_is_journaled_when_it_arrives() {
+        let mut node = Kalis::builder(KalisId::new("K1")).build();
+        let (k1, k2, mut peer) = (KalisId::new("K1"), KalisId::new("K2"), peer_engine("K2"));
+        let tick = Timestamp::from_secs(1);
+        node.tick(tick);
+        node.observe_beacon(&PeerBeacon { from: k2.clone() }, tick);
+        let sent = Timestamp::from_millis(1_200);
+        peer.observe_peer(&k1, sent);
+        let evidence = Knowgget::new("Multihop", KnowValue::Bool(true), k2);
+        peer.enqueue_to(&k1, vec![evidence], sent);
+        let frame = peer.poll(sent).remove(0);
+        let arrival = Timestamp::from_millis(1_250);
+        let receipt = node.receive_sync_frame(&frame.bytes, arrival);
+        assert_eq!(receipt.expect("K2's own knowledge").accepted, 1);
+        let journal = node.telemetry().journal().snapshot();
+        let accepted = (journal.records.iter())
+            .find(|record| record.event.kind() == "sync_accepted")
+            .expect("journaled");
+        assert_eq!(accepted.time_us, arrival.as_micros());
     }
 
     #[test]
