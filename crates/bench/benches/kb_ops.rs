@@ -9,9 +9,9 @@
 //! writes a sprayed identity and a known one cost, on the Knowledge Base
 //! of a built node: its Module Manager subscribed, telemetry attached,
 //! nobody listening for change events. `sync_round_trip` is one
-//! direction of the benchmark's `wsn-pair` exchange carrying two changed
-//! knowggets: `collective_outbox → seal → open → accept_sync`, the two
-//! writes that dirtied them included.
+//! direction of a sync exchange carrying the two knowggets a wormhole
+//! verdict correlates, both changed: `collective_outbox → seal → open →
+//! accept_sync`, the two writes that dirtied them included.
 
 use std::net::Ipv4Addr;
 
@@ -42,7 +42,7 @@ fn node_at_entity_cap() -> Kalis {
         .build();
     let kb = node.knowledge_mut();
     for i in 0..kb.entity_budget() as u32 {
-        kb.insert_about_collective("SignalStrength", sprayed(i), -60.0);
+        kb.insert_about("SignalStrength", sprayed(i), -60.0);
     }
     assert_eq!(kb.entity_occupancy(), kb.entity_budget());
     node
@@ -102,7 +102,7 @@ fn bench_kb(c: &mut Criterion) {
         let mut next = kb.entity_budget() as u32;
         b.iter(|| {
             next += 1;
-            black_box(kb.insert_about_collective("SignalStrength", sprayed(next), -60.0))
+            black_box(kb.insert_about("SignalStrength", sprayed(next), -60.0))
         });
         assert_eq!(kb.entity_occupancy(), kb.entity_budget());
     });
@@ -113,7 +113,7 @@ fn bench_kb(c: &mut Criterion) {
         let mut rssi = -40.0;
         b.iter(|| {
             rssi = if rssi < -80.0 { -40.0 } else { rssi - 1.0 };
-            black_box(kb.insert_about_collective("SignalStrength", held.clone(), rssi))
+            black_box(kb.insert_about("SignalStrength", held.clone(), rssi))
         });
     });
     group.bench_function("get_all_creators", |b| {
@@ -154,8 +154,8 @@ fn bench_kb(c: &mut Criterion) {
         });
     });
     group.bench_function("sync_round_trip", |b| {
-        // Two default nodes; K1's signal strength about two neighbours
-        // moves between rounds, as `wsn-pair`'s shipped knowggets do.
+        // Two default nodes; K1's dropped and exotic origin lists about
+        // two forwarders move between rounds.
         let node = |id: &str| {
             Kalis::builder(KalisId::new(id))
                 .with_default_modules()
@@ -164,13 +164,18 @@ fn bench_kb(c: &mut Criterion) {
         let (mut k1, mut k2) = (node("K1"), node("K2"));
         let channel = XorChannel::new(0x006b_616c_6973);
         let (near, far) = (Entity::new("0x0002"), Entity::new("0x0003"));
-        let mut round = 0u32;
+        let lists = [
+            "0x001e,0x001f",
+            "0x001e,0x0020",
+            "0x001f,0x0020",
+            "0x001e,0x001f,0x0020",
+        ];
+        let mut round = 0usize;
         b.iter(|| {
             round += 1;
-            let wobble = f64::from(round % 4);
             let kb = k1.knowledge_mut();
-            kb.insert_about_collective("SignalStrength", near.clone(), -52.0 - wobble);
-            kb.insert_about_collective("SignalStrength", far.clone(), -64.5 - wobble);
+            kb.insert_about_collective("DroppedOrigins", near.clone(), lists[round % 4]);
+            kb.insert_about_collective("ExoticOrigins", far.clone(), lists[(round + 1) % 4]);
             let message = k1.collective_outbox().expect("two knowggets moved");
             let sealed = message.seal(&channel);
             let opened = SyncMessage::open(&sealed, &channel).expect("authentic");

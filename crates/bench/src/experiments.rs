@@ -804,6 +804,9 @@ mod resilience {
         pub degraded_entered: u64,
         /// `degraded_exited` journal events on both nodes.
         pub degraded_exited: u64,
+        /// Knowggets each node sent in first transmissions
+        /// (`sync.knowggets_out`), K1's then K2's.
+        pub knowggets_out: [u64; 2],
         /// Sync retransmissions across both nodes.
         pub retransmits: u64,
         /// Replayed/duplicate frames dropped by dedup across both nodes.
@@ -1014,6 +1017,7 @@ mod resilience {
             converged: converged(&nodes),
             degraded_entered,
             degraded_exited,
+            knowggets_out: [&s1, &s2].map(|s| s.counter(names::SYNC_KNOWGGETS_OUT)),
             retransmits: sum(names::SYNC_RETRANSMITS),
             duplicates_dropped: sum(names::SYNC_DUPLICATES),
             queue_overflow_dropped: sum(names::SYNC_QUEUE_DROPPED),

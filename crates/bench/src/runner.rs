@@ -284,6 +284,8 @@ pub fn outcome(nodes: &mut [Kalis]) -> RunOutcome {
 
 #[cfg(test)]
 mod tests {
+    use kalis_core::modules::{KeyPattern, ModuleRegistry};
+    use kalis_core::Knowgget;
     use kalis_telemetry::{names, JournalEvent};
 
     use super::*;
@@ -321,6 +323,39 @@ mod tests {
                     .any(|r| matches!(r.event, JournalEvent::DegradedEntered { .. })),
                 "{id} entered degraded mode"
             );
+        }
+    }
+
+    /// A pair ships only what its peer reads: after the seed-42 wormhole
+    /// pair, every knowgget a node holds from another creator has a
+    /// label some default contract reads across creators
+    /// (`reads_collective`). A plain read sees the local copy only, so
+    /// anything else arrived for nobody.
+    #[test]
+    fn a_pair_holds_only_peer_knowledge_a_contract_reads() {
+        let read_across: Vec<KeyPattern> = (ModuleRegistry::with_defaults().contracts())
+            .into_iter()
+            .flat_map(|(_, _, contract)| contract.reads)
+            .filter(|read| read.collective)
+            .map(|read| read.pattern)
+            .collect();
+        let scenario = Scenario::build(ScenarioKind::Wormhole, 42, 25);
+        let mut nodes = ["K1", "K2"].map(|id| {
+            Kalis::builder(KalisId::new(id))
+                .with_default_modules()
+                .build()
+        });
+        run_nodes(&mut nodes, &scenario.vantages(), &mut Link::default());
+        for node in &nodes {
+            let peers: Vec<Knowgget> = (node.knowledge().iter())
+                .filter(|knowgget| knowgget.creator != *node.id())
+                .collect();
+            assert!(!peers.is_empty(), "{} heard nothing", node.id());
+            let unread: Vec<String> = (peers.iter())
+                .filter(|knowgget| !read_across.iter().any(|p| p.matches(&knowgget.label)))
+                .map(|knowgget| format!("{}${}", knowgget.creator, knowgget.label))
+                .collect();
+            assert!(unread.is_empty(), "{} holds {unread:?}", node.id());
         }
     }
 }

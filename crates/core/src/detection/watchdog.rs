@@ -667,7 +667,7 @@ mod differential {
                         Step::Confirmed(f, value) => {
                             let about = Entity::from(FORWARDERS[f]);
                             let label = super::super::wormhole_confirmed_label();
-                            side.kb.insert_about_collective(label, about, value);
+                            side.kb.insert_about(label, about, value);
                         }
                         Step::Drain => outboxes.push(side.kb.drain_dirty_collective()),
                     }

@@ -45,10 +45,11 @@ const OVERLAP_THRESHOLD: usize = 2;
 /// (OVERLAP_THRESHOLD is 2) with a hard ceiling against origin spray.
 const ORIGIN_CAP: usize = 32;
 
-/// Per-entity knowgget (collective) recording a confirmed wormhole
-/// endpoint; the blackhole detector consults it to refine its own
-/// classification (a confirmed wormhole endpoint is no longer reported as
-/// a plain blackhole).
+/// Per-entity knowgget recording a confirmed wormhole endpoint; the
+/// blackhole detector consults it to refine its own classification (a
+/// confirmed wormhole endpoint is no longer reported as a plain
+/// blackhole). Local: the blackhole reads this node's copy only, and
+/// each node correlates the same synced evidence to its own verdict.
 pub const WORMHOLE_CONFIRMED: &str = "WormholeConfirmed";
 
 /// The collaborative wormhole detection module.
@@ -231,7 +232,7 @@ impl Module for WormholeModule {
             .reads_collective(labels::DROPPED_ORIGINS, ValueType::Text)
             .reads_collective(labels::EXOTIC_ORIGINS, ValueType::Text)
             .writes_collective(labels::EXOTIC_ORIGINS, ValueType::Text)
-            .writes_collective(WORMHOLE_CONFIRMED, ValueType::Bool)
+            .writes_per_entity(WORMHOLE_CONFIRMED, ValueType::Bool)
             .accepts_param(ParamSpec::number("entity_budget", MIN_ENTITY_BUDGET as f64))
     }
 
@@ -334,7 +335,7 @@ impl Module for WormholeModule {
         if verdict.confirmed_at != Some(ctx.kb.entity_evictions()) {
             for tunnel in &verdict.tunnels {
                 for endpoint in [&tunnel.b1, &tunnel.b2] {
-                    (ctx.kb).insert_about_collective(WORMHOLE_CONFIRMED, endpoint.clone(), true);
+                    (ctx.kb).insert_about(WORMHOLE_CONFIRMED, endpoint.clone(), true);
                 }
             }
             verdict.confirmed_at = Some(ctx.kb.entity_evictions());
@@ -446,8 +447,7 @@ mod differential {
             }
         }
         for endpoint in confirmed {
-            ctx.kb
-                .insert_about_collective(WORMHOLE_CONFIRMED, endpoint, true);
+            ctx.kb.insert_about(WORMHOLE_CONFIRMED, endpoint, true);
         }
         for alert in alerts {
             ctx.raise(alert);
@@ -468,8 +468,9 @@ mod differential {
         "",
     ];
     const PEERS: [&str; 2] = ["K2", "K3"];
-    /// An activation input, a per-entity label nobody watches, and a
-    /// collective one: all churn the revision and the entity index.
+    /// An activation input, a per-entity label nobody watches, and the
+    /// module's own confirmation: all churn the revision and the entity
+    /// index.
     const OTHER: [&str; 3] = ["Multihop", "SignalStrength", WORMHOLE_CONFIRMED];
     const KB_BUDGET: usize = 4;
     const MODULE_BUDGET: usize = 16;

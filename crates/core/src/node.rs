@@ -643,6 +643,38 @@ mod tests {
         )
     }
 
+    /// Node 2 relaying (THL 1) a CTP data frame from `origin`, which the
+    /// capturing node never heard transmit itself.
+    fn relayed(ms: u64, origin: u16) -> CapturedPacket {
+        let seq = (ms / 100) as u8;
+        let raw = kalis_netsim::craft::ctp_data(
+            ShortAddr(2),
+            ShortAddr(1),
+            seq,
+            ShortAddr(origin),
+            seq,
+            1,
+            b"r",
+        );
+        CapturedPacket::capture(
+            Timestamp::from_millis(ms),
+            Medium::Ieee802154,
+            Some(-50.0),
+            "t",
+            raw,
+        )
+    }
+
+    /// A default node whose a-priori `Multihop` switches the wormhole
+    /// detector on: two relayed [`relayed`] origins make it publish
+    /// collective `ExoticOrigins` about node 2.
+    fn multihop_node(id: &str) -> KalisBuilder {
+        let config: Config = "knowggets = { Multihop = true }".parse().unwrap();
+        Kalis::builder(KalisId::new(id))
+            .with_config(config)
+            .with_default_modules()
+    }
+
     #[test]
     fn builder_default_library_starts_with_sensing_only() {
         let kalis = Kalis::builder(KalisId::new("K1"))
@@ -731,21 +763,18 @@ mod tests {
 
     #[test]
     fn collective_roundtrip_between_two_nodes() {
-        let mut k1 = Kalis::builder(KalisId::new("K1"))
-            .with_default_modules()
-            .build();
-        let mut k2 = Kalis::builder(KalisId::new("K2"))
-            .with_default_modules()
-            .build();
-        // K1 hears a node twice → publishes collective SignalStrength.
-        k1.ingest(ctp_packet(0, 0));
-        k1.ingest(ctp_packet(100, 0));
+        let mut k1 = multihop_node("K1").build();
+        let mut k2 = multihop_node("K2").build();
+        // K1 hears node 2 relay two origins it never heard → publishes
+        // collective ExoticOrigins about node 2.
+        k1.ingest(relayed(0, 3));
+        k1.ingest(relayed(100, 4));
         let msg = k1
             .collective_outbox()
-            .expect("signal strength is collective");
+            .expect("exotic origins are collective");
         let accepted = k2.accept_sync(msg).unwrap();
         assert!(accepted >= 1);
-        let all = k2.knowledge().get_all_creators("SignalStrength");
+        let all = k2.knowledge().get_all_creators("ExoticOrigins");
         assert!(all.iter().any(|(creator, ..)| creator.as_str() == "K1"));
     }
 
@@ -1381,16 +1410,10 @@ mod tests {
 
     #[test]
     fn remote_sync_contributions_carry_their_origin_trace() {
-        let mut k1 = Kalis::builder(KalisId::new("K1"))
-            .with_default_modules()
-            .with_trace_sampling(SampleRate::full())
-            .build();
-        let mut k2 = Kalis::builder(KalisId::new("K2"))
-            .with_default_modules()
-            .with_trace_sampling(SampleRate::full())
-            .build();
-        k1.ingest(ctp_packet(0, 0));
-        k1.ingest(ctp_packet(100, 0));
+        let traced = |id| multihop_node(id).with_trace_sampling(SampleRate::full());
+        let (mut k1, mut k2) = (traced("K1").build(), traced("K2").build());
+        k1.ingest(relayed(0, 3));
+        k1.ingest(relayed(100, 4));
         let msg = k1.collective_outbox().expect("collective knowledge");
         let traced: Vec<_> = msg
             .knowggets

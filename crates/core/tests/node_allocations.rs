@@ -426,9 +426,9 @@ fn a_never_seen_identity_at_every_cap_allocates_next_to_nothing() {
     let worst = counts.iter().max().copied();
     assert!(worst <= Some(20), "a packet allocated {worst:?} times");
 
-    // A changed value under a key the store holds allocates nothing,
-    // collective or not: an identity heard twice has its signal strength
-    // published, and then it moves.
+    // A changed value under a key the store holds allocates nothing: an
+    // identity heard twice has its signal strength published, and then
+    // it moves.
     let twice = sprayed(WARM + MEASURED);
     node.ingest(twice.clone());
     node.ingest(twice);
@@ -437,7 +437,7 @@ fn a_never_seen_identity_at_every_cap_allocates_next_to_nothing() {
     let knowledge = node.knowledge_mut();
     assert!(knowledge.get_about("SignalStrength", &held).is_some());
     let revision = knowledge.revision();
-    let changed = allocations(|| knowledge.insert_about_collective("SignalStrength", held, -71.0));
+    let changed = allocations(|| knowledge.insert_about("SignalStrength", held, -71.0));
     assert_eq!(changed, 0);
     assert_eq!(knowledge.revision(), revision + 1);
 }
@@ -458,12 +458,19 @@ fn a_sync_exchange_allocates_for_what_it_carries_only() {
         let opened = SyncMessage::open(&sealed, &channel).expect("authentic");
         k2.accept_sync(opened).expect("K1's own knowledge")
     };
+    // The two labels a wormhole verdict correlates, their origin lists
+    // moving between rounds.
+    let lists = [
+        "0x001e,0x001f",
+        "0x001e,0x0020",
+        "0x001f,0x0020",
+        "0x001e,0x001f,0x0020",
+    ];
     let mut rounds = 0;
     for round in 0..40 {
-        let wobble = f64::from(round % 4);
         let knowledge = k1.knowledge_mut();
-        knowledge.insert_about_collective("SignalStrength", near.clone(), -52.0 - wobble);
-        knowledge.insert_about_collective("SignalStrength", far.clone(), -64.5 - wobble);
+        knowledge.insert_about_collective("DroppedOrigins", near.clone(), lists[round % 4]);
+        knowledge.insert_about_collective("ExoticOrigins", far.clone(), lists[(round + 1) % 4]);
         let mut accepted = 0;
         let allocated = allocations(|| accepted = exchange(&mut k1, &mut k2));
         assert_eq!(accepted, 2);
@@ -472,12 +479,16 @@ fn a_sync_exchange_allocates_for_what_it_carries_only() {
         if round > 0 {
             // The outbox, its two labels and the journal's peer name; the
             // sealed buffer; the plaintext, the decoded batch and its two
-            // labels; the sender's name: ten, and two to spare.
-            assert!(allocated <= 12, "round {round}: {allocated} allocations");
+            // labels; the sender's name: ten. Each origin list is text,
+            // so three more apiece: the outbox's copy, the decoded one,
+            // and the canonical copy the peer's store takes. Sixteen, and
+            // two to spare.
+            assert!(allocated <= 18, "round {round}: {allocated} allocations");
             rounds += 1;
         }
     }
     assert_eq!(rounds, 39);
-    let theirs = k2.knowledge().get_all_creators("SignalStrength");
-    assert_eq!(theirs.len(), 2);
+    for label in ["DroppedOrigins", "ExoticOrigins"] {
+        assert_eq!(k2.knowledge().get_all_creators(label).len(), 1);
+    }
 }

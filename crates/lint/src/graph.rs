@@ -6,8 +6,8 @@
 //! collective / exported flags and the declared entity budgets — and
 //! runs the checks that only make sense on the whole picture:
 //!
-//! * `KL201` — a collective (peer-synchronized) write nobody reads:
-//!   sync bandwidth with no possible remote consumer.
+//! * `KL201` — a collective (peer-synchronized) write no contract reads
+//!   with `reads_collective`: sync bandwidth with no remote consumer.
 //! * `KL202` — an exported key never read by any module: an inventory
 //!   warning over the operator-facing export surface, suppressed per
 //!   key with a documented contract-level `allow`.
@@ -327,8 +327,8 @@ impl KnowledgeGraph {
     }
 
     /// KL201: a collective write synced to every peer that no contract
-    /// anywhere reads — including the writer's own remote instances,
-    /// which is the usual consumer of collective knowledge.
+    /// reads across creators. A plain read sees the local copy only, so
+    /// a writer reading its own key back is no consumer of the peers'.
     fn check_sync_consumers(&self, diags: &mut Vec<Diagnostic>) {
         for (owner, write) in self.writes() {
             if !write.collective {
@@ -337,18 +337,15 @@ impl KnowledgeGraph {
             if owner.contract.allowed("KL201", write.pattern.root()) {
                 continue;
             }
-            let consumed = self
-                .reads()
-                .any(|(_, r)| overlaps(&write.pattern, &r.pattern));
-            if !consumed {
+            if !self.reads().any(|(_, read)| reads_peer_copies(read, write)) {
                 diags.push(Diagnostic::system(
                     Code::SyncWithoutConsumer,
                     format!(
-                        "`{}` synchronizes `{}` to every peer, but no contract reads it",
+                        "`{}` synchronizes `{}` to every peer, but no contract reads the peers' copies",
                         owner.name, write.pattern
                     ),
                 ).with_note(
-                    "collective knowledge costs sync bandwidth on every beacon; drop the `collective` flag or add the consuming contract".to_owned(),
+                    "collective knowledge costs sync bandwidth on every beacon; drop the `collective` flag or add a `reads_collective` consumer".to_owned(),
                 ));
             }
         }
@@ -559,6 +556,13 @@ impl KnowledgeGraph {
     }
 }
 
+/// Whether `read` consumes the peers' copies of the collective `write`:
+/// only a `reads_collective` read looks past the local creator. KL201
+/// and the sync read sets share this one rule.
+pub(crate) fn reads_peer_copies(read: &KeyUse, write: &KeyUse) -> bool {
+    read.collective && overlaps(&write.pattern, &read.pattern)
+}
+
 /// The root label of a rendered key pattern (`Family.*` → `Family`).
 fn root_of(key: &str) -> &str {
     key.strip_suffix(".*").unwrap_or(key)
@@ -692,6 +696,34 @@ mod tests {
                 .allow("KL201", "NobodyWantsThis", "future fleet consumer"),
         )]);
         assert!(lint_graph(&reg).is_empty());
+    }
+
+    /// A writer reading its own collective key back sees its local copy
+    /// only, whatever peers send: that read consumes nothing synced.
+    #[test]
+    fn a_collective_write_read_back_per_entity_is_kl201() {
+        let contract = KnowggetContract::new()
+            .reads_per_entity("OwnEstimate", ValueType::Float)
+            .writes_collective("OwnEstimate", ValueType::Float);
+        let reg = registry_with(vec![(
+            "SelfReaderModule",
+            ModuleDescriptor::sensing("SelfReaderModule"),
+            contract,
+        )]);
+        let diags = lint_graph(&reg);
+        assert_eq!(codes(&diags), vec!["KL201"]);
+        assert!(diags[0].message.contains("OwnEstimate"));
+        assert!(diags[0].notes[0].contains("`reads_collective` consumer"));
+        // Read across creators, the same write has its consumer.
+        let contract = KnowggetContract::new()
+            .reads_collective("OwnEstimate", ValueType::Float)
+            .writes_collective("OwnEstimate", ValueType::Float);
+        let reg = registry_with(vec![(
+            "PeerReaderModule",
+            ModuleDescriptor::sensing("PeerReaderModule"),
+            contract,
+        )]);
+        assert!(!codes(&lint_graph(&reg)).contains(&"KL201"));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! each peer, *which collective knowggets that peer actually consumes* —
 //! its **read set** — so beacons can carry only knowledge someone will
 //! read instead of the full collective surface. The knowgget contracts
-//! already declare this: a module consumes peer knowledge when it
-//! declares a collective-correlation read (`reads_collective`) or when
-//! one of its reads overlaps a key some contract writes collectively
-//! (peer copies of the key land in the local KB via sync).
+//! already declare this: a module consumes peer knowledge only where it
+//! declares a collective-correlation read (`reads_collective`) of a key
+//! some contract writes collectively, the rule `KL201` applies too. A
+//! plain read sees the local copy alone, whatever peers send.
 //!
 //! This module computes that set purely from contracts — deterministic
 //! for a given registry, no runtime state — and renders it as a
@@ -24,12 +24,11 @@
 
 use std::collections::BTreeMap;
 
-use kalis_core::modules::{KnowggetContract, ModuleRegistry};
+use kalis_core::modules::{KeyUse, KnowggetContract, ModuleRegistry};
 use kalis_core::AttackKind;
 use kalis_telemetry::json::quote;
 
-use crate::graph::{GraphNode, NodeKind};
-use crate::system::overlaps;
+use crate::graph::{reads_peer_copies, GraphNode, NodeKind};
 
 /// Why a key is in a module's sync read set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +36,6 @@ pub enum ReadReason {
     /// The module declares a collective-correlation read
     /// (`reads_collective`): it iterates peer creators of the key.
     CollectiveRead,
-    /// The module's plain read overlaps a key some contract writes
-    /// collectively, so synced peer copies feed it.
-    CollectiveProducer,
 }
 
 impl ReadReason {
@@ -47,7 +43,6 @@ impl ReadReason {
     pub fn name(self) -> &'static str {
         match self {
             ReadReason::CollectiveRead => "collective-read",
-            ReadReason::CollectiveProducer => "collective-producer",
         }
     }
 }
@@ -91,30 +86,19 @@ pub struct ReadSets {
 
 /// The sync read set of one contract against the set of collective
 /// writes in the system.
-fn contract_read_set(
-    contract: &KnowggetContract,
-    collective: &[&kalis_core::modules::KeyUse],
-) -> Vec<ReadSetEntry> {
-    let mut entries = Vec::new();
-    for read in &contract.reads {
-        let reason = if read.collective {
-            Some(ReadReason::CollectiveRead)
-        } else if collective
-            .iter()
-            .any(|w| overlaps(&w.pattern, &read.pattern))
-        {
-            Some(ReadReason::CollectiveProducer)
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
-            entries.push(ReadSetEntry {
-                key: read.pattern.to_string(),
-                reason,
-                per_entity: read.per_entity,
-            });
-        }
-    }
+fn contract_read_set(contract: &KnowggetContract, collective: &[&KeyUse]) -> Vec<ReadSetEntry> {
+    let mut entries: Vec<ReadSetEntry> = (contract.reads.iter())
+        .filter(|read| {
+            collective
+                .iter()
+                .any(|write| reads_peer_copies(read, write))
+        })
+        .map(|read| ReadSetEntry {
+            key: read.pattern.to_string(),
+            reason: ReadReason::CollectiveRead,
+            per_entity: read.per_entity,
+        })
+        .collect();
     entries.sort_by(|a, b| a.key.cmp(&b.key));
     entries.dedup();
     entries
@@ -127,7 +111,7 @@ impl ReadSets {
     pub fn from_registry(registry: &ModuleRegistry) -> Self {
         let nodes = GraphNode::from_registry(registry);
         let modules_only = || nodes.iter().filter(|n| n.kind != NodeKind::System);
-        let collective: Vec<&kalis_core::modules::KeyUse> = modules_only()
+        let collective: Vec<&KeyUse> = modules_only()
             .flat_map(|n| n.contract.writes.iter().filter(|w| w.collective))
             .collect();
 
@@ -283,13 +267,10 @@ mod tests {
         assert!(wormhole.iter().any(|e| e.key == "DroppedOrigins"
             && e.reason == ReadReason::CollectiveRead
             && e.per_entity));
-        // The blackhole watchdog consumes peer wormhole confirmations
-        // via their collective producer.
-        let watchdog = &a.modules["BlackholeModule"];
-        assert!(watchdog
-            .iter()
-            .any(|e| e.reason == ReadReason::CollectiveProducer));
-        // Purely local modules have empty sync read sets but still appear.
+        // A module reading only its own copies needs nothing from sync,
+        // but still appears: the blackhole reads back the local
+        // `WormholeConfirmed` alone.
+        assert!(a.modules["BlackholeModule"].is_empty());
         assert!(a.modules["FragmentFloodModule"].is_empty());
         // Family roll-up: wormhole's family carries its keys.
         assert!(a

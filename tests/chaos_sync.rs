@@ -11,12 +11,29 @@
 use kalis_bench::experiments::run_sync_resilience;
 use kalis_telemetry::JournalEvent;
 
-/// Seeds under test: `KALIS_CHAOS_SEED` (the CI chaos matrix) or a
-/// default trio.
+/// Seeds under test: `KALIS_CHAOS_SEED` (the CI chaos matrix) or the
+/// goldens' seed and CI's trio.
 fn seeds() -> Vec<u64> {
     match std::env::var("KALIS_CHAOS_SEED") {
         Ok(s) => vec![s.trim().parse().expect("KALIS_CHAOS_SEED must be a u64")],
-        Err(_) => vec![7, 21, 1042],
+        Err(_) => vec![42, 7, 21, 1042],
+    }
+}
+
+/// The chaos is only a test of sync if knowledge rides the faulty wire:
+/// each node ships collective knowggets a peer reads, and the loss
+/// forces at least one of them to go again.
+#[test]
+fn both_nodes_ship_knowledge_through_the_faults() {
+    for seed in seeds() {
+        let result = run_sync_resilience(seed, 0.3, 0.1);
+        for (node, sent) in ["K1", "K2"].iter().zip(result.knowggets_out) {
+            assert!(sent > 0, "seed {seed}: {node} shipped no knowgget");
+        }
+        assert!(
+            result.retransmits >= 1,
+            "seed {seed}: nothing was retransmitted"
+        );
     }
 }
 
