@@ -1000,13 +1000,13 @@ mod resilience {
                 link.wire,
             )
         };
-        let fault_stats = wire.fault_stats();
+        let fault_stats = wire.plan().stats();
         let [k1, k2] = &nodes;
         record_faults(
             k2,
             end.expect("a timed run"),
             fault_stats,
-            &wire.link_fault_stats(),
+            &wire.plan().link_stats(),
         );
         let (s1, s2) = (k1.telemetry().snapshot(), k2.telemetry().snapshot());
         let sum = |name: &str| s1.counter(name) + s2.counter(name);

@@ -6,9 +6,10 @@
 //! [`CollectiveSync`] engine — beacons, acks, retransmission, peer
 //! health — and turns its state-machine events into journal records,
 //! gauges, and the `DegradedMode` knowgget. It is the one every harness
-//! drives: `kalis_bench::runner::run_nodes` carries a pair's beacons,
-//! frames and acks over a `kalis_netsim::wire::Wire`, lossless for
-//! Fig. 8, §VI-D and the scenario files, faulty for the chaos run.
+//! drives: `kalis_bench::runner::run_nodes` carries the beacons of any
+//! number of nodes to every other node, and each frame and ack to the
+//! peer it names, over a `kalis_netsim::wire::Wire`, lossless for
+//! Fig. 8, §VI-D and the scenario files, faulty for the chaos runs.
 //!
 //! The one-shot pair ([`Kalis::collective_outbox`] /
 //! [`Kalis::accept_sync`]) hands a plain message to a caller that moves

@@ -121,7 +121,7 @@ pub fn execute(spec: &ScenarioSpec, seed: u64) -> Evidence {
     // faults on the sync wire, by the end of the run. Either way the last
     // node's journal records them.
     let (fault_stats, links, at) = if pair {
-        (wire.fault_stats(), wire.link_fault_stats(), end)
+        (wire.plan().stats(), wire.plan().link_stats(), end)
     } else {
         let last = vantages
             .iter()
