@@ -15,9 +15,10 @@ pub use collective::{SecureChannel, SyncMessage, XorChannel, MAX_SYNC_KNOWGGETS}
 pub use key::{KnowKey, ParseKeyError};
 pub use peers::{PeerBeacon, PeerRegistry, DEFAULT_PEER_TTL};
 pub use subscription::{SlotSet, Subscriptions};
+pub(crate) use sync::capped_doubling;
 pub use sync::{
     CollectiveSync, PeerHealth, Receipt, ReceiptKind, SyncConfig, SyncEvent, SyncTransmit,
-    DEGRADED_LABEL,
+    DEDUP_WINDOW, DEGRADED_LABEL, MAX_ATTEMPTS, QUEUE_CAPACITY, RETRANSMIT_BASE, RETRANSMIT_MAX,
 };
 pub use value::KnowValue;
 

@@ -45,25 +45,34 @@ const ENVELOPE_HEADER: usize = 1 + 1 + 8;
 const KIND_DATA: u8 = 0;
 const KIND_ACK: u8 = 1;
 
-/// Tunables of the sync engine. `peer_ttl` and `beacon_interval` are
-/// settable from the Fig. 6 config language via the `Sync.PeerTtl` and
-/// `Sync.BeaconInterval` a-priori knowggets (seconds).
+/// First retransmit delay; doubles per attempt.
+pub const RETRANSMIT_BASE: Duration = Duration::from_millis(500);
+/// Ceiling on the retransmit delay.
+pub const RETRANSMIT_MAX: Duration = Duration::from_secs(8);
+/// Unacked attempts before the peer turns Suspect (twice this: Dead).
+pub const MAX_ATTEMPTS: u32 = 6;
+/// Outbound frames queued per peer before the drop policy engages.
+pub const QUEUE_CAPACITY: usize = 64;
+/// Receive-side dedup window (tracked seqs per peer).
+pub const DEDUP_WINDOW: usize = 128;
+
+/// `base` doubled for every attempt after the first (at most 16
+/// doublings), capped at `max`: the retransmit delay here, and the
+/// quarantine backoff of the module supervisor.
+pub(crate) fn capped_doubling(base: Duration, attempts: u32, max: Duration) -> Duration {
+    let shift = attempts.saturating_sub(1).min(16);
+    base.saturating_mul(1u32 << shift).min(max)
+}
+
+/// Tunables of the sync engine, settable from the Fig. 6 config
+/// language via the `Sync.PeerTtl` and `Sync.BeaconInterval` a-priori
+/// knowggets (seconds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncConfig {
     /// Silence longer than this marks a peer Suspect; twice this, Dead.
     pub peer_ttl: Duration,
     /// How often the node broadcasts its own beacon.
     pub beacon_interval: Duration,
-    /// First retransmit delay; doubles per attempt.
-    pub retransmit_base: Duration,
-    /// Ceiling on the retransmit delay.
-    pub retransmit_max: Duration,
-    /// Unacked attempts before the peer turns Suspect (twice this: Dead).
-    pub max_attempts: u32,
-    /// Outbound frames queued per peer before the drop policy engages.
-    pub queue_capacity: usize,
-    /// Receive-side dedup window (tracked seqs per peer).
-    pub dedup_window: usize,
 }
 
 impl Default for SyncConfig {
@@ -71,11 +80,6 @@ impl Default for SyncConfig {
         SyncConfig {
             peer_ttl: super::peers::DEFAULT_PEER_TTL,
             beacon_interval: super::peers::DEFAULT_PEER_TTL / 3,
-            retransmit_base: Duration::from_millis(500),
-            retransmit_max: Duration::from_secs(8),
-            max_attempts: 6,
-            queue_capacity: 64,
-            dedup_window: 128,
         }
     }
 }
@@ -86,13 +90,6 @@ impl SyncConfig {
         self.peer_ttl = ttl.max(Duration::from_micros(3));
         self.beacon_interval = self.peer_ttl / 3;
         self
-    }
-
-    fn backoff(&self, attempts: u32) -> Duration {
-        let shift = attempts.saturating_sub(1).min(16);
-        self.retransmit_base
-            .saturating_mul(1u32 << shift)
-            .min(self.retransmit_max)
     }
 }
 
@@ -228,7 +225,7 @@ struct PeerLink {
     pending: VecDeque<Pending>,
     /// All seqs below this have been seen (receive side).
     rx_floor: u64,
-    /// Seen seqs at or above the floor, bounded by `dedup_window`.
+    /// Seen seqs at or above the floor, bounded by [`DEDUP_WINDOW`].
     rx_seen: BTreeSet<u64>,
     /// Owe this peer a full collective-state snapshot (new peer, or
     /// recovered from Dead, or data lost to the drop policy).
@@ -387,7 +384,7 @@ impl CollectiveSync {
         }
         let mut dropped: u64 = 0;
         for chunk in knowggets.chunks(MAX_SYNC_KNOWGGETS) {
-            if link.pending.len() >= self.config.queue_capacity {
+            if link.pending.len() >= QUEUE_CAPACITY {
                 // Explicit drop policy: discard the oldest frame; the
                 // peer will be made whole by a full re-sync.
                 if let Some(old) = link.pending.pop_front() {
@@ -421,7 +418,6 @@ impl CollectiveSync {
         self.decay(now);
         let mut out = Vec::new();
         let local = self.local.clone();
-        let config = self.config.clone();
         let mut transitions: Vec<(KalisId, PeerHealth)> = Vec::new();
         for (peer, link) in &mut self.links {
             if link.health == PeerHealth::Dead {
@@ -433,15 +429,16 @@ impl CollectiveSync {
                 if frame.next_due > now {
                     continue;
                 }
-                if frame.attempts >= config.max_attempts * 2 {
+                if frame.attempts >= MAX_ATTEMPTS * 2 {
                     escalate_dead = true;
                     break;
                 }
-                if frame.attempts >= config.max_attempts {
+                if frame.attempts >= MAX_ATTEMPTS {
                     escalate_suspect = true;
                 }
                 frame.attempts += 1;
-                frame.next_due = now + config.backoff(frame.attempts);
+                frame.next_due =
+                    now + capped_doubling(RETRANSMIT_BASE, frame.attempts, RETRANSMIT_MAX);
                 let payload = SyncMessage::wire_len(&local, &frame.knowggets);
                 let mut bytes = Self::envelope(KIND_DATA, frame.seq, payload);
                 SyncMessage::encode_into(&local, &frame.knowggets, &mut bytes);
@@ -472,7 +469,7 @@ impl CollectiveSync {
             && self
                 .links
                 .values()
-                .all(|l| l.pending.len() <= self.config.queue_capacity / 2)
+                .all(|l| l.pending.len() <= QUEUE_CAPACITY / 2)
         {
             self.backlog_overflowed = false;
         }
@@ -610,7 +607,6 @@ impl CollectiveSync {
 
     /// Record a received data seq. Returns `true` when first-seen.
     fn note_received(&mut self, peer: &KalisId, seq: u64) -> bool {
-        let window = self.config.dedup_window;
         let Some(link) = self.links.get_mut(peer) else {
             return true;
         };
@@ -625,7 +621,7 @@ impl CollectiveSync {
         // Bound the window: evicting the lowest tracked seq raises the
         // floor past it, trading a sliver of replay precision for O(1)
         // memory.
-        while link.rx_seen.len() > window {
+        while link.rx_seen.len() > DEDUP_WINDOW {
             if let Some(lowest) = link.rx_seen.iter().next().copied() {
                 link.rx_seen.remove(&lowest);
                 link.rx_floor = link.rx_floor.max(lowest + 1);
@@ -842,13 +838,12 @@ mod tests {
         }
         // A permanent gap (seq 200 never arrives) cannot grow the set
         // unboundedly: eviction raises the floor instead.
-        let window = SyncConfig::default().dedup_window;
-        for seq in 201..(201 + 2 * window as u64) {
+        for seq in 201..(201 + 2 * DEDUP_WINDOW as u64) {
             b.note_received(&peer, seq);
         }
         {
             let link = b.links.get(&peer).unwrap();
-            assert!(link.rx_seen.len() <= window);
+            assert!(link.rx_seen.len() <= DEDUP_WINDOW);
             assert!(link.rx_floor > 200, "eviction moved the floor past the gap");
         }
         // Everything below the floor still reads as duplicate.
@@ -952,12 +947,11 @@ mod tests {
         a.take_resync_peers();
         a.drain_events();
 
-        let cap = SyncConfig::default().queue_capacity;
-        for i in 0..(cap + 5) {
+        for i in 0..(QUEUE_CAPACITY + 5) {
             a.enqueue_to(&peer, vec![kg(&format!("L{i}"), "K1")], now);
         }
         let link = a.links.get(&peer).unwrap();
-        assert_eq!(link.pending.len(), cap, "queue stays bounded");
+        assert_eq!(link.pending.len(), QUEUE_CAPACITY, "queue stays bounded");
         assert!(link.needs_resync, "dropped data forces a re-sync");
         assert!(a.degraded(), "backlog overflow → degraded");
         let events = a.drain_events();

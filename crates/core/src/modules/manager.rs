@@ -17,7 +17,9 @@ use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEven
 
 use crate::knowledge::{KnowledgeBase, SlotSet, Subscriptions};
 
-use super::supervisor::{ModuleHealth, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict};
+use super::supervisor::{
+    ModuleHealth, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict, SHED_SAMPLE,
+};
 use super::{FrameClass, Module, ModuleCtx, ModuleDescriptor, ModuleKind, ModuleWeight};
 
 /// One loaded module and everything the manager keeps about it.
@@ -263,8 +265,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Keep one dispatch in N for this weight class under `mode`, or `None`
 /// when the class is not shed at all.
-fn shed_keep_interval(cfg: &SupervisorConfig, weight: ModuleWeight, mode: ShedMode) -> Option<u64> {
-    let n = cfg.shed_sample.max(2);
+fn shed_keep_interval(weight: ModuleWeight, mode: ShedMode) -> Option<u64> {
+    let n = SHED_SAMPLE;
     match (mode, weight) {
         (ShedMode::None, _) => None,
         (ShedMode::Heavy, ModuleWeight::Light) => None,
@@ -576,7 +578,7 @@ impl ModuleManager {
             // detection modules see deterministic 1-in-N sampling while
             // the overload controller is shedding.
             if slot.descriptor.kind == ModuleKind::Detection && !slot.pinned {
-                if let Some(keep) = shed_keep_interval(cfg, slot.descriptor.weight, shed) {
+                if let Some(keep) = shed_keep_interval(slot.descriptor.weight, shed) {
                     let seq = slot.shed_seq;
                     slot.shed_seq = slot.shed_seq.wrapping_add(1);
                     if seq % keep != 0 {
@@ -624,7 +626,7 @@ impl ModuleManager {
                         tele.overruns.inc();
                         Some((slot.supervision.note_overrun(ctx.now, cfg), None))
                     } else {
-                        slot.supervision.note_clean(cfg);
+                        slot.supervision.note_clean();
                         None
                     }
                 }
@@ -851,7 +853,7 @@ mod tests {
     use super::*;
     use crate::alert::AttackKind;
     use crate::id::KalisId;
-    use crate::modules::ModuleDescriptor;
+    use crate::modules::{ModuleDescriptor, HEAL_STREAK};
     use bytes::Bytes;
     use core::time::Duration;
     use kalis_packets::{Medium, Timestamp};
@@ -1818,7 +1820,7 @@ mod tests {
             Timestamp::from_secs(u64::from(cfg.panic_limit)),
             true,
         );
-        for tick in 0..u64::from(cfg.heal_streak) + 2 {
+        for tick in 0..u64::from(HEAL_STREAK) + 2 {
             step(&mut mgr, released + Duration::from_millis(tick), true);
         }
         assert!(mgr
@@ -1836,9 +1838,8 @@ mod tests {
     fn a_module_without_tick_work_is_accounted_a_tick_it_is_not_called_for() {
         let (skipped, calls) = tick_through_probation(true);
         let (called, empty_calls) = tick_through_probation(false);
-        let heal_streak = u64::from(SupervisorConfig::default().heal_streak);
         // An empty `on_tick` is called on every tick from the release on.
-        assert_eq!(empty_calls, [heal_streak + 2; 2]);
+        assert_eq!(empty_calls, [u64::from(HEAL_STREAK) + 2; 2]);
         // The wrapper's first tick reported the default body; no other
         // tick reached it.
         assert_eq!(calls[1], 1);
@@ -2057,7 +2058,7 @@ mod tests {
         let (every, _) = Reader::boxed("Every", FrameClass::ANY);
         mgr.add(sybil, false);
         mgr.add(every, false);
-        let keep = SupervisorConfig::default().shed_sample;
+        let keep = SHED_SAMPLE;
         let mut shed = 0;
         for secs in 0..32 {
             shed +=

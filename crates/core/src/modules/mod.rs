@@ -14,6 +14,7 @@ pub use manager::{DispatchOutcome, ModuleManager, ModuleProfile};
 pub use registry::ModuleRegistry;
 pub use supervisor::{
     ModuleHealth, OverloadController, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict,
+    BACKOFF_MAX, HEAL_STREAK, SHED_SAMPLE,
 };
 
 use kalis_packets::{CapturedPacket, Timestamp};

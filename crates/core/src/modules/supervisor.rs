@@ -21,6 +21,16 @@ use core::time::Duration;
 
 use kalis_packets::Timestamp;
 
+use crate::knowledge::capped_doubling;
+
+/// Upper bound on the exponential quarantine backoff.
+pub const BACKOFF_MAX: Duration = Duration::from_secs(300);
+/// Clean dispatches a `Degraded` module needs to heal to `Healthy`.
+pub const HEAL_STREAK: u32 = 64;
+/// Shedding keeps one dispatch in `SHED_SAMPLE` for affected modules
+/// (the rest are skipped and counted).
+pub const SHED_SAMPLE: u64 = 4;
+
 /// Tuning knobs for the supervisor.
 ///
 /// `PanicLimit`, `BudgetMs`, and `BurstPps` are also settable through the
@@ -39,16 +49,9 @@ pub struct SupervisorConfig {
     pub overrun_limit: u32,
     /// First quarantine backoff; doubles on every re-quarantine.
     pub backoff_base: Duration,
-    /// Upper bound on the exponential backoff.
-    pub backoff_max: Duration,
-    /// Clean dispatches a `Degraded` module needs to heal to `Healthy`.
-    pub heal_streak: u32,
     /// Sustained ingest rate (packets per second) the pipeline accepts
     /// before the overload controller starts shedding.
     pub burst_pps: u64,
-    /// Shedding keeps one dispatch in `shed_sample` for affected
-    /// modules (the rest are skipped and counted).
-    pub shed_sample: u64,
 }
 
 impl Default for SupervisorConfig {
@@ -58,10 +61,7 @@ impl Default for SupervisorConfig {
             budget: None,
             overrun_limit: 8,
             backoff_base: Duration::from_secs(5),
-            backoff_max: Duration::from_secs(300),
-            heal_streak: 64,
             burst_pps: 5_000,
-            shed_sample: 4,
         }
     }
 }
@@ -153,17 +153,10 @@ impl Supervision {
         self.quarantine_until
     }
 
-    fn backoff(&self, cfg: &SupervisorConfig) -> Duration {
-        // quarantines has already been incremented for the current flip,
-        // so the first quarantine (count 1) gets the base backoff.
-        let doublings = self.quarantines.saturating_sub(1).min(16);
-        let scaled = cfg.backoff_base.saturating_mul(1u32 << doublings);
-        scaled.min(cfg.backoff_max)
-    }
-
     fn quarantine(&mut self, now: Timestamp, cfg: &SupervisorConfig) -> SupervisorVerdict {
+        // The first quarantine gets the base backoff.
         self.quarantines += 1;
-        let backoff = self.backoff(cfg);
+        let backoff = capped_doubling(cfg.backoff_base, self.quarantines, BACKOFF_MAX);
         self.health = ModuleHealth::Quarantined;
         self.quarantine_until = now + backoff;
         self.clean_streak = 0;
@@ -205,10 +198,10 @@ impl Supervision {
     /// A dispatch completed within budget and without panicking. A
     /// `Degraded` module heals back to `Healthy` after a sustained
     /// clean streak.
-    pub fn note_clean(&mut self, cfg: &SupervisorConfig) {
+    pub fn note_clean(&mut self) {
         self.overruns = 0;
         self.clean_streak = self.clean_streak.saturating_add(1);
-        if self.health == ModuleHealth::Degraded && self.clean_streak >= cfg.heal_streak {
+        if self.health == ModuleHealth::Degraded && self.clean_streak >= HEAL_STREAK {
             self.health = ModuleHealth::Healthy;
             self.panics = 0;
         }
@@ -381,7 +374,7 @@ mod tests {
                 SupervisorVerdict::Degraded | SupervisorVerdict::Unchanged => {}
             }
         }
-        assert_eq!(last_backoff, c.backoff_max, "backoff saturates at max");
+        assert_eq!(last_backoff, BACKOFF_MAX, "backoff saturates at max");
     }
 
     #[test]
@@ -392,7 +385,7 @@ mod tests {
             s.note_overrun(Timestamp::ZERO, &c);
         }
         // A clean dispatch resets the consecutive-overrun count.
-        s.note_clean(&c);
+        s.note_clean();
         for _ in 0..c.overrun_limit - 1 {
             s.note_overrun(Timestamp::ZERO, &c);
         }
@@ -407,8 +400,8 @@ mod tests {
         let mut s = Supervision::default();
         s.note_panic(Timestamp::ZERO, &c);
         assert_eq!(s.health(), ModuleHealth::Degraded);
-        for _ in 0..c.heal_streak {
-            s.note_clean(&c);
+        for _ in 0..HEAL_STREAK {
+            s.note_clean();
         }
         assert_eq!(s.health(), ModuleHealth::Healthy);
         // Healing also forgave the old panic.
