@@ -1,9 +1,10 @@
 //! The experiment drivers regenerating the paper's evaluation artifacts.
 
+use kalis_core::config::Config;
 use kalis_core::metrics::ResourceMeter;
 use kalis_core::{AttackKind, Kalis, KalisId};
 use kalis_netsim::fault::FaultStats;
-use kalis_packets::Timestamp;
+use kalis_packets::{CapturedPacket, Timestamp};
 use kalis_telemetry::{JournalEvent, TelemetrySnapshot};
 
 use crate::runner::{self, Link, RunOutcome};
@@ -314,7 +315,7 @@ mod supervisor {
     use std::time::Duration;
 
     use kalis_core::config::Config;
-    use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, ShedMode, SupervisorConfig};
+    use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, ShedMode};
     use kalis_core::{AttackKind, Kalis, KalisId};
     use kalis_netsim::stress;
     use kalis_netsim::trace::merge_traces;
@@ -490,16 +491,14 @@ mod supervisor {
     /// and a deliberately small `Supervisor.BurstPps` capacity so a 10×
     /// burst is cheap to synthesize.
     fn burst_node(name: &str, capacity: u64) -> Kalis {
-        let config: Config = "modules = { IcmpFloodModule }"
-            .parse()
-            .expect("valid burst config");
+        let config: Config = format!(
+            "modules = {{ IcmpFloodModule }} knowggets = {{ Supervisor.BurstPps = {capacity} }}"
+        )
+        .parse()
+        .expect("valid burst config");
         Kalis::builder(KalisId::new(name))
             .with_config(config)
             .with_default_modules()
-            .with_supervisor_config(SupervisorConfig {
-                burst_pps: capacity,
-                ..SupervisorConfig::default()
-            })
             .build()
     }
 
@@ -1101,70 +1100,179 @@ pub fn run_knowledge_sharing(seed: u64, symptoms: u32) -> KnowledgeSharingResult
     }
 }
 
+/// Nanoseconds this thread has spent on-CPU, from the scheduler's own
+/// accounting (first field of `/proc/thread-self/schedstat`). Unlike a
+/// wall clock this is not charged for preemption, so a noisy neighbor
+/// stealing the core mid-run does not masquerade as overhead. `None`
+/// off Linux; callers fall back to wall time.
+fn thread_cpu_ns() -> Option<u64> {
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
+}
+
+/// A default-library node built from `config`.
+fn overhead_node(config: &Config) -> Kalis {
+    Kalis::builder(KalisId::new("K1"))
+        .with_config(config.clone())
+        .with_default_modules()
+        .build()
+}
+
+/// One overhead measurement: the same trace through fresh nodes built
+/// from two configs, `off` and `on`, timed on on-CPU time. Each
+/// iteration runs off, on, on, off back to back (ABBA): frequency
+/// drift and allocator state penalize whichever run comes later, so a
+/// plain off-then-on pair inflates the overhead and an on-then-off pair
+/// deflates it, while with ABBA a linear drift lands equally on both
+/// sides and cancels in the time ratio.
+struct Abba<'a> {
+    captures: &'a [CapturedPacket],
+    off: Config,
+    on: Config,
+    /// Best throughput each side reached, packets per on-CPU second.
+    off_pps: f64,
+    on_pps: f64,
+    /// Each iteration's overhead of `on` over `off`, percent.
+    overheads: Vec<f64>,
+}
+
+impl<'a> Abba<'a> {
+    /// `iterations` ABBA iterations (at least one) of the `on`
+    /// knowggets against the `off` ones (each the inside of a config's
+    /// `knowggets = { … }`), after one unmeasured warm-up pair: the
+    /// first runs are tens of percent slower (cold caches, first-touch
+    /// faults) and would skew whichever side went first.
+    fn new(captures: &'a [CapturedPacket], off: &str, on: &str, iterations: u32) -> Self {
+        let config = |knowggets: &str| -> Config {
+            format!("knowggets = {{ {knowggets} }}")
+                .parse()
+                .expect("valid overhead config")
+        };
+        let mut abba = Abba {
+            captures,
+            off: config(off),
+            on: config(on),
+            off_pps: 0.0,
+            on_pps: 0.0,
+            overheads: Vec::new(),
+        };
+        abba.run(&abba.off);
+        abba.run(&abba.on);
+        for _ in 0..iterations.max(1) {
+            abba.iterate();
+        }
+        abba
+    }
+
+    /// Ingest the trace once on a fresh node built from `config`:
+    /// packets per on-CPU second (per wall second off Linux).
+    fn run(&self, config: &Config) -> f64 {
+        let mut kalis = overhead_node(config);
+        let start = std::time::Instant::now();
+        let cpu_start = thread_cpu_ns();
+        for packet in self.captures {
+            kalis.ingest(packet.clone());
+        }
+        let elapsed = match (cpu_start, thread_cpu_ns()) {
+            (Some(before), Some(after)) if after > before => (after - before) as f64 / 1e9,
+            _ => start.elapsed().as_secs_f64(),
+        };
+        // Keep the run honest: the alert stream must not be optimized
+        // away.
+        std::hint::black_box(kalis.alerts().len());
+        if elapsed > 0.0 {
+            self.captures.len() as f64 / elapsed
+        } else {
+            0.0
+        }
+    }
+
+    /// One ABBA iteration.
+    fn iterate(&mut self) {
+        let off_a = self.run(&self.off);
+        let on_a = self.run(&self.on);
+        let on_b = self.run(&self.on);
+        let off_b = self.run(&self.off);
+        self.off_pps = self.off_pps.max(off_a).max(off_b);
+        self.on_pps = self.on_pps.max(on_a).max(on_b);
+        if off_a > 0.0 && off_b > 0.0 && on_a > 0.0 && on_b > 0.0 {
+            let off_time = 1.0 / off_a + 1.0 / off_b;
+            let on_time = 1.0 / on_a + 1.0 / on_b;
+            self.overheads.push((on_time / off_time - 1.0) * 100.0);
+        }
+    }
+
+    /// The overhead of the cleanest iteration, the one least perturbed
+    /// by neighbors and frequency drift: interference moves single
+    /// iterations by whole percents either way, while a real hot-path
+    /// cost lifts every iteration, the cleanest included.
+    fn floor(&self) -> f64 {
+        self.overheads
+            .iter()
+            .copied()
+            .reduce(f64::min)
+            .unwrap_or(0.0)
+    }
+
+    /// The median iteration's overhead.
+    fn median(&self) -> f64 {
+        let mut sorted = self.overheads.clone();
+        sorted.sort_by(f64::total_cmp);
+        sorted.get(sorted.len() / 2).copied().unwrap_or(0.0)
+    }
+}
+
 /// The tracing-overhead measurement: identical traffic through a node
-/// with sampling off (the default fast path) and a node at 100%
-/// sampling.
+/// with sampling off (`Trace.SampleRate = 0`, the default fast path)
+/// and a node at 100% sampling (`Trace.SampleRate = 1`).
 #[derive(Debug, Clone, Copy)]
 pub struct TracingOverheadResult {
     /// Packets per run.
     pub packets: u64,
-    /// Best-of-N throughput with tracing off.
+    /// Best on-CPU throughput with tracing off.
     pub off_pps: f64,
-    /// Best-of-N throughput at 100% head-based sampling.
+    /// Best on-CPU throughput at 100% head-based sampling.
     pub full_pps: f64,
+    /// Overhead of the cleanest ABBA iteration, percent.
+    pub floor_overhead_pct: f64,
 }
 
 impl TracingOverheadResult {
-    /// Throughput lost to full sampling, as a percentage of the off
-    /// throughput (negative when full sampling measured faster — noise).
+    /// Cost of full sampling: the cleanest ABBA iteration's overhead
+    /// (negative when full sampling measured faster — noise).
     pub fn overhead_pct(&self) -> f64 {
-        if self.off_pps <= 0.0 {
-            return 0.0;
-        }
-        (self.off_pps - self.full_pps) / self.off_pps * 100.0
+        self.floor_overhead_pct
     }
 }
 
-/// Measure ingest throughput with tracing off vs 100% sampling over the
-/// ICMP-flood workload. Each configuration runs `repeats` times on a
-/// fresh node and the best (least-interfered) run wins, criterion-style.
+/// Measure ingest cost with tracing off vs 100% sampling over the
+/// ICMP-flood workload, `repeats` ABBA iterations on on-CPU time.
 pub fn run_tracing_overhead(seed: u64, symptoms: u32, repeats: u32) -> TracingOverheadResult {
-    use kalis_telemetry::SampleRate;
-
-    let scenario = Scenario::build(ScenarioKind::IcmpFlood, seed, symptoms);
-    let captures = scenario.captures;
-    let measure = |rate: SampleRate| -> f64 {
-        let mut best_pps = 0.0f64;
-        for _ in 0..repeats.max(1) {
-            let mut kalis = Kalis::builder(KalisId::new("K1"))
-                .with_default_modules()
-                .with_trace_sampling(rate)
-                .build();
-            let start = std::time::Instant::now();
-            for packet in &captures {
-                kalis.ingest(packet.clone());
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            // Keep the run honest: the alert stream must not be
-            // optimized away.
-            std::hint::black_box(kalis.alerts().len());
-            if elapsed > 0.0 {
-                best_pps = best_pps.max(captures.len() as f64 / elapsed);
-            }
-        }
-        best_pps
-    };
+    let captures = Scenario::build(ScenarioKind::IcmpFlood, seed, symptoms).captures;
+    let abba = Abba::new(
+        &captures,
+        "Trace.SampleRate = 0",
+        "Trace.SampleRate = 1",
+        repeats,
+    );
     TracingOverheadResult {
         packets: captures.len() as u64,
-        off_pps: measure(SampleRate::off()),
-        full_pps: measure(SampleRate::full()),
+        off_pps: abba.off_pps,
+        full_pps: abba.on_pps,
+        floor_overhead_pct: abba.floor(),
     }
 }
 
 /// The ops-surface overhead measurement: identical traffic through a
 /// plain node and a node with the kalis-ops listener, profiler,
-/// hot-entity sketch, and SLO tracker all enabled, plus the measured
-/// cost of serving a real `/metrics` scrape over TCP.
+/// hot-entity sketch, and SLO tracker all enabled
+/// (`Ops.LatencySloUs = 250000`, which starts the listener on an
+/// ephemeral loopback port), plus the measured cost of serving a real
+/// `/metrics` scrape over TCP.
 ///
 /// Hot-path overhead and scrape cost are reported separately on
 /// purpose: a production Prometheus scrapes on the order of seconds,
@@ -1176,10 +1284,12 @@ pub fn run_tracing_overhead(seed: u64, symptoms: u32, repeats: u32) -> TracingOv
 pub struct OpsOverheadResult {
     /// Packets per run.
     pub packets: u64,
-    /// Best-of-N throughput with the ops surface disabled.
+    /// Best on-CPU throughput with the ops surface disabled.
     pub off_pps: f64,
-    /// Best-of-N throughput with the ops surface fully enabled.
+    /// Best on-CPU throughput with the ops surface fully enabled.
     pub on_pps: f64,
+    /// Overhead of the cleanest ABBA iteration, percent.
+    pub floor_overhead_pct: f64,
     /// `/metrics` scrapes served when timing scrape cost.
     pub scrapes: u64,
     /// Mean wall-clock time to serve one `/metrics` scrape, in
@@ -1188,90 +1298,50 @@ pub struct OpsOverheadResult {
 }
 
 impl OpsOverheadResult {
-    /// Throughput lost to the ops surface, as a percentage of the
-    /// disabled throughput (negative when the enabled runs measured
-    /// faster — noise).
+    /// Cost of the ops surface: the cleanest ABBA iteration's overhead
+    /// (negative when the enabled runs measured faster — noise).
     pub fn overhead_pct(&self) -> f64 {
-        if self.off_pps <= 0.0 {
-            return 0.0;
-        }
-        (self.off_pps - self.on_pps) / self.off_pps * 100.0
+        self.floor_overhead_pct
     }
 }
 
-/// Measure ingest throughput with the ops surface off vs fully enabled
-/// over the ICMP-flood workload. Off and on runs are interleaved and
-/// each side keeps its best run, criterion-style, so slow drift on a
-/// shared host biases both sides equally. After the timed runs, a node
-/// that absorbed the full trace is scraped over real TCP to time
-/// `/metrics` service (snapshot + exposition render + transfer).
+/// Measure ingest cost with the ops surface off vs fully enabled over
+/// the ICMP-flood workload, `repeats` ABBA iterations on on-CPU time.
+/// Then a node that absorbed the full trace is scraped over real TCP
+/// to time `/metrics` service (snapshot + exposition render +
+/// transfer).
 pub fn run_ops_overhead(seed: u64, symptoms: u32, repeats: u32) -> OpsOverheadResult {
     use std::io::{Read, Write};
 
-    use kalis_core::OpsConfig;
+    let captures = Scenario::build(ScenarioKind::IcmpFlood, seed, symptoms).captures;
+    let abba = Abba::new(&captures, "", "Ops.LatencySloUs = 250000", repeats);
 
-    let scenario = Scenario::build(ScenarioKind::IcmpFlood, seed, symptoms);
-    let captures = scenario.captures;
-    let run_once = |ops: bool| -> (f64, Kalis) {
-        let mut builder = Kalis::builder(KalisId::new("K1")).with_default_modules();
-        if ops {
-            builder = builder.with_ops(OpsConfig {
-                slo_p99_us: Some(250_000),
-                ..OpsConfig::default()
-            });
-        }
-        let mut kalis = builder.build();
-        let start = std::time::Instant::now();
-        for packet in &captures {
-            kalis.ingest(packet.clone());
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        // Keep the run honest: the alert stream must not be optimized
-        // away.
-        std::hint::black_box(kalis.alerts().len());
-        let pps = if elapsed > 0.0 {
-            captures.len() as f64 / elapsed
-        } else {
-            0.0
-        };
-        (pps, kalis)
-    };
-
-    let mut off_pps = 0.0f64;
-    let mut on_pps = 0.0f64;
-    let mut node = None;
-    for _ in 0..repeats.max(1) {
-        let (pps, _) = run_once(false);
-        off_pps = off_pps.max(pps);
-        let (pps, kalis) = run_once(true);
-        on_pps = on_pps.max(pps);
-        node = Some(kalis);
+    let mut node = overhead_node(&abba.on);
+    for packet in &captures {
+        node.ingest(packet.clone());
     }
-
-    // Time real scrapes against the last enabled node, which stays
-    // alive (held by `node`) while we pull from it.
-    let addr = node.as_ref().and_then(Kalis::ops_addr);
+    let addr = node
+        .ops_addr()
+        .expect("Ops.LatencySloUs starts the listener");
     let mut scrapes = 0u64;
     let mut scrape_secs = 0.0f64;
-    if let Some(addr) = addr {
-        for _ in 0..5 {
-            let start = std::time::Instant::now();
-            let served = std::net::TcpStream::connect(addr).is_ok_and(|mut stream| {
-                let sent = stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n");
-                let mut body = String::new();
-                sent.is_ok() && stream.read_to_string(&mut body).is_ok() && !body.is_empty()
-            });
-            if served {
-                scrapes += 1;
-                scrape_secs += start.elapsed().as_secs_f64();
-            }
+    for _ in 0..5 {
+        let start = std::time::Instant::now();
+        let served = std::net::TcpStream::connect(addr).is_ok_and(|mut stream| {
+            let sent = stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n");
+            let mut body = String::new();
+            sent.is_ok() && stream.read_to_string(&mut body).is_ok() && !body.is_empty()
+        });
+        if served {
+            scrapes += 1;
+            scrape_secs += start.elapsed().as_secs_f64();
         }
     }
-    drop(node);
     OpsOverheadResult {
         packets: captures.len() as u64,
-        off_pps,
-        on_pps,
+        off_pps: abba.off_pps,
+        on_pps: abba.on_pps,
+        floor_overhead_pct: abba.floor(),
         scrapes,
         scrape_ms: if scrapes > 0 {
             scrape_secs / scrapes as f64 * 1000.0
@@ -1287,33 +1357,28 @@ pub fn run_ops_overhead(seed: u64, symptoms: u32, repeats: u32) -> OpsOverheadRe
 ///
 /// Overhead is measured like [`run_ops_overhead`]: identical ICMP-flood
 /// traffic through a node with the recorder disabled
-/// (`Diag.RingDepth = 0`) and a node with the default recorder,
-/// interleaved best-of-N. The determinism leg replays the same seeded
-/// chaos run — a fabricated-identity spray interleaved with the flood,
-/// enough to trip the state-exhaustion trigger — twice on identically
-/// configured nodes (no ops listener, so the config fingerprint carries
-/// no ephemeral port) and compares the captured bundles byte for byte.
+/// (`Diag.RingDepth = 0`) and a node with the default recorder, in
+/// ABBA iterations on on-CPU time. The determinism leg replays the same
+/// seeded chaos run — a fabricated-identity spray interleaved with the
+/// flood, enough to trip the state-exhaustion trigger — twice on
+/// identically configured nodes (no ops listener, so the config
+/// fingerprint carries no ephemeral port) and compares the captured
+/// bundles byte for byte.
 #[derive(Debug, Clone)]
 pub struct DiagOverheadResult {
     /// Packets per timed run.
     pub packets: u64,
-    /// Best-of-N throughput with the recorder disabled.
+    /// Best on-CPU throughput with the recorder disabled.
     pub off_pps: f64,
-    /// Best-of-N throughput with the default recorder enabled.
+    /// Best on-CPU throughput with the default recorder enabled.
     pub on_pps: f64,
-    /// Median across iterations of the ABBA overhead: each iteration
-    /// times off, on, on, off back to back, so a linear drift in
-    /// machine speed lands equally on both legs and cancels in the
-    /// ratio; the median then discards outlier iterations. Reported
-    /// for context — on a shared runner this still wanders by whole
-    /// percents in both directions.
+    /// Median overhead across the ABBA iterations; the median discards
+    /// outlier iterations. Reported for context — on a shared runner
+    /// this still wanders by whole percents in both directions.
     pub median_overhead_pct: f64,
-    /// Minimum across the ABBA iterations: the iteration least
-    /// perturbed by neighbors and frequency drift. This is what the
-    /// budget gate reads — interference moves individual iterations by
-    /// whole percents either way, while a real hot-path regression
-    /// lifts every iteration including the cleanest (the recorder
-    /// measured 14–57% here before the merge-walk sampler).
+    /// Overhead of the cleanest ABBA iteration. This is what the budget
+    /// gate reads (the recorder measured 14–57% here before the
+    /// merge-walk sampler).
     pub floor_overhead_pct: f64,
     /// Captures latched by the chaos run (both runs agree when
     /// [`Self::deterministic`] holds).
@@ -1333,82 +1398,23 @@ pub struct DiagOverheadResult {
 
 impl DiagOverheadResult {
     /// Throughput lost to the recorder: the floor across ABBA
-    /// iterations. The best-of-N legs in `off_pps`/`on_pps` are
-    /// reported for scale and [`Self::median_overhead_pct`] for
-    /// context, but both wander by whole percents under scheduler
-    /// noise; the cleanest iteration is the only statistic a shared
-    /// runner reproduces, and a genuine regression lifts it along with
-    /// all the others. Negative when the enabled runs measured faster
-    /// (noise).
+    /// iterations, the only statistic a shared runner reproduces.
+    /// Negative when the enabled runs measured faster (noise).
     pub fn overhead_pct(&self) -> f64 {
         self.floor_overhead_pct
     }
 }
 
-/// Measure ingest throughput with the flight recorder off vs on over
-/// the ICMP-flood workload (interleaved best-of-N, criterion-style),
-/// then run the seeded chaos leg twice and compare the captured
-/// diagnostics bundles byte for byte.
+/// Measure ingest cost with the flight recorder off vs on over the
+/// ICMP-flood workload in ABBA iterations on on-CPU time, then run the
+/// seeded chaos leg twice and compare the captured diagnostics bundles
+/// byte for byte.
 pub fn run_diag_overhead(seed: u64, symptoms: u32, repeats: u32) -> DiagOverheadResult {
-    use kalis_core::config::Config;
     use kalis_netsim::trace::merge_traces;
     use kalis_telemetry::{check_bundle, names};
 
     let scenario = Scenario::build(ScenarioKind::IcmpFlood, seed, symptoms);
     let captures = scenario.captures;
-    // Nanoseconds this thread has spent on-CPU, from the scheduler's
-    // own accounting (first field of `/proc/thread-self/schedstat`).
-    // Unlike a wall clock this is not charged for preemption, so a
-    // noisy neighbor stealing the core mid-run does not masquerade as
-    // recorder overhead. `None` off Linux; callers fall back to wall
-    // time.
-    let thread_cpu_ns = || -> Option<u64> {
-        std::fs::read_to_string("/proc/thread-self/schedstat")
-            .ok()?
-            .split_whitespace()
-            .next()?
-            .parse()
-            .ok()
-    };
-    let run_once = |recorder: bool| -> f64 {
-        let mut builder = Kalis::builder(KalisId::new("K1")).with_default_modules();
-        if !recorder {
-            let off: Config = "knowggets = { Diag.RingDepth = 0 }"
-                .parse()
-                .expect("valid recorder-off config");
-            builder = builder.with_config(off);
-        }
-        let mut kalis = builder.build();
-        let start = std::time::Instant::now();
-        let cpu_start = thread_cpu_ns();
-        for packet in &captures {
-            kalis.ingest(packet.clone());
-        }
-        let elapsed = match (cpu_start, thread_cpu_ns()) {
-            (Some(before), Some(after)) if after > before => (after - before) as f64 / 1e9,
-            _ => start.elapsed().as_secs_f64(),
-        };
-        // Keep the run honest: the alert stream must not be optimized
-        // away.
-        std::hint::black_box(kalis.alerts().len());
-        if elapsed > 0.0 {
-            captures.len() as f64 / elapsed
-        } else {
-            0.0
-        }
-    };
-
-    // Unmeasured warm-up pair: the first iterations run tens of percent
-    // slower (cold caches, first-touch faults) and would skew whichever
-    // leg goes first; best-of-N only converges once both legs are warm.
-    run_once(false);
-    run_once(true);
-    // ABBA within each iteration (off, on, on, off): frequency drift
-    // and allocator state penalize whichever run comes later, so a
-    // plain off-then-on pair systematically inflates the overhead and
-    // an on-then-off pair deflates it. With ABBA a linear drift lands
-    // equally on both legs and cancels in the time ratio; the median
-    // across iterations then discards the odd noisy-neighbor outlier.
     // Interference on a shared single-core runner arrives in bursts of
     // seconds, long enough to poison every iteration of a short
     // back-to-back batch. So keep sampling until a quiet window shows
@@ -1420,33 +1426,13 @@ pub fn run_diag_overhead(seed: u64, symptoms: u32, repeats: u32) -> DiagOverhead
     // the way.
     const OVERHEAD_BUDGET_PCT: f64 = 1.0;
     let min_iters = repeats.max(1);
-    let max_iters = 3 * min_iters;
-    let mut off_pps = 0.0f64;
-    let mut on_pps = 0.0f64;
-    let mut iter_overheads: Vec<f64> = Vec::new();
-    for i in 0..max_iters {
-        let off_a = run_once(false);
-        let on_a = run_once(true);
-        let on_b = run_once(true);
-        let off_b = run_once(false);
-        off_pps = off_pps.max(off_a).max(off_b);
-        on_pps = on_pps.max(on_a).max(on_b);
-        if off_a > 0.0 && off_b > 0.0 && on_a > 0.0 && on_b > 0.0 {
-            let off_time = 1.0 / off_a + 1.0 / off_b;
-            let on_time = 1.0 / on_a + 1.0 / on_b;
-            iter_overheads.push((on_time / off_time - 1.0) * 100.0);
-        }
-        let floor = iter_overheads.iter().copied().fold(f64::INFINITY, f64::min);
-        if i + 1 >= min_iters && floor <= OVERHEAD_BUDGET_PCT {
+    let mut abba = Abba::new(&captures, "Diag.RingDepth = 0", "", min_iters);
+    for _ in min_iters..3 * min_iters {
+        if abba.floor() <= OVERHEAD_BUDGET_PCT {
             break;
         }
+        abba.iterate();
     }
-    iter_overheads.sort_by(|a, b| a.total_cmp(b));
-    let (floor_overhead_pct, median_overhead_pct) = if iter_overheads.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (iter_overheads[0], iter_overheads[iter_overheads.len() / 2])
-    };
 
     // Determinism leg: enough fabricated identities to overflow the
     // smallest per-module budgets, so the state-exhaustion trigger
@@ -1471,10 +1457,10 @@ pub fn run_diag_overhead(seed: u64, symptoms: u32, repeats: u32) -> DiagOverhead
     let bundles_valid = first.2.iter().all(|(_, body)| check_bundle(body).is_ok());
     DiagOverheadResult {
         packets: captures.len() as u64,
-        off_pps,
-        on_pps,
-        median_overhead_pct,
-        floor_overhead_pct,
+        off_pps: abba.off_pps,
+        on_pps: abba.on_pps,
+        median_overhead_pct: abba.median(),
+        floor_overhead_pct: abba.floor(),
         captures: first.0,
         bundles: first.2.len(),
         bundle_bytes: first.2.iter().map(|(_, body)| body.len()).sum(),

@@ -211,10 +211,10 @@ pub fn render_telemetry(snapshot: &TelemetrySnapshot) -> String {
 /// Render the tracing-overhead comparison.
 pub fn render_tracing_overhead(result: &TracingOverheadResult) -> String {
     format!(
-        "tracing overhead ({} packets, best-of-N):\n\
-         \x20 sampling off  : {:>12.0} pps\n\
-         \x20 sampling 100% : {:>12.0} pps\n\
-         \x20 overhead      : {:>11.2}%\n",
+        "tracing overhead ({} packets, ABBA on-CPU):\n\
+         \x20 sampling off  : {:>12.0} pps (best of N)\n\
+         \x20 sampling 100% : {:>12.0} pps (best of N)\n\
+         \x20 overhead      : {:>11.2}% (cleanest iteration)\n",
         result.packets,
         result.off_pps,
         result.full_pps,
@@ -225,10 +225,10 @@ pub fn render_tracing_overhead(result: &TracingOverheadResult) -> String {
 /// Render the ops-overhead comparison for the terminal.
 pub fn render_ops_overhead(result: &OpsOverheadResult) -> String {
     format!(
-        "ops-surface overhead ({} packets, interleaved best-of-N):\n\
-         \x20 ops off       : {:>12.0} pps\n\
-         \x20 ops on        : {:>12.0} pps\n\
-         \x20 overhead      : {:>11.2}%\n\
+        "ops-surface overhead ({} packets, ABBA on-CPU):\n\
+         \x20 ops off       : {:>12.0} pps (best of N)\n\
+         \x20 ops on        : {:>12.0} pps (best of N)\n\
+         \x20 overhead      : {:>11.2}% (cleanest iteration)\n\
          \x20 /metrics cost : {:>11.2}ms per scrape ({} timed)\n",
         result.packets,
         result.off_pps,

@@ -75,4 +75,4 @@ pub use knowledge::{
 };
 pub use modules::{KeyPattern, KeyUse, KnowggetContract, ParamSpec, ValueType};
 pub use node::{system_contract, Kalis, KalisBuilder, SyncPoll, SyncReceipt};
-pub use ops::{OpsConfig, OpsServer, Readiness, StatusReport};
+pub use ops::{OpsServer, Readiness, StatusReport};

@@ -624,7 +624,7 @@ impl ModuleManager {
                     }
                     if matches!((elapsed, budget), (Some(e), Some(b)) if e > b) {
                         tele.overruns.inc();
-                        Some((slot.supervision.note_overrun(ctx.now, cfg), None))
+                        Some((slot.supervision.note_overrun(ctx.now), None))
                     } else {
                         slot.supervision.note_clean();
                         None
@@ -853,7 +853,7 @@ mod tests {
     use super::*;
     use crate::alert::AttackKind;
     use crate::id::KalisId;
-    use crate::modules::{ModuleDescriptor, HEAL_STREAK};
+    use crate::modules::{ModuleDescriptor, BACKOFF_BASE, HEAL_STREAK, OVERRUN_LIMIT};
     use bytes::Bytes;
     use core::time::Duration;
     use kalis_packets::{Medium, Timestamp};
@@ -1136,7 +1136,7 @@ mod tests {
         assert_eq!(outcome.modules_run + outcome.modules_panicked, 0);
 
         // After the backoff expires it re-enters on probation.
-        let after = Timestamp::from_secs(cfg.panic_limit as u64) + cfg.backoff_base;
+        let after = Timestamp::from_secs(cfg.panic_limit as u64) + BACKOFF_BASE;
         let mut ctx = ModuleCtx {
             now: after,
             kb: &mut kb,
@@ -1212,7 +1212,6 @@ mod tests {
             }),
             false,
         );
-        let cfg = SupervisorConfig::default();
         // Fill (and overflow) the bounded map with clean dispatches.
         for i in 0..7 {
             let mut ctx = ModuleCtx {
@@ -1255,7 +1254,7 @@ mod tests {
         // Backoff expires, the poison clears: the probation dispatch runs
         // against completely fresh detector state.
         rage.store(false, std::sync::atomic::Ordering::Relaxed);
-        let after = Timestamp::from_secs(7 + strikes) + cfg.backoff_base + cfg.backoff_base;
+        let after = Timestamp::from_secs(7 + strikes) + BACKOFF_BASE + BACKOFF_BASE;
         let mut ctx = ModuleCtx {
             now: after,
             kb: &mut kb,
@@ -1291,14 +1290,12 @@ mod tests {
         let tele = Arc::new(Telemetry::new());
         let mut mgr = ModuleManager::all_always_active();
         mgr.set_telemetry(&tele);
-        let cfg = SupervisorConfig {
+        mgr.set_supervisor(SupervisorConfig {
             budget: Some(Duration::from_micros(100)),
-            overrun_limit: 3,
             ..SupervisorConfig::default()
-        };
-        mgr.set_supervisor(cfg);
+        });
         mgr.add(Box::new(Slow), false);
-        for i in 0..3 {
+        for i in 0..u64::from(OVERRUN_LIMIT) {
             let mut ctx = ModuleCtx {
                 now: Timestamp::from_secs(i),
                 kb: &mut kb,
@@ -1307,7 +1304,10 @@ mod tests {
             mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         }
         assert_eq!(mgr.module_health("Slow"), Some(ModuleHealth::Quarantined));
-        assert_eq!(supervisor_totals(&tele), [0, 3, 1, 0]);
+        assert_eq!(
+            supervisor_totals(&tele),
+            [0, u64::from(OVERRUN_LIMIT), 1, 0]
+        );
     }
 
     #[test]
@@ -1683,12 +1683,11 @@ mod tests {
         mgr.set_telemetry(&tele);
         mgr.set_supervisor(SupervisorConfig {
             budget: Some(Duration::from_micros(100)),
-            overrun_limit: 3,
             ..SupervisorConfig::default()
         });
         mgr.add(Box::new(SlowTick(Duration::from_millis(3))), false);
-        // The first three ticks: the sample takes the eighth.
-        for second in 0..3 {
+        // Eight ticks: the sample takes only the eighth.
+        for second in 0..u64::from(OVERRUN_LIMIT) {
             let mut ctx = ModuleCtx {
                 now: Timestamp::from_secs(second),
                 kb: &mut kb,
@@ -1699,15 +1698,18 @@ mod tests {
         let recorded: u64 = (tele.snapshot().histograms_in(names::DISPATCH_TICK))
             .map(|(_, hist)| hist.count)
             .sum();
-        assert_eq!(recorded, 0);
-        assert_eq!(tele.counter(names::BUDGET_OVERRUNS).get(), 3);
+        assert_eq!(recorded, 1);
+        assert_eq!(
+            tele.counter(names::BUDGET_OVERRUNS).get(),
+            u64::from(OVERRUN_LIMIT)
+        );
         assert_eq!(
             mgr.module_health("SlowTick"),
             Some(ModuleHealth::Quarantined)
         );
         assert_eq!(mgr.quarantined_count(), 1);
-        // Timed because budgeted: the CPU account has all three.
-        assert!(mgr.module_profiles()[0].cpu_ns >= 9_000_000);
+        // Timed because budgeted: the CPU account has all eight.
+        assert!(mgr.module_profiles()[0].cpu_ns >= 24_000_000);
     }
 
     /// A detection module with no tick work (the default `on_tick`) that
@@ -1814,7 +1816,7 @@ mod tests {
         rage.store(false, Ordering::Relaxed);
         // Quarantined, both sit out a tick; past the backoff a tick
         // releases them to probation, and clean ticks heal them.
-        let released = Timestamp::from_secs(u64::from(cfg.panic_limit)) + cfg.backoff_base;
+        let released = Timestamp::from_secs(u64::from(cfg.panic_limit)) + BACKOFF_BASE;
         step(
             &mut mgr,
             Timestamp::from_secs(u64::from(cfg.panic_limit)),
@@ -2026,7 +2028,7 @@ mod tests {
         );
         // Quarantined at the last panic; released by the first frame —
         // of any class — at or after the backoff.
-        let release = limit - 1 + cfg.backoff_base.as_secs();
+        let release = limit - 1 + BACKOFF_BASE.as_secs();
         for secs in limit..release + 3 {
             dispatch(
                 &mut mgr,

@@ -14,7 +14,7 @@ pub use manager::{DispatchOutcome, ModuleManager, ModuleProfile};
 pub use registry::ModuleRegistry;
 pub use supervisor::{
     ModuleHealth, OverloadController, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict,
-    BACKOFF_MAX, HEAL_STREAK, SHED_SAMPLE,
+    BACKOFF_BASE, BACKOFF_MAX, HEAL_STREAK, OVERRUN_LIMIT, SHED_SAMPLE,
 };
 
 use kalis_packets::{CapturedPacket, Timestamp};

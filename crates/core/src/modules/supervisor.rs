@@ -23,6 +23,10 @@ use kalis_packets::Timestamp;
 
 use crate::knowledge::capped_doubling;
 
+/// Consecutive budget overruns before a module is quarantined.
+pub const OVERRUN_LIMIT: u32 = 8;
+/// First quarantine backoff; doubles on every re-quarantine.
+pub const BACKOFF_BASE: Duration = Duration::from_secs(5);
 /// Upper bound on the exponential quarantine backoff.
 pub const BACKOFF_MAX: Duration = Duration::from_secs(300);
 /// Clean dispatches a `Degraded` module needs to heal to `Healthy`.
@@ -31,12 +35,10 @@ pub const HEAL_STREAK: u32 = 64;
 /// (the rest are skipped and counted).
 pub const SHED_SAMPLE: u64 = 4;
 
-/// Tuning knobs for the supervisor.
-///
-/// `PanicLimit`, `BudgetMs`, and `BurstPps` are also settable through the
-/// configuration language as the `Supervisor.PanicLimit`,
-/// `Supervisor.BudgetMs`, and `Supervisor.BurstPps` knowggets, and are
-/// round-tripped by `recommend_config()`.
+/// Tuning knobs for the supervisor, one per configuration-language key:
+/// `Supervisor.PanicLimit`, `Supervisor.BudgetMs` and
+/// `Supervisor.BurstPps`. A node takes them from its config and
+/// `recommend_config()` writes them back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Panics a module may accumulate before it is quarantined.
@@ -45,10 +47,6 @@ pub struct SupervisorConfig {
     /// (the default: wall-clock measurement is nondeterministic, so it
     /// is opt-in via `Supervisor.BudgetMs`).
     pub budget: Option<Duration>,
-    /// Consecutive budget overruns before a module is quarantined.
-    pub overrun_limit: u32,
-    /// First quarantine backoff; doubles on every re-quarantine.
-    pub backoff_base: Duration,
     /// Sustained ingest rate (packets per second) the pipeline accepts
     /// before the overload controller starts shedding.
     pub burst_pps: u64,
@@ -59,8 +57,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             panic_limit: 3,
             budget: None,
-            overrun_limit: 8,
-            backoff_base: Duration::from_secs(5),
             burst_pps: 5_000,
         }
     }
@@ -153,10 +149,10 @@ impl Supervision {
         self.quarantine_until
     }
 
-    fn quarantine(&mut self, now: Timestamp, cfg: &SupervisorConfig) -> SupervisorVerdict {
+    fn quarantine(&mut self, now: Timestamp) -> SupervisorVerdict {
         // The first quarantine gets the base backoff.
         self.quarantines += 1;
-        let backoff = capped_doubling(cfg.backoff_base, self.quarantines, BACKOFF_MAX);
+        let backoff = capped_doubling(BACKOFF_BASE, self.quarantines, BACKOFF_MAX);
         self.health = ModuleHealth::Quarantined;
         self.quarantine_until = now + backoff;
         self.clean_streak = 0;
@@ -171,7 +167,7 @@ impl Supervision {
         self.panics += 1;
         self.clean_streak = 0;
         if self.panics >= cfg.panic_limit.max(1) {
-            self.quarantine(now, cfg)
+            self.quarantine(now)
         } else if self.health == ModuleHealth::Healthy {
             self.health = ModuleHealth::Degraded;
             SupervisorVerdict::Degraded
@@ -181,12 +177,12 @@ impl Supervision {
     }
 
     /// A dispatch exceeded the configured watchdog budget.
-    pub fn note_overrun(&mut self, now: Timestamp, cfg: &SupervisorConfig) -> SupervisorVerdict {
+    pub fn note_overrun(&mut self, now: Timestamp) -> SupervisorVerdict {
         self.overruns += 1;
         self.clean_streak = 0;
-        if self.overruns >= cfg.overrun_limit.max(1) {
+        if self.overruns >= OVERRUN_LIMIT {
             self.overruns = 0;
-            self.quarantine(now, cfg)
+            self.quarantine(now)
         } else if self.health == ModuleHealth::Healthy {
             self.health = ModuleHealth::Degraded;
             SupervisorVerdict::Degraded
@@ -215,7 +211,7 @@ impl Supervision {
         if self.health == ModuleHealth::Quarantined && now >= self.quarantine_until {
             self.health = ModuleHealth::Degraded;
             self.panics = cfg.panic_limit.max(1) - 1;
-            self.overruns = cfg.overrun_limit.max(1) - 1;
+            self.overruns = OVERRUN_LIMIT - 1;
             self.clean_streak = 0;
             true
         } else {
@@ -323,8 +319,8 @@ mod tests {
         let v = s.note_panic(Timestamp::from_secs(3), &c);
         match v {
             SupervisorVerdict::Quarantined { until, backoff } => {
-                assert_eq!(backoff, c.backoff_base);
-                assert_eq!(until, Timestamp::from_secs(3) + c.backoff_base);
+                assert_eq!(backoff, BACKOFF_BASE);
+                assert_eq!(until, Timestamp::from_secs(3) + BACKOFF_BASE);
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
@@ -347,7 +343,7 @@ mod tests {
         // One more strike immediately re-quarantines, backoff doubled.
         match s.note_panic(release_at + Duration::from_secs(1), &c) {
             SupervisorVerdict::Quarantined { backoff, .. } => {
-                assert_eq!(backoff, c.backoff_base * 2);
+                assert_eq!(backoff, BACKOFF_BASE * 2);
             }
             other => panic!("expected immediate re-quarantine, got {other:?}"),
         }
@@ -379,18 +375,17 @@ mod tests {
 
     #[test]
     fn overruns_quarantine_and_clean_dispatches_reset() {
-        let c = cfg();
         let mut s = Supervision::default();
-        for _ in 0..c.overrun_limit - 1 {
-            s.note_overrun(Timestamp::ZERO, &c);
+        for _ in 0..OVERRUN_LIMIT - 1 {
+            s.note_overrun(Timestamp::ZERO);
         }
         // A clean dispatch resets the consecutive-overrun count.
         s.note_clean();
-        for _ in 0..c.overrun_limit - 1 {
-            s.note_overrun(Timestamp::ZERO, &c);
+        for _ in 0..OVERRUN_LIMIT - 1 {
+            s.note_overrun(Timestamp::ZERO);
         }
         assert!(!s.is_quarantined(), "non-consecutive overruns don't flip");
-        s.note_overrun(Timestamp::ZERO, &c);
+        s.note_overrun(Timestamp::ZERO);
         assert!(s.is_quarantined(), "consecutive overruns at limit flip");
     }
 

@@ -592,7 +592,8 @@ impl Kalis {
         }
     }
 
-    /// The active supervisor tunables (after config-knowgget overrides).
+    /// The active supervisor tunables, as the config's `Supervisor.*`
+    /// knowggets set them.
     pub fn supervisor_config(&self) -> &SupervisorConfig {
         self.manager.supervisor_config()
     }
@@ -946,14 +947,9 @@ mod tests {
         );
         detector.needs = &[Feature::WifiMedium];
         detector.rage = Arc::clone(&rage);
-        let supervisor = SupervisorConfig {
-            panic_limit: 1,
-            backoff_base: Duration::from_secs(2),
-            ..SupervisorConfig::default()
-        };
         let mut kalis = Kalis::builder(KalisId::new("K1"))
+            .with_config("knowggets = { Supervisor.PanicLimit = 1 }".parse().unwrap())
             .with_default_modules()
-            .with_supervisor_config(supervisor)
             .with_module(detector, false)
             .build();
         kalis.insert_knowledge(labels::MEDIUM_SEEN_WIFI, true);
@@ -978,12 +974,13 @@ mod tests {
         )));
         // The dispatch that releases it is the one that switches it off,
         // whatever else that packet did or did not change.
-        kalis.ingest(ctp_packet(5_100, 0));
+        let released_ms = 3_100 + crate::modules::BACKOFF_BASE.as_millis() as u64;
+        kalis.ingest(ctp_packet(released_ms, 0));
         assert!(kalis.quarantined_modules().is_empty());
         assert!(!kalis.active_modules().contains(&"Fragile"));
         let flips = activation_records(&kalis);
         let (time_us, flip) = flips.last().expect("journaled");
-        assert_eq!(*time_us, 5_100_000);
+        assert_eq!(*time_us, released_ms * 1_000);
         assert!(
             matches!(flip, JournalEvent::ModuleDeactivated { module, .. } if module == "Fragile"),
             "{flip:?}"
@@ -1208,7 +1205,7 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_knowggets_override_builder_config() {
+    fn supervisor_knowggets_set_the_supervisor_config() {
         let kalis = Kalis::builder(KalisId::new("K1"))
             .with_config(
                 "modules = { TrafficStatsModule } knowggets = { Supervisor.PanicLimit = 7, Supervisor.BudgetMs = 50, Supervisor.BurstPps = 123 }"
@@ -1222,38 +1219,58 @@ mod tests {
         assert_eq!(cfg.burst_pps, 123);
     }
 
+    /// Every node knob, set away from its default in a config, comes
+    /// back in the recommendation, and a node rebuilt from that text
+    /// recommends the same text: the config alone rebuilds the node.
+    /// `Ops.Port` has no row (a fixed port collides); `tests/ops.rs`
+    /// round-trips it from an ephemeral port, as the `Ops.*` rows here
+    /// do.
     #[test]
-    fn recommend_config_round_trips_supervisor_knobs() {
-        let base = SupervisorConfig {
-            panic_limit: 5,
-            budget: Some(Duration::from_millis(20)),
-            burst_pps: 777,
-            ..SupervisorConfig::default()
-        };
-        let kalis = Kalis::builder(KalisId::new("K1"))
-            .with_default_modules()
-            .with_supervisor_config(base)
-            .build();
-        let recommended = kalis.recommend_config();
-        let text = recommended.to_string();
-        let rebuilt = Kalis::builder(KalisId::new("K2"))
-            .with_config(text.parse().expect("recommendation re-parses"))
-            .build();
-        let cfg = rebuilt.supervisor_config();
-        assert_eq!(cfg.panic_limit, 5);
-        assert_eq!(cfg.budget, Some(Duration::from_millis(20)));
-        assert_eq!(cfg.burst_pps, 777);
+    fn every_node_knob_round_trips_through_the_recommendation() {
+        let rows = [
+            ("Sync.PeerTtl", "12"),
+            ("Sync.BeaconInterval", "2"),
+            ("KB.PerEntityBudget", "100"),
+            ("Supervisor.PanicLimit", "5"),
+            ("Supervisor.BudgetMs", "20"),
+            ("Supervisor.BurstPps", "777"),
+            ("Trace.SampleRate", "0.5"),
+            ("Ops.LatencySloUs", "250000"),
+            ("Ops.HotEntities", "4"),
+            ("Diag.RingDepth", "16"),
+            ("Diag.SnapshotIntervalSecs", "10"),
+            ("Diag.TriggerMask", "3"),
+        ];
+        let mut keys: Vec<&str> = rows.iter().map(|(key, _)| *key).collect();
+        keys.push(OPS_PORT_KEY);
+        keys.sort_unstable();
+        let contract = system_contract();
+        let mut read: Vec<&str> = (contract.reads.iter())
+            .map(|key| key.pattern.root())
+            .collect();
+        read.sort_unstable();
+        assert_eq!(keys, read, "one row per knob the node reads");
+        for (key, value) in rows {
+            let config = format!("knowggets = {{ {key} = {value} }}");
+            let node = Kalis::builder(KalisId::new("K1"))
+                .with_config(config.parse().unwrap())
+                .build();
+            let text = node.recommend_config().to_string();
+            assert!(text.contains(&format!("{key} = {value}")), "{key}: {text}");
+            // An `Ops.*` node recommends its bound port; free it first.
+            drop(node);
+            let rebuilt = Kalis::builder(KalisId::new("K1"))
+                .with_config(text.parse().expect("recommendation re-parses"))
+                .build();
+            assert_eq!(rebuilt.recommend_config().to_string(), text, "{key}");
+        }
     }
 
     #[test]
     fn burst_engages_shedding_and_flags_pipeline_degraded() {
-        let supervisor = SupervisorConfig {
-            burst_pps: 50,
-            ..SupervisorConfig::default()
-        };
         let mut kalis = Kalis::builder(KalisId::new("K1"))
+            .with_config("knowggets = { Supervisor.BurstPps = 50 }".parse().unwrap())
             .with_default_modules()
-            .with_supervisor_config(supervisor)
             .build();
         assert!(!kalis.degraded_pipeline());
         // ~10× capacity: 500 packets over one second of capture time.
@@ -1310,8 +1327,8 @@ mod tests {
     #[test]
     fn full_sampling_traces_ingest_and_knowledge_writes() {
         let mut kalis = Kalis::builder(KalisId::new("K1"))
+            .with_config("knowggets = { Trace.SampleRate = 1 }".parse().unwrap())
             .with_default_modules()
-            .with_trace_sampling(SampleRate::full())
             .build();
         for i in 0..5 {
             kalis.ingest(ctp_packet(i * 100, 1));
@@ -1410,8 +1427,14 @@ mod tests {
 
     #[test]
     fn remote_sync_contributions_carry_their_origin_trace() {
-        let traced = |id| multihop_node(id).with_trace_sampling(SampleRate::full());
-        let (mut k1, mut k2) = (traced("K1").build(), traced("K2").build());
+        let traced = |id| {
+            let config = "knowggets = { Multihop = true, Trace.SampleRate = 1 }";
+            Kalis::builder(KalisId::new(id))
+                .with_config(config.parse().unwrap())
+                .with_default_modules()
+                .build()
+        };
+        let (mut k1, mut k2) = (traced("K1"), traced("K2"));
         k1.ingest(relayed(0, 3));
         k1.ingest(relayed(100, 4));
         let msg = k1.collective_outbox().expect("collective knowledge");

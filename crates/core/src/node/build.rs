@@ -3,6 +3,7 @@
 //! 6 config language's node-level knobs), the node's own knowgget
 //! contract, and the minimal configuration a running node recommends.
 
+use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,7 +20,7 @@ use crate::knowledge::{
     CollectiveSync, KnowValue, KnowledgeBase, SecureChannel, SyncConfig, XorChannel, DEGRADED_LABEL,
 };
 use crate::modules::{Module, ModuleManager, ModuleRegistry, OverloadController, SupervisorConfig};
-use crate::ops::{OpsConfig, OpsServer, OpsShared};
+use crate::ops::{OpsServer, OpsShared};
 use crate::response::ResponseEngine;
 use crate::store::{DataStore, WindowConfig};
 
@@ -62,10 +63,10 @@ pub const SUPERVISOR_BURST_PPS_KEY: &str = "Supervisor.BurstPps";
 pub const TRACE_SAMPLE_RATE_KEY: &str = "Trace.SampleRate";
 
 /// A-priori knowgget key: TCP port for the kalis-ops HTTP surface
-/// (`/metrics`, `/healthz`, `/readyz`, `/status`) on loopback. Absent
-/// (the default) means no listener; the builder's
-/// [`KalisBuilder::with_ops`] can also enable it (with an ephemeral
-/// port if desired — the knowgget only accepts explicit ports).
+/// (`/metrics`, `/healthz`, `/readyz`, `/status`) on loopback. Absent,
+/// any other `Ops.*` knowgget enables the surface on an ephemeral
+/// loopback port. It also overrides the port of an address given to
+/// [`KalisBuilder::with_ops`].
 pub const OPS_PORT_KEY: &str = "Ops.Port";
 /// A-priori knowgget key: p99 whole-ingest latency target in
 /// microseconds for the detection-latency SLO. Setting it turns on the
@@ -136,9 +137,7 @@ pub struct KalisBuilder {
     window: WindowConfig,
     extra_modules: Vec<(Box<dyn Module>, bool)>,
     sync_channel: Option<Box<dyn SecureChannel>>,
-    supervisor_config: Option<SupervisorConfig>,
-    trace_sampling: Option<SampleRate>,
-    ops: Option<OpsConfig>,
+    ops_bind: Option<SocketAddr>,
     /// Build the reference node of the activation differential test.
     #[cfg(test)]
     pub(super) reference: bool,
@@ -155,9 +154,7 @@ impl KalisBuilder {
             window: WindowConfig::default(),
             extra_modules: Vec::new(),
             sync_channel: None,
-            supervisor_config: None,
-            trace_sampling: None,
-            ops: None,
+            ops_bind: None,
             #[cfg(test)]
             reference: false,
         }
@@ -208,32 +205,16 @@ impl KalisBuilder {
         self
     }
 
-    /// Override the module-supervisor tunables (panic allowance, watchdog
-    /// budget, quarantine backoff, overload capacity). The
-    /// `Supervisor.PanicLimit`, `Supervisor.BudgetMs`, and
-    /// `Supervisor.BurstPps` a-priori knowggets still take precedence
-    /// over the corresponding fields.
-    pub fn with_supervisor_config(mut self, config: SupervisorConfig) -> Self {
-        self.supervisor_config = Some(config);
-        self
-    }
-
-    /// Set the head-based causal-trace sampling rate. The
-    /// `Trace.SampleRate` a-priori knowgget (a fraction in `[0, 1]`)
-    /// still takes precedence. The default is sampling off, which keeps
-    /// the per-packet tracing cost to a single atomic load.
-    pub fn with_trace_sampling(mut self, rate: SampleRate) -> Self {
-        self.trace_sampling = Some(rate);
-        self
-    }
-
-    /// Enable the kalis-ops HTTP surface: a loopback listener serving
+    /// Enable the kalis-ops HTTP surface on `bind`: a listener serving
     /// `/metrics`, `/healthz`, `/readyz`, and `/status`, plus the
-    /// per-module resource profiler feeding it. The `Ops.Port`,
-    /// `Ops.LatencySloUs`, and `Ops.HotEntities` a-priori knowggets
-    /// still take precedence over the corresponding fields.
-    pub fn with_ops(mut self, config: OpsConfig) -> Self {
-        self.ops = Some(config);
+    /// per-module resource profiler feeding it. Port 0 picks an
+    /// ephemeral port (see [`Kalis::ops_addr`]). The address is a
+    /// deployment setting the config language cannot express beyond a
+    /// loopback port; an `Ops.Port` knowgget overrides its port. The
+    /// SLO target and sketch capacity come from the `Ops.*` knowggets
+    /// alone.
+    pub fn with_ops(mut self, bind: SocketAddr) -> Self {
+        self.ops_bind = Some(bind);
         self
     }
 
@@ -267,7 +248,7 @@ impl KalisBuilder {
             sync_config.beacon_interval = Duration::from_secs_f64(secs);
         }
         // Supervisor tunables ride the config language the same way.
-        let mut supervisor_config = self.supervisor_config.unwrap_or_default();
+        let mut supervisor_config = SupervisorConfig::default();
         if let Some(limit) = positive_knowgget(SUPERVISOR_PANIC_LIMIT_KEY) {
             supervisor_config.panic_limit = limit as u32;
         }
@@ -284,23 +265,18 @@ impl KalisBuilder {
             kb.set_entity_budget(budget as usize);
         }
         // The ops surface rides the config language the same way: any
-        // `Ops.*` knowgget enables the runtime (with a loopback
-        // ephemeral port unless `Ops.Port` names one), and each knob
-        // takes precedence over the corresponding `with_ops` field.
-        let mut ops_config = self.ops;
-        if let Some(port) = positive_knowgget(OPS_PORT_KEY).filter(|p| *p <= f64::from(u16::MAX)) {
-            ops_config
-                .get_or_insert_with(OpsConfig::default)
-                .bind
-                .set_port(port as u16);
-        }
-        if let Some(us) = positive_knowgget(OPS_SLO_KEY) {
-            ops_config.get_or_insert_with(OpsConfig::default).slo_p99_us = Some(us as u64);
-        }
-        if let Some(k) = positive_knowgget(OPS_HOT_ENTITIES_KEY) {
-            ops_config
-                .get_or_insert_with(OpsConfig::default)
-                .hot_entities = k as usize;
+        // `Ops.*` knowgget enables it, on a loopback ephemeral port
+        // unless `Ops.Port` names one; `Ops.Port` also overrides the
+        // port of a `with_ops` address.
+        let mut ops_bind = self.ops_bind;
+        let port = positive_knowgget(OPS_PORT_KEY).filter(|p| *p <= f64::from(u16::MAX));
+        let knob = |key| positive_knowgget(key).is_some();
+        if port.is_some() || knob(OPS_SLO_KEY) || knob(OPS_HOT_ENTITIES_KEY) {
+            let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
+            let bind = ops_bind.get_or_insert(loopback);
+            if let Some(port) = port {
+                bind.set_port(port as u16);
+            }
         }
         let recorder = housekeeping::recorder_from(numeric_knowgget);
         // The tracing knob rides the config language the same way; only
@@ -308,9 +284,7 @@ impl KalisBuilder {
         let tracer = Arc::new(Tracer::new(DEFAULT_TRACE_CAPACITY));
         let sample_rate = numeric_knowgget(TRACE_SAMPLE_RATE_KEY)
             .filter(|fraction| (0.0..=1.0).contains(fraction))
-            .map(SampleRate::from_fraction)
-            .or(self.trace_sampling)
-            .unwrap_or_else(SampleRate::off);
+            .map_or_else(SampleRate::off, SampleRate::from_fraction);
         tracer.set_sample_rate(sample_rate);
         let mut manager = if self.adaptive {
             ModuleManager::new()
@@ -370,12 +344,12 @@ impl KalisBuilder {
         };
         manager.reconfigure_traced(&kb, &trigger, 0);
         kb.end_batch();
-        let ops = match ops_config {
+        let ops = match ops_bind {
             None => None,
-            Some(cfg) => {
+            Some(bind) => {
                 let shared = Arc::new(OpsShared::new(self.id.as_str(), Arc::clone(&tele)));
-                let server = OpsServer::bind(cfg.bind, Arc::clone(&shared))?;
-                Some(OpsRuntime::new(server, shared, &cfg, &tele))
+                let server = OpsServer::bind(bind, Arc::clone(&shared))?;
+                Some(OpsRuntime::new(server, shared, numeric_knowgget, &tele))
             }
         };
         let mut kalis = Kalis {

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use super::*;
 use crate::knowledge::{ChangeEvent, Knowgget, SyncMessage};
-use crate::modules::{Module, ModuleDescriptor};
+use crate::modules::{Module, ModuleDescriptor, BACKOFF_BASE};
 use crate::sensing::labels;
 use crate::taxonomy::Feature;
 use kalis_packets::{Entity, MacAddr, Medium, ShortAddr};
@@ -200,16 +200,11 @@ fn node(reference: bool, rage: &Arc<AtomicBool>) -> Kalis {
     let gated = |name, needs| Box::new(Gated { name, needs });
     let mut builder = Kalis::builder(KalisId::new("K1"))
         .with_config(
-            "knowggets = { KB.PerEntityBudget = 3 }"
+            "knowggets = { KB.PerEntityBudget = 3, Supervisor.PanicLimit = 2 }"
                 .parse()
                 .expect("parses"),
         )
         .with_default_modules()
-        .with_supervisor_config(SupervisorConfig {
-            panic_limit: 2,
-            backoff_base: Duration::from_millis(400),
-            ..SupervisorConfig::default()
-        })
         .with_module(gated("PinnedGated", &[Feature::Mobile]), true)
         .with_module(Box::new(Wildcard), false)
         .with_module(
@@ -294,6 +289,11 @@ fn observe(
     (state, heard)
 }
 
+/// The clock's advance per step: three steps outlast the first
+/// quarantine backoff, so a sequence that crashes `Crashy` into
+/// quarantine early goes on to release it.
+const STEP: Duration = Duration::from_millis(BACKOFF_BASE.as_millis() as u64 * 3 / 8);
+
 proptest! {
     /// The invariant this test is the only oracle for: a module's
     /// activation at every instant, and the journal's account of how
@@ -310,7 +310,7 @@ proptest! {
         let mut listeners = [None, None];
         prop_assert_eq!(observe(&nodes[0], &listeners[0]), observe(&nodes[1], &listeners[1]));
         for (index, step) in steps.into_iter().enumerate() {
-            let at = Timestamp::from_millis(index as u64 * 150);
+            let at = Timestamp::ZERO + STEP * index as u32;
             for side in 0..2 {
                 apply(&mut nodes[side], step, at, &rage[side], &mut listeners[side]);
             }

@@ -13,10 +13,11 @@ use kalis_telemetry::{names, Gauge, JournalEvent, Telemetry};
 use crate::knowledge::SlotSet;
 use crate::modules::{ModuleManager, ShedMode};
 use crate::ops::{
-    HotEntity, ModuleStatus, OpsConfig, OpsServer, OpsShared, Readiness, SloStatus, SpaceSaving,
-    StatusReport,
+    HotEntity, ModuleStatus, OpsServer, OpsShared, Readiness, SloStatus, SpaceSaving, StatusReport,
+    DEFAULT_HOT_ENTITIES,
 };
 
+use super::build::{OPS_HOT_ENTITIES_KEY, OPS_SLO_KEY};
 use super::Kalis;
 
 /// Minimum wall-clock spacing between full `/status` report renders on
@@ -30,7 +31,8 @@ const OPS_RENDER_MIN_INTERVAL: Duration = Duration::from_millis(100);
 
 /// The ops surface runtime: the HTTP listener, the state shared with
 /// it, the hot-entity sketch, and the SLO tracker. Present only when
-/// the surface was enabled (builder or `Ops.*` knowggets).
+/// the surface was enabled (an `Ops.*` knowgget or
+/// [`super::KalisBuilder::with_ops`]).
 pub(super) struct OpsRuntime {
     pub(super) server: OpsServer,
     pub(super) shared: Arc<OpsShared>,
@@ -60,13 +62,18 @@ pub(super) struct SloTracker {
 }
 
 impl OpsRuntime {
+    /// The runtime serving through `server`, with the SLO target
+    /// (`Ops.LatencySloUs`) and the sketch capacity (`Ops.HotEntities`)
+    /// each looked up through `numeric_knowgget`.
     pub(super) fn new(
         server: OpsServer,
         shared: Arc<OpsShared>,
-        config: &OpsConfig,
+        numeric_knowgget: impl Fn(&str) -> Option<f64>,
         tele: &Telemetry,
     ) -> Self {
-        let slo = config.slo_p99_us.map(|target_us| {
+        let positive = |key| numeric_knowgget(key).filter(|n| *n > 0.0);
+        let slo = positive(OPS_SLO_KEY).map(|us| {
+            let target_us = us as u64;
             let tracker = SloTracker {
                 target_us,
                 breached: false,
@@ -80,7 +87,9 @@ impl OpsRuntime {
         OpsRuntime {
             server,
             shared,
-            sketch: SpaceSaving::new(config.hot_entities),
+            sketch: SpaceSaving::new(
+                positive(OPS_HOT_ENTITIES_KEY).map_or(DEFAULT_HOT_ENTITIES, |k| k as usize),
+            ),
             started_us: None,
             last_render: None,
             last_readiness: ReadinessKey::default(),

@@ -26,7 +26,6 @@ mod sketch;
 pub use http::OpsServer;
 pub use sketch::{SketchEntry, SpaceSaving};
 
-use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::Arc;
 
 use kalis_telemetry::json::JsonValue;
@@ -38,42 +37,6 @@ use crate::modules::{ModuleKind, ModuleProfile};
 /// Default number of hot entities tracked by the space-saving sketch
 /// (and therefore the cap on `kalis_hot_entity` scrape cardinality).
 pub const DEFAULT_HOT_ENTITIES: usize = 8;
-
-/// Configuration for the ops surface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpsConfig {
-    /// Address the listener binds. Port 0 picks an ephemeral port
-    /// (discover it via `Kalis::ops_addr`). Defaults to loopback: the
-    /// ops surface is unauthenticated, so exposing it beyond the host
-    /// is an explicit operator decision.
-    pub bind: SocketAddr,
-    /// Optional p99 whole-ingest latency target in microseconds. When
-    /// set, the profiler tracks the SLO: `slo.*` gauges plus a journal
-    /// event on each breach/recovery transition.
-    pub slo_p99_us: Option<u64>,
-    /// Keys monitored by the hot-entity sketch.
-    pub hot_entities: usize,
-}
-
-impl Default for OpsConfig {
-    fn default() -> Self {
-        OpsConfig {
-            bind: SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0),
-            slo_p99_us: None,
-            hot_entities: DEFAULT_HOT_ENTITIES,
-        }
-    }
-}
-
-impl OpsConfig {
-    /// A config binding `127.0.0.1:port`.
-    pub fn on_port(port: u16) -> Self {
-        OpsConfig {
-            bind: SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), port),
-            ..OpsConfig::default()
-        }
-    }
-}
 
 /// Why `/readyz` answers 503 (empty = ready).
 ///

@@ -84,6 +84,10 @@ pub enum Code {
     /// `unwrap()`/`expect()` in a module dispatch path — dispatch must
     /// not panic (the supervisor quarantines crash-looping modules).
     PanicInDispatchPath,
+    /// Iteration over a std `HashMap`/`HashSet` in node, telemetry or
+    /// scenario code — its order differs from process to process, and
+    /// an order that reaches output breaks byte-identical runs.
+    HashIterationOrder,
 }
 
 impl Code {
@@ -115,6 +119,7 @@ impl Code {
             Code::WallClockOnHotPath => "KL302",
             Code::FormattedKnowggetKey => "KL303",
             Code::PanicInDispatchPath => "KL304",
+            Code::HashIterationOrder => "KL305",
         }
     }
 
@@ -306,6 +311,7 @@ mod tests {
             Code::WallClockOnHotPath,
             Code::FormattedKnowggetKey,
             Code::PanicInDispatchPath,
+            Code::HashIterationOrder,
         ];
         let mut seen = std::collections::BTreeSet::new();
         for code in all {

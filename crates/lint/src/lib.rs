@@ -32,11 +32,12 @@
 //!   per-peer sync [`ReadSets`] artifact (`--read-sets`) that
 //!   interest-based sync consumes.
 //! * **Source invariants** ([`scan_source`], `--source`): a hand-rolled
-//!   dependency-free Rust scanner enforcing repo invariants in
-//!   detection/sensing/dispatch code — raw per-entity containers
-//!   (`KL301`), wall-clock on the hot path (`KL302`), `format!`-built
-//!   knowgget keys (`KL303`), and panics in dispatch paths (`KL304`),
-//!   with `// kalis-lint: allow(KL3xx)` pragmas.
+//!   dependency-free Rust scanner enforcing repo invariants — raw
+//!   per-entity containers (`KL301`), wall-clock on the hot path
+//!   (`KL302`), `format!`-built knowgget keys (`KL303`), panics in
+//!   dispatch paths (`KL304`), and std hash-map iteration order in
+//!   node, telemetry and scenario code (`KL305`), with
+//!   `// kalis-lint: allow(KL3xx)` pragmas.
 //!
 //! The `kalis-lint` binary wraps all of it with rustc-style rendering, a
 //! `--json` mode, and a non-zero exit on errors so CI can gate on it.

@@ -24,6 +24,14 @@
 //! * `KL304` — `.unwrap()` / `.expect(` in module dispatch paths
 //!   (dispatch must not panic; the supervisor quarantines crash-looping
 //!   modules, it should never have to).
+//! * `KL305` — iterating a std `HashMap`/`HashSet` (`iter`, `keys`,
+//!   `values`, `drain`, `into_iter` and their `_mut`/`into_` kin, or
+//!   `for … in &map`) in `kalis-core`, `kalis-telemetry` or
+//!   `kalis-scenario`: the order is random per process, and one that
+//!   reaches a journal, a bundle or a golden breaks byte-identical runs.
+//!   A name counts as a hash container where the file declares it with
+//!   one (`name: HashMap<…>`, `let name = HashSet::new()`, …); a chain
+//!   split across lines is not followed.
 //!
 //! A pragma comment suppresses a code on its own line and the next
 //! line, so both styles work:
@@ -57,6 +65,9 @@ fn rule_applies(code: Code, path: &str) -> bool {
         Code::WallClockOnHotPath => module_code || dispatcher || node,
         Code::FormattedKnowggetKey => module_code,
         Code::PanicInDispatchPath => module_code || dispatcher,
+        Code::HashIterationOrder => ["core/src/", "telemetry/src/", "scenario/src/"]
+            .iter()
+            .any(|krate| path.contains(krate)),
         _ => false,
     }
 }
@@ -278,6 +289,7 @@ fn pragma_codes(raw: &str) -> Vec<Code> {
             "KL302" => Some(Code::WallClockOnHotPath),
             "KL303" => Some(Code::FormattedKnowggetKey),
             "KL304" => Some(Code::PanicInDispatchPath),
+            "KL305" => Some(Code::HashIterationOrder),
             _ => None,
         })
         .collect()
@@ -368,6 +380,7 @@ pub fn scan_source(path: &str, text: &str) -> Vec<Diagnostic> {
         Code::WallClockOnHotPath,
         Code::FormattedKnowggetKey,
         Code::PanicInDispatchPath,
+        Code::HashIterationOrder,
     ]
     .into_iter()
     .filter(|&c| rule_applies(c, &normalized))
@@ -398,6 +411,7 @@ pub fn scan_source(path: &str, text: &str) -> Vec<Diagnostic> {
         }
     }
     mark_test_regions(&mut lines);
+    let hashed = hash_container_names(&lines);
 
     let mut diags = Vec::new();
     for (idx, info) in lines.iter().enumerate() {
@@ -496,11 +510,127 @@ pub fn scan_source(path: &str, text: &str) -> Vec<Diagnostic> {
                         }
                     }
                 }
+                Code::HashIterationOrder => {
+                    for (name, col) in hash_iterations(&info.masked, &hashed) {
+                        emit(
+                            code,
+                            col,
+                            format!("iterating hash-ordered `{name}`: its order differs from process to process"),
+                            "iterate a `BTreeMap`/`BoundedMap` or sort first, or annotate `// kalis-lint: allow(KL305): <why the order cannot escape>`",
+                        );
+                    }
+                }
                 _ => {}
             }
         }
     }
     diags
+}
+
+/// Methods that walk a std hash container in its hash order.
+const HASH_ORDER_METHODS: [&str; 9] = [
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+    "into_iter",
+    "into_keys",
+    "into_values",
+];
+
+/// Whether `c` can be part of an identifier.
+fn ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The identifier `text` ends with (empty if none).
+fn trailing_ident(text: &str) -> &str {
+    let start = text
+        .char_indices()
+        .rev()
+        .take_while(|&(_, c)| ident_char(c))
+        .last()
+        .map_or(text.len(), |(i, _)| i);
+    &text[start..]
+}
+
+/// Names the file declares as a std `HashMap`/`HashSet`, outside test
+/// regions: what precedes the type (path prefix, `&`/`&mut` and spaces
+/// skipped) is `name:` (a field, parameter, `let` annotation or struct
+/// literal field) or `name =` (a `let` or an assignment).
+fn hash_container_names(lines: &[LineInfo]) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    for info in lines.iter().filter(|l| !l.in_test) {
+        let chars: Vec<char> = info.masked.chars().collect();
+        for container in ["HashMap", "HashSet"] {
+            for col in token_columns(&info.masked, container) {
+                let before: String = chars[..col].iter().collect();
+                let before = before.trim_end_matches(|c: char| ident_char(c) || c == ':');
+                let before = before.trim_end();
+                let before = (before.strip_suffix("&mut"))
+                    .or_else(|| before.strip_suffix('&'))
+                    .unwrap_or(before)
+                    .trim_end();
+                let declared = match before.chars().last() {
+                    Some(':') if !before.ends_with("::") => &before[..before.len() - 1],
+                    Some('=') if !before.ends_with("==") => &before[..before.len() - 1],
+                    _ => continue,
+                };
+                let name = trailing_ident(declared.trim_end());
+                if !name.is_empty() && name != "self" && !names.iter().any(|n| n == name) {
+                    names.push(name.to_owned());
+                }
+            }
+        }
+    }
+    names
+}
+
+/// Where `masked` iterates one of the `hashed` names: `name.<method>(`
+/// for a [`HASH_ORDER_METHODS`] method, or `for … in` over a bare path
+/// (`&self.name`, `name`) ending in one. Returns `(name, 0-based char
+/// column of the name)`.
+fn hash_iterations<'n>(masked: &str, hashed: &'n [String]) -> Vec<(&'n str, usize)> {
+    let chars: Vec<char> = masked.chars().collect();
+    let mut found = Vec::new();
+    for name in hashed {
+        for col in token_columns(masked, name) {
+            let after: String = chars[col + name.chars().count()..].iter().collect();
+            let method = after
+                .strip_prefix('.')
+                .map(|rest| &rest[..rest.find('(').unwrap_or(0)]);
+            if method.is_some_and(|m| HASH_ORDER_METHODS.contains(&m)) {
+                found.push((name.as_str(), col));
+            }
+        }
+    }
+    // `for pattern in <path> {`: the loop walks the container itself.
+    let ins = token_columns(masked, "in");
+    for for_col in token_columns(masked, "for") {
+        let Some(in_col) = ins.iter().copied().find(|&c| c > for_col) else {
+            continue;
+        };
+        let from = in_col + 2;
+        let to = (chars[from..].iter().position(|&c| c == '{')).map_or(chars.len(), |n| from + n);
+        let expr: String = chars[from..to].iter().collect();
+        let expr = expr.trim_end();
+        let path = expr.trim_start();
+        let path = (path.strip_prefix("&mut "))
+            .or_else(|| path.strip_prefix('&'))
+            .unwrap_or(path);
+        if path.is_empty() || !path.chars().all(|c| ident_char(c) || c == '.') {
+            continue;
+        }
+        let last = trailing_ident(path);
+        if let Some(name) = hashed.iter().find(|n| n.as_str() == last) {
+            let col = from + expr.chars().count() - last.chars().count();
+            found.push((name.as_str(), col));
+        }
+    }
+    found.sort_by_key(|&(_, col)| col);
+    found
 }
 
 /// Whether a string literal on the line contains `@`: compare the raw
@@ -607,6 +737,65 @@ mod tests {
         assert!(scan_source("crates/core/src/knowledge/base.rs", text).is_empty());
         assert!(scan_source("crates/core/src/detection/bounded.rs", text).is_empty());
         assert_eq!(scan_source("crates/core/src/sensing/x.rs", text).len(), 2);
+    }
+
+    #[test]
+    fn hash_iteration_is_kl305_in_core_telemetry_and_scenario() {
+        let text = "struct S {\n    seen: HashMap<u32, u32>,\n}\nfn f(s: &S) -> u32 {\n    s.seen.values().sum()\n}\n";
+        for path in [
+            "crates/core/src/knowledge/base.rs",
+            "crates/telemetry/src/journal.rs",
+            "crates/scenario/src/exec.rs",
+        ] {
+            let diags = scan_source(path, text);
+            assert_eq!(codes(&diags), vec!["KL305"], "{path}");
+            let pos = diags[0].pos.unwrap();
+            assert_eq!((pos.line, pos.column), (5, 7));
+        }
+        assert!(scan_source("crates/bench/src/report.rs", text).is_empty());
+        let allowed = text.replace(
+            "    s.seen",
+            "    // kalis-lint: allow(KL305): summed\n    s.seen",
+        );
+        assert!(scan_source("crates/core/src/x.rs", &allowed).is_empty());
+    }
+
+    #[test]
+    fn kl305_flags_each_walk_of_a_declared_hash_container_only() {
+        let decl = "let mut set = HashSet::new();\nfn f(m: &HashMap<u8, u8>) {}\n";
+        for walk in [
+            "set.iter()",
+            "m.keys()",
+            "m.values()",
+            "set.drain()",
+            "m.into_iter()",
+            "for x in m.iter().take(1) {",
+            "for x in &m {",
+            "for (k, v) in &mut self.m {",
+            "for x in set {",
+        ] {
+            let text = format!("{decl}{walk}\n");
+            let diags = scan_source("crates/core/src/x.rs", &text);
+            assert_eq!(codes(&diags), vec!["KL305"], "{walk}");
+        }
+        for other in [
+            "m.get(&1)",
+            "set.contains(&2)",
+            "m.len()",
+            "for x in other {",
+            "for x in &self.items {",
+            "tree.iter()",
+        ] {
+            let text = format!("{decl}{other}\n");
+            assert!(
+                scan_source("crates/core/src/x.rs", &text).is_empty(),
+                "{other}"
+            );
+        }
+        // A walk in a test region is out of scope.
+        let test_only =
+            format!("{decl}#[cfg(test)]\nmod tests {{\n    fn t() {{ m.iter(); }}\n}}\n");
+        assert!(scan_source("crates/core/src/x.rs", &test_only).is_empty());
     }
 
     #[test]

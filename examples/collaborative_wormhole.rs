@@ -15,8 +15,8 @@
 use kalis_bench::experiments;
 use kalis_bench::runner::{run_nodes, Link};
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
+use kalis_core::config::Config;
 use kalis_core::{AttackKind, Kalis, KalisId};
-use kalis_telemetry::SampleRate;
 
 fn main() {
     let trace_out = {
@@ -68,10 +68,13 @@ fn main() {
     // Replay the collaborative run with full causal-trace sampling and
     // explain the wormhole verdict end to end.
     let scenario = Scenario::build(ScenarioKind::Wormhole, 42, 30);
+    let traced: Config = "knowggets = { Trace.SampleRate = 1 }"
+        .parse()
+        .expect("valid tracing config");
     let mut nodes = ["K1", "K2"].map(|id| {
         Kalis::builder(KalisId::new(id))
+            .with_config(traced.clone())
             .with_default_modules()
-            .with_trace_sampling(SampleRate::full())
             .build()
     });
     run_nodes(&mut nodes, &scenario.vantages(), &mut Link::default());

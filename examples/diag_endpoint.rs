@@ -14,12 +14,12 @@
 //! Run with: `cargo run --example diag_endpoint [PORT]`
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use kalis_bench::experiments::spray_trace;
-use kalis_core::{Kalis, KalisId, OpsConfig};
+use kalis_core::{Kalis, KalisId};
 use kalis_packets::Timestamp;
 use kalis_telemetry::check_bundle;
 use kalis_telemetry::json::{parse, JsonValue};
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
         .unwrap_or(0);
     let mut kalis = Kalis::builder(KalisId::new("K1"))
         .with_default_modules()
-        .with_ops(OpsConfig::on_port(port))
+        .with_ops(SocketAddr::from((Ipv4Addr::LOCALHOST, port)))
         .build();
     let addr = kalis.ops_addr().expect("ops listener bound");
     println!("kalis-ops listening on http://{addr}");

@@ -13,12 +13,13 @@
 //! Run with: `cargo run --example ops_endpoint [PORT]`
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
-use kalis_core::{Kalis, KalisId, OpsConfig};
+use kalis_core::config::Config;
+use kalis_core::{Kalis, KalisId};
 use kalis_telemetry::check_exposition;
 use kalis_telemetry::json::{parse, JsonValue};
 
@@ -45,11 +46,13 @@ fn main() -> ExitCode {
         .nth(1)
         .map(|p| p.parse().expect("PORT must be a u16"))
         .unwrap_or(0);
-    let mut ops = OpsConfig::on_port(port);
-    ops.slo_p99_us = Some(50_000);
+    let config: Config = "knowggets = { Ops.LatencySloUs = 50000 }"
+        .parse()
+        .expect("valid ops config");
     let mut kalis = Kalis::builder(KalisId::new("K1"))
+        .with_config(config)
         .with_default_modules()
-        .with_ops(ops)
+        .with_ops(SocketAddr::from((Ipv4Addr::LOCALHOST, port)))
         .build();
     let addr = kalis.ops_addr().expect("ops listener bound");
     println!("kalis-ops listening on http://{addr}");

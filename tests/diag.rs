@@ -11,8 +11,8 @@ use std::time::Duration;
 use kalis_bench::experiments::spray_trace;
 use kalis_core::alert::AttackKind;
 use kalis_core::config::Config;
-use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, SupervisorConfig};
-use kalis_core::{Kalis, KalisId, OpsConfig};
+use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor};
+use kalis_core::{Kalis, KalisId};
 use kalis_packets::{CapturedPacket, MacAddr, Medium, Timestamp};
 use kalis_telemetry::{check_bundle, names, DiagBundle, JournalEvent, Trigger, TRIGGER_MASK_ALL};
 
@@ -183,13 +183,11 @@ fn diag_knowggets_gate_depth_and_trigger_mask() {
 #[test]
 fn readiness_flip_captures_and_the_ops_listener_serves_it() {
     quiet_crashy_panics();
+    let config: Config = "knowggets = { Supervisor.PanicLimit = 2 }".parse().unwrap();
     let mut kalis = Kalis::builder(KalisId::new("K1"))
-        .with_supervisor_config(SupervisorConfig {
-            panic_limit: 2,
-            ..SupervisorConfig::default()
-        })
+        .with_config(config)
         .with_module(Box::new(CrashyModule), true)
-        .with_ops(OpsConfig::default())
+        .with_ops(SocketAddr::from((Ipv4Addr::LOCALHOST, 0)))
         .build();
     let addr = kalis.ops_addr().expect("ops surface enabled");
 

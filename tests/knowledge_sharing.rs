@@ -4,9 +4,9 @@
 use kalis_bench::experiments::run_knowledge_sharing;
 use kalis_bench::runner::{run_nodes, Link};
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
+use kalis_core::config::Config;
 use kalis_core::knowledge::{SyncMessage, XorChannel};
 use kalis_core::{AttackKind, Kalis, KalisId, KnowValue, Knowgget};
-use kalis_telemetry::SampleRate;
 
 #[test]
 fn collaboration_identifies_the_wormhole() {
@@ -31,10 +31,11 @@ fn collaboration_identifies_the_wormhole() {
 #[test]
 fn wormhole_provenance_spans_both_nodes() {
     let scenario = Scenario::build(ScenarioKind::Wormhole, 42, 25);
+    let traced: Config = "knowggets = { Trace.SampleRate = 1 }".parse().unwrap();
     let mut nodes = ["K1", "K2"].map(|id| {
         Kalis::builder(KalisId::new(id))
+            .with_config(traced.clone())
             .with_default_modules()
-            .with_trace_sampling(SampleRate::full())
             .build()
     });
     run_nodes(&mut nodes, &scenario.vantages(), &mut Link::default());

@@ -171,7 +171,7 @@ fn source_fixture_corpus_pins_exact_codes_and_spans() {
         codes_seen.extend(got.into_iter().map(|(code, _, _)| code));
     }
     // The corpus covers every source-invariant code.
-    for code in ["KL301", "KL302", "KL303", "KL304"] {
+    for code in ["KL301", "KL302", "KL303", "KL304", "KL305"] {
         assert!(
             codes_seen.iter().any(|c| c == code),
             "no fixture pins {code}"

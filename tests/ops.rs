@@ -14,8 +14,8 @@ use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use kalis_core::alert::AttackKind;
 use kalis_core::config::Config;
 use kalis_core::knowledge::PeerBeacon;
-use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, ShedMode, SupervisorConfig};
-use kalis_core::{Kalis, KalisId, OpsConfig};
+use kalis_core::modules::{Module, ModuleCtx, ModuleDescriptor, ShedMode};
+use kalis_core::{Kalis, KalisId};
 use kalis_packets::{CapturedPacket, MacAddr, Medium, Timestamp};
 use kalis_telemetry::check_exposition;
 use kalis_telemetry::json::{parse, JsonValue};
@@ -37,6 +37,16 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     (code, body)
+}
+
+/// The loopback address on an ephemeral port, for the ops listener.
+const EPHEMERAL: SocketAddr = SocketAddr::new(std::net::IpAddr::V4(Ipv4Addr::LOCALHOST), 0);
+
+/// A config with just `knowggets`.
+fn knowggets(text: &str) -> Config {
+    format!("knowggets = {{ {text} }}")
+        .parse()
+        .expect("config parses")
 }
 
 /// An ICMP echo request from `src_index` riding Wi-Fi — carries a
@@ -114,13 +124,9 @@ fn quiet_crashy_panics() {
 
 #[test]
 fn live_node_serves_all_endpoints_and_exposition_is_strict_clean() {
-    let config: Config = "knowggets = { Ops.LatencySloUs = 100000 }"
-        .parse()
-        .expect("config parses");
     let mut kalis = Kalis::builder(KalisId::new("K1"))
         .with_default_modules()
-        .with_config(config)
-        .with_ops(OpsConfig::default())
+        .with_config(knowggets("Ops.LatencySloUs = 100000"))
         .build();
     let addr = kalis.ops_addr().expect("ops surface enabled");
 
@@ -217,12 +223,9 @@ fn live_node_serves_all_endpoints_and_exposition_is_strict_clean() {
 fn readiness_flips_on_pinned_quarantine_and_recovers_after_probation() {
     quiet_crashy_panics();
     let mut kalis = Kalis::builder(KalisId::new("K1"))
-        .with_supervisor_config(SupervisorConfig {
-            panic_limit: 2,
-            ..SupervisorConfig::default()
-        })
+        .with_config(knowggets("Supervisor.PanicLimit = 2"))
         .with_module(Box::new(CrashyModule), true)
-        .with_ops(OpsConfig::default())
+        .with_ops(EPHEMERAL)
         .build();
     let addr = kalis.ops_addr().expect("ops surface enabled");
 
@@ -256,11 +259,8 @@ fn readiness_flips_on_pinned_quarantine_and_recovers_after_probation() {
 fn readiness_flips_during_overload_shedding_and_recovers() {
     let mut kalis = Kalis::builder(KalisId::new("K1"))
         .with_default_modules()
-        .with_supervisor_config(SupervisorConfig {
-            burst_pps: 50,
-            ..SupervisorConfig::default()
-        })
-        .with_ops(OpsConfig::default())
+        .with_config(knowggets("Supervisor.BurstPps = 50"))
+        .with_ops(EPHEMERAL)
         .build();
     let addr = kalis.ops_addr().expect("ops surface enabled");
 
@@ -296,7 +296,7 @@ fn readiness_flips_during_overload_shedding_and_recovers() {
 fn readiness_flips_when_sync_partitions_and_heals_on_recovery() {
     let mut kalis = Kalis::builder(KalisId::new("K1"))
         .with_default_modules()
-        .with_ops(OpsConfig::default())
+        .with_ops(EPHEMERAL)
         .build();
     let addr = kalis.ops_addr().expect("ops surface enabled");
     let beacon = PeerBeacon {
@@ -340,12 +340,9 @@ fn readiness_flips_when_sync_partitions_and_heals_on_recovery() {
 
 #[test]
 fn ops_knobs_ride_the_config_language_and_recommendation_round_trips() {
-    let config: Config = "knowggets = { Ops.LatencySloUs = 250000, Ops.HotEntities = 4 }"
-        .parse()
-        .expect("config parses");
     let kalis = Kalis::builder(KalisId::new("K1"))
         .with_default_modules()
-        .with_config(config)
+        .with_config(knowggets("Ops.LatencySloUs = 250000, Ops.HotEntities = 4"))
         .build();
     // The knowggets alone enabled the surface (ephemeral loopback port).
     let addr = kalis
