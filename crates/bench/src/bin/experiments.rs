@@ -362,7 +362,10 @@ fn main() {
             result.degraded_entered, result.degraded_exited
         );
         println!("retransmissions         : {}", result.retransmits);
-        println!("duplicates deduped      : {}", result.duplicates_dropped);
+        println!(
+            "duplicates deduped      : {}",
+            result.duplicates_dropped.iter().sum::<u64>()
+        );
         println!(
             "queue-overflow dropped  : {}",
             result.queue_overflow_dropped

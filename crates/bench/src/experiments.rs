@@ -806,10 +806,18 @@ mod resilience {
         /// Knowggets each node sent in first transmissions
         /// (`sync.knowggets_out`), K1's then K2's.
         pub knowggets_out: [u64; 2],
+        /// Data frames each node sent in first transmissions
+        /// (`sync.sent`), K1's then K2's.
+        pub frames_sent: [u64; 2],
+        /// Data frames each node accepted fresh (`sync.accepted`), K1's
+        /// then K2's: never more than the peer sent, if dedup drops every
+        /// second copy of a frame.
+        pub frames_accepted: [u64; 2],
         /// Sync retransmissions across both nodes.
         pub retransmits: u64,
-        /// Replayed/duplicate frames dropped by dedup across both nodes.
-        pub duplicates_dropped: u64,
+        /// Replayed/duplicate frames each node dropped by dedup
+        /// (`sync.duplicates_dropped`), K1's then K2's.
+        pub duplicates_dropped: [u64; 2],
         /// Knowggets dropped by the bounded-outbound-queue policy.
         pub queue_overflow_dropped: u64,
         /// Wormhole alerts raised across both nodes (the collaborative
@@ -1017,8 +1025,10 @@ mod resilience {
             degraded_entered,
             degraded_exited,
             knowggets_out: [&s1, &s2].map(|s| s.counter(names::SYNC_KNOWGGETS_OUT)),
+            frames_sent: [&s1, &s2].map(|s| s.counter(names::SYNC_SENT)),
+            frames_accepted: [&s1, &s2].map(|s| s.counter(names::SYNC_ACCEPTED)),
             retransmits: sum(names::SYNC_RETRANSMITS),
-            duplicates_dropped: sum(names::SYNC_DUPLICATES),
+            duplicates_dropped: [&s1, &s2].map(|s| s.counter(names::SYNC_DUPLICATES)),
             queue_overflow_dropped: sum(names::SYNC_QUEUE_DROPPED),
             wormhole_alerts: (nodes.iter())
                 .flat_map(|node| node.alerts())

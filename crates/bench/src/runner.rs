@@ -295,13 +295,21 @@ pub fn outcome(nodes: &mut [Kalis]) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use kalis_core::modules::{KeyPattern, ModuleRegistry};
-    use kalis_core::Knowgget;
+    use kalis_core::{Knowgget, PeerHealth};
     use kalis_netsim::fault::FaultWindow;
     use kalis_telemetry::{names, JournalEvent};
 
     use super::*;
     use crate::experiments::{degraded_transitions, resilience_node};
     use crate::scenarios::{Scenario, ScenarioKind};
+
+    /// How many of the other `nodes` `node` counts healthy.
+    fn healthy_peers(nodes: &[Kalis], node: &Kalis) -> usize {
+        (nodes.iter())
+            .filter(|peer| peer.id() != node.id())
+            .filter(|peer| node.peer_health(peer.id()).ok() == Some(PeerHealth::Healthy))
+            .count()
+    }
 
     /// On a lossless wire the engines have nothing to recover from: each
     /// node ends with its peer healthy, and nothing was retransmitted,
@@ -316,7 +324,7 @@ mod tests {
         for node in &nodes {
             let snapshot = node.telemetry().snapshot();
             let id = node.id();
-            assert_eq!(snapshot.gauge(names::PEERS_HEALTHY), 1, "{id}");
+            assert_eq!(healthy_peers(&nodes, node), 1, "{id}");
             assert!(snapshot.counter(names::SYNC_ACCEPTED) > 0, "{id}");
             for name in [
                 names::SYNC_RETRANSMITS,
@@ -457,7 +465,7 @@ mod tests {
             let across = if i == 1 { 2 } else { 1 };
             assert_eq!(turned("dead"), across, "{id} peers lost");
             assert_eq!(turned("healthy"), across, "{id} peers regained");
-            assert_eq!(snapshot.gauge(names::PEERS_HEALTHY), 2, "{id}");
+            assert_eq!(healthy_peers(&nodes, node), 2, "{id}");
             for name in [names::SYNC_QUEUE_DROPPED, names::SYNC_REJECTED] {
                 assert_eq!(snapshot.counter(name), 0, "{id} {name}");
             }

@@ -33,8 +33,6 @@ struct KbStats {
     syncs: Arc<Counter>,
     churn: Arc<Counter>,
     revision: Arc<Gauge>,
-    entity_occupancy: Arc<Gauge>,
-    entity_evictions: Arc<Gauge>,
 }
 
 impl KbStats {
@@ -47,8 +45,6 @@ impl KbStats {
             syncs: op("sync"),
             churn: registry.counter(names::KB_CHURN),
             revision: registry.gauge(names::KB_REVISION),
-            entity_occupancy: registry.gauge(names::KB_ENTITY_OCCUPANCY),
-            entity_evictions: registry.gauge(names::KB_ENTITY_EVICTIONS),
         }
     }
 }
@@ -320,8 +316,6 @@ impl KnowledgeBase {
         let s = &self.stats;
         s.churn.inc();
         s.revision.set(self.revision);
-        s.entity_occupancy.set(self.entity_index.len() as u64);
-        s.entity_evictions.set(self.entity_index.evictions());
     }
 
     /// Monotonic revision counter; bumps on every change.
@@ -346,8 +340,9 @@ impl KnowledgeBase {
     /// Write `value` under `creator$label[@entity]` (`creator` `None`: the
     /// local node; `origin` `None`: the ambient writer and trace). Returns
     /// whether the stored value changed. A write that changes nothing
-    /// returns before anything is allocated; a changed scalar under a key
-    /// already held allocates only the [`ChangeEvent`], where one is owed.
+    /// returns before anything is allocated; a changed value under a key
+    /// already held is stored by move, and copied only for the
+    /// [`ChangeEvent`], where one is owed.
     fn set_raw<L: Into<String> + AsRef<str>>(
         &mut self,
         creator: Option<KalisId>,
@@ -362,6 +357,7 @@ impl KnowledgeBase {
             label.as_ref(),
             entity.as_ref().map(Entity::as_str),
         );
+        let owed = self.owes_change();
         let mut held = self.entries.get_mut(buf.as_bytes());
         if let Some(entry) = &mut held {
             entry.collective |= collective;
@@ -369,11 +365,8 @@ impl KnowledgeBase {
                 return false;
             }
         }
-        let canonical = value.clone().canonical();
-        let spelling = match &value {
-            KnowValue::Text(text) if !canonical.wire_is(text) => Some(text.as_str().into()),
-            _ => None,
-        };
+        let written = owed.then(|| value.clone());
+        let (canonical, spelling) = value.canonical_spelled();
         let wire_len = (spelling.as_deref()).map_or_else(|| canonical.wire_len(), str::len);
         let encoded = buf.as_str();
         self.entries_bytes += entry_bytes(encoded.len(), wire_len);
@@ -431,7 +424,8 @@ impl KnowledgeBase {
             keys.insert(encoded);
             evicted
         });
-        if self.record(encoded, label.as_ref(), false) {
+        self.record(encoded, label.as_ref(), false);
+        if let Some(value) = written {
             self.changes.push(ChangeEvent {
                 key: KnowKey {
                     creator: creator.unwrap_or_else(|| self.local.clone()),
@@ -454,20 +448,23 @@ impl KnowledgeBase {
     /// changed. Every path that changes the store comes through here. In
     /// a node the Module Manager's subscription hears of it: the slots
     /// `label` concerns are marked pending, a watched `label` is stamped
-    /// with this revision, and the batch's trigger record grows. Returns
-    /// whether the caller owes the change log a
-    /// [`ChangeEvent`] — always in a standalone Knowledge Base; in a node,
-    /// once someone listens.
-    fn record(&mut self, encoded: &str, label: &str, removed: bool) -> bool {
+    /// with this revision, and the batch's trigger record grows.
+    fn record(&mut self, encoded: &str, label: &str, removed: bool) {
         let Some(subscriber) = &mut self.subscriber else {
-            return true;
+            return;
         };
         (subscriber.table).collect(label, self.revision, &mut subscriber.pending);
         subscriber.changed += 1;
         if subscriber.first.len() < TRIGGER_KEYS {
             (subscriber.first).push((removed, KeyBuf::concat(&[encoded])));
         }
-        subscriber.listening
+    }
+
+    /// Whether a recorded change owes the change log a [`ChangeEvent`]:
+    /// always in a standalone Knowledge Base; in a node, once someone
+    /// listens.
+    fn owes_change(&self) -> bool {
+        self.subscriber.as_ref().map_or(true, |s| s.listening)
     }
 
     /// Settle the running totals for `entry`, just taken out from under
@@ -493,7 +490,8 @@ impl KnowledgeBase {
             let Some((creator, label, entity)) = split(encoded) else {
                 continue;
             };
-            if self.record(encoded, label, true) {
+            self.record(encoded, label, true);
+            if self.owes_change() {
                 self.changes.push(ChangeEvent {
                     key: KnowKey {
                         creator: KalisId::new(creator),
@@ -731,7 +729,8 @@ impl KnowledgeBase {
                 self.entity_index.remove(entity);
             }
         }
-        if self.record(encoded, label, true) {
+        self.record(encoded, label, true);
+        if self.owes_change() {
             self.changes.push(ChangeEvent {
                 key: KnowKey {
                     creator: self.local.clone(),

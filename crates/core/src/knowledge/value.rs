@@ -125,6 +125,20 @@ impl KnowValue {
         }
     }
 
+    /// [`KnowValue::canonical`], and the text written where it spells
+    /// the canonical value another way (`Text("+5")`: `Int(5)` and
+    /// `"+5"`): what the Knowledge Base stores, taken by move.
+    pub(crate) fn canonical_spelled(self) -> (KnowValue, Option<Box<str>>) {
+        match self {
+            KnowValue::Text(s) => match Self::parse_scalar(&s) {
+                Some(scalar) if scalar.wire_is(&s) => (scalar, None),
+                Some(scalar) => (scalar, Some(s.into_boxed_str())),
+                None => (KnowValue::Text(s), None),
+            },
+            value => (value.canonical(), None),
+        }
+    }
+
     /// The boolean view, if this value is (or parses as) a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -35,8 +35,7 @@ struct Slot {
     /// Shed-eligible dispatches seen; drives the deterministic 1-in-N
     /// sampling while shedding.
     shed_seq: u64,
-    /// Dispatches that consumed work (completed or panicked part-way),
-    /// published as `module.work_units`.
+    /// Dispatches that consumed work (completed or panicked part-way).
     dispatches: u64,
     /// The module's `on_tick` said it has no tick work (the trait's
     /// default body): its ticks are counted, not called.
@@ -63,16 +62,6 @@ struct SlotTele {
     /// Only timed dispatches contribute (see [`DISPATCH_SAMPLE_MASK`]),
     /// so this is a sampled lower bound on true self-time.
     cpu: Arc<Counter>,
-    /// `module.occupancy` gauge, refreshed by
-    /// [`ModuleManager::publish_profiles`].
-    occupancy: Arc<Gauge>,
-    /// `module.evictions` gauge (a gauge, not a counter: a module reset
-    /// legitimately returns it to zero).
-    evictions: Arc<Gauge>,
-    /// `module.state_budget` gauge.
-    budget: Arc<Gauge>,
-    /// `module.work_units` gauge.
-    work: Arc<Gauge>,
 }
 
 impl SlotTele {
@@ -83,10 +72,6 @@ impl SlotTele {
             tick_hist: registry.histogram(&name(names::DISPATCH_TICK)),
             shed: registry.counter(&name(names::SHED_BY_MODULE)),
             cpu: registry.counter(&name(names::MODULE_CPU_NS)),
-            occupancy: registry.gauge(&name(names::MODULE_OCCUPANCY)),
-            evictions: registry.gauge(&name(names::MODULE_EVICTIONS)),
-            budget: registry.gauge(&name(names::MODULE_STATE_BUDGET)),
-            work: registry.gauge(&name(names::MODULE_WORK_UNITS)),
         }
     }
 }
@@ -101,7 +86,6 @@ struct ManagerTele {
     panics: Arc<Counter>,
     overruns: Arc<Counter>,
     quarantines: Arc<Counter>,
-    quarantined: Arc<Gauge>,
     shed_skips: Arc<Counter>,
 }
 
@@ -115,7 +99,6 @@ impl ManagerTele {
             panics: registry.counter(names::MODULE_PANICS),
             overruns: registry.counter(names::BUDGET_OVERRUNS),
             quarantines: registry.counter(names::MODULE_QUARANTINES),
-            quarantined: registry.gauge(names::MODULES_QUARANTINED),
             shed_skips: registry.counter(names::SHED_SKIPS),
         }
     }
@@ -636,11 +619,6 @@ impl ModuleManager {
                     // The unwind may have left analysis state
                     // half-updated; drop it before the next dispatch.
                     slot.module.reset();
-                    // The reset emptied the module's bounded structures;
-                    // reflect that on the ops surface immediately rather
-                    // than waiting for the next profile publish.
-                    slot.tele.occupancy.set(0);
-                    slot.tele.evictions.set(0);
                     let verdict = slot.supervision.note_panic(ctx.now, cfg);
                     tele.note_panicked(ctx.now, name, &message);
                     Some((verdict, Some(message)))
@@ -660,7 +638,6 @@ impl ModuleManager {
             self.quarantined += quarantine_flips;
             self.quarantined -= quarantine_releases;
             debug_assert_eq!(self.quarantined, self.recount_quarantined());
-            self.tele.quarantined.set(self.quarantined as u64);
             self.tele.active.set(self.active_count() as u64);
         }
         outcome
@@ -789,20 +766,6 @@ impl ModuleManager {
             bytes += slot.module.state_bytes();
         }
         bytes
-    }
-
-    /// Refresh the per-module `module.occupancy` and `module.work_units`
-    /// gauges from live module state. Called at tick cadence by the ops
-    /// profiler — occupancy needs a walk over module maps, so it stays
-    /// off the per-packet path.
-    pub fn publish_profiles(&mut self) {
-        for slot in &self.slots {
-            let s = &slot.tele;
-            s.occupancy.set(slot.module.occupancy() as u64);
-            s.evictions.set(slot.module.evictions());
-            s.budget.set(slot.module.state_budget() as u64);
-            s.work.set(slot.dispatches);
-        }
     }
 
     /// Number of currently quarantined modules.
@@ -1197,7 +1160,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_module_returns_to_probation_with_fresh_state_and_gauges() {
+    fn quarantined_module_returns_to_probation_with_fresh_state() {
         quiet_panics();
         let (mut kb, mut alerts) = ctx_parts();
         let tele = std::sync::Arc::new(Telemetry::new());
@@ -1221,17 +1184,15 @@ mod tests {
             };
             mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         }
-        mgr.publish_profiles();
-        let occ = tele.gauge(&metric_name(
-            names::MODULE_OCCUPANCY,
-            &[("module", "BudgetedCrashy")],
-        ));
-        let ev = tele.gauge(&metric_name(
-            names::MODULE_EVICTIONS,
-            &[("module", "BudgetedCrashy")],
-        ));
-        assert_eq!(occ.get(), 4, "budget holds under load");
-        assert_eq!(ev.get(), 3, "overflow evicted");
+        let held = |mgr: &ModuleManager| {
+            let profile = mgr.module_profiles().remove(0);
+            (profile.occupancy, profile.evictions)
+        };
+        assert_eq!(
+            held(&mgr),
+            (4, 3),
+            "budget holds under load; overflow evicted"
+        );
 
         // Poisoned input stream: panic on every dispatch until quarantine.
         rage.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -1246,10 +1207,9 @@ mod tests {
             };
             mgr.dispatch_packet_shed(&mut ctx, &packet(), ShedMode::None);
         }
-        // The panic-path reset zeroed the gauges immediately — the ops
+        // The panic-path reset emptied the module at once — the ops
         // surface never reports stale occupancy for an emptied module.
-        assert_eq!(occ.get(), 0);
-        assert_eq!(ev.get(), 0);
+        assert_eq!(held(&mgr), (0, 0));
 
         // Backoff expires, the poison clears: the probation dispatch runs
         // against completely fresh detector state.
@@ -1505,7 +1465,7 @@ mod tests {
     fn module_profiles_agree_with_the_registry() {
         quiet_panics();
         let tele = Arc::new(Telemetry::new());
-        let (mut mgr, sum) = supervised_run(&tele);
+        let (mgr, sum) = supervised_run(&tele);
         // The run exercised every supervise branch, and the registry
         // counted exactly what the dispatches reported.
         let [panics, overruns, quarantines, sheds] = supervisor_totals(&tele);
@@ -1513,19 +1473,12 @@ mod tests {
         assert!(panics > 0 && overruns > 0 && sheds > 0);
         assert!(quarantines > 1, "quarantined, released, re-quarantined");
         // What `/status` serves is what `/metrics` exports.
-        mgr.publish_profiles();
         let profiles = mgr.module_profiles();
         for p in &profiles {
             let name = |family| metric_name(family, &[("module", p.name)]);
             let cpu_ns = tele.counter(&name(names::MODULE_CPU_NS)).get();
             let shed = tele.counter(&name(names::SHED_BY_MODULE)).get();
-            let work = tele.gauge(&name(names::MODULE_WORK_UNITS)).get();
-            assert_eq!(
-                (p.cpu_ns, p.sheds, p.dispatches),
-                (cpu_ns, shed, work),
-                "{}",
-                p.name
-            );
+            assert_eq!((p.cpu_ns, p.sheds), (cpu_ns, shed), "{}", p.name);
         }
         assert_eq!(profiles.iter().map(|p| p.sheds).sum::<u64>(), sheds);
         let work: u64 = profiles.iter().map(|p| p.dispatches).sum();
@@ -1549,9 +1502,9 @@ mod tests {
     }
 
     /// Crash-loop `BudgetedCrashy` into quarantine and back through one
-    /// entry point; returns the journal and the gauge readings
-    /// `(occupancy, evictions, modules.quarantined, modules.active)` while
-    /// loaded, once quarantined, and after the probation dispatch.
+    /// entry point; returns the journal and the readings `(occupancy,
+    /// evictions, quarantined_count, modules.active)` while loaded, once
+    /// quarantined, and after the probation dispatch.
     fn crash_loop_through(
         dispatch: impl Fn(&mut ModuleManager, &mut ModuleCtx<'_>) -> DispatchOutcome,
     ) -> (kalis_telemetry::JournalSnapshot, [[u64; 4]; 3]) {
@@ -1568,14 +1521,12 @@ mod tests {
             }),
             false,
         );
-        let module = [("module", "BudgetedCrashy")];
-        let gauges = || {
+        let gauges = |mgr: &ModuleManager| {
+            let profile = mgr.module_profiles().remove(0);
             [
-                tele.gauge(&metric_name(names::MODULE_OCCUPANCY, &module))
-                    .get(),
-                tele.gauge(&metric_name(names::MODULE_EVICTIONS, &module))
-                    .get(),
-                tele.gauge(names::MODULES_QUARANTINED).get(),
+                profile.occupancy as u64,
+                profile.evictions,
+                mgr.quarantined_count() as u64,
                 tele.gauge(names::MODULES_ACTIVE).get(),
             ]
         };
@@ -1590,19 +1541,20 @@ mod tests {
         for secs in 0..7 {
             at(&mut mgr, secs);
         }
-        mgr.publish_profiles();
-        let loaded = gauges();
+        let loaded = gauges(&mgr);
         rage.store(true, std::sync::atomic::Ordering::Relaxed);
         let panic_limit = u64::from(SupervisorConfig::default().panic_limit);
         for strike in 0..panic_limit {
             at(&mut mgr, 7 + strike);
         }
-        let quarantined = gauges();
+        let quarantined = gauges(&mgr);
         rage.store(false, std::sync::atomic::Ordering::Relaxed);
         let outcome = at(&mut mgr, 7 + panic_limit + 60);
         assert_eq!(outcome.modules_run, 1, "probation dispatch ran clean");
-        mgr.publish_profiles();
-        (tele.journal().snapshot(), [loaded, quarantined, gauges()])
+        (
+            tele.journal().snapshot(),
+            [loaded, quarantined, gauges(&mgr)],
+        )
     }
 
     #[test]

@@ -208,19 +208,18 @@ pub trait Module: Send {
     }
 
     /// Entries currently held in the module's per-entity tracking maps
-    /// (flow tables, sliding counters, fingerprint maps). The resource
-    /// profiler exports this as the `module.occupancy` gauge so
-    /// operators can watch detector state grow before it becomes a RAM
-    /// problem on a constrained node. Stateless modules keep the
-    /// default 0.
+    /// (flow tables, sliding counters, fingerprint maps). `/status`
+    /// serves it in the module's profile so operators can watch detector
+    /// state grow before it becomes a RAM problem on a constrained node.
+    /// Stateless modules keep the default 0.
     fn occupancy(&self) -> usize {
         0
     }
 
     /// Cumulative entries evicted from the module's bounded per-entity
-    /// structures to stay within [`Module::state_budget`]. Exported as
-    /// the `module.evictions` gauge; non-zero under cardinality
-    /// pressure, back to 0 after [`Module::reset`].
+    /// structures to stay within [`Module::state_budget`], served in the
+    /// module's `/status` profile; non-zero under cardinality pressure,
+    /// back to 0 after [`Module::reset`].
     fn evictions(&self) -> u64 {
         0
     }

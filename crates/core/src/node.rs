@@ -67,9 +67,7 @@ struct NodeStats {
     /// `alerts.by[kind=…,severity=…]` handles, each looked up in the
     /// registry the first time such an alert is raised.
     alerts_by: Vec<((AttackKind, Severity), Arc<Counter>)>,
-    pipeline_degraded: Arc<Gauge>,
     trace_sampled: Arc<Counter>,
-    trace_dropped: Arc<Gauge>,
 }
 
 impl NodeStats {
@@ -82,9 +80,7 @@ impl NodeStats {
             peak_state: registry.gauge(names::PEAK_STATE_BYTES),
             alerts: registry.counter(names::ALERTS),
             alerts_by: Vec::new(),
-            pipeline_degraded: registry.gauge(names::PIPELINE_DEGRADED),
             trace_sampled: registry.counter(names::TRACE_SAMPLED),
-            trace_dropped: registry.gauge(names::TRACE_DROPPED),
         }
     }
 }
@@ -208,7 +204,6 @@ impl Kalis {
     fn close_trace(&mut self) {
         if self.current_trace.sampled {
             self.kb.clear_trace();
-            self.stats.trace_dropped.set(self.tracer.dropped());
         }
         self.current_trace = TraceContext::none();
     }
@@ -300,9 +295,6 @@ impl Kalis {
                 self.overload.episode_skipped = 0;
             }
         }
-        self.stats
-            .pipeline_degraded
-            .set(u64::from(shedding || self.manager.quarantined_count() > 0));
         mode
     }
 

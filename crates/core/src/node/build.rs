@@ -70,7 +70,7 @@ pub const TRACE_SAMPLE_RATE_KEY: &str = "Trace.SampleRate";
 pub const OPS_PORT_KEY: &str = "Ops.Port";
 /// A-priori knowgget key: p99 whole-ingest latency target in
 /// microseconds for the detection-latency SLO. Setting it turns on the
-/// `slo.*` gauges and the breach/recovery journal events.
+/// `/status` `slo` posture and the breach/recovery journal events.
 pub const OPS_SLO_KEY: &str = "Ops.LatencySloUs";
 /// A-priori knowgget key: how many hot source entities the space-saving
 /// sketch monitors (the `kalis_hot_entity` cardinality cap).
@@ -349,7 +349,7 @@ impl KalisBuilder {
             Some(bind) => {
                 let shared = Arc::new(OpsShared::new(self.id.as_str(), Arc::clone(&tele)));
                 let server = OpsServer::bind(bind, Arc::clone(&shared))?;
-                Some(OpsRuntime::new(server, shared, numeric_knowgget, &tele))
+                Some(OpsRuntime::new(server, shared, numeric_knowgget))
             }
         };
         let mut kalis = Kalis {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use kalis_packets::Timestamp;
 use kalis_telemetry::{
-    config_fingerprint, names, Counter, FlightRecorder, Gauge, JournalEvent, Telemetry, Trigger,
+    config_fingerprint, names, Counter, FlightRecorder, JournalEvent, Telemetry, Trigger,
     DEFAULT_JOURNAL_TAIL, DEFAULT_RING_DEPTH, DEFAULT_SNAPSHOT_INTERVAL_SECS, TRIGGER_MASK_ALL,
 };
 
@@ -107,8 +107,6 @@ pub(super) struct Housekeeping {
     /// kalis.diag.v1 JSON)`, bounded to [`DIAG_BUNDLE_RETENTION`].
     bundles: Vec<(String, String)>,
     captures: Arc<Counter>,
-    occupancy: Arc<Gauge>,
-    last_trigger: Arc<Gauge>,
 }
 
 impl Housekeeping {
@@ -121,8 +119,6 @@ impl Housekeeping {
             edges: DiagEdges::default(),
             bundles: Vec::new(),
             captures: tele.counter(names::DIAG_CAPTURES),
-            occupancy: tele.gauge(names::DIAG_RING_OCCUPANCY),
-            last_trigger: tele.gauge(names::DIAG_LAST_TRIGGER),
         }
     }
 }
@@ -242,8 +238,6 @@ impl Kalis {
         if let Some(trigger) = fired {
             self.diag_capture(trigger, now_us);
         }
-        let occupancy = self.housekeeping.recorder.occupancy() as u64;
-        self.housekeeping.occupancy.set(occupancy);
     }
 
     /// Freeze the ring plus the journal tail, trace trees, and config
@@ -270,7 +264,6 @@ impl Kalis {
             },
         );
         state.captures.inc();
-        state.last_trigger.set(u64::from(trigger.bit()));
         (state.bundles).push((bundle.bundle_id.clone(), bundle.to_json()));
         if state.bundles.len() > DIAG_BUNDLE_RETENTION {
             state.bundles.remove(0);

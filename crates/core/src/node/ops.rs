@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use kalis_packets::{Entity, Timestamp};
-use kalis_telemetry::{names, Gauge, JournalEvent, Telemetry};
+use kalis_telemetry::{JournalEvent, Telemetry};
 
 use crate::knowledge::SlotSet;
 use crate::modules::{ModuleManager, ShedMode};
@@ -51,14 +51,11 @@ pub(super) struct OpsRuntime {
     pub(super) slo: Option<SloTracker>,
 }
 
-/// Detection-latency SLO state: gauges plus the breach latch that turns
-/// p99-vs-target transitions into journal events.
+/// Detection-latency SLO state: the target and the breach latch that
+/// turns p99-vs-target transitions into journal events.
 pub(super) struct SloTracker {
     pub(super) target_us: u64,
     pub(super) breached: bool,
-    p99: Arc<Gauge>,
-    burn: Arc<Gauge>,
-    breached_gauge: Arc<Gauge>,
 }
 
 impl OpsRuntime {
@@ -69,20 +66,11 @@ impl OpsRuntime {
         server: OpsServer,
         shared: Arc<OpsShared>,
         numeric_knowgget: impl Fn(&str) -> Option<f64>,
-        tele: &Telemetry,
     ) -> Self {
         let positive = |key| numeric_knowgget(key).filter(|n| *n > 0.0);
-        let slo = positive(OPS_SLO_KEY).map(|us| {
-            let target_us = us as u64;
-            let tracker = SloTracker {
-                target_us,
-                breached: false,
-                p99: tele.gauge(names::SLO_LATENCY_P99_US),
-                burn: tele.gauge(names::SLO_BURN_PERMILLE),
-                breached_gauge: tele.gauge(names::SLO_BREACHED),
-            };
-            tele.gauge(names::SLO_TARGET_US).set(target_us);
-            tracker
+        let slo = positive(OPS_SLO_KEY).map(|us| SloTracker {
+            target_us: us as u64,
+            breached: false,
         });
         OpsRuntime {
             server,
@@ -99,13 +87,10 @@ impl OpsRuntime {
 }
 
 impl SloTracker {
-    /// Set the gauges from this refresh's p99 and journal a breach or a
-    /// recovery when the verdict flipped.
+    /// Judge this refresh's p99 and journal a breach or a recovery
+    /// when the verdict flipped.
     fn observe(&mut self, p99_us: u64, now: Timestamp, tele: &Telemetry) -> SloStatus {
         let breached = p99_us > self.target_us;
-        self.p99.set(p99_us);
-        (self.burn).set(p99_us.saturating_mul(1000) / self.target_us.max(1));
-        self.breached_gauge.set(u64::from(breached));
         if breached != self.breached {
             self.breached = breached;
             let target_us = self.target_us;
@@ -204,15 +189,15 @@ impl Kalis {
         }
     }
 
-    /// Rebuild and publish everything the ops listener serves: profiler
-    /// gauges, SLO posture (with breach/recovery journal events), the
-    /// hot-entity exposition block, and the pre-rendered `/status` and
-    /// `/readyz` documents. Runs at tick cadence plus on every
-    /// readiness transition; scrapes between refreshes see the last
-    /// published state without touching node internals.
+    /// Rebuild and publish everything the ops listener serves: SLO
+    /// posture (with breach/recovery journal events), the hot-entity
+    /// exposition block, and the pre-rendered `/status` and `/readyz`
+    /// documents. Runs at tick cadence plus on every readiness
+    /// transition; scrapes between refreshes see the last published
+    /// state without touching node internals.
     ///
-    /// Only the profiler gauges and the readiness comparison run on
-    /// every call. The full report render is throttled to
+    /// Only the readiness comparison runs on every call. The full
+    /// report render is throttled to
     /// [`OPS_RENDER_MIN_INTERVAL`] of wall time unless `force` is set
     /// (explicit ticks, readiness transitions, build) — capture clocks
     /// compress time under replay, and re-rendering kilobytes of JSON
@@ -222,7 +207,6 @@ impl Kalis {
         if self.ops.is_none() {
             return;
         }
-        self.manager.publish_profiles();
         let readiness = self.readiness_key();
         let ops = self.ops.as_mut().expect("checked above");
         let due = force

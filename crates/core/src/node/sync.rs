@@ -4,8 +4,8 @@
 //! The fault-tolerant one ([`Kalis::observe_beacon`] /
 //! [`Kalis::sync_poll`] / [`Kalis::receive_sync_frame`]) drives the
 //! [`CollectiveSync`] engine — beacons, acks, retransmission, peer
-//! health — and turns its state-machine events into journal records,
-//! gauges, and the `DegradedMode` knowgget. It is the one every harness
+//! health — and turns its state-machine events into journal records
+//! and the `DegradedMode` knowgget. It is the one every harness
 //! drives: `kalis_bench::runner::run_nodes` carries the beacons of any
 //! number of nodes to every other node, and each frame and ack to the
 //! peer it names, over a `kalis_netsim::wire::Wire`, lossless for
@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use kalis_packets::Timestamp;
-use kalis_telemetry::{names, Counter, Gauge, JournalEvent, Telemetry, TraceContext};
+use kalis_telemetry::{names, Counter, JournalEvent, Telemetry, TraceContext};
 
 use crate::error::KalisError;
 use crate::id::KalisId;
@@ -72,11 +72,7 @@ pub(super) struct SyncLink {
     retransmits: Arc<Counter>,
     duplicates: Arc<Counter>,
     queue_dropped: Arc<Counter>,
-    peers_healthy: Arc<Gauge>,
-    peers_suspect: Arc<Gauge>,
-    peers_dead: Arc<Gauge>,
     peers_expired: Arc<Counter>,
-    degraded: Arc<Gauge>,
 }
 
 impl SyncLink {
@@ -93,11 +89,7 @@ impl SyncLink {
             retransmits: registry.counter(names::SYNC_RETRANSMITS),
             duplicates: registry.counter(names::SYNC_DUPLICATES),
             queue_dropped: registry.counter(names::SYNC_QUEUE_DROPPED),
-            peers_healthy: registry.gauge(names::PEERS_HEALTHY),
-            peers_suspect: registry.gauge(names::PEERS_SUSPECT),
-            peers_dead: registry.gauge(names::PEERS_DEAD),
             peers_expired: registry.counter(names::PEERS_EXPIRED),
-            degraded: registry.gauge(names::DEGRADED_MODE),
         }
     }
 
@@ -338,7 +330,7 @@ impl Kalis {
         };
         // One way out: whatever the frame did to its sender's health —
         // a rejected frame still proves the peer alive — reaches the
-        // journal, the gauges and `DegradedMode` before the call returns.
+        // journal and `DegradedMode` before the call returns.
         self.apply_sync_events(now);
         result
     }
@@ -369,8 +361,8 @@ impl Kalis {
         self.sync.engine.config()
     }
 
-    /// Drain the sync engine's state-machine events into the journal,
-    /// gauges, and the `DegradedMode` knowgget that collaborative modules
+    /// Drain the sync engine's state-machine events into the journal
+    /// and the `DegradedMode` knowgget that collaborative modules
     /// key off. Returns the backlog-overflow error for this pass, if any.
     fn apply_sync_events(&mut self, now: Timestamp) -> Option<KalisError> {
         let events = self.sync.engine.drain_events();
@@ -412,20 +404,6 @@ impl Kalis {
             };
             journal.record(now.as_micros(), event);
         }
-        let mut healthy = 0u64;
-        let mut suspect = 0u64;
-        let mut dead = 0u64;
-        for (_, health) in self.sync.engine.peers() {
-            match health {
-                PeerHealth::Healthy => healthy += 1,
-                PeerHealth::Suspect => suspect += 1,
-                PeerHealth::Dead => dead += 1,
-            }
-        }
-        self.sync.peers_healthy.set(healthy);
-        self.sync.peers_suspect.set(suspect);
-        self.sync.peers_dead.set(dead);
-        (self.sync.degraded).set(u64::from(self.sync.engine.degraded()));
         if let Some(entered) = degraded_flip {
             // The mode is itself knowledge: collaborative-only modules
             // (e.g. wormhole correlation) suppress their verdicts while
@@ -521,6 +499,6 @@ mod tests {
             kinds[rejected.expect("journaled") + 1..],
             ["peer_health_changed", "degraded_exited"]
         );
-        assert_eq!(node.telemetry().gauge(names::PEERS_HEALTHY).get(), 1);
+        assert_eq!(node.peer_health(&k2).ok(), Some(PeerHealth::Healthy));
     }
 }

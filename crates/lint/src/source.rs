@@ -511,7 +511,8 @@ pub fn scan_source(path: &str, text: &str) -> Vec<Diagnostic> {
                     }
                 }
                 Code::HashIterationOrder => {
-                    for (name, col) in hash_iterations(&info.masked, &hashed) {
+                    let next = lines.get(idx + 1).map(|l| l.masked.as_str());
+                    for (name, col) in hash_iterations(&info.masked, next, &hashed) {
                         emit(
                             code,
                             col,
@@ -589,15 +590,25 @@ fn hash_container_names(lines: &[LineInfo]) -> Vec<String> {
 }
 
 /// Where `masked` iterates one of the `hashed` names: `name.<method>(`
-/// for a [`HASH_ORDER_METHODS`] method, or `for … in` over a bare path
-/// (`&self.name`, `name`) ending in one. Returns `(name, 0-based char
-/// column of the name)`.
-fn hash_iterations<'n>(masked: &str, hashed: &'n [String]) -> Vec<(&'n str, usize)> {
+/// for a [`HASH_ORDER_METHODS`] method — on one line, or split across
+/// it and `next`, the line after (`name` ending one, `.<method>(`
+/// opening the other) — or `for … in` over a bare path (`&self.name`,
+/// `name`) ending in one. Returns `(name, 0-based char column of the
+/// name)`.
+fn hash_iterations<'n>(
+    masked: &str,
+    next: Option<&str>,
+    hashed: &'n [String],
+) -> Vec<(&'n str, usize)> {
     let chars: Vec<char> = masked.chars().collect();
     let mut found = Vec::new();
     for name in hashed {
         for col in token_columns(masked, name) {
             let after: String = chars[col + name.chars().count()..].iter().collect();
+            let after = match after.trim_end() {
+                "" => next.map_or("", str::trim_start),
+                _ => &after,
+            };
             let method = after
                 .strip_prefix('.')
                 .map(|rest| &rest[..rest.find('(').unwrap_or(0)]);
@@ -773,6 +784,8 @@ mod tests {
             "for x in &m {",
             "for (k, v) in &mut self.m {",
             "for x in set {",
+            "m\n    .keys()",
+            "let v = self\n    .set\n    .iter()",
         ] {
             let text = format!("{decl}{walk}\n");
             let diags = scan_source("crates/core/src/x.rs", &text);
@@ -785,6 +798,8 @@ mod tests {
             "for x in other {",
             "for x in &self.items {",
             "tree.iter()",
+            "m\n    .get(&1)",
+            "m;\nother.iter()",
         ] {
             let text = format!("{decl}{other}\n");
             assert!(

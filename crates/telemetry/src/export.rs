@@ -52,73 +52,65 @@ fn prom_help_text(v: &str) -> String {
     v.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// One-line docstring for a Prometheus family name (after `kalis_`
-/// prefixing and unit/`_total` suffixing), emitted as `# HELP`.
-///
-/// Families map 1:1 onto the canonical registry names in
-/// [`crate::names`]; anything unknown (ad-hoc bench or test series)
-/// gets a generic line so the exposition stays checker-clean.
+/// `# HELP` text per Prometheus family name (after `kalis_` prefixing
+/// and unit/`_total` suffixing), one `family text` line per family the
+/// node exports, each mapping onto a canonical registry name in
+/// [`crate::names`].
+const HELP: &str = "\
+kalis_packets_ingested_total Packets ingested by the node.
+kalis_ticks_total Periodic maintenance ticks executed.
+kalis_pipeline_ingest_seconds Whole-ingest pipeline latency.
+kalis_dispatch_packet_seconds Per-module packet dispatch latency.
+kalis_dispatch_tick_seconds Per-module tick dispatch latency.
+kalis_kb_ops_total Knowledge-base operations by kind.
+kalis_kb_revision Current knowledge-base revision.
+kalis_kb_churn_total Knowledge-base revision bumps.
+kalis_modules_activated_total Module activations.
+kalis_modules_deactivated_total Module deactivations.
+kalis_modules_active Currently active modules.
+kalis_alerts_total Alerts raised.
+kalis_alerts_by_total Alerts raised by kind and severity.
+kalis_sync_sent_total Collective-sync messages sealed for peers.
+kalis_sync_accepted_total Collective-sync messages accepted.
+kalis_sync_rejected_total Collective-sync messages rejected.
+kalis_sync_bytes_out_total Bytes sealed into outgoing sync messages.
+kalis_sync_bytes_in_total Bytes received in sync messages.
+kalis_sync_knowggets_out_total Knowggets carried by outgoing sync messages.
+kalis_sync_knowggets_in_total Knowggets applied from accepted sync messages.
+kalis_sync_retransmits_total Sync data frames retransmitted after ack timeout.
+kalis_sync_duplicates_dropped_total Replayed sync frames dropped by dedup.
+kalis_sync_queue_dropped_total Outbound sync queue entries dropped.
+kalis_work_units_total Abstract work units, the paper's CPU proxy.
+kalis_state_peak_bytes Peak tracked state bytes, the paper's RAM proxy.
+kalis_supervisor_panics_total Module panics caught by the supervisor.
+kalis_supervisor_budget_overruns_total Module watchdog-budget overruns.
+kalis_supervisor_quarantines_total Quarantine transitions entered.
+kalis_supervisor_shed_skips_total Dispatches skipped by overload shedding.
+kalis_supervisor_shed_total Dispatches shed per module.
+kalis_journal_dropped_total Journal records overwritten by the bounded ring.
+kalis_journal_high_water Most journal records ever retained at once.
+kalis_journal_events Retained journal records by event type.
+kalis_trace_sampled_total Packets stamped with a sampled trace context.
+kalis_module_cpu_ns_total Measured per-module CPU self-time (sampled), ns.
+kalis_peers_expired_total Peers expired from the sync ledger after prolonged silence.
+kalis_ops_requests_total Requests served by the ops HTTP listener.
+kalis_diag_captures_total Diagnostics bundles captured by the flight recorder.
+kalis_hot_entity Space-saving estimate for the top-K hottest source entities.";
+
+/// Every [`HELP`] row as `(family, text)`.
+pub fn help_rows() -> impl Iterator<Item = (&'static str, &'static str)> {
+    HELP.lines().filter_map(|row| row.split_once(' '))
+}
+
+/// One-line docstring for a Prometheus family name, emitted as
+/// `# HELP`: its [`help_rows`] text, or, for anything unknown (ad-hoc
+/// bench or test series), a generic line so the exposition stays
+/// checker-clean.
 pub fn help_for(family: &str) -> &'static str {
-    match family {
-        "kalis_packets_ingested_total" => "Packets ingested by the node.",
-        "kalis_ticks_total" => "Periodic maintenance ticks executed.",
-        "kalis_pipeline_ingest_seconds" => "Whole-ingest pipeline latency.",
-        "kalis_dispatch_packet_seconds" => "Per-module packet dispatch latency.",
-        "kalis_dispatch_tick_seconds" => "Per-module tick dispatch latency.",
-        "kalis_kb_ops_total" => "Knowledge-base operations by kind.",
-        "kalis_kb_revision" => "Current knowledge-base revision.",
-        "kalis_kb_churn_total" => "Knowledge-base revision bumps.",
-        "kalis_modules_activated_total" => "Module activations.",
-        "kalis_modules_deactivated_total" => "Module deactivations.",
-        "kalis_modules_active" => "Currently active modules.",
-        "kalis_alerts_total" => "Alerts raised.",
-        "kalis_alerts_by_total" => "Alerts raised by kind and severity.",
-        "kalis_sync_sent_total" => "Collective-sync messages sealed for peers.",
-        "kalis_sync_accepted_total" => "Collective-sync messages accepted.",
-        "kalis_sync_rejected_total" => "Collective-sync messages rejected.",
-        "kalis_sync_bytes_out_total" => "Bytes sealed into outgoing sync messages.",
-        "kalis_sync_bytes_in_total" => "Bytes received in sync messages.",
-        "kalis_sync_knowggets_out_total" => "Knowggets carried by outgoing sync messages.",
-        "kalis_sync_knowggets_in_total" => "Knowggets applied from accepted sync messages.",
-        "kalis_sync_retransmits_total" => "Sync data frames retransmitted after ack timeout.",
-        "kalis_sync_duplicates_dropped_total" => "Replayed sync frames dropped by dedup.",
-        "kalis_sync_queue_dropped_total" => "Outbound sync queue entries dropped.",
-        "kalis_peers_healthy" => "Peers currently Healthy.",
-        "kalis_peers_suspect" => "Peers currently Suspect.",
-        "kalis_peers_dead" => "Peers currently Dead.",
-        "kalis_health_degraded" => "Whether the node is in degraded local-only mode (0/1).",
-        "kalis_work_units_total" => "Abstract work units, the paper's CPU proxy.",
-        "kalis_state_peak_bytes" => "Peak tracked state bytes, the paper's RAM proxy.",
-        "kalis_supervisor_panics_total" => "Module panics caught by the supervisor.",
-        "kalis_supervisor_budget_overruns_total" => "Module watchdog-budget overruns.",
-        "kalis_supervisor_quarantines_total" => "Quarantine transitions entered.",
-        "kalis_modules_quarantined" => "Modules currently quarantined.",
-        "kalis_supervisor_shed_skips_total" => "Dispatches skipped by overload shedding.",
-        "kalis_supervisor_shed_total" => "Dispatches shed per module.",
-        "kalis_pipeline_degraded" => "Whether the detection pipeline is degraded (0/1).",
-        "kalis_journal_dropped_total" => "Journal records overwritten by the bounded ring.",
-        "kalis_journal_high_water" => "Most journal records ever retained at once.",
-        "kalis_journal_events" => "Retained journal records by event type.",
-        "kalis_trace_sampled_total" => "Packets stamped with a sampled trace context.",
-        "kalis_trace_dropped_total" => "Trace events overwritten by the bounded buffer.",
-        "kalis_module_cpu_ns_total" => "Measured per-module CPU self-time (sampled), ns.",
-        "kalis_module_work_units" => "Cumulative dispatches executed per module.",
-        "kalis_module_occupancy" => "Per-detector tracked-state entries (per-entity maps).",
-        "kalis_module_evictions" => "Per-detector entries evicted to stay within the state budget.",
-        "kalis_module_state_budget" => "Per-detector configured per-entity state budget.",
-        "kalis_kb_entity_occupancy" => "Distinct entities holding per-entity knowggets.",
-        "kalis_kb_entity_evictions" => "Entities evicted under KB.PerEntityBudget.",
-        "kalis_peers_expired_total" => {
-            "Peers expired from the sync ledger after prolonged silence."
-        }
-        "kalis_slo_latency_p99_us" => "Estimated p99 whole-ingest latency, microseconds.",
-        "kalis_slo_latency_target_us" => "Configured p99 ingest-latency target, microseconds.",
-        "kalis_slo_burn_permille" => "SLO burn rate: p99 over target, permille.",
-        "kalis_slo_breached" => "Whether the ingest-latency SLO is breached (0/1).",
-        "kalis_ops_requests_total" => "Requests served by the ops HTTP listener.",
-        "kalis_hot_entity" => "Space-saving estimate for the top-K hottest source entities.",
-        _ => "Kalis telemetry series (see OBSERVABILITY_MAP.md).",
-    }
+    (help_rows().find(|(name, _)| *name == family)).map_or(
+        "Kalis telemetry series (see OBSERVABILITY_MAP.md).",
+        |(_, help)| help,
+    )
 }
 
 fn prom_labels(labels: &[(&str, &str)], extra: Option<(&str, String)>) -> String {

@@ -32,7 +32,7 @@ pub mod trace;
 
 pub use counter::{Counter, Gauge};
 pub use expocheck::check_exposition;
-pub use export::{help_for, prom_label_value};
+pub use export::{help_for, help_rows, prom_label_value};
 pub use histogram::{Bucket, Histogram, HistogramSnapshot, MAX_TRACKABLE};
 pub use journal::{
     Journal, JournalEvent, JournalField, JournalRecord, JournalSnapshot, DEFAULT_JOURNAL_CAPACITY,
@@ -103,14 +103,6 @@ pub mod names {
     /// Outbound sync queue entries dropped by the bounded-queue policy
     /// (counter).
     pub const SYNC_QUEUE_DROPPED: &str = "sync.queue_dropped";
-    /// Peers currently in the `Healthy` state (gauge).
-    pub const PEERS_HEALTHY: &str = "peers.healthy";
-    /// Peers currently in the `Suspect` state (gauge).
-    pub const PEERS_SUSPECT: &str = "peers.suspect";
-    /// Peers currently in the `Dead` state (gauge).
-    pub const PEERS_DEAD: &str = "peers.dead";
-    /// Whether the node is in degraded local-only mode (gauge, 0/1).
-    pub const DEGRADED_MODE: &str = "health.degraded";
     /// Abstract work units, the paper's CPU proxy (counter).
     pub const WORK_UNITS: &str = "work.units";
     /// Peak tracked state bytes, the paper's RAM proxy (gauge).
@@ -121,15 +113,10 @@ pub mod names {
     pub const BUDGET_OVERRUNS: &str = "supervisor.budget_overruns";
     /// Quarantine transitions entered by any module (counter).
     pub const MODULE_QUARANTINES: &str = "supervisor.quarantines";
-    /// Modules currently quarantined (gauge).
-    pub const MODULES_QUARANTINED: &str = "modules.quarantined";
     /// Dispatches skipped by overload shedding, total (counter).
     pub const SHED_SKIPS: &str = "supervisor.shed_skips";
     /// Per-module shed family (counter, labelled `[module=...]`).
     pub const SHED_BY_MODULE: &str = "supervisor.shed";
-    /// Whether the detection pipeline is degraded — shedding load or
-    /// running with quarantined modules (gauge, 0/1).
-    pub const PIPELINE_DEGRADED: &str = "pipeline.degraded";
     /// Journal records overwritten by the bounded ring (counter; the
     /// Prometheus family is `kalis_journal_dropped_total`).
     pub const JOURNAL_DROPPED: &str = "journal.dropped";
@@ -137,47 +124,13 @@ pub mod names {
     pub const JOURNAL_HIGH_WATER: &str = "journal.high_water";
     /// Packets stamped with a sampled trace context (counter).
     pub const TRACE_SAMPLED: &str = "trace.sampled";
-    /// Trace events overwritten by the bounded trace buffer (counter).
-    pub const TRACE_DROPPED: &str = "trace.dropped";
     /// Measured per-module CPU self-time family (counter, ns, labelled
     /// `[module=...]`; sampled 1-in-N by the dispatcher, so this is a
-    /// lower bound on true self-time — pair with `module.work_units`).
+    /// lower bound on true self-time).
     pub const MODULE_CPU_NS: &str = "module.cpu_ns";
-    /// Cumulative dispatches executed per module family (gauge,
-    /// labelled `[module=...]`; the work-unit share of each module).
-    pub const MODULE_WORK_UNITS: &str = "module.work_units";
-    /// Per-detector tracked-state occupancy family (gauge, labelled
-    /// `[module=...]`; entries currently held in per-entity maps).
-    pub const MODULE_OCCUPANCY: &str = "module.occupancy";
-    /// Per-detector bounded-state eviction family (gauge, labelled
-    /// `[module=...]`; cumulative entries evicted to stay within the
-    /// state budget — a gauge, not a counter, because a module reset
-    /// legitimately returns it to 0).
-    pub const MODULE_EVICTIONS: &str = "module.evictions";
-    /// Per-detector configured state budget family (gauge, labelled
-    /// `[module=...]`; 0 = the module keeps no budgeted structures).
-    pub const MODULE_STATE_BUDGET: &str = "module.state_budget";
-    /// Distinct entities currently holding per-entity knowggets in the
-    /// Knowledge Base (gauge, bounded by `KB.PerEntityBudget`).
-    pub const KB_ENTITY_OCCUPANCY: &str = "kb.entity_occupancy";
-    /// Entities evicted from the Knowledge Base to stay within
-    /// `KB.PerEntityBudget` (gauge; zeroed when the KB is rebuilt).
-    pub const KB_ENTITY_EVICTIONS: &str = "kb.entity_evictions";
     /// Peers expired out of the sync ledger after prolonged silence
     /// (counter).
     pub const PEERS_EXPIRED: &str = "peers.expired";
-    /// Estimated p99 whole-ingest latency in microseconds (gauge,
-    /// refreshed on tick by the ops profiler).
-    pub const SLO_LATENCY_P99_US: &str = "slo.latency_p99_us";
-    /// Configured p99 ingest-latency target in microseconds (gauge;
-    /// absent when no `Ops.LatencySloUs` knowgget is set).
-    pub const SLO_TARGET_US: &str = "slo.latency_target_us";
-    /// SLO burn rate: observed p99 over target, in permille (gauge;
-    /// 1000 = exactly at target, >1000 = burning).
-    pub const SLO_BURN_PERMILLE: &str = "slo.burn_permille";
-    /// Whether the p99 ingest-latency SLO is currently breached
-    /// (gauge, 0/1).
-    pub const SLO_BREACHED: &str = "slo.breached";
     /// Requests served by the ops HTTP listener family (counter,
     /// labelled `[endpoint=...]`).
     pub const OPS_REQUESTS: &str = "ops.requests";
@@ -187,9 +140,4 @@ pub mod names {
     pub const HOT_ENTITY: &str = "hot.entity";
     /// Diagnostics bundles captured by the flight recorder (counter).
     pub const DIAG_CAPTURES: &str = "diag.captures";
-    /// Frames currently retained in the flight-recorder ring (gauge).
-    pub const DIAG_RING_OCCUPANCY: &str = "diag.ring_occupancy";
-    /// Trigger bit of the most recent diagnostics capture (gauge;
-    /// 0 = never captured, otherwise `Trigger::bit()` of the latch).
-    pub const DIAG_LAST_TRIGGER: &str = "diag.last_trigger";
 }

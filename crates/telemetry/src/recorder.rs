@@ -191,10 +191,10 @@ pub struct DiagStats {
 }
 
 /// Instrument families measured in the wall-clock domain — real CPU
-/// self-time, latency estimates, scrape-driven request counts. They
+/// self-time and scrape-driven request counts. They
 /// cannot replay byte-identically under the virtual clock, so frames
 /// skip them; their journal events still reach the bundle tail.
-const WALL_DOMAIN: [&str; 3] = ["module.cpu_ns", "slo.", "ops.requests"];
+const WALL_DOMAIN: [&str; 2] = ["module.cpu_ns", "ops.requests"];
 
 /// Whether `name` belongs in a frame (i.e. is virtual-clock-domain).
 fn replayable(name: &str) -> bool {
@@ -1021,7 +1021,6 @@ mod tests {
         let tele = telemetry_with_activity(4, 1);
         tele.counter("module.cpu_ns[module=ScanModule]").add(12_345);
         tele.counter("ops.requests[endpoint=metrics]").add(3);
-        tele.gauge(crate::names::SLO_LATENCY_P99_US).set(777);
         let mut rec = FlightRecorder::new(4, 1, TRIGGER_MASK_ALL);
         rec.sample(10, &tele);
         let bundle = capture_once(&mut rec, &tele, 20);
@@ -1037,9 +1036,9 @@ mod tests {
             .collect();
         assert!(all_names.contains(&crate::names::PACKETS_INGESTED));
         assert!(
-            all_names.iter().all(|n| !n.starts_with("module.cpu_ns")
-                && !n.starts_with("slo.")
-                && !n.starts_with("ops.requests")),
+            all_names
+                .iter()
+                .all(|n| !n.starts_with("module.cpu_ns") && !n.starts_with("ops.requests")),
             "wall-domain instruments leaked into frames: {all_names:?}"
         );
     }

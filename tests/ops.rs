@@ -152,10 +152,7 @@ fn live_node_serves_all_endpoints_and_exposition_is_strict_clean() {
     );
     for family in [
         "kalis_module_cpu_ns_total",
-        "kalis_module_occupancy",
-        "kalis_module_work_units",
         "kalis_hot_entity",
-        "kalis_slo_latency_target_us",
         "kalis_ops_requests_total",
         "kalis_packets_ingested_total",
     ] {

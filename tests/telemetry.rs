@@ -3,12 +3,14 @@
 //! resource accounting and alert stream, and that the exporters carry
 //! the same snapshot.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use kalis_bench::scenarios::{Scenario, ScenarioKind};
+use kalis_core::config::Config;
 use kalis_core::{Kalis, KalisId};
 use kalis_packets::{CapturedPacket, Medium, Timestamp};
-use kalis_telemetry::{names, JournalEvent, Telemetry, TelemetrySnapshot};
+use kalis_telemetry::{help_rows, names, JournalEvent, Telemetry, TelemetrySnapshot};
 
 fn run_scenario(kind: ScenarioKind) -> (Kalis, usize) {
     let scenario = Scenario::build(kind, 42, 8);
@@ -244,4 +246,132 @@ fn ingest_sample_does_not_phase_lock_with_the_tick() {
         (sampled / 16..=sampled / 4).contains(&tick_bearing),
         "{tick_bearing} of {sampled} sampled packets bore a tick"
     );
+}
+
+/// The gauge families a node registers, labels stripped.
+fn gauge_families(node: &Kalis) -> BTreeSet<String> {
+    (node.telemetry().snapshot().gauges.keys())
+        .map(|name| name.split('[').next().unwrap_or(name).to_owned())
+        .collect()
+}
+
+/// A node keeps a gauge only for a fact no other owner holds: each
+/// level it could copy — module occupancy, quarantines, peer health,
+/// SLO posture, the diag ring — is read from its owner instead.
+#[test]
+fn a_node_registers_only_the_gauges_no_owner_holds() {
+    let only = [
+        names::JOURNAL_HIGH_WATER,
+        names::KB_REVISION,
+        names::MODULES_ACTIVE,
+        names::PEAK_STATE_BYTES,
+    ];
+    let default = Kalis::builder(KalisId::new("K1"))
+        .with_default_modules()
+        .build();
+    let monitored = Kalis::builder(KalisId::new("K1"))
+        .with_default_modules()
+        .with_config(knowggets("Ops.LatencySloUs = 250000"))
+        .build();
+    for (mut node, which) in [(default, "default"), (monitored, "monitored")] {
+        node.tick(Timestamp::from_secs(1));
+        assert_eq!(
+            gauge_families(&node),
+            BTreeSet::from(only.map(String::from)),
+            "{which}"
+        );
+    }
+}
+
+fn knowggets(text: &str) -> Config {
+    format!("knowggets = {{ {text} }}")
+        .parse()
+        .expect("config parses")
+}
+
+/// The Prometheus families OBSERVABILITY_MAP.md's metric tables name,
+/// with `kalis_x_{a,b}` spelled out as `kalis_x_a` and `kalis_x_b`.
+fn mapped_families() -> BTreeSet<String> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../OBSERVABILITY_MAP.md");
+    let map = std::fs::read_to_string(path).expect("OBSERVABILITY_MAP.md");
+    let tables = map
+        .split("## Metric families")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("a metric families section");
+    let mut families = BTreeSet::new();
+    for row in tables.lines().filter(|line| line.starts_with('|')) {
+        let Some(column) = row.split('|').nth(2) else {
+            continue;
+        };
+        for name in column.split('`').filter(|s| s.starts_with("kalis_")) {
+            match name.split_once('{') {
+                Some((head, rest)) => {
+                    let (alternatives, tail) = rest.split_once('}').expect("closed brace");
+                    for alternative in alternatives.split(',') {
+                        families.insert(format!("{head}{alternative}{tail}"));
+                    }
+                }
+                None => {
+                    families.insert(name.to_owned());
+                }
+            }
+        }
+    }
+    families
+}
+
+/// The metric catalogue and the code cannot drift apart: a pair with
+/// the ops surface and full tracing, run through the seed-42 wormhole
+/// until it has alerted and synced, exports only families that have a
+/// HELP row of their own and a row in OBSERVABILITY_MAP.md, and every
+/// HELP row names a family it exports — but the hot-entity block, which
+/// the ops listener appends to the registry's exposition.
+#[test]
+fn the_metric_catalogue_matches_what_a_node_exports() {
+    let scenario = Scenario::build(ScenarioKind::Wormhole, 42, 8);
+    let config = knowggets("Ops.LatencySloUs = 250000, Trace.SampleRate = 1");
+    let mut nodes = ["K1", "K2"].map(|id| {
+        Kalis::builder(KalisId::new(id))
+            .with_default_modules()
+            .with_config(config.clone())
+            .build()
+    });
+    kalis_bench::runner::run_nodes(
+        &mut nodes,
+        &scenario.vantages(),
+        &mut kalis_bench::runner::Link::default(),
+    );
+    let mut exported = BTreeSet::new();
+    for node in &nodes {
+        let snapshot = node.telemetry().snapshot();
+        assert!(snapshot.counter(names::ALERTS) > 0, "{} alerted", node.id());
+        assert!(
+            snapshot.counter(names::SYNC_ACCEPTED) > 0,
+            "{} synced",
+            node.id()
+        );
+        let text = snapshot.to_prometheus();
+        exported.extend(
+            (text.lines())
+                .filter_map(|line| line.strip_prefix("# TYPE "))
+                .filter_map(|line| line.split(' ').next())
+                .map(str::to_owned),
+        );
+    }
+    let helped: BTreeSet<&str> = help_rows().map(|(family, _)| family).collect();
+    let mapped = mapped_families();
+    for family in &exported {
+        assert!(helped.contains(family.as_str()), "{family} has no HELP row");
+        assert!(
+            mapped.contains(family),
+            "{family} is not in OBSERVABILITY_MAP.md"
+        );
+    }
+    for family in helped.iter().filter(|f| **f != "kalis_hot_entity") {
+        assert!(
+            exported.contains(*family),
+            "HELP row {family} names no exported family"
+        );
+    }
 }
