@@ -1228,6 +1228,25 @@ impl<'a> Abba<'a> {
             .unwrap_or(0.0)
     }
 
+    /// What this measurement can resolve: as many ABBA iterations of
+    /// `off` against itself, a leg with no cost to find, read the same
+    /// way. Noise alone takes the cleanest of those to this overhead, in
+    /// magnitude; a floor inside ± it is noise.
+    fn resolution(&self) -> f64 {
+        let mut null = Abba {
+            captures: self.captures,
+            off: self.off.clone(),
+            on: self.off.clone(),
+            off_pps: 0.0,
+            on_pps: 0.0,
+            overheads: Vec::new(),
+        };
+        for _ in 0..self.overheads.len().max(1) {
+            null.iterate();
+        }
+        null.floor().abs()
+    }
+
     /// The median iteration's overhead.
     fn median(&self) -> f64 {
         let mut sorted = self.overheads.clone();
@@ -1249,6 +1268,9 @@ pub struct TracingOverheadResult {
     pub full_pps: f64,
     /// Overhead of the cleanest ABBA iteration, percent.
     pub floor_overhead_pct: f64,
+    /// The off-vs-off leg's floor, in magnitude, percent: a floor
+    /// inside ± it is noise.
+    pub resolution_pct: f64,
 }
 
 impl TracingOverheadResult {
@@ -1274,6 +1296,7 @@ pub fn run_tracing_overhead(seed: u64, symptoms: u32, repeats: u32) -> TracingOv
         off_pps: abba.off_pps,
         full_pps: abba.on_pps,
         floor_overhead_pct: abba.floor(),
+        resolution_pct: abba.resolution(),
     }
 }
 
@@ -1300,6 +1323,9 @@ pub struct OpsOverheadResult {
     pub on_pps: f64,
     /// Overhead of the cleanest ABBA iteration, percent.
     pub floor_overhead_pct: f64,
+    /// The off-vs-off leg's floor, in magnitude, percent: a floor
+    /// inside ± it is noise.
+    pub resolution_pct: f64,
     /// `/metrics` scrapes served when timing scrape cost.
     pub scrapes: u64,
     /// Mean wall-clock time to serve one `/metrics` scrape, in
@@ -1352,6 +1378,7 @@ pub fn run_ops_overhead(seed: u64, symptoms: u32, repeats: u32) -> OpsOverheadRe
         off_pps: abba.off_pps,
         on_pps: abba.on_pps,
         floor_overhead_pct: abba.floor(),
+        resolution_pct: abba.resolution(),
         scrapes,
         scrape_ms: if scrapes > 0 {
             scrape_secs / scrapes as f64 * 1000.0
@@ -1390,6 +1417,9 @@ pub struct DiagOverheadResult {
     /// gate reads (the recorder measured 14–57% here before the
     /// merge-walk sampler).
     pub floor_overhead_pct: f64,
+    /// The off-vs-off leg's floor, in magnitude, percent: a floor
+    /// inside ± it is noise, whichever side of the gate it falls.
+    pub resolution_pct: f64,
     /// Captures latched by the chaos run (both runs agree when
     /// [`Self::deterministic`] holds).
     pub captures: u64,
@@ -1471,6 +1501,7 @@ pub fn run_diag_overhead(seed: u64, symptoms: u32, repeats: u32) -> DiagOverhead
         on_pps: abba.on_pps,
         median_overhead_pct: abba.median(),
         floor_overhead_pct: abba.floor(),
+        resolution_pct: abba.resolution(),
         captures: first.0,
         bundles: first.2.len(),
         bundle_bytes: first.2.iter().map(|(_, body)| body.len()).sum(),

@@ -214,11 +214,13 @@ pub fn render_tracing_overhead(result: &TracingOverheadResult) -> String {
         "tracing overhead ({} packets, ABBA on-CPU):\n\
          \x20 sampling off  : {:>12.0} pps (best of N)\n\
          \x20 sampling 100% : {:>12.0} pps (best of N)\n\
-         \x20 overhead      : {:>11.2}% (cleanest iteration)\n",
+         \x20 overhead      : {:>11.2}% (cleanest iteration)\n\
+         \x20 resolution    : {:>11.2}% (off vs off: a floor inside ± it is noise)\n",
         result.packets,
         result.off_pps,
         result.full_pps,
         result.overhead_pct(),
+        result.resolution_pct,
     )
 }
 
@@ -229,11 +231,13 @@ pub fn render_ops_overhead(result: &OpsOverheadResult) -> String {
          \x20 ops off       : {:>12.0} pps (best of N)\n\
          \x20 ops on        : {:>12.0} pps (best of N)\n\
          \x20 overhead      : {:>11.2}% (cleanest iteration)\n\
+         \x20 resolution    : {:>11.2}% (off vs off: a floor inside ± it is noise)\n\
          \x20 /metrics cost : {:>11.2}ms per scrape ({} timed)\n",
         result.packets,
         result.off_pps,
         result.on_pps,
         result.overhead_pct(),
+        result.resolution_pct,
         result.scrape_ms,
         result.scrapes,
     )
@@ -246,6 +250,7 @@ pub fn render_diag_overhead(result: &DiagOverheadResult) -> String {
          \x20 recorder off  : {:>12.0} pps (best of N)\n\
          \x20 recorder on   : {:>12.0} pps (best of N)\n\
          \x20 overhead      : {:>11.2}% (cleanest iteration, gated)\n\
+         \x20 resolution    : {:>11.2}% (off vs off: a floor inside ± it is noise)\n\
          \x20 median        : {:>11.2}% (across iterations)\n\
          chaos-leg captures: {} ({} bundles retained, {} bytes, last trigger {})\n\
          bundles valid: {}  double-run byte-identical: {}\n",
@@ -253,6 +258,7 @@ pub fn render_diag_overhead(result: &DiagOverheadResult) -> String {
         result.off_pps,
         result.on_pps,
         result.overhead_pct(),
+        result.resolution_pct,
         result.median_overhead_pct,
         result.captures,
         result.bundles,
@@ -264,12 +270,15 @@ pub fn render_diag_overhead(result: &DiagOverheadResult) -> String {
 }
 
 /// Build the machine-readable flight-recorder report (`BENCH_8.json`):
-/// the off/on throughput comparison plus the chaos leg's capture count
-/// and the determinism verdict on its `kalis.diag.v1` bundles.
+/// the off/on throughput comparison with the off-vs-off resolution it is
+/// read against, plus the chaos leg's capture count and the determinism
+/// verdict on its `kalis.diag.v1` bundles.
 pub fn diag_json(result: &DiagOverheadResult) -> String {
     format!(
         "{{\n  \"packets\": {},\n  \"off_pps\": {:.2},\n  \"on_pps\": {:.2},\n  \
-         \"overhead_pct\": {:.4},\n  \"median_overhead_pct\": {:.4},\n  \
+         \"overhead_pct\": {:.4},\n  \"resolution_pct\": {:.4},\n  \
+         \"resolution_note\": \"an overhead_pct within ±resolution_pct is noise\",\n  \
+         \"median_overhead_pct\": {:.4},\n  \
          \"captures\": {},\n  \"bundles\": {},\n  \
          \"bundle_bytes\": {},\n  \"last_trigger\": {},\n  \
          \"bundles_valid\": {},\n  \"deterministic\": {}\n}}\n",
@@ -277,6 +286,7 @@ pub fn diag_json(result: &DiagOverheadResult) -> String {
         result.off_pps,
         result.on_pps,
         result.overhead_pct(),
+        result.resolution_pct,
         result.median_overhead_pct,
         result.captures,
         result.bundles,
@@ -399,11 +409,12 @@ pub fn bench_json(
     match tracing {
         Some(t) => out.push_str(&format!(
             "{{\"packets\": {}, \"off_pps\": {:.2}, \"full_pps\": {:.2}, \
-             \"overhead_pct\": {:.4}}}",
+             \"overhead_pct\": {:.4}, \"resolution_pct\": {:.4}}}",
             t.packets,
             t.off_pps,
             t.full_pps,
             t.overhead_pct(),
+            t.resolution_pct,
         )),
         None => out.push_str("null"),
     }
@@ -411,11 +422,13 @@ pub fn bench_json(
     match ops {
         Some(o) => out.push_str(&format!(
             "{{\"packets\": {}, \"off_pps\": {:.2}, \"on_pps\": {:.2}, \
-             \"overhead_pct\": {:.4}, \"scrape_ms\": {:.3}, \"scrapes\": {}}}",
+             \"overhead_pct\": {:.4}, \"resolution_pct\": {:.4}, \
+             \"scrape_ms\": {:.3}, \"scrapes\": {}}}",
             o.packets,
             o.off_pps,
             o.on_pps,
             o.overhead_pct(),
+            o.resolution_pct,
             o.scrape_ms,
             o.scrapes,
         )),

@@ -8,6 +8,10 @@
 //! forwarding*, (near-)total dropping is a *blackhole* — "some techniques
 //! could be generalized to detect attacks with similar symptoms but
 //! different severity" (paper §IV-B4).
+//!
+//! Both read CTP frames only. The deadline clock advances on those and on
+//! ticks: a verdict that falls due between two CTP frames is raised at
+//! the next CTP frame or tick, whichever comes first.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -18,7 +22,9 @@ use kalis_packets::{CapturedPacket, Entity, ShortAddr, Timestamp};
 use crate::alert::{Alert, AttackKind};
 use crate::bounded::{budget_params, DEFAULT_ENTITY_BUDGET, MIN_ENTITY_BUDGET};
 use crate::knowledge::KnowValue;
-use crate::modules::{KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType};
+use crate::modules::{
+    FrameClass, KnowggetContract, Module, ModuleCtx, ModuleDescriptor, ParamSpec, ValueType,
+};
 use crate::sensing::labels as sense;
 use crate::taxonomy::Feature;
 
@@ -44,6 +50,12 @@ struct Pending {
 enum Outcome {
     Forwarded,
     Dropped,
+}
+
+/// Whether `packet` carries a CTP frame: what the watchdogs read, and all
+/// that advances their deadline clock between ticks.
+fn is_ctp(packet: &CapturedPacket) -> bool {
+    packet.decoded().is_some_and(|pkt| pkt.ctp().is_some())
 }
 
 /// The shared watchdog state machine.
@@ -254,10 +266,9 @@ impl Default for SelectiveForwardingModule {
 
 impl Module for SelectiveForwardingModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        // Reads every frame, not CTP alone: `on_packet` expires and
-        // evaluates on each, so the deadline clock runs on every medium.
         ModuleDescriptor::detection("SelectiveForwardingModule", AttackKind::SelectiveForwarding)
             .needs(&[Feature::MultiHop])
+            .reads(FrameClass::CTP)
             .heavy()
     }
 
@@ -268,6 +279,9 @@ impl Module for SelectiveForwardingModule {
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
+        if !is_ctp(packet) {
+            return;
+        }
         self.watchdog.on_packet(ctx, packet);
         self.watchdog.expire(packet.timestamp);
         self.evaluate(ctx, packet.timestamp);
@@ -363,10 +377,9 @@ impl Default for BlackholeModule {
 
 impl Module for BlackholeModule {
     fn descriptor(&self) -> ModuleDescriptor {
-        // Reads every frame, not CTP alone: `on_packet` expires and
-        // evaluates on each, so the deadline clock runs on every medium.
         ModuleDescriptor::detection("BlackholeModule", AttackKind::Blackhole)
             .needs(&[Feature::MultiHop])
+            .reads(FrameClass::CTP)
             .heavy()
     }
 
@@ -379,6 +392,9 @@ impl Module for BlackholeModule {
     }
 
     fn on_packet(&mut self, ctx: &mut ModuleCtx<'_>, packet: &CapturedPacket) {
+        if !is_ctp(packet) {
+            return;
+        }
         self.watchdog.on_packet(ctx, packet);
         let moved = self.watchdog.expire(packet.timestamp);
         self.evaluate(ctx, packet.timestamp, moved);

@@ -13,7 +13,7 @@ use crate::bounded::BoundedMap;
 use crate::id::KalisId;
 
 use super::key::{split, KeyBuf};
-use super::subscription::{SlotSet, Subscriptions};
+use super::subscription::{SlotSet, Subscriptions, Watch};
 use super::{KnowKey, KnowValue, Knowgget, KnowggetOrigin};
 
 /// Default cap on distinct entities holding per-entity knowggets. An
@@ -335,6 +335,24 @@ impl KnowledgeBase {
         (self.subscriber.as_ref())
             .and_then(|subscriber| subscriber.table.last_changed(label))
             .unwrap_or(self.revision)
+    }
+
+    /// [`KnowledgeBase::last_changed`] through `watch`, which resolves
+    /// `label` against the subscribed table the first time and whenever
+    /// the table is compiled again: every other call reads the stamp by
+    /// index, building no key and looking up no label. How a module that
+    /// keeps asserting a value tells whether anyone else — an operator, a
+    /// config, a peer, an entity purge — changed the label since its own
+    /// last write.
+    pub fn changed_at(&self, label: &str, watch: &mut Watch) -> u64 {
+        let Some(subscriber) = &self.subscriber else {
+            return self.revision;
+        };
+        let table = &subscriber.table;
+        if !table.resolves(*watch) {
+            *watch = table.resolve(label);
+        }
+        table.stamped(*watch).unwrap_or(self.revision)
     }
 
     /// Write `value` under `creator$label[@entity]` (`creator` `None`: the

@@ -14,7 +14,7 @@ pub use base::{ChangeEvent, KnowledgeBase, DEFAULT_KB_ENTITY_BUDGET};
 pub use collective::{SecureChannel, SyncMessage, XorChannel, MAX_SYNC_KNOWGGETS};
 pub use key::{KnowKey, ParseKeyError};
 pub use peers::{PeerBeacon, PeerRegistry, DEFAULT_PEER_TTL};
-pub use subscription::{SlotSet, Subscriptions};
+pub use subscription::{SlotSet, Subscriptions, Watch};
 pub(crate) use sync::capped_doubling;
 pub use sync::{
     CollectiveSync, PeerHealth, Receipt, ReceiptKind, SyncConfig, SyncEvent, SyncTransmit,

@@ -3,10 +3,12 @@
 //! might require activating or deactivating specific modules"): the
 //! labels whose changes can move a module's activation, and the manager
 //! slots each one concerns — and the labels its modules correlate across
-//! creators on every tick, which are *watched*: the table remembers when
-//! each last changed, so such a module can tell without reading them.
+//! creators on every tick or keep asserting on every packet, which are
+//! *watched*: the table remembers when each last changed, so such a
+//! module can tell without reading them.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A set of Module Manager slot numbers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -67,32 +69,56 @@ impl SlotSet {
 /// changes. Compiled by
 /// [`ModuleManager::subscriptions`](crate::modules::ModuleManager::subscriptions)
 /// from the activation inputs its modules' descriptors declare.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Subscriptions {
+    /// Which compilation this is: a [`Watch`] resolved against another
+    /// table does not resolve here (0: never handed out).
+    id: u64,
     slots: usize,
     exact: BTreeMap<String, Exact>,
     /// Slots that declared no activation input: subscribed to everything.
     wildcard: SlotSet,
+    /// Per watched label, the Knowledge Base revision of the latest
+    /// change to any knowgget so labelled (0: none yet).
+    stamps: Vec<u64>,
 }
 
 /// What the table holds for one exact label.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Exact {
     /// The slots re-evaluated when the label changes; none, for a label
     /// that is only watched.
     slots: SlotSet,
-    /// Watched: the Knowledge Base revision of the latest change to any
-    /// knowgget so labelled (0: none yet). `None`: not watched.
-    changed_at: Option<u64>,
+    /// Watched: where in `stamps` its change stamp is. `None`: not
+    /// watched.
+    stamp: Option<u32>,
 }
+
+/// A label resolved once against one subscription table, so reading its
+/// change stamp ([`KnowledgeBase::changed_at`]) costs an index instead
+/// of a label lookup. The default resolves against no table.
+///
+/// [`KnowledgeBase::changed_at`]: super::KnowledgeBase::changed_at
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Watch {
+    /// The [`Subscriptions::id`] resolved against.
+    table: u64,
+    /// The label's place in the table's stamps; `None`: not watched.
+    stamp: Option<u32>,
+}
+
+/// The next [`Subscriptions::id`].
+static NEXT_TABLE: AtomicU64 = AtomicU64::new(1);
 
 impl Subscriptions {
     /// An empty table over a manager of `slots` slots.
     pub fn new(slots: usize) -> Self {
         Subscriptions {
+            id: NEXT_TABLE.fetch_add(1, Ordering::Relaxed),
             slots,
             exact: BTreeMap::new(),
             wildcard: SlotSet::with_slots(slots),
+            stamps: Vec::new(),
         }
     }
 
@@ -110,7 +136,7 @@ impl Subscriptions {
         let slots = self.slots;
         self.exact.entry(label.to_owned()).or_insert_with(|| Exact {
             slots: SlotSet::with_slots(slots),
-            changed_at: None,
+            stamp: None,
         })
     }
 
@@ -122,20 +148,47 @@ impl Subscriptions {
     /// Remember when `label` last changed
     /// ([`Subscriptions::last_changed`]).
     pub fn watch(&mut self, label: &str) {
-        self.exact_entry(label).changed_at.get_or_insert(0);
+        let next = self.stamps.len() as u32;
+        let stamp = &mut self.exact_entry(label).stamp;
+        if stamp.is_some() {
+            return;
+        }
+        *stamp = Some(next);
+        self.stamps.push(0);
     }
 
     /// The watched labels, in label order.
     pub fn watched(&self) -> impl Iterator<Item = &str> + '_ {
         (self.exact.iter())
-            .filter(|(_, held)| held.changed_at.is_some())
+            .filter(|(_, held)| held.stamp.is_some())
             .map(|(label, _)| label.as_str())
     }
 
     /// The revision [`Subscriptions::collect`] last heard `label` change
     /// at; `None` for a label that is not watched.
     pub fn last_changed(&self, label: &str) -> Option<u64> {
-        self.exact.get(label)?.changed_at
+        self.stamped(self.resolve(label))
+    }
+
+    /// `label` resolved against this table, watched or not.
+    pub fn resolve(&self, label: &str) -> Watch {
+        Watch {
+            table: self.id,
+            stamp: self.exact.get(label).and_then(|held| held.stamp),
+        }
+    }
+
+    /// Whether `watch` was resolved against this table.
+    pub fn resolves(&self, watch: Watch) -> bool {
+        watch.table == self.id
+    }
+
+    /// [`Subscriptions::last_changed`] of the label `watch` resolved
+    /// here: no label lookup. `None` for a label that is not watched, or
+    /// resolved against another table.
+    pub fn stamped(&self, watch: Watch) -> Option<u64> {
+        let at = watch.stamp.filter(|_| self.resolves(watch))?;
+        self.stamps.get(at as usize).copied()
     }
 
     /// A knowgget labelled `label` changed, at `revision`: add to
@@ -145,8 +198,8 @@ impl Subscriptions {
         pending.union_with(&self.wildcard);
         if let Some(held) = self.exact.get_mut(label) {
             pending.union_with(&held.slots);
-            if let Some(changed_at) = &mut held.changed_at {
-                *changed_at = revision;
+            if let Some(at) = held.stamp {
+                self.stamps[at as usize] = revision;
             }
         }
     }
@@ -244,5 +297,30 @@ mod tests {
         assert_eq!(table.last_changed("Multihop"), Some(9));
         // Watching adds no edge: the activation table reads as before.
         assert_eq!(table.edges(), [(Some("Multihop"), vec![0])]);
+    }
+
+    #[test]
+    fn a_resolved_watch_reads_its_own_tables_stamp_only() {
+        let compile = || {
+            let mut table = Subscriptions::new(1);
+            table.watch("MediumSeen.wifi");
+            table.watch("Multihop");
+            table
+        };
+        let mut table = compile();
+        let wifi = table.resolve("MediumSeen.wifi");
+        let unwatched = table.resolve("MonitoredNodes");
+        assert_eq!(table.stamped(wifi), Some(0));
+        assert_eq!(table.stamped(unwatched), None);
+        let mut pending = SlotSet::with_slots(1);
+        table.collect("Multihop", 4, &mut pending);
+        table.collect("MediumSeen.wifi", 5, &mut pending);
+        assert_eq!(table.stamped(wifi), Some(5));
+        assert_eq!(table.stamped(table.resolve("Multihop")), Some(4));
+        // A table compiled again, even alike, resolves afresh.
+        let again = compile();
+        assert!(table.resolves(wifi) && !again.resolves(wifi));
+        assert_eq!(again.stamped(wifi), None);
+        assert!(!table.resolves(Watch::default()));
     }
 }

@@ -233,11 +233,12 @@ struct PeerLink {
 }
 
 impl PeerLink {
-    fn new(now: Timestamp) -> Self {
+    /// A link whose frames count up from `first_seq`.
+    fn new(now: Timestamp, first_seq: u64) -> Self {
         PeerLink {
             health: PeerHealth::Healthy,
             last_heard: now,
-            next_seq: 0,
+            next_seq: first_seq,
             pending: VecDeque::new(),
             rx_floor: 0,
             rx_seen: BTreeSet::new(),
@@ -255,8 +256,18 @@ pub struct CollectiveSync {
     channel: Box<dyn SecureChannel>,
     config: SyncConfig,
     links: BTreeMap<KalisId, PeerLink>,
+    /// Where a link created from now on starts numbering its frames:
+    /// past every seq an expired link used. A peer may still hold its
+    /// receive window for this node's old link, and would drop a
+    /// recreated link's frames, its full re-sync first, as replays if
+    /// they counted from 0 again.
+    next_link_seq: u64,
     events: Vec<SyncEvent>,
     degraded: bool,
+    /// Every peer was Dead when last there were any: no peer has been
+    /// heard since. Outlives the links, so that expiring the last Dead
+    /// peer does not end degraded mode while the node is still cut off.
+    cut_off: bool,
     backlog_overflowed: bool,
     last_beacon: Option<Timestamp>,
 }
@@ -280,8 +291,10 @@ impl CollectiveSync {
             channel,
             config,
             links: BTreeMap::new(),
+            next_link_seq: 0,
             events: Vec::new(),
             degraded: false,
+            cut_off: false,
             backlog_overflowed: false,
             last_beacon: None,
         }
@@ -598,7 +611,8 @@ impl CollectiveSync {
             }
             false
         } else {
-            self.links.insert(peer.clone(), PeerLink::new(now));
+            let link = PeerLink::new(now, self.next_link_seq);
+            self.links.insert(peer.clone(), link);
             self.events
                 .push(SyncEvent::PeerDiscovered { peer: peer.clone() });
             true
@@ -670,7 +684,9 @@ impl CollectiveSync {
             .map(|(p, _)| p.clone())
             .collect();
         for peer in expired {
-            self.links.remove(&peer);
+            if let Some(link) = self.links.remove(&peer) {
+                self.next_link_seq = self.next_link_seq.max(link.next_seq);
+            }
             self.events.push(SyncEvent::PeerExpired { peer });
         }
     }
@@ -692,15 +708,19 @@ impl CollectiveSync {
     }
 
     fn update_degraded(&mut self, _now: Timestamp) {
-        let all_dead =
-            !self.links.is_empty() && self.links.values().all(|l| l.health == PeerHealth::Dead);
-        let should = all_dead || self.backlog_overflowed;
+        // An empty ledger keeps the last verdict: a node whose last Dead
+        // peer expired has heard nobody since, and one that never had a
+        // peer was never cut off.
+        if !self.links.is_empty() {
+            self.cut_off = self.links.values().all(|l| l.health == PeerHealth::Dead);
+        }
+        let should = self.cut_off || self.backlog_overflowed;
         if should == self.degraded {
             return;
         }
         self.degraded = should;
         if should {
-            let reason = if all_dead {
+            let reason = if self.cut_off {
                 "all peers dead".to_owned()
             } else {
                 "sync backlog overflow".to_owned()
@@ -803,6 +823,42 @@ mod tests {
     }
 
     #[test]
+    fn a_recreated_links_resync_gets_past_the_peers_dedup() {
+        let (mut a, mut b) = (engine("K1"), engine("K2"));
+        let (k1, k2) = (KalisId::new("K1"), KalisId::new("K2"));
+        // Three frames K2 takes and acks: its window for K1 stands at 3.
+        a.observe_peer(&k2, secs(1));
+        a.take_resync_peers();
+        for label in ["A", "B", "C"] {
+            a.enqueue_to(&k2, vec![kg(label, "K1")], secs(1));
+        }
+        for frame in a.poll(secs(1)) {
+            let receipt = b.receive(&frame.bytes, secs(1)).unwrap();
+            assert!(matches!(receipt.kind, ReceiptKind::Fresh(_)));
+            a.receive(&receipt.reply.unwrap(), secs(1)).unwrap();
+        }
+        // K1 hears nothing for 4× the TTL and forgets K2; K2, which
+        // never polls, keeps its window for K1.
+        a.poll(secs(70));
+        a.poll(secs(125));
+        assert_eq!(a.peer_health(&k2), None);
+        assert!(b.peer_health(&k1).is_some());
+        // K2 is heard again: the recreated link owes it a full re-sync,
+        // and K2 takes that as fresh knowledge, not as a replay.
+        assert!(a.observe_peer(&k2, secs(130)));
+        assert_eq!(a.take_resync_peers(), vec![k2.clone()]);
+        a.enqueue_to(&k2, vec![kg("Snapshot", "K1")], secs(130));
+        let frames = a.poll(secs(130));
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].seq, 3, "numbering goes on past the old link");
+        let receipt = b.receive(&frames[0].bytes, secs(130)).unwrap();
+        let ReceiptKind::Fresh(message) = receipt.kind else {
+            panic!("re-sync dropped as {:?}", receipt.kind);
+        };
+        assert_eq!(message.knowggets[0].label, "Snapshot");
+    }
+
+    #[test]
     fn duplicates_are_dropped_and_reacked() {
         let mut a = engine("K1");
         let mut b = engine("K2");
@@ -876,6 +932,34 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    #[test]
+    fn a_node_stays_degraded_after_its_last_dead_peer_expires() {
+        let mut a = engine("K1");
+        let k2 = KalisId::new("K2");
+        a.observe_peer(&k2, secs(1));
+        a.poll(secs(70));
+        assert!(a.degraded());
+        a.drain_events();
+        // Forgotten past 4× the TTL: the ledger is empty, and still no
+        // peer has been heard.
+        a.poll(secs(125));
+        assert_eq!(a.peer_health(&k2), None);
+        assert!(a.degraded(), "cut off until a peer is heard again");
+        let events = a.drain_events();
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, SyncEvent::DegradedExited { .. })));
+        // Heard again: rediscovered, and degraded mode ends.
+        a.observe_peer(&k2, secs(130));
+        assert!(!a.degraded());
+        assert!(a
+            .drain_events()
+            .iter()
+            .any(|e| matches!(e, SyncEvent::DegradedExited { healthy: 1 })));
+        // A node that never had a peer was never cut off.
+        assert!(!engine("K3").degraded());
     }
 
     #[test]

@@ -332,21 +332,26 @@ impl ModuleManager {
     /// [`Module::required`] reads. A slot that declares none (an
     /// embedder's module with the default descriptor) subscribes to every
     /// change. And for every slot, the exact labels its contract reads
-    /// collectively, which the Knowledge Base then watches
-    /// ([`KnowledgeBase::last_changed`]). Compile it again after
-    /// [`ModuleManager::add`].
+    /// collectively and those its descriptor
+    /// [`asserts`](super::ModuleDescriptor::asserts), which the Knowledge
+    /// Base then watches ([`KnowledgeBase::last_changed`]). Compile it
+    /// again after [`ModuleManager::add`].
     pub fn subscriptions(&self) -> Subscriptions {
         let mut table = Subscriptions::new(self.slots.len());
         for (index, slot) in self.slots.iter().enumerate() {
             let contract = slot.module.contract();
-            // What any loaded module correlates across creators is
-            // watched, whether or not knowledge switches the module.
+            // What any loaded module correlates across creators, or keeps
+            // asserting, is watched, whether or not knowledge switches
+            // the module.
             for read in contract.reads.iter().filter(|read| read.collective) {
                 if let super::KeyPattern::Exact(label) = &read.pattern {
                     table.watch(label);
                 }
             }
             let descriptor = &slot.descriptor;
+            for label in descriptor.asserts {
+                table.watch(label);
+            }
             let switched =
                 self.adaptive && !slot.pinned && descriptor.kind == ModuleKind::Detection;
             if !switched {

@@ -64,6 +64,11 @@ pub struct ModuleDescriptor {
     /// The frame classes the module reads: the Module Manager calls its
     /// `on_packet` only on frames of one of them.
     pub reads: FrameClass,
+    /// The exact labels whose value the module keeps asserting while
+    /// writing only when it would change: the Knowledge Base stamps their
+    /// changes ([`KnowledgeBase::changed_at`]) so the module can tell a
+    /// write not its own.
+    pub asserts: &'static [&'static str],
 }
 
 impl ModuleDescriptor {
@@ -76,6 +81,7 @@ impl ModuleDescriptor {
             weight: ModuleWeight::Light,
             needs: &[],
             reads: FrameClass::ANY,
+            asserts: &[],
         }
     }
 
@@ -88,6 +94,7 @@ impl ModuleDescriptor {
             weight: ModuleWeight::Light,
             needs: &[],
             reads: FrameClass::ANY,
+            asserts: &[],
         }
     }
 
@@ -110,6 +117,14 @@ impl ModuleDescriptor {
     /// unread: the Module Manager does not call it on one.
     pub fn reads(mut self, classes: FrameClass) -> Self {
         self.reads = classes;
+        self
+    }
+
+    /// Declare the labels the module asserts: it remembers what it last
+    /// wrote under each and writes again only when that changes, or when
+    /// their change stamp says someone else wrote since.
+    pub fn asserts(mut self, labels: &'static [&'static str]) -> Self {
+        self.asserts = labels;
         self
     }
 

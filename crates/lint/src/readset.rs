@@ -337,9 +337,11 @@ mod tests {
         }
 
         // The same table tells the Knowledge Base which labels to watch
-        // for change: exactly the keys the artifact gives the reason
+        // for change: the keys the artifact gives the reason
         // `collective-read`, so contract, linter and runtime agree on
-        // what a tick correlates across creators.
+        // what a tick correlates across creators — and the labels the
+        // sensing modules' descriptors assert, which they write only on
+        // change.
         let mut collective_reads: Vec<&str> = (sets.modules.values().flatten())
             .filter(|entry| entry.reason == ReadReason::CollectiveRead)
             .map(|entry| entry.key.as_str())
@@ -347,8 +349,16 @@ mod tests {
         collective_reads.sort_unstable();
         collective_reads.dedup();
         assert_eq!(collective_reads, ["DroppedOrigins", "ExoticOrigins"]);
+        let mut watched = collective_reads.clone();
+        for name in reg.names() {
+            let module = reg.build(&ModuleDef::new(name)).unwrap();
+            watched.extend(module.descriptor().asserts);
+        }
+        watched.sort_unstable();
+        watched.dedup();
+        assert_eq!(watched.len(), 13, "{watched:?}");
         let table = manager.subscriptions();
-        assert_eq!(table.watched().collect::<Vec<_>>(), collective_reads);
+        assert_eq!(table.watched().collect::<Vec<_>>(), watched);
     }
 
     #[test]

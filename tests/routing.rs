@@ -301,15 +301,17 @@ fn every_frame_outside_a_modules_classes_leaves_it_unchanged() {
             .any(|f| FrameClass::of(f).intersects(class));
         assert!(carried, "no crafted {name} frame");
     }
-    // The ten modules that declare classes narrower than every frame
+    // The twelve modules that declare classes narrower than every frame
     // all met frames outside them.
     assert_eq!(
         check_declarations(),
         [
+            "BlackholeModule",
             "DeauthModule",
             "FragmentFloodModule",
             "IcmpFloodModule",
             "ScanModule",
+            "SelectiveForwardingModule",
             "SinkholeModule",
             "SmurfModule",
             "SybilModule",
@@ -318,4 +320,87 @@ fn every_frame_outside_a_modules_classes_leaves_it_unchanged() {
             "WormholeModule",
         ]
     );
+}
+
+/// The frames around a forwarder the watchdogs judge: a root beacon,
+/// ten CTP frames from a leaf through `forwarder`, 100 ms apart (those
+/// numbered in `relayed` passed on to the root), and one more frame at
+/// 10 s; with `wifi`, a WiFi frame every 100 ms in between.
+fn watchdog_trace(relayed: &[u8], wifi: bool) -> Vec<CapturedPacket> {
+    let (root, forwarder, leaf) = (ShortAddr(1), ShortAddr(2), ShortAddr(3));
+    let at = |ms: u64, medium, raw| {
+        CapturedPacket::capture(Timestamp::from_millis(ms), medium, Some(-60.0), "t", raw)
+    };
+    let beacon = craft::ctp_beacon(root, 0, root, 0);
+    let mut trace = vec![at(0, Medium::Ieee802154, beacon)];
+    for seq in 1..=10u8 {
+        let ms = u64::from(seq) * 100;
+        let sent = craft::ctp_data(leaf, forwarder, seq, leaf, seq, 0, b"r");
+        trace.push(at(ms, Medium::Ieee802154, sent));
+        if relayed.contains(&seq) {
+            let relay = craft::ctp_data(forwarder, root, seq, leaf, seq, 1, b"r");
+            trace.push(at(ms + 50, Medium::Ieee802154, relay));
+        }
+    }
+    if wifi {
+        let (a, b) = (Ipv4Addr::new(10, 0, 0, 7), Ipv4Addr::new(10, 0, 0, 2));
+        let (mac_a, mac_b, ap) = (
+            MacAddr::from_index(7),
+            MacAddr::from_index(2),
+            MacAddr::from_index(0),
+        );
+        for n in 11..100u16 {
+            let udp = UdpPacket::new(5000, 53, b"q".to_vec());
+            let raw = craft::wifi_ipv4(mac_a, mac_b, ap, n, &craft::ipv4_udp(a, b, &udp));
+            trace.push(at(u64::from(n) * 100 + 30, Medium::Wifi, raw));
+        }
+    }
+    let last = craft::ctp_data(leaf, forwarder, 11, leaf, 11, 0, b"r");
+    trace.push(at(10_000, Medium::Ieee802154, last));
+    trace.sort_by_key(|packet| packet.timestamp);
+    trace
+}
+
+/// When `module` alerted about the forwarder on a multi-hop node fed
+/// `trace`, in milliseconds.
+fn watchdog_alerts(trace: &[CapturedPacket], module: &str) -> Vec<u64> {
+    let config = "knowggets = { Multihop = true }".parse().unwrap();
+    let mut node = kalis_core::Kalis::builder(KalisId::new("K1"))
+        .with_config(config)
+        .with_default_modules()
+        .build();
+    for packet in trace {
+        node.ingest(packet.clone());
+    }
+    let forwarder = kalis_packets::Entity::from(ShortAddr(2));
+    (node.alerts().iter())
+        .filter(|alert| alert.module == module && alert.suspects == [forwarder.clone()])
+        .map(|alert| alert.time.as_micros() / 1_000)
+        .collect()
+}
+
+/// The watchdogs read CTP frames only, so their deadline clock advances
+/// on those and on ticks. CTP frames stop at 1 s and the verdict falls
+/// due after: at 1.3 s the blackhole's fifth relay deadline passes, at
+/// 1.4 s the first drop of a forwarder that passed on half the frames.
+/// With WiFi frames after 1 s, the next tick (at most a second later)
+/// raises it; with nothing, the next CTP frame, at 10 s. Routing moves
+/// when an alert fires, never whether.
+#[test]
+fn a_watchdog_verdict_due_between_ctp_frames_is_raised_at_the_next_ctp_frame_or_tick() {
+    let cases: [(&str, &[u8], u64); 2] = [
+        ("BlackholeModule", &[], 1_300),
+        ("SelectiveForwardingModule", &[1, 2, 3, 4, 5], 1_400),
+    ];
+    for (module, relayed, due) in cases {
+        let beside_wifi = watchdog_alerts(&watchdog_trace(relayed, true), module);
+        assert_eq!(beside_wifi.len(), 1, "{module}: {beside_wifi:?}");
+        assert!(
+            (due..=due + 1_100).contains(&beside_wifi[0]),
+            "{module} alerted at {} ms, not at the first tick after {due} ms",
+            beside_wifi[0]
+        );
+        let ctp_only = watchdog_alerts(&watchdog_trace(relayed, false), module);
+        assert_eq!(ctp_only, [10_000], "{module}: at the next CTP frame");
+    }
 }
