@@ -107,7 +107,8 @@ impl StateExhaustionAttacker {
     }
 
     /// Total distinct fake identities this attacker will emit.
-    pub fn planned_identities(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn planned_identities(&self) -> u64 {
         u64::from(self.plan.bursts) * u64::from(self.identities_per_burst)
     }
 

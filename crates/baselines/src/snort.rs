@@ -25,6 +25,7 @@ use kalis_packets::{CapturedPacket, Timestamp};
 
 /// Protocol selector in a rule header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Rule::proto`
 pub enum RuleProto {
     /// Any IP datagram.
     Ip,
@@ -38,6 +39,7 @@ pub enum RuleProto {
 
 /// `any` or a specific IPv4 address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Rule::src`
 pub enum AddrSpec {
     /// Matches every address.
     Any,
@@ -56,6 +58,7 @@ impl AddrSpec {
 
 /// `any` or a specific port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Rule::src_port`
 pub enum PortSpec {
     /// Matches every port.
     Any,
@@ -74,7 +77,7 @@ impl PortSpec {
 
 /// Which endpoint a threshold tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Track {
+pub(crate) enum Track {
     /// Count per destination.
     ByDst,
     /// Count per source.
@@ -84,9 +87,10 @@ pub enum Track {
 /// A rule threshold: fire only when the rule matched `count` times within
 /// `seconds`, tracked per endpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Rule::threshold`
 pub struct Threshold {
     /// Tracked endpoint.
-    pub track: Track,
+    pub(crate) track: Track,
     /// Matches required.
     pub count: usize,
     /// Window length in seconds.
@@ -95,6 +99,7 @@ pub struct Threshold {
 
 /// A parsed rule.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `SnortIds::new`
 pub struct Rule {
     /// Rule protocol.
     pub proto: RuleProto,
@@ -109,21 +114,22 @@ pub struct Rule {
     /// Human-readable message.
     pub msg: String,
     /// ICMP type constraint.
-    pub itype: Option<u8>,
+    pub(crate) itype: Option<u8>,
     /// TCP flags that must all be set.
     pub flags: Option<TcpFlags>,
     /// Payload substring constraint.
-    pub content: Option<Vec<u8>>,
+    pub(crate) content: Option<Vec<u8>>,
     /// Alert threshold.
     pub threshold: Option<Threshold>,
     /// Snort classtype.
-    pub classtype: String,
+    pub(crate) classtype: String,
     /// Rule id.
-    pub sid: u32,
+    pub(crate) sid: u32,
 }
 
 /// A rule-parse error with context.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Rule::from_str`
 pub struct RuleParseError {
     /// What was wrong.
     pub message: String,
@@ -297,11 +303,11 @@ pub struct SnortAlert {
     /// Detection time.
     pub time: Timestamp,
     /// Rule id.
-    pub sid: u32,
+    pub(crate) sid: u32,
     /// Rule message.
     pub msg: String,
     /// Rule classtype.
-    pub classtype: String,
+    pub(crate) classtype: String,
     /// Datagram source.
     pub src: Ipv4Addr,
     /// Datagram destination.
@@ -428,7 +434,7 @@ impl SnortIds {
     /// # Errors
     ///
     /// Returns the first rule that fails to parse.
-    pub fn parse_ruleset(text: &str) -> Result<Vec<Rule>, RuleParseError> {
+    pub(crate) fn parse_ruleset(text: &str) -> Result<Vec<Rule>, RuleParseError> {
         text.lines()
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'))

@@ -23,7 +23,7 @@ pub enum ReplicationChoice {
 
 impl ReplicationChoice {
     /// Pick uniformly at random with a seeded generator.
-    pub fn random(seed: u64) -> Self {
+    pub(crate) fn random(seed: u64) -> Self {
         if StdRng::seed_from_u64(seed).gen::<bool>() {
             ReplicationChoice::Static
         } else {

@@ -79,12 +79,11 @@ fn bench_window_ablation(c: &mut Criterion) {
         group.bench_function(&format!("window_{max_packets}"), |b| {
             b.iter_batched(
                 || {
+                    let mut window = WindowConfig::default();
+                    window.max_packets = max_packets;
                     Kalis::builder(KalisId::new("K1"))
                         .with_default_modules()
-                        .with_window(WindowConfig {
-                            max_packets,
-                            ..WindowConfig::default()
-                        })
+                        .with_window(window)
                         .build()
                 },
                 |mut kalis| {

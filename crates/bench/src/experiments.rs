@@ -13,6 +13,7 @@ use crate::scoring::{self, CountermeasureScore, Score};
 
 /// One system's results on one scenario.
 #[derive(Debug)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ScenarioResult::systems`
 pub struct SystemResult {
     /// System name (`Kalis`, `Trad. IDS`, `Snort`).
     pub name: &'static str,
@@ -24,7 +25,7 @@ pub struct SystemResult {
     pub countermeasures: Option<CountermeasureScore>,
     /// Whether the system could observe the scenario's medium at all
     /// (Snort cannot observe 802.15.4 scenarios).
-    pub applicable: bool,
+    pub(crate) applicable: bool,
     /// Telemetry snapshot of the run (node A's view for collaborative
     /// pairs); `None` for systems without a registry.
     pub telemetry: Option<TelemetrySnapshot>,
@@ -32,6 +33,7 @@ pub struct SystemResult {
 
 /// All systems' results on one scenario.
 #[derive(Debug)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `run_scenario_all_systems`
 pub struct ScenarioResult {
     /// The scenario.
     pub kind: ScenarioKind,
@@ -92,6 +94,7 @@ pub fn run_scenario_all_systems(kind: ScenarioKind, seed: u64, symptoms: u32) ->
 
 /// Table II inputs: the two §VI-B scenarios with per-system averages.
 #[derive(Debug)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `run_table2`
 pub struct Table2 {
     /// The ICMP-flood scenario result (E1).
     pub icmp_flood: ScenarioResult,
@@ -101,6 +104,7 @@ pub struct Table2 {
 
 /// One row of the rendered Table II.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Table2::rows`
 pub struct Table2Row {
     /// System name.
     pub name: &'static str,
@@ -234,6 +238,7 @@ pub fn run_extended(seed: u64, symptoms: u32) -> Vec<ScenarioResult> {
 
 /// The §VI-C reactivity experiment outcome.
 #[derive(Debug)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `run_reactivity`
 pub struct ReactivityResult {
     /// When the first attack symptom occurred.
     pub first_symptom: Timestamp,
@@ -281,6 +286,7 @@ pub fn run_reactivity(seed: u64, symptoms: u32) -> ReactivityResult {
 
 /// The §VI-D knowledge-sharing experiment outcome.
 #[derive(Debug)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `run_knowledge_sharing`
 pub struct KnowledgeSharingResult {
     /// What each node concludes *without* collective knowledge.
     pub isolated_kinds: Vec<AttackKind>,
@@ -379,6 +385,7 @@ mod supervisor {
 
     /// The outcome of one seeded [`run_supervisor_chaos`] run.
     #[derive(Debug)]
+    // kalis-lint: allow(KL306): named by the `pub` signature of `run_supervisor_chaos`
     pub struct SupervisorChaosResult {
         /// Detection rate of the control node (no crash-prone module) on
         /// the identical poisoned trace.
@@ -465,6 +472,7 @@ mod supervisor {
 
     /// The outcome of one seeded [`run_burst_shedding`] run.
     #[derive(Debug)]
+    // kalis-lint: allow(KL306): named by the `pub` signature of `run_burst_shedding`
     pub struct BurstSheddingResult {
         /// Whether the overload controller engaged during the burst.
         pub shed_engaged: bool,
@@ -597,6 +605,7 @@ mod exhaustion {
 
     /// One budgeted module's state after absorbing the spray.
     #[derive(Debug, Clone)]
+    // kalis-lint: allow(KL306): named by the `pub` signature of `StateExhaustionResult::modules`
     pub struct ModuleStateRow {
         /// Module name.
         pub name: &'static str,
@@ -610,15 +619,16 @@ mod exhaustion {
 
     /// The outcome of one seeded [`run_state_exhaustion`] run.
     #[derive(Debug)]
+    // kalis-lint: allow(KL306): named by the `pub` signature of `run_state_exhaustion`
     pub struct StateExhaustionResult {
         /// Distinct fabricated identities sprayed at the node.
-        pub fake_identities: u64,
+        pub(crate) fake_identities: u64,
         /// Spray packets merged into the trace.
-        pub spray_packets: usize,
+        pub(crate) spray_packets: usize,
         /// Detection rate on the scenario without the spray.
         pub baseline_detection_rate: f64,
         /// Detection rate with the full spray interleaved.
-        pub sprayed_detection_rate: f64,
+        pub(crate) sprayed_detection_rate: f64,
         /// Per-module state of every budgeted module after the spray.
         pub modules: Vec<ModuleStateRow>,
         /// KB per-entity budget in effect.
@@ -628,12 +638,12 @@ mod exhaustion {
         /// Entities the KB evicted wholesale to stay within budget.
         pub kb_evictions: u64,
         /// `state_evicted` journal records on the sprayed node.
-        pub eviction_journal_events: u64,
+        pub(crate) eviction_journal_events: u64,
         /// Peak state bytes of the spray-free baseline run.
-        pub baseline_peak_state_bytes: usize,
+        pub(crate) baseline_peak_state_bytes: usize,
         /// Peak state bytes under the spray — bounded, not linear in
         /// `fake_identities`.
-        pub sprayed_peak_state_bytes: usize,
+        pub(crate) sprayed_peak_state_bytes: usize,
     }
 
     impl StateExhaustionResult {
@@ -1259,18 +1269,19 @@ impl<'a> Abba<'a> {
 /// with sampling off (`Trace.SampleRate = 0`, the default fast path)
 /// and a node at 100% sampling (`Trace.SampleRate = 1`).
 #[derive(Debug, Clone, Copy)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `run_tracing_overhead`
 pub struct TracingOverheadResult {
     /// Packets per run.
     pub packets: u64,
     /// Best on-CPU throughput with tracing off.
-    pub off_pps: f64,
+    pub(crate) off_pps: f64,
     /// Best on-CPU throughput at 100% head-based sampling.
-    pub full_pps: f64,
+    pub(crate) full_pps: f64,
     /// Overhead of the cleanest ABBA iteration, percent.
-    pub floor_overhead_pct: f64,
+    pub(crate) floor_overhead_pct: f64,
     /// The off-vs-off leg's floor, in magnitude, percent: a floor
     /// inside ± it is noise.
-    pub resolution_pct: f64,
+    pub(crate) resolution_pct: f64,
 }
 
 impl TracingOverheadResult {
@@ -1314,23 +1325,24 @@ pub fn run_tracing_overhead(seed: u64, symptoms: u32, repeats: u32) -> TracingOv
 /// scrape-to-packet ratio (especially on single-core hosts, where the
 /// render steals the only core).
 #[derive(Debug, Clone, Copy)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `run_ops_overhead`
 pub struct OpsOverheadResult {
     /// Packets per run.
     pub packets: u64,
     /// Best on-CPU throughput with the ops surface disabled.
-    pub off_pps: f64,
+    pub(crate) off_pps: f64,
     /// Best on-CPU throughput with the ops surface fully enabled.
-    pub on_pps: f64,
+    pub(crate) on_pps: f64,
     /// Overhead of the cleanest ABBA iteration, percent.
-    pub floor_overhead_pct: f64,
+    pub(crate) floor_overhead_pct: f64,
     /// The off-vs-off leg's floor, in magnitude, percent: a floor
     /// inside ± it is noise.
-    pub resolution_pct: f64,
+    pub(crate) resolution_pct: f64,
     /// `/metrics` scrapes served when timing scrape cost.
-    pub scrapes: u64,
+    pub(crate) scrapes: u64,
     /// Mean wall-clock time to serve one `/metrics` scrape, in
     /// milliseconds (connect + render + transfer).
-    pub scrape_ms: f64,
+    pub(crate) scrape_ms: f64,
 }
 
 impl OpsOverheadResult {
@@ -1402,31 +1414,32 @@ pub fn run_ops_overhead(seed: u64, symptoms: u32, repeats: u32) -> OpsOverheadRe
 /// fingerprint carries no ephemeral port) and compares the captured
 /// bundles byte for byte.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `run_diag_overhead`
 pub struct DiagOverheadResult {
     /// Packets per timed run.
     pub packets: u64,
     /// Best on-CPU throughput with the recorder disabled.
-    pub off_pps: f64,
+    pub(crate) off_pps: f64,
     /// Best on-CPU throughput with the default recorder enabled.
-    pub on_pps: f64,
+    pub(crate) on_pps: f64,
     /// Median overhead across the ABBA iterations; the median discards
     /// outlier iterations. Reported for context — on a shared runner
     /// this still wanders by whole percents in both directions.
-    pub median_overhead_pct: f64,
+    pub(crate) median_overhead_pct: f64,
     /// Overhead of the cleanest ABBA iteration. This is what the budget
     /// gate reads (the recorder measured 14–57% here before the
     /// merge-walk sampler).
-    pub floor_overhead_pct: f64,
+    pub(crate) floor_overhead_pct: f64,
     /// The off-vs-off leg's floor, in magnitude, percent: a floor
     /// inside ± it is noise, whichever side of the gate it falls.
-    pub resolution_pct: f64,
+    pub(crate) resolution_pct: f64,
     /// Captures latched by the chaos run (both runs agree when
     /// [`Self::deterministic`] holds).
     pub captures: u64,
     /// Bundles retained at the end of the chaos run.
     pub bundles: usize,
     /// Total bytes across the retained bundle bodies.
-    pub bundle_bytes: usize,
+    pub(crate) bundle_bytes: usize,
     /// Trigger of the most recent capture (`-` when none fired).
     pub last_trigger: String,
     /// Whether every retained bundle passes the strict checker.

@@ -130,7 +130,7 @@ pub struct Link<'a> {
 }
 
 /// A look at collaborating nodes at an instant of their run.
-pub type Observer<'a> = Box<dyn FnMut(Timestamp, &[Kalis]) + 'a>;
+pub(crate) type Observer<'a> = Box<dyn FnMut(Timestamp, &[Kalis]) + 'a>;
 
 impl Link<'_> {
     /// A link whose wire routes every frame through `plan`.

@@ -22,15 +22,15 @@ use kalis_netsim::behaviors::{
 use kalis_netsim::devices::DeviceProfile;
 use kalis_netsim::fault::{FaultPlan, FaultStats};
 use kalis_netsim::mobility::MobilityModel;
-use kalis_netsim::node::{NodeId, NodeSpec, Role};
+use kalis_netsim::node::{NodeId, NodeSpec};
 use kalis_netsim::radio::RadioConfig;
 use kalis_netsim::{Position, Simulator, Tap};
 use kalis_packets::{CapturedPacket, Entity, MacAddr, Medium, ShortAddr};
 
 /// The victim device IP used across WiFi scenarios.
-pub const VICTIM_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+pub(crate) const VICTIM_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 /// The cloud service IP the devices heartbeat to.
-pub const CLOUD_IP: Ipv4Addr = Ipv4Addr::new(52, 0, 0, 1);
+pub(crate) const CLOUD_IP: Ipv4Addr = Ipv4Addr::new(52, 0, 0, 1);
 
 /// The attack scenarios of the evaluation. The first eight are the
 /// paper's Fig. 8 set; the remainder extend breadth.
@@ -119,7 +119,7 @@ impl ScenarioKind {
 
     /// Whether the attack traffic is IP-family (visible to Snort). The
     /// 802.15.4 scenarios are invisible to it, as in the paper.
-    pub fn ip_visible(self) -> bool {
+    pub(crate) fn ip_visible(self) -> bool {
         matches!(
             self,
             ScenarioKind::IcmpFlood
@@ -234,7 +234,6 @@ fn build_lan(seed: u64, extra_mediums: &[Medium], options: &BuildOptions) -> Lan
     let router = sim.add_node(
         NodeSpec::new("router")
             .with_position(0.0, 0.0)
-            .with_role(Role::Router)
             .with_radio(RadioConfig::wifi())
             .with_mac(router_mac)
             .with_ip(Ipv4Addr::new(10, 0, 0, 1)),
@@ -247,7 +246,6 @@ fn build_lan(seed: u64, extra_mediums: &[Medium], options: &BuildOptions) -> Lan
     let victim = sim.add_node(
         NodeSpec::new("thermostat")
             .with_position(5.0, 0.0)
-            .with_role(Role::Hub)
             .with_radio(RadioConfig::wifi())
             .with_mac(MacAddr::from_index(1))
             .with_ip(VICTIM_IP),
@@ -325,24 +323,9 @@ fn build_icmp_flood(seed: u64, symptoms: u32, options: &BuildOptions) -> Scenari
 
 fn add_ctp_chain(sim: &mut Simulator) {
     // A three-mote multi-hop chain that reveals the multi-hop feature.
-    let sink = sim.add_node(
-        NodeSpec::new("chain-sink")
-            .with_position(0.0, 10.0)
-            .with_short_addr(ShortAddr(1))
-            .with_role(Role::Sensor),
-    );
-    let fwd = sim.add_node(
-        NodeSpec::new("chain-fwd")
-            .with_position(10.0, 10.0)
-            .with_short_addr(ShortAddr(2))
-            .with_role(Role::Sensor),
-    );
-    let leaf = sim.add_node(
-        NodeSpec::new("chain-leaf")
-            .with_position(20.0, 10.0)
-            .with_short_addr(ShortAddr(3))
-            .with_role(Role::Sensor),
-    );
+    let sink = sim.add_node(NodeSpec::new("chain-sink").with_position(0.0, 10.0));
+    let fwd = sim.add_node(NodeSpec::new("chain-fwd").with_position(10.0, 10.0));
+    let leaf = sim.add_node(NodeSpec::new("chain-leaf").with_position(20.0, 10.0));
     sim.set_behavior(sink, CtpSinkBehavior::new(ShortAddr(1)));
     sim.set_behavior(fwd, CtpForwarderBehavior::new(ShortAddr(2), ShortAddr(1)));
     sim.set_behavior(leaf, CtpSensorBehavior::leaf(ShortAddr(3), ShortAddr(2)));
@@ -558,42 +541,12 @@ fn build_wsn(
 ) -> Wsn {
     let mut sim = Simulator::new(seed);
     install_faults(&mut sim, options);
-    let sink = sim.add_node(
-        NodeSpec::new("mote-1-sink")
-            .with_position(0.0, 0.0)
-            .with_short_addr(ShortAddr(1))
-            .with_role(Role::Sensor),
-    );
-    let forwarder = sim.add_node(
-        NodeSpec::new("mote-2-fwd")
-            .with_position(10.0, 0.0)
-            .with_short_addr(ShortAddr(2))
-            .with_role(Role::Sensor),
-    );
-    let leaf3 = sim.add_node(
-        NodeSpec::new("mote-3")
-            .with_position(20.0, 0.0)
-            .with_short_addr(ShortAddr(3))
-            .with_role(Role::Sensor),
-    );
-    let leaf4 = sim.add_node(
-        NodeSpec::new("mote-4")
-            .with_position(18.0, 6.0)
-            .with_short_addr(ShortAddr(4))
-            .with_role(Role::Sensor),
-    );
-    let leaf5 = sim.add_node(
-        NodeSpec::new("mote-5")
-            .with_position(5.0, 5.0)
-            .with_short_addr(ShortAddr(5))
-            .with_role(Role::Sensor),
-    );
-    let leaf6 = sim.add_node(
-        NodeSpec::new("mote-6")
-            .with_position(12.0, -6.0)
-            .with_short_addr(ShortAddr(6))
-            .with_role(Role::Sensor),
-    );
+    let sink = sim.add_node(NodeSpec::new("mote-1-sink").with_position(0.0, 0.0));
+    let forwarder = sim.add_node(NodeSpec::new("mote-2-fwd").with_position(10.0, 0.0));
+    let leaf3 = sim.add_node(NodeSpec::new("mote-3").with_position(20.0, 0.0));
+    let leaf4 = sim.add_node(NodeSpec::new("mote-4").with_position(18.0, 6.0));
+    let leaf5 = sim.add_node(NodeSpec::new("mote-5").with_position(5.0, 5.0));
+    let leaf6 = sim.add_node(NodeSpec::new("mote-6").with_position(12.0, -6.0));
     sim.set_behavior(sink, CtpSinkBehavior::new(ShortAddr(1)));
     match forwarder_policy {
         Some(policy) => sim.set_behavior(
@@ -658,21 +611,13 @@ fn build_replication(seed: u64, symptoms: u32, options: &BuildOptions) -> Scenar
     let truth = TruthLog::new();
     let mut sim = Simulator::new(seed);
     install_faults(&mut sim, options);
-    let sink = sim.add_node(
-        NodeSpec::new("sink")
-            .with_position(0.0, 0.0)
-            .with_short_addr(ShortAddr(1)),
-    );
+    let sink = sim.add_node(NodeSpec::new("sink").with_position(0.0, 0.0));
     sim.set_behavior(sink, CtpSinkBehavior::new(ShortAddr(1)));
     let legit_positions = [(4.0, 0.0), (0.0, 4.0), (-4.0, 0.0)];
     let mut legit_nodes = Vec::new();
     for (i, (x, y)) in legit_positions.iter().enumerate() {
         let addr = ShortAddr(2 + i as u16);
-        let node = sim.add_node(
-            NodeSpec::new(format!("mote-{}", 2 + i))
-                .with_position(*x, *y)
-                .with_short_addr(addr),
-        );
+        let node = sim.add_node(NodeSpec::new(format!("mote-{}", 2 + i)).with_position(*x, *y));
         sim.set_behavior(node, CtpSensorBehavior::leaf(addr, ShortAddr(1)));
         legit_nodes.push(node);
     }
@@ -728,19 +673,11 @@ fn build_sybil(seed: u64, symptoms: u32, options: &BuildOptions) -> Scenario {
     let truth = TruthLog::new();
     let mut sim = Simulator::new(seed);
     install_faults(&mut sim, options);
-    let sink = sim.add_node(
-        NodeSpec::new("sink")
-            .with_position(0.0, 0.0)
-            .with_short_addr(ShortAddr(1)),
-    );
+    let sink = sim.add_node(NodeSpec::new("sink").with_position(0.0, 0.0));
     sim.set_behavior(sink, CtpSinkBehavior::new(ShortAddr(1)));
     for (i, (x, y)) in [(6.0, 0.0), (0.0, 6.0)].iter().enumerate() {
         let addr = ShortAddr(2 + i as u16);
-        let node = sim.add_node(
-            NodeSpec::new(format!("mote-{}", 2 + i))
-                .with_position(*x, *y)
-                .with_short_addr(addr),
-        );
+        let node = sim.add_node(NodeSpec::new(format!("mote-{}", 2 + i)).with_position(*x, *y));
         sim.set_behavior(node, CtpSensorBehavior::leaf(addr, ShortAddr(1)));
     }
     let attacker = sim.add_node(NodeSpec::new("sybil").with_position(-8.0, -4.0));
@@ -796,52 +733,28 @@ fn build_wormhole(seed: u64, symptoms: u32, options: &BuildOptions) -> Scenario 
     let mut sim = Simulator::new(seed);
     install_faults(&mut sim, options);
     // Region A: two leaves route through B1 towards sink 1.
-    let sink_a = sim.add_node(
-        NodeSpec::new("sink-a")
-            .with_position(-10.0, 0.0)
-            .with_short_addr(ShortAddr(1)),
-    );
+    let sink_a = sim.add_node(NodeSpec::new("sink-a").with_position(-10.0, 0.0));
     sim.set_behavior(sink_a, CtpSinkBehavior::new(ShortAddr(1)));
-    let b1 = sim.add_node(
-        NodeSpec::new("b1")
-            .with_position(0.0, 0.0)
-            .with_short_addr(ShortAddr(2)),
-    );
+    let b1 = sim.add_node(NodeSpec::new("b1").with_position(0.0, 0.0));
     sim.set_behavior(
         b1,
         WormholeEndpointA::new(ShortAddr(2), tunnel.clone(), truth.clone()),
     );
     for (i, (x, y)) in [(10.0, 0.0), (8.0, 6.0)].iter().enumerate() {
         let addr = ShortAddr(3 + i as u16);
-        let node = sim.add_node(
-            NodeSpec::new(format!("leaf-a{i}"))
-                .with_position(*x, *y)
-                .with_short_addr(addr),
-        );
+        let node = sim.add_node(NodeSpec::new(format!("leaf-a{i}")).with_position(*x, *y));
         sim.set_behavior(node, CtpSensorBehavior::leaf(addr, ShortAddr(2)));
     }
     // Region B, 500 m away: B2 re-injects towards sink 21; one honest
     // local leaf 22 provides baseline.
-    let sink_b = sim.add_node(
-        NodeSpec::new("sink-b")
-            .with_position(510.0, 0.0)
-            .with_short_addr(ShortAddr(21)),
-    );
+    let sink_b = sim.add_node(NodeSpec::new("sink-b").with_position(510.0, 0.0));
     sim.set_behavior(sink_b, CtpSinkBehavior::new(ShortAddr(21)));
-    let b2 = sim.add_node(
-        NodeSpec::new("b2")
-            .with_position(500.0, 0.0)
-            .with_short_addr(ShortAddr(20)),
-    );
+    let b2 = sim.add_node(NodeSpec::new("b2").with_position(500.0, 0.0));
     sim.set_behavior(
         b2,
         WormholeEndpointB::new(ShortAddr(20), ShortAddr(21), tunnel.clone()),
     );
-    let leaf_b = sim.add_node(
-        NodeSpec::new("leaf-b")
-            .with_position(505.0, 6.0)
-            .with_short_addr(ShortAddr(22)),
-    );
+    let leaf_b = sim.add_node(NodeSpec::new("leaf-b").with_position(505.0, 6.0));
     sim.set_behavior(
         leaf_b,
         CtpSensorBehavior::leaf(ShortAddr(22), ShortAddr(21)),

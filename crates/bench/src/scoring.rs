@@ -23,7 +23,7 @@ use crate::runner::Detection;
 
 /// Default match window: a detection within ±15 s of a symptom covers it
 /// (alert gating means one alert stands for a burst of symptoms).
-pub const MATCH_WINDOW: Duration = Duration::from_secs(15);
+pub(crate) const MATCH_WINDOW: Duration = Duration::from_secs(15);
 
 /// The effectiveness metrics for one system on one scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,7 +71,7 @@ impl Score {
 }
 
 /// Score `detections` against `truth` with the given match window.
-pub fn score_with_window(
+pub(crate) fn score_with_window(
     truth: &[SymptomInstance],
     detections: &[Detection],
     window: Duration,
@@ -121,6 +121,7 @@ pub fn score(truth: &[SymptomInstance], detections: &[Detection]) -> Score {
 /// (wrongly) revoked — the paper's anecdote has the traditional IDS
 /// "disconnecting the entire network" by revoking the victim.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `SystemResult::countermeasures`
 pub struct CountermeasureScore {
     /// Entities revoked over the run.
     pub revoked: usize,
@@ -143,7 +144,7 @@ impl CountermeasureScore {
 }
 
 /// Evaluate the revocation history against the scenario's identities.
-pub fn score_countermeasures(
+pub(crate) fn score_countermeasures(
     revocations: &[Revocation],
     attackers: &[Entity],
     victim: Option<&Entity>,

@@ -17,6 +17,9 @@
 //! A third, ignored for the same reason, regenerates the
 //! state-exhaustion artifact with `--exhaustion --exhaustion-json` and
 //! compares it byte for byte with `BENCH_7.json` at the repository root.
+//! A fourth regenerates the recorder-overhead artifact with
+//! `--diag-overhead --diag-json` and compares the fields of
+//! `BENCH_8.json` that do not depend on timing.
 //!
 //! When a change is meant to move this output, rewrite the files with
 //! `KALIS_BLESS=1 cargo test -p kalis-bench --test experiments_golden
@@ -174,4 +177,29 @@ fn the_exhaustion_artifact_matches_bench_7() {
     run(&["--exhaustion", "--exhaustion-json", path.to_str().unwrap()]);
     let got = fs::read_to_string(&path).expect("the binary wrote the artifact");
     compare(repo_path("BENCH_7.json"), &got);
+}
+
+#[test]
+#[ignore = "several seconds in a debug build; CI runs it in release"]
+fn the_recorder_artifact_matches_bench_8_where_deterministic() {
+    // The rest of the file (rates, overheads) is wall-clock.
+    const FIELDS: [&str; 6] = [
+        "captures",
+        "bundles",
+        "bundle_bytes",
+        "last_trigger",
+        "bundles_valid",
+        "deterministic",
+    ];
+    let deterministic = |json: &str| -> Vec<String> {
+        let lines = json.lines().map(|l| l.trim().trim_end_matches(','));
+        let picked = lines.filter(|l| FIELDS.iter().any(|f| l.starts_with(&format!("\"{f}\":"))));
+        picked.map(str::to_owned).collect()
+    };
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("BENCH_8.json");
+    run(&["--diag-overhead", "--diag-json", path.to_str().unwrap()]);
+    let got = deterministic(&fs::read_to_string(&path).expect("the binary wrote the artifact"));
+    assert_eq!(got.len(), FIELDS.len(), "{got:?}");
+    let want = deterministic(&fs::read_to_string(repo_path("BENCH_8.json")).unwrap());
+    assert_eq!(got, want, "BENCH_8.json's deterministic fields");
 }

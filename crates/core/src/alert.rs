@@ -142,7 +142,7 @@ pub struct Alert {
     /// first. Response actions (e.g. revocation) act on this list.
     pub suspects: Vec<Entity>,
     /// Free-form supporting evidence.
-    pub details: String,
+    pub(crate) details: String,
     /// The causal trace this alert was raised under (0 = untraced, e.g.
     /// sampling was off for the triggering packet).
     pub trace_id: u64,
@@ -182,20 +182,15 @@ impl Alert {
     }
 
     /// Set the severity.
-    pub fn with_severity(mut self, severity: Severity) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_severity(mut self, severity: Severity) -> Self {
         self.severity = severity;
         self
     }
 
     /// Set the details text.
-    pub fn with_details(mut self, details: impl Into<String>) -> Self {
+    pub(crate) fn with_details(mut self, details: impl Into<String>) -> Self {
         self.details = details.into();
-        self
-    }
-
-    /// Stamp the causal trace the alert was raised under.
-    pub fn with_trace(mut self, trace_id: u64) -> Self {
-        self.trace_id = trace_id;
         self
     }
 }

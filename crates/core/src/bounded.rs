@@ -41,15 +41,13 @@ use std::time::Duration;
 
 use kalis_packets::Timestamp;
 
-pub use crate::ops::{SketchEntry, SpaceSaving};
-
 /// Default entry budget for per-module bounded structures when the
 /// operator does not override `entity_budget` in the module's config.
 pub const DEFAULT_ENTITY_BUDGET: usize = 1024;
 
 /// Smallest `entity_budget` a module accepts; overrides below this are
 /// clamped so a misconfigured budget cannot blind a detector entirely.
-pub const MIN_ENTITY_BUDGET: usize = 16;
+pub(crate) const MIN_ENTITY_BUDGET: usize = 16;
 
 /// The `current_params` contribution of an `entity_budget` override:
 /// empty at the default (so recommended configs stay minimal), the
@@ -235,7 +233,7 @@ impl<T> Recency<T> {
 
 /// What [`BoundedMap::touch_or_insert`] found under its key.
 #[derive(Debug, PartialEq)]
-pub enum Touched<'a, K, V> {
+pub(crate) enum Touched<'a, K, V> {
     /// The key was held: its value, now the most recently used.
     Held(&'a mut V),
     /// The key is new: its just-made value, and the entry evicted to
@@ -263,7 +261,7 @@ impl<K: Hash + Eq + Clone, V> BoundedMap<K, V> {
     /// the least recently used entries down to it, oldest first, and
     /// returns them; they count as evictions like any other, and the
     /// recency of what stays is kept.
-    pub fn set_budget(&mut self, budget: usize) -> Vec<(K, V)> {
+    pub(crate) fn set_budget(&mut self, budget: usize) -> Vec<(K, V)> {
         self.budget = budget.max(1);
         let mut evicted = Vec::new();
         while self.index.len() > self.budget {
@@ -305,7 +303,7 @@ impl<K: Hash + Eq + Clone, V> BoundedMap<K, V> {
 
     /// Non-touching write access: updates the value in place without
     /// refreshing the entry's recency (bookkeeping that is not a "use").
-    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub(crate) fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
         let slot = self.slot_of(key)?;
         Some(&mut self.recency.item_mut(slot).1)
     }
@@ -330,7 +328,11 @@ impl<K: Hash + Eq + Clone, V> BoundedMap<K, V> {
     /// Touching upsert in one search: the value under `key` if it is
     /// held, else `key` listed newest with `value()` — after the least
     /// recently used entry was evicted, if the map was full.
-    pub fn touch_or_insert(&mut self, key: &K, value: impl FnOnce() -> V) -> Touched<'_, K, V> {
+    pub(crate) fn touch_or_insert(
+        &mut self,
+        key: &K,
+        value: impl FnOnce() -> V,
+    ) -> Touched<'_, K, V> {
         let Some(slot) = self.slot_of(key) else {
             let (value, evicted) = self.admit(key.clone(), value());
             return Touched::Inserted(value, evicted);
@@ -361,7 +363,7 @@ impl<K: Hash + Eq + Clone, V> BoundedMap<K, V> {
     /// Evict the least-recently-used entry whether or not the map is
     /// full (counted as an eviction): for an owner whose budget this map
     /// shares with state held elsewhere.
-    pub fn evict_lru(&mut self) -> Option<(K, V)> {
+    pub(crate) fn evict_lru(&mut self) -> Option<(K, V)> {
         let (key, value) = self.recency.pop_oldest()?;
         self.index.remove(&key);
         self.evictions += 1;
@@ -505,8 +507,9 @@ impl CountMinSketch {
     }
 
     /// Worst-case over-estimation bound for any key: `observed / width`,
-    /// rounded up. Exported as the sketch-error gauge.
-    pub fn error_bound(&self) -> u64 {
+    /// rounded up.
+    #[cfg(test)]
+    pub(crate) fn error_bound(&self) -> u64 {
         self.observed.div_ceil(self.width as u64)
     }
 
@@ -547,7 +550,7 @@ impl CountMinSketch {
 /// detector's handshake completions, the ICMP flood detector's spoofed
 /// requests (which defer to Smurf).
 #[derive(Debug, Clone)]
-pub struct WindowSketch {
+pub(crate) struct WindowSketch {
     window: Duration,
     cur: CountMinSketch,
     prev: CountMinSketch,
@@ -569,7 +572,7 @@ impl WindowSketch {
     }
 
     /// Spill one evicted event for `key` at time `now`.
-    pub fn spill<K: Hash + ?Sized>(&mut self, now: Timestamp, key: &K) {
+    pub(crate) fn spill<K: Hash + ?Sized>(&mut self, now: Timestamp, key: &K) {
         self.rotate_if_due(now);
         if self.epoch_start.is_none() {
             self.epoch_start = Some(now);
@@ -581,7 +584,7 @@ impl WindowSketch {
     /// Advance epochs if a full window has elapsed since the current
     /// epoch began. Call at eviction cadence so stale spills decay even
     /// when nothing new spills.
-    pub fn rotate_if_due(&mut self, now: Timestamp) {
+    pub(crate) fn rotate_if_due(&mut self, now: Timestamp) {
         let Some(start) = self.epoch_start else {
             return;
         };
@@ -613,15 +616,8 @@ impl WindowSketch {
     }
 
     /// Cumulative events ever spilled (the eviction counter).
-    pub fn spilled(&self) -> u64 {
+    pub(crate) fn spilled(&self) -> u64 {
         self.spilled
-    }
-
-    /// Worst-case over-count for any key, from both live epochs.
-    pub fn error_bound(&self) -> u64 {
-        self.cur
-            .error_bound()
-            .saturating_add(self.prev.error_bound())
     }
 
     /// Memory held by both epochs, in bytes.
@@ -786,6 +782,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::ops::SpaceSaving;
     use proptest::prelude::*;
     use std::collections::BTreeMap as StdMap;
 

@@ -56,7 +56,7 @@ impl ModuleDef {
     }
 
     /// A float parameter with a default.
-    pub fn param_f64(&self, key: &str, default: f64) -> f64 {
+    pub(crate) fn param_f64(&self, key: &str, default: f64) -> f64 {
         self.param(key)
             .and_then(KnowValue::as_f64)
             .unwrap_or(default)
@@ -283,7 +283,7 @@ impl SpannedConfig {
     }
 
     /// Drop the positions, yielding the runtime [`Config`].
-    pub fn to_config(&self) -> Config {
+    pub(crate) fn to_config(&self) -> Config {
         Config {
             modules: self
                 .modules

@@ -17,7 +17,7 @@ use super::util::{AlertGate, SlidingCounter};
 
 /// The deauth-flood detection module.
 #[derive(Debug)]
-pub struct DeauthModule {
+pub(crate) struct DeauthModule {
     threshold: usize,
     deauths: SlidingCounter<(Entity, Entity)>, // (victim, transmitter)
     gate: AlertGate<Entity>,

@@ -96,7 +96,7 @@ impl IcmpFloodModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(self.threshold, budget.max(MIN_ENTITY_BUDGET))
     }
 
@@ -213,7 +213,7 @@ impl Module for IcmpFloodModule {
 /// Activation: multi-hop networks only — "the Smurf attack is not
 /// possible in single-hop networks" (paper §III-A1).
 #[derive(Debug)]
-pub struct SmurfModule {
+pub(crate) struct SmurfModule {
     threshold: usize,
     entity_budget: usize,
     replies: SlidingCounter<Entity>,        // victim
@@ -230,7 +230,7 @@ impl SmurfModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(self.threshold, budget.max(MIN_ENTITY_BUDGET))
     }
 
@@ -339,7 +339,7 @@ impl Module for SmurfModule {
 /// rate of pure SYNs towards one service with a collapsed handshake
 /// completion ratio.
 #[derive(Debug)]
-pub struct SynFloodModule {
+pub(crate) struct SynFloodModule {
     threshold: usize,
     entity_budget: usize,
     syns: SlidingCounter<Entity>,           // victim
@@ -357,7 +357,7 @@ impl SynFloodModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(self.threshold, budget.max(MIN_ENTITY_BUDGET))
     }
 
@@ -463,7 +463,7 @@ impl Module for SynFloodModule {
 
 /// Detects UDP datagram floods towards one device.
 #[derive(Debug)]
-pub struct UdpFloodModule {
+pub(crate) struct UdpFloodModule {
     threshold: usize,
     entity_budget: usize,
     datagrams: SlidingCounter<Entity>,      // victim
@@ -480,7 +480,7 @@ impl UdpFloodModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(self.threshold, budget.max(MIN_ENTITY_BUDGET))
     }
 

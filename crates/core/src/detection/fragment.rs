@@ -19,7 +19,7 @@ use super::util::AlertGate;
 
 /// The fragment-flood detection module.
 #[derive(Debug)]
-pub struct FragmentFloodModule {
+pub(crate) struct FragmentFloodModule {
     threshold: u64,
     reassembler: Reassembler,
     last_expired: u64,

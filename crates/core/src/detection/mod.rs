@@ -19,20 +19,21 @@ mod util;
 mod watchdog;
 mod wormhole;
 
-pub use deauth::DeauthModule;
-pub use flood::{IcmpFloodModule, SmurfModule, SynFloodModule, UdpFloodModule};
-pub use fragment::FragmentFloodModule;
-pub use replication::{ReplicationMobileModule, ReplicationStaticModule};
-pub use scan::ScanModule;
-pub use sinkhole::SinkholeModule;
+pub(crate) use deauth::DeauthModule;
+pub use flood::IcmpFloodModule;
+pub(crate) use flood::{SmurfModule, SynFloodModule, UdpFloodModule};
+pub(crate) use fragment::FragmentFloodModule;
+pub(crate) use replication::{ReplicationMobileModule, ReplicationStaticModule};
+pub(crate) use scan::ScanModule;
+pub(crate) use sinkhole::SinkholeModule;
 pub use sybil::SybilModule;
-pub use util::{fingerprint_identity, AlertGate, SlidingCounter};
-pub use watchdog::{BlackholeModule, SelectiveForwardingModule};
-pub use wormhole::WormholeModule;
+pub use util::SlidingCounter;
+pub(crate) use watchdog::{BlackholeModule, SelectiveForwardingModule};
+pub(crate) use wormhole::WormholeModule;
 
 /// The label of the wormhole-confirmation knowgget
 /// ([`WormholeModule`] writes it; the blackhole detector consults it).
-pub fn wormhole_confirmed_label() -> &'static str {
+pub(crate) fn wormhole_confirmed_label() -> &'static str {
     wormhole::WORMHOLE_CONFIRMED
 }
 
@@ -41,9 +42,9 @@ pub fn wormhole_confirmed_label() -> &'static str {
 pub mod labels {
     /// Per-entity text: sorted origins whose traffic this forwarder
     /// dropped (written by the blackhole detector, marked collective).
-    pub const DROPPED_ORIGINS: &str = "DroppedOrigins";
+    pub(crate) const DROPPED_ORIGINS: &str = "DroppedOrigins";
     /// Per-entity text: sorted origins this node sources without having
     /// overheard them locally (written by the wormhole detector, marked
     /// collective).
-    pub const EXOTIC_ORIGINS: &str = "ExoticOrigins";
+    pub(crate) const EXOTIC_ORIGINS: &str = "ExoticOrigins";
 }

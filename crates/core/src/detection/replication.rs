@@ -179,7 +179,7 @@ fn wandering_fraction(samples: &BoundedMap<Entity, Samples>, exclude: &Entity) -
 /// Replication detector for **static** networks (RSSI two-level
 /// fingerprinting).
 #[derive(Debug)]
-pub struct ReplicationStaticModule {
+pub(crate) struct ReplicationStaticModule {
     entity_budget: usize,
     samples: BoundedMap<Entity, Samples>,
     /// Samples retained over all of `samples`.
@@ -195,7 +195,7 @@ impl ReplicationStaticModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(budget.max(MIN_ENTITY_BUDGET))
     }
 
@@ -290,7 +290,7 @@ impl Module for ReplicationStaticModule {
 /// `current_params` payload shared by both replication variants.
 /// Replication detector for **mobile** networks (RSSI teleportation).
 #[derive(Debug)]
-pub struct ReplicationMobileModule {
+pub(crate) struct ReplicationMobileModule {
     entity_budget: usize,
     samples: BoundedMap<Entity, Samples>,
     /// Samples retained over all of `samples`.
@@ -306,7 +306,7 @@ impl ReplicationMobileModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(budget.max(MIN_ENTITY_BUDGET))
     }
 

@@ -17,7 +17,7 @@ use super::util::{AlertGate, SlidingCounter};
 
 /// The scan detection module.
 #[derive(Debug)]
-pub struct ScanModule {
+pub(crate) struct ScanModule {
     threshold: usize,
     entity_budget: usize,
     touches: SlidingCounter<(Entity, Entity, u16)>, // (scanner, target, port) dedup
@@ -34,7 +34,7 @@ impl ScanModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(self.threshold, budget.max(MIN_ENTITY_BUDGET))
     }
 

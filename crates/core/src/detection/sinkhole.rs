@@ -26,7 +26,7 @@ const SUSPICIOUS_ETX: u16 = 1;
 
 /// The sinkhole detection module.
 #[derive(Debug)]
-pub struct SinkholeModule {
+pub(crate) struct SinkholeModule {
     gate: AlertGate<Entity>,
 }
 

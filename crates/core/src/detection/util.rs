@@ -20,7 +20,7 @@ use crate::bounded::WindowSketch;
 /// produces false two-level patterns. A frame is attributable only when
 /// the claimed network source is the transmitter itself (or no network
 /// source is claimed at all).
-pub fn fingerprint_identity(pkt: &Packet) -> Option<Entity> {
+pub(crate) fn fingerprint_identity(pkt: &Packet) -> Option<Entity> {
     if let Some(CtpFrame::Data(data)) = pkt.ctp() {
         if data.thl > 0 {
             return None; // relayed
@@ -215,7 +215,7 @@ impl<K: Eq + Clone + Hash> SlidingCounter<K> {
 
     /// Drop events older than the window relative to `now` (aging out
     /// is not a budget eviction — expired events are simply forgotten).
-    pub fn evict(&mut self, now: Timestamp) {
+    pub(crate) fn evict(&mut self, now: Timestamp) {
         let aged = |(ts, _): &(Timestamp, K)| now.saturating_since(*ts) > self.window;
         while self.events.front().is_some_and(aged) {
             if let Some((_, key)) = self.events.pop_front() {
@@ -249,7 +249,7 @@ impl<K: Eq + Clone + Hash> SlidingCounter<K> {
 
     /// Buffered events within the window ending at `now` whose key
     /// satisfies `wanted`, at one visit per distinct key.
-    pub fn count_matching(&mut self, now: Timestamp, wanted: impl Fn(&K) -> bool) -> usize {
+    pub(crate) fn count_matching(&mut self, now: Timestamp, wanted: impl Fn(&K) -> bool) -> usize {
         self.evict(now);
         self.counts.sum_matching(wanted)
     }
@@ -301,7 +301,7 @@ impl<K: Eq + Clone + Hash> SlidingCounter<K> {
 
 /// Deduplicates alerts: at most one alert per key per `cooldown`.
 #[derive(Debug, Clone)]
-pub struct AlertGate<K> {
+pub(crate) struct AlertGate<K> {
     cooldown: Duration,
     budget: usize,
     last: Vec<(K, Timestamp)>,
@@ -334,7 +334,7 @@ impl<K: PartialEq + Clone> AlertGate<K> {
 
     /// Whether an alert for `key` may fire now; records the firing when
     /// permitted.
-    pub fn permit(&mut self, key: K, now: Timestamp) -> bool {
+    pub(crate) fn permit(&mut self, key: K, now: Timestamp) -> bool {
         if let Some((_, at)) = self.last.iter_mut().find(|(k, _)| *k == key) {
             if now.saturating_since(*at) < self.cooldown {
                 return false;
@@ -367,13 +367,9 @@ impl<K: PartialEq + Clone> AlertGate<K> {
     }
 
     /// Current keys tracked.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.last.len()
-    }
-
-    /// Whether no firing history is held.
-    pub fn is_empty(&self) -> bool {
-        self.last.is_empty()
     }
 
     /// Forget all firing history and zero the eviction counter

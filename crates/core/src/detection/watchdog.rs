@@ -231,7 +231,7 @@ impl Watchdog {
 /// Detects selective forwarding: a forwarder dropping *part* of the
 /// traffic (drop ratio in `[0.15, 0.9)`).
 #[derive(Debug)]
-pub struct SelectiveForwardingModule {
+pub(crate) struct SelectiveForwardingModule {
     entity_budget: usize,
     watchdog: Watchdog,
     gate: AlertGate<ShortAddr>,
@@ -245,7 +245,7 @@ impl SelectiveForwardingModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(budget.max(MIN_ENTITY_BUDGET))
     }
 
@@ -342,7 +342,7 @@ impl SelectiveForwardingModule {
 /// (drop ratio ≥ 0.9). Publishes collective `DroppedOrigins@<forwarder>`
 /// knowggets for wormhole correlation across Kalis nodes.
 #[derive(Debug)]
-pub struct BlackholeModule {
+pub(crate) struct BlackholeModule {
     entity_budget: usize,
     watchdog: Watchdog,
     gate: AlertGate<ShortAddr>,
@@ -356,7 +356,7 @@ impl BlackholeModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(budget.max(MIN_ENTITY_BUDGET))
     }
 

@@ -50,11 +50,11 @@ const ORIGIN_CAP: usize = 32;
 /// confirmed wormhole endpoint is no longer reported as a plain
 /// blackhole). Local: the blackhole reads this node's copy only, and
 /// each node correlates the same synced evidence to its own verdict.
-pub const WORMHOLE_CONFIRMED: &str = "WormholeConfirmed";
+pub(crate) const WORMHOLE_CONFIRMED: &str = "WormholeConfirmed";
 
 /// The collaborative wormhole detection module.
 #[derive(Debug)]
-pub struct WormholeModule {
+pub(crate) struct WormholeModule {
     entity_budget: usize,
     /// Identities heard *originating* locally (THL == 0 transmissions),
     /// LRU-bounded: an evicted-then-relayed local origin is re-classified
@@ -107,7 +107,7 @@ impl WormholeModule {
 
     /// Replace the per-entity state budget (the `entity_budget`
     /// configuration parameter), rebuilding the bounded structures.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(budget.max(MIN_ENTITY_BUDGET))
     }
 

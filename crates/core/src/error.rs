@@ -5,6 +5,7 @@ use core::fmt;
 /// Errors surfaced by Kalis' public API.
 #[derive(Debug)]
 #[non_exhaustive]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ModuleRegistry::build`
 pub enum KalisError {
     /// A configuration file failed to parse.
     Config(crate::config::ConfigError),
@@ -25,12 +26,6 @@ pub enum KalisError {
     PeerUnreachable {
         /// The unreachable peer.
         peer: String,
-    },
-    /// The bounded outbound sync queue overflowed and entries were
-    /// dropped by the explicit drop policy.
-    SyncBacklogOverflow {
-        /// How many queued knowggets were discarded.
-        dropped: u64,
     },
     /// A module is quarantined by the supervisor (crash loop or repeated
     /// watchdog-budget overruns) and is excluded from dispatch until its
@@ -67,12 +62,6 @@ impl fmt::Display for KalisError {
             }
             KalisError::PeerUnreachable { peer } => {
                 write!(f, "peer `{peer}` is unreachable (Dead or undiscovered)")
-            }
-            KalisError::SyncBacklogOverflow { dropped } => {
-                write!(
-                    f,
-                    "outbound sync backlog overflowed: {dropped} knowgget(s) dropped"
-                )
             }
             KalisError::ModuleQuarantined { module } => {
                 write!(
@@ -132,8 +121,6 @@ mod tests {
         assert!(e.to_string().contains("K2"), "rejection names the peer");
         let e = KalisError::PeerUnreachable { peer: "K9".into() };
         assert!(e.to_string().contains("K9"));
-        let e = KalisError::SyncBacklogOverflow { dropped: 17 };
-        assert!(e.to_string().contains("17"));
         let e = KalisError::ModuleQuarantined {
             module: "SybilModule".into(),
         };
@@ -153,7 +140,6 @@ mod tests {
         assert!(io.source().is_some());
         for plain in [
             KalisError::PeerUnreachable { peer: "K2".into() },
-            KalisError::SyncBacklogOverflow { dropped: 1 },
             KalisError::SyncRejected {
                 peer: "K2".into(),
                 reason: "bad".into(),

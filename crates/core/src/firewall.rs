@@ -3,7 +3,7 @@
 //! incoming traffic from untrusted Internet sources to IoT devices in the
 //! local network".
 
-use kalis_packets::{CapturedPacket, Entity, Medium};
+use kalis_packets::{CapturedPacket, Entity};
 
 use crate::node::Kalis;
 
@@ -21,6 +21,7 @@ pub enum Verdict {
 
 /// Aggregate firewall counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `SmartFirewall::stats`
 pub struct FirewallStats {
     /// Frames forwarded.
     pub forwarded: u64,
@@ -106,17 +107,6 @@ impl SmartFirewall {
     pub fn kalis(&self) -> &Kalis {
         &self.kalis
     }
-
-    /// Mutable access to the wrapped IDS.
-    pub fn kalis_mut(&mut self) -> &mut Kalis {
-        &mut self.kalis
-    }
-}
-
-/// Whether a frame plausibly arrives on the untrusted uplink (used by
-/// examples to split traffic).
-pub fn is_uplink(packet: &CapturedPacket) -> bool {
-    packet.medium == Medium::Ethernet
 }
 
 #[cfg(test)]
@@ -124,7 +114,7 @@ mod tests {
     use super::*;
     use crate::id::KalisId;
     use kalis_packets::tcp::TcpSegment;
-    use kalis_packets::{MacAddr, Timestamp};
+    use kalis_packets::{MacAddr, Medium, Timestamp};
     use std::net::Ipv4Addr;
 
     fn syn(ms: u64, src: Ipv4Addr, dst: Ipv4Addr, port: u16) -> CapturedPacket {

@@ -46,7 +46,7 @@ impl KalisId {
     ///
     /// Returns a description when `id` is empty or contains `$`, `@`,
     /// or `.`.
-    pub fn try_new<S: AsRef<str> + Into<String>>(id: S) -> Result<Self, String> {
+    pub(crate) fn try_new<S: AsRef<str> + Into<String>>(id: S) -> Result<Self, String> {
         let text = id.as_ref();
         if text.is_empty() || text.contains(['$', '@', '.']) {
             return Err(format!(

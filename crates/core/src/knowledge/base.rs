@@ -54,13 +54,14 @@ impl KbStats {
 /// notify the Module Manager that recent changes ... might require
 /// activating or deactivating specific modules").
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `KnowledgeBase::drain_changes`
 pub struct ChangeEvent {
     /// The key that changed.
     pub key: KnowKey,
     /// The new value (the last value before removal when `removed`).
     pub value: KnowValue,
     /// Whether the knowgget was removed.
-    pub removed: bool,
+    pub(crate) removed: bool,
     /// Causal trace the write belongs to (0 = untraced).
     pub trace_id: u64,
 }
@@ -331,7 +332,7 @@ impl KnowledgeBase {
     /// standalone Knowledge Base, the current revision: as if it had just
     /// changed, so whoever keeps a result while this stands still
     /// recomputes it.
-    pub fn last_changed(&self, label: &str) -> u64 {
+    pub(crate) fn last_changed(&self, label: &str) -> u64 {
         (self.subscriber.as_ref())
             .and_then(|subscriber| subscriber.table.last_changed(label))
             .unwrap_or(self.revision)
@@ -344,7 +345,7 @@ impl KnowledgeBase {
     /// keeps asserting a value tells whether anyone else — an operator, a
     /// config, a peer, an entity purge — changed the label since its own
     /// last write.
-    pub fn changed_at(&self, label: &str, watch: &mut Watch) -> u64 {
+    pub(crate) fn changed_at(&self, label: &str, watch: &mut Watch) -> u64 {
         let Some(subscriber) = &self.subscriber else {
             return self.revision;
         };
@@ -637,7 +638,7 @@ impl KnowledgeBase {
     }
 
     /// Clear the ambient writer attribution.
-    pub fn clear_writer(&mut self) {
+    pub(crate) fn clear_writer(&mut self) {
         self.writer = "";
     }
 
@@ -648,7 +649,7 @@ impl KnowledgeBase {
     }
 
     /// Clear the ambient trace attribution.
-    pub fn clear_trace(&mut self) {
+    pub(crate) fn clear_trace(&mut self) {
         self.trace = (0, 0);
     }
 
@@ -665,12 +666,13 @@ impl KnowledgeBase {
 
     /// Write provenance for an encoded key (`creator$label@entity`), if
     /// any was recorded.
-    pub fn origin_of_encoded(&self, encoded: &str) -> Option<&KnowggetOrigin> {
+    pub(crate) fn origin_of_encoded(&self, encoded: &str) -> Option<&KnowggetOrigin> {
         self.entries.get(encoded.as_bytes())?.origin.as_ref()
     }
 
     /// Write provenance for a key, if any was recorded.
-    pub fn origin_of(&self, key: &KnowKey) -> Option<&KnowggetOrigin> {
+    #[cfg(test)]
+    pub(crate) fn origin_of(&self, key: &KnowKey) -> Option<&KnowggetOrigin> {
         let entity = key.entity.as_ref().map(Entity::as_str);
         self.origin_of_encoded(KeyBuf::key(key.creator.as_bytes(), &key.label, entity).as_str())
     }
@@ -725,7 +727,8 @@ impl KnowledgeBase {
     }
 
     /// Remove a local entity-specific knowgget.
-    pub fn remove_about(&mut self, label: &str, entity: &Entity) -> bool {
+    #[cfg(test)]
+    pub(crate) fn remove_about(&mut self, label: &str, entity: &Entity) -> bool {
         self.remove_key(label, Some(entity))
     }
 
@@ -779,7 +782,7 @@ impl KnowledgeBase {
 
     /// [`KnowledgeBase::get`], lent instead of cloned: a text value can
     /// be looked at without copying it.
-    pub fn get_ref(&self, label: &str) -> Option<&KnowValue> {
+    pub(crate) fn get_ref(&self, label: &str) -> Option<&KnowValue> {
         Some(&self.local_entry(label, None)?.value)
     }
 
@@ -791,7 +794,7 @@ impl KnowledgeBase {
     /// Whether a local knowgget `label@entity` is held, whatever its
     /// value: how a writer that would only repeat itself learns that an
     /// entity eviction took its knowgget. Counted as a get.
-    pub fn holds_about(&self, label: &str, entity: &Entity) -> bool {
+    pub(crate) fn holds_about(&self, label: &str, entity: &Entity) -> bool {
         self.local_entry(label, Some(entity)).is_some()
     }
 
@@ -940,7 +943,7 @@ impl KnowledgeBase {
     /// Drain the collective knowggets that changed since the last call —
     /// the outbox of the synchronization mechanism — in key order. Visits
     /// the changed entries only.
-    pub fn drain_dirty_collective(&mut self) -> Vec<Knowgget> {
+    pub(crate) fn drain_dirty_collective(&mut self) -> Vec<Knowgget> {
         let mut out = Vec::with_capacity(self.dirty.len());
         // One at a time, so the set keeps its root node for the next round.
         while let Some(key) = self.dirty.pop_first() {

@@ -31,7 +31,7 @@ use super::{KnowValue, Knowgget, KnowggetOrigin};
 /// Upper bound on knowggets per sync message. Senders chunk larger
 /// batches; receivers reject anything claiming more — a hostile length
 /// field must never drive allocation.
-pub const MAX_SYNC_KNOWGGETS: usize = 512;
+pub(crate) const MAX_SYNC_KNOWGGETS: usize = 512;
 
 /// Minimum encoded size of one knowgget (six empty length-prefixed
 /// strings: label, value, creator, entity, origin module, trace), used to

@@ -64,7 +64,8 @@ impl KnowKey {
 
     /// The top-level label segment (before the first dot), for multilevel
     /// knowggets.
-    pub fn root_label(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn root_label(&self) -> &str {
         self.label.split('.').next().unwrap_or(&self.label)
     }
 

@@ -11,15 +11,14 @@ mod sync;
 mod value;
 
 pub use base::{ChangeEvent, KnowledgeBase, DEFAULT_KB_ENTITY_BUDGET};
-pub use collective::{SecureChannel, SyncMessage, XorChannel, MAX_SYNC_KNOWGGETS};
+pub use collective::{SecureChannel, SyncMessage, XorChannel};
 pub use key::{KnowKey, ParseKeyError};
-pub use peers::{PeerBeacon, PeerRegistry, DEFAULT_PEER_TTL};
-pub use subscription::{SlotSet, Subscriptions, Watch};
+pub use peers::{PeerBeacon, PeerRegistry};
+pub(crate) use subscription::Watch;
+pub use subscription::{SlotSet, Subscriptions};
 pub(crate) use sync::capped_doubling;
-pub use sync::{
-    CollectiveSync, PeerHealth, Receipt, ReceiptKind, SyncConfig, SyncEvent, SyncTransmit,
-    DEDUP_WINDOW, DEGRADED_LABEL, MAX_ATTEMPTS, QUEUE_CAPACITY, RETRANSMIT_BASE, RETRANSMIT_MAX,
-};
+pub(crate) use sync::{CollectiveSync, ReceiptKind, SyncConfig, SyncEvent, DEGRADED_LABEL};
+pub use sync::{PeerHealth, SyncTransmit};
 pub use value::KnowValue;
 
 use kalis_packets::{Entity, InlineStr};
@@ -66,6 +65,7 @@ pub struct Knowgget {
 /// origin still names the writing module. The originating *node* is the
 /// knowgget's `creator`, so it is not repeated here.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Knowgget::origin`
 pub struct KnowggetOrigin {
     /// The module that performed the write (empty for operator/config).
     /// Inline up to 30 bytes — the longest default module name is 25 — so
@@ -106,7 +106,8 @@ impl Knowgget {
     }
 
     /// Attach write provenance.
-    pub fn with_origin(mut self, origin: KnowggetOrigin) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_origin(mut self, origin: KnowggetOrigin) -> Self {
         self.origin = Some(origin);
         self
     }

@@ -14,7 +14,7 @@ use crate::id::KalisId;
 /// Default lifetime of a peer-list entry without a fresh beacon.
 /// Override per-registry with [`PeerRegistry::with_ttl`] (the node
 /// builder wires this to the `Sync.PeerTtl` a-priori knowgget).
-pub const DEFAULT_PEER_TTL: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_PEER_TTL: Duration = Duration::from_secs(30);
 
 /// A Kalis advertisement beacon, broadcast periodically on the local
 /// network. The wire form is a single line (`KALIS <id>`), small enough
@@ -74,7 +74,7 @@ impl PeerRegistry {
     }
 
     /// An empty registry with an explicit beacon TTL.
-    pub fn with_ttl(local: KalisId, ttl: Duration) -> Self {
+    pub(crate) fn with_ttl(local: KalisId, ttl: Duration) -> Self {
         PeerRegistry {
             local,
             ttl: ttl.max(Duration::from_micros(1)),

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A set of Module Manager slot numbers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Subscriptions::collect`
 pub struct SlotSet {
     /// Bit `slot % 64` of word `slot / 64`.
     words: Vec<u64>,
@@ -20,7 +21,7 @@ pub struct SlotSet {
 impl SlotSet {
     /// The empty set with room for slots `0..slots`: sets of one size
     /// combine without allocating.
-    pub fn with_slots(slots: usize) -> Self {
+    pub(crate) fn with_slots(slots: usize) -> Self {
         SlotSet {
             words: vec![0; slots.div_ceil(64)],
         }
@@ -45,7 +46,7 @@ impl SlotSet {
     }
 
     /// Add every slot of `other`.
-    pub fn union_with(&mut self, other: &SlotSet) {
+    pub(crate) fn union_with(&mut self, other: &SlotSet) {
         if other.words.len() > self.words.len() {
             self.words.resize(other.words.len(), 0);
         }
@@ -70,6 +71,7 @@ impl SlotSet {
 /// [`ModuleManager::subscriptions`](crate::modules::ModuleManager::subscriptions)
 /// from the activation inputs its modules' descriptors declare.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ModuleManager::subscriptions`
 pub struct Subscriptions {
     /// Which compilation this is: a [`Watch`] resolved against another
     /// table does not resolve here (0: never handed out).
@@ -100,7 +102,7 @@ struct Exact {
 ///
 /// [`KnowledgeBase::changed_at`]: super::KnowledgeBase::changed_at
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Watch {
+pub(crate) struct Watch {
     /// The [`Subscriptions::id`] resolved against.
     table: u64,
     /// The label's place in the table's stamps; `None`: not watched.
@@ -123,7 +125,7 @@ impl Subscriptions {
     }
 
     /// The slot count the table was compiled over.
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.slots
     }
 
@@ -141,13 +143,13 @@ impl Subscriptions {
     }
 
     /// Re-evaluate `slot` whenever anything changes.
-    pub fn subscribe_all(&mut self, slot: usize) {
+    pub(crate) fn subscribe_all(&mut self, slot: usize) {
         self.wildcard.insert(slot);
     }
 
     /// Remember when `label` last changed
     /// ([`Subscriptions::last_changed`]).
-    pub fn watch(&mut self, label: &str) {
+    pub(crate) fn watch(&mut self, label: &str) {
         let next = self.stamps.len() as u32;
         let stamp = &mut self.exact_entry(label).stamp;
         if stamp.is_some() {
@@ -166,12 +168,12 @@ impl Subscriptions {
 
     /// The revision [`Subscriptions::collect`] last heard `label` change
     /// at; `None` for a label that is not watched.
-    pub fn last_changed(&self, label: &str) -> Option<u64> {
+    pub(crate) fn last_changed(&self, label: &str) -> Option<u64> {
         self.stamped(self.resolve(label))
     }
 
     /// `label` resolved against this table, watched or not.
-    pub fn resolve(&self, label: &str) -> Watch {
+    pub(crate) fn resolve(&self, label: &str) -> Watch {
         Watch {
             table: self.id,
             stamp: self.exact.get(label).and_then(|held| held.stamp),
@@ -179,14 +181,14 @@ impl Subscriptions {
     }
 
     /// Whether `watch` was resolved against this table.
-    pub fn resolves(&self, watch: Watch) -> bool {
+    pub(crate) fn resolves(&self, watch: Watch) -> bool {
         watch.table == self.id
     }
 
     /// [`Subscriptions::last_changed`] of the label `watch` resolved
     /// here: no label lookup. `None` for a label that is not watched, or
     /// resolved against another table.
-    pub fn stamped(&self, watch: Watch) -> Option<u64> {
+    pub(crate) fn stamped(&self, watch: Watch) -> Option<u64> {
         let at = watch.stamp.filter(|_| self.resolves(watch))?;
         self.stamps.get(at as usize).copied()
     }

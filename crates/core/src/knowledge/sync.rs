@@ -38,7 +38,7 @@ use super::Knowgget;
 /// The KB label a node sets on itself while in degraded local-only mode.
 /// Modules whose verdicts require live collective knowledge check it and
 /// suppress themselves (e.g. wormhole correlation).
-pub const DEGRADED_LABEL: &str = "DegradedMode";
+pub(crate) const DEGRADED_LABEL: &str = "DegradedMode";
 
 const ENVELOPE_VERSION: u8 = 1;
 const ENVELOPE_HEADER: usize = 1 + 1 + 8;
@@ -46,15 +46,15 @@ const KIND_DATA: u8 = 0;
 const KIND_ACK: u8 = 1;
 
 /// First retransmit delay; doubles per attempt.
-pub const RETRANSMIT_BASE: Duration = Duration::from_millis(500);
+pub(crate) const RETRANSMIT_BASE: Duration = Duration::from_millis(500);
 /// Ceiling on the retransmit delay.
-pub const RETRANSMIT_MAX: Duration = Duration::from_secs(8);
+pub(crate) const RETRANSMIT_MAX: Duration = Duration::from_secs(8);
 /// Unacked attempts before the peer turns Suspect (twice this: Dead).
-pub const MAX_ATTEMPTS: u32 = 6;
+pub(crate) const MAX_ATTEMPTS: u32 = 6;
 /// Outbound frames queued per peer before the drop policy engages.
-pub const QUEUE_CAPACITY: usize = 64;
+pub(crate) const QUEUE_CAPACITY: usize = 64;
 /// Receive-side dedup window (tracked seqs per peer).
-pub const DEDUP_WINDOW: usize = 128;
+pub(crate) const DEDUP_WINDOW: usize = 128;
 
 /// `base` doubled for every attempt after the first (at most 16
 /// doublings), capped at `max`: the retransmit delay here, and the
@@ -68,11 +68,11 @@ pub(crate) fn capped_doubling(base: Duration, attempts: u32, max: Duration) -> D
 /// language via the `Sync.PeerTtl` and `Sync.BeaconInterval` a-priori
 /// knowggets (seconds).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncConfig {
+pub(crate) struct SyncConfig {
     /// Silence longer than this marks a peer Suspect; twice this, Dead.
-    pub peer_ttl: Duration,
+    pub(crate) peer_ttl: Duration,
     /// How often the node broadcasts its own beacon.
-    pub beacon_interval: Duration,
+    pub(crate) beacon_interval: Duration,
 }
 
 impl Default for SyncConfig {
@@ -86,7 +86,7 @@ impl Default for SyncConfig {
 
 impl SyncConfig {
     /// Set the peer TTL, keeping the paper's 3-beacons-per-TTL cadence.
-    pub fn with_peer_ttl(mut self, ttl: Duration) -> Self {
+    pub(crate) fn with_peer_ttl(mut self, ttl: Duration) -> Self {
         self.peer_ttl = ttl.max(Duration::from_micros(3));
         self.beacon_interval = self.peer_ttl / 3;
         self
@@ -120,7 +120,7 @@ impl PeerHealth {
 
 /// A state-machine or queue event, drained by the node for journaling.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyncEvent {
+pub(crate) enum SyncEvent {
     /// A peer was heard from for the first time.
     PeerDiscovered {
         /// The newly discovered peer.
@@ -166,6 +166,7 @@ pub enum SyncEvent {
 /// One sealed frame ready for the transport, with bookkeeping for
 /// telemetry.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `SyncPoll::frames`
 pub struct SyncTransmit {
     /// The peer this frame is for (receivers self-select on broadcast
     /// transports; the id is bookkeeping).
@@ -175,14 +176,14 @@ pub struct SyncTransmit {
     /// Envelope sequence number.
     pub seq: u64,
     /// Whether this is a retransmission (attempt > 1).
-    pub retransmit: bool,
+    pub(crate) retransmit: bool,
     /// Knowggets carried (0 for acks).
     pub knowggets: u64,
 }
 
 /// What a received frame turned out to be.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ReceiptKind {
+pub(crate) enum ReceiptKind {
     /// A first-seen data frame; apply the message to the KB.
     Fresh(SyncMessage),
     /// A replayed or duplicated data frame; already applied, re-acked.
@@ -196,7 +197,7 @@ pub enum ReceiptKind {
 
 /// The outcome of [`CollectiveSync::receive`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Receipt {
+pub(crate) struct Receipt {
     /// The authenticated sender.
     pub from: KalisId,
     /// The envelope sequence number.
@@ -251,7 +252,7 @@ impl PeerLink {
 /// channel and all per-peer link state; the node feeds it beacons,
 /// dirty knowggets, received frames, and the capture clock, and drains
 /// frames to transmit plus events to journal.
-pub struct CollectiveSync {
+pub(crate) struct CollectiveSync {
     local: KalisId,
     channel: Box<dyn SecureChannel>,
     config: SyncConfig,
@@ -307,7 +308,7 @@ impl CollectiveSync {
 
     /// Whether the node should broadcast its beacon now (and mark it
     /// done).
-    pub fn beacon_due(&mut self, now: Timestamp) -> bool {
+    pub(crate) fn beacon_due(&mut self, now: Timestamp) -> bool {
         let due = match self.last_beacon {
             Some(last) => now.saturating_since(last) >= self.config.beacon_interval,
             None => true,
@@ -320,7 +321,7 @@ impl CollectiveSync {
 
     /// Record a beacon (or any other liveness proof) from `peer`.
     /// Returns whether the peer is newly discovered.
-    pub fn observe_peer(&mut self, peer: &KalisId, now: Timestamp) -> bool {
+    pub(crate) fn observe_peer(&mut self, peer: &KalisId, now: Timestamp) -> bool {
         if *peer == self.local {
             return false;
         }
@@ -358,7 +359,7 @@ impl CollectiveSync {
     /// Peers owed a full collective-state re-sync; clears the flags.
     /// The caller enqueues a snapshot per returned peer via
     /// [`CollectiveSync::enqueue_to`].
-    pub fn take_resync_peers(&mut self) -> Vec<KalisId> {
+    pub(crate) fn take_resync_peers(&mut self) -> Vec<KalisId> {
         self.links
             .iter_mut()
             .filter(|(_, l)| l.needs_resync && l.health != PeerHealth::Dead)
@@ -371,7 +372,7 @@ impl CollectiveSync {
 
     /// Queue `knowggets` for every non-Dead peer, chunked to the wire
     /// cap.
-    pub fn enqueue_broadcast(&mut self, knowggets: &[Knowgget], now: Timestamp) {
+    pub(crate) fn enqueue_broadcast(&mut self, knowggets: &[Knowgget], now: Timestamp) {
         let targets: Vec<KalisId> = self
             .links
             .iter()
@@ -385,7 +386,7 @@ impl CollectiveSync {
 
     /// Queue `knowggets` for one peer, chunked to the wire cap, applying
     /// the drop-oldest policy when the bounded queue is full.
-    pub fn enqueue_to(&mut self, peer: &KalisId, knowggets: Vec<Knowgget>, now: Timestamp) {
+    pub(crate) fn enqueue_to(&mut self, peer: &KalisId, knowggets: Vec<Knowgget>, now: Timestamp) {
         if knowggets.is_empty() || *peer == self.local {
             return;
         }
@@ -500,7 +501,7 @@ impl CollectiveSync {
     ///
     /// Returns a description when authentication fails or the envelope
     /// or payload is malformed.
-    pub fn receive(&mut self, sealed: &[u8], now: Timestamp) -> Result<Receipt, String> {
+    pub(crate) fn receive(&mut self, sealed: &[u8], now: Timestamp) -> Result<Receipt, String> {
         let plain = self
             .channel
             .open(sealed)
@@ -582,7 +583,7 @@ impl CollectiveSync {
     }
 
     /// Drain accumulated state-machine events for journaling.
-    pub fn drain_events(&mut self) -> Vec<SyncEvent> {
+    pub(crate) fn drain_events(&mut self) -> Vec<SyncEvent> {
         std::mem::take(&mut self.events)
     }
 

@@ -110,7 +110,7 @@ impl KnowValue {
     /// spells a bool or a number is that bool or number (`Text("8")` →
     /// `Int(8)`, `Text("1e3")` → `Float(1000.0)`). The Knowledge Base
     /// stores values in this form, so a lookup never parses.
-    pub fn canonical(self) -> KnowValue {
+    pub(crate) fn canonical(self) -> KnowValue {
         match self {
             KnowValue::Bool(_) | KnowValue::Int(_) => self,
             KnowValue::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => KnowValue::Int(x as i64),

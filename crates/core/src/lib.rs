@@ -69,10 +69,7 @@ pub use id::KalisId;
 pub use kalis_telemetry::{
     AlertProvenance, EvidenceKnowgget, PacketRef, SampleRate, TraceContext, TraceRef, Tracer,
 };
-pub use knowledge::{
-    CollectiveSync, KnowKey, KnowValue, Knowgget, KnowggetOrigin, KnowledgeBase, PeerHealth,
-    SyncConfig, DEGRADED_LABEL,
-};
+pub use knowledge::{KnowKey, KnowValue, Knowgget, KnowggetOrigin, KnowledgeBase, PeerHealth};
 pub use modules::{KeyPattern, KeyUse, KnowggetContract, ParamSpec, ValueType};
 pub use node::{system_contract, Kalis, KalisBuilder, SyncPoll, SyncReceipt};
-pub use ops::{OpsServer, Readiness, StatusReport};
+pub use ops::Readiness;

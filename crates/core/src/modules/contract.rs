@@ -219,13 +219,13 @@ impl ParamSpec {
 /// carry a justification; the lint pass surfaces allows in `--json`
 /// output so suppressions stay reviewable.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AllowRule {
+pub(crate) struct AllowRule {
     /// The diagnostic code suppressed (e.g. `"KL202"`).
     pub code: &'static str,
     /// Root label of the key the suppression applies to.
     pub key: &'static str,
     /// Why the finding is deliberate (required, shown in diagnostics).
-    pub why: &'static str,
+    pub(crate) why: &'static str,
 }
 
 /// The declarative knowgget contract of one module: every key it reads
@@ -253,7 +253,7 @@ pub struct KnowggetContract {
     /// Constructor parameters accepted from configuration files.
     pub params: Vec<ParamSpec>,
     /// Documented `KL2xx` suppressions (see [`AllowRule`]).
-    pub allows: Vec<AllowRule>,
+    pub(crate) allows: Vec<AllowRule>,
 }
 
 impl KnowggetContract {
@@ -307,7 +307,7 @@ impl KnowggetContract {
     }
 
     /// Declare an entity-specific write.
-    pub fn writes_per_entity(self, label: impl Into<String>, ty: ValueType) -> Self {
+    pub(crate) fn writes_per_entity(self, label: impl Into<String>, ty: ValueType) -> Self {
         let mut key = KeyUse::new(KeyPattern::exact(label), ty);
         key.per_entity = true;
         self.push_write(key)

@@ -20,23 +20,23 @@ impl FrameClass {
     /// Overheard on an 802.15.4 medium.
     pub const IEEE802154: FrameClass = FrameClass(1 << 1);
     /// An 802.11 link layer.
-    pub const WIFI: FrameClass = FrameClass(1 << 2);
+    pub(crate) const WIFI: FrameClass = FrameClass(1 << 2);
     /// An 802.11 management frame ([`TrafficClass::WifiMgmt`]).
     pub const WIFI_MGMT: FrameClass = FrameClass(1 << 3);
     /// A CTP network layer.
     pub const CTP: FrameClass = FrameClass(1 << 4);
     /// A 6LoWPAN network layer.
-    pub const SIXLOWPAN: FrameClass = FrameClass(1 << 5);
+    pub(crate) const SIXLOWPAN: FrameClass = FrameClass(1 << 5);
     /// A ZigBee network layer.
-    pub const ZIGBEE: FrameClass = FrameClass(1 << 6);
+    pub(crate) const ZIGBEE: FrameClass = FrameClass(1 << 6);
     /// An ICMP (v4 or v6) echo request or reply.
-    pub const ICMP_ECHO: FrameClass = FrameClass(1 << 7);
+    pub(crate) const ICMP_ECHO: FrameClass = FrameClass(1 << 7);
     /// A TCP segment.
-    pub const TCP: FrameClass = FrameClass(1 << 8);
+    pub(crate) const TCP: FrameClass = FrameClass(1 << 8);
     /// A UDP datagram.
     pub const UDP: FrameClass = FrameClass(1 << 9);
     /// An RPL control message.
-    pub const RPL: FrameClass = FrameClass(1 << 10);
+    pub(crate) const RPL: FrameClass = FrameClass(1 << 10);
 
     /// Every single class with its name, in bit order.
     pub const NAMED: [(FrameClass, &'static str); 11] = [

@@ -142,17 +142,18 @@ impl ManagerTele {
 
 /// Counters describing one packet dispatch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ModuleManager::dispatch_packet_shed`
 pub struct DispatchOutcome {
     /// Modules that processed the packet to completion.
-    pub modules_run: u64,
+    pub(crate) modules_run: u64,
     /// Modules whose handler panicked; the unwind was caught, the
     /// module's state reset, and the node kept going. Panicked
     /// dispatches still cost work (they ran until the panic), so
     /// `work.units` counts `modules_run + modules_panicked`.
-    pub modules_panicked: u64,
+    pub(crate) modules_panicked: u64,
     /// Modules skipped by overload shedding. Shed dispatches cost no
     /// work and are *not* part of `work.units`.
-    pub modules_shed: u64,
+    pub(crate) modules_shed: u64,
 }
 
 impl DispatchOutcome {
@@ -166,6 +167,7 @@ impl DispatchOutcome {
 /// Point-in-time resource and health profile of one loaded module,
 /// assembled by [`ModuleManager::module_profiles`] for the ops surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ModuleManager::module_profiles`
 pub struct ModuleProfile {
     /// Registry name.
     pub name: &'static str,
@@ -181,10 +183,10 @@ pub struct ModuleProfile {
     /// module's `module.cpu_ns` counter.
     pub cpu_ns: u64,
     /// Dispatches that consumed work (completed or panicked part-way).
-    pub dispatches: u64,
+    pub(crate) dispatches: u64,
     /// Dispatches skipped by overload shedding: the module's
     /// `supervisor.shed` counter.
-    pub sheds: u64,
+    pub(crate) sheds: u64,
     /// Entries currently held in the module's per-entity tracking maps.
     pub occupancy: usize,
     /// Entries evicted from bounded per-entity structures to stay
@@ -283,7 +285,7 @@ impl ModuleManager {
     }
 
     /// Replace the supervisor tuning knobs.
-    pub fn set_supervisor(&mut self, cfg: SupervisorConfig) {
+    pub(crate) fn set_supervisor(&mut self, cfg: SupervisorConfig) {
         self.supervisor = cfg;
     }
 
@@ -394,7 +396,7 @@ impl ModuleManager {
     /// Like [`ModuleManager::reconfigure`], but journals every activation
     /// flip with the knowgget change(s) that triggered it and the capture
     /// time — the audit trail of the knowledge-driven adaptation loop.
-    pub fn reconfigure_traced(
+    pub(crate) fn reconfigure_traced(
         &mut self,
         kb: &KnowledgeBase,
         trigger: &str,
@@ -660,16 +662,15 @@ impl ModuleManager {
             .map(|s| (&s.descriptor, s.module.contract()))
     }
 
-    /// Whether the named module is currently active — recorded into an
-    /// alert's provenance as the activation state that made the module
-    /// eligible to raise it.
-    pub fn is_active(&self, name: &str) -> bool {
+    /// Whether the named module is currently active.
+    #[cfg(test)]
+    pub(crate) fn is_active(&self, name: &str) -> bool {
         (self.slots.iter()).any(|s| s.is_active() && s.descriptor.name == name)
     }
 
     /// Number of modules currently active (quarantined modules are not
     /// active: they are excluded from dispatch until probation).
-    pub fn active_count(&self) -> usize {
+    pub(crate) fn active_count(&self) -> usize {
         self.slots.iter().filter(|s| s.is_active()).count()
     }
 
@@ -686,7 +687,7 @@ impl ModuleManager {
     /// Names of the currently active modules (excluding quarantined
     /// ones, so `recommend_config()` never recommends a module the
     /// supervisor has benched).
-    pub fn active_names(&self) -> Vec<&'static str> {
+    pub(crate) fn active_names(&self) -> Vec<&'static str> {
         (self.slots.iter())
             .filter(|s| s.is_active())
             .map(|s| s.descriptor.name)
@@ -696,7 +697,9 @@ impl ModuleManager {
     /// `(name, current non-default parameters)` for every active module
     /// — the parameterized module list `recommend_config` emits, so
     /// tuned knobs (thresholds, entity budgets) survive the round-trip.
-    pub fn active_defs(&self) -> Vec<(&'static str, Vec<(String, crate::knowledge::KnowValue)>)> {
+    pub(crate) fn active_defs(
+        &self,
+    ) -> Vec<(&'static str, Vec<(String, crate::knowledge::KnowValue)>)> {
         (self.slots.iter())
             .filter(|s| s.is_active())
             .map(|s| (s.descriptor.name, s.module.current_params()))
@@ -704,7 +707,7 @@ impl ModuleManager {
     }
 
     /// Names of the currently quarantined modules.
-    pub fn quarantined_names(&self) -> Vec<&'static str> {
+    pub(crate) fn quarantined_names(&self) -> Vec<&'static str> {
         (self.slots.iter())
             .filter(|s| s.supervision.is_quarantined())
             .map(|s| s.descriptor.name)
@@ -715,7 +718,7 @@ impl ModuleManager {
     /// is allocated while there are none. The operator asked for these
     /// explicitly, so losing one flips `/readyz` — an unpinned module
     /// benched by the supervisor only degrades the node.
-    pub fn quarantined_pinned(&self) -> SlotSet {
+    pub(crate) fn quarantined_pinned(&self) -> SlotSet {
         let mut slots = SlotSet::default();
         if self.quarantined == 0 {
             return slots;
@@ -733,7 +736,7 @@ impl ModuleManager {
     /// # Panics
     ///
     /// When no such slot is loaded.
-    pub fn name_of(&self, slot: usize) -> &'static str {
+    pub(crate) fn name_of(&self, slot: usize) -> &'static str {
         self.slots[slot].descriptor.name
     }
 
@@ -763,7 +766,7 @@ impl ModuleManager {
     /// cumulative evictions into `evictions`, in load order (what the
     /// eviction audit needs of [`ModuleManager::module_profiles`]), and
     /// [`ModuleManager::state_bytes`] as the result.
-    pub fn state_and_evictions(&self, evictions: &mut Vec<u64>) -> usize {
+    pub(crate) fn state_and_evictions(&self, evictions: &mut Vec<u64>) -> usize {
         evictions.clear();
         let mut bytes = 0;
         for slot in &self.slots {
@@ -774,7 +777,7 @@ impl ModuleManager {
     }
 
     /// Number of currently quarantined modules.
-    pub fn quarantined_count(&self) -> usize {
+    pub(crate) fn quarantined_count(&self) -> usize {
         self.quarantined
     }
 
@@ -786,7 +789,8 @@ impl ModuleManager {
     }
 
     /// The supervision health of the named module.
-    pub fn module_health(&self, name: &str) -> Option<ModuleHealth> {
+    #[cfg(test)]
+    pub(crate) fn module_health(&self, name: &str) -> Option<ModuleHealth> {
         (self.slots.iter())
             .find(|s| s.descriptor.name == name)
             .map(|s| s.supervision.health())
@@ -821,7 +825,8 @@ mod tests {
     use super::*;
     use crate::alert::AttackKind;
     use crate::id::KalisId;
-    use crate::modules::{ModuleDescriptor, BACKOFF_BASE, HEAL_STREAK, OVERRUN_LIMIT};
+    use crate::modules::supervisor::{BACKOFF_BASE, HEAL_STREAK, OVERRUN_LIMIT};
+    use crate::modules::ModuleDescriptor;
     use bytes::Bytes;
     use core::time::Duration;
     use kalis_packets::{Medium, Timestamp};

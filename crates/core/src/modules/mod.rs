@@ -6,16 +6,13 @@ mod contract;
 mod frame;
 mod manager;
 mod registry;
-mod supervisor;
+pub(crate) mod supervisor;
 
-pub use contract::{AllowRule, KeyPattern, KeyUse, KnowggetContract, ParamSpec, ValueType};
+pub use contract::{KeyPattern, KeyUse, KnowggetContract, ParamSpec, ValueType};
 pub use frame::FrameClass;
 pub use manager::{DispatchOutcome, ModuleManager, ModuleProfile};
 pub use registry::ModuleRegistry;
-pub use supervisor::{
-    ModuleHealth, OverloadController, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict,
-    BACKOFF_BASE, BACKOFF_MAX, HEAL_STREAK, OVERRUN_LIMIT, SHED_SAMPLE,
-};
+pub use supervisor::{ModuleHealth, OverloadController, ShedMode, SupervisorConfig};
 
 use kalis_packets::{CapturedPacket, Timestamp};
 
@@ -38,7 +35,7 @@ pub enum ModuleKind {
 /// overload all unpinned detection modules do (heavy ones more
 /// aggressively). Sensing and pinned modules are never shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ModuleWeight {
+pub(crate) enum ModuleWeight {
     /// Cheap per-packet work (stateless checks, small counters).
     #[default]
     Light,
@@ -57,7 +54,7 @@ pub struct ModuleDescriptor {
     /// The attack this module detects, for detection modules.
     pub detects: Option<AttackKind>,
     /// Per-dispatch cost class, for the shed priority order.
-    pub weight: ModuleWeight,
+    pub(crate) weight: ModuleWeight,
     /// The Fig. 3 features any one of which switches the module on;
     /// empty for a module knowledge does not switch.
     pub needs: &'static [Feature],
@@ -158,7 +155,7 @@ pub struct ModuleCtx<'a> {
 
 impl ModuleCtx<'_> {
     /// Raise an alert.
-    pub fn raise(&mut self, alert: Alert) {
+    pub(crate) fn raise(&mut self, alert: Alert) {
         self.alerts.push(alert);
     }
 }

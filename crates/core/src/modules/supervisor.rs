@@ -24,32 +24,33 @@ use kalis_packets::Timestamp;
 use crate::knowledge::capped_doubling;
 
 /// Consecutive budget overruns before a module is quarantined.
-pub const OVERRUN_LIMIT: u32 = 8;
+pub(crate) const OVERRUN_LIMIT: u32 = 8;
 /// First quarantine backoff; doubles on every re-quarantine.
-pub const BACKOFF_BASE: Duration = Duration::from_secs(5);
+pub(crate) const BACKOFF_BASE: Duration = Duration::from_secs(5);
 /// Upper bound on the exponential quarantine backoff.
-pub const BACKOFF_MAX: Duration = Duration::from_secs(300);
+pub(crate) const BACKOFF_MAX: Duration = Duration::from_secs(300);
 /// Clean dispatches a `Degraded` module needs to heal to `Healthy`.
-pub const HEAL_STREAK: u32 = 64;
+pub(crate) const HEAL_STREAK: u32 = 64;
 /// Shedding keeps one dispatch in `SHED_SAMPLE` for affected modules
 /// (the rest are skipped and counted).
-pub const SHED_SAMPLE: u64 = 4;
+pub(crate) const SHED_SAMPLE: u64 = 4;
 
 /// Tuning knobs for the supervisor, one per configuration-language key:
 /// `Supervisor.PanicLimit`, `Supervisor.BudgetMs` and
 /// `Supervisor.BurstPps`. A node takes them from its config and
 /// `recommend_config()` writes them back.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ModuleManager::supervisor_config`
 pub struct SupervisorConfig {
     /// Panics a module may accumulate before it is quarantined.
-    pub panic_limit: u32,
+    pub(crate) panic_limit: u32,
     /// Per-dispatch wall-clock budget. `None` disables the watchdog
     /// (the default: wall-clock measurement is nondeterministic, so it
     /// is opt-in via `Supervisor.BudgetMs`).
     pub budget: Option<Duration>,
     /// Sustained ingest rate (packets per second) the pipeline accepts
     /// before the overload controller starts shedding.
-    pub burst_pps: u64,
+    pub(crate) burst_pps: u64,
 }
 
 impl Default for SupervisorConfig {
@@ -89,7 +90,7 @@ impl ModuleHealth {
 /// What the state machine decided after an observation; the manager
 /// turns these into journal events and counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SupervisorVerdict {
+pub(crate) enum SupervisorVerdict {
     /// No health transition.
     Unchanged,
     /// First strike: the module moved to `Degraded`.
@@ -106,7 +107,7 @@ pub enum SupervisorVerdict {
 
 /// Per-module supervision bookkeeping, owned by the manager's slot.
 #[derive(Debug, Clone)]
-pub struct Supervision {
+pub(crate) struct Supervision {
     health: ModuleHealth,
     /// Panics since the module last healed (or since probation began).
     panics: u32,
@@ -139,13 +140,14 @@ impl Supervision {
     }
 
     /// Whether dispatch must skip this module right now.
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         self.health == ModuleHealth::Quarantined
     }
 
     /// When the current quarantine expires (meaningful only while
     /// quarantined).
-    pub fn quarantined_until(&self) -> Timestamp {
+    #[cfg(test)]
+    pub(crate) fn quarantined_until(&self) -> Timestamp {
         self.quarantine_until
     }
 
@@ -163,7 +165,11 @@ impl Supervision {
     }
 
     /// A panic unwound out of the module.
-    pub fn note_panic(&mut self, now: Timestamp, cfg: &SupervisorConfig) -> SupervisorVerdict {
+    pub(crate) fn note_panic(
+        &mut self,
+        now: Timestamp,
+        cfg: &SupervisorConfig,
+    ) -> SupervisorVerdict {
         self.panics += 1;
         self.clean_streak = 0;
         if self.panics >= cfg.panic_limit.max(1) {
@@ -177,7 +183,7 @@ impl Supervision {
     }
 
     /// A dispatch exceeded the configured watchdog budget.
-    pub fn note_overrun(&mut self, now: Timestamp) -> SupervisorVerdict {
+    pub(crate) fn note_overrun(&mut self, now: Timestamp) -> SupervisorVerdict {
         self.overruns += 1;
         self.clean_streak = 0;
         if self.overruns >= OVERRUN_LIMIT {
@@ -194,7 +200,7 @@ impl Supervision {
     /// A dispatch completed within budget and without panicking. A
     /// `Degraded` module heals back to `Healthy` after a sustained
     /// clean streak.
-    pub fn note_clean(&mut self) {
+    pub(crate) fn note_clean(&mut self) {
         self.overruns = 0;
         self.clean_streak = self.clean_streak.saturating_add(1);
         if self.health == ModuleHealth::Degraded && self.clean_streak >= HEAL_STREAK {
@@ -207,7 +213,7 @@ impl Supervision {
     /// probation: it re-enters dispatch `Degraded` with one remaining
     /// strike, so a recurring crash re-quarantines immediately with a
     /// doubled backoff. Returns `true` when released.
-    pub fn try_release(&mut self, now: Timestamp, cfg: &SupervisorConfig) -> bool {
+    pub(crate) fn try_release(&mut self, now: Timestamp, cfg: &SupervisorConfig) -> bool {
         if self.health == ModuleHealth::Quarantined && now >= self.quarantine_until {
             self.health = ModuleHealth::Degraded;
             self.panics = cfg.panic_limit.max(1) - 1;
@@ -248,7 +254,7 @@ pub struct OverloadController {
     arrivals: std::collections::VecDeque<Timestamp>,
     mode: ShedMode,
     /// Dispatches sampled away during the current shedding episode.
-    pub episode_skipped: u64,
+    pub(crate) episode_skipped: u64,
 }
 
 impl OverloadController {
@@ -290,7 +296,7 @@ impl OverloadController {
     }
 
     /// Whether any shedding is in effect.
-    pub fn shedding(&self) -> bool {
+    pub(crate) fn shedding(&self) -> bool {
         self.mode != ShedMode::None
     }
 }

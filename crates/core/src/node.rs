@@ -27,9 +27,7 @@ use crate::error::KalisError;
 use crate::id::KalisId;
 use crate::knowledge::{KnowValue, KnowledgeBase};
 use crate::metrics::ResourceMeter;
-use crate::modules::{
-    ModuleCtx, ModuleHealth, ModuleManager, OverloadController, ShedMode, SupervisorConfig,
-};
+use crate::modules::{ModuleCtx, ModuleManager, OverloadController, ShedMode, SupervisorConfig};
 use crate::response::ResponseEngine;
 use crate::store::DataStore;
 
@@ -39,13 +37,7 @@ mod ops;
 mod provenance;
 mod sync;
 
-pub use build::{
-    system_contract, KalisBuilder, DIAG_INTERVAL_KEY, DIAG_RING_DEPTH_KEY, DIAG_TRIGGER_MASK_KEY,
-    KB_ENTITY_BUDGET_KEY, OPS_HOT_ENTITIES_KEY, OPS_PORT_KEY, OPS_SLO_KEY,
-    SUPERVISOR_BUDGET_MS_KEY, SUPERVISOR_BURST_PPS_KEY, SUPERVISOR_PANIC_LIMIT_KEY,
-    SYNC_BEACON_INTERVAL_KEY, SYNC_PEER_TTL_KEY, TRACE_SAMPLE_RATE_KEY,
-};
-pub use housekeeping::DIAG_BUNDLE_RETENTION;
+pub use build::{system_contract, KalisBuilder};
 pub use sync::{SyncPoll, SyncReceipt};
 
 use housekeeping::Housekeeping;
@@ -545,14 +537,6 @@ impl Kalis {
         &mut self.store
     }
 
-    /// Whether the *detection pipeline itself* is degraded: overload
-    /// shedding is in effect or at least one module is quarantined. The
-    /// collective-sync notion of degradation ([`Kalis::degraded`]) is
-    /// independent of this one.
-    pub fn degraded_pipeline(&self) -> bool {
-        self.overload.shedding() || self.manager.quarantined_count() > 0
-    }
-
     /// The shed mode decided by the overload controller at the last
     /// ingest.
     pub fn shed_mode(&self) -> ShedMode {
@@ -572,7 +556,12 @@ impl Kalis {
     /// [`KalisError::UnknownModule`] when no module by that name is
     /// loaded; [`KalisError::ModuleQuarantined`] while the module is
     /// quarantined (its backoff has not yet released it to probation).
-    pub fn module_health(&self, name: &str) -> Result<ModuleHealth, KalisError> {
+    #[cfg(test)]
+    pub(crate) fn module_health(
+        &self,
+        name: &str,
+    ) -> Result<crate::modules::ModuleHealth, KalisError> {
+        use crate::modules::ModuleHealth;
         match self.manager.module_health(name) {
             None => Err(KalisError::UnknownModule {
                 name: name.to_owned(),
@@ -612,8 +601,10 @@ mod tests {
     use crate::config::Config;
     use crate::knowledge::{KnowKey, SyncMessage};
     use crate::modules::Module;
+    use crate::modules::ModuleHealth;
     use crate::sensing::labels;
     use crate::taxonomy::Feature;
+    use build::{OPS_PORT_KEY, TRACE_SAMPLE_RATE_KEY};
     use kalis_packets::{Entity, Medium, ShortAddr};
     use kalis_telemetry::SampleRate;
 
@@ -966,7 +957,7 @@ mod tests {
         )));
         // The dispatch that releases it is the one that switches it off,
         // whatever else that packet did or did not change.
-        let released_ms = 3_100 + crate::modules::BACKOFF_BASE.as_millis() as u64;
+        let released_ms = 3_100 + crate::modules::supervisor::BACKOFF_BASE.as_millis() as u64;
         kalis.ingest(ctp_packet(released_ms, 0));
         assert!(kalis.quarantined_modules().is_empty());
         assert!(!kalis.active_modules().contains(&"Fragile"));
@@ -1264,7 +1255,7 @@ mod tests {
             .with_config("knowggets = { Supervisor.BurstPps = 50 }".parse().unwrap())
             .with_default_modules()
             .build();
-        assert!(!kalis.degraded_pipeline());
+        assert!(kalis.readiness().ready());
         // ~10× capacity: 500 packets over one second of capture time.
         let mut overloaded = 0;
         for i in 0..500u64 {
@@ -1277,14 +1268,14 @@ mod tests {
             kalis.shed_mode() != ShedMode::None,
             "burst engages shedding"
         );
-        assert!(kalis.degraded_pipeline());
+        assert!(!kalis.readiness().ready());
         assert!(overloaded > 0, "severe overload surfaces PipelineOverload");
         // Calm traffic releases the shed (rate falls below ¾ capacity).
         for i in 0..60u64 {
             kalis.ingest(ctp_packet(2_000 + i * 100, 0));
         }
         assert_eq!(kalis.shed_mode(), ShedMode::None);
-        assert!(!kalis.degraded_pipeline());
+        assert!(kalis.readiness().ready());
     }
 
     #[test]

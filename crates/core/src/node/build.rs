@@ -17,7 +17,7 @@ use crate::config::{Config, ModuleDef};
 use crate::error::KalisError;
 use crate::id::KalisId;
 use crate::knowledge::{
-    CollectiveSync, KnowValue, KnowledgeBase, SecureChannel, SyncConfig, XorChannel, DEGRADED_LABEL,
+    CollectiveSync, KnowValue, KnowledgeBase, SyncConfig, XorChannel, DEGRADED_LABEL,
 };
 use crate::modules::{Module, ModuleManager, ModuleRegistry, OverloadController, SupervisorConfig};
 use crate::ops::{OpsServer, OpsShared};
@@ -29,62 +29,62 @@ use super::ops::OpsRuntime;
 use super::sync::SyncLink;
 use super::{Kalis, NodeStats};
 
-/// Shared secret of the default [`XorChannel`] ("kalis" in ASCII) used
-/// when the embedder does not provide its own [`SecureChannel`].
+/// Shared secret of the [`XorChannel`] every node seals sync traffic
+/// with ("kalis" in ASCII).
 const DEFAULT_SYNC_KEY: u64 = 0x006b_616c_6973;
 
 /// A-priori knowgget key (Fig. 6 config language): sync peer TTL in
 /// seconds.
-pub const SYNC_PEER_TTL_KEY: &str = "Sync.PeerTtl";
+pub(crate) const SYNC_PEER_TTL_KEY: &str = "Sync.PeerTtl";
 /// A-priori knowgget key (Fig. 6 config language): sync beacon cadence in
 /// seconds.
-pub const SYNC_BEACON_INTERVAL_KEY: &str = "Sync.BeaconInterval";
+pub(crate) const SYNC_BEACON_INTERVAL_KEY: &str = "Sync.BeaconInterval";
 
 /// A-priori knowgget key: cap on distinct entities holding per-entity
 /// knowggets in the Knowledge Base. Past the cap, the least-recently
 /// written entity is evicted wholesale (see
 /// [`crate::knowledge::DEFAULT_KB_ENTITY_BUDGET`]).
-pub const KB_ENTITY_BUDGET_KEY: &str = "KB.PerEntityBudget";
+pub(crate) const KB_ENTITY_BUDGET_KEY: &str = "KB.PerEntityBudget";
 
 /// A-priori knowgget key: panic allowance before the supervisor
 /// quarantines a module.
-pub const SUPERVISOR_PANIC_LIMIT_KEY: &str = "Supervisor.PanicLimit";
+pub(crate) const SUPERVISOR_PANIC_LIMIT_KEY: &str = "Supervisor.PanicLimit";
 /// A-priori knowgget key: optional per-dispatch watchdog budget in
 /// milliseconds.
-pub const SUPERVISOR_BUDGET_MS_KEY: &str = "Supervisor.BudgetMs";
+pub(crate) const SUPERVISOR_BUDGET_MS_KEY: &str = "Supervisor.BudgetMs";
 /// A-priori knowgget key: sustained ingest rate (packets/second) beyond
 /// which overload shedding engages.
-pub const SUPERVISOR_BURST_PPS_KEY: &str = "Supervisor.BurstPps";
+pub(crate) const SUPERVISOR_BURST_PPS_KEY: &str = "Supervisor.BurstPps";
 
 /// A-priori knowgget key: head-based causal-trace sampling rate, a
 /// fraction in `[0, 1]` of ingested packets whose causal chain (module
 /// dispatch, knowledge writes, alerts, sync contributions) is recorded.
 /// `0` (the default) disables tracing entirely.
-pub const TRACE_SAMPLE_RATE_KEY: &str = "Trace.SampleRate";
+pub(crate) const TRACE_SAMPLE_RATE_KEY: &str = "Trace.SampleRate";
 
 /// A-priori knowgget key: TCP port for the kalis-ops HTTP surface
 /// (`/metrics`, `/healthz`, `/readyz`, `/status`) on loopback. Absent,
 /// any other `Ops.*` knowgget enables the surface on an ephemeral
 /// loopback port. It also overrides the port of an address given to
 /// [`KalisBuilder::with_ops`].
-pub const OPS_PORT_KEY: &str = "Ops.Port";
+pub(crate) const OPS_PORT_KEY: &str = "Ops.Port";
 /// A-priori knowgget key: p99 whole-ingest latency target in
 /// microseconds for the detection-latency SLO. Setting it turns on the
 /// `/status` `slo` posture and the breach/recovery journal events.
-pub const OPS_SLO_KEY: &str = "Ops.LatencySloUs";
+pub(crate) const OPS_SLO_KEY: &str = "Ops.LatencySloUs";
 /// A-priori knowgget key: how many hot source entities the space-saving
 /// sketch monitors (the `kalis_hot_entity` cardinality cap).
-pub const OPS_HOT_ENTITIES_KEY: &str = "Ops.HotEntities";
+pub(crate) const OPS_HOT_ENTITIES_KEY: &str = "Ops.HotEntities";
 
 /// A-priori knowgget key: flight-recorder ring depth in frames. `0`
 /// disables the recorder entirely (no sampling, no captures).
-pub const DIAG_RING_DEPTH_KEY: &str = "Diag.RingDepth";
+pub(crate) const DIAG_RING_DEPTH_KEY: &str = "Diag.RingDepth";
 /// A-priori knowgget key: flight-recorder sampling interval in seconds
 /// of capture time.
-pub const DIAG_INTERVAL_KEY: &str = "Diag.SnapshotIntervalSecs";
+pub(crate) const DIAG_INTERVAL_KEY: &str = "Diag.SnapshotIntervalSecs";
 /// A-priori knowgget key: bitmask of armed capture triggers (see
 /// [`kalis_telemetry::Trigger::bit`]); defaults to all five armed.
-pub const DIAG_TRIGGER_MASK_KEY: &str = "Diag.TriggerMask";
+pub(crate) const DIAG_TRIGGER_MASK_KEY: &str = "Diag.TriggerMask";
 
 /// The node's own knowgget contract — the keys [`KalisBuilder::try_build`]
 /// and the sync engine touch outside any module: the sync/supervisor
@@ -128,6 +128,7 @@ pub fn system_contract() -> crate::modules::KnowggetContract {
 /// assert_eq!(kalis.knowledge().get_bool("Mobile"), Some(false));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+// kalis-lint: allow(KL306): named by the `pub` signature of `Kalis::builder`
 pub struct KalisBuilder {
     id: KalisId,
     config: Config,
@@ -136,7 +137,6 @@ pub struct KalisBuilder {
     adaptive: bool,
     window: WindowConfig,
     extra_modules: Vec<(Box<dyn Module>, bool)>,
-    sync_channel: Option<Box<dyn SecureChannel>>,
     ops_bind: Option<SocketAddr>,
     /// Build the reference node of the activation differential test.
     #[cfg(test)]
@@ -153,7 +153,6 @@ impl KalisBuilder {
             adaptive: true,
             window: WindowConfig::default(),
             extra_modules: Vec::new(),
-            sync_channel: None,
             ops_bind: None,
             #[cfg(test)]
             reference: false,
@@ -196,12 +195,6 @@ impl KalisBuilder {
     /// Override the Data Store window policy.
     pub fn with_window(mut self, window: WindowConfig) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Replace the default [`XorChannel`] used to seal sync traffic.
-    pub fn with_sync_channel(mut self, channel: Box<dyn SecureChannel>) -> Self {
-        self.sync_channel = Some(channel);
         self
     }
 
@@ -329,8 +322,7 @@ impl KalisBuilder {
         }
         let syncer = CollectiveSync::new(
             self.id.clone(),
-            self.sync_channel
-                .unwrap_or_else(|| Box::new(XorChannel::new(DEFAULT_SYNC_KEY))),
+            Box::new(XorChannel::new(DEFAULT_SYNC_KEY)),
             sync_config,
         );
         let tele = Arc::new(Telemetry::new());

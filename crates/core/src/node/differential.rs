@@ -11,7 +11,8 @@ use proptest::prelude::*;
 
 use super::*;
 use crate::knowledge::{ChangeEvent, Knowgget, SyncMessage};
-use crate::modules::{Module, ModuleDescriptor, BACKOFF_BASE};
+use crate::modules::supervisor::BACKOFF_BASE;
+use crate::modules::{Module, ModuleDescriptor};
 use crate::sensing::labels;
 use crate::taxonomy::Feature;
 use kalis_packets::{Entity, MacAddr, Medium, ShortAddr};

@@ -21,7 +21,7 @@ use super::Kalis;
 
 /// How many captured diagnostics bundles a node retains (and serves
 /// via `/debug/diag`); older bundles are dropped first.
-pub const DIAG_BUNDLE_RETENTION: usize = 4;
+pub(crate) const DIAG_BUNDLE_RETENTION: usize = 4;
 
 /// The flight recorder the `Diag.*` a-priori knowggets ask for, each
 /// looked up through `numeric_knowgget`. `Diag.RingDepth = 0`

@@ -24,26 +24,26 @@ use kalis_telemetry::{names, Counter, JournalEvent, Telemetry, TraceContext};
 use crate::error::KalisError;
 use crate::id::KalisId;
 use crate::knowledge::{
-    CollectiveSync, KnowKey, PeerBeacon, PeerHealth, ReceiptKind, SyncConfig, SyncEvent,
-    SyncMessage, SyncTransmit, DEGRADED_LABEL,
+    CollectiveSync, KnowKey, PeerBeacon, PeerHealth, ReceiptKind, SyncEvent, SyncMessage,
+    SyncTransmit, DEGRADED_LABEL,
 };
 
 use super::Kalis;
 
 /// Outbound sync work produced by one [`Kalis::sync_poll`] pass.
 #[derive(Debug, Default)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Kalis::sync_poll`
 pub struct SyncPoll {
     /// This node's beacon, when the configured cadence says it is due.
     pub beacon: Option<PeerBeacon>,
     /// Sealed frames (first transmissions, retransmissions, and
     /// full-resync snapshots) ready for the transport.
     pub frames: Vec<SyncTransmit>,
-    /// Set when the bounded outbound queue dropped entries this pass.
-    pub overflow: Option<KalisError>,
 }
 
 /// The outcome of [`Kalis::receive_sync_frame`].
 #[derive(Debug)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Kalis::receive_sync_frame`
 pub struct SyncReceipt {
     /// The authenticated sender.
     pub from: KalisId,
@@ -268,12 +268,8 @@ impl Kalis {
                 (self.sync).sent(&self.tele, now.as_micros(), peer, frame.knowggets, bytes);
             }
         }
-        let overflow = self.apply_sync_events(now);
-        SyncPoll {
-            beacon,
-            frames,
-            overflow,
-        }
+        self.apply_sync_events(now);
+        SyncPoll { beacon, frames }
     }
 
     /// Open a sealed sync frame from the transport: acks settle pending
@@ -357,20 +353,20 @@ impl Kalis {
     }
 
     /// The active sync tunables (after config-knowgget overrides).
-    pub fn sync_config(&self) -> &SyncConfig {
+    #[cfg(test)]
+    pub(crate) fn sync_config(&self) -> &crate::knowledge::SyncConfig {
         self.sync.engine.config()
     }
 
     /// Drain the sync engine's state-machine events into the journal
     /// and the `DegradedMode` knowgget that collaborative modules
-    /// key off. Returns the backlog-overflow error for this pass, if any.
-    fn apply_sync_events(&mut self, now: Timestamp) -> Option<KalisError> {
+    /// key off.
+    fn apply_sync_events(&mut self, now: Timestamp) {
         let events = self.sync.engine.drain_events();
         if events.is_empty() {
-            return None;
+            return;
         }
         let journal = self.tele.journal();
-        let mut overflow_dropped: u64 = 0;
         let mut degraded_flip: Option<bool> = None;
         for event in events {
             let event = match event {
@@ -381,7 +377,6 @@ impl Kalis {
                     to: to.as_str().to_owned(),
                 },
                 SyncEvent::QueueOverflow { dropped, .. } => {
-                    overflow_dropped += dropped;
                     self.sync.queue_dropped.add(dropped);
                     continue;
                 }
@@ -416,9 +411,6 @@ impl Kalis {
             self.reconfigure_on_changes(now);
         }
         self.publish_readiness_flip(now);
-        (overflow_dropped > 0).then_some(KalisError::SyncBacklogOverflow {
-            dropped: overflow_dropped,
-        })
     }
 
     /// The journal/trace timestamp for events outside packet processing:
@@ -433,7 +425,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::knowledge::{KnowValue, Knowgget, XorChannel};
+    use crate::knowledge::{KnowValue, Knowgget, SyncConfig, XorChannel};
 
     /// A peer's sync engine sharing the node's default channel key.
     fn peer_engine(id: &str) -> CollectiveSync {

@@ -23,7 +23,7 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// Handle to the running ops listener. Dropping it shuts the worker
 /// down and joins the thread.
-pub struct OpsServer {
+pub(crate) struct OpsServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,

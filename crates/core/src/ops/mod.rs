@@ -23,8 +23,8 @@
 pub mod http;
 mod sketch;
 
-pub use http::OpsServer;
-pub use sketch::{SketchEntry, SpaceSaving};
+pub(crate) use http::OpsServer;
+pub(crate) use sketch::SpaceSaving;
 
 use std::sync::Arc;
 
@@ -36,7 +36,7 @@ use crate::modules::{ModuleKind, ModuleProfile};
 
 /// Default number of hot entities tracked by the space-saving sketch
 /// (and therefore the cap on `kalis_hot_entity` scrape cardinality).
-pub const DEFAULT_HOT_ENTITIES: usize = 8;
+pub(crate) const DEFAULT_HOT_ENTITIES: usize = 8;
 
 /// Why `/readyz` answers 503 (empty = ready).
 ///
@@ -44,6 +44,7 @@ pub const DEFAULT_HOT_ENTITIES: usize = 8;
 /// it can honour its detection contract: every pinned module in
 /// dispatch, no overload shedding, collective mode intact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Kalis::readiness`
 pub struct Readiness {
     /// Machine-readable reasons, e.g. `pinned_module_quarantined:X`,
     /// `overload_shedding:heavy`, `sync_degraded`.
@@ -73,7 +74,7 @@ impl Readiness {
 
 /// Per-module row of a [`StatusReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModuleStatus {
+pub(crate) struct ModuleStatus {
     /// Registry name.
     pub name: String,
     /// `"sensing"` or `"detection"`.
@@ -87,9 +88,9 @@ pub struct ModuleStatus {
     /// Cumulative measured CPU self-time, ns (sampled lower bound).
     pub cpu_ns: u64,
     /// Dispatches that consumed work.
-    pub dispatches: u64,
+    pub(crate) dispatches: u64,
     /// Dispatches skipped by overload shedding.
-    pub sheds: u64,
+    pub(crate) sheds: u64,
     /// Entries in the module's per-entity tracking maps.
     pub occupancy: u64,
     /// Entries evicted from bounded structures to hold the budget
@@ -125,18 +126,18 @@ impl From<&ModuleProfile> for ModuleStatus {
 
 /// SLO posture of a [`StatusReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SloStatus {
+pub(crate) struct SloStatus {
     /// Configured p99 target, microseconds.
     pub target_us: u64,
     /// Observed p99 whole-ingest latency, microseconds.
     pub p99_us: u64,
     /// Whether the target is currently exceeded.
-    pub breached: bool,
+    pub(crate) breached: bool,
 }
 
 /// One hot-entity estimate (see [`SpaceSaving`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotEntity {
+pub(crate) struct HotEntity {
     /// Entity rendered as `scheme:value` (e.g. `ip:10.0.0.9`).
     pub entity: String,
     /// Estimated packet count (upper bound).
@@ -149,37 +150,37 @@ pub struct HotEntity {
 /// picture of one node. Booleans are encoded as 0/1 in the JSON (the
 /// workspace JSON dialect carries numbers and strings only).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatusReport {
+pub(crate) struct StatusReport {
     /// Node id.
     pub node: String,
     /// Readiness verdict with reasons.
     pub readiness: Readiness,
     /// Capture-clock micros at the refresh that built this report.
-    pub capture_time_us: u64,
+    pub(crate) capture_time_us: u64,
     /// Capture-clock micros since the node first saw traffic.
-    pub uptime_us: u64,
+    pub(crate) uptime_us: u64,
     /// `"none"`, `"heavy"`, or `"all"`.
     pub shed_mode: String,
     /// Whether collective sync is in degraded local-only mode.
-    pub sync_degraded: bool,
+    pub(crate) sync_degraded: bool,
     /// Per-module health and resource profile.
     pub modules: Vec<ModuleStatus>,
     /// `(peer id, health)` ledger from collective sync.
     pub peers: Vec<(String, String)>,
     /// Top-K hottest source entities.
-    pub hot_entities: Vec<HotEntity>,
+    pub(crate) hot_entities: Vec<HotEntity>,
     /// Journal records overwritten by the bounded ring.
     pub journal_dropped: u64,
     /// Trace events overwritten by the bounded trace buffer.
-    pub trace_dropped: u64,
+    pub(crate) trace_dropped: u64,
     /// Alerts raised so far.
     pub alerts: u64,
     /// SLO posture, when a target is configured.
     pub slo: Option<SloStatus>,
     /// Diagnostics bundles captured by the flight recorder.
-    pub diag_captures: u64,
+    pub(crate) diag_captures: u64,
     /// Frames currently retained in the flight-recorder ring.
-    pub diag_ring_occupancy: u64,
+    pub(crate) diag_ring_occupancy: u64,
     /// Trigger behind the most recent capture (empty = never captured).
     pub diag_last_trigger: String,
 }
@@ -302,7 +303,7 @@ impl StatusReport {
 /// State shared between the node (writer) and the listener thread
 /// (reader). The node publishes pre-rendered documents at tick cadence
 /// so a scrape never takes a lock the packet path contends on.
-pub struct OpsShared {
+pub(crate) struct OpsShared {
     telemetry: Arc<Telemetry>,
     status_json: Mutex<String>,
     readiness: Mutex<(bool, String)>,
@@ -366,7 +367,7 @@ impl OpsShared {
     /// Publish the retained diagnostics bundles: the `/debug/diag`
     /// index and the per-id documents update atomically with respect
     /// to fetches.
-    pub fn publish_diag(&self, bundles: &[(String, String)]) {
+    pub(crate) fn publish_diag(&self, bundles: &[(String, String)]) {
         let ids: Vec<String> = bundles.iter().map(|(id, _)| id.clone()).collect();
         *self.diag_index.lock() = diag_index_doc(&ids);
         *self.diag_bundles.lock() = bundles.to_vec();
@@ -425,18 +426,15 @@ fn hot_entity_block(hot: &[HotEntity]) -> String {
     if hot.is_empty() {
         return String::new();
     }
+    const FAMILY: &str = "kalis_hot_entity";
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# HELP kalis_hot_entity {}",
-        help_for("kalis_hot_entity")
-    );
-    let _ = writeln!(out, "# TYPE kalis_hot_entity gauge");
+    let _ = writeln!(out, "# HELP {FAMILY} {}", help_for(FAMILY));
+    let _ = writeln!(out, "# TYPE {FAMILY} gauge");
     for (rank, entry) in hot.iter().enumerate() {
+        let entity = prom_label_value(&entry.entity);
         let _ = writeln!(
             out,
-            "kalis_hot_entity{{rank=\"{rank}\",entity=\"{}\"}} {}",
-            prom_label_value(&entry.entity),
+            "{FAMILY}{{rank=\"{rank}\",entity=\"{entity}\"}} {}",
             entry.count
         );
     }

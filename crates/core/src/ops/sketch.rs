@@ -12,7 +12,7 @@
 /// One monitored entry: estimated count plus the maximum
 /// over-estimation error inherited from the entry it replaced.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SketchEntry<K> {
+pub(crate) struct SketchEntry<K> {
     /// The monitored key.
     pub key: K,
     /// Estimated observation count (an upper bound on the true count).
@@ -24,7 +24,7 @@ pub struct SketchEntry<K> {
 
 /// Bounded space-saving sketch over keys of type `K`.
 #[derive(Debug, Clone)]
-pub struct SpaceSaving<K> {
+pub(crate) struct SpaceSaving<K> {
     capacity: usize,
     entries: Vec<SketchEntry<K>>,
 }
@@ -75,11 +75,6 @@ impl<K: Clone + Eq> SpaceSaving<K> {
         let mut out = self.entries.clone();
         out.sort_by(|a, b| b.count.cmp(&a.count).then(a.error.cmp(&b.error)));
         out
-    }
-
-    /// Forget everything.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 

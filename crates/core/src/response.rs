@@ -51,7 +51,7 @@ impl ResponseEngine {
     }
 
     /// An engine with a custom revocation period.
-    pub fn with_duration(duration: Duration) -> Self {
+    pub(crate) fn with_duration(duration: Duration) -> Self {
         ResponseEngine {
             duration,
             revocations: BTreeMap::new(),

@@ -26,7 +26,7 @@ const STATIC_AFTER: core::time::Duration = core::time::Duration::from_secs(15);
 
 /// The Mobility Awareness sensing module.
 #[derive(Debug)]
-pub struct MobilityAwarenessModule {
+pub(crate) struct MobilityAwarenessModule {
     threshold_db: f64,
     entity_budget: usize,
     estimates: BoundedMap<Entity, Estimate>,
@@ -62,13 +62,13 @@ impl MobilityAwarenessModule {
 
     /// A module declaring mobility at RSSI deviations above
     /// `threshold_db`.
-    pub fn with_threshold(threshold_db: f64) -> Self {
+    pub(crate) fn with_threshold(threshold_db: f64) -> Self {
         Self::build(threshold_db, DEFAULT_ENTITY_BUDGET)
     }
 
     /// The same module tracking RSSI estimates for at most `budget`
     /// entities (least-recently-heard transmitters are evicted first).
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(self.threshold_db, budget.max(MIN_ENTITY_BUDGET))
     }
 

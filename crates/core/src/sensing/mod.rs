@@ -5,7 +5,7 @@ mod mobility;
 mod topology;
 mod traffic;
 
-pub use mobility::MobilityAwarenessModule;
+pub(crate) use mobility::MobilityAwarenessModule;
 pub use topology::TopologyDiscoveryModule;
 pub use traffic::TrafficStatsModule;
 
@@ -61,17 +61,17 @@ pub mod labels {
     /// Boolean: whether the network is mobile.
     pub const MOBILE: &str = "Mobile";
     /// Integer: number of distinct monitored transmitters.
-    pub const MONITORED_NODES: &str = "MonitoredNodes";
+    pub(crate) const MONITORED_NODES: &str = "MonitoredNodes";
     /// Multilevel root: packets/second per traffic class.
-    pub const TRAFFIC_FREQUENCY: &str = "TrafficFrequency";
+    pub(crate) const TRAFFIC_FREQUENCY: &str = "TrafficFrequency";
     /// Float (per-entity): smoothed received signal strength in dBm.
     pub const SIGNAL_STRENGTH: &str = "SignalStrength";
     /// Text: the entity established as CTP collection-tree root.
-    pub const CTP_ROOT: &str = "CtpRoot";
+    pub(crate) const CTP_ROOT: &str = "CtpRoot";
     /// Multilevel root (boolean leaves): mediums seen, e.g. `MediumSeen.wifi`.
-    pub const MEDIUM_SEEN: &str = "MediumSeen";
+    pub(crate) const MEDIUM_SEEN: &str = "MediumSeen";
     /// Multilevel root (boolean leaves): protocols seen, e.g. `ProtocolSeen.CTP`.
-    pub const PROTOCOL_SEEN: &str = "ProtocolSeen";
+    pub(crate) const PROTOCOL_SEEN: &str = "ProtocolSeen";
 
     // The leaves read and written on dispatch paths, spelled out so no
     // packet or reconfigure pass builds a label: each equals
@@ -82,22 +82,22 @@ pub mod labels {
     /// `MediumSeen.wifi`.
     pub const MEDIUM_SEEN_WIFI: &str = "MediumSeen.wifi";
     /// `MediumSeen.ethernet`.
-    pub const MEDIUM_SEEN_ETHERNET: &str = "MediumSeen.ethernet";
+    pub(crate) const MEDIUM_SEEN_ETHERNET: &str = "MediumSeen.ethernet";
     /// `MediumSeen.ble`.
-    pub const MEDIUM_SEEN_BLE: &str = "MediumSeen.ble";
+    pub(crate) const MEDIUM_SEEN_BLE: &str = "MediumSeen.ble";
     /// `ProtocolSeen.CTP`.
-    pub const PROTOCOL_SEEN_CTP: &str = "ProtocolSeen.CTP";
+    pub(crate) const PROTOCOL_SEEN_CTP: &str = "ProtocolSeen.CTP";
     /// `ProtocolSeen.ZIGBEE`.
-    pub const PROTOCOL_SEEN_ZIGBEE: &str = "ProtocolSeen.ZIGBEE";
+    pub(crate) const PROTOCOL_SEEN_ZIGBEE: &str = "ProtocolSeen.ZIGBEE";
     /// `ProtocolSeen.SIXLOWPAN`.
     pub const PROTOCOL_SEEN_SIXLOWPAN: &str = "ProtocolSeen.SIXLOWPAN";
     /// `ProtocolSeen.IP`.
     pub const PROTOCOL_SEEN_IP: &str = "ProtocolSeen.IP";
     /// `ProtocolSeen.RPL`.
-    pub const PROTOCOL_SEEN_RPL: &str = "ProtocolSeen.RPL";
+    pub(crate) const PROTOCOL_SEEN_RPL: &str = "ProtocolSeen.RPL";
 
     /// The [`MEDIUM_SEEN`] leaf for `medium`.
-    pub fn medium_seen(medium: kalis_packets::Medium) -> &'static str {
+    pub(crate) fn medium_seen(medium: kalis_packets::Medium) -> &'static str {
         use kalis_packets::Medium;
         match medium {
             Medium::Ieee802154 => MEDIUM_SEEN_802154,
@@ -108,7 +108,7 @@ pub mod labels {
     }
 
     /// The [`TRAFFIC_FREQUENCY`] leaf for `class`.
-    pub fn traffic_frequency(class: kalis_packets::TrafficClass) -> &'static str {
+    pub(crate) fn traffic_frequency(class: kalis_packets::TrafficClass) -> &'static str {
         use kalis_packets::TrafficClass;
         match class {
             TrafficClass::TcpSyn => "TrafficFrequency.TCPSYN",

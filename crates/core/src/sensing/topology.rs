@@ -110,7 +110,7 @@ impl TopologyDiscoveryModule {
     /// budget under identity spray — deliberately: a count that keeps
     /// climbing with fabricated identities is itself attacker-writable
     /// knowledge.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(budget.max(MIN_ENTITY_BUDGET))
     }
 

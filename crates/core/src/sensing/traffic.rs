@@ -187,7 +187,7 @@ impl TrafficStatsModule {
     /// The same module with its published rates (per destination and
     /// network-wide together) bounded at `budget` entries and the raw
     /// event window capped at `budget * EVENTS_PER_BUDGET_UNIT` events.
-    pub fn with_entity_budget(self, budget: usize) -> Self {
+    pub(crate) fn with_entity_budget(self, budget: usize) -> Self {
         Self::build(self.window, budget.max(MIN_ENTITY_BUDGET))
     }
 

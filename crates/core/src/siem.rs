@@ -10,8 +10,6 @@
 
 use core::fmt::Write as _;
 
-use kalis_telemetry::AlertProvenance;
-
 use crate::alert::{Alert, AttackKind, Severity};
 
 /// CEF severity (0–10) for an alert severity.
@@ -109,48 +107,6 @@ pub fn to_cef(alert: &Alert) -> String {
     line
 }
 
-/// Render one alert as a CEF line extended with its provenance chain:
-/// `cn1` carries the causal trace id (decimal, omitted when untraced),
-/// `flexString1` every node named in the evidence chain (raising node
-/// first), and `flexString2` the remote evidence — each knowgget that
-/// arrived over collective sync, tagged with its originating node and
-/// trace (`key<-K2#9911aabbccddeeff/3`). The `csN` custom strings stay
-/// reserved for [`to_cef`]'s module/suspect fields.
-pub fn to_cef_with_provenance(alert: &Alert, provenance: &AlertProvenance) -> String {
-    let mut line = to_cef(alert);
-    if provenance.trace.trace_id != 0 {
-        let _ = write!(line, " cn1Label=traceId cn1={}", provenance.trace.trace_id);
-    }
-    let nodes = provenance.nodes().join(",");
-    let _ = write!(
-        line,
-        " flexString1Label=provenanceNodes flexString1={}",
-        escape_extension(&nodes)
-    );
-    let remote: Vec<String> = provenance
-        .remote_evidence()
-        .map(|e| format!("{}<-{}", e.key, e.origin.label()))
-        .collect();
-    if !remote.is_empty() {
-        let _ = write!(
-            line,
-            " flexString2Label=remoteEvidence flexString2={}",
-            escape_extension(&remote.join(","))
-        );
-    }
-    line
-}
-
-/// Render a batch of alerts, one CEF line each.
-pub fn to_cef_batch<'a>(alerts: impl IntoIterator<Item = &'a Alert>) -> String {
-    let mut out = String::new();
-    for alert in alerts {
-        out.push_str(&to_cef(alert));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,68 +172,6 @@ mod tests {
         assert!(line.contains(r"src=x\nsrc\=spoof"));
         assert!(line.contains(r"msg=owned\=yes\r\nCEF:0|fake"));
         assert_eq!(line.lines().count(), 1, "one alert stays one line");
-    }
-
-    #[test]
-    fn provenance_extension_names_trace_nodes_and_remote_evidence() {
-        use kalis_telemetry::{EvidenceKnowgget, TraceRef};
-        let provenance = AlertProvenance {
-            attack: "wormhole".into(),
-            severity: "critical".into(),
-            module: "WormholeModule".into(),
-            victim: String::new(),
-            trace: TraceRef {
-                node: "K1".into(),
-                trace_id: 42,
-                span_id: 1,
-            },
-            time_us: 12_500_000,
-            packet: None,
-            activation: Vec::new(),
-            evidence: vec![EvidenceKnowgget {
-                key: "K2$TrafficSources@0x0002".into(),
-                value: "0x0001".into(),
-                writer_module: "TrafficStatsModule".into(),
-                origin: TraceRef {
-                    node: "K2".into(),
-                    trace_id: 0x99,
-                    span_id: 3,
-                },
-                remote: true,
-            }],
-        };
-        let line = to_cef_with_provenance(&sample(), &provenance);
-        assert!(line.starts_with("CEF:0|Kalis|"));
-        assert!(line.contains("cn1Label=traceId cn1=42"));
-        assert!(line.contains("flexString1Label=provenanceNodes flexString1=K1,K2"));
-        assert!(line.contains("flexString2Label=remoteEvidence"));
-        // The `=` inside `key<-trace` values arrives escaped; the key
-        // itself carries `$`/`@` which are legal in extensions.
-        assert!(line.contains("K2$TrafficSources@0x0002<-K2#0000000000000099/3"));
-        assert_eq!(line.lines().count(), 1);
-
-        // Untraced alerts omit cn1 but still name the raising node.
-        let untraced = AlertProvenance {
-            trace: TraceRef {
-                node: "K1".into(),
-                trace_id: 0,
-                span_id: 0,
-            },
-            evidence: Vec::new(),
-            ..provenance
-        };
-        let line = to_cef_with_provenance(&sample(), &untraced);
-        assert!(!line.contains("cn1Label"));
-        assert!(!line.contains("flexString2Label"));
-        assert!(line.contains("flexString1=K1"));
-    }
-
-    #[test]
-    fn batch_is_line_per_alert() {
-        let alerts = [sample(), sample()];
-        let text = to_cef_batch(&alerts);
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with("CEF:0|")));
     }
 
     #[test]

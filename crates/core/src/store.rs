@@ -4,7 +4,9 @@
 use std::collections::VecDeque;
 use std::io::Write;
 
-use kalis_packets::{CapturedPacket, Timestamp};
+use kalis_packets::CapturedPacket;
+#[cfg(test)]
+use kalis_packets::Timestamp;
 
 /// Retention policy for the in-memory window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,7 +15,7 @@ pub struct WindowConfig {
     /// configurable size of the most recent packets is kept in memory").
     pub max_packets: usize,
     /// Maximum packet age relative to the newest packet.
-    pub max_age: core::time::Duration,
+    pub(crate) max_age: core::time::Duration,
 }
 
 impl Default for WindowConfig {
@@ -138,7 +140,8 @@ impl DataStore {
     }
 
     /// Packets in the window newer than `since`.
-    pub fn since(&self, since: Timestamp) -> impl Iterator<Item = &CapturedPacket> {
+    #[cfg(test)]
+    pub(crate) fn since(&self, since: Timestamp) -> impl Iterator<Item = &CapturedPacket> {
         self.window.iter().filter(move |p| p.timestamp >= since)
     }
 

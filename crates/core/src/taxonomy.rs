@@ -13,7 +13,7 @@ use crate::sensing::labels;
 
 /// An actor in the taxonomy by target (Table I's rows and columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Actor {
+pub(crate) enum Actor {
     /// A cloud/Internet service.
     InternetService,
     /// The untrusted Internet at large (source only).
@@ -28,7 +28,7 @@ pub enum Actor {
 
 /// The attack-pattern nomenclature of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttackPattern {
+pub(crate) enum AttackPattern {
     /// Denial of Service against an Internet service.
     DenialOfService,
     /// Remote Denial of Thing (Internet → hub).
@@ -61,7 +61,7 @@ impl core::fmt::Display for AttackPattern {
 /// Note: per the paper, attacks from the Internet to the local smart
 /// router "cannot be addressed by any local solution" and are out of
 /// scope; the cell is `None`.
-pub fn attack_pattern(source: Actor, target: Actor) -> Option<AttackPattern> {
+pub(crate) fn attack_pattern(source: Actor, target: Actor) -> Option<AttackPattern> {
     use Actor::*;
     use AttackPattern::*;
     match (source, target) {
@@ -175,18 +175,6 @@ pub fn relation(feature: Feature, attack: AttackKind) -> Relation {
     }
 }
 
-/// Every attack possible under *all* of `features` (the set an IDS should
-/// load detection modules for).
-pub fn possible_attacks(features: &[Feature]) -> Vec<AttackKind> {
-    (AttackKind::all().iter().copied())
-        .filter(|attack| {
-            features
-                .iter()
-                .all(|f| relation(*f, *attack) != Relation::Impossible)
-        })
-        .collect()
-}
-
 /// Render Table I as text (used by the experiments binary).
 pub fn render_table1() -> String {
     use Actor::*;
@@ -207,6 +195,17 @@ pub fn render_table1() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every attack possible under *all* of `features`.
+    fn possible_attacks(features: &[Feature]) -> Vec<AttackKind> {
+        (AttackKind::all().iter().copied())
+            .filter(|attack| {
+                features
+                    .iter()
+                    .all(|f| relation(*f, *attack) != Relation::Impossible)
+            })
+            .collect()
+    }
 
     #[test]
     fn table1_matches_the_paper() {
@@ -277,6 +276,25 @@ mod tests {
         assert!(single_hop_crypto.len() < single_hop.len());
         assert!(!single_hop.contains(&AttackKind::Smurf));
         assert!(single_hop.contains(&AttackKind::IcmpFlood));
+    }
+
+    /// Fig. 3 is encoded twice: `relation` renders it, and the
+    /// descriptors' `needs` drive activation. No feature a default
+    /// detection module needs may make its attack impossible.
+    #[test]
+    fn no_needed_feature_makes_the_attack_impossible() {
+        let mut pairs = 0;
+        for (name, descriptor, _) in crate::modules::ModuleRegistry::with_defaults().contracts() {
+            let Some(attack) = descriptor.detects else {
+                continue;
+            };
+            for &feature in descriptor.needs {
+                let cell = relation(feature, attack);
+                assert_ne!(cell, Relation::Impossible, "{name} needs {feature:?}");
+                pairs += 1;
+            }
+        }
+        assert!(pairs >= 14, "only {pairs} (module, feature) pairs checked");
     }
 
     #[test]

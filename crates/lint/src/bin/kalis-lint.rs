@@ -11,7 +11,8 @@
 //! Default mode runs the whole-system contract analysis (`KL00x`) plus
 //! the dataflow-graph checks (`KL2xx`), then validates any given
 //! configuration files (`KL1xx`). `--source` runs the `KL3xx` source
-//! scanner over `crates/*/src` (or over the listed `.rs` files).
+//! scanner over `crates/*/src` (or over the listed `.rs` files, without
+//! the workspace-wide `KL306`).
 //!
 //! Exit code contract (pinned by `crates/lint/tests/lint_cli.rs`):
 //! 0 clean (warnings allowed), 1 when any error-severity diagnostic is

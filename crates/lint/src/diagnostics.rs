@@ -88,6 +88,10 @@ pub enum Code {
     /// scenario code — its order differs from process to process, and
     /// an order that reaches output breaks byte-identical runs.
     HashIterationOrder,
+    /// A `pub` item of a library crate that no other compilation unit
+    /// names: it can be `pub(crate)`, and rustc then reports it if it
+    /// is dead.
+    CrateLocalPub,
 }
 
 impl Code {
@@ -120,6 +124,7 @@ impl Code {
             Code::FormattedKnowggetKey => "KL303",
             Code::PanicInDispatchPath => "KL304",
             Code::HashIterationOrder => "KL305",
+            Code::CrateLocalPub => "KL306",
         }
     }
 
@@ -179,7 +184,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// A system-level diagnostic (no source file).
-    pub fn system(code: Code, message: impl Into<String>) -> Self {
+    pub(crate) fn system(code: Code, message: impl Into<String>) -> Self {
         Diagnostic {
             code,
             severity: code.severity(),
@@ -312,6 +317,7 @@ mod tests {
             Code::FormattedKnowggetKey,
             Code::PanicInDispatchPath,
             Code::HashIterationOrder,
+            Code::CrateLocalPub,
         ];
         let mut seen = std::collections::BTreeSet::new();
         for code in all {

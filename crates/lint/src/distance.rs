@@ -1,10 +1,10 @@
 //! Levenshtein edit distance, for "did you mean …" suggestions.
 
 /// Maximum edit distance at which a name counts as a near miss.
-pub const NEAR_MISS: usize = 2;
+pub(crate) const NEAR_MISS: usize = 2;
 
 /// The Levenshtein distance between two strings (by `char`).
-pub fn levenshtein(a: &str, b: &str) -> usize {
+pub(crate) fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {
@@ -30,7 +30,7 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// The candidate closest to `needle` within `max_dist` edits, if any.
 /// Exact matches are not suggestions, and ties go to the earlier
 /// candidate (callers pass sorted lists for determinism).
-pub fn closest_within<'a, I>(needle: &str, candidates: I, max_dist: usize) -> Option<&'a str>
+pub(crate) fn closest_within<'a, I>(needle: &str, candidates: I, max_dist: usize) -> Option<&'a str>
 where
     I: IntoIterator<Item = &'a str>,
 {

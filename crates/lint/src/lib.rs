@@ -35,8 +35,9 @@
 //!   dependency-free Rust scanner enforcing repo invariants — raw
 //!   per-entity containers (`KL301`), wall-clock on the hot path
 //!   (`KL302`), `format!`-built knowgget keys (`KL303`), panics in
-//!   dispatch paths (`KL304`), and std hash-map iteration order in
-//!   node, telemetry and scenario code (`KL305`), with
+//!   dispatch paths (`KL304`), std hash-map iteration order in node,
+//!   telemetry and scenario code (`KL305`), and `pub` items no other
+//!   compilation unit names (`KL306`, [`scan_workspace`] only), with
 //!   `// kalis-lint: allow(KL3xx)` pragmas.
 //!
 //! The `kalis-lint` binary wraps all of it with rustc-style rendering, a
@@ -77,4 +78,4 @@ pub use diagnostics::{has_errors, Code, Diagnostic, Severity};
 pub use graph::{lint_graph, GraphEdge, GraphNode, KnowledgeGraph, NodeKind};
 pub use readset::{ReadReason, ReadSetEntry, ReadSets};
 pub use source::{scan_source, scan_workspace};
-pub use system::{lint_system, overlaps, suggestion_candidates, SystemModel, SYSTEM_OWNER};
+pub use system::lint_system;

@@ -32,6 +32,7 @@ use crate::graph::{reads_peer_copies, GraphNode, NodeKind};
 
 /// Why a key is in a module's sync read set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ReadSetEntry::reason`
 pub enum ReadReason {
     /// The module declares a collective-correlation read
     /// (`reads_collective`): it iterates peer creators of the key.
@@ -49,6 +50,7 @@ impl ReadReason {
 
 /// One entry of a module's sync read set.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ReadSets::modules`
 pub struct ReadSetEntry {
     /// The key label (pattern rendering, `Family.*` for families).
     pub key: String,

@@ -30,10 +30,19 @@
 //!   `kalis-scenario`: the order is random per process, and one that
 //!   reaches a journal, a bundle or a golden breaks byte-identical runs.
 //!   A name counts as a hash container where the file declares it with
-//!   one (`name: HashMap<…>`, `let name = HashSet::new()`, …). A walk is
-//!   followed across line ends, comments and the parentheses of a
-//!   parenthesised receiver (`(self.map).iter()`), not through a call
-//!   (`f(map).iter()`).
+//!   one (`name: HashMap<…>`, `let name = HashSet::new()`, …) or binds
+//!   a declared one under it in a struct pattern (`S { map: name, .. }`).
+//!   A walk is followed across line ends, comments and the parentheses
+//!   of a parenthesised receiver (`(self.map).iter()`, its `(` on this
+//!   line or an earlier one), not through a call (`f(map).iter()`).
+//! * `KL306` — a non-test `pub` item (`fn`, `struct`, `enum`, `const`,
+//!   `static`, `type`, `trait`, struct field) of a library crate that no
+//!   other compilation unit names: no binary, test, bench or example
+//!   target, no other library crate, no doc-test, and not the benchmark.
+//!   A `pub use` of a name is not a use. The index matches names, not
+//!   paths, so it errs toward calling an item used; narrowing a hit to
+//!   `pub(crate)` lets rustc's dead-code lint decide whether it is dead.
+//!   Only [`scan_workspace`] runs it: it needs every unit.
 //!
 //! A pragma comment suppresses a code on its own line and the next
 //! line, so both styles work:
@@ -47,7 +56,8 @@
 //! Diagnostics carry exact line/column spans and render with the same
 //! caret style as the configuration lint.
 
-use std::path::Path;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 
 use kalis_core::config::SourcePos;
 
@@ -292,55 +302,49 @@ fn pragma_codes(raw: &str) -> Vec<Code> {
             "KL303" => Some(Code::FormattedKnowggetKey),
             "KL304" => Some(Code::PanicInDispatchPath),
             "KL305" => Some(Code::HashIterationOrder),
+            "KL306" => Some(Code::CrateLocalPub),
             _ => None,
         })
         .collect()
 }
 
 /// Mark the lines covered by `#[cfg(test)]` items: from the attribute to
-/// the matching close brace of the item that follows it.
+/// the line the item it covers ends on.
 fn mark_test_regions(lines: &mut [LineInfo]) {
-    let joined: Vec<String> = lines.iter().map(|l| l.masked.clone()).collect();
+    const ATTR: &str = "#[cfg(test)]";
     let mut line = 0;
-    while line < joined.len() {
-        if let Some(col) = joined[line].find("#[cfg(test)]") {
-            // Scan forward from the attribute for the item's braces.
-            let mut depth = 0usize;
-            let mut entered = false;
-            let mut l = line;
-            let mut c = col;
-            'outer: while l < joined.len() {
-                let bytes = joined[l].as_bytes();
-                while c < bytes.len() {
-                    match bytes[c] {
-                        b'{' => {
-                            depth += 1;
-                            entered = true;
-                        }
-                        b'}' => {
-                            depth = depth.saturating_sub(1);
-                            if entered && depth == 0 {
-                                for info in lines.iter_mut().take(l + 1).skip(line) {
-                                    info.in_test = true;
-                                }
-                                line = l;
-                                break 'outer;
-                            }
-                        }
-                        b';' if !entered => break 'outer, // `#[cfg(test)] use …;`
-                        _ => {}
-                    }
-                    c += 1;
-                }
-                l += 1;
-                c = 0;
+    while line < lines.len() {
+        if let Some(col) = lines[line].masked.find(ATTR) {
+            let end = item_end(lines, line, col + ATTR.len());
+            for info in &mut lines[line..=end] {
+                info.in_test = true;
             }
-            if !entered {
-                lines[line].in_test = true;
-            }
+            line = end;
         }
         line += 1;
     }
+}
+
+/// The line on which the item that starts at byte `col` of `line` ends:
+/// where its braces close, or, for an item without braces (`use …;`,
+/// `mod name;`, a field), at the `;` or `,` outside its parentheses,
+/// brackets and generics, or the close of the enclosing block.
+fn item_end(lines: &[LineInfo], line: usize, col: usize) -> usize {
+    let (mut braces, mut nested) = (0usize, 0usize);
+    for (l, info) in lines.iter().enumerate().skip(line) {
+        for b in info.masked.bytes().skip(if l == line { col } else { 0 }) {
+            match b {
+                b'{' => braces += 1,
+                b'}' if braces <= 1 => return l,
+                b'}' => braces -= 1,
+                b'(' | b'[' | b'<' => nested += 1,
+                b')' | b']' | b'>' => nested = nested.saturating_sub(1),
+                b';' | b',' if braces == 0 && nested == 0 => return l,
+                _ => {}
+            }
+        }
+    }
+    lines.len() - 1
 }
 
 /// Find `token` in `haystack` with identifier boundaries on both sides,
@@ -372,6 +376,28 @@ fn token_columns(haystack: &str, token: &str) -> Vec<usize> {
     out
 }
 
+/// Mask `text` into lines, with each line's pragmas (a pragma
+/// suppresses on its own line and the next one) and test regions.
+fn lex(text: &str) -> Vec<LineInfo> {
+    let mut lines: Vec<LineInfo> = mask(text)
+        .into_iter()
+        .map(|(masked, raw)| LineInfo {
+            masked,
+            raw,
+            allowed: Vec::new(),
+            in_test: false,
+        })
+        .collect();
+    for i in 0..lines.len() {
+        let codes = pragma_codes(&lines[i].raw);
+        for line in lines.iter_mut().skip(i).take(2) {
+            line.allowed.extend(codes.iter().copied());
+        }
+    }
+    mark_test_regions(&mut lines);
+    lines
+}
+
 /// Scan one file's text. `path` is the workspace-relative path used both
 /// for scope decisions and in diagnostics. Pure and panic-free on
 /// arbitrary input.
@@ -391,28 +417,7 @@ pub fn scan_source(path: &str, text: &str) -> Vec<Diagnostic> {
         return Vec::new();
     }
 
-    let mut lines: Vec<LineInfo> = mask(text)
-        .into_iter()
-        .map(|(masked, raw)| LineInfo {
-            masked,
-            raw,
-            allowed: Vec::new(),
-            in_test: false,
-        })
-        .collect();
-    // Pragmas: a pragma suppresses on its own line and the next one.
-    let pragmas: Vec<Vec<Code>> = lines.iter().map(|l| pragma_codes(&l.raw)).collect();
-    for (i, codes) in pragmas.iter().enumerate() {
-        if codes.is_empty() {
-            continue;
-        }
-        lines[i].allowed.extend(codes.iter().copied());
-        if i + 1 < lines.len() {
-            let next = codes.clone();
-            lines[i + 1].allowed.extend(next);
-        }
-    }
-    mark_test_regions(&mut lines);
+    let lines = lex(text);
     let hashed = hash_container_names(&lines);
     let uncommented = uncommented(&lines);
 
@@ -514,7 +519,7 @@ pub fn scan_source(path: &str, text: &str) -> Vec<Diagnostic> {
                     }
                 }
                 Code::HashIterationOrder => {
-                    for (name, col) in hash_iterations(&uncommented[idx..], &hashed) {
+                    for (name, col) in hash_iterations(&uncommented, idx, &hashed) {
                         emit(
                             code,
                             col,
@@ -529,6 +534,10 @@ pub fn scan_source(path: &str, text: &str) -> Vec<Diagnostic> {
     }
     diags
 }
+
+/// How many lines a walk's chain is read across: rustfmt puts each link
+/// of a split chain on its own line, a comment between two at most.
+const CHAIN_LINES: usize = 4;
 
 /// Methods that walk a std hash container in its hash order.
 const HASH_ORDER_METHODS: [&str; 9] = [
@@ -588,6 +597,29 @@ fn hash_container_names(lines: &[LineInfo]) -> Vec<String> {
             }
         }
     }
+    // A struct pattern binding a declared name under another one
+    // (`let S { seen: table, .. } = s;`) declares that one too.
+    let mut at = 0;
+    while at < names.len() {
+        let field = names[at].clone();
+        for info in lines.iter().filter(|l| !l.in_test) {
+            for col in token_columns(&info.masked, &field) {
+                let after: String = info.masked.chars().skip(col + field.len()).collect();
+                let Some(mut rest) = after.trim_start().strip_prefix(':') else {
+                    continue;
+                };
+                let mut bound = next_word(&mut rest);
+                while matches!(bound, "ref" | "mut") {
+                    bound = next_word(&mut rest);
+                }
+                let ends = rest.trim_start().starts_with([',', '}']);
+                if ends && !bound.is_empty() && !names.iter().any(|n| n == bound) {
+                    names.push(bound.to_owned());
+                }
+            }
+        }
+        at += 1;
+    }
     names
 }
 
@@ -629,13 +661,13 @@ fn uncommented(lines: &[LineInfo]) -> Vec<String> {
     out
 }
 
-/// How many parentheses enclose the path whose last name starts at char
-/// `start` of `line` as a parenthesised receiver, opened on that line:
-/// each `(` before the path (`&`, `mut`, `*`, `self.` and spaces belong
-/// to it) that does not open a call's arguments — one right after a
-/// name, `!`, `>`, `)` or `]`.
-fn receiver_parens(line: &[char], start: usize) -> usize {
-    let mut at = start;
+/// How many parentheses enclose, as a parenthesised receiver, the path
+/// whose last name `before` (the code up to it, earlier lines included)
+/// leads to: each `(` before the path (`&`, `mut`, `*`, `self.` and
+/// spaces belong to it) that does not open a call's arguments — one
+/// right after a name, `!`, `>`, `)` or `]`.
+fn receiver_parens(line: &[char]) -> usize {
+    let mut at = line.len();
     let path = |c: char| ident_char(c) || matches!(c, '.' | '&' | '*' | ' ');
     while at > 0 && path(line[at - 1]) {
         at -= 1;
@@ -656,10 +688,7 @@ fn receiver_parens(line: &[char], start: usize) -> usize {
 /// parentheses: `keys` for `).keys()`, `None` where something else
 /// follows.
 fn method_after(code: &[String], from: usize, mut parens: usize) -> Option<String> {
-    // A few lines of lookahead: a chain rustfmt splits puts each link on
-    // its own line, a comment between two at most.
-    const LOOKAHEAD: usize = 4;
-    let mut chars = (code.iter().take(LOOKAHEAD).enumerate())
+    let mut chars = (code.iter().take(CHAIN_LINES).enumerate())
         .flat_map(|(at, line)| line.chars().skip(if at == 0 { from } else { 0 }))
         .filter(|c| !c.is_whitespace())
         .peekable();
@@ -671,20 +700,22 @@ fn method_after(code: &[String], from: usize, mut parens: usize) -> Option<Strin
     chars.next_if_eq(&'(').map(|_| method)
 }
 
-/// Where `code[0]` (a line of [`uncommented`] code, the lines after it
-/// following) iterates one of the `hashed` names: `name.<method>(` for a
-/// [`HASH_ORDER_METHODS`] method, the chain read on by [`method_after`]
+/// Where `code[at]` (a line of [`uncommented`] code) iterates one of the
+/// `hashed` names: `name.<method>(` for a [`HASH_ORDER_METHODS`] method,
+/// the chain read on by [`method_after`] and back by [`receiver_parens`]
 /// — or `for … in` over a bare path (`&self.name`, `name`) ending in
 /// one. Returns `(name, 0-based char column of the name)`.
-fn hash_iterations<'n>(code: &[String], hashed: &'n [String]) -> Vec<(&'n str, usize)> {
-    let masked = code[0].as_str();
+fn hash_iterations<'n>(code: &[String], at: usize, hashed: &'n [String]) -> Vec<(&'n str, usize)> {
+    let masked = code[at].as_str();
     let chars: Vec<char> = masked.chars().collect();
+    let earlier = code[at.saturating_sub(CHAIN_LINES)..at].iter();
+    let earlier: Vec<char> = earlier.flat_map(|l| l.chars().chain([' '])).collect();
     let mut found = Vec::new();
     for name in hashed {
         for col in token_columns(masked, name) {
             let end = col + name.chars().count();
-            let parens = receiver_parens(&chars, col);
-            let method = method_after(code, end, parens);
+            let before: Vec<char> = earlier.iter().chain(&chars[..col]).copied().collect();
+            let method = method_after(&code[at..], end, receiver_parens(&before));
             if method.is_some_and(|m| HASH_ORDER_METHODS.contains(&m.as_str())) {
                 found.push((name.as_str(), col));
             }
@@ -735,55 +766,263 @@ fn raw_literal_contains_at(raw: &str, masked: &str) -> bool {
         .any(|(&r, &m)| r == '@' && m == ' ')
 }
 
-/// Scan every `.rs` file under `crates/*/src` relative to `root`.
-/// Returns `(workspace-relative path, file text, diagnostics)` per file
-/// so callers can render carets; I/O errors are reported as messages.
+/// Scan every `.rs` file under `crates/*/src` relative to `root`: the
+/// per-file checks, then `KL306` over the library files. Returns
+/// `(workspace-relative path, file text, diagnostics)` per file so
+/// callers can render carets; I/O errors are reported as messages.
 pub fn scan_workspace(root: &Path) -> Result<Vec<(String, String, Vec<Diagnostic>)>, String> {
-    let crates_dir = root.join("crates");
-    let mut files = Vec::new();
-    let entries = std::fs::read_dir(&crates_dir)
-        .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    let mut crate_dirs: Vec<_> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if src.is_dir() {
-            collect_rs_files(&src, &mut files)?;
-        }
+    let sources = read_rs_files(root, &crate_dirs(root, "src")?)?;
+    let mut units = vec![root.join("tests"), root.join("examples")];
+    units.push(root.join("benchmark/src"));
+    for dir in ["tests", "benches", "examples"] {
+        units.extend(crate_dirs(root, dir)?);
     }
-    files.sort();
-    let mut out = Vec::new();
-    for file in files {
-        let text = std::fs::read_to_string(&file)
-            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let diags = scan_source(&rel, &text);
-        out.push((rel, text, diags));
-    }
-    Ok(out)
+    let surface = Surface::index(&sources, &read_rs_files(root, &units)?);
+    let scan = sources.into_iter().map(|(rel, text)| {
+        let mut diags = scan_source(&rel, &text);
+        diags.extend(surface.crate_local_pubs(&rel, &text));
+        (rel, text, diags)
+    });
+    Ok(scan.collect())
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> Result<(), String> {
+/// The `crates/*/<sub>` directories under `root`.
+fn crate_dirs(root: &Path, sub: &str) -> Result<Vec<PathBuf>, String> {
+    let crates_dir = root.join("crates");
+    let entries = std::fs::read_dir(&crates_dir)
+        .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
+    let dirs = entries.filter_map(Result::ok).map(|e| e.path().join(sub));
+    Ok(dirs.filter(|p| p.is_dir()).collect())
+}
+
+/// `(path relative to root, text)` of every `.rs` file under `dirs`,
+/// sorted by path.
+fn read_rs_files(root: &Path, dirs: &[PathBuf]) -> Result<Vec<(String, String)>, String> {
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs_files(dir, &mut files)?;
+    }
+    files.sort();
+    let read = files.into_iter().map(|file| {
+        let text = std::fs::read_to_string(&file)
+            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        let rel = file.strip_prefix(root).unwrap_or(&file);
+        Ok((rel.to_string_lossy().replace('\\', "/"), text))
+    });
+    read.collect()
+}
+
+/// Every `.rs` file under `dir`, skipping `*fixtures` directories: what
+/// they hold is test data, not code a unit compiles.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut paths: Vec<_> = entries.filter_map(Result::ok).map(|e| e.path()).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
+    for path in entries.filter_map(Result::ok).map(|e| e.path()) {
+        if path.is_dir() && !path.to_string_lossy().ends_with("fixtures") {
             collect_rs_files(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
     }
     Ok(())
+}
+
+/// The library crate a workspace-relative path belongs to: `core` for
+/// `crates/core/src/…`; `None` for a binary (`src/bin/`, `src/main.rs`).
+fn library_of(rel: &str) -> Option<&str> {
+    let (krate, rest) = rel.strip_prefix("crates/")?.split_once('/')?;
+    let file = rest.strip_prefix("src/")?;
+    (!file.starts_with("bin/") && file != "main.rs").then_some(krate)
+}
+
+/// Which names the compilation units of a workspace use, for `KL306`. A
+/// name is an identifier token of code: a unit that names any `len`
+/// names every `len`, so the index errs toward calling an item used.
+struct Surface {
+    /// Named by a binary, a test, bench or example target, the
+    /// benchmark, or a doc-test (each compiles as its own crate).
+    outside: BTreeSet<String>,
+    /// Name → the library crates whose code names it.
+    libraries: BTreeMap<String, BTreeSet<String>>,
+    /// `#[cfg(test)] mod name;` modules, as paths without `.rs`.
+    test_modules: Vec<String>,
+}
+
+impl Surface {
+    fn index(sources: &[(String, String)], outside: &[(String, String)]) -> Self {
+        let mut surface = Surface {
+            outside: BTreeSet::new(),
+            libraries: BTreeMap::new(),
+            test_modules: Vec::new(),
+        };
+        for (_, text) in outside {
+            surface.outside.extend(code_names(&lex(text)));
+        }
+        for (rel, text) in sources {
+            let lines = lex(text);
+            surface.outside.extend(doctest_names(&lines));
+            let Some(krate) = library_of(rel) else {
+                surface.outside.extend(code_names(&lines));
+                continue;
+            };
+            for name in code_names(&lines) {
+                let crates = surface.libraries.entry(name).or_default();
+                crates.insert(krate.to_owned());
+            }
+            // The children of `a/b.rs` live in `a/b/`, of `a/lib.rs` in `a/`.
+            let module = rel.strip_suffix(".rs").unwrap_or(rel);
+            let dir = (module
+                .strip_suffix("/mod")
+                .or_else(|| module.strip_suffix("/lib")))
+            .unwrap_or(module);
+            for line in lines.iter().filter(|l| l.in_test) {
+                let declared = line.masked.trim().strip_prefix("mod ");
+                if let Some(name) = declared.and_then(|d| d.strip_suffix(';')) {
+                    surface.test_modules.push(format!("{dir}/{name}"));
+                }
+            }
+        }
+        surface
+    }
+
+    /// `KL306` over one file: the non-test `pub` items that no unit but
+    /// the file's own library crate names.
+    fn crate_local_pubs(&self, rel: &str, text: &str) -> Vec<Diagnostic> {
+        let Some(krate) = library_of(rel) else {
+            return Vec::new();
+        };
+        let module = rel.strip_suffix(".rs").unwrap_or(rel);
+        let in_test_module = |m: &String| {
+            let rest = module.strip_prefix(m.as_str());
+            rest.is_some_and(|r| r.is_empty() || r.starts_with('/'))
+        };
+        if self.test_modules.iter().any(in_test_module) {
+            return Vec::new();
+        }
+        let lines = lex(text);
+        let mut diags = Vec::new();
+        for (idx, (info, code)) in lines.iter().zip(uncommented(&lines)).enumerate() {
+            if info.in_test || info.allowed.contains(&Code::CrateLocalPub) {
+                continue;
+            }
+            for (col, kind, name) in pub_items(&code) {
+                let crates = self.libraries.get(name);
+                if self.outside.contains(name)
+                    || crates.is_some_and(|c| c.iter().any(|c| c != krate))
+                {
+                    continue;
+                }
+                let pos = SourcePos {
+                    line: idx + 1,
+                    column: col + 1,
+                };
+                let message =
+                    format!("`pub` {kind} `{name}` is named by no other compilation unit");
+                diags.push(Diagnostic::at(Code::CrateLocalPub, rel, pos, message).with_note(
+                    "narrow it to `pub(crate)` (rustc then reports it if it is dead), or annotate `// kalis-lint: allow(KL306): <why it stays pub>`"
+                        .to_owned(),
+                ));
+            }
+        }
+        diags
+    }
+}
+
+/// The identifiers of a file's code (comments and strings aside), less
+/// `pub use` statements: re-exporting a name does not use it.
+fn code_names(lines: &[LineInfo]) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let mut in_reexport = false;
+    for code in uncommented(lines) {
+        let head = code
+            .trim_start()
+            .strip_prefix("pub")
+            .map(|h| match h.strip_prefix('(') {
+                Some(scoped) => scoped.split_once(')').map_or("", |(_, r)| r),
+                None => h,
+            });
+        in_reexport |= head.is_some_and(|h| h.trim_start().starts_with("use "));
+        if !in_reexport {
+            names.extend(identifiers(&code).map(str::to_owned));
+        }
+        in_reexport &= !code.contains(';');
+    }
+    names
+}
+
+/// The identifiers in the compiled code blocks of a file's doc comments.
+fn doctest_names(lines: &[LineInfo]) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let mut fence: Option<bool> = None; // inside a block: whether rustdoc compiles it
+    for info in lines {
+        let raw = info.raw.trim_start();
+        let Some(doc) = raw.strip_prefix("///").or_else(|| raw.strip_prefix("//!")) else {
+            continue;
+        };
+        if let Some(lang) = doc.trim_start().strip_prefix("```") {
+            let rusty = |tag: &str| matches!(tag.trim(), "" | "rust" | "no_run" | "should_panic");
+            fence = match fence {
+                Some(_) => None,
+                None => Some(lang.split(',').all(rusty)),
+            };
+        } else if fence == Some(true) {
+            names.extend(identifiers(doc).map(str::to_owned));
+        }
+    }
+    names
+}
+
+fn identifiers(code: &str) -> impl Iterator<Item = &str> {
+    let words = code.split(|c: char| !ident_char(c));
+    words.filter(|w| w.starts_with(|c: char| !c.is_ascii_digit()))
+}
+
+/// The item keywords `KL306` checks after `pub` (a struct field has none).
+const ITEM_KINDS: [&str; 7] = ["fn", "struct", "enum", "const", "static", "type", "trait"];
+
+/// The `pub` items a line of code declares: `(char column of \`pub\`,
+/// kind, name)`. `pub(crate)`, `pub use`, `pub mod` and tuple fields
+/// declare none.
+fn pub_items(code: &str) -> Vec<(usize, &'static str, &str)> {
+    let mut items = Vec::new();
+    for col in token_columns(code, "pub") {
+        let at = code
+            .char_indices()
+            .nth(col + 3)
+            .map_or(code.len(), |(i, _)| i);
+        let mut rest = &code[at..];
+        if !rest.starts_with(char::is_whitespace) {
+            continue;
+        }
+        let mut word = next_word(&mut rest);
+        while matches!(word, "unsafe" | "async")
+            || (word == "const" && rest.trim_start().starts_with(|c: char| c.is_lowercase()))
+        {
+            word = next_word(&mut rest);
+        }
+        if let Some(&kind) = ITEM_KINDS.iter().find(|&&kind| kind == word) {
+            let mut name = next_word(&mut rest);
+            if name == "mut" {
+                name = next_word(&mut rest);
+            }
+            if !name.is_empty() {
+                items.push((col, kind, name));
+            }
+        } else if !word.is_empty() && rest.starts_with(':') && !rest.starts_with("::") {
+            items.push((col, "field", word));
+        }
+    }
+    items
+}
+
+/// The identifier `rest` starts with (leading spaces skipped), moving
+/// `rest` past it.
+fn next_word<'a>(rest: &mut &'a str) -> &'a str {
+    let text = rest.trim_start();
+    let end = text.find(|c: char| !ident_char(c)).unwrap_or(text.len());
+    let (word, after) = text.split_at(end);
+    *rest = after;
+    word
 }
 
 #[cfg(test)]
@@ -991,6 +1230,25 @@ mod tests {
 }
 ";
         assert!(scan_source(DET, text).is_empty());
+    }
+
+    #[test]
+    fn a_cfg_test_field_covers_only_itself() {
+        let text = "\
+struct S {
+    #[cfg(test)]
+    probe: bool,
+}
+
+impl S {
+    fn f(&self) -> u64 {
+        let t = Instant::now();
+        0
+    }
+}
+";
+        let diags = scan_source("crates/core/src/node.rs", text);
+        assert_eq!(codes(&diags), vec!["KL302"]);
     }
 
     #[test]

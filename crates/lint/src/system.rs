@@ -13,11 +13,11 @@ use crate::graph::GraphNode;
 
 /// Display name for the node-level contract (supervisor/sync knobs and
 /// the degraded-mode flag) in diagnostics.
-pub const SYSTEM_OWNER: &str = "kalis-node";
+pub(crate) const SYSTEM_OWNER: &str = "kalis-node";
 
 /// The flattened system view: every contract edge with its owner.
 #[derive(Debug, Clone)]
-pub struct SystemModel {
+pub(crate) struct SystemModel {
     /// Every registered module, plus the node-level contract under
     /// [`SYSTEM_OWNER`].
     pub nodes: Vec<GraphNode>,
@@ -44,7 +44,7 @@ impl SystemModel {
     }
 
     /// The writers whose pattern overlaps `read`'s.
-    pub fn producers_of<'a>(&'a self, read: &'a KeyPattern) -> Vec<(&'a str, &'a KeyUse)> {
+    pub(crate) fn producers_of<'a>(&'a self, read: &'a KeyPattern) -> Vec<(&'a str, &'a KeyUse)> {
         self.writes()
             .filter(|(_, w)| overlaps(&w.pattern, read))
             .collect()
@@ -52,7 +52,7 @@ impl SystemModel {
 }
 
 /// Whether two patterns can name the same concrete knowgget label.
-pub fn overlaps(a: &KeyPattern, b: &KeyPattern) -> bool {
+pub(crate) fn overlaps(a: &KeyPattern, b: &KeyPattern) -> bool {
     a.covers(b) || b.covers(a)
 }
 
@@ -61,7 +61,7 @@ pub fn overlaps(a: &KeyPattern, b: &KeyPattern) -> bool {
 /// when `label` itself is dotted — recombined with `label`'s suffix (so
 /// `ProtcolSeen.IP` can be matched to a `ProtocolSeen.*` family as
 /// `ProtocolSeen.IP`).
-pub fn suggestion_candidates<'a>(
+pub(crate) fn suggestion_candidates<'a>(
     label: &str,
     patterns: impl Iterator<Item = &'a KeyPattern>,
 ) -> Vec<String> {

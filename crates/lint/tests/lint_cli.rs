@@ -202,6 +202,14 @@ fn source_mode_over_workspace_is_clean() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
     assert!(stdout.contains("0 error(s)"), "{stdout}");
+    // KL306 runs in the same pass, over every library crate.
+    let surface = linter()
+        .args(["--source", "--json"])
+        .current_dir(repo_path("tests/lint_fixtures/surface"))
+        .output()
+        .expect("linter spawns");
+    let json = String::from_utf8_lossy(&surface.stdout);
+    assert_eq!(json.matches("\"code\":\"KL306\"").count(), 3, "{json}");
 }
 
 #[test]

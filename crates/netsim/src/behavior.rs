@@ -163,9 +163,3 @@ impl<B: Behavior + ?Sized> Behavior for Box<B> {
         (**self).on_frame(ctx, frame);
     }
 }
-
-/// A no-op behavior for passive nodes.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Idle;
-
-impl Behavior for Idle {}

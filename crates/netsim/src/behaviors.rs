@@ -35,7 +35,7 @@ impl<P: ForwardPolicy + ?Sized> ForwardPolicy for Box<P> {
 
 /// The honest policy: forward everything.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct AlwaysForward;
+pub(crate) struct AlwaysForward;
 
 impl ForwardPolicy for AlwaysForward {
     fn should_forward(
@@ -80,12 +80,6 @@ impl CtpSensorBehavior {
     /// Override the data period.
     pub fn with_period(mut self, period: Duration) -> Self {
         self.period = period;
-        self
-    }
-
-    /// Override the advertised route ETX.
-    pub fn with_etx(mut self, etx: u16) -> Self {
-        self.etx = etx;
         self
     }
 }
@@ -285,7 +279,7 @@ impl Behavior for CtpSinkBehavior {
 /// A WiFi station generating periodic cloud "heartbeats": a TCP handshake
 /// followed by a data push — the traffic shape of commodity IoT devices.
 #[derive(Debug)]
-pub struct WifiStationBehavior {
+pub(crate) struct WifiStationBehavior {
     mac: MacAddr,
     ip: Ipv4Addr,
     bssid: MacAddr,
@@ -420,7 +414,6 @@ pub struct TcpServerBehavior {
     fronted: Vec<Ipv4Addr>,
     wifi_seq: u16,
     isn: u32,
-    half_open: u64,
 }
 
 impl TcpServerBehavior {
@@ -432,13 +425,7 @@ impl TcpServerBehavior {
             fronted,
             wifi_seq: 0,
             isn: 77000,
-            half_open: 0,
         }
-    }
-
-    /// Handshakes begun but never completed (a SYN-flood symptom counter).
-    pub fn half_open(&self) -> u64 {
-        self.half_open
     }
 }
 
@@ -454,7 +441,6 @@ impl Behavior for TcpServerBehavior {
             return;
         }
         if tcp.flags.is_pure_syn() {
-            self.half_open += 1;
             self.isn = self.isn.wrapping_add(104729);
             let synack = TcpSegment::syn_ack(tcp.dst_port, tcp.src_port, self.isn, tcp.seq);
             let reply = craft::ipv4_tcp(ip.dst, ip.src, &synack);
@@ -464,54 +450,7 @@ impl Behavior for TcpServerBehavior {
                 let raw = craft::wifi_ipv4(self.mac, w.src, self.bssid, self.wifi_seq, &reply);
                 ctx.transmit(Medium::Wifi, raw);
             }
-        } else if tcp.flags.contains(kalis_packets::tcp::TcpFlags::ACK) {
-            self.half_open = self.half_open.saturating_sub(1);
         }
-    }
-}
-
-/// A BLE device periodically broadcasting advertisements (the paper's
-/// third medium; e.g. a smart lock advertising its presence).
-#[derive(Debug)]
-pub struct BleAdvertiserBehavior {
-    mac: MacAddr,
-    period: Duration,
-    connectable: bool,
-}
-
-impl BleAdvertiserBehavior {
-    /// An advertiser broadcasting every `period`.
-    pub fn new(mac: MacAddr, period: Duration) -> Self {
-        BleAdvertiserBehavior {
-            mac,
-            period,
-            connectable: true,
-        }
-    }
-}
-
-impl Behavior for BleAdvertiserBehavior {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.period, TIMER_SEND);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token != TIMER_SEND {
-            return;
-        }
-        use kalis_packets::codec::Encode;
-        let pdu = kalis_packets::ble::BleAdvPdu::new(
-            if self.connectable {
-                kalis_packets::ble::BleAdvType::AdvInd
-            } else {
-                kalis_packets::ble::BleAdvType::AdvNonconnInd
-            },
-            self.mac,
-            // Flags AD structure: LE General Discoverable.
-            vec![0x02, 0x01, 0x06],
-        );
-        ctx.transmit(Medium::Ble, pdu.to_bytes());
-        ctx.set_timer(self.period, TIMER_SEND);
     }
 }
 
@@ -571,23 +510,12 @@ pub struct ZigbeeSubBehavior {
     addr: ShortAddr,
     hub: ShortAddr,
     seq: u8,
-    commands_handled: u64,
 }
 
 impl ZigbeeSubBehavior {
     /// A sub at `addr` paired with `hub`.
     pub fn new(addr: ShortAddr, hub: ShortAddr) -> Self {
-        ZigbeeSubBehavior {
-            addr,
-            hub,
-            seq: 0,
-            commands_handled: 0,
-        }
-    }
-
-    /// Commands processed so far.
-    pub fn commands_handled(&self) -> u64 {
-        self.commands_handled
+        ZigbeeSubBehavior { addr, hub, seq: 0 }
     }
 }
 
@@ -598,7 +526,6 @@ impl Behavior for ZigbeeSubBehavior {
         if z.dst != self.addr || z.src != self.hub {
             return;
         }
-        self.commands_handled += 1;
         self.seq = self.seq.wrapping_add(1);
         ctx.transmit(
             Medium::Ieee802154,
@@ -674,7 +601,6 @@ pub struct PingResponderBehavior {
     ip: Ipv4Addr,
     bssid: MacAddr,
     wifi_seq: u16,
-    replied: u64,
 }
 
 impl PingResponderBehavior {
@@ -685,13 +611,7 @@ impl PingResponderBehavior {
             ip,
             bssid,
             wifi_seq: 0,
-            replied: 0,
         }
-    }
-
-    /// Echo replies sent so far.
-    pub fn replied(&self) -> u64 {
-        self.replied
     }
 }
 
@@ -709,7 +629,6 @@ impl Behavior for PingResponderBehavior {
         if iph.dst != self.ip {
             return;
         }
-        self.replied += 1;
         self.wifi_seq = self.wifi_seq.wrapping_add(1);
         let reply = craft::ipv4_echo_reply(
             self.ip,
@@ -871,28 +790,6 @@ mod tests {
             resps >= reqs - 1 && resps <= reqs,
             "requests {reqs} vs replies {resps}"
         );
-    }
-
-    #[test]
-    fn ble_advertiser_broadcasts_on_the_ble_medium() {
-        let mut sim = Simulator::new(8);
-        let lock =
-            sim.add_node(NodeSpec::new("smartlock").with_radio(crate::radio::RadioConfig::ble()));
-        sim.set_behavior(
-            lock,
-            BleAdvertiserBehavior::new(MacAddr::from_index(4), Duration::from_secs(1)),
-        );
-        let tap = sim.add_tap("ble0", Position::new(1.0, 0.0), &[Medium::Ble]);
-        sim.run_for(Duration::from_secs(5));
-        let frames = tap.drain();
-        assert!(frames.len() >= 4);
-        assert!(frames
-            .iter()
-            .all(|c| c.traffic_class() == TrafficClass::BleAdv));
-        assert!(frames.iter().all(|c| {
-            c.decoded()
-                .is_some_and(|p| matches!(p.link, kalis_packets::packet::LinkLayer::Ble(_)))
-        }));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use kalis_packets::zigbee::{ZigbeeCommand, ZigbeeFrame};
 use kalis_packets::{MacAddr, PanId, ShortAddr};
 
 /// The PAN id used by every 802.15.4 scenario in this workspace.
-pub const DEFAULT_PAN: PanId = PanId(0x00aa);
+pub(crate) const DEFAULT_PAN: PanId = PanId(0x00aa);
 
 /// An 802.15.4 data frame wrapping `payload`.
 pub fn ieee_data(src: ShortAddr, dst: ShortAddr, seq: u8, payload: Bytes) -> Bytes {

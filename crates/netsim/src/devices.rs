@@ -15,7 +15,7 @@ use kalis_packets::MacAddr;
 
 use crate::behavior::Behavior;
 use crate::behaviors::WifiStationBehavior;
-use crate::node::{NodeSpec, Role};
+use crate::node::NodeSpec;
 use crate::radio::RadioConfig;
 
 /// A commodity IoT device profile from the paper's experimental setup.
@@ -80,23 +80,14 @@ impl DeviceProfile {
     }
 
     /// Whether the device talks UDP (vs TCP).
-    pub fn uses_udp(self) -> bool {
+    pub(crate) fn uses_udp(self) -> bool {
         matches!(self, DeviceProfile::LifxBulb)
-    }
-
-    /// The taxonomy role this device plays.
-    pub fn role(self) -> Role {
-        match self {
-            DeviceProfile::NestThermostat | DeviceProfile::ArloCamera => Role::Hub,
-            _ => Role::Sub,
-        }
     }
 
     /// Build the node spec for this device.
     pub fn node_spec(self, name: &str, x: f64, y: f64, ip: Ipv4Addr, mac: MacAddr) -> NodeSpec {
         NodeSpec::new(name)
             .with_position(x, y)
-            .with_role(self.role())
             .with_radio(RadioConfig::wifi())
             .with_ip(ip)
             .with_mac(mac)
@@ -164,11 +155,7 @@ mod tests {
         let mut sim = Simulator::new(11);
         let gw_mac = MacAddr::from_index(0);
         let cloud_ip = Ipv4Addr::new(52, 10, 0, 1);
-        let router = sim.add_node(
-            NodeSpec::new("router")
-                .with_radio(RadioConfig::wifi())
-                .with_role(Role::Router),
-        );
+        let router = sim.add_node(NodeSpec::new("router").with_radio(RadioConfig::wifi()));
         sim.set_behavior(
             router,
             TcpServerBehavior::new(gw_mac, gw_mac, vec![cloud_ip]),

@@ -129,9 +129,10 @@ impl FaultWindow {
 /// [`FaultPlan::judge`] returns zero or more of these: an empty vector
 /// means the frame was dropped; two entries mean it was duplicated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `FaultPlan::judge`
 pub struct Delivery {
     /// Extra latency on top of the medium's base delay.
-    pub extra_delay: Duration,
+    pub(crate) extra_delay: Duration,
     /// Whether the delivered bytes should have a bit flipped
     /// (via [`FaultPlan::corrupt_payload`]).
     pub corrupt: bool,
@@ -213,7 +214,8 @@ impl FaultPlan {
     }
 
     /// Override the faults for the directed link `from -> to`.
-    pub fn with_link(mut self, from: u32, to: u32, faults: LinkFaults) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_link(mut self, from: u32, to: u32, faults: LinkFaults) -> Self {
         self.per_link.insert((from, to), faults);
         self
     }
@@ -375,7 +377,7 @@ impl FaultPlan {
     /// Flip one bit of `payload`, chosen by a keyed hash of the payload
     /// itself (no-op when empty). Stateless, like [`FaultPlan::judge`]:
     /// corrupting the same bytes under the same seed flips the same bit.
-    pub fn corrupt_payload(&self, payload: &mut [u8]) {
+    pub(crate) fn corrupt_payload(&self, payload: &mut [u8]) {
         if payload.is_empty() {
             return;
         }

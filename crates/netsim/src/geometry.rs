@@ -21,7 +21,7 @@ pub struct Position {
 
 impl Position {
     /// The origin.
-    pub const ORIGIN: Position = Position { x: 0.0, y: 0.0 };
+    pub(crate) const ORIGIN: Position = Position { x: 0.0, y: 0.0 };
 
     /// Build a position.
     pub fn new(x: f64, y: f64) -> Self {
@@ -34,7 +34,7 @@ impl Position {
     }
 
     /// Move `fraction` (0..=1) of the way towards `target`.
-    pub fn lerp(self, target: Position, fraction: f64) -> Position {
+    pub(crate) fn lerp(self, target: Position, fraction: f64) -> Position {
         Position {
             x: self.x + (target.x - self.x) * fraction,
             y: self.y + (target.y - self.y) * fraction,
@@ -42,7 +42,7 @@ impl Position {
     }
 
     /// Translate by a velocity applied for `dt_secs`.
-    pub fn translate(self, vx: f64, vy: f64, dt_secs: f64) -> Position {
+    pub(crate) fn translate(self, vx: f64, vy: f64, dt_secs: f64) -> Position {
         Position {
             x: self.x + vx * dt_secs,
             y: self.y + vy * dt_secs,

@@ -57,7 +57,6 @@ pub mod radio;
 pub mod sim;
 pub mod stress;
 pub mod tap;
-pub mod topology;
 pub mod trace;
 pub mod wire;
 
@@ -65,15 +64,14 @@ pub mod wire;
 pub mod prelude {
     pub use crate::behavior::{Behavior, Ctx, ReceivedFrame};
     pub use crate::behaviors::{
-        BleAdvertiserBehavior, CtpForwarderBehavior, CtpSensorBehavior, CtpSinkBehavior,
-        PingBehavior, PingResponderBehavior, TcpServerBehavior, WifiStationBehavior,
-        ZigbeeHubBehavior, ZigbeeSubBehavior,
+        CtpForwarderBehavior, CtpSensorBehavior, CtpSinkBehavior, PingBehavior,
+        PingResponderBehavior, TcpServerBehavior, ZigbeeHubBehavior, ZigbeeSubBehavior,
     };
     pub use crate::devices::DeviceProfile;
     pub use crate::fault::{FaultPlan, FaultStats, FaultWindow, LinkFaults};
     pub use crate::geometry::Position;
     pub use crate::mobility::MobilityModel;
-    pub use crate::node::{NodeId, NodeSpec, Role};
+    pub use crate::node::{NodeId, NodeSpec};
     pub use crate::radio::RadioConfig;
     pub use crate::sim::Simulator;
     pub use crate::tap::Tap;
@@ -82,6 +80,6 @@ pub mod prelude {
 
 pub use fault::{FaultPlan, FaultStats, FaultWindow, LinkFaults};
 pub use geometry::Position;
-pub use node::{NodeId, NodeSpec, Role};
+pub use node::{NodeId, NodeSpec};
 pub use sim::Simulator;
 pub use tap::Tap;

@@ -33,7 +33,7 @@ pub enum MobilityModel {
 
 impl MobilityModel {
     /// Whether this model ever changes position.
-    pub fn is_mobile(&self) -> bool {
+    pub(crate) fn is_mobile(&self) -> bool {
         !matches!(self, MobilityModel::Static)
     }
 }

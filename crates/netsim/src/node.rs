@@ -1,8 +1,8 @@
-//! Simulated nodes: identity, role, addressing, radio, and mobility.
+//! Simulated nodes: identity, addressing, radio, and mobility.
 
 use std::net::Ipv4Addr;
 
-use kalis_packets::{MacAddr, ShortAddr};
+use kalis_packets::MacAddr;
 
 use crate::geometry::Position;
 use crate::mobility::MobilityModel;
@@ -18,51 +18,17 @@ impl core::fmt::Display for NodeId {
     }
 }
 
-/// The role a node plays in the paper's attack taxonomy by target
-/// (Table I: Internet service, hub, sub, router).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Role {
-    /// A cloud/Internet service reachable through the router.
-    InternetService,
-    /// A powerful coordinator device (e.g. a smart-lighting hub).
-    Hub,
-    /// A constrained device coordinated by a hub (e.g. a light bulb).
-    Sub,
-    /// A smart router/gateway.
-    Router,
-    /// A WSN sensor mote.
-    Sensor,
-    /// A Kalis IDS observation point.
-    Ids,
-}
-
-impl core::fmt::Display for Role {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let name = match self {
-            Role::InternetService => "internet-service",
-            Role::Hub => "hub",
-            Role::Sub => "sub",
-            Role::Router => "router",
-            Role::Sensor => "sensor",
-            Role::Ids => "ids",
-        };
-        f.write_str(name)
-    }
-}
-
 /// Declarative specification for a node, consumed by
 /// [`crate::sim::Simulator::add_node`].
 ///
 /// # Examples
 ///
 /// ```
-/// use kalis_netsim::node::{NodeSpec, Role};
+/// use kalis_netsim::node::NodeSpec;
 /// use kalis_netsim::mobility::MobilityModel;
 ///
 /// let spec = NodeSpec::new("mote-3")
 ///     .with_position(12.0, 7.0)
-///     .with_role(Role::Sensor)
 ///     .with_mobility(MobilityModel::Static);
 /// assert_eq!(spec.name(), "mote-3");
 /// ```
@@ -70,25 +36,21 @@ impl core::fmt::Display for Role {
 pub struct NodeSpec {
     name: String,
     position: Position,
-    role: Role,
     radio: RadioConfig,
     mobility: MobilityModel,
-    short_addr: Option<ShortAddr>,
     mac: Option<MacAddr>,
     ip: Option<Ipv4Addr>,
 }
 
 impl NodeSpec {
-    /// Start a spec with defaults: origin position, [`Role::Sub`], default
-    /// radio, static mobility.
+    /// Start a spec with defaults: origin position, default radio, static
+    /// mobility.
     pub fn new(name: impl Into<String>) -> Self {
         NodeSpec {
             name: name.into(),
             position: Position::ORIGIN,
-            role: Role::Sub,
             radio: RadioConfig::default(),
             mobility: MobilityModel::Static,
-            short_addr: None,
             mac: None,
             ip: None,
         }
@@ -97,12 +59,6 @@ impl NodeSpec {
     /// Set the initial position.
     pub fn with_position(mut self, x: f64, y: f64) -> Self {
         self.position = Position::new(x, y);
-        self
-    }
-
-    /// Set the role.
-    pub fn with_role(mut self, role: Role) -> Self {
-        self.role = role;
         self
     }
 
@@ -115,12 +71,6 @@ impl NodeSpec {
     /// Set the mobility model.
     pub fn with_mobility(mut self, mobility: MobilityModel) -> Self {
         self.mobility = mobility;
-        self
-    }
-
-    /// Assign an 802.15.4 short address.
-    pub fn with_short_addr(mut self, addr: ShortAddr) -> Self {
-        self.short_addr = Some(addr);
         self
     }
 
@@ -146,10 +96,8 @@ impl NodeSpec {
             id,
             name: self.name,
             position: self.position,
-            role: self.role,
             radio: self.radio,
             mobility: self.mobility,
-            short_addr: self.short_addr,
             mac: self.mac.unwrap_or_else(|| MacAddr::from_index(id.0)),
             ip: self.ip,
         }
@@ -158,6 +106,7 @@ impl NodeSpec {
 
 /// Runtime state of a simulated node.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Simulator::node`
 pub struct Node {
     /// Node identifier.
     pub id: NodeId,
@@ -165,14 +114,10 @@ pub struct Node {
     pub name: String,
     /// Current position (updated by mobility).
     pub position: Position,
-    /// Taxonomy role.
-    pub role: Role,
     /// Radio parameters.
     pub radio: RadioConfig,
     /// Mobility model.
     pub mobility: MobilityModel,
-    /// 802.15.4 short address, if assigned.
-    pub short_addr: Option<ShortAddr>,
     /// MAC address (auto-assigned when not specified).
     pub mac: MacAddr,
     /// IPv4 address, if assigned.
@@ -187,13 +132,9 @@ mod tests {
     fn spec_builder_sets_fields() {
         let spec = NodeSpec::new("x")
             .with_position(1.0, 2.0)
-            .with_role(Role::Router)
-            .with_short_addr(ShortAddr(9))
             .with_ip(Ipv4Addr::new(10, 0, 0, 1));
         let node = spec.build(NodeId(4));
         assert_eq!(node.position, Position::new(1.0, 2.0));
-        assert_eq!(node.role, Role::Router);
-        assert_eq!(node.short_addr, Some(ShortAddr(9)));
         assert_eq!(node.ip, Some(Ipv4Addr::new(10, 0, 0, 1)));
         assert_eq!(node.id, NodeId(4));
     }

@@ -29,18 +29,18 @@ pub struct RadioConfig {
     /// Transmit power in dBm.
     pub tx_power_dbm: f64,
     /// Path loss at the reference distance, in dB.
-    pub pl0_db: f64,
+    pub(crate) pl0_db: f64,
     /// Reference distance in meters.
-    pub d0_m: f64,
+    pub(crate) d0_m: f64,
     /// Path-loss exponent (2 free space … 4 indoor).
     pub path_loss_exponent: f64,
     /// Standard deviation of log-normal shadowing, in dB.
     pub shadowing_std_db: f64,
     /// Hard reception range in meters.
-    pub range_m: f64,
+    pub(crate) range_m: f64,
     /// Probability that an in-range frame is lost anyway (collisions,
     /// interference). 0.0 by default for deterministic scenarios.
-    pub loss_rate: f64,
+    pub(crate) loss_rate: f64,
 }
 
 impl Default for RadioConfig {
@@ -73,7 +73,8 @@ impl RadioConfig {
     }
 
     /// A lossy variant of this radio.
-    pub fn with_loss(mut self, loss_rate: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_loss(mut self, loss_rate: f64) -> Self {
         self.loss_rate = loss_rate.clamp(0.0, 1.0);
         self
     }
@@ -104,7 +105,7 @@ impl RadioConfig {
 
     /// Sample a received signal strength at `distance_m`, adding shadowing
     /// noise drawn from `rng`.
-    pub fn sample_rssi_dbm<R: Rng + ?Sized>(&self, distance_m: f64, rng: &mut R) -> f64 {
+    pub(crate) fn sample_rssi_dbm<R: Rng + ?Sized>(&self, distance_m: f64, rng: &mut R) -> f64 {
         let noise = if self.shadowing_std_db > 0.0 {
             // Box–Muller transform; two uniforms → one standard normal.
             let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -117,13 +118,13 @@ impl RadioConfig {
     }
 
     /// Whether a receiver at `distance_m` hears this transmitter at all.
-    pub fn in_range(&self, distance_m: f64) -> bool {
+    pub(crate) fn in_range(&self, distance_m: f64) -> bool {
         distance_m <= self.range_m
     }
 
     /// Sample whether an in-range frame is actually received (subject to
     /// the loss rate).
-    pub fn sample_delivery<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn sample_delivery<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.loss_rate <= 0.0 || rng.gen::<f64>() >= self.loss_rate
     }
 }

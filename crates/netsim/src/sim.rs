@@ -62,15 +62,16 @@ impl Ord for Scheduled {
 
 /// Aggregate counters, useful for sanity checks and benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Simulator::stats`
 pub struct SimStats {
     /// Frames transmitted on any radio medium.
-    pub transmissions: u64,
+    pub(crate) transmissions: u64,
     /// Frame receptions delivered to node behaviors.
-    pub deliveries: u64,
+    pub(crate) deliveries: u64,
     /// Frames captured by taps.
     pub captures: u64,
     /// Timer events fired.
-    pub timers: u64,
+    pub(crate) timers: u64,
 }
 
 /// The deterministic discrete-event simulator.
@@ -134,7 +135,13 @@ impl Simulator {
 
     /// Add a tap that rides along with `node` (a Kalis unit colocated with
     /// a device), overhearing `mediums`.
-    pub fn add_tap_on_node(&mut self, interface: &str, node: NodeId, mediums: &[Medium]) -> Tap {
+    #[cfg(test)]
+    pub(crate) fn add_tap_on_node(
+        &mut self,
+        interface: &str,
+        node: NodeId,
+        mediums: &[Medium],
+    ) -> Tap {
         self.add_tap_config(interface, TapAttachment::Node(node), mediums, None)
     }
 
@@ -208,16 +215,6 @@ impl Simulator {
         &self.nodes[node.0 as usize]
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Move a node instantaneously (useful for scripted scenario steps).
-    pub fn set_position(&mut self, node: NodeId, position: Position) {
-        self.nodes[node.0 as usize].position = position;
-    }
-
     /// Replace a node's mobility model mid-run (the paper's replication
     /// experiment flips the network between static and mobile phases).
     pub fn set_mobility(&mut self, node: NodeId, model: crate::mobility::MobilityModel) {
@@ -243,7 +240,7 @@ impl Simulator {
     }
 
     /// Run until the virtual clock reaches `deadline`.
-    pub fn run_until(&mut self, deadline: Timestamp) {
+    pub(crate) fn run_until(&mut self, deadline: Timestamp) {
         self.start_if_needed();
         while let Some(Reverse(head)) = self.queue.peek() {
             if head.at > deadline {
@@ -472,8 +469,12 @@ impl core::fmt::Debug for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::behavior::Idle;
     use crate::mobility::MobilityModel;
+
+    /// A no-op behavior for passive nodes.
+    struct Idle;
+
+    impl Behavior for Idle {}
 
     /// Transmits `count` beacons, one per second.
     struct Beeper {

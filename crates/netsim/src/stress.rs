@@ -20,10 +20,10 @@ use crate::craft;
 /// Payload marker carried by [`poison_packet`] captures. Harmless on the
 /// wire — only modules that deliberately look for it (the experiments'
 /// crash-prone module) react to it.
-pub const POISON_MARKER: &[u8] = b"POISONED";
+pub(crate) const POISON_MARKER: &[u8] = b"POISONED";
 
 /// The MAC-layer identity poison packets claim.
-pub const POISON_SOURCE: ShortAddr = ShortAddr(0x0066);
+pub(crate) const POISON_SOURCE: ShortAddr = ShortAddr(0x0066);
 
 /// A CTP data frame whose reading carries the [`POISON_MARKER`].
 pub fn poison_packet(at: Timestamp, seq: u8) -> CapturedPacket {

@@ -25,6 +25,7 @@ use kalis_packets::{CapturedPacket, Medium, Timestamp};
 /// Errors produced while reading a trace.
 #[derive(Debug)]
 #[non_exhaustive]
+// kalis-lint: allow(KL306): named by the `pub` signature of `parse_line`
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(std::io::Error),

@@ -20,6 +20,7 @@ use crate::fault::FaultPlan;
 
 /// A control frame queued on the virtual wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Wire::due`
 pub struct InFlight {
     /// Delivery instant (send time + link delay + fault jitter).
     pub at: Timestamp,

@@ -17,12 +17,10 @@ proptest! {
         d1 in 0.5f64..100.0,
         delta in 0.5f64..100.0,
     ) {
-        let radio = RadioConfig {
-            tx_power_dbm: tx_power,
-            path_loss_exponent: exponent,
-            shadowing_std_db: 0.0,
-            ..RadioConfig::default()
-        };
+        let mut radio = RadioConfig::default();
+        radio.tx_power_dbm = tx_power;
+        radio.path_loss_exponent = exponent;
+        radio.shadowing_std_db = 0.0;
         prop_assert!(radio.mean_rssi_dbm(d1) > radio.mean_rssi_dbm(d1 + delta));
     }
 

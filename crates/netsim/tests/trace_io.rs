@@ -11,17 +11,9 @@ use std::time::Duration;
 
 fn record_wsn(seed: u64) -> Vec<kalis_packets::CapturedPacket> {
     let mut sim = Simulator::new(seed);
-    let sink = sim.add_node(NodeSpec::new("sink").with_short_addr(ShortAddr(1)));
-    let fwd = sim.add_node(
-        NodeSpec::new("fwd")
-            .with_position(10.0, 0.0)
-            .with_short_addr(ShortAddr(2)),
-    );
-    let leaf = sim.add_node(
-        NodeSpec::new("leaf")
-            .with_position(20.0, 0.0)
-            .with_short_addr(ShortAddr(3)),
-    );
+    let sink = sim.add_node(NodeSpec::new("sink"));
+    let fwd = sim.add_node(NodeSpec::new("fwd").with_position(10.0, 0.0));
+    let leaf = sim.add_node(NodeSpec::new("leaf").with_position(20.0, 0.0));
     sim.set_behavior(sink, CtpSinkBehavior::new(ShortAddr(1)));
     sim.set_behavior(fwd, CtpForwarderBehavior::new(ShortAddr(2), ShortAddr(1)));
     sim.set_behavior(leaf, CtpSensorBehavior::leaf(ShortAddr(3), ShortAddr(2)));

@@ -178,7 +178,7 @@ const _: () = assert!(core::mem::size_of::<Entity>() == 24);
 
 impl Entity {
     /// The longest name, in bytes, held without a heap allocation.
-    pub const INLINE: usize = 22;
+    pub(crate) const INLINE: usize = 22;
 
     /// Create an entity from an arbitrary name.
     pub fn new<S: AsRef<str> + Into<String>>(name: S) -> Self {

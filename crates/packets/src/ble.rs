@@ -62,7 +62,7 @@ impl BleAdvType {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BleAdvPdu {
     /// PDU type.
-    pub pdu_type: BleAdvType,
+    pub(crate) pdu_type: BleAdvType,
     /// Advertiser (or scanner) address.
     pub advertiser: MacAddr,
     /// Advertising data (AD structures, carried opaquely).

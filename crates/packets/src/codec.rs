@@ -1,6 +1,6 @@
 //! Encode/decode traits and buffer helpers shared by every protocol module.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 use crate::DecodeError;
 
@@ -64,7 +64,11 @@ pub trait Decode: Sized {
 /// # Errors
 ///
 /// Returns [`DecodeError::Truncated`] naming `protocol` otherwise.
-pub fn ensure(buf: &Bytes, protocol: &'static str, needed: usize) -> Result<(), DecodeError> {
+pub(crate) fn ensure(
+    buf: &Bytes,
+    protocol: &'static str,
+    needed: usize,
+) -> Result<(), DecodeError> {
     if buf.remaining() < needed {
         Err(DecodeError::truncated(protocol, needed, buf.remaining()))
     } else {
@@ -108,11 +112,6 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
     !(sum as u16)
-}
-
-/// Write a `u16` big-endian into `buf`.
-pub fn put_u16(buf: &mut BytesMut, value: u16) {
-    buf.put_u16(value);
 }
 
 #[cfg(test)]

@@ -14,11 +14,11 @@ use crate::DecodeError;
 const PROTO: &str = "ctp";
 
 /// TinyOS dispatch byte identifying a non-6LoWPAN TinyOS frame.
-pub const TINYOS_DISPATCH: u8 = 0x3f;
+pub(crate) const TINYOS_DISPATCH: u8 = 0x3f;
 /// Active Message id for CTP routing beacons.
-pub const AM_CTP_ROUTING: u8 = 0x70;
+pub(crate) const AM_CTP_ROUTING: u8 = 0x70;
 /// Active Message id for CTP data frames.
-pub const AM_CTP_DATA: u8 = 0x71;
+pub(crate) const AM_CTP_DATA: u8 = 0x71;
 
 /// A CTP data frame (TEP 123 §3.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,7 +199,7 @@ impl Decode for CtpFrame {
 
 /// Quick structural test: does this MAC payload look like a TinyOS/CTP
 /// frame? Used by the capture demultiplexer.
-pub fn looks_like_ctp(payload: &[u8]) -> bool {
+pub(crate) fn looks_like_ctp(payload: &[u8]) -> bool {
     payload.len() >= 2
         && payload[0] == TINYOS_DISPATCH
         && (payload[1] == AM_CTP_DATA || payload[1] == AM_CTP_ROUTING)

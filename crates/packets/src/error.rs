@@ -75,7 +75,7 @@ impl DecodeError {
     }
 
     /// Convenience constructor for [`DecodeError::InvalidField`].
-    pub fn invalid(protocol: &'static str, field: &'static str, value: u64) -> Self {
+    pub(crate) fn invalid(protocol: &'static str, field: &'static str, value: u64) -> Self {
         DecodeError::InvalidField {
             protocol,
             field,

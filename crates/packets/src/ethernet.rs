@@ -10,10 +10,8 @@ const PROTO: &str = "ethernet";
 
 /// EtherType for IPv4.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
-/// EtherType for ARP.
-pub const ETHERTYPE_ARP: u16 = 0x0806;
 /// EtherType for IPv6.
-pub const ETHERTYPE_IPV6: u16 = 0x86dd;
+pub(crate) const ETHERTYPE_IPV6: u16 = 0x86dd;
 
 /// An Ethernet II frame.
 ///

@@ -60,7 +60,7 @@ pub enum Icmpv6Packet {
 
 impl Icmpv6Packet {
     /// The ICMPv6 type number.
-    pub fn type_number(&self) -> u8 {
+    pub(crate) fn type_number(&self) -> u8 {
         match self {
             Icmpv6Packet::EchoRequest { .. } => 128,
             Icmpv6Packet::EchoReply { .. } => 129,

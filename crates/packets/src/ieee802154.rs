@@ -212,7 +212,7 @@ impl Ieee802154Frame {
 }
 
 /// CRC-16/CCITT (the 802.15.4 FCS polynomial, bit-reversed 0x8408).
-pub fn fcs(data: &[u8]) -> u16 {
+pub(crate) fn fcs(data: &[u8]) -> u16 {
     let mut crc: u16 = 0x0000;
     for &byte in data {
         crc ^= u16::from(byte);

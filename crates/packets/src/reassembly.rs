@@ -92,7 +92,6 @@ impl Partial {
 pub struct Reassembler {
     partials: HashMap<DatagramKey, Partial>,
     expired: u64,
-    completed: u64,
 }
 
 impl Reassembler {
@@ -159,7 +158,6 @@ impl Reassembler {
         let done = self.partials.get(&key).and_then(Partial::assemble);
         if done.is_some() {
             self.partials.remove(&key);
-            self.completed += 1;
         }
         done
     }
@@ -181,11 +179,6 @@ impl Reassembler {
     /// observable.
     pub fn expired(&self) -> u64 {
         self.expired
-    }
-
-    /// Datagrams completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 }
 
@@ -238,7 +231,6 @@ mod tests {
             done.unwrap(),
             Bytes::from(vec![1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2])
         );
-        assert_eq!(r.completed(), 1);
         assert_eq!(r.pending(), 0);
     }
 

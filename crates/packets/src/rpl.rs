@@ -12,7 +12,7 @@ use crate::DecodeError;
 const PROTO: &str = "rpl";
 
 /// The ICMPv6 type number assigned to RPL control messages.
-pub const ICMPV6_RPL_TYPE: u8 = 155;
+pub(crate) const ICMPV6_RPL_TYPE: u8 = 155;
 
 /// The rank of a DODAG root.
 pub const ROOT_RANK: u16 = 256;
@@ -56,7 +56,7 @@ impl RplMessage {
     }
 
     /// Encode the message body (after the ICMPv6 type/code/checksum).
-    pub fn encode_body(&self, buf: &mut BytesMut) {
+    pub(crate) fn encode_body(&self, buf: &mut BytesMut) {
         match self {
             RplMessage::Dis => {
                 buf.put_u16(0); // flags + reserved
@@ -92,7 +92,7 @@ impl RplMessage {
     /// # Errors
     ///
     /// Returns [`DecodeError`] for truncated bodies or unknown codes.
-    pub fn decode_body(code: u8, buf: &mut Bytes) -> Result<Self, DecodeError> {
+    pub(crate) fn decode_body(code: u8, buf: &mut Bytes) -> Result<Self, DecodeError> {
         match code {
             0x00 => {
                 ensure(buf, PROTO, 2)?;

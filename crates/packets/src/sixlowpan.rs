@@ -14,7 +14,7 @@ use crate::DecodeError;
 const PROTO: &str = "6lowpan";
 
 /// Dispatch byte for an uncompressed IPv6 datagram.
-pub const DISPATCH_IPV6: u8 = 0x41;
+pub(crate) const DISPATCH_IPV6: u8 = 0x41;
 
 /// The RFC 4944 mesh header: who originated the frame and who it is
 /// ultimately for, under mesh-under forwarding.
@@ -223,7 +223,7 @@ impl Decode for SixLowpanFrame {
 }
 
 /// Quick structural test: does this MAC payload look like 6LoWPAN?
-pub fn looks_like_sixlowpan(payload: &[u8]) -> bool {
+pub(crate) fn looks_like_sixlowpan(payload: &[u8]) -> bool {
     match payload.first() {
         None => false,
         Some(&b) => b == DISPATCH_IPV6 || b >> 5 == 0b011 || b >> 6 == 0b10 || b >> 5 >= 0b110,

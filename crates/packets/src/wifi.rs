@@ -113,7 +113,7 @@ impl WifiFrame {
     }
 
     /// Whether this is a management frame.
-    pub fn is_management(&self) -> bool {
+    pub(crate) fn is_management(&self) -> bool {
         !matches!(self.body, WifiBody::Data { .. })
     }
 }

@@ -9,7 +9,7 @@ use crate::DecodeError;
 const PROTO: &str = "zigbee-nwk";
 
 /// The ZigBee PRO protocol version carried in the NWK frame control.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub(crate) const PROTOCOL_VERSION: u8 = 2;
 
 /// A ZigBee NWK command payload.
 ///
@@ -266,7 +266,7 @@ impl Decode for ZigbeeFrame {
 
 /// Quick structural test: does this MAC payload look like a ZigBee NWK
 /// frame? Used by the capture demultiplexer.
-pub fn looks_like_zigbee(payload: &[u8]) -> bool {
+pub(crate) fn looks_like_zigbee(payload: &[u8]) -> bool {
     if payload.len() < 8 {
         return false;
     }

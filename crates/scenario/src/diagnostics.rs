@@ -81,7 +81,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// A diagnostic with no source position (file-level problems).
-    pub fn file_level(code: Code, file: &str, message: impl Into<String>) -> Self {
+    pub(crate) fn file_level(code: Code, file: &str, message: impl Into<String>) -> Self {
         Diagnostic {
             code,
             message: message.into(),

@@ -21,6 +21,7 @@ const EVIDENCE_LIMIT: usize = 8;
 
 /// One checkable claim from a scenario file's `expectations` section.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ScenarioSpec::expectations`
 pub enum Expectation {
     /// `min-recall = 0.9` — detection rate over the injected ground
     /// truth (single topology).
@@ -77,7 +78,7 @@ pub enum Expectation {
 }
 
 /// Directive names, for `did you mean` notes.
-pub const EXPECTATION_NAMES: &[&str] = &[
+pub(crate) const EXPECTATION_NAMES: &[&str] = &[
     "min-recall",
     "min-accuracy",
     "max-false-positives",
@@ -118,7 +119,7 @@ impl Expectation {
     /// `attacks` taps of `single`; sync convergence, degraded-mode
     /// transitions and retransmissions need the faulted sync wire of
     /// `pair`.
-    pub fn applies_to(&self, topology: Topology) -> bool {
+    pub(crate) fn applies_to(&self, topology: Topology) -> bool {
         match self {
             Expectation::MinRecall(_)
             | Expectation::MinAccuracy(_)
@@ -137,7 +138,7 @@ impl Expectation {
     }
 
     /// The human form of the expected side of the claim.
-    pub fn expected_text(&self) -> String {
+    pub(crate) fn expected_text(&self) -> String {
         match self {
             Expectation::MinRecall(v) => format!("detection rate >= {v:.2}"),
             Expectation::MinAccuracy(v) => format!("classification accuracy >= {v:.2}"),
@@ -431,6 +432,7 @@ impl Expectation {
 /// One drained alert with its provenance, pre-formatted for evidence
 /// lines.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Evidence::alerts`
 pub struct AlertEvidence {
     /// Attack label (`icmp-flood`, ...).
     pub kind: String,
@@ -446,6 +448,7 @@ pub struct AlertEvidence {
 
 /// One budgeted module's end-of-run state.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `Evidence::modules`
 pub struct ModuleBudget {
     /// Registry name.
     pub name: String,
@@ -472,7 +475,7 @@ pub struct Evidence {
     /// Per-module budget occupancy.
     pub modules: Vec<ModuleBudget>,
     /// Bounded structures per module (the budget multiplier).
-    pub structures_per_module: usize,
+    pub(crate) structures_per_module: usize,
     /// KB entity-index occupancy and budget.
     pub kb_occupancy: usize,
     /// KB per-entity budget in effect.
@@ -520,6 +523,7 @@ impl Evidence {
 
 /// The verdict for one expectation against one run.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `SeedRun::reports`
 pub struct ExpectationReport {
     /// Directive name (`min-recall`, ...).
     pub name: String,

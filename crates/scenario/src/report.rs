@@ -8,6 +8,7 @@ use crate::expect::ExpectationReport;
 
 /// One seeded execution's verdicts.
 #[derive(Debug, Clone)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ScenarioReport::runs`
 pub struct SeedRun {
     /// The seed this run derived everything from.
     pub seed: u64,

@@ -57,13 +57,13 @@ use crate::expect::{Expectation, EXPECTATION_NAMES};
 
 /// Default pair-topology run length (matches the canonical chaos
 /// experiment).
-pub const DEFAULT_DURATION_SECS: u64 = 90;
+pub(crate) const DEFAULT_DURATION_SECS: u64 = 90;
 /// Default symptom instances per standard attack.
-pub const DEFAULT_SYMPTOMS: u32 = 4;
+pub(crate) const DEFAULT_SYMPTOMS: u32 = 4;
 /// Default fabricated identities per exhaustion burst.
-pub const DEFAULT_SPRAY_IDENTITIES: u32 = 400;
+pub(crate) const DEFAULT_SPRAY_IDENTITIES: u32 = 400;
 /// Default exhaustion bursts.
-pub const DEFAULT_SPRAY_BURSTS: u32 = 8;
+pub(crate) const DEFAULT_SPRAY_BURSTS: u32 = 8;
 
 /// The sections a scenario file may declare.
 const SECTION_NAMES: &[&str] = &[
@@ -78,6 +78,7 @@ const SECTION_NAMES: &[&str] = &[
 
 /// Where the scenario's faults land; both run the same loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ScenarioSpec::topology`
 pub enum Topology {
     /// One Kalis node per seeded capture tap, faults on the taps
     /// (default).
@@ -98,7 +99,7 @@ impl Topology {
 
 /// One `attacks` section entry.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttackSpec {
+pub(crate) enum AttackSpec {
     /// A seeded `kalis-bench` scenario trace.
     Standard {
         /// Which builder.
@@ -115,19 +116,10 @@ pub enum AttackSpec {
     },
 }
 
-impl AttackSpec {
-    /// The item name as written in scenario files.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AttackSpec::Standard { kind, .. } => kind.name(),
-            AttackSpec::Exhaustion { .. } => "state-exhaustion",
-        }
-    }
-}
-
 /// The `link (...)` fault item: probabilistic per-frame faults, with an
 /// optional active window.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `FaultsSpec::link`
 pub struct LinkFaultSpec {
     /// Per-frame fault probabilities and fixed delay.
     pub faults: LinkFaults,
@@ -139,6 +131,7 @@ pub struct LinkFaultSpec {
 /// The `partition (...)` fault item: endpoint groups that cannot
 /// exchange frames during the window.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `FaultsSpec::partitions`
 pub struct PartitionSpec {
     /// Endpoint groups (`groups = "0|1"` → `[[0], [1]]`).
     pub groups: Vec<Vec<u32>>,
@@ -150,6 +143,7 @@ pub struct PartitionSpec {
 
 /// The `crash (...)` fault item: one endpoint silent for the window.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `FaultsSpec::crashes`
 pub struct CrashSpec {
     /// The crashed endpoint.
     pub node: u32,
@@ -161,6 +155,7 @@ pub struct CrashSpec {
 
 /// Everything the `faults` section declared.
 #[derive(Debug, Clone, Default, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `ScenarioSpec::faults`
 pub struct FaultsSpec {
     /// Probabilistic link faults.
     pub link: Option<LinkFaultSpec>,
@@ -181,15 +176,16 @@ impl FaultsSpec {
 /// runner supplies the seed matrix, and everything seeded in the file's
 /// execution derives from that one value.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `parse_scenario`
 pub struct ScenarioSpec {
     /// Display name (defaults to the file stem).
     pub name: String,
     /// Which harness runs it.
     pub topology: Topology,
     /// Pair-topology run length, virtual seconds.
-    pub duration_secs: u64,
+    pub(crate) duration_secs: u64,
     /// The attack workload (single topology).
-    pub attacks: Vec<AttackSpec>,
+    pub(crate) attacks: Vec<AttackSpec>,
     /// Feed the scripted wormhole evidence as tap traffic (pair
     /// topology).
     pub wormhole_evidence: bool,
@@ -197,7 +193,7 @@ pub struct ScenarioSpec {
     pub faults: FaultsSpec,
     /// The `node` section compiled to Fig. 6 configuration text
     /// (single topology), already lint-validated.
-    pub node_config: Option<String>,
+    pub(crate) node_config: Option<String>,
     /// The `node` section's knowgget overrides as chaos-config suffix
     /// text (pair topology), e.g. `", Multihop = true"`.
     pub extra_knowggets: String,
@@ -260,7 +256,7 @@ fn window(from: u64, until: u64) -> FaultWindow {
 
 /// The scenario name implied by a path: the file name minus the
 /// `.scn.kalis` suffix.
-pub fn default_name(file: &str) -> String {
+pub(crate) fn default_name(file: &str) -> String {
     Path::new(file)
         .file_name()
         .map(|s| s.to_string_lossy().into_owned())

@@ -1,8 +1,9 @@
 //! Snapshot exporters: Prometheus text exposition and JSON, plus the
 //! JSON reader that makes snapshots round-trippable.
 
+use crate::histogram::Bucket;
 use crate::json::{self, JsonError, JsonValue};
-use crate::{Bucket, HistogramSnapshot, JournalEvent, JournalRecord, JournalSnapshot};
+use crate::{HistogramSnapshot, JournalEvent, JournalRecord, JournalSnapshot};
 use crate::{JournalField, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

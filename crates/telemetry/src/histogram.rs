@@ -86,10 +86,10 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record the wall-clock duration of a scope; see [`crate::SpanTimer`].
+    /// Record the wall-clock duration of a scope; see [`crate::span::SpanTimer`].
     #[inline]
-    pub fn span(&self) -> crate::SpanTimer<'_> {
-        crate::SpanTimer::new(self)
+    pub fn span(&self) -> crate::span::SpanTimer<'_> {
+        crate::span::SpanTimer::new(self)
     }
 
     /// Samples recorded so far.
@@ -124,6 +124,7 @@ impl Histogram {
 
 /// One non-empty bucket in a [`HistogramSnapshot`]: samples in `lo..=hi`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `HistogramSnapshot::buckets`
 pub struct Bucket {
     pub lo: u64,
     pub hi: u64,

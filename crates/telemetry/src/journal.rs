@@ -16,7 +16,7 @@ use std::sync::Arc;
 use crate::counter::{Counter, Gauge};
 
 /// Default number of records retained.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
 /// One structured pipeline event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -308,6 +308,7 @@ struct JournalInstruments {
 }
 
 /// Bounded ring of [`JournalRecord`]s.
+// kalis-lint: allow(KL306): named by the `pub` signature of `Telemetry::journal`
 pub struct Journal {
     state: Mutex<JournalState>,
     capacity: usize,
@@ -409,7 +410,8 @@ impl Journal {
     }
 
     /// Most records ever retained at once.
-    pub fn high_water(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn high_water(&self) -> usize {
         self.state.lock().high_water
     }
 

@@ -43,7 +43,7 @@ impl JsonValue {
     }
 
     /// The members, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
+    pub(crate) fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
         match self {
             JsonValue::Obj(members) => Some(members),
             _ => None,
@@ -127,6 +127,7 @@ pub fn quote(s: &str) -> String {
 
 /// Parse failure with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `TelemetrySnapshot::from_json`
 pub struct JsonError {
     pub offset: usize,
     pub message: String,

@@ -34,14 +34,12 @@ pub use counter::{Counter, Gauge};
 pub use expocheck::check_exposition;
 pub use export::{help_for, help_rows, prom_label_value};
 pub use histogram::{Bucket, Histogram, HistogramSnapshot, MAX_TRACKABLE};
-pub use journal::{
-    Journal, JournalEvent, JournalField, JournalRecord, JournalSnapshot, DEFAULT_JOURNAL_CAPACITY,
-};
+pub use journal::{Journal, JournalEvent, JournalField, JournalRecord, JournalSnapshot};
 pub use provenance::{AlertProvenance, EvidenceKnowgget, PacketRef, TraceRef};
 pub use recorder::{
     check_bundle, config_fingerprint, DiagBundle, DiagJournalEntry, DiagStats, FlightRecorder,
     Frame, Trigger, DEFAULT_JOURNAL_TAIL, DEFAULT_RING_DEPTH, DEFAULT_SNAPSHOT_INTERVAL_SECS,
-    DIAG_SCHEMA, TRIGGER_MASK_ALL,
+    TRIGGER_MASK_ALL,
 };
 pub use registry::{metric_name, Telemetry, TelemetrySnapshot};
 pub use span::SpanTimer;
@@ -134,10 +132,6 @@ pub mod names {
     /// Requests served by the ops HTTP listener family (counter,
     /// labelled `[endpoint=...]`).
     pub const OPS_REQUESTS: &str = "ops.requests";
-    /// Top-K hot-entity family (gauge, labelled `[rank=...,entity=...]`).
-    /// Synthesized into `/metrics` scrapes from the space-saving sketch
-    /// rather than registered, so scrape cardinality stays capped at K.
-    pub const HOT_ENTITY: &str = "hot.entity";
     /// Diagnostics bundles captured by the flight recorder (counter).
     pub const DIAG_CAPTURES: &str = "diag.captures";
 }

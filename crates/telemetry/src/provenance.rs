@@ -157,7 +157,7 @@ impl AlertProvenance {
 
     /// Parse from an already-parsed JSON value (e.g. an element of an
     /// explain document holding several records).
-    pub fn from_json_value(doc: &JsonValue) -> Result<Self, JsonError> {
+    pub(crate) fn from_json_value(doc: &JsonValue) -> Result<Self, JsonError> {
         let text = |f: &str| {
             doc.get(f)
                 .and_then(JsonValue::as_str)

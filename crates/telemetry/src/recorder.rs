@@ -44,7 +44,7 @@ use crate::json::{self, JsonValue};
 use crate::{Counter, Gauge, Telemetry};
 
 /// Schema tag stamped on every bundle.
-pub const DIAG_SCHEMA: &str = "kalis.diag.v1";
+pub(crate) const DIAG_SCHEMA: &str = "kalis.diag.v1";
 /// Default number of frames retained in the ring.
 pub const DEFAULT_RING_DEPTH: usize = 64;
 /// Default sampling interval in virtual seconds (the tick cadence).
@@ -104,14 +104,15 @@ impl Trigger {
     }
 
     /// The lowest-bit trigger present in `mask`, if any.
-    pub fn first_in_mask(mask: u32) -> Option<Trigger> {
+    #[cfg(test)]
+    pub(crate) fn first_in_mask(mask: u32) -> Option<Trigger> {
         Trigger::ALL.iter().copied().find(|t| mask & t.bit() != 0)
     }
 }
 
 /// One decoded ring row: `(time_us, absolute counters, absolute
 /// gauges)` as reconstructed by [`DiagBundle::decode_absolute`].
-pub type DecodedFrame = (u64, BTreeMap<String, u64>, BTreeMap<String, u64>);
+pub(crate) type DecodedFrame = (u64, BTreeMap<String, u64>, BTreeMap<String, u64>);
 
 /// One retained sample: the counter increments and gauge movements
 /// since the previous frame, plus the journal's high-water marks.
@@ -124,9 +125,9 @@ pub struct Frame {
     /// `gauge → new absolute value`, present only when it moved.
     pub gauge_sets: Vec<(String, u64)>,
     /// Next journal sequence number at sample time (total records ever).
-    pub journal_next_seq: u64,
+    pub(crate) journal_next_seq: u64,
     /// Journal records retained at sample time.
-    pub journal_len: u64,
+    pub(crate) journal_len: u64,
     /// Journal records overwritten by the bounded ring so far.
     pub journal_dropped: u64,
 }
@@ -134,6 +135,7 @@ pub struct Frame {
 /// One journal record frozen into a bundle, decoupled from the live
 /// [`crate::JournalEvent`] enum so bundles parse without it.
 #[derive(Debug, Clone, PartialEq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `DiagBundle::journal_tail`
 pub struct DiagJournalEntry {
     /// Monotonic journal sequence number.
     pub seq: u64,
@@ -168,9 +170,9 @@ pub struct DiagBundle {
     /// Frames sampled since the recorder started.
     pub samples: u64,
     /// Absolute counter values just before the oldest retained frame.
-    pub base_counters: Vec<(String, u64)>,
+    pub(crate) base_counters: Vec<(String, u64)>,
     /// Absolute gauge values just before the oldest retained frame.
-    pub base_gauges: Vec<(String, u64)>,
+    pub(crate) base_gauges: Vec<(String, u64)>,
     /// The retained ring, oldest first.
     pub frames: Vec<Frame>,
     /// The journal tail at capture (most recent records).
@@ -181,6 +183,7 @@ pub struct DiagBundle {
 
 /// What the strict checker learned about a valid bundle.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// kalis-lint: allow(KL306): named by the `pub` signature of `check_bundle`
 pub struct DiagStats {
     /// Frames in the ring.
     pub frames: usize,

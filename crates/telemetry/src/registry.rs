@@ -8,7 +8,8 @@
 //! suffix into Prometheus labels; the JSON exporter keeps names
 //! verbatim. [`metric_name`] builds labelled names safely.
 
-use crate::{Counter, Gauge, Histogram, HistogramSnapshot, Journal, JournalSnapshot};
+use crate::journal::Journal;
+use crate::{Counter, Gauge, Histogram, HistogramSnapshot, JournalSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,7 +68,7 @@ impl Default for Telemetry {
 impl Telemetry {
     /// An empty registry with the default journal capacity.
     pub fn new() -> Self {
-        Self::with_journal_capacity(crate::DEFAULT_JOURNAL_CAPACITY)
+        Self::with_journal_capacity(crate::journal::DEFAULT_JOURNAL_CAPACITY)
     }
 
     /// An empty registry retaining up to `capacity` journal records.

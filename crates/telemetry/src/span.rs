@@ -15,6 +15,7 @@ use std::time::Instant;
 /// }
 /// assert_eq!(hist.count(), 1);
 /// ```
+// kalis-lint: allow(KL306): named by the `pub` signature of `Histogram::span`
 pub struct SpanTimer<'a> {
     histogram: &'a Histogram,
     start: Instant,

@@ -159,7 +159,6 @@ pub struct TraceEvent {
 struct TracerState {
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    high_water: usize,
 }
 
 /// Bounded recorder of [`TraceEvent`]s.
@@ -185,7 +184,6 @@ impl Tracer {
             state: Mutex::new(TracerState {
                 events: VecDeque::new(),
                 dropped: 0,
-                high_water: 0,
             }),
             capacity: capacity.max(1),
             threshold: AtomicU32::new(0),
@@ -243,20 +241,11 @@ impl Tracer {
             state.dropped += 1;
         }
         state.events.push_back(event);
-        let len = state.events.len();
-        if len > state.high_water {
-            state.high_water = len;
-        }
     }
 
     /// Events overwritten by the bounded ring.
     pub fn dropped(&self) -> u64 {
         self.state.lock().dropped
-    }
-
-    /// Most events ever retained at once.
-    pub fn high_water(&self) -> usize {
-        self.state.lock().high_water
     }
 
     /// Copy out the retained events, oldest first.
@@ -273,7 +262,7 @@ impl Tracer {
 
 /// Serialize trace events into the `kalis-trace` document format:
 /// `{"dropped": N, "events": [...]}`.
-pub fn events_to_json(events: &[TraceEvent], dropped: u64) -> String {
+pub(crate) fn events_to_json(events: &[TraceEvent], dropped: u64) -> String {
     JsonValue::Obj(vec![
         ("dropped".into(), JsonValue::Num(dropped)),
         (
@@ -441,7 +430,6 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "step3");
         assert_eq!(tracer.dropped(), 3);
-        assert_eq!(tracer.high_water(), 2);
     }
 
     #[test]

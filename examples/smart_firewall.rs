@@ -14,7 +14,7 @@ use kalis_netsim::prelude::*;
 
 fn main() {
     let mut sim = Simulator::new(9);
-    let router = sim.add_node(NodeSpec::new("router").with_role(Role::Router));
+    let router = sim.add_node(NodeSpec::new("router"));
     let truth = TruthLog::new();
     let scanner_ip = Ipv4Addr::new(203, 0, 113, 66);
     let scanner = sim.add_node(NodeSpec::new("scanner").with_position(900.0, 0.0));

@@ -18,11 +18,7 @@ fn main() {
     let mut sim = Simulator::new(3);
     let router_mac = MacAddr::from_index(0);
     let cloud_ip = Ipv4Addr::new(52, 0, 0, 1);
-    let router = sim.add_node(
-        NodeSpec::new("router")
-            .with_role(Role::Router)
-            .with_radio(RadioConfig::wifi()),
-    );
+    let router = sim.add_node(NodeSpec::new("router").with_radio(RadioConfig::wifi()));
     sim.set_behavior(
         router,
         TcpServerBehavior::new(router_mac, router_mac, vec![cloud_ip]),
@@ -42,12 +38,7 @@ fn main() {
     // Hub-to-subs side: the lighting hub coordinates two bulbs over a
     // ZigBee link — "a powerful device coordinates several constrained
     // devices" (paper §II-A).
-    let hub = sim.add_node(
-        NodeSpec::new("lighting-hub")
-            .with_position(0.0, 5.0)
-            .with_role(Role::Hub)
-            .with_short_addr(ShortAddr(1)),
-    );
+    let hub = sim.add_node(NodeSpec::new("lighting-hub").with_position(0.0, 5.0));
     sim.set_behavior(
         hub,
         ZigbeeHubBehavior::new(
@@ -58,12 +49,7 @@ fn main() {
     );
     for (i, pos) in [(6.0, 8.0), (-6.0, 8.0)].iter().enumerate() {
         let addr = ShortAddr(2 + i as u16);
-        let bulb = sim.add_node(
-            NodeSpec::new(format!("bulb-{i}"))
-                .with_position(pos.0, pos.1)
-                .with_role(Role::Sub)
-                .with_short_addr(addr),
-        );
+        let bulb = sim.add_node(NodeSpec::new(format!("bulb-{i}")).with_position(pos.0, pos.1));
         sim.set_behavior(bulb, ZigbeeSubBehavior::new(addr, ShortAddr(1)));
     }
 

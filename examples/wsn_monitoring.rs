@@ -19,13 +19,9 @@ fn main() {
     let truth = TruthLog::new();
     let mut sim = Simulator::new(11);
     // Collection tree: 3,4,6 → 2 → 1; 5 → 1.
-    let sink = sim.add_node(NodeSpec::new("sink").with_short_addr(ShortAddr(1)));
+    let sink = sim.add_node(NodeSpec::new("sink"));
     sim.set_behavior(sink, CtpSinkBehavior::new(ShortAddr(1)));
-    let fwd = sim.add_node(
-        NodeSpec::new("forwarder")
-            .with_position(10.0, 0.0)
-            .with_short_addr(ShortAddr(2)),
-    );
+    let fwd = sim.add_node(NodeSpec::new("forwarder").with_position(10.0, 0.0));
     sim.set_behavior(
         fwd,
         CtpForwarderBehavior::with_policy(
@@ -40,11 +36,7 @@ fn main() {
         (5, 5.0, 5.0, 1),
         (6, 12.0, -6.0, 2),
     ] {
-        let node = sim.add_node(
-            NodeSpec::new(format!("mote-{addr}"))
-                .with_position(x, y)
-                .with_short_addr(ShortAddr(addr)),
-        );
+        let node = sim.add_node(NodeSpec::new(format!("mote-{addr}")).with_position(x, y));
         sim.set_behavior(
             node,
             CtpSensorBehavior::leaf(ShortAddr(addr), ShortAddr(parent)),

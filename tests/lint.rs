@@ -8,6 +8,7 @@
 //! * the `tests/lint_fixtures/source/` corpus of `.rs` files pinning the
 //!   `KL3xx` source invariants (`// expect: KLxxx @ line:col` headers,
 //!   one per expected diagnostic, in emission order),
+//! * the `tests/lint_fixtures/surface/` workspace pinning `KL306`,
 //! * the knowledge dataflow graph over the default library (`KL2xx`
 //!   clean, DOT and read-set artifacts deterministic),
 //! * the `recommend_config()` round-trip: a configuration derived from
@@ -176,6 +177,31 @@ fn source_fixture_corpus_pins_exact_codes_and_spans() {
             codes_seen.iter().any(|c| c == code),
             "no fixture pins {code}"
         );
+    }
+}
+
+/// `KL306` over the `tests/lint_fixtures/surface/` workspace: a `pub`
+/// item no other unit names is flagged, as is one only a `pub use` or
+/// a `text` block names; one named by its crate's own integration test
+/// or by a doc-test, or covered by a pragma, is not. Each file's
+/// `// expect:` headers list its hits.
+#[test]
+fn kl306_flags_pub_items_no_other_compilation_unit_names() {
+    let scan = kalis_lint::scan_workspace(&repo_path("tests/lint_fixtures/surface")).unwrap();
+    assert_eq!(scan.len(), 2, "the fixture crate's two source files");
+    for (path, text, diags) in scan {
+        let expected: Vec<String> = (text.lines())
+            .filter_map(|l| l.strip_prefix("// expect: "))
+            .map(str::to_owned)
+            .collect();
+        let got: Vec<String> = diags
+            .iter()
+            .map(|d| {
+                let pos = d.pos.expect("KL306 carries a span");
+                format!("{} @ {}:{}", d.code.as_str(), pos.line, pos.column)
+            })
+            .collect();
+        assert_eq!(got, expected, "{path}:\n{}", render_all(&diags));
     }
 }
 
